@@ -55,10 +55,11 @@ type Attention struct {
 	HeadDim        int
 
 	rope *ropeTable
+	ws   *workspace
 
 	// forward caches
 	q, k, v *tensor.Matrix // N×dim, post-RoPE for q/k
-	probs   []float32      // B·H·T·T softmax probabilities
+	probs   []float32      // B·H blocks of T(T+1)/2 softmax probabilities, see probsRow
 	ctx     *tensor.Matrix // N×dim concatenated head outputs
 	batch   int
 	seq     int
@@ -92,6 +93,13 @@ func head(m *tensor.Matrix, n, h, hd int) []float32 {
 	return row[h*hd : (h+1)*hd]
 }
 
+// probsRow returns the t+1 causal probabilities of query position t in
+// (batch, head) block bh; the blocks are packed lower triangles.
+func (a *Attention) probsRow(bh, t int) []float32 {
+	lo := bh*a.seq*(a.seq+1)/2 + t*(t+1)/2
+	return a.probs[lo : lo+t+1]
+}
+
 // Forward runs causal attention over a batch of B sequences of length T
 // flattened to x of shape (B·T)×dim.
 func (a *Attention) Forward(x *tensor.Matrix, batch, seq int) *tensor.Matrix {
@@ -115,26 +123,24 @@ func (a *Attention) Forward(x *tensor.Matrix, batch, seq int) *tensor.Matrix {
 		}
 	})
 
-	a.probs = make([]float32, batch*a.Heads*seq*seq)
-	a.ctx = tensor.NewMatrix(x.Rows, x.Cols)
+	a.probs = a.ws.floats(batch * a.Heads * seq * (seq + 1) / 2)
+	a.ctx = a.ws.matrix(x.Rows, x.Cols)
+	a.ctx.Zero()
 	invSqrt := float32(1 / math.Sqrt(float64(hd)))
 
 	// One task per (batch, head) pair.
 	bh := batch * a.Heads
 	tensor.Parallel(bh, 1, func(t0, t1 int) {
-		scores := make([]float32, seq)
 		for bhIdx := t0; bhIdx < t1; bhIdx++ {
 			b := bhIdx / a.Heads
 			h := bhIdx % a.Heads
-			base := bhIdx * seq * seq
 			for t := 0; t < seq; t++ {
 				qv := head(a.q, b*seq+t, h, hd)
-				for u := 0; u <= t; u++ {
-					scores[u] = tensor.Dot(qv, head(a.k, b*seq+u, h, hd)) * invSqrt
+				prow := a.probsRow(bhIdx, t)
+				for u := range prow {
+					prow[u] = tensor.Dot(qv, head(a.k, b*seq+u, h, hd)) * invSqrt
 				}
-				tensor.SoftmaxInPlace(scores[:t+1])
-				prow := a.probs[base+t*seq : base+t*seq+seq]
-				copy(prow[:t+1], scores[:t+1])
+				tensor.SoftmaxInPlace(prow)
 				cv := head(a.ctx, b*seq+t, h, hd)
 				for u := 0; u <= t; u++ {
 					p := prow[u]
@@ -155,22 +161,25 @@ func (a *Attention) Backward(dy *tensor.Matrix) *tensor.Matrix {
 	batch, seq, hd := a.batch, a.seq, a.HeadDim
 	dctx := a.Wo.Backward(dy)
 
-	dq := tensor.NewMatrix(a.q.Rows, a.q.Cols)
-	dk := tensor.NewMatrix(a.k.Rows, a.k.Cols)
-	dv := tensor.NewMatrix(a.v.Rows, a.v.Cols)
+	dq := a.ws.matrix(a.q.Rows, a.q.Cols)
+	dk := a.ws.matrix(a.k.Rows, a.k.Cols)
+	dv := a.ws.matrix(a.v.Rows, a.v.Cols)
+	dq.Zero()
+	dk.Zero()
+	dv.Zero()
 	invSqrt := float32(1 / math.Sqrt(float64(hd)))
 
 	bh := batch * a.Heads
+	scratch := a.ws.floats(2 * bh * seq) // a dattn and a dscore row per task
 	tensor.Parallel(bh, 1, func(t0, t1 int) {
-		dattn := make([]float32, seq)
-		dscore := make([]float32, seq)
 		for bhIdx := t0; bhIdx < t1; bhIdx++ {
+			dattn := scratch[2*bhIdx*seq : (2*bhIdx+1)*seq]
+			dscore := scratch[(2*bhIdx+1)*seq : (2*bhIdx+2)*seq]
 			b := bhIdx / a.Heads
 			h := bhIdx % a.Heads
-			base := bhIdx * seq * seq
 			for t := 0; t < seq; t++ {
 				dcv := head(dctx, b*seq+t, h, hd)
-				prow := a.probs[base+t*seq : base+t*seq+seq]
+				prow := a.probsRow(bhIdx, t)
 				// dattn_u = dctx·v_u ; dv_u += p_u·dctx
 				for u := 0; u <= t; u++ {
 					vv := head(a.v, b*seq+u, h, hd)

@@ -12,7 +12,8 @@ import (
 type Linear struct {
 	P *Param
 
-	x *tensor.Matrix // cached input for the backward pass
+	ws *workspace     // the owning Model's arena; nil for a stand-alone layer
+	x  *tensor.Matrix // cached input for the backward pass
 }
 
 // NewLinear initializes W ∈ R^{out×in} with N(0, std²) entries.
@@ -24,15 +25,21 @@ func NewLinear(name string, in, out int, std float64, rng *tensor.RNG) *Linear {
 // Forward computes y = x·Wᵀ for x of shape N×in.
 func (l *Linear) Forward(x *tensor.Matrix) *tensor.Matrix {
 	l.x = x
-	return tensor.MatMulT(x, l.P.W)
+	y := l.ws.matrix(x.Rows, l.P.W.Rows)
+	tensor.MatMulTInto(y, x, l.P.W)
+	return y
 }
 
 // Backward consumes dy (N×out), accumulates dW and returns dx (N×in).
 func (l *Linear) Backward(dy *tensor.Matrix) *tensor.Matrix {
 	// dW += dyᵀ·x  (out×in)
-	tensor.AddInPlace(l.P.Grad, tensor.TMatMul(dy, l.x))
+	dw := l.ws.scratch(l.P.W.Rows, l.P.W.Cols)
+	tensor.TMatMulInto(dw, dy, l.x)
+	tensor.AddInPlace(l.P.Grad, dw)
 	// dx = dy·W    (N×in)
-	return tensor.MatMul(dy, l.P.W)
+	dx := l.ws.matrix(dy.Rows, l.P.W.Cols)
+	tensor.MatMulInto(dx, dy, l.P.W)
+	return dx
 }
 
 // Embedding maps token ids to dense rows of a vocab×dim table.
@@ -40,6 +47,7 @@ type Embedding struct {
 	P   *Param
 	Dim int
 
+	ws     *workspace
 	tokens []int
 }
 
@@ -52,10 +60,12 @@ func NewEmbedding(name string, vocab, dim int, std float64, rng *tensor.RNG) *Em
 // Forward gathers rows for each token id.
 func (e *Embedding) Forward(tokens []int) *tensor.Matrix {
 	e.tokens = tokens
-	out := tensor.NewMatrix(len(tokens), e.Dim)
-	for i, tok := range tokens {
-		copy(out.Row(i), e.P.W.Row(tok))
-	}
+	out := e.ws.matrix(len(tokens), e.Dim)
+	tensor.Parallel(len(tokens), 64, func(i0, i1 int) {
+		for i := i0; i < i1; i++ {
+			copy(out.Row(i), e.P.W.Row(tokens[i]))
+		}
+	})
 	return out
 }
 
@@ -76,6 +86,7 @@ type RMSNorm struct {
 	P   *Param
 	Eps float32
 
+	ws  *workspace
 	x   *tensor.Matrix
 	inv []float32 // 1/rms per row
 }
@@ -90,8 +101,8 @@ func NewRMSNorm(name string, dim int) *RMSNorm {
 // Forward computes y_ij = x_ij * inv_i * g_j.
 func (r *RMSNorm) Forward(x *tensor.Matrix) *tensor.Matrix {
 	r.x = x
-	r.inv = make([]float32, x.Rows)
-	out := tensor.NewMatrix(x.Rows, x.Cols)
+	r.inv = r.ws.floats(x.Rows)
+	out := r.ws.matrix(x.Rows, x.Cols)
 	g := r.P.W.Row(0)
 	dim := float64(x.Cols)
 	tensor.Parallel(x.Rows, 16, func(i0, i1 int) {
@@ -114,21 +125,30 @@ func (r *RMSNorm) Forward(x *tensor.Matrix) *tensor.Matrix {
 // With u = x·inv (the normalized row): dg_j += Σ_i dy_ij·u_ij and
 // dx = inv·(g∘dy − u·mean_j(g∘dy∘u)).
 func (r *RMSNorm) Backward(dy *tensor.Matrix) *tensor.Matrix {
+	dx := r.ws.matrix(dy.Rows, dy.Cols)
+	r.backwardInto(dx, dy)
+	return dx
+}
+
+// backwardInto is Backward writing dx into caller-provided storage.
+func (r *RMSNorm) backwardInto(dx, dy *tensor.Matrix) {
 	x := r.x
-	dx := tensor.NewMatrix(x.Rows, x.Cols)
 	g := r.P.W.Row(0)
 	dim := float64(x.Cols)
 
-	// dg is accumulated serially (dim is small); dx rows run in parallel.
+	// dg fans out over channels, so each dg_j still sums its rows in
+	// ascending order; dx fans out over rows.
 	dg := r.P.Grad.Row(0)
-	for i := 0; i < x.Rows; i++ {
-		row := x.Row(i)
-		drow := dy.Row(i)
-		inv := r.inv[i]
-		for j := range row {
-			dg[j] += drow[j] * row[j] * inv
+	tensor.Parallel(x.Cols, 32, func(j0, j1 int) {
+		for i := 0; i < x.Rows; i++ {
+			row := x.Row(i)
+			drow := dy.Row(i)
+			inv := r.inv[i]
+			for j := j0; j < j1; j++ {
+				dg[j] += drow[j] * row[j] * inv
+			}
 		}
-	}
+	})
 	tensor.Parallel(x.Rows, 16, func(i0, i1 int) {
 		for i := i0; i < i1; i++ {
 			row := x.Row(i)
@@ -145,28 +165,22 @@ func (r *RMSNorm) Backward(dy *tensor.Matrix) *tensor.Matrix {
 			}
 		}
 	})
-	return dx
-}
-
-// silu is x·σ(x), the activation inside SwiGLU.
-func silu(x float32) float32 {
-	return x * sigmoid(x)
 }
 
 func sigmoid(x float32) float32 {
 	return float32(1 / (1 + math.Exp(-float64(x))))
 }
 
-// siluGrad is d/dx silu(x) = σ(x)·(1 + x·(1−σ(x))).
-func siluGrad(x float32) float32 {
-	s := sigmoid(x)
-	return s * (1 + x*(1-s))
-}
+// silu is x·σ(x), the activation inside SwiGLU, and siluGrad its derivative
+// σ(x)·(1 + x·(1−σ(x))); both take s = sigmoid(x) so one exp serves the two.
+func silu(x, s float32) float32     { return x * s }
+func siluGrad(x, s float32) float32 { return s * (1 + x*(1-s)) }
 
 // SwiGLU is the LLaMA MLP: down( silu(gate(x)) ∘ up(x) ).
 type SwiGLU struct {
 	Gate, Up, Down *Linear
 
+	ws                *workspace
 	gateOut, upOut, h *tensor.Matrix
 }
 
@@ -184,22 +198,29 @@ func NewSwiGLU(prefix string, dim, hidden int, rng *tensor.RNG) *SwiGLU {
 func (m *SwiGLU) Forward(x *tensor.Matrix) *tensor.Matrix {
 	m.gateOut = m.Gate.Forward(x)
 	m.upOut = m.Up.Forward(x)
-	m.h = tensor.NewMatrix(x.Rows, m.gateOut.Cols)
-	for i := range m.h.Data {
-		m.h.Data[i] = silu(m.gateOut.Data[i]) * m.upOut.Data[i]
-	}
+	m.h = m.ws.matrix(x.Rows, m.gateOut.Cols)
+	gate, up, h := m.gateOut.Data, m.upOut.Data, m.h.Data
+	tensor.Parallel(len(h), 1<<11, func(i0, i1 int) {
+		for i := i0; i < i1; i++ {
+			h[i] = silu(gate[i], sigmoid(gate[i])) * up[i]
+		}
+	})
 	return m.Down.Forward(m.h)
 }
 
 // Backward returns dx and accumulates all three weight gradients.
 func (m *SwiGLU) Backward(dy *tensor.Matrix) *tensor.Matrix {
 	dh := m.Down.Backward(dy)
-	dgate := tensor.NewMatrix(dh.Rows, dh.Cols)
-	dup := tensor.NewMatrix(dh.Rows, dh.Cols)
-	for i := range dh.Data {
-		dgate.Data[i] = dh.Data[i] * m.upOut.Data[i] * siluGrad(m.gateOut.Data[i])
-		dup.Data[i] = dh.Data[i] * silu(m.gateOut.Data[i])
-	}
+	dgate := m.ws.matrix(dh.Rows, dh.Cols)
+	dup := m.ws.matrix(dh.Rows, dh.Cols)
+	gate, up := m.gateOut.Data, m.upOut.Data
+	tensor.Parallel(len(dh.Data), 1<<11, func(i0, i1 int) {
+		for i := i0; i < i1; i++ {
+			s := sigmoid(gate[i])
+			dgate.Data[i] = dh.Data[i] * up[i] * siluGrad(gate[i], s)
+			dup.Data[i] = dh.Data[i] * silu(gate[i], s)
+		}
+	})
 	dx := m.Gate.Backward(dgate)
 	tensor.AddInPlace(dx, m.Up.Backward(dup))
 	return dx

@@ -45,20 +45,55 @@ type Block struct {
 	Attn  *Attention
 	Norm2 *RMSNorm
 	MLP   *SwiGLU
+
+	ws *workspace
 }
 
-// Forward applies x + Attn(Norm1(x)) then x + MLP(Norm2(x)).
+// Forward applies x + Attn(Norm1(x)) then x + MLP(Norm2(x)). The sums land
+// in the sub-layer outputs, which nothing else keeps.
 func (b *Block) Forward(x *tensor.Matrix, batch, seq int) *tensor.Matrix {
-	h := tensor.Add(x, b.Attn.Forward(b.Norm1.Forward(x), batch, seq))
-	return tensor.Add(h, b.MLP.Forward(b.Norm2.Forward(h)))
+	h := b.Attn.Forward(b.Norm1.Forward(x), batch, seq)
+	addInto(h, x)
+	y := b.MLP.Forward(b.Norm2.Forward(h))
+	addInto(y, h)
+	return y
 }
 
-// Backward propagates dy through the block and returns dx.
-func (b *Block) Backward(dy *tensor.Matrix) *tensor.Matrix {
+// Backward propagates dy through the block into dx; everything it takes from
+// the arena is handed back, the MLP's share before attention takes its own.
+func (b *Block) Backward(dx, dy *tensor.Matrix) {
+	outer := b.ws.mark()
 	// y = h + MLP(Norm2(h)); dh = dy + Norm2ᵀ(MLPᵀ(dy))
-	dh := tensor.Add(dy, b.Norm2.Backward(b.MLP.Backward(dy)))
+	dh := b.ws.matrix(dy.Rows, dy.Cols)
+	inner := b.ws.mark()
+	b.Norm2.backwardInto(dh, b.MLP.Backward(dy))
+	b.ws.release(inner)
+	addInto(dh, dy)
 	// h = x + Attn(Norm1(x)); dx = dh + Norm1ᵀ(Attnᵀ(dh))
-	return tensor.Add(dh, b.Norm1.Backward(b.Attn.Backward(dh)))
+	b.Norm1.backwardInto(dx, b.Attn.Backward(dh))
+	addInto(dx, dh)
+	b.ws.release(outer)
+}
+
+// addInto computes dst = a + dst elementwise (a is the left operand, as in
+// tensor.Add(a, dst)).
+func addInto(dst, a *tensor.Matrix) {
+	tensor.Parallel(len(dst.Data), 1<<14, func(i0, i1 int) {
+		d, s := dst.Data[i0:i1], a.Data[i0:i1]
+		for i, v := range s {
+			d[i] = v + d[i]
+		}
+	})
+}
+
+// bind points the block and every layer in it at the model's arena.
+func (b *Block) bind(ws *workspace) {
+	b.ws = ws
+	b.Norm1.ws, b.Norm2.ws = ws, ws
+	b.Attn.ws, b.MLP.ws = ws, ws
+	for _, l := range []*Linear{b.Attn.Wq, b.Attn.Wk, b.Attn.Wv, b.Attn.Wo, b.MLP.Gate, b.MLP.Up, b.MLP.Down} {
+		l.ws = ws
+	}
 }
 
 // Params returns the block parameters in traversal order.
@@ -79,7 +114,7 @@ type Model struct {
 	Head   *Linear
 
 	params *ParamSet
-	hidden *tensor.Matrix // cached final hidden states for Backward
+	ws     workspace // every layer's activations and backward temporaries
 	batch  int
 	seq    int
 }
@@ -118,6 +153,10 @@ func NewModel(cfg Config, rng *tensor.RNG) *Model {
 	}
 	ps.Add(m.NormF.P, m.Head.P)
 	m.params = ps
+	m.Embed.ws, m.NormF.ws, m.Head.ws = &m.ws, &m.ws, &m.ws
+	for _, b := range m.Blocks {
+		b.bind(&m.ws)
+	}
 	return m
 }
 
@@ -125,7 +164,9 @@ func NewModel(cfg Config, rng *tensor.RNG) *Model {
 func (m *Model) Params() *ParamSet { return m.params }
 
 // Forward maps token ids (length batch·seq, row-major by sequence) to logits
-// of shape (batch·seq)×vocab.
+// of shape (batch·seq)×vocab. The logits live in the model's arena: they are
+// valid until the next Forward on this model, and a model runs one pass at a
+// time.
 func (m *Model) Forward(tokens []int, batch, seq int) *tensor.Matrix {
 	if len(tokens) != batch*seq {
 		panic(fmt.Sprintf("nn: %d tokens for batch %d × seq %d", len(tokens), batch, seq))
@@ -134,22 +175,29 @@ func (m *Model) Forward(tokens []int, batch, seq int) *tensor.Matrix {
 		panic(fmt.Sprintf("nn: seq %d exceeds MaxSeq %d", seq, m.Cfg.MaxSeq))
 	}
 	m.batch, m.seq = batch, seq
+	m.ws.reset()
 	x := m.Embed.Forward(tokens)
 	for _, b := range m.Blocks {
 		x = b.Forward(x, batch, seq)
 	}
-	m.hidden = m.NormF.Forward(x)
-	return m.Head.Forward(m.hidden)
+	return m.Head.Forward(m.NormF.Forward(x))
 }
 
 // Backward propagates dlogits through the whole network, accumulating every
 // parameter gradient.
 func (m *Model) Backward(dlogits *tensor.Matrix) {
-	dx := m.NormF.Backward(m.Head.Backward(dlogits))
+	outer := m.ws.mark()
+	// Two buffers carry the hidden-state gradient down the stack in turn.
+	dx, dy := m.ws.matrix(dlogits.Rows, m.Cfg.Dim), m.ws.matrix(dlogits.Rows, m.Cfg.Dim)
+	inner := m.ws.mark()
+	m.NormF.backwardInto(dx, m.Head.Backward(dlogits))
+	m.ws.release(inner)
 	for i := len(m.Blocks) - 1; i >= 0; i-- {
-		dx = m.Blocks[i].Backward(dx)
+		dx, dy = dy, dx
+		m.Blocks[i].Backward(dx, dy)
 	}
 	m.Embed.Backward(dx)
+	m.ws.release(outer)
 }
 
 // CountTargets returns the number of entries of targets not equal to
@@ -248,16 +296,23 @@ func (m *Model) EvalLoss(tokens []int, targets []int, batch, seq int) float64 {
 }
 
 func crossEntropyLossOnly(logits *tensor.Matrix, targets []int, ignoreIndex int) (float64, int) {
+	// Row losses fan out; the sum stays serial and in row order.
+	rowLoss := make([]float64, logits.Rows)
+	tensor.Parallel(logits.Rows, 8, func(i0, i1 int) {
+		for i := i0; i < i1; i++ {
+			if tgt := targets[i]; tgt != ignoreIndex {
+				row := logits.Row(i)
+				rowLoss[i] = tensor.LogSumExp(row) - float64(row[tgt])
+			}
+		}
+	})
 	var total float64
 	counted := 0
-	for i := 0; i < logits.Rows; i++ {
-		tgt := targets[i]
-		if tgt == ignoreIndex {
-			continue
+	for i, tgt := range targets[:logits.Rows] {
+		if tgt != ignoreIndex {
+			total += rowLoss[i]
+			counted++
 		}
-		row := logits.Row(i)
-		total += tensor.LogSumExp(row) - float64(row[tgt])
-		counted++
 	}
 	if counted == 0 {
 		return 0, 0

@@ -121,7 +121,10 @@ func TestRoPEMakesPositionMatter(t *testing.T) {
 	}
 	att.Forward(x, 1, seq)
 	// probs for head 0, final position.
-	last := att.probs[(seq-1)*seq : (seq-1)*seq+seq]
+	last := att.probsRow(0, seq-1)
+	if len(last) != seq {
+		t.Fatalf("last query row has %d probabilities, want %d", len(last), seq)
+	}
 	mn, mx := last[0], last[0]
 	for _, p := range last {
 		if p < mn {

@@ -5,13 +5,15 @@ import (
 	"testing"
 )
 
-// The BENCH_runtime.json snapshot at the repo root records these numbers for
-// the machine the PR was developed on; re-run with
+// Square-matrix kernel benchmarks for use while working on the kernels:
 //
 //	go test ./internal/runtime/ -bench MatMul -benchtime 2s
 //
-// to regenerate. Speedup scales with core count: the parallel kernel is
-// bit-identical to the serial one, so worker count is a pure perf knob.
+// The numbers of record are the repository benchmark's, at the shapes a
+// training step issues: `bash benchmark/run.sh --workload pretrain_fused
+// --trace 1` reports `runtime.*_gflops` and `runtime.parallel_speedup`.
+// Speedup scales with core count: the parallel kernel is bit-identical to
+// the serial one, so worker count is a pure perf knob.
 
 func benchMatMul(b *testing.B, size int, parallel bool) {
 	a := make([]float32, size*size)

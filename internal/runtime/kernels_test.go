@@ -2,6 +2,7 @@ package runtime
 
 import (
 	"fmt"
+	"math"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -21,10 +22,12 @@ func fill(x []float32, seed uint64) {
 	}
 }
 
+// bitEqual demands identical values; two NaNs count as equal (which payload
+// survives an add of two NaNs is the compiler's operand order, not ours).
 func bitEqual(t *testing.T, name string, got, want []float32) {
 	t.Helper()
 	for i := range want {
-		if got[i] != want[i] {
+		if got[i] != want[i] && !(got[i] != got[i] && want[i] != want[i]) {
 			t.Fatalf("%s: bit mismatch at %d: got %v want %v", name, i, got[i], want[i])
 		}
 	}
@@ -125,6 +128,150 @@ func TestMatMulMatchesNaive(t *testing.T) {
 	for i := range got {
 		if d := float64(got[i]) - naive[i]; d > 1e-3 || d < -1e-3 {
 			t.Fatalf("MatMul vs naive at %d: got %v want %v", i, got[i], naive[i])
+		}
+	}
+}
+
+// The three references below restate each kernel's documented per-element
+// accumulation order with no blocking at all. The kernels share their row
+// functions between the serial and the pooled entry points, so only an
+// independent reference catches a blocked kernel that reorders a sum.
+
+// refMatMul: ascending p, exact-zero a skipped.
+func refMatMul(a, b []float32, m, k, n int) []float32 {
+	out := make([]float32, m*n)
+	for i := 0; i < m; i++ {
+		for j := 0; j < n; j++ {
+			var s float32
+			for p := 0; p < k; p++ {
+				if av := a[i*k+p]; av != 0 {
+					s += av * b[p*n+j]
+				}
+			}
+			out[i*n+j] = s
+		}
+	}
+	return out
+}
+
+// refTMatMul: ascending p, exact-zero a skipped; a is k×m.
+func refTMatMul(a, b []float32, k, m, n int) []float32 {
+	out := make([]float32, m*n)
+	for r := 0; r < m; r++ {
+		for j := 0; j < n; j++ {
+			var s float32
+			for p := 0; p < k; p++ {
+				if av := a[p*m+r]; av != 0 {
+					s += av * b[p*n+j]
+				}
+			}
+			out[r*n+j] = s
+		}
+	}
+	return out
+}
+
+// refMatMulT: four lanes over the first k−k%4 indices, the tail into lane
+// 0, lanes combined left to right; b is n×k.
+func refMatMulT(a, b []float32, m, k, n int) []float32 {
+	out := make([]float32, m*n)
+	for i := 0; i < m; i++ {
+		for j := 0; j < n; j++ {
+			var lane [4]float32
+			for p := 0; p < k-k%4; p++ {
+				lane[p%4] += a[i*k+p] * b[j*k+p]
+			}
+			for p := k - k%4; p < k; p++ {
+				lane[0] += a[i*k+p] * b[j*k+p]
+			}
+			out[i*n+j] = ((lane[0] + lane[1]) + lane[2]) + lane[3]
+		}
+	}
+	return out
+}
+
+// orderShapes are (m, k, n): every k%4, odd and unit m and n, and the
+// shapes the repository benchmark issues.
+var orderShapes = []struct{ m, k, n int }{
+	{1, 8, 5}, {3, 9, 7}, {5, 10, 1}, {7, 11, 9}, {1, 3, 1}, {2, 4, 2},
+	{512, 96, 256}, {512, 256, 96}, {64, 16, 64}, {16, 128, 344},
+}
+
+var nonFinite = []float32{float32(math.Inf(1)), float32(math.Inf(-1)), float32(math.NaN())}
+
+// TestKernelsMatchReferenceOrder holds all three kernels, serial and pooled,
+// to the references bit for bit: on dense-with-zeros inputs, and with a
+// entirely zero against a b full of ±Inf and NaN (MatMul and TMatMul must
+// skip every product and return zeros; MatMulT has no skip and must
+// propagate exactly what the reference does).
+func TestKernelsMatchReferenceOrder(t *testing.T) {
+	orig := Workers()
+	defer SetWorkers(orig)
+	for _, sh := range orderShapes {
+		m, k, n := sh.m, sh.k, sh.n
+		for _, zeroA := range []bool{false, true} {
+			a := make([]float32, m*k) // also read as k×m by TMatMul
+			b := make([]float32, k*n) // also read as n×k by MatMulT
+			fill(b, uint64(k*31+n))
+			if zeroA {
+				for i := range b {
+					if i%3 == 0 {
+						b[i] = nonFinite[(i/3)%len(nonFinite)]
+					}
+				}
+			} else {
+				fill(a, uint64(m*31+k)) // one entry in seventeen is an exact zero
+			}
+			wantMM, wantTM, wantMT := refMatMul(a, b, m, k, n), refTMatMul(a, b, k, m, n), refMatMulT(a, b, m, k, n)
+			for _, w := range []int{1, 2, 3} {
+				SetWorkers(w)
+				tag := fmt.Sprintf("%dx%dx%d zeroA=%v workers=%d", m, k, n, zeroA, w)
+				got := make([]float32, m*n)
+				for _, kern := range []struct {
+					name string
+					run  func()
+					want []float32
+				}{
+					{"MatMul", func() { MatMul(got, a, b, m, k, n) }, wantMM},
+					{"MatMulSerial", func() { MatMulSerial(got, a, b, m, k, n) }, wantMM},
+					{"TMatMul", func() { TMatMul(got, a, b, k, m, n) }, wantTM},
+					{"TMatMulSerial", func() { TMatMulSerial(got, a, b, k, m, n) }, wantTM},
+					{"MatMulT", func() { MatMulT(got, a, b, m, k, n) }, wantMT},
+					{"MatMulTSerial", func() { MatMulTSerial(got, a, b, m, k, n) }, wantMT},
+				} {
+					fill(got, 999) // kernels must fully overwrite stale output
+					kern.run()
+					bitEqual(t, kern.name+" "+tag, got, kern.want)
+				}
+			}
+		}
+	}
+}
+
+// TestMatMulSkipsZeroAgainstNonFinite pins the skip where it matters: a row
+// whose only zeros sit exactly on the non-finite rows of b stays finite.
+func TestMatMulSkipsZeroAgainstNonFinite(t *testing.T) {
+	const m, k, n = 3, 10, 6
+	a := make([]float32, m*k)
+	b := make([]float32, k*n)
+	fill(b, 5)
+	for i := range a {
+		a[i] = float32(i%5) + 1
+	}
+	for _, p := range []int{1, 6, 9} { // a group of four with one zero, another, and the tail
+		for i := 0; i < m; i++ {
+			a[i*k+p] = 0
+		}
+		for j := 0; j < n; j++ {
+			b[p*n+j] = nonFinite[j%len(nonFinite)]
+		}
+	}
+	got := make([]float32, m*n)
+	MatMul(got, a, b, m, k, n)
+	bitEqual(t, "MatMul", got, refMatMul(a, b, m, k, n))
+	for i, v := range got {
+		if math.IsNaN(float64(v)) || math.IsInf(float64(v), 0) {
+			t.Fatalf("MatMul let a zero multiplier meet a non-finite b: out[%d] = %v", i, v)
 		}
 	}
 }
@@ -264,6 +411,17 @@ func TestForRangeCallerPanicWaitsForInflight(t *testing.T) {
 	p.ForRange(16, 1, func(i0, i1 int) { atomic.AddInt32(&hits, int32(i1-i0)) })
 	if hits != 16 {
 		t.Fatalf("post-panic ForRange covered %d of 16", hits)
+	}
+}
+
+// TestForRangeAllocs pins what a fan-out allocates: its task closures and
+// the one object they share with the owner, nothing per call beyond that.
+func TestForRangeAllocs(t *testing.T) {
+	p := NewPool(4)
+	defer p.Resize(1)
+	fn := func(i0, i1 int) {}
+	if got := testing.AllocsPerRun(100, func() { p.ForRange(4, 1, fn) }); got > 4 {
+		t.Fatalf("ForRange over 4 chunks allocates %v objects, want at most 3 tasks + 1 shared", got)
 	}
 }
 

@@ -7,11 +7,12 @@
 // Determinism contract: every kernel in this package produces bits that
 // depend only on its inputs (and compile-time tile constants) — never on the
 // worker count, GOMAXPROCS, or goroutine scheduling. The matmul kernels
-// achieve this by accumulating each output element over the inner dimension
-// in ascending order regardless of how the output is tiled; the reductions
-// achieve it by summing over a fixed chunk grid whose partials are combined
-// in chunk order. Parity tests compare every parallel kernel bit-for-bit
-// against its serial reference.
+// achieve this by giving each output element one fixed accumulation order
+// over the inner dimension (stated per kernel in kernels.go) regardless of
+// how the output is blocked or split; the reductions achieve it by summing
+// over a fixed chunk grid whose partials are combined in chunk order. Tests
+// compare every kernel, serial and pooled, bit-for-bit against an
+// independent reference of its order.
 package runtime
 
 import (
@@ -139,14 +140,18 @@ func (p *Pool) ForRange(n, minPerTask int, fn func(i0, i1 int)) {
 		m.forRanges.Inc()
 		m.chunks.Observe(float64((n + chunk - 1) / chunk))
 	}
-	var pending int32
-	panics := make(chan any, 1) // first panic from a submitted chunk
+	// What the submitted chunks share with their owner: one heap object per
+	// fan-out, besides the task closures.
+	var shared struct {
+		pending    atomic.Int32
+		firstPanic atomic.Pointer[any] // first panic from a submitted chunk
+	}
 	for i0 := chunk; i0 < n; i0 += chunk {
 		i1 := i0 + chunk
 		if i1 > n {
 			i1 = n
 		}
-		atomic.AddInt32(&pending, 1)
+		shared.pending.Add(1)
 		a, b := i0, i1
 		task := func() {
 			// A panicking chunk must still decrement pending (or the owner
@@ -154,12 +159,10 @@ func (p *Pool) ForRange(n, minPerTask int, fn func(i0, i1 int)) {
 			// caller, not on whichever worker or helping goroutine stole it.
 			defer func() {
 				if r := recover(); r != nil {
-					select {
-					case panics <- r:
-					default:
-					}
+					first := r // heap copy on the panic path only
+					shared.firstPanic.CompareAndSwap(nil, &first)
 				}
-				atomic.AddInt32(&pending, -1)
+				shared.pending.Add(-1)
 			}()
 			fn(a, b)
 		}
@@ -185,7 +188,7 @@ func (p *Pool) ForRange(n, minPerTask int, fn func(i0, i1 int)) {
 		fn(0, chunk)
 	}()
 	// Help with queued work (ours or anyone's) until our chunks are done.
-	for atomic.LoadInt32(&pending) > 0 {
+	for shared.pending.Load() > 0 {
 		select {
 		case f := <-p.tasks:
 			if f == nil {
@@ -203,10 +206,8 @@ func (p *Pool) ForRange(n, minPerTask int, fn func(i0, i1 int)) {
 	if callerPanicked {
 		panic(callerPanic)
 	}
-	select {
-	case r := <-panics:
-		panic(r)
-	default:
+	if r := shared.firstPanic.Load(); r != nil {
+		panic(*r)
 	}
 }
 

@@ -4,7 +4,8 @@
 // and gradients are all-reduced before a single optimizer step on the
 // master parameters — so the cluster simulator's predicted speedup and the
 // speedup measured here can be compared directly (see `apollo-bench -run
-// runtime` and BENCH_runtime.json).
+// runtime`; `bash benchmark/run.sh --workload pretrain_fused --trace 1`
+// reports the kernels' `runtime.*_gflops` and `runtime.parallel_speedup`).
 //
 // Determinism contract. The gradient of a global batch is *defined* as the
 // balanced binary-tree sum of per-sequence gradient leaves, and the loss as
