@@ -67,32 +67,28 @@ func (c Config) Validate() error {
 	return nil
 }
 
+// engine is embedded under an unexported name so APOLLO gains the projected
+// engine's methods without gaining an exported field.
+type engine = optim.Projected
+
 // APOLLO is the paper's optimizer: AdamW moments are kept only in an
 // auxiliary rank-r space fed by a (re-seedable) random projection of the
 // gradient; the only thing read out of that space is a channel- or
 // tensor-wise norm ratio, which rescales the *raw full-rank gradient*. The
 // weight update is therefore SGD-shaped with a structured adaptive step
 // size — SGD-like memory, AdamW-level behaviour.
+//
+// State, sharding, accounting and checkpointing are optim.Projected's (the
+// layout GaLore introduced, Table 1's 2nr + 2: auxiliary moments, projection
+// seed, limiter norm; the SVD variant persists its r×m projection instead of
+// the seed). Only the update rule below is APOLLO's own.
 type APOLLO struct {
-	h   optim.Hyper
+	*engine
 	cfg Config
 
 	// ScalingProbe, when non-nil, receives each matrix parameter's
 	// channel scaling factors every step (Fig. 4 instrumentation).
 	ScalingProbe func(param string, s []float64)
-
-	states map[*nn.Param]*apolloState
-	dense  *optim.AdamW
-	rng    *tensor.RNG
-}
-
-type apolloState struct {
-	proj     *linalg.Projector
-	mR, vR   *tensor.Matrix // auxiliary moments, r×n
-	t        int
-	since    int
-	prevNorm float64 // for the norm-growth limiter
-	trans    bool    // stored matrix is n×m (rows > cols)
 }
 
 // New constructs an APOLLO optimizer from cfg.
@@ -101,13 +97,20 @@ func New(h optim.Hyper, cfg Config) *APOLLO {
 	if err := cfg.Validate(); err != nil {
 		panic(err)
 	}
-	return &APOLLO{
-		h:      fillHyper(h),
-		cfg:    cfg,
-		states: map[*nn.Param]*apolloState{},
-		dense:  optim.NewAdamW(h),
-		rng:    tensor.NewRNG(cfg.Seed),
+	name := "APOLLO"
+	if cfg.Granularity == Tensor && cfg.Rank == 1 {
+		name = "APOLLO-Mini"
 	}
+	if cfg.Projection == linalg.SVDProjection {
+		name += " w. SVD"
+	}
+	a := &APOLLO{cfg: cfg}
+	// The limiter slot is part of the layout even with DisableNL.
+	a.engine = optim.NewProjected(name, h, optim.LowRankConfig{
+		Rank: cfg.Rank, Scale: cfg.Scale, UpdateGap: cfg.UpdateGap,
+		Projection: cfg.Projection, Seed: cfg.Seed,
+	}, true, a.rule)
+	return a
 }
 
 // NewMini constructs APOLLO-Mini: rank-1 auxiliary space, tensor-wise
@@ -116,172 +119,48 @@ func NewMini(h optim.Hyper) *APOLLO {
 	return New(h, Config{Rank: 1, Granularity: Tensor})
 }
 
-// Name implements optim.Optimizer.
-func (a *APOLLO) Name() string {
-	base := "APOLLO"
-	if a.cfg.Granularity == Tensor && a.cfg.Rank == 1 {
-		base = "APOLLO-Mini"
-	}
-	if a.cfg.Projection == linalg.SVDProjection {
-		base += " w. SVD"
-	}
-	return base
-}
-
 // Config returns the resolved configuration.
 func (a *APOLLO) Config() Config { return a.cfg }
 
-// SetLR implements optim.Optimizer.
-func (a *APOLLO) SetLR(lr float64) {
-	a.h.LR = lr
-	a.dense.SetLR(lr)
-}
+// rule is Algorithm 1 from the projection on: the engine has already
+// re-drawn the subspace when due (a new seed for random projection, an SVD
+// for the w.-SVD variant) and hands over the gradient in m×n orientation.
+func (a *APOLLO) rule(e *optim.Projected, st *optim.ProjState, p *nn.Param, grad *tensor.Matrix) *tensor.Matrix {
+	// Step 1: project the gradient into the rank-r auxiliary space.
+	r := st.Project(grad) // R_t, r×n
 
-// LR implements optim.Optimizer.
-func (a *APOLLO) LR() float64 { return a.h.LR }
+	// Step 2: auxiliary AdamW moments (λ = 0 inside the aux space).
+	rTilde := tensor.NewMatrix(r.Rows, r.Cols)
+	e.Moments(st, rTilde, r)
 
-// projectable mirrors GaLore's policy: 2-D matrices whose smaller dimension
-// exceeds the rank. With rank 1 (Mini) every matrix qualifies.
-func (a *APOLLO) projectable(p *nn.Param) bool {
-	if p.Kind != nn.KindMatrix {
-		return false
+	// Step 3: structured scaling factors from the compressed space.
+	update := p.Grad.Clone()
+	oriented := update
+	if st.Transposed() {
+		oriented = update.T()
 	}
-	m := p.W.Rows
-	if p.W.Cols < m {
-		m = p.W.Cols
+	var scales []float64
+	switch a.cfg.Granularity {
+	case Channel:
+		scales = channelScales(rTilde, r)
+		applyChannelScales(oriented, scales)
+	case Tensor:
+		f := tensorScale(rTilde, r)
+		scales = []float64{f}
+		tensor.ScaleInPlace(oriented, float32(f))
 	}
-	return m > a.cfg.Rank
-}
-
-// StateElemsFor implements optim.StateIntrospector (Table 1: 2nr + 2 — the
-// auxiliary moments plus the projection seed and the limiter's previous
-// norm; the SVD variant persists its r×m projection instead of the seed).
-// APOLLO's projectability rule matches the shared low-rank policy, so the
-// shared accounting applies with extra = 1 for prevNorm.
-func (a *APOLLO) StateElemsFor(p *nn.Param) int64 {
-	return optim.ProjectedStateElems(p, a.cfg.Rank, a.cfg.Projection, 1)
-}
-
-// RowSplittable implements optim.StateIntrospector: only the dense AdamW
-// fallback is element-wise; projected matrices couple whole channels.
-func (a *APOLLO) RowSplittable(p *nn.Param) bool { return !a.projectable(p) }
-
-// PrepareShard implements optim.StateSharder: APOLLO draws one projector
-// seed per projectable parameter from its RNG at first touch, in step
-// order. For ZeRO-style partitioning (internal/zero) this walks the full
-// parameter list in global order — consuming the seed stream exactly as an
-// unsharded first Step would — while allocating the auxiliary moments only
-// for the owned shard, so a shard-local APOLLO is bit-identical to the
-// unsharded instance on its parameters at ~1/N of the state.
-func (a *APOLLO) PrepareShard(all []*nn.Param, owned func(*nn.Param) bool) {
-	optim.PrepareProjectedShard(all, owned, a.projectable, a.rng.Uint64,
-		func(p *nn.Param, seed uint64) {
-			if _, ok := a.states[p]; ok {
-				return
-			}
-			trans := p.W.Rows > p.W.Cols
-			n := p.W.Cols
-			if trans {
-				n = p.W.Rows
-			}
-			a.states[p] = &apolloState{
-				proj:  linalg.NewProjector(a.cfg.Projection, a.cfg.Rank, seed),
-				mR:    tensor.NewMatrix(a.cfg.Rank, n),
-				vR:    tensor.NewMatrix(a.cfg.Rank, n),
-				trans: trans,
-			}
-		})
-}
-
-// Step implements optim.Optimizer (Algorithm 1).
-func (a *APOLLO) Step(ps []*nn.Param) {
-	var fallback []*nn.Param
-	for _, p := range ps {
-		if !a.projectable(p) {
-			fallback = append(fallback, p)
-			continue
-		}
-		st, ok := a.states[p]
-		if !ok {
-			trans := p.W.Rows > p.W.Cols
-			n := p.W.Cols
-			if trans {
-				n = p.W.Rows
-			}
-			st = &apolloState{
-				proj:  linalg.NewProjector(a.cfg.Projection, a.cfg.Rank, a.rng.Uint64()),
-				mR:    tensor.NewMatrix(a.cfg.Rank, n),
-				vR:    tensor.NewMatrix(a.cfg.Rank, n),
-				trans: trans,
-			}
-			a.states[p] = st
-		}
-
-		// Step 1: project the gradient into the rank-r auxiliary space,
-		// re-drawing the subspace every UpdateGap steps (a new seed for
-		// random projection; an SVD for the w.-SVD variant).
-		grad := p.Grad
-		if st.trans {
-			grad = p.Grad.T()
-		}
-		if !st.proj.Ready() || (a.cfg.UpdateGap > 0 && st.since >= a.cfg.UpdateGap) {
-			st.proj.Refresh(grad)
-			st.since = 0
-		}
-		st.since++
-		st.t++
-
-		r := st.proj.Project(grad) // R_t, r×n
-
-		// Step 2: auxiliary AdamW moments (λ = 0 inside the aux space).
-		rTilde := tensor.NewMatrix(r.Rows, r.Cols)
-		updateMoments(st.mR, st.vR, rTilde, r, a.h, st.t)
-
-		// Step 3: structured scaling factors from the compressed space.
-		update := p.Grad.Clone()
-		oriented := update
-		if st.trans {
-			oriented = update.T()
-		}
-		var scales []float64
-		switch a.cfg.Granularity {
-		case Channel:
-			scales = channelScales(rTilde, r)
-			applyChannelScales(oriented, scales)
-		case Tensor:
-			f := tensorScale(rTilde, r)
-			scales = []float64{f}
-			tensor.ScaleInPlace(oriented, float32(f))
-		}
-		if st.trans {
-			update = oriented.T()
-		}
-		if a.ScalingProbe != nil {
-			a.ScalingProbe(p.Name, scales)
-		}
-
-		// Step 4: scale by α, tame growth, apply with decoupled decay.
-		tensor.ScaleInPlace(update, float32(a.cfg.Scale))
-		if !a.cfg.DisableNL {
-			st.prevNorm = LimitNormGrowth(update, st.prevNorm, a.cfg.Gamma)
-		}
-		applyUpdate(p, update, a.h)
+	if st.Transposed() {
+		update = oriented.T()
 	}
-	if len(fallback) > 0 {
-		a.dense.Step(fallback)
+	if a.ScalingProbe != nil {
+		a.ScalingProbe(p.Name, scales)
 	}
-}
 
-// StateBytes implements optim.Optimizer. Per projected m×n parameter the
-// resident state is the two r×n auxiliary moments plus two scalars (the
-// projection seed and the limiter's previous norm) — Table 1's 2nr + 2; the
-// SVD variant additionally persists its r×m projection.
-func (a *APOLLO) StateBytes() int64 {
-	total := a.dense.StateBytes()
-	for _, st := range a.states {
-		total += 4 * int64(st.mR.NumEl()+st.vR.NumEl())
-		total += 4 * int64(st.proj.StateFloats()) // seed slot (1) or SVD matrix
-		total += 4                                // prevNorm for the limiter
+	// Step 4: scale by α and tame growth, both on the update in the
+	// parameter's native orientation.
+	tensor.ScaleInPlace(update, float32(a.cfg.Scale))
+	if !a.cfg.DisableNL {
+		st.LimitNormGrowth(update, a.cfg.Gamma)
 	}
-	return total
+	return update
 }

@@ -226,12 +226,36 @@ func TestAPOLLOSubspaceRefresh(t *testing.T) {
 	for i := 0; i < 6; i++ {
 		fillGrad(p, rng, 1)
 		a.Step([]*nn.Param{p})
-		for _, st := range a.states {
-			seeds[st.proj.Seed()] = true
+		st, err := a.CaptureParam(p)
+		if err != nil || st == nil {
+			t.Fatalf("no captured state: %v", err)
 		}
+		// Canonical layout: Scalars [t, since, prevNorm, proj seed, ...].
+		seeds[st.Scalars[3]] = true
 	}
 	if len(seeds) < 3 {
 		t.Fatalf("projection refreshed only %d times over 6 steps with gap 2", len(seeds))
+	}
+}
+
+// An 8×16 APOLLO state must not restore into a 4×16 parameter: both have
+// n = 16, so the moment shapes agree and only the projected dimension in the
+// scalar channel tells them apart. Before the engine checked it, the restore
+// succeeded and the next Step panicked multiplying a 2×8 projection into a
+// 4×16 gradient.
+func TestAPOLLORestoreRejectsOtherParametersState(t *testing.T) {
+	cfg := Config{Rank: 2, Seed: 7}
+	from := matParam(t, "w", 8, 16, 16)
+	a := New(optim.Hyper{LR: 0.001}, cfg)
+	fillGrad(from, tensor.NewRNG(17), 1)
+	a.Step([]*nn.Param{from})
+	st, err := a.CaptureParam(from)
+	if err != nil || st == nil {
+		t.Fatalf("no captured state: %v", err)
+	}
+	into := matParam(t, "w", 4, 16, 18)
+	if err := New(optim.Hyper{LR: 0.001}, cfg).RestoreParam(into, st); err == nil {
+		t.Fatal("8x16 state restored into a 4x16 parameter")
 	}
 }
 

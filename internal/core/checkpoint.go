@@ -1,10 +1,11 @@
-// Checkpoint hooks for the paper's own optimizers, mirroring the
-// optim.StateSaver / optim.StateLoader implementations of the baseline zoo
-// (see internal/optim/checkpoint.go for the canonical-form contract).
-// APOLLO's persistent state per projected parameter is exactly what Table 1
-// advertises — the rank-space moments plus the projector seed/phase and the
-// limiter's previous norm — so a checkpoint restores the trajectory
-// bit-for-bit without ever persisting the random projection matrix.
+// Checkpoint hooks for StructuredAdamW, mirroring the optim.StateSaver /
+// optim.StateLoader implementations of the baseline zoo (see
+// internal/optim/checkpoint.go for the canonical-form contract). APOLLO
+// itself needs none here: its state is optim.Projected's, whose canonical
+// layout is exactly what Table 1 advertises — the rank-space moments plus
+// the projector seed/phase and the limiter's previous norm — so a checkpoint
+// restores the trajectory bit-for-bit without ever persisting the random
+// projection matrix.
 package core
 
 import (
@@ -14,54 +15,6 @@ import (
 	"apollo/internal/optim"
 	"apollo/internal/tensor"
 )
-
-// CaptureGlobals implements optim.StateSaver: the projector-seed RNG phase.
-func (a *APOLLO) CaptureGlobals() ([]uint64, error) { return []uint64{a.rng.State()}, nil }
-
-// CaptureParam implements optim.StateSaver — layout: Scalars [t, since,
-// prevNorm bits, proj seed, proj rng, proj m, proj ready]; Whole [mR, vR]
-// (+ the SVD projection for the w.-SVD variant). Dense fallback delegates.
-func (a *APOLLO) CaptureParam(p *nn.Param) (*optim.ParamState, error) {
-	if !a.projectable(p) {
-		return a.dense.CaptureParam(p)
-	}
-	st, ok := a.states[p]
-	if !ok {
-		return nil, nil
-	}
-	return optim.CaptureProjectedState(st.proj, st.mR, st.vR, st.t, st.since, &st.prevNorm), nil
-}
-
-// RestoreGlobals implements optim.StateLoader.
-func (a *APOLLO) RestoreGlobals(gs []uint64) error {
-	if len(gs) != 1 {
-		return fmt.Errorf("core: APOLLO: %d global cursors, want 1", len(gs))
-	}
-	a.rng.SetState(gs[0])
-	return nil
-}
-
-// RestoreParam implements optim.StateLoader.
-func (a *APOLLO) RestoreParam(p *nn.Param, st *optim.ParamState) error {
-	if !a.projectable(p) {
-		return a.dense.RestoreParam(p, st)
-	}
-	trans := p.W.Rows > p.W.Cols
-	n := p.W.Cols
-	if trans {
-		n = p.W.Rows
-	}
-	proj, mR, vR, t, since, prevNorm, err := optim.RestoreProjectedState(
-		st, a.cfg.Projection, a.cfg.Rank, n, true, "APOLLO "+p.Name)
-	if err != nil {
-		return err
-	}
-	a.states[p] = &apolloState{
-		proj: proj, mR: mR, vR: vR,
-		t: t, since: since, prevNorm: prevNorm, trans: trans,
-	}
-	return nil
-}
 
 // CaptureGlobals implements optim.StateSaver (no global cursors).
 func (s *StructuredAdamW) CaptureGlobals() ([]uint64, error) { return nil, nil }

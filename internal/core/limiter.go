@@ -8,27 +8,18 @@ package core
 import (
 	"fmt"
 
+	"apollo/internal/optim"
 	"apollo/internal/tensor"
 )
 
 // DefaultGamma is the norm-growth limiter threshold used throughout the
 // paper (γ = 1.01, Section 3.2).
-const DefaultGamma = 1.01
+const DefaultGamma = optim.DefaultGamma
 
-// LimitNormGrowth applies the paper's norm-growth limiter (equation 4): if
-// ‖g‖ / prevNorm > gamma, g is rescaled so its norm equals gamma·prevNorm.
-// It returns the post-limit norm, which the caller stores as the next
-// prevNorm. A prevNorm of zero (first step) disables limiting. This replaces
-// vanilla gradient clipping and is what removes the early-training loss
-// spike of structured updates (Fig. 3).
+// LimitNormGrowth applies the paper's norm-growth limiter (equation 4); the
+// one implementation sits beside the projected engine, which Fira shares.
 func LimitNormGrowth(g *tensor.Matrix, prevNorm, gamma float64) float64 {
-	norm := g.Norm()
-	if prevNorm > 0 && norm > gamma*prevNorm {
-		target := gamma * prevNorm
-		tensor.ScaleInPlace(g, float32(target/(norm+1e-30)))
-		return target
-	}
-	return norm
+	return optim.LimitNormGrowth(g, prevNorm, gamma)
 }
 
 // Granularity selects how coarse the structured scaling factor is.

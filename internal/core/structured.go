@@ -1,8 +1,6 @@
 package core
 
 import (
-	"math"
-
 	"apollo/internal/nn"
 	"apollo/internal/optim"
 	"apollo/internal/tensor"
@@ -38,7 +36,7 @@ type structState struct {
 // NewStructuredAdamW builds the optimizer with the limiter enabled.
 func NewStructuredAdamW(h optim.Hyper, g Granularity) *StructuredAdamW {
 	return &StructuredAdamW{
-		h:           fillHyper(h),
+		h:           h.WithDefaults(),
 		Granularity: g,
 		Gamma:       DefaultGamma,
 		states:      map[*nn.Param]*structState{},
@@ -79,7 +77,7 @@ func (s *StructuredAdamW) Step(ps []*nn.Param) {
 		st.t++
 		// Full AdamW moments → element-wise normalized direction ˜G.
 		gt := tensor.NewMatrix(p.W.Rows, p.W.Cols)
-		updateMoments(st.m, st.v, gt, p.Grad, s.h, st.t)
+		optim.AdamDirection(st.m, st.v, gt, p.Grad, s.h, st.t)
 
 		// Collapse to the structured factor and rescale the raw gradient.
 		update := p.Grad.Clone()
@@ -109,7 +107,7 @@ func (s *StructuredAdamW) Step(ps []*nn.Param) {
 		if s.Gamma > 0 {
 			st.prevNorm = LimitNormGrowth(update, st.prevNorm, s.Gamma)
 		}
-		applyUpdate(p, update, s.h)
+		optim.DecayAndApply(p, update, s.h.LR, s.h.WeightDecay)
 	}
 	if len(fallback) > 0 {
 		s.dense.Step(fallback)
@@ -125,23 +123,6 @@ func (s *StructuredAdamW) StateBytes() int64 {
 		total += 4
 	}
 	return total
-}
-
-// updateMoments runs one bias-corrected AdamW moment update, writing the
-// element-wise direction m̂/(√v̂+ε) into out.
-func updateMoments(m, v, out, g *tensor.Matrix, h optim.Hyper, t int) {
-	b1 := float32(h.Beta1)
-	b2 := float32(h.Beta2)
-	c1 := float32(1 / (1 - math.Pow(h.Beta1, float64(t))))
-	c2 := float32(1 / (1 - math.Pow(h.Beta2, float64(t))))
-	eps := float32(h.Eps)
-	for i, gv := range g.Data {
-		m.Data[i] = b1*m.Data[i] + (1-b1)*gv
-		v.Data[i] = b2*v.Data[i] + (1-b2)*gv*gv
-		vhat := v.Data[i] * c2
-		den := float32(math.Sqrt(float64(vhat))) + eps
-		out.Data[i] = m.Data[i] * c1 / den
-	}
 }
 
 // channelScales returns s_j = ‖num[:,j]‖ / ‖den[:,j]‖ for every column j of
@@ -173,26 +154,4 @@ func applyChannelScales(g *tensor.Matrix, s []float64) {
 		fs[i] = float32(v)
 	}
 	tensor.ScaleColsInPlace(g, fs)
-}
-
-// applyUpdate performs the decoupled weight-decay step w ← w − lr·u − lr·λ·w.
-func applyUpdate(p *nn.Param, u *tensor.Matrix, h optim.Hyper) {
-	if h.WeightDecay != 0 { //apollo:exactfloat zero weight decay disables the term exactly, matching optim
-		tensor.ScaleInPlace(p.W, float32(1-h.LR*h.WeightDecay))
-	}
-	tensor.AxpyInPlace(p.W, float32(-h.LR), u)
-}
-
-// fillHyper mirrors optim's private defaults for use inside this package.
-func fillHyper(h optim.Hyper) optim.Hyper {
-	if h.Beta1 == 0 { //apollo:exactfloat zero is the unset-field sentinel; defaults fill only untouched fields
-		h.Beta1 = 0.9
-	}
-	if h.Beta2 == 0 { //apollo:exactfloat zero is the unset-field sentinel; defaults fill only untouched fields
-		h.Beta2 = 0.999
-	}
-	if h.Eps == 0 { //apollo:exactfloat zero is the unset-field sentinel; defaults fill only untouched fields
-		h.Eps = 1e-8
-	}
-	return h
 }

@@ -82,7 +82,7 @@ func (a *AdamMini) Step(ps []*nn.Param) {
 				}
 			}
 		}
-		decayAndApply(p, dir, a.h.LR, a.h.WeightDecay)
+		DecayAndApply(p, dir, a.h.LR, a.h.WeightDecay)
 	}
 }
 

@@ -40,7 +40,7 @@ func (a *AdamW) Step(ps []*nn.Param) {
 		}
 		dir := a.buf[p]
 		st.update(dir, p.Grad, a.h)
-		decayAndApply(p, dir, a.h.LR, a.h.WeightDecay)
+		DecayAndApply(p, dir, a.h.LR, a.h.WeightDecay)
 	}
 }
 

@@ -13,6 +13,12 @@
 // and re-slices it for an arbitrary new world size on load — which is what
 // makes checkpoints elastic: a `-replicas 3 -zero` snapshot resumes under
 // `-replicas 4 -zero` or unsharded without losing bit-parity.
+//
+// This file holds the canonical form, its row slicing/merging, and the
+// hooks of the optimizers that keep their own state: the dense members, the
+// 8-bit variants, Factorized and WeightQuantized. GaLore, Fira, Flora and
+// APOLLO share one state declaration and therefore one CaptureParam /
+// RestoreParam pair and one documented layout, in projected.go.
 package optim
 
 import (
@@ -363,199 +369,6 @@ func (a *AdamMini) RestoreParam(p *nn.Param, st *ParamState) error {
 }
 
 // ---------------------------------------------------------------------------
-// GaLore — globals: [projector-seed RNG phase]. Projected parameters:
-// Scalars [t, since, proj seed, proj rng, proj m, proj ready];
-// Whole [m (r×n), v (r×n)] (+ the r×m SVD projection when ready).
-// Dense-fallback parameters delegate to the inner AdamW.
-
-// CaptureGlobals implements StateSaver.
-func (g *GaLore) CaptureGlobals() ([]uint64, error) { return []uint64{g.rng.State()}, nil }
-
-// CaptureParam implements StateSaver.
-func (g *GaLore) CaptureParam(p *nn.Param) (*ParamState, error) {
-	if !projects(p, g.cfg.Rank) {
-		return g.dense.CaptureParam(p)
-	}
-	st, ok := g.states[p]
-	if !ok {
-		return nil, nil
-	}
-	return CaptureProjectedState(st.proj, st.adam.m, st.adam.v, st.adam.t, st.since, nil), nil
-}
-
-// RestoreGlobals implements StateLoader.
-func (g *GaLore) RestoreGlobals(gs []uint64) error {
-	if len(gs) != 1 {
-		return fmt.Errorf("optim: GaLore: %d global cursors, want 1", len(gs))
-	}
-	g.rng.SetState(gs[0])
-	return nil
-}
-
-// RestoreParam implements StateLoader.
-func (g *GaLore) RestoreParam(p *nn.Param, st *ParamState) error {
-	if !projects(p, g.cfg.Rank) {
-		return g.dense.RestoreParam(p, st)
-	}
-	o := orient(p.W.Rows, p.W.Cols)
-	proj, m, v, t, since, _, err := RestoreProjectedState(st, g.cfg.Projection, g.cfg.Rank, o.n, false, "GaLore "+p.Name)
-	if err != nil {
-		return err
-	}
-	g.states[p] = &galoreState{proj: proj, adam: &adamState{m: m, v: v, t: t}, o: o, since: since}
-	return nil
-}
-
-// CaptureProjectedState flattens the state every projected optimizer
-// shares — rank-space first/second moments plus the projector — into the
-// canonical form: Scalars [t, since, (prevNorm bits,) proj seed, proj rng,
-// proj m, proj ready]; Whole [m, v (, SVD projection)]. prevNorm, when
-// non-nil, is the norm-growth limiter's memory (Fira; core.APOLLO reuses
-// this helper from outside the package).
-func CaptureProjectedState(proj *linalg.Projector, m, v *tensor.Matrix, t, since int, prevNorm *float64) *ParamState {
-	snap := proj.Snapshot()
-	scalars := []uint64{uint64(t), uint64(since)}
-	if prevNorm != nil {
-		scalars = append(scalars, F64Bits(*prevNorm))
-	}
-	scalars = append(scalars, snapScalars(snap)...)
-	out := &ParamState{
-		Scalars: scalars,
-		Whole:   []*tensor.Matrix{m.Clone(), v.Clone()},
-	}
-	if snap.P != nil {
-		out.Whole = append(out.Whole, snap.P)
-	}
-	return out
-}
-
-// RestoreProjectedState is the inverse of CaptureProjectedState: it rebuilds
-// the projector (regenerating random projections from their stored seed, so
-// the checkpoint never persists them) and returns deep copies of the
-// rank-space moments, validating shapes along the way.
-func RestoreProjectedState(st *ParamState, kind linalg.ProjectionKind, rank, n int, hasPrev bool, who string) (
-	proj *linalg.Projector, m, v *tensor.Matrix, t, since int, prevNorm float64, err error) {
-	scalars := 6
-	if hasPrev {
-		scalars = 7
-	}
-	sc := st.Scalars
-	if len(sc) != scalars {
-		return nil, nil, nil, 0, 0, 0, fmt.Errorf("optim: %s: %d state scalars, want %d", who, len(sc), scalars)
-	}
-	t, since = int(sc[0]), int(sc[1])
-	snapAt := 2
-	if hasPrev {
-		prevNorm = F64From(sc[2])
-		snapAt = 3
-	}
-	snap := snapFromScalars(sc[snapAt:])
-	wantWhole := 2
-	if kind == linalg.SVDProjection && snap.Ready {
-		wantWhole = 3
-	}
-	if len(st.RowMats) != 0 || len(st.Whole) != wantWhole || len(st.Blobs) != 0 || st.Sub != nil {
-		return nil, nil, nil, 0, 0, 0, fmt.Errorf("optim: %s: unexpected projected-state layout", who)
-	}
-	for _, w := range st.Whole[:2] {
-		if err := wantShape(w, rank, n, who); err != nil {
-			return nil, nil, nil, 0, 0, 0, err
-		}
-	}
-	if wantWhole == 3 {
-		snap.P = st.Whole[2]
-	}
-	proj = linalg.NewProjector(kind, rank, 0)
-	if err := proj.RestoreSnapshot(snap); err != nil {
-		return nil, nil, nil, 0, 0, 0, fmt.Errorf("optim: %s: %w", who, err)
-	}
-	return proj, st.Whole[0].Clone(), st.Whole[1].Clone(), t, since, prevNorm, nil
-}
-
-// ---------------------------------------------------------------------------
-// Fira — GaLore's layout plus the limiter's previous residual norm:
-// Scalars [t, since, prevNorm bits, proj seed, proj rng, proj m, proj ready].
-
-// CaptureGlobals implements StateSaver.
-func (f *Fira) CaptureGlobals() ([]uint64, error) { return []uint64{f.rng.State()}, nil }
-
-// CaptureParam implements StateSaver.
-func (f *Fira) CaptureParam(p *nn.Param) (*ParamState, error) {
-	if !projects(p, f.cfg.Rank) {
-		return f.dense.CaptureParam(p)
-	}
-	st, ok := f.states[p]
-	if !ok {
-		return nil, nil
-	}
-	return CaptureProjectedState(st.proj, st.adam.m, st.adam.v, st.adam.t, st.since, &st.prevNorm), nil
-}
-
-// RestoreGlobals implements StateLoader.
-func (f *Fira) RestoreGlobals(gs []uint64) error {
-	if len(gs) != 1 {
-		return fmt.Errorf("optim: Fira: %d global cursors, want 1", len(gs))
-	}
-	f.rng.SetState(gs[0])
-	return nil
-}
-
-// RestoreParam implements StateLoader.
-func (f *Fira) RestoreParam(p *nn.Param, st *ParamState) error {
-	if !projects(p, f.cfg.Rank) {
-		return f.dense.RestoreParam(p, st)
-	}
-	o := orient(p.W.Rows, p.W.Cols)
-	proj, m, v, t, since, prevNorm, err := RestoreProjectedState(st, f.cfg.Projection, f.cfg.Rank, o.n, true, "Fira "+p.Name)
-	if err != nil {
-		return err
-	}
-	f.states[p] = &firaState{proj: proj, adam: &adamState{m: m, v: v, t: t}, o: o, since: since, prevNorm: prevNorm}
-	return nil
-}
-
-// ---------------------------------------------------------------------------
-// Flora — GaLore's layout with an always-random projection.
-
-// CaptureGlobals implements StateSaver.
-func (f *Flora) CaptureGlobals() ([]uint64, error) { return []uint64{f.rng.State()}, nil }
-
-// CaptureParam implements StateSaver.
-func (f *Flora) CaptureParam(p *nn.Param) (*ParamState, error) {
-	if !projects(p, f.cfg.Rank) {
-		return f.dense.CaptureParam(p)
-	}
-	st, ok := f.states[p]
-	if !ok {
-		return nil, nil
-	}
-	return CaptureProjectedState(st.proj, st.adam.m, st.adam.v, st.adam.t, st.since, nil), nil
-}
-
-// RestoreGlobals implements StateLoader.
-func (f *Flora) RestoreGlobals(gs []uint64) error {
-	if len(gs) != 1 {
-		return fmt.Errorf("optim: Flora: %d global cursors, want 1", len(gs))
-	}
-	f.rng.SetState(gs[0])
-	return nil
-}
-
-// RestoreParam implements StateLoader.
-func (f *Flora) RestoreParam(p *nn.Param, st *ParamState) error {
-	if !projects(p, f.cfg.Rank) {
-		return f.dense.RestoreParam(p, st)
-	}
-	o := orient(p.W.Rows, p.W.Cols)
-	proj, m, v, t, since, _, err := RestoreProjectedState(st, linalg.RandomProjection, f.cfg.Rank, o.n, false, "Flora "+p.Name)
-	if err != nil {
-		return err
-	}
-	f.states[p] = &floraState{proj: proj, adam: &adamState{m: m, v: v, t: t}, o: o, since: since}
-	return nil
-}
-
-// ---------------------------------------------------------------------------
 // 8-bit Adam — globals: [stochastic-rounding RNG phase]. Per parameter:
 // Scalars [t]; Blobs [m codes, m scales, v codes, v scales]. INT8 groups
 // straddle row boundaries, so the state is never row-split (the 8-bit
@@ -694,11 +507,14 @@ func (g *GaLore8bit) RestoreParam(p *nn.Param, st *ParamState) error {
 	if wantWhole == 1 {
 		snap.P = st.Whole[0]
 	}
+	o := orient(p.W.Rows, p.W.Cols)
+	if err := wantProjectedDim(snap, o, who); err != nil {
+		return err
+	}
 	proj := linalg.NewProjector(g.cfg.Projection, g.cfg.Rank, 0)
 	if err := proj.RestoreSnapshot(snap); err != nil {
 		return fmt.Errorf("optim: %s: %w", who, err)
 	}
-	o := orient(p.W.Rows, p.W.Cols)
 	m, v, err := tensor8FromBlobs(st.Blobs, g.cfg.Rank, o.n, g.group, who)
 	if err != nil {
 		return err

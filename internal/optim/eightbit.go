@@ -84,7 +84,7 @@ func (a *Adam8bit) Step(ps []*nn.Param) {
 			v.Data[i] = sqrt32(vv)
 		}
 		quant.Quantize(st.v, v, a.rng)
-		decayAndApply(p, dir, a.h.LR, a.h.WeightDecay)
+		DecayAndApply(p, dir, a.h.LR, a.h.WeightDecay)
 	}
 }
 
@@ -202,7 +202,7 @@ func (g *GaLore8bit) Step(ps []*nn.Param) {
 		update := st.proj.ProjectBack(r)
 		dir := unorient(update, st.o)
 		tensor.ScaleInPlace(dir, float32(g.cfg.Scale))
-		decayAndApply(p, dir, g.h.LR, g.h.WeightDecay)
+		DecayAndApply(p, dir, g.h.LR, g.h.WeightDecay)
 	}
 	if len(fallback) > 0 {
 		g.dense.Step(fallback)

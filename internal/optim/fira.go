@@ -1,7 +1,6 @@
 package optim
 
 import (
-	"apollo/internal/linalg"
 	"apollo/internal/nn"
 	"apollo/internal/tensor"
 )
@@ -10,126 +9,41 @@ import (
 // the part of the gradient outside the subspace, E = G − PᵀPG, is added back
 // scaled per channel by the ratio ‖AdamW(R)[:,j]‖/‖R[:,j]‖ — simulating a
 // full-rank update while keeping low-rank optimizer states. A norm-growth
-// limiter tames spikes in the residual term. The paper compares against Fira
-// throughout Tables 2/5/6 and observes APOLLO overtakes it at scale.
-type Fira struct {
-	h   Hyper
-	cfg LowRankConfig
-	// Gamma is the norm-growth limiter threshold (paper: 1.01).
-	Gamma float64
-
-	states map[*nn.Param]*firaState
-	dense  *AdamW
-	rng    *tensor.RNG
-}
-
-type firaState struct {
-	proj     *linalg.Projector
-	adam     *adamState
-	o        orientation
-	since    int
-	prevNorm float64 // previous residual-term norm for the limiter
-}
+// limiter (γ = DefaultGamma) tames spikes in the residual term. The paper
+// compares against Fira throughout Tables 2/5/6 and observes APOLLO
+// overtakes it at scale.
+type Fira = Projected
 
 // NewFira builds the optimizer; projection defaults to SVD as in the paper.
 func NewFira(h Hyper, cfg LowRankConfig) *Fira {
 	cfg = cfg.withDefaults()
-	if err := cfg.Validate(); err != nil {
-		panic(err)
-	}
-	return &Fira{
-		h:      h.withDefaults(),
-		cfg:    cfg,
-		Gamma:  1.01,
-		states: map[*nn.Param]*firaState{},
-		dense:  NewAdamW(h),
-		rng:    tensor.NewRNG(cfg.Seed + 1),
-	}
+	cfg.Seed++
+	return NewProjected("Fira", h, cfg, true, firaRule)
 }
 
-// Name implements Optimizer.
-func (f *Fira) Name() string { return "Fira" }
+func firaRule(e *Projected, st *ProjState, _ *nn.Param, grad *tensor.Matrix) *tensor.Matrix {
+	r := st.proj.Project(grad) // r×n
+	rNorms := r.ColNorms()
+	normalized := r.Clone()
+	e.Moments(st, normalized, r) // ˜R
 
-// SetLR implements Optimizer.
-func (f *Fira) SetLR(lr float64) {
-	f.h.LR = lr
-	f.dense.SetLR(lr)
-}
+	// Low-rank part of the update (the GaLore term).
+	lowRank := st.proj.ProjectBack(normalized)
 
-// LR implements Optimizer.
-func (f *Fira) LR() float64 { return f.h.LR }
-
-// Step implements Optimizer.
-func (f *Fira) Step(ps []*nn.Param) {
-	var fallback []*nn.Param
-	for _, p := range ps {
-		if !projects(p, f.cfg.Rank) {
-			fallback = append(fallback, p)
-			continue
+	// Residual: E = G − PᵀPG, scaled per channel j by ‖˜R[:,j]‖/‖R[:,j]‖.
+	backProj := st.proj.ProjectBack(r) // PᵀR = PᵀPG
+	residual := tensor.Sub(grad, backProj)
+	nNorms := normalized.ColNorms()
+	scale := make([]float32, len(nNorms))
+	for j := range scale {
+		if rNorms[j] > 1e-12 {
+			scale[j] = float32(nNorms[j] / rNorms[j])
 		}
-		st, ok := f.states[p]
-		if !ok {
-			o := orient(p.W.Rows, p.W.Cols)
-			st = &firaState{
-				proj: linalg.NewProjector(f.cfg.Projection, f.cfg.Rank, f.rng.Uint64()),
-				adam: newAdamState(f.cfg.Rank, o.n),
-				o:    o,
-			}
-			f.states[p] = st
-		}
-		grad := orientedView(p.Grad, st.o)
-		if !st.proj.Ready() || (f.cfg.UpdateGap > 0 && st.since >= f.cfg.UpdateGap) {
-			st.proj.Refresh(grad)
-			st.since = 0
-		}
-		st.since++
-
-		r := st.proj.Project(grad) // r×n
-		rNorms := r.ColNorms()
-		normalized := r.Clone()
-		st.adam.update(normalized, r, f.h) // ˜R
-
-		// Low-rank part of the update (the GaLore term).
-		lowRank := st.proj.ProjectBack(normalized)
-
-		// Residual: E = G − PᵀPG, scaled per channel j by ‖˜R[:,j]‖/‖R[:,j]‖.
-		backProj := st.proj.ProjectBack(r) // PᵀR = PᵀPG
-		residual := tensor.Sub(grad, backProj)
-		nNorms := normalized.ColNorms()
-		scale := make([]float32, len(nNorms))
-		for j := range scale {
-			if rNorms[j] > 1e-12 {
-				scale[j] = float32(nNorms[j] / rNorms[j])
-			}
-		}
-		tensor.ScaleColsInPlace(residual, scale)
-
-		// Norm-growth limiter on the residual term (equation 4).
-		resNorm := residual.Norm()
-		if st.prevNorm > 0 && resNorm > f.Gamma*st.prevNorm {
-			tensor.ScaleInPlace(residual, float32(f.Gamma*st.prevNorm/(resNorm+1e-30)))
-			resNorm = f.Gamma * st.prevNorm
-		}
-		st.prevNorm = resNorm
-
-		update := tensor.Add(lowRank, residual)
-		dir := unorient(update, st.o)
-		tensor.ScaleInPlace(dir, float32(f.cfg.Scale))
-		decayAndApply(p, dir, f.h.LR, f.h.WeightDecay)
 	}
-	if len(fallback) > 0 {
-		f.dense.Step(fallback)
-	}
-}
+	tensor.ScaleColsInPlace(residual, scale)
 
-// StateBytes implements Optimizer: GaLore states + one float per projected
-// parameter for the limiter (Table 1: 2nr + mr + 1).
-func (f *Fira) StateBytes() int64 {
-	total := f.dense.StateBytes()
-	for _, st := range f.states { //apollo:orderfree exact integer sum; iteration order cannot reach the result
-		total += st.adam.bytes()
-		total += 4 * int64(st.proj.StateFloats())
-		total += 4 // prevNorm
-	}
-	return total
+	// Norm-growth limiter on the residual term (equation 4), taken in m×n
+	// orientation before the sum.
+	st.LimitNormGrowth(residual, DefaultGamma)
+	return e.lift(st, tensor.Add(lowRank, residual))
 }

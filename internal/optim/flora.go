@@ -2,7 +2,6 @@ package optim
 
 import (
 	"apollo/internal/linalg"
-	"apollo/internal/nn"
 	"apollo/internal/tensor"
 )
 
@@ -14,111 +13,36 @@ import (
 // Table 1 flags it as unable to pre-train competitively, which Table 2's
 // proxies confirm — it is included as the "random projection done naively"
 // baseline.
-type Flora struct {
-	h   Hyper
-	cfg LowRankConfig
-
-	states map[*nn.Param]*floraState
-	dense  *AdamW
-	rng    *tensor.RNG
-}
-
-type floraState struct {
-	proj  *linalg.Projector
-	adam  *adamState
-	o     orientation
-	since int
-}
+type Flora = Projected
 
 // NewFlora builds the optimizer; the projection is always random (Flora has
-// no SVD mode by construction).
+// no SVD mode by construction). The update rule is GaLore's; what differs is
+// the refresh.
 func NewFlora(h Hyper, cfg LowRankConfig) *Flora {
 	cfg = cfg.withDefaults()
 	cfg.Projection = linalg.RandomProjection
-	if err := cfg.Validate(); err != nil {
-		panic(err)
-	}
-	return &Flora{
-		h:      h.withDefaults(),
-		cfg:    cfg,
-		states: map[*nn.Param]*floraState{},
-		dense:  NewAdamW(h),
-		rng:    tensor.NewRNG(cfg.Seed + 2),
-	}
+	cfg.Seed += 2
+	e := NewProjected("Flora", h, cfg, false, liftedAdam)
+	e.refresh = transferMomentum
+	return e
 }
 
-// Name implements Optimizer.
-func (f *Flora) Name() string { return "Flora" }
-
-// SetLR implements Optimizer.
-func (f *Flora) SetLR(lr float64) {
-	f.h.LR = lr
-	f.dense.SetLR(lr)
-}
-
-// LR implements Optimizer.
-func (f *Flora) LR() float64 { return f.h.LR }
-
-// Step implements Optimizer.
-func (f *Flora) Step(ps []*nn.Param) {
-	var fallback []*nn.Param
-	for _, p := range ps {
-		if !projects(p, f.cfg.Rank) {
-			fallback = append(fallback, p)
-			continue
-		}
-		st, ok := f.states[p]
-		if !ok {
-			o := orient(p.W.Rows, p.W.Cols)
-			st = &floraState{
-				proj: linalg.NewProjector(linalg.RandomProjection, f.cfg.Rank, f.rng.Uint64()),
-				adam: newAdamState(f.cfg.Rank, o.n),
-				o:    o,
-			}
-			f.states[p] = st
-		}
-		grad := orientedView(p.Grad, st.o)
-		if !st.proj.Ready() {
-			st.proj.Refresh(grad)
-			st.since = 0
-		} else if f.cfg.UpdateGap > 0 && st.since >= f.cfg.UpdateGap {
-			// Momentum transfer: lift the moments with the old projection,
-			// re-compress with the new one.
-			oldP := st.proj.Matrix().Clone()
-			st.proj.Refresh(grad)
-			newP := st.proj.Matrix()
-			transfer := tensor.MatMulT(newP, oldP) // r×r
-			st.adam.m = tensor.MatMul(transfer, st.adam.m)
-			st.adam.v = tensor.MatMul(transfer, st.adam.v)
-			// Second moments must stay non-negative after the rotation.
-			for i, v := range st.adam.v.Data {
-				if v < 0 {
-					st.adam.v.Data[i] = 0
-				}
-			}
-			st.since = 0
-		}
-		st.since++
-
-		r := st.proj.Project(grad)
-		st.adam.update(r, r, f.h)
-		update := st.proj.ProjectBack(r)
-		dir := unorient(update, st.o)
-		tensor.ScaleInPlace(dir, float32(f.cfg.Scale))
-		decayAndApply(p, dir, f.h.LR, f.h.WeightDecay)
+// transferMomentum refreshes the projection and carries the moments across:
+// lift them with the old projection, re-compress with the new one.
+func transferMomentum(st *ProjState, grad *tensor.Matrix) {
+	if !st.proj.Ready() {
+		st.proj.Refresh(grad)
+		return
 	}
-	if len(fallback) > 0 {
-		f.dense.Step(fallback)
+	oldP := st.proj.Matrix().Clone()
+	st.proj.Refresh(grad)
+	transfer := tensor.MatMulT(st.proj.Matrix(), oldP) // r×r
+	st.adam.m = tensor.MatMul(transfer, st.adam.m)
+	st.adam.v = tensor.MatMul(transfer, st.adam.v)
+	// Second moments must stay non-negative after the rotation.
+	for i, v := range st.adam.v.Data {
+		if v < 0 {
+			st.adam.v.Data[i] = 0
+		}
 	}
-}
-
-// StateBytes implements Optimizer (Table 1: 2nr + 1 — the random projection
-// itself is regenerated from its seed).
-func (f *Flora) StateBytes() int64 {
-	total := f.dense.StateBytes()
-	for _, st := range f.states { //apollo:orderfree exact integer sum; iteration order cannot reach the result
-		total += st.adam.bytes()
-		total += 4 * int64(st.proj.StateFloats())
-	}
-	return total
 }

@@ -54,104 +54,35 @@ func projects(p *nn.Param, rank int) bool {
 	return o.m > rank
 }
 
-// galoreState is the per-parameter projected state.
-type galoreState struct {
-	proj  *linalg.Projector
-	adam  *adamState // moments on the r×n projected gradient
-	o     orientation
-	since int // steps since last projection refresh
-}
-
 // GaLore (Zhao et al., 2024) projects gradients into a rank-r subspace,
 // runs AdamW there, and lifts the normalized update back: W ← W −
 // lr·α·Pᵀ·AdamW(P·G). The subspace is recomputed every UpdateGap steps via
 // SVD (or random projection for the Fig. 5 ablation, which the paper shows
 // degrades GaLore badly).
-type GaLore struct {
-	h   Hyper
-	cfg LowRankConfig
-
-	states map[*nn.Param]*galoreState
-	dense  *AdamW // fallback for non-projected params
-	rng    *tensor.RNG
-}
+type GaLore = Projected
 
 // NewGaLore builds the optimizer.
 func NewGaLore(h Hyper, cfg LowRankConfig) *GaLore {
 	cfg = cfg.withDefaults()
-	if err := cfg.Validate(); err != nil {
-		panic(err)
+	name := "GaLore"
+	if cfg.Projection == linalg.RandomProjection {
+		name = "GaLore-RP"
 	}
-	return &GaLore{
-		h:      h.withDefaults(),
-		cfg:    cfg,
-		states: map[*nn.Param]*galoreState{},
-		dense:  NewAdamW(h),
-		rng:    tensor.NewRNG(cfg.Seed),
-	}
+	return NewProjected(name, h, cfg, false, liftedAdam)
 }
 
-// Name implements Optimizer.
-func (g *GaLore) Name() string {
-	if g.cfg.Projection == linalg.RandomProjection {
-		return "GaLore-RP"
-	}
-	return "GaLore"
+// liftedAdam is GaLore's rule (and Flora's): AdamW in the subspace, lifted
+// back and scaled by α.
+func liftedAdam(e *Projected, st *ProjState, _ *nn.Param, grad *tensor.Matrix) *tensor.Matrix {
+	r := st.proj.Project(grad) // r×n
+	e.Moments(st, r, r)        // in place: r becomes the normalized direction
+	return e.lift(st, st.proj.ProjectBack(r))
 }
 
-// SetLR implements Optimizer.
-func (g *GaLore) SetLR(lr float64) {
-	g.h.LR = lr
-	g.dense.SetLR(lr)
-}
-
-// LR implements Optimizer.
-func (g *GaLore) LR() float64 { return g.h.LR }
-
-// Step implements Optimizer.
-func (g *GaLore) Step(ps []*nn.Param) {
-	var fallback []*nn.Param
-	for _, p := range ps {
-		if !projects(p, g.cfg.Rank) {
-			fallback = append(fallback, p)
-			continue
-		}
-		st, ok := g.states[p]
-		if !ok {
-			o := orient(p.W.Rows, p.W.Cols)
-			st = &galoreState{
-				proj: linalg.NewProjector(g.cfg.Projection, g.cfg.Rank, g.rng.Uint64()),
-				adam: newAdamState(g.cfg.Rank, o.n),
-				o:    o,
-			}
-			g.states[p] = st
-		}
-		grad := orientedView(p.Grad, st.o)
-		if !st.proj.Ready() || (g.cfg.UpdateGap > 0 && st.since >= g.cfg.UpdateGap) {
-			st.proj.Refresh(grad)
-			st.since = 0
-		}
-		st.since++
-
-		r := st.proj.Project(grad) // r×n
-		st.adam.update(r, r, g.h)  // in place: r becomes the normalized direction
-		update := st.proj.ProjectBack(r)
-		dir := unorient(update, st.o)
-		tensor.ScaleInPlace(dir, float32(g.cfg.Scale))
-		decayAndApply(p, dir, g.h.LR, g.h.WeightDecay)
-	}
-	if len(fallback) > 0 {
-		g.dense.Step(fallback)
-	}
-}
-
-// StateBytes implements Optimizer: projected moments + persisted projection
-// matrices (SVD only) + dense fallback states.
-func (g *GaLore) StateBytes() int64 {
-	total := g.dense.StateBytes()
-	for _, st := range g.states { //apollo:orderfree exact integer sum; iteration order cannot reach the result
-		total += st.adam.bytes()
-		total += 4 * int64(st.proj.StateFloats())
-	}
-	return total
+// lift turns an m×n-oriented update into the scaled direction in the
+// parameter's native orientation.
+func (e *Projected) lift(st *ProjState, update *tensor.Matrix) *tensor.Matrix {
+	dir := unorient(update, st.o)
+	tensor.ScaleInPlace(dir, float32(e.cfg.Scale))
+	return dir
 }

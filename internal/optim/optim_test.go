@@ -213,11 +213,13 @@ func TestFloraMomentumTransferKeepsVNonNegative(t *testing.T) {
 		fillGrad(p, rng)
 		f.Step([]*nn.Param{p})
 	}
-	for _, st := range f.states {
-		for _, v := range st.adam.v.Data {
-			if v < 0 {
-				t.Fatalf("negative second moment %v after transfer", v)
-			}
+	st, err := f.CaptureParam(p)
+	if err != nil || st == nil {
+		t.Fatalf("no captured state: %v", err)
+	}
+	for _, v := range st.Whole[1].Data { // canonical layout: Whole [m, v]
+		if v < 0 {
+			t.Fatalf("negative second moment %v after transfer", v)
 		}
 	}
 	if p.W.HasNaN() {

@@ -41,6 +41,10 @@ type Hyper struct {
 	WeightDecay float64
 }
 
+// WithDefaults is withDefaults for optimizers built on this package from
+// outside it (internal/core).
+func (h Hyper) WithDefaults() Hyper { return h.withDefaults() }
+
 // withDefaults fills unset fields with the paper's defaults.
 func (h Hyper) withDefaults() Hyper {
 	if h.Beta1 == 0 { //apollo:exactfloat zero is the unset-field sentinel; defaults fill only untouched fields
@@ -97,16 +101,23 @@ func newAdamState(rows, cols int) *adamState {
 	return &adamState{m: tensor.NewMatrix(rows, cols), v: tensor.NewMatrix(rows, cols)}
 }
 
-// update performs one bias-corrected AdamW moment update and writes the
-// normalized direction m̂/(√v̂+ε) into out (which may alias g).
+// update performs one AdamW moment update and writes the normalized
+// direction into out (which may alias g).
 func (s *adamState) update(out, g *tensor.Matrix, h Hyper) {
 	s.t++
+	AdamDirection(s.m, s.v, out, g, h, s.t)
+}
+
+// AdamDirection runs step t (1-based) of the bias-corrected AdamW moment
+// update on m and v and writes the normalized direction m̂/(√v̂+ε) into out
+// (which may alias g).
+func AdamDirection(m, v, out, g *tensor.Matrix, h Hyper, t int) {
 	b1 := float32(h.Beta1)
 	b2 := float32(h.Beta2)
-	c1 := float32(1 / (1 - pow(h.Beta1, s.t)))
-	c2 := float32(1 / (1 - pow(h.Beta2, s.t)))
+	c1 := float32(1 / (1 - pow(h.Beta1, t)))
+	c2 := float32(1 / (1 - pow(h.Beta2, t)))
 	eps := float32(h.Eps)
-	md, vd, gd, od := s.m.Data, s.v.Data, g.Data, out.Data
+	md, vd, gd, od := m.Data, v.Data, g.Data, out.Data
 	for i, gv := range gd {
 		md[i] = b1*md[i] + (1-b1)*gv
 		vd[i] = b2*vd[i] + (1-b2)*gv*gv
@@ -131,9 +142,9 @@ func sqrt32(x float32) float32 {
 	return float32(math.Sqrt(float64(x)))
 }
 
-// decayAndApply performs the decoupled-weight-decay AdamW parameter update:
+// DecayAndApply performs the decoupled-weight-decay AdamW parameter update:
 // w ← w − lr·dir − lr·wd·w.
-func decayAndApply(p *nn.Param, dir *tensor.Matrix, lr, wd float64) {
+func DecayAndApply(p *nn.Param, dir *tensor.Matrix, lr, wd float64) {
 	if wd != 0 { //apollo:exactfloat zero weight decay disables the term exactly
 		tensor.ScaleInPlace(p.W, float32(1-lr*wd))
 	}

@@ -1,0 +1,320 @@
+// The projected-optimizer engine. GaLore, Fira, Flora (this package) and
+// APOLLO (internal/core) keep the same thing per weight matrix — AdamW
+// moments in a rank-r space at r×max-dim, the projector that maps into it, a
+// refresh counter and, for the rules with a norm-growth limiter, one float of
+// limiter memory — and differ only in what they read out of that space. The
+// state is therefore declared once, here, and every view of it (lazy
+// allocation in Step, the ZeRO seed walk, byte and element accounting, the
+// canonical checkpoint layout) is derived from that one declaration; an
+// optimizer of the family is a constructor plus a Rule.
+package optim
+
+import (
+	"fmt"
+
+	"apollo/internal/linalg"
+	"apollo/internal/nn"
+	"apollo/internal/tensor"
+)
+
+// DefaultGamma is the norm-growth limiter threshold γ used by Fira and by
+// the APOLLO paper throughout (Section 3.2).
+const DefaultGamma = 1.01
+
+// LimitNormGrowth applies the norm-growth limiter (APOLLO equation 4, Fira's
+// residual limiter): if ‖g‖ / prevNorm > gamma, g is rescaled so its norm
+// equals gamma·prevNorm. It returns the post-limit norm, which the caller
+// stores as the next prevNorm. A prevNorm of zero (first step) disables
+// limiting. This replaces vanilla gradient clipping and is what removes the
+// early-training loss spike of structured updates (Fig. 3).
+func LimitNormGrowth(g *tensor.Matrix, prevNorm, gamma float64) float64 {
+	norm := g.Norm()
+	if prevNorm > 0 && norm > gamma*prevNorm {
+		target := gamma * prevNorm
+		tensor.ScaleInPlace(g, float32(target/(norm+1e-30)))
+		return target
+	}
+	return norm
+}
+
+// ProjState is the state a projected optimizer holds for one weight matrix.
+type ProjState struct {
+	proj     *linalg.Projector
+	adam     *adamState // moments of the r×n projected gradient, and the step count
+	since    int        // steps since the last projection refresh
+	prevNorm float64    // limiter memory; persisted and counted only by limiter rules
+	o        orientation
+}
+
+// Project returns the projected gradient R = P·G (r×n) of the m×n-oriented
+// gradient the rule was handed.
+func (st *ProjState) Project(grad *tensor.Matrix) *tensor.Matrix { return st.proj.Project(grad) }
+
+// Transposed reports whether the parameter is stored n×m (rows > cols), i.e.
+// whether the oriented gradient is the transpose of p.Grad.
+func (st *ProjState) Transposed() bool { return st.o.transposed }
+
+// LimitNormGrowth runs the limiter on u against this parameter's memory.
+func (st *ProjState) LimitNormGrowth(u *tensor.Matrix, gamma float64) {
+	st.prevNorm = LimitNormGrowth(u, st.prevNorm, gamma)
+}
+
+// Rule is the one thing the projected optimizers differ in: given the
+// engine (for Moments), the parameter's state and its gradient in m×n
+// orientation (m ≤ n), return the update direction in the parameter's native
+// orientation, fully scaled. The engine has already refreshed the projector
+// when due; it applies the returned direction with decoupled weight decay.
+type Rule func(e *Projected, st *ProjState, p *nn.Param, grad *tensor.Matrix) *tensor.Matrix
+
+// Projected is the engine behind every projected optimizer. It implements
+// Optimizer, StateSharder, StateIntrospector, StateSaver and StateLoader.
+type Projected struct {
+	name    string
+	h       Hyper
+	cfg     LowRankConfig
+	limiter bool // the rule keeps prevNorm: +1 state element, +1 checkpoint scalar
+	rule    Rule
+	// refresh rebuilds st's projection from grad; Flora replaces the default
+	// to carry its momentum across the subspace change.
+	refresh func(st *ProjState, grad *tensor.Matrix)
+
+	states map[*nn.Param]*ProjState
+	dense  *AdamW      // parameters that are not projected
+	rng    *tensor.RNG // one projector seed per projected parameter, in step order
+}
+
+// NewProjected builds an engine around rule. cfg is taken as resolved (no
+// defaults are applied; cfg.Seed seeds the projector-seed stream); limiter
+// says whether the rule uses ProjState.LimitNormGrowth.
+func NewProjected(name string, h Hyper, cfg LowRankConfig, limiter bool, rule Rule) *Projected {
+	if err := cfg.Validate(); err != nil {
+		panic(err)
+	}
+	return &Projected{
+		name:    name,
+		h:       h.withDefaults(),
+		cfg:     cfg,
+		limiter: limiter,
+		rule:    rule,
+		refresh: func(st *ProjState, grad *tensor.Matrix) { st.proj.Refresh(grad) },
+		states:  map[*nn.Param]*ProjState{},
+		dense:   NewAdamW(h),
+		rng:     tensor.NewRNG(cfg.Seed),
+	}
+}
+
+// Name implements Optimizer.
+func (e *Projected) Name() string { return e.name }
+
+// SetLR implements Optimizer.
+func (e *Projected) SetLR(lr float64) {
+	e.h.LR = lr
+	e.dense.SetLR(lr)
+}
+
+// LR implements Optimizer.
+func (e *Projected) LR() float64 { return e.h.LR }
+
+// Moments advances st's rank-space AdamW moments by the projected gradient r
+// and writes the normalized direction m̂/(√v̂+ε) into out (which may alias r).
+func (e *Projected) Moments(st *ProjState, out, r *tensor.Matrix) { st.adam.update(out, r, e.h) }
+
+// alloc creates p's state around the given projector seed. It is the only
+// place projected state comes into being outside RestoreParam.
+func (e *Projected) alloc(p *nn.Param, seed uint64) *ProjState {
+	o := orient(p.W.Rows, p.W.Cols)
+	st := &ProjState{
+		proj: linalg.NewProjector(e.cfg.Projection, e.cfg.Rank, seed),
+		adam: newAdamState(e.cfg.Rank, o.n),
+		o:    o,
+	}
+	e.states[p] = st
+	return st
+}
+
+// Step implements Optimizer: project (refreshing the subspace every
+// UpdateGap steps), let the rule turn state and gradient into a direction,
+// apply it; everything not projected goes to dense AdamW.
+func (e *Projected) Step(ps []*nn.Param) {
+	var fallback []*nn.Param
+	for _, p := range ps {
+		if !projects(p, e.cfg.Rank) {
+			fallback = append(fallback, p)
+			continue
+		}
+		st, ok := e.states[p]
+		if !ok {
+			st = e.alloc(p, e.rng.Uint64())
+		}
+		grad := orientedView(p.Grad, st.o)
+		if !st.proj.Ready() || (e.cfg.UpdateGap > 0 && st.since >= e.cfg.UpdateGap) {
+			e.refresh(st, grad)
+			st.since = 0
+		}
+		st.since++
+		DecayAndApply(p, e.rule(e, st, p, grad), e.h.LR, e.h.WeightDecay)
+	}
+	if len(fallback) > 0 {
+		e.dense.Step(fallback)
+	}
+}
+
+// PrepareShard implements StateSharder: projector seeds are drawn at first
+// touch in step order, so a shard-local instance walks the FULL list in
+// global order — one draw per projectable parameter, exactly as an unsharded
+// first Step — and allocates only what it owns.
+func (e *Projected) PrepareShard(all []*nn.Param, owned func(*nn.Param) bool) {
+	for _, p := range all {
+		if !projects(p, e.cfg.Rank) {
+			continue
+		}
+		seed := e.rng.Uint64()
+		if _, ok := e.states[p]; !ok && owned(p) {
+			e.alloc(p, seed)
+		}
+	}
+}
+
+// StateElemsFor implements StateIntrospector with the paper's Table 1
+// accounting: 2nr moments, plus mr for a persisted SVD projection or 1 for a
+// random projection's seed, plus 1 for limiter memory; dense AdamW's 2mn
+// otherwise.
+func (e *Projected) StateElemsFor(p *nn.Param) int64 {
+	if !projects(p, e.cfg.Rank) {
+		return e.dense.StateElemsFor(p)
+	}
+	o := orient(p.W.Rows, p.W.Cols)
+	elems := 2 * int64(e.cfg.Rank) * int64(o.n)
+	if e.cfg.Projection == linalg.SVDProjection {
+		elems += int64(e.cfg.Rank) * int64(o.m)
+	} else {
+		elems++
+	}
+	if e.limiter {
+		elems++
+	}
+	return elems
+}
+
+// RowSplittable implements StateIntrospector: only the dense fallback is
+// element-wise; a projected matrix's subspace statistics couple all of it.
+func (e *Projected) RowSplittable(p *nn.Param) bool { return !projects(p, e.cfg.Rank) }
+
+// StateBytes implements Optimizer, measured from the allocated state.
+func (e *Projected) StateBytes() int64 {
+	total := e.dense.StateBytes()
+	for _, st := range e.states { //apollo:orderfree exact integer sum; iteration order cannot reach the result
+		total += st.adam.bytes() + 4*int64(st.proj.StateFloats())
+		if e.limiter {
+			total += 4
+		}
+	}
+	return total
+}
+
+// Canonical checkpoint layout. Globals: [projector-seed RNG phase].
+// Projected parameters: Scalars [t, since, (prevNorm bits — limiter rules
+// only,) proj seed, proj rng, proj m, proj ready]; Whole [m (r×n), v (r×n)]
+// (+ the r×m SVD projection once built; a random projection is regenerated
+// from its seed and never persisted). Other parameters delegate to AdamW.
+
+// CaptureGlobals implements StateSaver.
+func (e *Projected) CaptureGlobals() ([]uint64, error) { return []uint64{e.rng.State()}, nil }
+
+// RestoreGlobals implements StateLoader.
+func (e *Projected) RestoreGlobals(gs []uint64) error {
+	if len(gs) != 1 {
+		return fmt.Errorf("optim: %s: %d global cursors, want 1", e.name, len(gs))
+	}
+	e.rng.SetState(gs[0])
+	return nil
+}
+
+// CaptureParam implements StateSaver.
+func (e *Projected) CaptureParam(p *nn.Param) (*ParamState, error) {
+	if !projects(p, e.cfg.Rank) {
+		return e.dense.CaptureParam(p)
+	}
+	st, ok := e.states[p]
+	if !ok {
+		return nil, nil
+	}
+	snap := st.proj.Snapshot()
+	scalars := []uint64{uint64(st.adam.t), uint64(st.since)}
+	if e.limiter {
+		scalars = append(scalars, F64Bits(st.prevNorm))
+	}
+	out := &ParamState{
+		Scalars: append(scalars, snapScalars(snap)...),
+		Whole:   []*tensor.Matrix{st.adam.m.Clone(), st.adam.v.Clone()},
+	}
+	if snap.P != nil {
+		out.Whole = append(out.Whole, snap.P)
+	}
+	return out, nil
+}
+
+// RestoreParam implements StateLoader. Everything the file supplies is
+// checked against the parameter before anything is sized by it.
+func (e *Projected) RestoreParam(p *nn.Param, st *ParamState) error {
+	if !projects(p, e.cfg.Rank) {
+		return e.dense.RestoreParam(p, st)
+	}
+	who := e.name + " " + p.Name
+	scalars := 6
+	if e.limiter {
+		scalars = 7
+	}
+	if st == nil || len(st.Scalars) != scalars {
+		return fmt.Errorf("optim: %s: missing state or wrong scalar count, want %d", who, scalars)
+	}
+	snap := snapFromScalars(st.Scalars[scalars-4:])
+	whole := 2
+	if e.cfg.Projection == linalg.SVDProjection && snap.Ready {
+		whole = 3
+	}
+	if err := wantLayout(st, scalars, 0, whole, 0, who); err != nil {
+		return err
+	}
+	if st.Sub != nil {
+		return fmt.Errorf("optim: %s: unexpected nested state", who)
+	}
+	o := orient(p.W.Rows, p.W.Cols)
+	if err := wantProjectedDim(snap, o, who); err != nil {
+		return err
+	}
+	for _, w := range st.Whole[:2] {
+		if err := wantShape(w, e.cfg.Rank, o.n, who); err != nil {
+			return err
+		}
+	}
+	if whole == 3 {
+		snap.P = st.Whole[2]
+	}
+	proj := linalg.NewProjector(e.cfg.Projection, e.cfg.Rank, 0)
+	if err := proj.RestoreSnapshot(snap); err != nil {
+		return fmt.Errorf("optim: %s: %w", who, err)
+	}
+	ps := &ProjState{
+		proj:  proj,
+		adam:  &adamState{m: st.Whole[0].Clone(), v: st.Whole[1].Clone(), t: int(st.Scalars[0])},
+		since: int(st.Scalars[1]),
+		o:     o,
+	}
+	if e.limiter {
+		ps.prevNorm = F64From(st.Scalars[2])
+	}
+	e.states[p] = ps
+	return nil
+}
+
+// wantProjectedDim rejects a restored projector whose projected dimension is
+// not the parameter's: RestoreSnapshot regenerates a random projection at
+// r×snap.M, so an unchecked M is both a file-controlled allocation size and
+// a shape the next Step multiplies against the gradient.
+func wantProjectedDim(snap linalg.ProjectorSnap, o orientation, who string) error {
+	if snap.Ready && snap.M != o.m {
+		return fmt.Errorf("optim: %s: state projects dimension %d, parameter has %d", who, snap.M, o.m)
+	}
+	return nil
+}

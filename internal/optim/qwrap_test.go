@@ -4,6 +4,7 @@ import (
 	"math"
 	"testing"
 
+	"apollo/internal/linalg"
 	"apollo/internal/nn"
 	"apollo/internal/tensor"
 )
@@ -88,22 +89,32 @@ func TestAdamMiniVectorSingleBlock(t *testing.T) {
 
 func TestGaLoreRefreshChangesSubspace(t *testing.T) {
 	const m, n, r = 8, 16, 2
-	p := matParam(t, m, n, 47)
-	g := NewGaLore(Hyper{LR: 0.001}, LowRankConfig{Rank: r, UpdateGap: 2})
-	rng := tensor.NewRNG(48)
-	var first *tensor.Matrix
-	for i := 0; i < 5; i++ {
-		fillGrad(p, rng)
-		g.Step([]*nn.Param{p})
-		if i == 0 {
-			for _, st := range g.states {
-				first = st.proj.Matrix().Clone()
-			}
-		}
+	// The subspace as the canonical checkpoint layout exposes it: the SVD
+	// projection is the third Whole matrix; a random projection is a pure
+	// function of its seed, Scalars[2] of [t, since, seed, rng, m, ready].
+	subspace := map[linalg.ProjectionKind]func(*ParamState) *tensor.Matrix{
+		linalg.SVDProjection: func(st *ParamState) *tensor.Matrix { return st.Whole[2] },
+		linalg.RandomProjection: func(st *ParamState) *tensor.Matrix {
+			return linalg.GaussianProjection(r, m, st.Scalars[2])
+		},
 	}
-	for _, st := range g.states {
-		if st.proj.Matrix().Equal(first) {
-			t.Fatal("projection never refreshed with UpdateGap=2")
+	for _, kind := range []linalg.ProjectionKind{linalg.RandomProjection, linalg.SVDProjection} {
+		p := matParam(t, m, n, 47)
+		g := NewGaLore(Hyper{LR: 0.001}, LowRankConfig{Rank: r, UpdateGap: 2, Projection: kind})
+		rng := tensor.NewRNG(48)
+		var first *tensor.Matrix
+		for i := 0; i < 5; i++ {
+			fillGrad(p, rng)
+			g.Step([]*nn.Param{p})
+			st, err := g.CaptureParam(p)
+			if err != nil || st == nil {
+				t.Fatalf("%v: no captured state: %v", kind, err)
+			}
+			if i == 0 {
+				first = subspace[kind](st)
+			} else if i == 4 && subspace[kind](st).Equal(first) {
+				t.Fatalf("%v projection never refreshed with UpdateGap=2", kind)
+			}
 		}
 	}
 }

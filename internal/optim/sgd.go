@@ -50,7 +50,7 @@ func (s *SGD) Step(ps []*nn.Param) {
 			tensor.AddInPlace(v, p.Grad)
 			dir = v
 		}
-		decayAndApply(p, dir, s.h.LR, s.h.WeightDecay)
+		DecayAndApply(p, dir, s.h.LR, s.h.WeightDecay)
 	}
 }
 

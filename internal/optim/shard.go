@@ -9,17 +9,18 @@
 //     that parameter's gradient and state. This holds for the whole zoo
 //     (clipping, the one cross-parameter coupling, happens in the trainer
 //     before Step).
-//  2. Order-independent randomness: the seeded-projection methods (GaLore,
-//     Fira, Flora, APOLLO) draw one projector seed per parameter from a
-//     shared RNG at first touch — in *step order*. A sharded optimizer that
-//     only ever sees its shard would draw a different seed sequence, so it
-//     must pre-walk the full list via StateSharder.
+//  2. Order-independent randomness: the projected optimizers (GaLore, Fira,
+//     Flora, APOLLO — all one engine, Projected) draw one projector seed per
+//     parameter from a shared RNG at first touch — in *step order*. A
+//     sharded optimizer that only ever sees its shard would draw a different
+//     seed sequence, so it must pre-walk the full list via StateSharder.
+//
+// This file holds the hook interfaces and the dense optimizers' answers to
+// them; the projected family's single PrepareShard / StateElemsFor /
+// RowSplittable live with its state declaration in projected.go.
 package optim
 
-import (
-	"apollo/internal/linalg"
-	"apollo/internal/nn"
-)
+import "apollo/internal/nn"
 
 // StateSharder is the state-introspection hook for partitioned optimizers.
 // PrepareShard walks the FULL parameter list in global order, consuming any
@@ -116,122 +117,3 @@ func (a *AdamMini) StateElemsFor(p *nn.Param) int64 {
 // RowSplittable implements StateIntrospector: matrix/embedding blocks are
 // per-row, so row splits preserve them exactly; vectors share one block.
 func (a *AdamMini) RowSplittable(p *nn.Param) bool { return p.Kind != nn.KindVector }
-
-// ProjectedStateElems is the shared Table 1 accounting for a projected
-// optimizer: moments in the r×n auxiliary space plus the projector's
-// resident floats, plus extra per-parameter scalars; dense AdamW states
-// otherwise. internal/core reuses it for APOLLO (extra = 1: the limiter's
-// previous norm).
-func ProjectedStateElems(p *nn.Param, rank int, kind linalg.ProjectionKind, extra int64) int64 {
-	if !projects(p, rank) {
-		return 2 * int64(p.NumEl())
-	}
-	o := orient(p.W.Rows, p.W.Cols)
-	elems := 2*int64(rank)*int64(o.n) + extra
-	if kind == linalg.SVDProjection {
-		elems += int64(rank) * int64(o.m)
-	} else {
-		elems++ // the stored projection seed
-	}
-	return elems
-}
-
-// StateElemsFor implements StateIntrospector (Table 1: 2nr + mr for SVD).
-func (g *GaLore) StateElemsFor(p *nn.Param) int64 {
-	return ProjectedStateElems(p, g.cfg.Rank, g.cfg.Projection, 0)
-}
-
-// RowSplittable implements StateIntrospector: only the dense fallback is
-// element-wise.
-func (g *GaLore) RowSplittable(p *nn.Param) bool { return !projects(p, g.cfg.Rank) }
-
-// StateElemsFor implements StateIntrospector (Table 1: 2nr + mr + 1).
-func (f *Fira) StateElemsFor(p *nn.Param) int64 {
-	return ProjectedStateElems(p, f.cfg.Rank, f.cfg.Projection, 1)
-}
-
-// RowSplittable implements StateIntrospector.
-func (f *Fira) RowSplittable(p *nn.Param) bool { return !projects(p, f.cfg.Rank) }
-
-// StateElemsFor implements StateIntrospector (Table 1: 2nr + 1).
-func (f *Flora) StateElemsFor(p *nn.Param) int64 {
-	return ProjectedStateElems(p, f.cfg.Rank, linalg.RandomProjection, 0)
-}
-
-// RowSplittable implements StateIntrospector.
-func (f *Flora) RowSplittable(p *nn.Param) bool { return !projects(p, f.cfg.Rank) }
-
-// PrepareProjectedShard is the single copy of the determinism-critical seed
-// walk behind every StateSharder implementation: visit the FULL parameter
-// list in global order, draw one seed per projectable parameter (matching
-// an unsharded first Step exactly), and invoke alloc only for owned
-// parameters. Keeping the skip conditions and draw order in one place is
-// what makes the bit-parity contract a single invariant rather than four
-// copies that can drift.
-func PrepareProjectedShard(all []*nn.Param, owned, projectable func(*nn.Param) bool,
-	nextSeed func() uint64, alloc func(p *nn.Param, seed uint64)) {
-	for _, p := range all {
-		if !projectable(p) {
-			continue
-		}
-		seed := nextSeed()
-		if owned(p) {
-			alloc(p, seed)
-		}
-	}
-}
-
-// PrepareShard implements StateSharder: projector seeds are drawn in global
-// parameter order so a shard-local GaLore matches the unsharded instance.
-func (g *GaLore) PrepareShard(all []*nn.Param, owned func(*nn.Param) bool) {
-	PrepareProjectedShard(all, owned,
-		func(p *nn.Param) bool { return projects(p, g.cfg.Rank) },
-		g.rng.Uint64,
-		func(p *nn.Param, seed uint64) {
-			if _, ok := g.states[p]; ok {
-				return
-			}
-			o := orient(p.W.Rows, p.W.Cols)
-			g.states[p] = &galoreState{
-				proj: linalg.NewProjector(g.cfg.Projection, g.cfg.Rank, seed),
-				adam: newAdamState(g.cfg.Rank, o.n),
-				o:    o,
-			}
-		})
-}
-
-// PrepareShard implements StateSharder (see GaLore.PrepareShard).
-func (f *Fira) PrepareShard(all []*nn.Param, owned func(*nn.Param) bool) {
-	PrepareProjectedShard(all, owned,
-		func(p *nn.Param) bool { return projects(p, f.cfg.Rank) },
-		f.rng.Uint64,
-		func(p *nn.Param, seed uint64) {
-			if _, ok := f.states[p]; ok {
-				return
-			}
-			o := orient(p.W.Rows, p.W.Cols)
-			f.states[p] = &firaState{
-				proj: linalg.NewProjector(f.cfg.Projection, f.cfg.Rank, seed),
-				adam: newAdamState(f.cfg.Rank, o.n),
-				o:    o,
-			}
-		})
-}
-
-// PrepareShard implements StateSharder (see GaLore.PrepareShard).
-func (f *Flora) PrepareShard(all []*nn.Param, owned func(*nn.Param) bool) {
-	PrepareProjectedShard(all, owned,
-		func(p *nn.Param) bool { return projects(p, f.cfg.Rank) },
-		f.rng.Uint64,
-		func(p *nn.Param, seed uint64) {
-			if _, ok := f.states[p]; ok {
-				return
-			}
-			o := orient(p.W.Rows, p.W.Cols)
-			f.states[p] = &floraState{
-				proj: linalg.NewProjector(linalg.RandomProjection, f.cfg.Rank, seed),
-				adam: newAdamState(f.cfg.Rank, o.n),
-				o:    o,
-			}
-		})
-}
