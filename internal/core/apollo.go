@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"math"
+	"sync"
 
 	"apollo/internal/linalg"
 	"apollo/internal/nn"
@@ -87,8 +88,13 @@ type APOLLO struct {
 	cfg Config
 
 	// ScalingProbe, when non-nil, receives each matrix parameter's
-	// channel scaling factors every step (Fig. 4 instrumentation).
+	// channel scaling factors every step (Fig. 4 instrumentation). It is
+	// called on the goroutine that called Step, once per projected matrix,
+	// in parameter-list order, after all of them have been stepped.
 	ScalingProbe func(param string, s []float64)
+
+	probeMu sync.Mutex
+	probed  map[*nn.Param][]float64 // this step's factors, awaiting delivery
 }
 
 // New constructs an APOLLO optimizer from cfg.
@@ -122,45 +128,61 @@ func NewMini(h optim.Hyper) *APOLLO {
 // Config returns the resolved configuration.
 func (a *APOLLO) Config() Config { return a.cfg }
 
+// Step implements optim.Optimizer. The rules run concurrently; what they
+// collected for the probe is delivered here, serially and in list order.
+func (a *APOLLO) Step(ps []*nn.Param) {
+	a.engine.Step(ps)
+	if a.ScalingProbe == nil {
+		return
+	}
+	for _, p := range ps {
+		if s, ok := a.probed[p]; ok {
+			delete(a.probed, p)
+			a.ScalingProbe(p.Name, s)
+		}
+	}
+}
+
 // rule is Algorithm 1 from the projection on: the engine has already
 // re-drawn the subspace when due (a new seed for random projection, an SVD
 // for the w.-SVD variant) and hands over the gradient in m×n orientation.
-func (a *APOLLO) rule(e *optim.Projected, st *optim.ProjState, p *nn.Param, grad *tensor.Matrix) *tensor.Matrix {
+func (a *APOLLO) rule(e *optim.Projected, st *optim.ProjState, p *nn.Param, grad *tensor.Matrix, ws *optim.Workspace) *tensor.Matrix {
 	// Step 1: project the gradient into the rank-r auxiliary space.
-	r := st.Project(grad) // R_t, r×n
+	r, rTilde := ws.RankSpace(a.cfg.Rank, grad.Cols) // R_t and R̃_t, r×n
+	st.ProjectInto(r, grad)
 
 	// Step 2: auxiliary AdamW moments (λ = 0 inside the aux space).
-	rTilde := tensor.NewMatrix(r.Rows, r.Cols)
 	e.Moments(st, rTilde, r)
 
-	// Step 3: structured scaling factors from the compressed space.
-	update := p.Grad.Clone()
-	oriented := update
-	if st.Transposed() {
-		oriented = update.T()
-	}
-	var scales []float64
+	// Step 3: structured scaling factors from the compressed space, one per
+	// channel (a tensor-wise factor is the same factor for every channel).
+	scales, den, factors := ws.Channels(grad.Cols)
 	switch a.cfg.Granularity {
-	case Channel:
-		scales = channelScales(rTilde, r)
-		applyChannelScales(oriented, scales)
 	case Tensor:
-		f := tensorScale(rTilde, r)
-		scales = []float64{f}
-		tensor.ScaleInPlace(oriented, float32(f))
-	}
-	if st.Transposed() {
-		update = oriented.T()
+		scales = scales[:1]
+		scales[0] = tensorScale(rTilde.Norm(), r.Norm())
+		for j := range factors {
+			factors[j] = float32(scales[0])
+		}
+	default: // Channel
+		rTilde.ColNormsInto(scales)
+		r.ColNormsInto(den)
+		channelRatios(scales, den)
+		for j, f := range scales {
+			factors[j] = float32(f)
+		}
 	}
 	if a.ScalingProbe != nil {
-		a.ScalingProbe(p.Name, scales)
+		a.probeMu.Lock()
+		if a.probed == nil {
+			a.probed = map[*nn.Param][]float64{}
+		}
+		a.probed[p] = append([]float64(nil), scales...)
+		a.probeMu.Unlock()
 	}
 
-	// Step 4: scale by α and tame growth, both on the update in the
-	// parameter's native orientation.
-	tensor.ScaleInPlace(update, float32(a.cfg.Scale))
-	if !a.cfg.DisableNL {
-		st.LimitNormGrowth(update, a.cfg.Gamma)
-	}
-	return update
+	// Step 4: rescale the raw gradient by the factors and α, tame its
+	// growth, and apply — fused, in the parameter's native layout.
+	e.ApplyScaledGrad(st, p, factors, float32(a.cfg.Scale), a.cfg.Gamma, !a.cfg.DisableNL)
+	return nil
 }

@@ -1,12 +1,14 @@
 package core
 
 import (
+	"fmt"
 	"math"
 	"testing"
 
 	"apollo/internal/linalg"
 	"apollo/internal/nn"
 	"apollo/internal/optim"
+	"apollo/internal/runtime"
 	"apollo/internal/tensor"
 )
 
@@ -363,5 +365,57 @@ func TestAPOLLOWeightDecayApplied(t *testing.T) {
 	want := tensor.Scale(float32(1-0.1*0.5), before)
 	if !p.W.AllClose(want, 1e-6) {
 		t.Fatal("decoupled weight decay not applied")
+	}
+}
+
+// TestScalingProbeSerialAndOrdered pins the probe's contract under the
+// parallel step: called on the goroutine that called Step (the probe below
+// appends to a plain slice, which -race would flag otherwise), once per
+// projected matrix per step, in parameter-list order, with the same factors
+// at any pool width.
+func TestScalingProbeSerialAndOrdered(t *testing.T) {
+	defer runtime.SetWorkers(runtime.Workers())
+	const steps = 4
+	var projected []string
+	record := func(width int) []string {
+		runtime.SetWorkers(width)
+		var ps []*nn.Param
+		projected = projected[:0]
+		for i := 0; i < 9; i++ {
+			name := fmt.Sprintf("w%d", i)
+			rows, cols := 8+i, 24-i // both orientations
+			if i%4 == 3 {
+				rows = 3 // not projected at rank 4: never probed
+			} else {
+				projected = append(projected, name)
+			}
+			ps = append(ps, matParam(t, name, rows, cols, uint64(50+i)))
+		}
+		opt := New(optim.Hyper{LR: 0.01}, Config{Rank: 4, Seed: 11, UpdateGap: 2})
+		var calls []string
+		opt.ScalingProbe = func(name string, s []float64) {
+			calls = append(calls, fmt.Sprintf("%s:%016x", name, math.Float64bits(s[0])))
+		}
+		rng := tensor.NewRNG(60)
+		for step := 0; step < steps; step++ {
+			for _, p := range ps {
+				fillGrad(p, rng, 1)
+			}
+			opt.Step(ps)
+		}
+		return calls
+	}
+	serial, wide := record(1), record(4)
+
+	if want := steps * len(projected); len(serial) != want {
+		t.Fatalf("probe called %d times, want %d (%d projected matrices × %d steps)", len(serial), want, len(projected), steps)
+	}
+	for i, call := range serial {
+		if name := projected[i%len(projected)]; call[:len(name)+1] != name+":" {
+			t.Fatalf("probe call %d was %s, want parameter %s", i, call, name)
+		}
+	}
+	if fmt.Sprint(serial) != fmt.Sprint(wide) {
+		t.Errorf("probe sequence at 4 workers differs from 1 worker:\n%v\n%v", wide, serial)
 	}
 }

@@ -1,6 +1,8 @@
 package core
 
 import (
+	"math"
+
 	"apollo/internal/nn"
 	"apollo/internal/optim"
 	"apollo/internal/tensor"
@@ -79,35 +81,36 @@ func (s *StructuredAdamW) Step(ps []*nn.Param) {
 		gt := tensor.NewMatrix(p.W.Rows, p.W.Cols)
 		optim.AdamDirection(st.m, st.v, gt, p.Grad, s.h, st.t)
 
-		// Collapse to the structured factor and rescale the raw gradient.
-		update := p.Grad.Clone()
-		oriented := update
-		gtOriented := gt
-		transposed := p.W.Rows > p.W.Cols
-		if transposed {
-			oriented = update.T()
-			gtOriented = gt.T()
+		// Collapse to one factor per channel of the m×n orientation: the
+		// columns, or for a parameter stored n×m the rows (whose norms are
+		// the column norms of the transpose, bit for bit).
+		scales, den := gt.ColNorms(), p.Grad.ColNorms()
+		if p.W.Rows > p.W.Cols {
+			scales, den = gt.RowNorms(), p.Grad.RowNorms()
 		}
-		scales := channelScales(gtOriented, oriented)
+		channelRatios(scales, den)
+		factors := make([]float32, len(scales))
 		switch s.Granularity {
 		case Channel:
-			applyChannelScales(oriented, scales)
+			for j, f := range scales {
+				factors[j] = float32(f)
+			}
 		case Tensor:
-			f := tensorScale(gtOriented, oriented)
-			tensor.ScaleInPlace(oriented, float32(f))
-		}
-		if transposed {
-			update = oriented.T()
-		} else {
-			update = oriented
+			f := tensorScale(math.Sqrt(orientedSqNorm(gt)), math.Sqrt(orientedSqNorm(p.Grad)))
+			for j := range factors {
+				factors[j] = float32(f)
+			}
 		}
 		if s.ScalingProbe != nil {
 			s.ScalingProbe(p.Name, scales)
 		}
+
+		// Rescale the raw gradient, limit its growth, apply.
+		var prevNorm *float64
 		if s.Gamma > 0 {
-			st.prevNorm = LimitNormGrowth(update, st.prevNorm, s.Gamma)
+			prevNorm = &st.prevNorm
 		}
-		optim.DecayAndApply(p, update, s.h.LR, s.h.WeightDecay)
+		optim.ApplyScaledGrad(p, factors, 1, s.h.LR, s.h.WeightDecay, s.Gamma, prevNorm)
 	}
 	if len(fallback) > 0 {
 		s.dense.Step(fallback)
@@ -125,33 +128,49 @@ func (s *StructuredAdamW) StateBytes() int64 {
 	return total
 }
 
-// channelScales returns s_j = ‖num[:,j]‖ / ‖den[:,j]‖ for every column j of
-// the m×n-oriented pair.
-func channelScales(num, den *tensor.Matrix) []float64 {
-	nn := num.ColNorms()
-	dn := den.ColNorms()
-	out := make([]float64, len(nn))
-	for j := range out {
-		if dn[j] > 1e-12 {
-			out[j] = nn[j] / dn[j]
+// channelRatios overwrites num[j] with s_j = num[j] / den[j], the ratio of
+// two channel norms, and with 0 where the denominator vanishes.
+func channelRatios(num, den []float64) {
+	for j, d := range den {
+		if d > 1e-12 {
+			num[j] /= d
+		} else {
+			num[j] = 0
 		}
 	}
-	return out
 }
 
-// tensorScale returns ‖num‖ / ‖den‖.
-func tensorScale(num, den *tensor.Matrix) float64 {
-	d := den.Norm()
-	if d < 1e-12 {
+// tensorScale returns num / den, the ratio of two tensor norms, and 0 where
+// the denominator vanishes.
+func tensorScale(num, den float64) float64 {
+	if den < 1e-12 {
 		return 0
 	}
-	return num.Norm() / d
+	return num / den
 }
 
-func applyChannelScales(g *tensor.Matrix, s []float64) {
-	fs := make([]float32, len(s))
-	for i, v := range s {
-		fs[i] = float32(v)
+// orientedSqNorm returns the SqNorm of x's m×n orientation — of xᵀ when x is
+// stored n×m — without building it: the same elements in the same flat order
+// over the same partials.
+func orientedSqNorm(x *tensor.Matrix) float64 {
+	if x.Rows <= x.Cols {
+		return x.SqNorm()
 	}
-	tensor.ScaleColsInPlace(g, fs)
+	n := len(x.Data)
+	chunk := tensor.ReductionChunk(n)
+	var total float64
+	for lo := 0; lo < n; lo += chunk {
+		hi := min(lo+chunk, n)
+		var part float64
+		i, j := lo%x.Rows, lo/x.Rows // xᵀ[j][i] = x[i][j]
+		for k := lo; k < hi; k++ {
+			v := x.Data[i*x.Cols+j]
+			part += float64(v) * float64(v)
+			if i++; i == x.Rows {
+				i, j = 0, j+1
+			}
+		}
+		total += part
+	}
+	return total
 }

@@ -139,7 +139,8 @@ func TestChannelScalesGuardZeroColumns(t *testing.T) {
 	den := tensor.NewMatrix(4, 3)
 	num.Set(0, 0, 1)
 	// den column 0 is zero → scale must be 0, not Inf.
-	s := channelScales(num, den)
+	s := num.ColNorms()
+	channelRatios(s, den.ColNorms())
 	if s[0] != 0 {
 		t.Fatalf("scale for zero-denominator channel = %v, want 0", s[0])
 	}
@@ -148,7 +149,7 @@ func TestChannelScalesGuardZeroColumns(t *testing.T) {
 func TestTensorScaleGuardZero(t *testing.T) {
 	num := tensor.NewMatrix(2, 2)
 	den := tensor.NewMatrix(2, 2)
-	if f := tensorScale(num, den); f != 0 {
+	if f := tensorScale(num.Norm(), den.Norm()); f != 0 {
 		t.Fatalf("tensorScale(0,0) = %v want 0", f)
 	}
 }

@@ -118,6 +118,11 @@ func (pr *Projector) ProjectBack(r *tensor.Matrix) *tensor.Matrix {
 	return tensor.TMatMul(pr.Matrix(), r)
 }
 
+// ProjectBackInto computes out = Pᵀ·R reusing out's storage.
+func (pr *Projector) ProjectBackInto(out, r *tensor.Matrix) {
+	tensor.TMatMulInto(out, pr.Matrix(), r)
+}
+
 // StateFloats reports how many float32 values the projector must keep
 // resident between steps: SVD must persist the full r×m matrix, whereas the
 // random projector only needs its seed (counted as one scalar slot,

@@ -21,21 +21,24 @@ func NewFira(h Hyper, cfg LowRankConfig) *Fira {
 	return NewProjected("Fira", h, cfg, true, firaRule)
 }
 
-func firaRule(e *Projected, st *ProjState, _ *nn.Param, grad *tensor.Matrix) *tensor.Matrix {
-	r := st.proj.Project(grad) // r×n
-	rNorms := r.ColNorms()
-	normalized := r.Clone()
+func firaRule(e *Projected, st *ProjState, _ *nn.Param, grad *tensor.Matrix, ws *Workspace) *tensor.Matrix {
+	r, normalized := ws.RankSpace(e.cfg.Rank, grad.Cols)
+	st.proj.ProjectInto(r, grad) // r×n
 	e.Moments(st, normalized, r) // ˜R
 
 	// Low-rank part of the update (the GaLore term).
-	lowRank := st.proj.ProjectBack(normalized)
+	lowRank := ws.dense[0].shaped(grad.Rows, grad.Cols)
+	st.proj.ProjectBackInto(lowRank, normalized)
 
 	// Residual: E = G − PᵀPG, scaled per channel j by ‖˜R[:,j]‖/‖R[:,j]‖.
-	backProj := st.proj.ProjectBack(r) // PᵀR = PᵀPG
-	residual := tensor.Sub(grad, backProj)
-	nNorms := normalized.ColNorms()
-	scale := make([]float32, len(nNorms))
+	residual := ws.dense[1].shaped(grad.Rows, grad.Cols)
+	st.proj.ProjectBackInto(residual, r) // PᵀR = PᵀPG
+	tensor.SubInto(residual, grad, residual)
+	nNorms, rNorms, scale := ws.Channels(grad.Cols)
+	normalized.ColNormsInto(nNorms)
+	r.ColNormsInto(rNorms)
 	for j := range scale {
+		scale[j] = 0
 		if rNorms[j] > 1e-12 {
 			scale[j] = float32(nNorms[j] / rNorms[j])
 		}
@@ -45,5 +48,6 @@ func firaRule(e *Projected, st *ProjState, _ *nn.Param, grad *tensor.Matrix) *te
 	// Norm-growth limiter on the residual term (equation 4), taken in m×n
 	// orientation before the sum.
 	st.LimitNormGrowth(residual, DefaultGamma)
-	return e.lift(st, tensor.Add(lowRank, residual))
+	tensor.AddInPlace(lowRank, residual)
+	return e.lift(st, lowRank, ws)
 }

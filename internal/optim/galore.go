@@ -73,16 +73,23 @@ func NewGaLore(h Hyper, cfg LowRankConfig) *GaLore {
 
 // liftedAdam is GaLore's rule (and Flora's): AdamW in the subspace, lifted
 // back and scaled by α.
-func liftedAdam(e *Projected, st *ProjState, _ *nn.Param, grad *tensor.Matrix) *tensor.Matrix {
-	r := st.proj.Project(grad) // r×n
-	e.Moments(st, r, r)        // in place: r becomes the normalized direction
-	return e.lift(st, st.proj.ProjectBack(r))
+func liftedAdam(e *Projected, st *ProjState, _ *nn.Param, grad *tensor.Matrix, ws *Workspace) *tensor.Matrix {
+	r, _ := ws.RankSpace(e.cfg.Rank, grad.Cols)
+	st.proj.ProjectInto(r, grad) // r×n
+	e.Moments(st, r, r)          // in place: r becomes the normalized direction
+	update := ws.dense[0].shaped(grad.Rows, grad.Cols)
+	st.proj.ProjectBackInto(update, r)
+	return e.lift(st, update, ws)
 }
 
-// lift turns an m×n-oriented update into the scaled direction in the
-// parameter's native orientation.
-func (e *Projected) lift(st *ProjState, update *tensor.Matrix) *tensor.Matrix {
-	dir := unorient(update, st.o)
+// lift turns the m×n-oriented update, which sits in ws.dense[0], into the
+// scaled direction in the parameter's native orientation.
+func (e *Projected) lift(st *ProjState, update *tensor.Matrix, ws *Workspace) *tensor.Matrix {
+	dir := update
+	if st.o.transposed {
+		dir = ws.dense[1].shaped(update.Cols, update.Rows)
+		tensor.TransposeInto(dir, update)
+	}
 	tensor.ScaleInPlace(dir, float32(e.cfg.Scale))
 	return dir
 }

@@ -11,9 +11,12 @@ package optim
 
 import (
 	"fmt"
+	"math"
+	"sync/atomic"
 
 	"apollo/internal/linalg"
 	"apollo/internal/nn"
+	"apollo/internal/runtime"
 	"apollo/internal/tensor"
 )
 
@@ -37,6 +40,108 @@ func LimitNormGrowth(g *tensor.Matrix, prevNorm, gamma float64) float64 {
 	return norm
 }
 
+// ApplyScaledGrad is the structured update of APOLLO and StructuredAdamW,
+// fused. With u = α·(G∘s) — s[c] the factor of channel c, channels being
+// columns when rows ≤ cols and rows otherwise — it runs the norm-growth
+// limiter on u against *prevNorm (skipped when prevNorm is nil) and applies
+// W ← W·(1−lr·wd) − lr·u in two passes over the gradient, never holding u.
+//
+// Bit for bit this is ScaleColsInPlace (or ScaleRowsInPlace), ScaleInPlace(α),
+// LimitNormGrowth and DecayAndApply run on a copy of G: every product is
+// rounded to float32 on its own, and the norm is the float64 sum of squares
+// in flat index order over tensor.ReductionChunk partials. Where that
+// sequence skips a multiply (limiter not firing, wd = 0) the fused loop
+// multiplies by 1, which is exact.
+func ApplyScaledGrad(p *nn.Param, s []float32, alpha float32, lr, wd, gamma float64, prevNorm *float64) {
+	g, w := p.Grad, p.W
+	byRow := w.Rows > w.Cols
+	if channels := max(w.Rows, w.Cols); len(s) != channels {
+		panic(fmt.Sprintf("optim: ApplyScaledGrad got %d factors for %d channels", len(s), channels))
+	}
+	limit := float32(1)
+	if prevNorm != nil {
+		norm := math.Sqrt(scaledSqNorm(g, s, byRow, alpha))
+		if *prevNorm > 0 && norm > gamma**prevNorm {
+			target := gamma * *prevNorm
+			limit = float32(target / (norm + 1e-30))
+			norm = target
+		}
+		*prevNorm = norm
+	}
+	decay := float32(1)
+	if wd != 0 { //apollo:exactfloat zero weight decay disables the term exactly
+		decay = float32(1 - lr*wd)
+	}
+	nlr := float32(-lr)
+	for i := 0; i < w.Rows; i++ {
+		if byRow {
+			applyScaledRow(w.Row(i), g.Row(i), s[i], alpha, limit, decay, nlr)
+		} else {
+			applyScaledCols(w.Row(i), g.Row(i), s, alpha, limit, decay, nlr)
+		}
+	}
+}
+
+// scaledSqNorm returns ‖α·(G∘s)‖² in SqNorm's summation order.
+func scaledSqNorm(g *tensor.Matrix, s []float32, byRow bool, alpha float32) float64 {
+	d, cols := g.Data, g.Cols
+	chunk := tensor.ReductionChunk(len(d))
+	var total float64
+	for lo := 0; lo < len(d); lo += chunk {
+		hi := min(lo+chunk, len(d))
+		var part float64
+		for k := lo; k < hi; { // one row segment at a time
+			i, j := k/cols, k%cols
+			end := min(hi, (i+1)*cols)
+			if byRow {
+				part = sqNormScaledRow(part, d[k:end], s[i], alpha)
+			} else {
+				part = sqNormScaledCols(part, d[k:end], s[j:], alpha)
+			}
+			k = end
+		}
+		total += part
+	}
+	return total
+}
+
+// The four inner loops of ApplyScaledGrad. The float32 conversions are the
+// rounding points of the unfused sequence; they also keep a compiler from
+// fusing a product into the operation that consumes it.
+
+func sqNormScaledCols(acc float64, g, s []float32, alpha float32) float64 {
+	s = s[:len(g)]
+	for j, gv := range g {
+		u := float32(float32(gv*s[j]) * alpha)
+		acc += float64(u) * float64(u)
+	}
+	return acc
+}
+
+func sqNormScaledRow(acc float64, g []float32, f, alpha float32) float64 {
+	for _, gv := range g {
+		u := float32(float32(gv*f) * alpha)
+		acc += float64(u) * float64(u)
+	}
+	return acc
+}
+
+func applyScaledCols(w, g, s []float32, alpha, limit, decay, nlr float32) {
+	g, s = g[:len(w)], s[:len(w)]
+	for j := range w {
+		u := float32(float32(float32(g[j]*s[j])*alpha) * limit)
+		w[j] = float32(w[j]*decay) + float32(nlr*u)
+	}
+}
+
+func applyScaledRow(w, g []float32, f, alpha, limit, decay, nlr float32) {
+	g = g[:len(w)]
+	for j := range w {
+		u := float32(float32(float32(g[j]*f)*alpha) * limit)
+		w[j] = float32(w[j]*decay) + float32(nlr*u)
+	}
+}
+
 // ProjState is the state a projected optimizer holds for one weight matrix.
 type ProjState struct {
 	proj     *linalg.Projector
@@ -46,13 +151,9 @@ type ProjState struct {
 	o        orientation
 }
 
-// Project returns the projected gradient R = P·G (r×n) of the m×n-oriented
-// gradient the rule was handed.
-func (st *ProjState) Project(grad *tensor.Matrix) *tensor.Matrix { return st.proj.Project(grad) }
-
-// Transposed reports whether the parameter is stored n×m (rows > cols), i.e.
-// whether the oriented gradient is the transpose of p.Grad.
-func (st *ProjState) Transposed() bool { return st.o.transposed }
+// ProjectInto writes the projected gradient R = P·G (r×n) of the
+// m×n-oriented gradient the rule was handed into r.
+func (st *ProjState) ProjectInto(r, grad *tensor.Matrix) { st.proj.ProjectInto(r, grad) }
 
 // LimitNormGrowth runs the limiter on u against this parameter's memory.
 func (st *ProjState) LimitNormGrowth(u *tensor.Matrix, gamma float64) {
@@ -60,11 +161,18 @@ func (st *ProjState) LimitNormGrowth(u *tensor.Matrix, gamma float64) {
 }
 
 // Rule is the one thing the projected optimizers differ in: given the
-// engine (for Moments), the parameter's state and its gradient in m×n
-// orientation (m ≤ n), return the update direction in the parameter's native
-// orientation, fully scaled. The engine has already refreshed the projector
-// when due; it applies the returned direction with decoupled weight decay.
-type Rule func(e *Projected, st *ProjState, p *nn.Param, grad *tensor.Matrix) *tensor.Matrix
+// engine (for Moments), the parameter's state, its gradient in m×n
+// orientation (m ≤ n) and the calling worker's scratch, return the update
+// direction in the parameter's native orientation, fully scaled — or nil
+// when the rule has applied its update itself (ApplyScaledGrad). The engine
+// has already refreshed the projector when due; it applies a returned
+// direction with decoupled weight decay.
+//
+// Step runs a rule concurrently for different parameters. A rule may touch
+// only its ProjState, its *nn.Param and the Workspace it was handed (grad and
+// the returned direction may live there); a returned direction is read before
+// that worker's next rule call and not after.
+type Rule func(e *Projected, st *ProjState, p *nn.Param, grad *tensor.Matrix, ws *Workspace) *tensor.Matrix
 
 // Projected is the engine behind every projected optimizer. It implements
 // Optimizer, StateSharder, StateIntrospector, StateSaver and StateLoader.
@@ -81,6 +189,17 @@ type Projected struct {
 	states map[*nn.Param]*ProjState
 	dense  *AdamW      // parameters that are not projected
 	rng    *tensor.RNG // one projector seed per projected parameter, in step order
+
+	// Per-step scratch, kept across steps; none of it is optimizer state.
+	fallback []*nn.Param  // this step's dense-AdamW parameters
+	jobs     []projJob    // this step's projected parameters, in list order
+	ws       []*Workspace // one per worker of the parallel section
+}
+
+// projJob is one projected parameter of the step in flight.
+type projJob struct {
+	p  *nn.Param
+	st *ProjState
 }
 
 // NewProjected builds an engine around rule. cfg is taken as resolved (no
@@ -132,30 +251,73 @@ func (e *Projected) alloc(p *nn.Param, seed uint64) *ProjState {
 	return st
 }
 
+// ApplyScaledGrad is ApplyScaledGrad with the engine's learning rate and
+// weight decay and st's limiter memory (left alone when limit is false).
+func (e *Projected) ApplyScaledGrad(st *ProjState, p *nn.Param, s []float32, alpha float32, gamma float64, limit bool) {
+	var prevNorm *float64
+	if limit {
+		prevNorm = &st.prevNorm
+	}
+	ApplyScaledGrad(p, s, alpha, e.h.LR, e.h.WeightDecay, gamma, prevNorm)
+}
+
 // Step implements Optimizer: project (refreshing the subspace every
 // UpdateGap steps), let the rule turn state and gradient into a direction,
 // apply it; everything not projected goes to dense AdamW.
+//
+// The list is walked serially first — the fallback split, and first-touch
+// allocation with its projector-seed draw in list order, which is the
+// contract PrepareShard replays. The projected parameters are then stepped
+// concurrently on the shared pool, workers claiming the next unclaimed one.
+// A parameter's update reads and writes nothing of any other parameter, so
+// the result is bit-identical at any pool width.
 func (e *Projected) Step(ps []*nn.Param) {
-	var fallback []*nn.Param
+	e.fallback, e.jobs = e.fallback[:0], e.jobs[:0]
 	for _, p := range ps {
 		if !projects(p, e.cfg.Rank) {
-			fallback = append(fallback, p)
+			e.fallback = append(e.fallback, p)
 			continue
 		}
 		st, ok := e.states[p]
 		if !ok {
 			st = e.alloc(p, e.rng.Uint64())
 		}
-		grad := orientedView(p.Grad, st.o)
-		if !st.proj.Ready() || (e.cfg.UpdateGap > 0 && st.since >= e.cfg.UpdateGap) {
-			e.refresh(st, grad)
-			st.since = 0
-		}
-		st.since++
-		DecayAndApply(p, e.rule(e, st, p, grad), e.h.LR, e.h.WeightDecay)
+		e.jobs = append(e.jobs, projJob{p, st})
 	}
-	if len(fallback) > 0 {
-		e.dense.Step(fallback)
+
+	workers := min(runtime.Workers(), len(e.jobs))
+	for len(e.ws) < workers {
+		e.ws = append(e.ws, &Workspace{})
+	}
+	var next atomic.Int64
+	runtime.ForRange(workers, 1, func(w0, w1 int) {
+		for w := w0; w < w1; w++ {
+			for {
+				i := int(next.Add(1)) - 1
+				if i >= len(e.jobs) {
+					break
+				}
+				e.stepOne(e.jobs[i], e.ws[w])
+			}
+		}
+	})
+
+	if len(e.fallback) > 0 {
+		e.dense.Step(e.fallback)
+	}
+}
+
+// stepOne steps one projected parameter with the worker's scratch.
+func (e *Projected) stepOne(j projJob, ws *Workspace) {
+	p, st := j.p, j.st
+	grad := ws.orientedGrad(p.Grad, st.o)
+	if !st.proj.Ready() || (e.cfg.UpdateGap > 0 && st.since >= e.cfg.UpdateGap) {
+		e.refresh(st, grad)
+		st.since = 0
+	}
+	st.since++
+	if dir := e.rule(e, st, p, grad, ws); dir != nil {
+		DecayAndApply(p, dir, e.h.LR, e.h.WeightDecay)
 	}
 }
 

@@ -25,10 +25,10 @@ const (
 	// kernels fan out to the pool; below it goroutine hand-off costs more
 	// than the work.
 	matmulParallelFlops = 64 * 1024
-	// reduceChunk is the fixed reduction grid: partial sums are computed per
+	// ReduceChunk is the fixed reduction grid: partial sums are computed per
 	// chunk and combined in chunk order, making the result independent of
 	// worker count. The grid depends only on the input length.
-	reduceChunk = 8192
+	ReduceChunk = 8192
 	// ParallelReduceMin is the input length above which the chunked parallel
 	// reductions are worth dispatching.
 	ParallelReduceMin = 1 << 16
@@ -156,21 +156,38 @@ func tmatmulRows(out, a, b []float32, k, m, n, r0, r1 int) {
 	}
 }
 
+// elementwiseGrain is the least work per task of the elementwise kernels;
+// a slice shorter than two of them runs inline, without building the closure
+// a fan-out needs.
+const elementwiseGrain = 1 << 14
+
 // Axpy computes y += alpha·x across the pool for large slices. Disjoint
 // ranges make any grid bit-identical to the serial loop.
 func Axpy(alpha float32, x, y []float32) {
-	ForRange(len(x), 1<<14, func(i0, i1 int) {
+	if len(x) < 2*elementwiseGrain {
+		axpy(alpha, x, y[:len(x)])
+		return
+	}
+	ForRange(len(x), elementwiseGrain, func(i0, i1 int) {
 		axpy(alpha, x[i0:i1], y[i0:i1])
 	})
 }
 
 // Scale computes x *= alpha across the pool for large slices.
 func Scale(x []float32, alpha float32) {
-	ForRange(len(x), 1<<14, func(i0, i1 int) {
-		for i := i0; i < i1; i++ {
-			x[i] *= alpha
-		}
+	if len(x) < 2*elementwiseGrain {
+		scale(x, alpha)
+		return
+	}
+	ForRange(len(x), elementwiseGrain, func(i0, i1 int) {
+		scale(x[i0:i1], alpha)
 	})
+}
+
+func scale(x []float32, alpha float32) {
+	for i := range x {
+		x[i] *= alpha
+	}
 }
 
 // SumChunked returns Σ x accumulated in float64 over the fixed reduction
@@ -204,15 +221,15 @@ func reduceChunked(x []float32, chunkSum func([]float32) float64) float64 {
 	if n == 0 {
 		return 0
 	}
-	chunks := (n + reduceChunk - 1) / reduceChunk
+	chunks := (n + ReduceChunk - 1) / ReduceChunk
 	if chunks == 1 {
 		return chunkSum(x)
 	}
 	partials := make([]float64, chunks)
 	ForRange(chunks, 1, func(c0, c1 int) {
 		for c := c0; c < c1; c++ {
-			lo := c * reduceChunk
-			hi := lo + reduceChunk
+			lo := c * ReduceChunk
+			hi := lo + ReduceChunk
 			if hi > n {
 				hi = n
 			}

@@ -277,7 +277,7 @@ func TestMatMulSkipsZeroAgainstNonFinite(t *testing.T) {
 }
 
 func TestReduceParity(t *testing.T) {
-	for _, n := range []int{0, 1, 100, reduceChunk, reduceChunk + 1, 3*reduceChunk + 17, ParallelReduceMin + 5} {
+	for _, n := range []int{0, 1, 100, ReduceChunk, ReduceChunk + 1, 3*ReduceChunk + 17, ParallelReduceMin + 5} {
 		x := make([]float32, n)
 		fill(x, uint64(n)+11)
 		origWorkers := Workers()

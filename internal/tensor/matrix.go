@@ -98,19 +98,28 @@ func (m *Matrix) NumEl() int { return m.Rows * m.Cols }
 // T returns the transpose as a new matrix.
 func (m *Matrix) T() *Matrix {
 	t := NewMatrix(m.Cols, m.Rows)
+	TransposeInto(t, m)
+	return t
+}
+
+// TransposeInto writes srcᵀ into dst, which must be src.Cols × src.Rows and
+// distinct from src. It walks 32×32 blocks so both sides stay in cache.
+func TransposeInto(dst, src *Matrix) {
+	if dst.Rows != src.Cols || dst.Cols != src.Rows {
+		panic(fmt.Sprintf("tensor: TransposeInto %dx%d into %dx%d", src.Rows, src.Cols, dst.Rows, dst.Cols))
+	}
 	const blk = 32
-	for ib := 0; ib < m.Rows; ib += blk {
-		imax := min(ib+blk, m.Rows)
-		for jb := 0; jb < m.Cols; jb += blk {
-			jmax := min(jb+blk, m.Cols)
+	for ib := 0; ib < src.Rows; ib += blk {
+		imax := min(ib+blk, src.Rows)
+		for jb := 0; jb < src.Cols; jb += blk {
+			jmax := min(jb+blk, src.Cols)
 			for i := ib; i < imax; i++ {
 				for j := jb; j < jmax; j++ {
-					t.Data[j*m.Rows+i] = m.Data[i*m.Cols+j]
+					dst.Data[j*src.Rows+i] = src.Data[i*src.Cols+j]
 				}
 			}
 		}
 	}
-	return t
 }
 
 // Equal reports whether two matrices have identical shape and elements.

@@ -164,6 +164,12 @@ func TestAddSubScaleHadamard(t *testing.T) {
 	if got := Sub(b, a); !got.Equal(FromSlice(1, 3, []float32{3, 3, 3})) {
 		t.Fatalf("Sub = %v", got)
 	}
+	// SubInto may write over either operand.
+	overB := b.Clone()
+	SubInto(overB, a, overB)
+	if want := FromSlice(1, 3, []float32{-3, -3, -3}); !overB.Equal(want) {
+		t.Fatalf("SubInto over its subtrahend = %v, want %v", overB, want)
+	}
 	if got := Scale(2, a); !got.Equal(FromSlice(1, 3, []float32{2, 4, 6})) {
 		t.Fatalf("Scale = %v", got)
 	}

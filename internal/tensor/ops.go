@@ -122,12 +122,19 @@ func AxpyInPlace(a *Matrix, alpha float32, b *Matrix) {
 
 // Sub returns a-b elementwise.
 func Sub(a, b *Matrix) *Matrix {
-	a.mustSameShape(b, "Sub")
-	out := a.Clone()
-	for i, v := range b.Data {
-		out.Data[i] -= v
-	}
+	out := NewMatrix(a.Rows, a.Cols)
+	SubInto(out, a, b)
 	return out
+}
+
+// SubInto computes out = a-b elementwise; out may alias a or b.
+func SubInto(out, a, b *Matrix) {
+	a.mustSameShape(b, "Sub")
+	a.mustSameShape(out, "Sub")
+	od, bd := out.Data, b.Data
+	for i, v := range a.Data {
+		od[i] = v - bd[i]
+	}
 }
 
 // Scale returns alpha*a.

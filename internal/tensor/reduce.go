@@ -43,6 +43,17 @@ func (m *Matrix) SqNorm() float64 {
 	return s
 }
 
+// ReductionChunk returns the length of the partial sums Sum and SqNorm add up
+// in order over n elements: the whole input while it reduces serially, the
+// fixed chunk grid from ParallelReduceMin on. A loop that fuses a norm into
+// other work reproduces SqNorm bit for bit by summing partials of this length.
+func ReductionChunk(n int) int {
+	if n >= runtime.ParallelReduceMin {
+		return runtime.ReduceChunk
+	}
+	return n
+}
+
 // Norm returns the Frobenius norm.
 func (m *Matrix) Norm() float64 { return math.Sqrt(m.SqNorm()) }
 
@@ -75,6 +86,16 @@ func (m *Matrix) AbsMax() float32 {
 // ColNorms returns the per-column ℓ2 norms.
 func (m *Matrix) ColNorms() []float64 {
 	out := make([]float64, m.Cols)
+	m.ColNormsInto(out)
+	return out
+}
+
+// ColNormsInto writes the per-column ℓ2 norms into out (len m.Cols).
+func (m *Matrix) ColNormsInto(out []float64) {
+	if len(out) != m.Cols {
+		panic(fmt.Sprintf("tensor: ColNormsInto got %d slots for %d cols", len(out), m.Cols))
+	}
+	clear(out)
 	for i := 0; i < m.Rows; i++ {
 		row := m.Row(i)
 		for j, v := range row {
@@ -84,7 +105,6 @@ func (m *Matrix) ColNorms() []float64 {
 	for j := range out {
 		out[j] = math.Sqrt(out[j])
 	}
-	return out
 }
 
 // ColAbsSums returns the per-column ℓ1 norms.

@@ -57,6 +57,7 @@ type Sharded struct {
 	segs  []optim.Segment // all ownership units, ascending (Param, Row0)
 	views []*nn.Param     // view param per unit (aliases the unit's rows)
 	parts [][]int         // per-shard unit indices
+	owned [][]*nn.Param   // per-shard view params, what StepShard steps
 	ready bool
 
 	// Checkpoint gather/scatter indexes (built by Init).
@@ -166,10 +167,12 @@ func (s *Sharded) Init(all []*nn.Param) {
 		s.paramIndex[p] = i
 	}
 
+	s.owned = make([][]*nn.Param, s.n)
 	for shard, units := range s.parts {
 		own := make(map[*nn.Param]bool, len(units))
 		for _, u := range units {
 			own[s.views[u]] = true
+			s.owned[shard] = append(s.owned[shard], s.views[u])
 		}
 		if sh, ok := s.inner[shard].(optim.StateSharder); ok {
 			// Whole-parameter units reuse the original pointer, so the
@@ -200,11 +203,7 @@ func (s *Sharded) StepShard(shard int) {
 	if !s.ready {
 		panic("zero: StepShard before Init")
 	}
-	ps := make([]*nn.Param, len(s.parts[shard]))
-	for i, u := range s.parts[shard] {
-		ps[i] = s.views[u]
-	}
-	s.inner[shard].Step(ps)
+	s.inner[shard].Step(s.owned[shard])
 }
 
 // Step implements optim.Optimizer: initialize on first use, then run every
