@@ -139,7 +139,7 @@ type ZeRO = zero.Sharded
 // while each replica holds only ~1/N of the optimizer state (see
 // internal/zero for the determinism contract; Result.ReplicaStateBytes
 // reports the measured per-replica footprint). The wrapper is also a valid
-// drop-in Optimizer for the fused loop.
+// drop-in Optimizer for Pretrain.
 func NewZeRO(build func() Optimizer, replicas int) *ZeRO {
 	return zero.NewSharded(build, replicas)
 }

@@ -16,16 +16,19 @@
 // internal/train/dp.go for the determinism contract). -zero additionally
 // partitions the optimizer state across the replicas ZeRO-style — still
 // bit-identical, but each replica holds only ~1/N of the state (see
-// internal/zero). -accum k splits each fused-loop batch into k
-// gradient-accumulation micro-batches. -workers sizes the shared tensor
-// worker pool; it never changes results, only speed.
+// internal/zero). -accum k splits each fused batch into k
+// gradient-accumulation micro-batches (and is rejected with -replicas,
+// which already computes the gradient one sequence at a time). All of these
+// run the same training loop — they only pick how the batch gradient is
+// summed. -workers sizes the shared tensor worker pool; it never changes
+// results, only speed.
 //
 // -save writes bit-exact checkpoints (internal/ckpt): every -ckpt-every
 // steps when set, and always once at the end of the run. -resume continues
 // from a checkpoint — the flags must rebuild the same model and optimizer
 // method, but the ZeRO world may differ: checkpoints store the canonical
 // unsharded state layout, so a `-replicas 3 -zero` snapshot resumes under
-// `-replicas 4 -zero`, plain DP, or the fused loop, reproducing the
+// `-replicas 4 -zero`, plain DP, or fused, reproducing the
 // uninterrupted run float-for-float (see internal/train's
 // TestCheckpointResumeParity / TestElasticReshardParity).
 //
@@ -74,9 +77,9 @@ func main() {
 		rank     = flag.Int("rank", 0, "low-rank dimension (0 = dim/4)")
 		lr       = flag.Float64("lr", 0, "peak learning rate (0 = proxy default)")
 		seed     = flag.Uint64("seed", 1, "run seed")
-		replicas = flag.Int("replicas", 0, "data-parallel replicas (0 = classic fused loop)")
+		replicas = flag.Int("replicas", 0, "data-parallel replicas (0 = fused single-pass gradient)")
 		zeroOpt  = flag.Bool("zero", false, "shard optimizer states across the replicas (requires -replicas)")
-		accum    = flag.Int("accum", 0, "gradient-accumulation micro-batches per step (fused loop)")
+		accum    = flag.Int("accum", 0, "gradient-accumulation micro-batches per step (fused gradient only; not with -replicas)")
 		workers  = flag.Int("workers", 0, "tensor worker pool size (0 = GOMAXPROCS)")
 		save     = flag.String("save", "", "checkpoint file to write (periodically with -ckpt-every, always at the end)")
 		ckptEach = flag.Int("ckpt-every", 0, "steps between periodic checkpoint saves (0 = only final)")
@@ -110,6 +113,9 @@ func main() {
 
 	if *zeroOpt && *replicas < 1 {
 		fail("-zero requires -replicas N with N ≥ 1")
+	}
+	if *accum > 1 && *replicas > 0 {
+		fail("-accum and -replicas are exclusive: -accum splits the fused gradient into micro-batches, -replicas already computes it one sequence at a time")
 	}
 	if *ckptEach > 0 && *save == "" {
 		fail("-ckpt-every requires -save PATH")
@@ -309,18 +315,9 @@ func main() {
 		res = train.Pretrain(model, opt, corpus, pcfg)
 	}
 
-	fin := runlog.Final{
-		Steps:           res.Steps,
-		FinalPPL:        res.FinalValPPL,
-		StepWallSeconds: res.StepWallSeconds,
-		PhaseSeconds:    res.PhaseSeconds,
-	}
-	if n := len(res.Series); n > 0 {
-		fin.FinalLoss = res.Series[n-1].ValLoss
-	}
+	status, fin := res.Final()
 	if res.Halted {
-		fin.Error = fmt.Sprintf("watchdog halt at step %d: %s", res.HaltStep, res.HaltReason)
-		obs.CountWriteError(ledger.Finalize(runlog.StatusHalted, fin))
+		obs.CountWriteError(ledger.Finalize(status, fin))
 		fmt.Fprintf(os.Stderr, "halted: %s\n", fin.Error)
 		os.Exit(3)
 	}
@@ -343,7 +340,7 @@ func main() {
 			train.FormatBytes(peak.TotalBytes), train.FormatBytes(int64(peak.HeapInuse)),
 			peak.Step, runlog.MemFile)
 	}
-	if err := ledger.Finalize(runlog.StatusOK, fin); err != nil {
+	if err := ledger.Finalize(status, fin); err != nil {
 		// The run succeeded but its ledger entry may be torn — say so.
 		fmt.Fprintf(os.Stderr, "warning: run ledger finalize: %v\n", obs.CountWriteError(err))
 	}

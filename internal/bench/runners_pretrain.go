@@ -140,17 +140,7 @@ func pretrainOne(ctx *RunContext, proxy Proxy, method string, rank int, steps in
 	}
 	res := train.Pretrain(model, opt, corpus, pcfg)
 	if ledger != nil {
-		fin := runlog.Final{
-			Steps: res.Steps, FinalPPL: res.FinalValPPL,
-			StepWallSeconds: res.StepWallSeconds, PhaseSeconds: res.PhaseSeconds,
-		}
-		if n := len(res.Series); n > 0 {
-			fin.FinalLoss = res.Series[n-1].ValLoss
-		}
-		status := runlog.StatusOK
-		if res.Halted {
-			status = runlog.StatusHalted
-		}
+		status, fin := res.Final()
 		obs.CountWriteError(ledger.Finalize(status, fin))
 	}
 	return res, nil

@@ -23,11 +23,11 @@
 //
 // The PR 5 contracts carry over. Cost: a nil *Profiler is the disabled mode —
 // every method is nil-receiver safe at one branch — and sampling happens off
-// the hot path (the training loops sample after the step's wall time is
+// the hot path (the training loop samples after the step's wall time is
 // already recorded, so telemetry timings never include the sampler).
 // Determinism: the profiler only reads values the program computed anyway
 // (byte counts, runtime counters); it feeds nothing back, so every bit-parity
-// contract holds with memprof enabled (train's TestMemprofParity*).
+// contract holds with memprof enabled (train's TestObserverParity).
 package memprof
 
 import (

@@ -16,7 +16,7 @@
 //
 // Determinism contract: like the rest of internal/obs, the ledger records —
 // it never feeds anything back into training. A run with a ledger attached
-// is bit-identical to one without (train's TestTelemetryParity*).
+// is bit-identical to one without (train's TestObserverParity).
 package runlog
 
 import (

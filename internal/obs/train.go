@@ -6,12 +6,13 @@ import (
 	"time"
 )
 
-// Phase indexes the wall-time breakdown of one training step. The fused
-// loop uses Data/Forward/Backward/Step/Checkpoint/Eval; the data-parallel
-// loop adds AllReduce and Broadcast, and under ZeRO the Step phase is the
-// sharded optimizer step. Forward/Backward in the DP loop are summed across
-// concurrently running replicas, so their totals can exceed the step's wall
-// time — the fused loop's phases partition it exactly.
+// Phase indexes the wall-time breakdown of one training step. There is one
+// pre-training loop; which phases a run has depends on its gradient stage.
+// A fused run uses Data/Forward/Backward/Step/Checkpoint/Eval and its phases
+// partition the step's wall time exactly; a data-parallel run adds AllReduce
+// and Broadcast, under ZeRO the Step phase is the sharded optimizer step,
+// and its Forward/Backward are summed across concurrently running replicas,
+// so their totals can exceed the step's wall time.
 type Phase int
 
 const (
@@ -58,7 +59,7 @@ type StepEvent struct {
 
 // TrainRecorder accumulates per-step phase timings and optionally streams
 // one StepEvent per step as JSONL. Nil-safe: a nil recorder makes every
-// call a single branch, which is how the loops run untelemetered.
+// call a single branch, which is how the loop runs untelemetered.
 type TrainRecorder struct {
 	w *JSONLWriter
 

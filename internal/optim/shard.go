@@ -65,9 +65,11 @@ type Segment struct {
 }
 
 // ShardedStepper is what a ZeRO-style wrapper (internal/zero) exposes to
-// the data-parallel trainer: a partition of the parameter list into owner
-// shards plus per-shard stepping, so the trainer can run each shard's
-// optimizer on its owner replica and tree-broadcast the updated weights.
+// the data-parallel gradient stage beyond Optimizer: the partition of the
+// parameter list into owner shards. Stepping stays Optimizer.Step — the
+// wrapper runs every shard's inner optimizer concurrently itself — so the
+// trainer needs the ownership map only to tree-broadcast each shard's
+// updated weights from its owner replica and to report per-replica state.
 type ShardedStepper interface {
 	Optimizer
 	// Init fixes the parameter list, partitions it and prepares the
@@ -79,9 +81,6 @@ type ShardedStepper interface {
 	// ascending (Param, Row0) order. Segments of distinct shards are
 	// disjoint and together tile every parameter exactly once.
 	OwnedSegments(shard int) []Segment
-	// StepShard runs the shard's inner optimizer on its owned segments.
-	// Distinct shards touch disjoint rows and may run concurrently.
-	StepShard(shard int)
 	// ReplicaStateBytes reports each shard's resident optimizer-state
 	// footprint; the sum is the unsharded StateBytes.
 	ReplicaStateBytes() []int64

@@ -7,23 +7,24 @@
 // runtime`; `bash benchmark/run.sh --workload pretrain_fused --trace 1`
 // reports the kernels' `runtime.*_gflops` and `runtime.parallel_speedup`).
 //
+// This file is the data-parallel gradient stage of the pre-training loop
+// (pretrain in train.go): where the batch gradient comes from and how
+// stepped weights get back to the replicas. The rest of a step is the loop's.
+//
 // Determinism contract. The gradient of a global batch is *defined* as the
 // balanced binary-tree sum of per-sequence gradient leaves, and the loss as
 // the same tree over per-sequence loss sums; cross-entropy normalizes every
 // shard by the global target count (nn.CrossEntropyShard). Leaves and tree
 // depend only on the batch — never on the replica count or scheduling — so
 // DPPretrain is bit-identical for any Replicas value: `-replicas 4`
-// reproduces `-replicas 1` exactly, float by float. (The classic fused
-// Pretrain loop computes the same mathematical gradient in one big
-// forward/backward; its float32 rounding differs, so DP runs are compared
-// against DP runs and the fused loop stays the default for single-process
-// training.)
+// reproduces `-replicas 1` exactly, float by float. (The fused stage
+// computes the same mathematical gradient in one big forward/backward; its
+// float32 rounding differs, so DP runs are compared against DP runs and
+// the fused stage stays the default for single-process training.)
 package train
 
 import (
-	"math"
 	"sync"
-	"time"
 
 	"apollo/internal/data"
 	"apollo/internal/nn"
@@ -46,7 +47,21 @@ type dpReplica struct {
 	params []*nn.Param
 }
 
-// DPPretrain runs the causal-LM loop of Pretrain with data-parallel
+// dataParallel is the gradient stage of a `-replicas N` run.
+type dataParallel struct {
+	master  []*nn.Param
+	reps    []*dpReplica
+	sharder optim.ShardedStepper // non-nil under ZeRO: publish keeps the replicas current
+
+	leaves   [][]*tensor.Matrix // one gradient leaf per sequence of the global batch, per param
+	lossSums []float64          // per-sequence unnormalized loss
+	clocks   []phaseClock       // per-replica forward/backward time, merged after the join
+
+	paramBytes                     int64
+	allReduceBytes, broadcastBytes int64 // comm volume the Result reports
+}
+
+// DPPretrain runs the pre-training loop of Pretrain with data-parallel
 // gradient computation. model holds the master weights; opt steps them.
 //
 // ZeRO extension. When opt implements optim.ShardedStepper (zero.Sharded),
@@ -59,259 +74,147 @@ type dpReplica struct {
 // Result.ReplicaStateBytes and internal/zero's determinism contract).
 func DPPretrain(model *nn.Model, opt optim.Optimizer, corpus *data.Corpus, cfg DPConfig) Result {
 	pcfg := cfg.PretrainConfig.withDefaults()
-	replicas := cfg.Replicas
-	if replicas < 1 {
-		replicas = 1
-	}
-	if replicas > pcfg.Batch {
-		replicas = pcfg.Batch
-	}
+	return pretrain(model, opt, corpus, pcfg, newDataParallel(model, opt, pcfg.Batch, cfg.Replicas))
+}
 
-	start := time.Now()
-	master := model.Params().List()
-	var paramBytes int64
-	for _, p := range master {
-		paramBytes += 4 * int64(p.NumEl())
+func newDataParallel(model *nn.Model, opt optim.Optimizer, batch, replicas int) *dataParallel {
+	replicas = max(1, min(replicas, batch))
+	dp := &dataParallel{
+		master:   model.Params().List(),
+		reps:     make([]*dpReplica, replicas),
+		leaves:   make([][]*tensor.Matrix, batch),
+		lossSums: make([]float64, batch),
+		clocks:   make([]phaseClock, replicas),
 	}
-
-	reps := make([]*dpReplica, replicas)
-	for r := range reps {
+	dp.paramBytes, _ = paramListBytes(dp.master)
+	for r := range dp.reps {
 		rm := nn.NewModel(model.Cfg, tensor.NewRNG(uint64(r)+1))
-		reps[r] = &dpReplica{model: rm, params: rm.Params().List()}
+		dp.reps[r] = &dpReplica{model: rm, params: rm.Params().List()}
 	}
+	for s := range dp.leaves {
+		dp.leaves[s] = make([]*tensor.Matrix, len(dp.master))
+		for i, p := range dp.master {
+			dp.leaves[s][i] = tensor.NewMatrix(p.W.Rows, p.W.Cols)
+		}
+	}
+	if sharder, ok := opt.(optim.ShardedStepper); ok {
+		sharder.Init(dp.master)
+		dp.sharder = sharder
+		dp.syncReplicas() // once; thereafter publish keeps them current
+	}
+	return dp
+}
 
-	sharder, sharded := opt.(optim.ShardedStepper)
-	if sharded {
-		sharder.Init(master)
-		// One-time full sync: thereafter replicas stay current through the
-		// per-step weight broadcast instead of a master → replica copy.
-		for _, rep := range reps {
-			for i, p := range master {
-				rep.params[i].W.CopyFrom(p.W)
+// syncReplicas copies the master weights into every replica.
+func (dp *dataParallel) syncReplicas() {
+	for _, rep := range dp.reps {
+		for i, p := range dp.master {
+			rep.params[i].W.CopyFrom(p.W)
+		}
+	}
+}
+
+// gradient fills the master grads and returns the batch loss: replica sync,
+// concurrent per-sequence leaves, balanced-tree all-reduce.
+func (dp *dataParallel) gradient(batch data.Batch, pc *phaseClock) float64 {
+	b, t := len(dp.leaves), batch.T
+	replicas := len(dp.reps)
+	counted := nn.CountTargets(batch.Targets, -1)
+
+	// Broadcast master weights to every replica (the DDP sync point).
+	// Under ZeRO this already happened through the post-step shard
+	// broadcast, so the copy (and its comm volume) is skipped.
+	if dp.sharder == nil {
+		dp.syncReplicas()
+		dp.broadcastBytes += int64(replicas) * dp.paramBytes
+	}
+	pc.lap(obs.PhaseBroadcast)
+
+	// A batch with no non-ignored targets has zero loss and zero
+	// gradient (the fused CrossEntropy convention); skip the shard
+	// compute rather than hand CrossEntropyShard a zero normalizer.
+	if counted == 0 {
+		for s := range dp.leaves {
+			for _, buf := range dp.leaves[s] {
+				buf.Zero()
 			}
+			dp.lossSums[s] = 0
 		}
 	}
-	var allReduceBytes, broadcastBytes int64
 
-	// One gradient leaf per sequence of the global batch, plus its loss sum.
-	b, t := pcfg.Batch, pcfg.Seq
-	leaves := make([][]*tensor.Matrix, b)
-	for s := range leaves {
-		bufs := make([]*tensor.Matrix, len(master))
-		for i, p := range master {
-			bufs[i] = tensor.NewMatrix(p.W.Rows, p.W.Cols)
-		}
-		leaves[s] = bufs
-	}
-	lossSums := make([]float64, b)
-
-	rec := pcfg.Telemetry
-	wd := pcfg.Watchdog
-	if pcfg.MemProf != nil {
-		var sh optim.ShardedStepper
-		if sharded {
-			sh = sharder
-		}
-		leafBytes := int64(b) * paramBytes
-		instrumentDPMemory(pcfg.MemProf, master, opt, reps, leafBytes, sh)
-	}
-	timed := rec != nil || wd != nil
-	endStep := pcfg.Steps
-	// Per-replica forward/backward wall time for the concurrent compute
-	// section; merged into the phase clock after the join, so no atomics.
-	repFwd := make([]time.Duration, replicas)
-	repBwd := make([]time.Duration, replicas)
-
-	var series []Metric
-	for step := pcfg.StartStep; step < pcfg.Steps; step++ {
-		var stepStart time.Time
-		if timed {
-			stepStart = time.Now()
-		}
-		pc := phaseClock{on: rec != nil, mark: stepStart}
-		if pcfg.Schedule != nil {
-			opt.SetLR(pcfg.Schedule.At(step))
-		}
-		batch := corpus.NextTrainBatch(b, t)
-		counted := nn.CountTargets(batch.Targets, -1)
-		pc.lap(obs.PhaseData)
-
-		// Broadcast master weights to every replica (the DDP sync point).
-		// Under ZeRO this already happened through the post-step shard
-		// broadcast, so the copy (and its comm volume) is skipped.
-		if !sharded {
-			for _, rep := range reps {
-				for i, p := range master {
-					rep.params[i].W.CopyFrom(p.W)
-				}
-			}
-			broadcastBytes += int64(replicas) * paramBytes
-		}
-		pc.lap(obs.PhaseBroadcast)
-
-		// A batch with no non-ignored targets has zero loss and zero
-		// gradient (the fused CrossEntropy convention); skip the shard
-		// compute rather than hand CrossEntropyShard a zero normalizer.
+	// Concurrent sharded forward/backward: replica r owns the contiguous
+	// sequence range [r·B/N, (r+1)·B/N) and times its own forward/backward
+	// halves; those sums carry the section's wall time, so pc skips it.
+	var wg sync.WaitGroup
+	for r := 0; r < replicas; r++ {
+		dp.clocks[r] = phaseClock{on: pc.on}
 		if counted == 0 {
-			for s := range leaves {
-				for _, buf := range leaves[s] {
-					buf.Zero()
+			continue
+		}
+		wg.Add(1)
+		go func(rep *dpReplica, rc *phaseClock, lo, hi int) {
+			defer wg.Done()
+			for s := lo; s < hi; s++ {
+				rep.model.Params().ZeroGrad()
+				rc.skip()
+				dp.lossSums[s] = lossShardPhased(rep.model,
+					batch.Tokens[s*t:(s+1)*t], batch.Targets[s*t:(s+1)*t], 1, t, counted, rc)
+				for i, p := range rep.params {
+					dp.leaves[s][i].CopyFrom(p.Grad)
 				}
-				lossSums[s] = 0
 			}
-		}
+		}(dp.reps[r], &dp.clocks[r], r*b/replicas, (r+1)*b/replicas)
+	}
+	wg.Wait()
+	for r := range dp.clocks {
+		pc.merge(&dp.clocks[r])
+	}
+	pc.skip()
 
-		// Concurrent sharded forward/backward: replica r owns the
-		// contiguous sequence range [r·B/N, (r+1)·B/N). With telemetry on,
-		// each replica times its own forward/backward halves — the split
-		// calls are LossShard spelled out, so the bits are unchanged — and
-		// the main goroutine merges them after the join.
-		var wg sync.WaitGroup
-		for r := 0; r < replicas && counted > 0; r++ {
-			lo, hi := r*b/replicas, (r+1)*b/replicas
-			wg.Add(1)
-			go func(rep *dpReplica, lo, hi, r int) {
-				defer wg.Done()
-				var fwd, bwd time.Duration
-				for s := lo; s < hi; s++ {
-					rep.model.Params().ZeroGrad()
-					toks := batch.Tokens[s*t : (s+1)*t]
-					tgts := batch.Targets[s*t : (s+1)*t]
-					if pc.on {
-						t0 := time.Now()
-						logits := rep.model.Forward(toks, 1, t)
-						t1 := time.Now()
-						fwd += t1.Sub(t0)
-						sum, dlogits := nn.CrossEntropyShard(logits, tgts, -1, counted)
-						rep.model.Backward(dlogits)
-						bwd += time.Since(t1)
-						lossSums[s] = sum
-					} else {
-						lossSums[s] = rep.model.LossShard(toks, tgts, 1, t, counted)
-					}
-					for i, p := range rep.params {
-						leaves[s][i].CopyFrom(p.Grad)
-					}
-				}
-				repFwd[r], repBwd[r] = fwd, bwd
-			}(reps[r], lo, hi, r)
-		}
-		wg.Wait()
-		if pc.on {
-			for r := 0; r < replicas; r++ {
-				pc.d[obs.PhaseForward] += repFwd[r]
-				pc.d[obs.PhaseBackward] += repBwd[r]
+	// All-reduce: balanced binary tree over leaf indices. The pairing
+	// depends only on B, so the float32 sums are replica-count
+	// independent. The result lands in leaf 0.
+	for stride := 1; stride < b; stride *= 2 {
+		for i := 0; i+stride < b; i += 2 * stride {
+			for j := range dp.leaves[i] {
+				tensor.AddInPlace(dp.leaves[i][j], dp.leaves[i+stride][j])
 			}
-			pc.skip() // section wall time is carried by the replica sums
-		}
-
-		// All-reduce: balanced binary tree over leaf indices. The pairing
-		// depends only on B, so the float32 sums are replica-count
-		// independent. The result lands in leaf 0.
-		for stride := 1; stride < b; stride *= 2 {
-			for i := 0; i+stride < b; i += 2 * stride {
-				for j := range leaves[i] {
-					tensor.AddInPlace(leaves[i][j], leaves[i+stride][j])
-				}
-				lossSums[i] += lossSums[i+stride]
-				allReduceBytes += paramBytes
-			}
-		}
-		for i, p := range master {
-			p.Grad.CopyFrom(leaves[0][i])
-		}
-		loss := 0.0
-		if counted > 0 {
-			loss = lossSums[0] / float64(counted)
-		}
-		pc.lap(obs.PhaseAllReduce)
-		var gradNorm float64
-		if timed {
-			gradNorm = model.Params().GradNorm()
-		}
-
-		if pcfg.ClipNorm > 0 {
-			model.Params().ClipGradNorm(pcfg.ClipNorm)
-		}
-		if sharded {
-			// ZeRO phase 1: each owner replica steps only its shard of the
-			// master parameters — disjoint sets, so shards run concurrently.
-			var sg sync.WaitGroup
-			for s := 0; s < sharder.Shards(); s++ {
-				sg.Add(1)
-				go func(s int) {
-					defer sg.Done()
-					sharder.StepShard(s)
-				}(s)
-			}
-			sg.Wait()
-			pc.lap(obs.PhaseStep)
-			// ZeRO phase 2: binomial-tree broadcast of each updated shard
-			// from its owner to the other replicas.
-			broadcastBytes += broadcastShards(reps, master, sharder, replicas)
-			pc.lap(obs.PhaseBroadcast)
-		} else {
-			opt.Step(master)
-			pc.lap(obs.PhaseStep)
-		}
-		// Checkpoint after the optimizer step (and, under ZeRO, after the
-		// broadcast): master weights are current and a Sharded optimizer
-		// gathers its shard-owned state into the canonical layout, so the
-		// snapshot resumes under any world size.
-		maybeCheckpoint(pcfg, step, master, opt, corpus)
-		pc.lap(obs.PhaseCheckpoint)
-
-		if pcfg.EvalEvery > 0 && (step+1)%pcfg.EvalEvery == 0 {
-			val := Validate(model, corpus, pcfg.EvalBatches, b, t)
-			series = append(series, Metric{
-				Step: step + 1, TrainLoss: loss, ValLoss: val,
-				ValPPL: math.Exp(val), LR: opt.LR(),
-			})
-			pcfg.Logf("[%s x%d] step %d/%d train %.4f val ppl %.2f",
-				opt.Name(), replicas, step+1, pcfg.Steps, loss, math.Exp(val))
-		}
-		pc.lap(obs.PhaseEval)
-		var wall time.Duration
-		if timed {
-			wall = time.Since(stepStart)
-		}
-		if rec != nil {
-			rec.RecordStep(step+1, loss, gradNorm, opt.LR(), wall, pc.d)
-		}
-		pcfg.MemProf.ObserveStep(step + 1)
-		if wd.ObserveStep(step+1, loss, gradNorm, wall.Seconds()) {
-			endStep = step + 1
-			pcfg.Logf("[%s x%d] step %d: watchdog halt", opt.Name(), replicas, endStep)
-			break
+			dp.lossSums[i] += dp.lossSums[i+stride]
+			dp.allReduceBytes += dp.paramBytes
 		}
 	}
-	final := Validate(model, corpus, pcfg.EvalBatches, b, t)
-	series = append(series, Metric{
-		Step: endStep, ValLoss: final, ValPPL: math.Exp(final), LR: opt.LR(),
-	})
-	var perReplica []int64
-	if sharded {
-		perReplica = sharder.ReplicaStateBytes()
-	} else {
-		perReplica = make([]int64, replicas)
-		for i := range perReplica {
-			perReplica[i] = opt.StateBytes() // plain DP replicates full state
-		}
+	for i, p := range dp.master {
+		p.Grad.CopyFrom(dp.leaves[0][i])
 	}
-	res := Result{
-		Optimizer:         opt.Name(),
-		Series:            series,
-		FinalValPPL:       math.Exp(final),
-		StateBytes:        opt.StateBytes(),
-		WallSeconds:       time.Since(start).Seconds(),
-		Steps:             endStep,
-		ReplicaStateBytes: perReplica,
-		AllReduceBytes:    allReduceBytes,
-		BroadcastBytes:    broadcastBytes,
+	loss := 0.0
+	if counted > 0 {
+		loss = dp.lossSums[0] / float64(counted)
 	}
-	summarizeTelemetry(&res, rec)
-	summarizeWatchdog(&res, wd, endStep)
-	return res
+	pc.lap(obs.PhaseAllReduce)
+	return loss
+}
+
+// publish gets the freshly stepped master weights back to the replicas:
+// under ZeRO the binomial-tree broadcast of each updated shard from its
+// owner; nothing in plain DP, which re-syncs at the top of the next gradient.
+func (dp *dataParallel) publish(pc *phaseClock) {
+	if dp.sharder == nil {
+		return
+	}
+	dp.broadcastBytes += broadcastShards(dp.reps, dp.master, dp.sharder)
+	pc.lap(obs.PhaseBroadcast)
+}
+
+// replicaStateBytes: one shard each under ZeRO, the full state in plain DP.
+func (dp *dataParallel) replicaStateBytes(opt optim.Optimizer) []int64 {
+	if dp.sharder != nil {
+		return dp.sharder.ReplicaStateBytes()
+	}
+	per := make([]int64, len(dp.reps))
+	for i := range per {
+		per[i] = opt.StateBytes()
+	}
+	return per
 }
 
 // broadcastShards distributes each shard's freshly stepped master weights
@@ -322,7 +225,8 @@ func DPPretrain(model *nn.Model, opt optim.Optimizer, corpus *data.Corpus, cfg D
 // Shards cover disjoint parameter indices, so their trees run concurrently.
 // Copies are float-exact; the returned byte count covers only the
 // inter-replica transfers.
-func broadcastShards(reps []*dpReplica, master []*nn.Param, sharder optim.ShardedStepper, replicas int) int64 {
+func broadcastShards(reps []*dpReplica, master []*nn.Param, sharder optim.ShardedStepper) int64 {
+	replicas := len(reps)
 	var moved int64
 	var wg sync.WaitGroup
 	for s := 0; s < sharder.Shards(); s++ {
@@ -348,11 +252,7 @@ func broadcastShards(reps []*dpReplica, master []*nn.Param, sharder optim.Sharde
 			}
 			// The owner's copy from master is its own freshly stepped
 			// update — local, no traffic.
-			for _, sg := range segs {
-				lo := sg.Row0 * master[sg.Param].W.Cols
-				hi := sg.Row1 * master[sg.Param].W.Cols
-				copy(reps[owner].params[sg.Param].W.Data[lo:hi], master[sg.Param].W.Data[lo:hi])
-			}
+			copySegs(reps[owner], &dpReplica{params: master})
 			for stride := 1; stride < replicas; stride *= 2 {
 				for rel := 0; rel < stride && rel+stride < replicas; rel++ {
 					copySegs(reps[(owner+rel+stride)%replicas], reps[(owner+rel)%replicas])

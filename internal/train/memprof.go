@@ -1,8 +1,8 @@
-// Live memory accounting for the training loops: wiring the loops' resident
+// Live memory accounting for the pre-training loop: wiring its resident
 // tensors and the optimizer's introspection hooks into a memprof.Profiler's
 // component ledger. Everything here is observational — the closures read byte
-// counts the loops already own and feed nothing back, so a profiled run is
-// bit-identical to an unprofiled one (TestMemprofParity*).
+// counts the loop already owns and feed nothing back, so a profiled run is
+// bit-identical to an unprofiled one (TestObserverParity).
 package train
 
 import (
@@ -23,22 +23,35 @@ func paramListBytes(params []*nn.Param) (weights, grads int64) {
 	return weights, grads
 }
 
-// instrumentMemory registers the fused loop's components on the profiler:
-// weights and grads (fixed once the model exists) plus live optimizer state.
-// When the optimizer exposes optim.StateIntrospector, its state splits into
-// the introspected per-parameter moments ("optimizer_state") and whatever
+// instrumentMemory registers the loop's components on the profiler: weights
+// and grads (fixed once the model exists) plus live optimizer state. When
+// the optimizer exposes optim.StateIntrospector, its state splits into the
+// introspected per-parameter moments ("optimizer_state") and whatever
 // StateBytes reports beyond them ("projector_scratch" — projection buffers,
 // quantization tables); the two always sum to the measured StateBytes, so
 // the ledger total never double-counts. Without introspection the whole
-// measured footprint lands in "optimizer_state".
-func instrumentMemory(mp *memprof.Profiler, params []*nn.Param, opt optim.Optimizer) {
+// measured footprint lands in "optimizer_state". Under ZeRO the state is
+// registered as one component per shard *instead* — the shards partition the
+// measured state exactly (ReplicaStateBytes sums to StateBytes), so the
+// total stays double-count free while showing the ~1/N split the sharding
+// buys. A data-parallel stage then adds its own residents: the per-sequence
+// gradient leaves and the replica models (weights + grads each).
+func instrumentMemory(mp *memprof.Profiler, params []*nn.Param, opt optim.Optimizer, dp *dataParallel) {
 	if mp == nil {
 		return
 	}
 	weights, grads := paramListBytes(params)
 	mp.Set(memprof.CompWeights, weights)
 	mp.Set(memprof.CompGrads, grads)
-	if si, ok := opt.(optim.StateIntrospector); ok {
+	si, introspects := opt.(optim.StateIntrospector)
+	switch {
+	case dp != nil && dp.sharder != nil:
+		for s := 0; s < dp.sharder.Shards(); s++ {
+			mp.Track(memprof.ShardComponent(s), func() int64 {
+				return dp.sharder.ReplicaStateBytes()[s]
+			})
+		}
+	case introspects:
 		moments := func() int64 {
 			var elems int64
 			for _, p := range params {
@@ -59,38 +72,15 @@ func instrumentMemory(mp *memprof.Profiler, params []*nn.Param, opt optim.Optimi
 			}
 			return 0
 		})
-	} else {
+	default:
 		mp.Track(memprof.CompOptimizerState, func() int64 { return opt.StateBytes() })
 	}
-}
-
-// instrumentDPMemory adds the data-parallel loop's extra residents on top of
-// the fused set: the per-sequence gradient leaves and the replica models
-// (weights + grads each). Under ZeRO the optimizer state is registered as
-// one component per shard *instead of* the aggregate "optimizer_state" —
-// the shards partition the measured state exactly (ReplicaStateBytes sums
-// to StateBytes), so the ledger total stays double-count free while showing
-// the ~1/N split the sharding buys.
-func instrumentDPMemory(mp *memprof.Profiler, master []*nn.Param, opt optim.Optimizer,
-	reps []*dpReplica, leafBytes int64, sharder optim.ShardedStepper) {
-	if mp == nil {
+	if dp == nil {
 		return
 	}
-	if sharder == nil {
-		instrumentMemory(mp, master, opt)
-	} else {
-		weights, grads := paramListBytes(master)
-		mp.Set(memprof.CompWeights, weights)
-		mp.Set(memprof.CompGrads, grads)
-		for s := 0; s < sharder.Shards(); s++ {
-			mp.Track(memprof.ShardComponent(s), func() int64 {
-				return sharder.ReplicaStateBytes()[s]
-			})
-		}
-	}
-	mp.Set(memprof.CompDPGradLeaves, leafBytes)
+	mp.Set(memprof.CompDPGradLeaves, int64(len(dp.leaves))*weights)
 	var repBytes int64
-	for _, rep := range reps {
+	for _, rep := range dp.reps {
 		w, g := paramListBytes(rep.params)
 		repBytes += w + g
 	}

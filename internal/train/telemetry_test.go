@@ -2,131 +2,11 @@ package train
 
 import (
 	"encoding/json"
-	"io"
 	"strings"
 	"testing"
 
-	"apollo/internal/nn"
 	"apollo/internal/obs"
-	"apollo/internal/obs/runlog"
-	"apollo/internal/optim"
-	"apollo/internal/zero"
 )
-
-// parityLedger builds a full observability rig for the parity tests: a run
-// ledger entry in a temp root plus an armed watchdog emitting into it. The
-// recorder returned streams to both the caller's builder and the ledger.
-func parityLedger(t *testing.T, b *strings.Builder) (*runlog.Run, *runlog.Watchdog, *obs.TrainRecorder) {
-	t.Helper()
-	run, err := runlog.Create(t.TempDir(), runlog.Manifest{ID: "parity", Command: "test"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	wd := runlog.NewWatchdog(runlog.WatchdogConfig{Halt: true, Emit: run.Alert})
-	rec := obs.NewTrainRecorder(io.MultiWriter(b, run.StepsWriter()))
-	return run, wd, rec
-}
-
-// checkParityLedger finalizes and reloads the ledger entry, asserting the
-// step series landed and no watchdog alert fired on a healthy run.
-func checkParityLedger(t *testing.T, run *runlog.Run, wd *runlog.Watchdog, steps int) {
-	t.Helper()
-	if wd.Halted() || len(wd.Alerts()) != 0 {
-		t.Fatalf("watchdog alerted on a healthy parity run: %+v", wd.Alerts())
-	}
-	if err := run.Finalize(runlog.StatusOK, runlog.Final{Steps: steps}); err != nil {
-		t.Fatal(err)
-	}
-	rd, err := runlog.LoadDir(run.Dir())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rd.Steps) != steps || rd.Manifest.Status != runlog.StatusOK {
-		t.Fatalf("ledger entry wrong: %d steps, status %s", len(rd.Steps), rd.Manifest.Status)
-	}
-}
-
-// TestTelemetryParityFused is the telemetry half of the determinism
-// contract: a fused run with a TrainRecorder, a run-ledger entry AND an
-// armed watchdog attached is bit-identical to a bare one — the whole
-// observability stack is timing-only.
-func TestTelemetryParityFused(t *testing.T) {
-	const seed = 11
-	refModel, refOpt, refCorpus := dpTestSetup(t, seed)
-	cfg := PretrainConfig{Batch: 6, Seq: 16, Steps: 6, EvalEvery: 3, EvalBatches: 2, ClipNorm: 1.0}
-	ref := Pretrain(refModel, refOpt, refCorpus, cfg)
-
-	var b strings.Builder
-	telModel, telOpt, telCorpus := dpTestSetup(t, seed)
-	cfgTel := cfg
-	run, wd, rec := parityLedger(t, &b)
-	cfgTel.Telemetry = rec
-	cfgTel.Watchdog = wd
-	got := Pretrain(telModel, telOpt, telCorpus, cfgTel)
-	checkParityLedger(t, run, wd, cfg.Steps)
-
-	if len(got.Series) != len(ref.Series) {
-		t.Fatalf("series length %d != %d", len(got.Series), len(ref.Series))
-	}
-	for i := range ref.Series {
-		if got.Series[i] != ref.Series[i] {
-			t.Fatalf("metric %d differs with telemetry:\n  got  %+v\n  want %+v", i, got.Series[i], ref.Series[i])
-		}
-	}
-	if got.FinalValPPL != ref.FinalValPPL {
-		t.Fatalf("final ppl %v != %v with telemetry", got.FinalValPPL, ref.FinalValPPL)
-	}
-	refParams := refModel.Params().List()
-	for i, p := range telModel.Params().List() {
-		if !p.W.Equal(refParams[i].W) {
-			t.Fatalf("weight %s differs bitwise with telemetry enabled", p.Name)
-		}
-	}
-}
-
-// TestTelemetryParityDPZero repeats the parity check on the hardest path:
-// data-parallel with ZeRO-sharded optimizer states, where the phase timing
-// wraps the concurrent replica workers.
-func TestTelemetryParityDPZero(t *testing.T) {
-	const seed = 42
-	ref, refModel := zeroRun(t, 3, seed, nil, nil)
-	var b strings.Builder
-	run, wd, rec := parityLedger(t, &b)
-	got, gotModel := zeroRun(t, 3, seed, rec, wd)
-	checkParityLedger(t, run, wd, got.Steps)
-
-	for i := range ref.Series {
-		if got.Series[i] != ref.Series[i] {
-			t.Fatalf("metric %d differs with telemetry:\n  got  %+v\n  want %+v", i, got.Series[i], ref.Series[i])
-		}
-	}
-	if got.FinalValPPL != ref.FinalValPPL {
-		t.Fatalf("final ppl %v != %v with telemetry", got.FinalValPPL, ref.FinalValPPL)
-	}
-	refParams := refModel.Params().List()
-	for i, p := range gotModel.Params().List() {
-		if !p.W.Equal(refParams[i].W) {
-			t.Fatalf("weight %s differs bitwise with telemetry enabled", p.Name)
-		}
-	}
-	if b.Len() == 0 {
-		t.Fatalf("telemetry stream is empty")
-	}
-}
-
-// zeroRun trains DP+ZeRO with an optional recorder and watchdog attached.
-func zeroRun(t *testing.T, replicas int, seed uint64, rec *obs.TrainRecorder, wd *runlog.Watchdog) (Result, *nn.Model) {
-	t.Helper()
-	model, _, corpus := dpTestSetup(t, seed)
-	opt := zero.NewSharded(func() optim.Optimizer {
-		return optim.NewAdamW(optim.Hyper{LR: 1e-3, WeightDecay: 0.01})
-	}, replicas)
-	cfg := dpTestConfig(replicas)
-	cfg.Telemetry = rec
-	cfg.Watchdog = wd
-	res := DPPretrain(model, opt, corpus, cfg)
-	return res, model
-}
 
 // TestTelemetryStreamAndSummary checks the -telemetry surface end to end on
 // a fused run: the JSONL stream parses, steps are sequential, per-step
@@ -165,7 +45,7 @@ func TestTelemetryStreamAndSummary(t *testing.T) {
 			}
 			phaseSum += s
 		}
-		// Fused-loop phases partition the step; allow slack for the
+		// Fused-stage phases partition the step; allow slack for the
 		// unattributed slivers between laps (loop bookkeeping, logging).
 		if phaseSum > ev.WallSeconds*1.05+1e-4 {
 			t.Fatalf("step %d phases sum to %g > wall %g", i, phaseSum, ev.WallSeconds)

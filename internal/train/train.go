@@ -3,6 +3,10 @@
 // Tables 2/3/8/9 and Figs. 2/3/5/6/7) and classification-as-LM fine-tuning
 // (Tables 5/6). Loops are deterministic given their seeds and record full
 // metric series so the figure runners can emit curves.
+//
+// There is one pre-training loop (pretrain); Pretrain and DPPretrain are its
+// entry points and differ only in the gradient stage they hand it, which
+// decides the float32 summation order of the batch gradient, nothing else.
 package train
 
 import (
@@ -34,7 +38,7 @@ type Result struct {
 	Series      []Metric
 	FinalValPPL float64
 	StateBytes  int64
-	WallSeconds float64
+	WallSeconds float64 // loop + final validation (not DP replica construction)
 	Steps       int
 	// ReplicaStateBytes is the per-replica optimizer-state footprint of a
 	// data-parallel run: under ZeRO sharding each entry is one shard's
@@ -50,10 +54,10 @@ type Result struct {
 	BroadcastBytes int64
 	// PhaseSeconds breaks the run's per-step wall time down by phase
 	// (obs.Phase names: data, forward, backward, allreduce, step, broadcast,
-	// checkpoint, eval). Nil unless PretrainConfig.Telemetry was set. The
-	// fused loop's phases partition each step's wall time exactly; the DP
-	// loop's forward/backward are summed across concurrently running
-	// replicas and can exceed it.
+	// checkpoint, eval). Nil unless PretrainConfig.Telemetry was set. A
+	// fused run has no allreduce/broadcast entries and its phases partition
+	// each step's wall time exactly; a data-parallel run's forward/backward
+	// are summed across concurrently running replicas and can exceed it.
 	PhaseSeconds map[string]float64
 	// StepWallSeconds is the wall time spent inside training steps (the sum
 	// RecordStep saw), excluding the final out-of-loop validation. Zero
@@ -79,15 +83,15 @@ type PretrainConfig struct {
 	// recipe; APOLLO relies on its norm-growth limiter instead).
 	ClipNorm float64
 	// Accum splits each global batch into Accum gradient-accumulation
-	// micro-batches in the fused loop, decoupling the global batch size
-	// from resident activation memory: only Batch/Accum sequences of
-	// activations are live at once while the optimizer still sees the
-	// full-batch gradient (cross-entropy is normalized by the global
-	// target count, so Accum=k matches Accum=1 up to float32 summation
-	// order — see TestAccumParity). Values that do not divide Batch are
-	// reduced to the largest divisor. The DP trainer ignores Accum: its
-	// per-sequence gradient leaves already keep one sequence of
-	// activations per replica.
+	// micro-batches in the fused gradient stage, decoupling the global
+	// batch size from resident activation memory: only Batch/Accum
+	// sequences of activations are live at once while the optimizer still
+	// sees the full-batch gradient (cross-entropy is normalized by the
+	// global target count, so Accum=k matches Accum=1 up to float32
+	// summation order — see TestAccumParity). Values that do not divide
+	// Batch are reduced to the largest divisor. The data-parallel stage
+	// (DPPretrain) ignores Accum: its per-sequence gradient leaves already
+	// keep one sequence of activations per replica.
 	Accum int
 	// CkptEvery > 0 saves a checkpoint to CkptPath after every CkptEvery-th
 	// step (internal/ckpt format, written atomically — a crash mid-save
@@ -105,7 +109,7 @@ type PretrainConfig struct {
 	// Telemetry, when non-nil, records one obs.StepEvent per step — loss,
 	// gradient norm, and a wall-time breakdown by phase — and fills
 	// Result.PhaseSeconds. Timing-only: a telemetry run is bit-identical to
-	// an untelemetered one (TestTelemetryParity); disabled it costs one
+	// an untelemetered one (TestObserverParity); disabled it costs one
 	// branch per phase boundary.
 	Telemetry *obs.TrainRecorder
 	// Watchdog, when non-nil, observes every step's loss, gradient norm and
@@ -114,14 +118,14 @@ type PretrainConfig struct {
 	// structured alerts (into the run ledger and obs counters) and, when its
 	// config says Halt, aborting the loop after the offending step.
 	// Observational only: a watched run is bit-identical to an unwatched one
-	// (TestTelemetryParity* run with ledger+watchdog enabled).
+	// (TestObserverParity runs with ledger+watchdog enabled).
 	Watchdog *runlog.Watchdog
 	// MemProf, when non-nil, receives the loop's live memory ledger —
-	// weights, grads, measured optimizer state (split per ZeRO shard in the
-	// DP loop) — and is sampled once per step after the step's telemetry is
+	// weights, grads, measured optimizer state (split per ZeRO shard under
+	// DPPretrain) — and is sampled once per step after the step's telemetry is
 	// recorded, so the sampler never sits on the timed path. Observational
 	// only: a profiled run is bit-identical to an unprofiled one
-	// (TestMemprofParity*); disabled it costs one nil check per step.
+	// (TestObserverParity); disabled it costs one nil check per step.
 	MemProf *memprof.Profiler
 	// Quiet suppresses progress output.
 	Logf func(format string, args ...any)
@@ -142,23 +146,32 @@ func (c PretrainConfig) withDefaults() PretrainConfig {
 
 // Pretrain runs the causal-LM loop: sample batch → loss/backprop → clip →
 // schedule → optimizer step, evaluating on the corpus's fixed validation
-// batches.
+// batches. The batch gradient comes from the fused stage (lossAccum).
 func Pretrain(model *nn.Model, opt optim.Optimizer, corpus *data.Corpus, cfg PretrainConfig) Result {
-	cfg = cfg.withDefaults()
+	return pretrain(model, opt, corpus, cfg.withDefaults(), nil)
+}
+
+// pretrain is the one pre-training loop: every stage of a step lives here
+// exactly once, and a run mode chooses only its gradient stage. dp == nil is
+// the fused stage (lossAccum over cfg.Accum micro-batches); otherwise
+// dp.gradient fills the master grads from its replicas and dp.publish
+// returns the stepped weights to them.
+func pretrain(model *nn.Model, opt optim.Optimizer, corpus *data.Corpus, cfg PretrainConfig, dp *dataParallel) Result {
 	start := time.Now()
 	var series []Metric
 	params := model.Params()
-	accum := cfg.Accum
-	if accum > cfg.Batch {
-		accum = cfg.Batch
-	}
+	accum := min(cfg.Accum, cfg.Batch)
 	for cfg.Batch%accum != 0 {
 		accum--
+	}
+	tag := opt.Name()
+	if dp != nil {
+		tag = fmt.Sprintf("%s x%d", tag, len(dp.reps))
 	}
 
 	rec := cfg.Telemetry
 	wd := cfg.Watchdog
-	instrumentMemory(cfg.MemProf, params.List(), opt)
+	instrumentMemory(cfg.MemProf, params.List(), opt, dp)
 	timed := rec != nil || wd != nil
 	endStep := cfg.Steps
 	for step := cfg.StartStep; step < cfg.Steps; step++ {
@@ -172,11 +185,11 @@ func Pretrain(model *nn.Model, opt optim.Optimizer, corpus *data.Corpus, cfg Pre
 		}
 		batch := corpus.NextTrainBatch(cfg.Batch, cfg.Seq)
 		pc.lap(obs.PhaseData)
-		params.ZeroGrad()
 		var loss float64
-		if accum == 1 {
-			loss = lossPhased(model, batch, &pc)
+		if dp != nil {
+			loss = dp.gradient(batch, &pc)
 		} else {
+			params.ZeroGrad()
 			loss = lossAccum(model, batch, accum, &pc)
 		}
 		var gradNorm float64
@@ -188,6 +201,12 @@ func Pretrain(model *nn.Model, opt optim.Optimizer, corpus *data.Corpus, cfg Pre
 		}
 		opt.Step(params.List())
 		pc.lap(obs.PhaseStep)
+		if dp != nil {
+			dp.publish(&pc)
+		}
+		// After the step (and the ZeRO broadcast): master weights are current
+		// and a Sharded optimizer gathers its state into the canonical
+		// layout, so the snapshot resumes under any world size.
 		maybeCheckpoint(cfg, step, params.List(), opt, corpus)
 		pc.lap(obs.PhaseCheckpoint)
 
@@ -197,7 +216,7 @@ func Pretrain(model *nn.Model, opt optim.Optimizer, corpus *data.Corpus, cfg Pre
 				Step: step + 1, TrainLoss: loss, ValLoss: val,
 				ValPPL: math.Exp(val), LR: opt.LR(),
 			})
-			cfg.Logf("[%s] step %d/%d train %.4f val ppl %.2f", opt.Name(), step+1, cfg.Steps, loss, math.Exp(val))
+			cfg.Logf("[%s] step %d/%d train %.4f val ppl %.2f", tag, step+1, cfg.Steps, loss, math.Exp(val))
 		}
 		pc.lap(obs.PhaseEval)
 		var wall time.Duration
@@ -210,7 +229,7 @@ func Pretrain(model *nn.Model, opt optim.Optimizer, corpus *data.Corpus, cfg Pre
 		cfg.MemProf.ObserveStep(step + 1)
 		if wd.ObserveStep(step+1, loss, gradNorm, wall.Seconds()) {
 			endStep = step + 1
-			cfg.Logf("[%s] step %d: watchdog halt", opt.Name(), endStep)
+			cfg.Logf("[%s] step %d: watchdog halt", tag, endStep)
 			break
 		}
 	}
@@ -226,31 +245,18 @@ func Pretrain(model *nn.Model, opt optim.Optimizer, corpus *data.Corpus, cfg Pre
 		WallSeconds: time.Since(start).Seconds(),
 		Steps:       endStep,
 	}
-	summarizeTelemetry(&res, rec)
-	summarizeWatchdog(&res, wd, endStep)
+	if dp != nil {
+		res.ReplicaStateBytes = dp.replicaStateBytes(opt)
+		res.AllReduceBytes, res.BroadcastBytes = dp.allReduceBytes, dp.broadcastBytes
+	}
+	_, res.StepWallSeconds, res.PhaseSeconds = rec.Summary()
+	if wd.Halted() {
+		res.Halted, res.HaltStep = true, endStep
+		if alerts := wd.Alerts(); len(alerts) > 0 {
+			res.HaltReason = alerts[len(alerts)-1].Kind
+		}
+	}
 	return res
-}
-
-// summarizeWatchdog folds a halting watchdog's verdict into the result.
-func summarizeWatchdog(res *Result, wd *runlog.Watchdog, endStep int) {
-	if !wd.Halted() {
-		return
-	}
-	res.Halted = true
-	res.HaltStep = endStep
-	if alerts := wd.Alerts(); len(alerts) > 0 {
-		res.HaltReason = alerts[len(alerts)-1].Kind
-	}
-}
-
-// summarizeTelemetry folds a recorder's totals into the result.
-func summarizeTelemetry(res *Result, rec *obs.TrainRecorder) {
-	if rec == nil {
-		return
-	}
-	_, wall, phases := rec.Summary()
-	res.PhaseSeconds = phases
-	res.StepWallSeconds = wall
 }
 
 // phaseClock splits a step's wall time across obs.Phase slots: the loop
@@ -272,30 +278,37 @@ func (pc *phaseClock) lap(p obs.Phase) {
 	pc.mark = now
 }
 
-// skip resets the clock without charging any phase — used by the DP loop
-// around its concurrent compute section, whose wall time is represented by
-// the per-replica forward/backward sums instead.
+// skip resets the clock without charging any phase — used by the
+// data-parallel stage around its concurrent compute section, whose wall time
+// is represented by the per-replica forward/backward sums instead.
 func (pc *phaseClock) skip() {
 	if pc.on {
 		pc.mark = time.Now()
 	}
 }
 
-// lossPhased is model.Loss with phase laps at the forward/backward
-// boundary — the identical calls in the identical order, so a telemetry
-// run stays bit-for-bit the untelemetered run. Cross-entropy is charged to
-// the backward phase (it produces the gradient seed).
-func lossPhased(model *nn.Model, batch data.Batch, pc *phaseClock) float64 {
-	logits := model.Forward(batch.Tokens, batch.B, batch.T)
+// merge adds another clock's phase totals — a replica's, after the join.
+func (pc *phaseClock) merge(o *phaseClock) {
+	for p, d := range o.d {
+		pc.d[p] += d
+	}
+}
+
+// lossShardPhased is model.LossShard with phase laps at the forward/backward
+// boundary — the one forward/backward every gradient stage is built from (a
+// fused micro-batch and a data-parallel leaf differ only in the rows they
+// pass). Cross-entropy is charged to backward: it produces the gradient seed.
+func lossShardPhased(model *nn.Model, tokens, targets []int, b, t, counted int, pc *phaseClock) float64 {
+	logits := model.Forward(tokens, b, t)
 	pc.lap(obs.PhaseForward)
-	loss, dlogits := nn.CrossEntropy(logits, batch.Targets, -1)
+	sum, dlogits := nn.CrossEntropyShard(logits, targets, -1, counted)
 	model.Backward(dlogits)
 	pc.lap(obs.PhaseBackward)
-	return loss
+	return sum
 }
 
 // maybeCheckpoint writes a periodic snapshot after step completed (the
-// loops call it right after the optimizer step, so the saved state is the
+// loop calls it right after the optimizer step, so the saved state is the
 // post-step state the next step builds on). Save failures panic: a training
 // run that silently loses its durability guarantee is strictly worse than
 // one that stops.
@@ -313,13 +326,12 @@ func maybeCheckpoint(cfg PretrainConfig, step int, params []*nn.Param, opt optim
 	cfg.Logf("[%s] step %d: checkpoint → %s", opt.Name(), step+1, cfg.CkptPath)
 }
 
-// lossAccum runs forward/backward over the batch in accum micro-batches,
-// accumulating gradients and normalizing by the batch's global non-ignored
-// target count so the accumulated gradient equals the fused full-batch
-// gradient (same math; float32 summation order differs). Only one
-// micro-batch of activations is resident at a time. The micro-batch body is
-// model.LossShard spelled out so phase laps land at the forward/backward
-// boundary — identical calls, identical bits.
+// lossAccum is the fused gradient stage: forward/backward over the batch in
+// accum micro-batches, accumulating gradients and normalizing by the batch's
+// global non-ignored target count so the accumulated gradient equals the
+// full-batch gradient (same math; float32 summation order differs). Only one
+// micro-batch of activations is resident at a time. accum == 1 is exactly
+// model.Loss: nn.CrossEntropy is CountTargets + CrossEntropyShard + a divide.
 func lossAccum(model *nn.Model, batch data.Batch, accum int, pc *phaseClock) float64 {
 	counted := nn.CountTargets(batch.Targets, -1)
 	if counted == 0 {
@@ -332,12 +344,7 @@ func lossAccum(model *nn.Model, batch data.Batch, accum int, pc *phaseClock) flo
 	var sum float64
 	for a := 0; a < accum; a++ {
 		lo, hi := a*span, (a+1)*span
-		logits := model.Forward(batch.Tokens[lo:hi], micro, batch.T)
-		pc.lap(obs.PhaseForward)
-		s, dlogits := nn.CrossEntropyShard(logits, batch.Targets[lo:hi], -1, counted)
-		model.Backward(dlogits)
-		pc.lap(obs.PhaseBackward)
-		sum += s
+		sum += lossShardPhased(model, batch.Tokens[lo:hi], batch.Targets[lo:hi], micro, batch.T, counted, pc)
 	}
 	return sum / float64(counted)
 }
@@ -467,6 +474,23 @@ func FTAccuracy(model *nn.Model, task *data.FTTask) float64 {
 		}
 	}
 	return float64(correct) / float64(len(task.TestSet))
+}
+
+// Final renders the result as a run-ledger outcome: the manifest status and
+// summary. A watchdog-halted run says in Error why it is short.
+func (r Result) Final() (status string, fin runlog.Final) {
+	fin = runlog.Final{
+		Steps: r.Steps, FinalPPL: r.FinalValPPL,
+		StepWallSeconds: r.StepWallSeconds, PhaseSeconds: r.PhaseSeconds,
+	}
+	if n := len(r.Series); n > 0 {
+		fin.FinalLoss = r.Series[n-1].ValLoss
+	}
+	if r.Halted {
+		fin.Error = fmt.Sprintf("watchdog halt at step %d: %s", r.HaltStep, r.HaltReason)
+		return runlog.StatusHalted, fin
+	}
+	return runlog.StatusOK, fin
 }
 
 // String renders a result row.

@@ -13,7 +13,7 @@
 // balanced is the footprint ZeRO divides — not parameter count. Each shard
 // gets its own inner optimizer instance that steps only the owned
 // segments; updated weights then flow to the other replicas via the same
-// balanced-tree pattern the DP trainer uses for gradients (see
+// balanced-tree pattern the data-parallel stage uses for gradients (see
 // internal/train/dp.go).
 //
 // Determinism contract. Sharded stepping is bit-identical to the unsharded
@@ -46,9 +46,9 @@ func rowView(m *tensor.Matrix, rows, lo, hi int) *tensor.Matrix {
 }
 
 // Sharded partitions optimizer state across N owner shards. It implements
-// optim.Optimizer (Step runs every shard, so it is a drop-in replacement
-// in any training loop) and optim.ShardedStepper (the DP trainer steps
-// each shard on its owner replica and tree-broadcasts the weights).
+// optim.Optimizer (Step runs every shard concurrently, so it is a drop-in
+// replacement under any gradient stage) and optim.ShardedStepper (the
+// ownership map the data-parallel stage tree-broadcasts stepped weights by).
 type Sharded struct {
 	inner []optim.Optimizer
 	n     int
@@ -196,9 +196,9 @@ func (s *Sharded) OwnedSegments(shard int) []optim.Segment {
 	return out
 }
 
-// StepShard implements optim.ShardedStepper. Shards own disjoint rows and
-// separate inner optimizers, so concurrent calls for distinct shards are
-// race-free.
+// StepShard runs one shard's inner optimizer on its owned segments. Shards
+// own disjoint rows and separate inner optimizers, so concurrent calls for
+// distinct shards are race-free — which is how Step runs them.
 func (s *Sharded) StepShard(shard int) {
 	if !s.ready {
 		panic("zero: StepShard before Init")
@@ -208,7 +208,8 @@ func (s *Sharded) StepShard(shard int) {
 
 // Step implements optim.Optimizer: initialize on first use, then run every
 // shard concurrently. Bit-identical to the unsharded inner optimizer (see
-// the package contract), so Sharded drops into the fused loop too.
+// the package contract) under the fused and the data-parallel gradient stage
+// alike.
 func (s *Sharded) Step(ps []*nn.Param) {
 	s.Init(ps)
 	var wg sync.WaitGroup
