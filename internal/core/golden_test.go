@@ -96,9 +96,22 @@ func hashState(h hash.Hash, st *optim.ParamState) {
 // canonical CaptureGlobals/CaptureParam output and StateBytes.
 func goldenDigest(t *testing.T, opt optim.Optimizer, steps int) string {
 	t.Helper()
+	return goldenResumedDigest(t, func() optim.Optimizer { return opt }, steps, steps)
+}
+
+// goldenResumedDigest is goldenDigest of a run interrupted after step at:
+// the optimizer's whole state is captured, a fresh build() restores it, and
+// that instance finishes the run. With every piece of state carried across,
+// the digest is the uninterrupted run's.
+func goldenResumedDigest(t *testing.T, build func() optim.Optimizer, steps, at int) string {
+	t.Helper()
 	ps := goldenParams()
 	rng := tensor.NewRNG(0x901D)
+	opt := build()
 	for step := 0; step < steps; step++ {
+		if step == at {
+			opt = goldenResume(t, opt, build(), ps)
+		}
 		goldenGrads(ps, rng, step)
 		opt.Step(ps)
 	}
@@ -126,6 +139,32 @@ func goldenDigest(t *testing.T, opt optim.Optimizer, steps int) string {
 	return hex.EncodeToString(h.Sum(nil))
 }
 
+// goldenResume moves src's captured state into the fresh optimizer dst.
+func goldenResume(t *testing.T, src, dst optim.Optimizer, ps []*nn.Param) optim.Optimizer {
+	t.Helper()
+	saver, loader := src.(optim.StateSaver), dst.(optim.StateLoader)
+	gs, err := saver.CaptureGlobals()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := loader.RestoreGlobals(gs); err != nil {
+		t.Fatal(err)
+	}
+	for _, p := range ps {
+		st, err := saver.CaptureParam(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if st == nil {
+			continue
+		}
+		if err := loader.RestoreParam(p, st); err != nil {
+			t.Fatalf("%s: restore %s: %v", dst.Name(), p.Name, err)
+		}
+	}
+	return dst
+}
+
 func TestProjectedZooGolden(t *testing.T) {
 	h := optim.Hyper{LR: 0.01, WeightDecay: 0.1}
 	const gap = 3
@@ -147,6 +186,51 @@ func TestProjectedZooGolden(t *testing.T) {
 		}
 		if got := goldenDigest(t, opt, 2*gap+2); got != c.want {
 			t.Errorf("%s %+v: digest %s, want %s", c.name, c.cfg, got, c.want)
+		}
+	}
+}
+
+// TestDenseZooGolden pins the members of the rest of the zoo that live in or
+// wrap this package (internal/optim's TestDenseZooGolden has the others):
+// digests taken at commit 3060225, the last one where StructuredAdamW kept
+// its own allocation, accounting and checkpoint hooks in checkpoint.go and
+// WeightQuantized hand-validated its nested state.
+func TestDenseZooGolden(t *testing.T) {
+	h := optim.Hyper{LR: 0.01, WeightDecay: 0.1}
+	noLimiter := func() optim.Optimizer {
+		s := NewStructuredAdamW(h, Channel)
+		s.Gamma = 0
+		return s
+	}
+	cases := []struct {
+		name  string
+		build func() optim.Optimizer
+		want  string
+	}{
+		{"StructuredAdamW-channel", func() optim.Optimizer { return NewStructuredAdamW(h, Channel) },
+			"a69846cb27a06733c608098f79fefa9a7c82199c5a56b7c02fa1adb34f2e8440"},
+		{"StructuredAdamW-tensor", func() optim.Optimizer { return NewStructuredAdamW(h, Tensor) },
+			"2b2bc1d1148adf5ad015e388fe09953ad000bb5f437e9f734bdadc513d03c4bd"},
+		{"StructuredAdamW-channel", noLimiter,
+			"e517bd98156076fc7bf4f79b625e1826c01d3ef13fb1802cbb4ac5602365ebdb"},
+		{"Q-APOLLO-Mini", func() optim.Optimizer { return optim.NewWeightQuantized(NewMini(h), 22) },
+			"0712df1bf9d6afdd84a4948b0e3488079078f8d9abbffef7d1c78a8555e7ef4a"},
+		{"Q-APOLLO", func() optim.Optimizer {
+			return optim.NewWeightQuantized(New(h, Config{Rank: 4, UpdateGap: 3, Seed: 21}), 22)
+		},
+			"a279d532e1234fee7cb3e175795c0018a2e8a895502ac8bb02f81c8208686350"},
+	}
+	for i, c := range cases {
+		if name := c.build().Name(); name != c.name {
+			t.Fatalf("case %d: optimizer named %q, want %q", i, name, c.name)
+		}
+		if got := goldenDigest(t, c.build(), 8); got != c.want {
+			t.Errorf("case %d %s: digest %s, want %s", i, c.name, got, c.want)
+		}
+		// Interrupted after step 5 and resumed by a fresh instance:
+		// RestoreParam's half.
+		if got := goldenResumedDigest(t, c.build, 8, 5); got != c.want {
+			t.Errorf("case %d %s: resumed digest %s, want %s", i, c.name, got, c.want)
 		}
 	}
 }

@@ -94,9 +94,22 @@ func hashState(h hash.Hash, st *ParamState) {
 // canonical CaptureGlobals/CaptureParam output and StateBytes.
 func goldenDigest(t *testing.T, opt Optimizer, steps int) string {
 	t.Helper()
+	return goldenResumedDigest(t, func() Optimizer { return opt }, steps, steps)
+}
+
+// goldenResumedDigest is goldenDigest of a run interrupted after step at:
+// the optimizer's whole state is captured, a fresh build() restores it, and
+// that instance finishes the run. With every piece of state carried across,
+// the digest is the uninterrupted run's.
+func goldenResumedDigest(t *testing.T, build func() Optimizer, steps, at int) string {
+	t.Helper()
 	ps := goldenParams()
 	rng := tensor.NewRNG(0x901D)
+	opt := build()
 	for step := 0; step < steps; step++ {
+		if step == at {
+			opt = goldenResume(t, opt, build(), ps)
+		}
 		goldenGrads(ps, rng, step)
 		opt.Step(ps)
 	}
@@ -124,6 +137,32 @@ func goldenDigest(t *testing.T, opt Optimizer, steps int) string {
 	return hex.EncodeToString(h.Sum(nil))
 }
 
+// goldenResume moves src's captured state into the fresh optimizer dst.
+func goldenResume(t *testing.T, src, dst Optimizer, ps []*nn.Param) Optimizer {
+	t.Helper()
+	saver, loader := src.(StateSaver), dst.(StateLoader)
+	gs, err := saver.CaptureGlobals()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := loader.RestoreGlobals(gs); err != nil {
+		t.Fatal(err)
+	}
+	for _, p := range ps {
+		st, err := saver.CaptureParam(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if st == nil {
+			continue
+		}
+		if err := loader.RestoreParam(p, st); err != nil {
+			t.Fatalf("%s: restore %s: %v", dst.Name(), p.Name, err)
+		}
+	}
+	return dst
+}
+
 func TestProjectedZooGolden(t *testing.T) {
 	h := Hyper{LR: 0.01, WeightDecay: 0.1}
 	const gap = 3
@@ -148,6 +187,71 @@ func TestProjectedZooGolden(t *testing.T) {
 		}
 		if got := goldenDigest(t, c.opt, 2*gap+2); got != c.want {
 			t.Errorf("%s: digest %s, want %s", c.name, got, c.want)
+		}
+	}
+}
+
+// TestDenseZooGolden pins the rest of the zoo the same way, before its state
+// moves onto one declaration: digests taken at commit 3060225, the last one
+// where AdamW, SGD, Adam-mini, the 8-bit pair, Factorized and
+// WeightQuantized each hand-kept their own allocation, accounting and
+// CaptureParam/RestoreParam. internal/core's TestDenseZooGolden pins
+// StructuredAdamW and Q-APOLLO-Mini. ReLoRA merges every 3 steps, so the
+// 8-step run crosses two merge-and-restarts.
+func TestDenseZooGolden(t *testing.T) {
+	h := Hyper{LR: 0.01, WeightDecay: 0.1}
+	const gap = 3
+	cfg := LowRankConfig{Rank: 4, UpdateGap: gap, Seed: 21}
+	rp := cfg
+	rp.Projection = linalg.RandomProjection
+	svd := cfg
+	svd.Projection = linalg.SVDProjection
+	factorized := func(mode FactorizedMode) *Factorized {
+		return NewFactorized(h, FactorizedConfig{Mode: mode, Rank: 4, MergeEvery: gap, Seed: 21})
+	}
+	cases := []struct {
+		name  string
+		build func() Optimizer
+		want  string
+	}{
+		{"AdamW", func() Optimizer { return NewAdamW(h) },
+			"f75d7b59d18a861f9572c071d6da52bd3fd2c4d3f33337244f93275465941e98"},
+		{"SGD", func() Optimizer { return NewSGD(h, 0) },
+			"ee509e86fc80a43779c1b114bbbd252f9e745d744c133ffabba5868605fcd658"},
+		{"SGD-M", func() Optimizer { return NewSGD(h, 0.9) },
+			"9f0d0eb1ccbc4be7790c5229708a5e4de60dcc08c5be3a01e0c3e9f653d03bdc"},
+		{"Adam-mini", func() Optimizer { return NewAdamMini(h) },
+			"01f75cf1fc9bd3e14b90891084573fa52c2edd04016cf529300aa9d8f6b2d8c8"},
+		{"8-bit Adam", func() Optimizer { return NewAdam8bit(h, 21) },
+			"7bd07494871d0d0cc6f71cf4bfcfe4e4b5546ea6a2e34d943d6e285e8b7933ab"},
+		{"8-bit GaLore", func() Optimizer { return NewGaLore8bit(h, svd) },
+			"c990ce5711ba08580a42559f395041b3a709b6b879c2dd3e3b3a229752f93c0f"},
+		{"8-bit GaLore", func() Optimizer { return NewGaLore8bit(h, rp) },
+			"7463a2870de27c8e5833750138c3b9dd495803ae24dc8935e188d04fb37bc069"},
+		{"Low-Rank", func() Optimizer { return factorized(ModeLowRank) },
+			"a6f75f0081c5d4d3edee697d0aec0e441ded64f96a6b45e6d8481bce5cb5a20e"},
+		{"LoRA", func() Optimizer { return factorized(ModeLoRA) },
+			"8ace2c4f9553be6759634c18940d1adfe75cda200f490f34e73883fa5becb1bb"},
+		{"ReLoRA", func() Optimizer { return factorized(ModeReLoRA) },
+			"960e2b1ba5a4f896f9d37e0da7ac6a2a73e4d5fed5f66555b15df819ae8e6909"},
+		{"DoRA", func() Optimizer { return factorized(ModeDoRA) },
+			"f9ad916a4afce97ba77bdd141a59d9e58af09cdfaeed58a3f803c72cac5bfe34"},
+		{"Q-GaLore", func() Optimizer { return NewWeightQuantized(NewGaLore(h, svd), 22) },
+			"016c8cc892827a97ff69d8f7f6fefe32954f98e9b07573faff48c949f8e3eec0"},
+		{"Q-8-bit Adam", func() Optimizer { return NewWeightQuantized(NewAdam8bit(h, 21), 22) },
+			"a28a0f56c9aff6518aeb5ec3fba854f72f06c16f17ed78a83e9448f02ce1a8c4"},
+	}
+	for i, c := range cases {
+		if name := c.build().Name(); name != c.name {
+			t.Fatalf("case %d: optimizer named %q, want %q", i, name, c.name)
+		}
+		if got := goldenDigest(t, c.build(), 2*gap+2); got != c.want {
+			t.Errorf("case %d %s: digest %s, want %s", i, c.name, got, c.want)
+		}
+		// Interrupted after step 5 (past a refresh and a ReLoRA merge, limiter
+		// armed) and resumed by a fresh instance: RestoreParam's half.
+		if got := goldenResumedDigest(t, c.build, 2*gap+2, gap+2); got != c.want {
+			t.Errorf("case %d %s: resumed digest %s, want %s", i, c.name, got, c.want)
 		}
 	}
 }
