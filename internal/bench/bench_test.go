@@ -56,15 +56,17 @@ func TestProxiesValid(t *testing.T) {
 	}
 }
 
+// zooNames is every name BuildOptimizer answers to.
+var zooNames = []string{
+	"AdamW", "SGD", "SGD-M", "Adam-mini", "8-bit Adam", "8-bit GaLore",
+	"Low-Rank", "LoRA", "ReLoRA", "DoRA", "GaLore", "GaLore-RP", "Fira",
+	"Flora", "APOLLO", "APOLLO w. SVD", "APOLLO-Tensor", "APOLLO-Mini",
+	"Q-APOLLO", "Q-APOLLO-Mini", "Q-GaLore",
+	"StructuredAdamW-channel", "StructuredAdamW-tensor",
+}
+
 func TestBuildOptimizerAllNames(t *testing.T) {
-	names := []string{
-		"AdamW", "SGD", "SGD-M", "Adam-mini", "8-bit Adam", "8-bit GaLore",
-		"Low-Rank", "LoRA", "ReLoRA", "DoRA", "GaLore", "GaLore-RP", "Fira",
-		"Flora", "APOLLO", "APOLLO w. SVD", "APOLLO-Tensor", "APOLLO-Mini",
-		"Q-APOLLO", "Q-APOLLO-Mini", "Q-GaLore",
-		"StructuredAdamW-channel", "StructuredAdamW-tensor",
-	}
-	for _, n := range names {
+	for _, n := range zooNames {
 		opt, err := BuildOptimizer(n, 1e-3, 4, 1)
 		if err != nil {
 			t.Fatalf("%s: %v", n, err)

@@ -15,6 +15,7 @@ import (
 // gradient. It saves no memory — it exists to isolate the effect of
 // structuring the update (Fig. 3 and the Fig. 4 "golden" reference).
 type StructuredAdamW struct {
+	*optim.StateTable
 	h           optim.Hyper
 	Granularity Granularity
 	// Gamma is the norm-growth limiter threshold; 0 disables the limiter
@@ -25,25 +26,30 @@ type StructuredAdamW struct {
 	// of every matrix parameter each step (Fig. 4 instrumentation).
 	ScalingProbe func(param string, s []float64)
 
-	states map[*nn.Param]*structState
-	dense  *optim.AdamW
+	dense *optim.AdamW // everything that is not a matrix
 }
 
-type structState struct {
-	m, v     *tensor.Matrix
-	t        int
-	prevNorm float64
-}
+// Scalar and slot indices of the StructuredAdamW declaration.
+const (
+	structT, structPrevNorm = 0, 1 // step count; limiter memory as float64 bits
+	structM, structV        = 0, 1
+)
 
-// NewStructuredAdamW builds the optimizer with the limiter enabled.
+// NewStructuredAdamW builds the optimizer with the limiter enabled. Canonical
+// layout of a matrix parameter: Scalars [t, prevNorm bits]; RowMats [m, v] —
+// deliberately the same cost as AdamW, since this variant is about structure,
+// not memory. The moments are row-aligned but the update is not
+// row-splittable: a channel norm runs across rows.
 func NewStructuredAdamW(h optim.Hyper, g Granularity) *StructuredAdamW {
-	return &StructuredAdamW{
-		h:           h.WithDefaults(),
-		Granularity: g,
-		Gamma:       DefaultGamma,
-		states:      map[*nn.Param]*structState{},
-		dense:       optim.NewAdamW(h),
-	}
+	dense := optim.NewAdamW(h)
+	s := &StructuredAdamW{h: h.WithDefaults(), Granularity: g, Gamma: DefaultGamma, dense: dense}
+	s.StateTable = optim.NewStateTable(optim.Schema{
+		Name:    s.Name(),
+		Scalars: []optim.Scalar{{Name: "t"}, {Name: "prevNorm", Counted: true}},
+		Slots:   []optim.Slot{{Name: "m", Kind: optim.RowAligned}, {Name: "v", Kind: optim.RowAligned}},
+		Covers:  func(p *nn.Param) bool { return p.Kind == nn.KindMatrix },
+	}, nil, dense.StateTable)
+	return s
 }
 
 // Name implements optim.Optimizer.
@@ -68,18 +74,10 @@ func (s *StructuredAdamW) Step(ps []*nn.Param) {
 			fallback = append(fallback, p)
 			continue
 		}
-		st, ok := s.states[p]
-		if !ok {
-			st = &structState{
-				m: tensor.NewMatrix(p.W.Rows, p.W.Cols),
-				v: tensor.NewMatrix(p.W.Rows, p.W.Cols),
-			}
-			s.states[p] = st
-		}
-		st.t++
+		st, _ := s.State(p)
 		// Full AdamW moments → element-wise normalized direction ˜G.
 		gt := tensor.NewMatrix(p.W.Rows, p.W.Cols)
-		optim.AdamDirection(st.m, st.v, gt, p.Grad, s.h, st.t)
+		st.Adam(structT, structM, structV, gt, p.Grad, s.h)
 
 		// Collapse to one factor per channel of the m×n orientation: the
 		// columns, or for a parameter stored n×m the rows (whose norms are
@@ -106,26 +104,17 @@ func (s *StructuredAdamW) Step(ps []*nn.Param) {
 		}
 
 		// Rescale the raw gradient, limit its growth, apply.
-		var prevNorm *float64
 		if s.Gamma > 0 {
-			prevNorm = &st.prevNorm
+			prevNorm := optim.F64From(st.S[structPrevNorm])
+			optim.ApplyScaledGrad(p, factors, 1, s.h.LR, s.h.WeightDecay, s.Gamma, &prevNorm)
+			st.S[structPrevNorm] = optim.F64Bits(prevNorm)
+		} else {
+			optim.ApplyScaledGrad(p, factors, 1, s.h.LR, s.h.WeightDecay, s.Gamma, nil)
 		}
-		optim.ApplyScaledGrad(p, factors, 1, s.h.LR, s.h.WeightDecay, s.Gamma, prevNorm)
 	}
 	if len(fallback) > 0 {
 		s.dense.Step(fallback)
 	}
-}
-
-// StateBytes implements optim.Optimizer — deliberately the same cost as
-// AdamW, since this variant is about structure, not memory.
-func (s *StructuredAdamW) StateBytes() int64 {
-	total := s.dense.StateBytes()
-	for _, st := range s.states {
-		total += 4 * int64(st.m.NumEl()+st.v.NumEl())
-		total += 4
-	}
-	return total
 }
 
 // channelRatios overwrites num[j] with s_j = num[j] / den[j], the ratio of

@@ -1,23 +1,35 @@
 package optim
 
-import (
-	"apollo/internal/nn"
-	"apollo/internal/tensor"
-)
+import "apollo/internal/nn"
 
 // AdamW is the standard decoupled-weight-decay Adam optimizer (Loshchilov &
 // Hutter, 2019) — the paper's main baseline. It keeps full-rank first and
 // second moments: 2·mn state per m×n parameter, the memory cost APOLLO
 // eliminates.
 type AdamW struct {
-	h     Hyper
-	state map[*nn.Param]*adamState
-	buf   map[*nn.Param]*tensor.Matrix
+	*StateTable
+	h   Hyper
+	dir scratchMatrix // the normalized direction of the parameter being stepped
 }
 
-// NewAdamW constructs the optimizer.
+// Slot and scalar indices of the AdamW declaration, shared by every schema
+// that opens with AdamW moments (Projected, Adam8bit, GaLore8bit).
+const (
+	adamT = 0 // scalar: step count
+	adamM = 0 // slot: first moment
+	adamV = 1 // slot: second moment
+)
+
+// NewAdamW constructs the optimizer. Layout: Scalars [t]; RowMats [m, v]; the
+// update is element-wise.
 func NewAdamW(h Hyper) *AdamW {
-	return &AdamW{h: h.withDefaults(), state: map[*nn.Param]*adamState{}, buf: map[*nn.Param]*tensor.Matrix{}}
+	sc := Schema{
+		Name:          "AdamW",
+		Scalars:       []Scalar{{Name: "t"}},
+		Slots:         []Slot{{Name: "m", Kind: RowAligned}, {Name: "v", Kind: RowAligned}},
+		RowSplittable: func(*nn.Param) bool { return true },
+	}
+	return &AdamW{StateTable: NewStateTable(sc, nil, nil), h: h.withDefaults()}
 }
 
 // Name implements Optimizer.
@@ -32,24 +44,9 @@ func (a *AdamW) LR() float64 { return a.h.LR }
 // Step implements Optimizer.
 func (a *AdamW) Step(ps []*nn.Param) {
 	for _, p := range ps {
-		st, ok := a.state[p]
-		if !ok {
-			st = newAdamState(p.W.Rows, p.W.Cols)
-			a.state[p] = st
-			a.buf[p] = tensor.NewMatrix(p.W.Rows, p.W.Cols)
-		}
-		dir := a.buf[p]
-		st.update(dir, p.Grad, a.h)
+		st, _ := a.State(p)
+		dir := a.dir.shaped(p.W.Rows, p.W.Cols)
+		st.Adam(adamT, adamM, adamV, dir, p.Grad, a.h)
 		DecayAndApply(p, dir, a.h.LR, a.h.WeightDecay)
 	}
-}
-
-// StateBytes implements Optimizer. Scratch buffers are excluded: they are
-// transient per-step storage, matching how the paper counts optimizer states.
-func (a *AdamW) StateBytes() int64 {
-	var total int64
-	for _, st := range a.state { //apollo:orderfree exact integer sum; iteration order cannot reach the result
-		total += st.bytes()
-	}
-	return total
 }

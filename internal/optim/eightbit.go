@@ -8,29 +8,29 @@ import (
 )
 
 // Adam8bit keeps AdamW's first and second moments quantized to INT8 between
-// steps (group-wise absmax, like bitsandbytes' 8-bit Adam). It is the
-// "8-bit Adam" baseline of Table 3: 4× less optimizer memory than AdamW at
-// a small quality cost.
+// steps (group-wise absmax at the paper's group size of 128, like
+// bitsandbytes' 8-bit Adam). It is the "8-bit Adam" baseline of Table 3: 4×
+// less optimizer memory than AdamW at a small quality cost.
+//
+// Layout — globals: [stochastic-rounding RNG phase]; per parameter: Scalars
+// [t]; Blobs [m codes, m scales, v codes, v scales]. INT8 groups straddle row
+// boundaries and the rounding noise comes from one stream per instance, so
+// the update is never row-splittable (nor bit-exact under more than one ZeRO
+// shard).
 type Adam8bit struct {
-	h     Hyper
-	group int
-	state map[*nn.Param]*adam8State
-	rng   *tensor.RNG
+	// The table's rng is the stochastic-rounding stream.
+	*StateTable
+	h Hyper
 }
 
-type adam8State struct {
-	m, v *quant.Tensor8
-	t    int
-}
-
-// NewAdam8bit builds the optimizer with the paper's group size of 128.
+// NewAdam8bit builds the optimizer.
 func NewAdam8bit(h Hyper, seed uint64) *Adam8bit {
-	return &Adam8bit{
-		h:     h.withDefaults(),
-		group: quant.DefaultGroupSize,
-		state: map[*nn.Param]*adam8State{},
-		rng:   tensor.NewRNG(seed),
+	sc := Schema{
+		Name:    "8-bit Adam",
+		Scalars: []Scalar{{Name: "t"}},
+		Slots:   []Slot{{Name: "m", Kind: Int8}, {Name: "v", Kind: Int8}},
 	}
+	return &Adam8bit{StateTable: NewStateTable(sc, tensor.NewRNG(seed), nil), h: h.withDefaults()}
 }
 
 // Name implements Optimizer.
@@ -45,77 +45,68 @@ func (a *Adam8bit) LR() float64 { return a.h.LR }
 // Step implements Optimizer.
 func (a *Adam8bit) Step(ps []*nn.Param) {
 	for _, p := range ps {
-		st, ok := a.state[p]
-		if !ok {
-			st = &adam8State{
-				m: quant.NewTensor8(p.W.Rows, p.W.Cols, a.group),
-				v: quant.NewTensor8(p.W.Rows, p.W.Cols, a.group),
-			}
-			a.state[p] = st
-		}
-		st.t++
-		// Dequantize, run the float update, requantize with stochastic
-		// rounding so tiny moment changes survive in expectation. The second
-		// moment is stored in the sqrt domain: V's dynamic range is the
-		// square of M's, and linear INT8 codes would zero out most of it,
-		// which blows up m̂/√v̂ wherever m survives but v does not.
-		m := quant.Dequantize(st.m, nil)
-		v := quant.Dequantize(st.v, nil) // holds √v
-		for i, sv := range v.Data {
-			v.Data[i] = sv * sv
-		}
-		b1 := float32(a.h.Beta1)
-		b2 := float32(a.h.Beta2)
-		c1 := float32(1 / (1 - pow(a.h.Beta1, st.t)))
-		c2 := float32(1 / (1 - pow(a.h.Beta2, st.t)))
-		eps := float32(a.h.Eps)
+		st, _ := a.State(p)
+		st.S[adamT]++
 		dir := tensor.NewMatrix(p.W.Rows, p.W.Cols)
-		for i, g := range p.Grad.Data {
-			m.Data[i] = b1*m.Data[i] + (1-b1)*g
-			vv := b2*v.Data[i] + (1-b2)*g*g
-			if vv < 0 {
-				vv = 0
-			}
-			v.Data[i] = vv
-			dir.Data[i] = (m.Data[i] * c1) / (sqrt32(vv*c2) + eps)
-		}
-		quant.Quantize(st.m, m, a.rng)
-		for i, vv := range v.Data {
-			v.Data[i] = sqrt32(vv)
-		}
-		quant.Quantize(st.v, v, a.rng)
+		adam8Direction(st.Q[adamM], st.Q[adamV], dir, p.Grad, a.h, int(st.S[adamT]), a.rng)
 		DecayAndApply(p, dir, a.h.LR, a.h.WeightDecay)
 	}
 }
 
-// StateBytes implements Optimizer.
-func (a *Adam8bit) StateBytes() int64 {
-	var total int64
-	for _, st := range a.state { //apollo:orderfree exact integer sum; iteration order cannot reach the result
-		total += st.m.Bytes() + st.v.Bytes()
+// adam8Direction is step t of the AdamW moment update on INT8 moments:
+// dequantize, run the float update by g, write the normalized direction into
+// out (which may alias g), and requantize — m, then v — with stochastic
+// rounding from rng so tiny moment changes survive in expectation. The second
+// moment is stored in the sqrt domain: V's dynamic range is the square of
+// M's, and linear INT8 codes would zero out most of it, which blows up m̂/√v̂
+// wherever m survives but v does not.
+func adam8Direction(mq, vq *quant.Tensor8, out, g *tensor.Matrix, h Hyper, t int, rng *tensor.RNG) {
+	m := quant.Dequantize(mq, nil)
+	v := quant.Dequantize(vq, nil) // holds √v
+	for i, sv := range v.Data {
+		v.Data[i] = sv * sv
 	}
-	return total
+	b1 := float32(h.Beta1)
+	b2 := float32(h.Beta2)
+	c1 := float32(1 / (1 - pow(h.Beta1, t)))
+	c2 := float32(1 / (1 - pow(h.Beta2, t)))
+	eps := float32(h.Eps)
+	for i, gv := range g.Data {
+		m.Data[i] = b1*m.Data[i] + (1-b1)*gv
+		vv := b2*v.Data[i] + (1-b2)*gv*gv
+		if vv < 0 {
+			vv = 0
+		}
+		v.Data[i] = vv
+		out.Data[i] = (m.Data[i] * c1) / (sqrt32(vv*c2) + eps)
+	}
+	quant.Quantize(mq, m, rng)
+	for i, vv := range v.Data {
+		v.Data[i] = sqrt32(vv)
+	}
+	quant.Quantize(vq, v, rng)
 }
 
 // GaLore8bit quantizes GaLore's projected moments to INT8 — the "8-bit
 // GaLore" row of Table 3 (Q-GaLore's optimizer-state half; its INT8 weights
 // are handled by internal/quant.QuantizedWeight at the training-loop level).
+//
+// It is its own serial optimizer rather than a Rule on Projected: projector
+// seeds and stochastic-rounding noise come from one RNG, interleaved in list
+// order, which the engine's seeds-first-then-parallel walk cannot reproduce
+// bit for bit. What it shares with the engine is the state table.
+//
+// Layout — globals: [own RNG phase, dense 8-bit Adam RNG phase]; projected
+// parameters: Scalars [t, since, proj seed, proj rng, proj m, proj ready];
+// Blobs [m codes, m scales, v codes, v scales] at r×n; Whole [SVD P] once
+// built. Everything else is the dense 8-bit Adam's.
 type GaLore8bit struct {
-	h     Hyper
-	cfg   LowRankConfig
-	group int
+	// The table's rng draws projector seeds and rounding noise, interleaved.
+	*StateTable
+	h   Hyper
+	cfg LowRankConfig
 
-	states map[*nn.Param]*galore8State
-	dense  *Adam8bit
-	rng    *tensor.RNG
-}
-
-type galore8State struct {
-	proj  *linalg.Projector
-	m, v  *quant.Tensor8
-	t     int
-	o     orientation
-	since int
+	dense *Adam8bit
 }
 
 // NewGaLore8bit builds the optimizer.
@@ -124,13 +115,22 @@ func NewGaLore8bit(h Hyper, cfg LowRankConfig) *GaLore8bit {
 	if err := cfg.Validate(); err != nil {
 		panic(err)
 	}
+	dense := NewAdam8bit(h, cfg.Seed+3)
+	sc := Schema{
+		Name:    "8-bit GaLore",
+		Scalars: []Scalar{{Name: "t"}, {Name: "since"}},
+		Slots: []Slot{
+			{Name: "m", Kind: Int8, Dims: rankSpace(cfg.Rank)},
+			{Name: "v", Kind: Int8, Dims: rankSpace(cfg.Rank)},
+		},
+		Proj:   &Projection{Kind: cfg.Projection, Rank: cfg.Rank},
+		Covers: func(p *nn.Param) bool { return projects(p, cfg.Rank) },
+	}
 	return &GaLore8bit{
-		h:      h.withDefaults(),
-		cfg:    cfg,
-		group:  quant.DefaultGroupSize,
-		states: map[*nn.Param]*galore8State{},
-		dense:  NewAdam8bit(h, cfg.Seed+3),
-		rng:    tensor.NewRNG(cfg.Seed + 4),
+		StateTable: NewStateTable(sc, tensor.NewRNG(cfg.Seed+4), dense.StateTable),
+		h:          h.withDefaults(),
+		cfg:        cfg,
+		dense:      dense,
 	}
 }
 
@@ -154,67 +154,26 @@ func (g *GaLore8bit) Step(ps []*nn.Param) {
 			fallback = append(fallback, p)
 			continue
 		}
-		st, ok := g.states[p]
-		if !ok {
-			o := orient(p.W.Rows, p.W.Cols)
-			st = &galore8State{
-				proj: linalg.NewProjector(g.cfg.Projection, g.cfg.Rank, g.rng.Uint64()),
-				m:    quant.NewTensor8(g.cfg.Rank, o.n, g.group),
-				v:    quant.NewTensor8(g.cfg.Rank, o.n, g.group),
-				o:    o,
-			}
-			g.states[p] = st
+		st, fresh := g.State(p)
+		if fresh {
+			st.Proj = linalg.NewProjector(g.cfg.Projection, g.cfg.Rank, g.rng.Uint64())
 		}
-		grad := orientedView(p.Grad, st.o)
-		if !st.proj.Ready() || (g.cfg.UpdateGap > 0 && st.since >= g.cfg.UpdateGap) {
-			st.proj.Refresh(grad)
-			st.since = 0
+		o := orient(p.W.Rows, p.W.Cols)
+		grad := orientedView(p.Grad, o)
+		if !st.Proj.Ready() || (g.cfg.UpdateGap > 0 && st.S[projSince] >= uint64(g.cfg.UpdateGap)) {
+			st.Proj.Refresh(grad)
+			st.S[projSince] = 0
 		}
-		st.since++
-		st.t++
+		st.S[projSince]++
+		st.S[adamT]++
 
-		r := st.proj.Project(grad)
-		m := quant.Dequantize(st.m, nil)
-		v := quant.Dequantize(st.v, nil) // sqrt domain, see Adam8bit
-		for i, sv := range v.Data {
-			v.Data[i] = sv * sv
-		}
-		b1 := float32(g.h.Beta1)
-		b2 := float32(g.h.Beta2)
-		c1 := float32(1 / (1 - pow(g.h.Beta1, st.t)))
-		c2 := float32(1 / (1 - pow(g.h.Beta2, st.t)))
-		eps := float32(g.h.Eps)
-		for i, gv := range r.Data {
-			m.Data[i] = b1*m.Data[i] + (1-b1)*gv
-			vv := b2*v.Data[i] + (1-b2)*gv*gv
-			if vv < 0 {
-				vv = 0
-			}
-			v.Data[i] = vv
-			r.Data[i] = (m.Data[i] * c1) / (sqrt32(vv*c2) + eps)
-		}
-		quant.Quantize(st.m, m, g.rng)
-		for i, vv := range v.Data {
-			v.Data[i] = sqrt32(vv)
-		}
-		quant.Quantize(st.v, v, g.rng)
-
-		update := st.proj.ProjectBack(r)
-		dir := unorient(update, st.o)
+		r := st.Proj.Project(grad)
+		adam8Direction(st.Q[adamM], st.Q[adamV], r, r, g.h, int(st.S[adamT]), g.rng)
+		dir := unorient(st.Proj.ProjectBack(r), o)
 		tensor.ScaleInPlace(dir, float32(g.cfg.Scale))
 		DecayAndApply(p, dir, g.h.LR, g.h.WeightDecay)
 	}
 	if len(fallback) > 0 {
 		g.dense.Step(fallback)
 	}
-}
-
-// StateBytes implements Optimizer.
-func (g *GaLore8bit) StateBytes() int64 {
-	total := g.dense.StateBytes()
-	for _, st := range g.states { //apollo:orderfree exact integer sum; iteration order cannot reach the result
-		total += st.m.Bytes() + st.v.Bytes()
-		total += 4 * int64(st.proj.StateFloats())
-	}
-	return total
 }

@@ -21,18 +21,18 @@ func NewFira(h Hyper, cfg LowRankConfig) *Fira {
 	return NewProjected("Fira", h, cfg, true, firaRule)
 }
 
-func firaRule(e *Projected, st *ProjState, _ *nn.Param, grad *tensor.Matrix, ws *Workspace) *tensor.Matrix {
+func firaRule(e *Projected, st *ProjState, p *nn.Param, grad *tensor.Matrix, ws *Workspace) *tensor.Matrix {
 	r, normalized := ws.RankSpace(e.cfg.Rank, grad.Cols)
-	st.proj.ProjectInto(r, grad) // r×n
+	st.Proj.ProjectInto(r, grad) // r×n
 	e.Moments(st, normalized, r) // ˜R
 
 	// Low-rank part of the update (the GaLore term).
 	lowRank := ws.dense[0].shaped(grad.Rows, grad.Cols)
-	st.proj.ProjectBackInto(lowRank, normalized)
+	st.Proj.ProjectBackInto(lowRank, normalized)
 
 	// Residual: E = G − PᵀPG, scaled per channel j by ‖˜R[:,j]‖/‖R[:,j]‖.
 	residual := ws.dense[1].shaped(grad.Rows, grad.Cols)
-	st.proj.ProjectBackInto(residual, r) // PᵀR = PᵀPG
+	st.Proj.ProjectBackInto(residual, r) // PᵀR = PᵀPG
 	tensor.SubInto(residual, grad, residual)
 	nNorms, rNorms, scale := ws.Channels(grad.Cols)
 	normalized.ColNormsInto(nNorms)
@@ -49,5 +49,5 @@ func firaRule(e *Projected, st *ProjState, _ *nn.Param, grad *tensor.Matrix, ws 
 	// orientation before the sum.
 	st.LimitNormGrowth(residual, DefaultGamma)
 	tensor.AddInPlace(lowRank, residual)
-	return e.lift(st, lowRank, ws)
+	return e.lift(p, lowRank, ws)
 }

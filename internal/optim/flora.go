@@ -30,19 +30,19 @@ func NewFlora(h Hyper, cfg LowRankConfig) *Flora {
 // transferMomentum refreshes the projection and carries the moments across:
 // lift them with the old projection, re-compress with the new one.
 func transferMomentum(st *ProjState, grad *tensor.Matrix) {
-	if !st.proj.Ready() {
-		st.proj.Refresh(grad)
+	if !st.Proj.Ready() {
+		st.Proj.Refresh(grad)
 		return
 	}
-	oldP := st.proj.Matrix().Clone()
-	st.proj.Refresh(grad)
-	transfer := tensor.MatMulT(st.proj.Matrix(), oldP) // r×r
-	st.adam.m = tensor.MatMul(transfer, st.adam.m)
-	st.adam.v = tensor.MatMul(transfer, st.adam.v)
+	oldP := st.Proj.Matrix().Clone()
+	st.Proj.Refresh(grad)
+	transfer := tensor.MatMulT(st.Proj.Matrix(), oldP) // r×r
+	st.M[adamM] = tensor.MatMul(transfer, st.M[adamM])
+	st.M[adamV] = tensor.MatMul(transfer, st.M[adamV])
 	// Second moments must stay non-negative after the rotation.
-	for i, v := range st.adam.v.Data {
+	for i, v := range st.M[adamV].Data {
 		if v < 0 {
-			st.adam.v.Data[i] = 0
+			st.M[adamV].Data[i] = 0
 		}
 	}
 }

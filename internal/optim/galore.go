@@ -54,6 +54,15 @@ func projects(p *nn.Param, rank int) bool {
 	return o.m > rank
 }
 
+// projSince is the scalar after adamT in every projected schema: steps since
+// the last projection refresh.
+const projSince = 1
+
+// rankSpace is the shape of a moment of the r×n projected gradient.
+func rankSpace(rank int) func(p *nn.Param) (int, int) {
+	return func(p *nn.Param) (int, int) { return rank, orient(p.W.Rows, p.W.Cols).n }
+}
+
 // GaLore (Zhao et al., 2024) projects gradients into a rank-r subspace,
 // runs AdamW there, and lifts the normalized update back: W ← W −
 // lr·α·Pᵀ·AdamW(P·G). The subspace is recomputed every UpdateGap steps via
@@ -73,20 +82,20 @@ func NewGaLore(h Hyper, cfg LowRankConfig) *GaLore {
 
 // liftedAdam is GaLore's rule (and Flora's): AdamW in the subspace, lifted
 // back and scaled by α.
-func liftedAdam(e *Projected, st *ProjState, _ *nn.Param, grad *tensor.Matrix, ws *Workspace) *tensor.Matrix {
+func liftedAdam(e *Projected, st *ProjState, p *nn.Param, grad *tensor.Matrix, ws *Workspace) *tensor.Matrix {
 	r, _ := ws.RankSpace(e.cfg.Rank, grad.Cols)
-	st.proj.ProjectInto(r, grad) // r×n
+	st.Proj.ProjectInto(r, grad) // r×n
 	e.Moments(st, r, r)          // in place: r becomes the normalized direction
 	update := ws.dense[0].shaped(grad.Rows, grad.Cols)
-	st.proj.ProjectBackInto(update, r)
-	return e.lift(st, update, ws)
+	st.Proj.ProjectBackInto(update, r)
+	return e.lift(p, update, ws)
 }
 
 // lift turns the m×n-oriented update, which sits in ws.dense[0], into the
 // scaled direction in the parameter's native orientation.
-func (e *Projected) lift(st *ProjState, update *tensor.Matrix, ws *Workspace) *tensor.Matrix {
+func (e *Projected) lift(p *nn.Param, update *tensor.Matrix, ws *Workspace) *tensor.Matrix {
 	dir := update
-	if st.o.transposed {
+	if orient(p.W.Rows, p.W.Cols).transposed {
 		dir = ws.dense[1].shaped(update.Cols, update.Rows)
 		tensor.TransposeInto(dir, update)
 	}

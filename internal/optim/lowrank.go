@@ -68,40 +68,72 @@ func (c FactorizedConfig) withDefaults() FactorizedConfig {
 	return c
 }
 
-type factorState struct {
-	w0    *tensor.Matrix // frozen base (nil for ModeLowRank: implicit zero)
-	a, b  *tensor.Matrix // factors: b is out×r, a is r×in
-	mag   []float32      // DoRA per-column magnitudes (len = in)
-	adamA *adamState
-	adamB *adamState
-	adamM *adamState
-	steps int
-}
-
 // Factorized implements the four reparameterized baselines behind one
 // Optimizer.
 type Factorized struct {
+	// The table's rng draws factor initializations and ReLoRA restarts, in step order.
+	*StateTable
 	h   Hyper
 	cfg FactorizedConfig
 
-	states map[*nn.Param]*factorState
-	dense  *AdamW
-	rng    *tensor.RNG
+	dense *AdamW
 }
 
-// NewFactorized builds the wrapper.
+// Scalar and slot indices of the Factorized declaration. Which optional
+// slots exist is a constant of the mode, so the indices are too.
+const (
+	fSteps, fTA, fTB, fHasW0, fHasMag, fTM = 0, 1, 2, 3, 4, 5
+
+	fA, fB             = 0, 1 // factors: b is out×r, a is r×in
+	fMA, fVA, fMB, fVB = 2, 3, 4, 5
+	fW0                = 6       // frozen base; absent for ModeLowRank (implicit zero)
+	fMag, fMM, fVM     = 7, 8, 9 // DoRA per-column magnitudes (1×in) and their moments
+)
+
+// factorizes reports whether p is reparameterized; the rest is dense AdamW's.
+func (f *Factorized) factorizes(p *nn.Param) bool {
+	return p.Kind == nn.KindMatrix && min(p.W.Rows, p.W.Cols) > f.cfg.Rank
+}
+
+// NewFactorized builds the wrapper. Canonical layout — globals: [init/restart
+// RNG phase]; factorized parameters: Scalars [steps, adamA.t, adamB.t, hasW0,
+// hasMag, adamM.t]; Whole [a, b, adamA.m, adamA.v, adamB.m, adamB.v] (+ [w0]
+// when frozen-base, + [mag, adamM.m, adamM.v] for DoRA) — everything the
+// method must keep resident beyond the live weight.
 func NewFactorized(h Hyper, cfg FactorizedConfig) *Factorized {
 	cfg = cfg.withDefaults()
 	if cfg.Rank < 1 {
 		panic(fmt.Sprintf("optim: factorized rank %d", cfg.Rank))
 	}
-	return &Factorized{
-		h:      h.withDefaults(),
-		cfg:    cfg,
-		states: map[*nn.Param]*factorState{},
-		dense:  NewAdamW(h),
-		rng:    tensor.NewRNG(cfg.Seed),
+	f := &Factorized{h: h.withDefaults(), cfg: cfg, dense: NewAdamW(h)}
+	r := cfg.Rank
+	rIn := func(p *nn.Param) (int, int) { return r, p.W.Cols }
+	outR := func(p *nn.Param) (int, int) { return p.W.Rows, r }
+	oneIn := func(p *nn.Param) (int, int) { return 1, p.W.Cols }
+	hasW0, hasMag := boolBit(cfg.Mode != ModeLowRank), boolBit(cfg.Mode == ModeDoRA)
+	sc := Schema{
+		Name: f.Name(),
+		Scalars: []Scalar{
+			{Name: "steps"}, {Name: "adamA.t"}, {Name: "adamB.t"},
+			{Name: "hasW0", Const: true, Value: hasW0}, {Name: "hasMag", Const: true, Value: hasMag},
+			{Name: "adamM.t", Const: hasMag == 0},
+		},
+		Slots: []Slot{
+			{Name: "a", Kind: Whole, Dims: rIn}, {Name: "b", Kind: Whole, Dims: outR},
+			{Name: "adamA.m", Kind: Whole, Dims: rIn}, {Name: "adamA.v", Kind: Whole, Dims: rIn},
+			{Name: "adamB.m", Kind: Whole, Dims: outR}, {Name: "adamB.v", Kind: Whole, Dims: outR},
+		},
+		Covers: f.factorizes,
 	}
+	if hasW0 == 1 {
+		sc.Slots = append(sc.Slots, Slot{Name: "w0", Kind: Whole})
+	}
+	if hasMag == 1 {
+		sc.Slots = append(sc.Slots, Slot{Name: "mag", Kind: Whole, Dims: oneIn},
+			Slot{Name: "adamM.m", Kind: Whole, Dims: oneIn}, Slot{Name: "adamM.v", Kind: Whole, Dims: oneIn})
+	}
+	f.StateTable = NewStateTable(sc, tensor.NewRNG(cfg.Seed), f.dense.StateTable)
+	return f
 }
 
 // Name implements Optimizer.
@@ -121,57 +153,50 @@ func (f *Factorized) scale() float32 {
 	return float32(f.cfg.Alpha / float64(f.cfg.Rank))
 }
 
-func (f *Factorized) initState(p *nn.Param) *factorState {
-	out, in := p.W.Rows, p.W.Cols
-	r := f.cfg.Rank
-	st := &factorState{
-		a:     tensor.NewMatrixRand(r, in, 0.02, f.rng),
-		b:     tensor.NewMatrix(out, r),
-		adamA: newAdamState(r, in),
-		adamB: newAdamState(out, r),
-	}
-	switch f.cfg.Mode {
-	case ModeLowRank:
+// seed fills a freshly allocated state with what does not start at zero:
+// the random factors, the frozen base and DoRA's magnitudes.
+func (f *Factorized) seed(st *Entry, p *nn.Param) {
+	out, in, r := p.W.Rows, p.W.Cols, f.cfg.Rank
+	st.M[fA] = tensor.NewMatrixRand(r, in, 0.02, f.rng)
+	if f.cfg.Mode == ModeLowRank {
 		// Train W = B·A from scratch: random B too, otherwise W stays 0.
-		st.b = tensor.NewMatrixRand(out, r, 0.02, f.rng)
-	default:
-		st.w0 = p.W.Clone()
+		st.M[fB] = tensor.NewMatrixRand(out, r, 0.02, f.rng)
+	} else {
+		st.M[fW0].CopyFrom(p.W)
 	}
 	if f.cfg.Mode == ModeDoRA {
-		st.mag = make([]float32, in)
 		for j, n := range p.W.ColNorms() {
-			st.mag[j] = float32(n)
+			st.M[fMag].Data[j] = float32(n)
 		}
-		st.adamM = newAdamState(1, in)
 	}
-	return st
 }
 
 // effective recomputes the materialized weight from the factor state.
-func (f *Factorized) effective(st *factorState, w *tensor.Matrix) {
+func (f *Factorized) effective(st *Entry, w *tensor.Matrix) {
 	s := f.scale()
-	ba := tensor.MatMul(st.b, st.a)
+	ba := tensor.MatMul(st.M[fB], st.M[fA])
 	tensor.ScaleInPlace(ba, s)
-	switch {
-	case st.w0 == nil: // ModeLowRank
+	switch f.cfg.Mode {
+	case ModeLowRank:
 		w.CopyFrom(ba)
-	case st.mag != nil: // ModeDoRA: W = mag ∘ (W0+sBA)/‖·‖_col
-		v := tensor.Add(st.w0, ba)
+	case ModeDoRA: // W = mag ∘ (W0+sBA)/‖·‖_col
+		v := tensor.Add(st.M[fW0], ba)
 		norms := v.ColNorms()
 		for j := range norms {
 			if norms[j] < 1e-12 {
 				norms[j] = 1e-12
 			}
 		}
+		mag := st.M[fMag].Data
 		for i := 0; i < w.Rows; i++ {
 			vrow := v.Row(i)
 			wrow := w.Row(i)
 			for j := range wrow {
-				wrow[j] = st.mag[j] * vrow[j] / float32(norms[j])
+				wrow[j] = mag[j] * vrow[j] / float32(norms[j])
 			}
 		}
 	default: // LoRA / ReLoRA
-		w.CopyFrom(st.w0)
+		w.CopyFrom(st.M[fW0])
 		tensor.AddInPlace(w, ba)
 	}
 }
@@ -180,29 +205,29 @@ func (f *Factorized) effective(st *factorState, w *tensor.Matrix) {
 func (f *Factorized) Step(ps []*nn.Param) {
 	var fallback []*nn.Param
 	for _, p := range ps {
-		if p.Kind != nn.KindMatrix || min(p.W.Rows, p.W.Cols) <= f.cfg.Rank {
+		if !f.factorizes(p) {
 			fallback = append(fallback, p)
 			continue
 		}
-		st, ok := f.states[p]
-		if !ok {
-			st = f.initState(p)
-			f.states[p] = st
+		st, fresh := f.State(p)
+		if fresh {
+			f.seed(st, p)
 			f.effective(st, p.W)
 		}
-		st.steps++
+		st.S[fSteps]++
 		s := f.scale()
 		dW := p.Grad
 
 		var dV *tensor.Matrix
-		if st.mag != nil {
+		if f.cfg.Mode == ModeDoRA {
 			// DoRA: route dW through the magnitude/direction decomposition.
-			ba := tensor.MatMul(st.b, st.a)
+			mag := st.M[fMag].Data
+			ba := tensor.MatMul(st.M[fB], st.M[fA])
 			tensor.ScaleInPlace(ba, s)
-			v := tensor.Add(st.w0, ba)
+			v := tensor.Add(st.M[fW0], ba)
 			norms := v.ColNorms()
 			dV = tensor.NewMatrix(dW.Rows, dW.Cols)
-			dmag := tensor.NewMatrix(1, len(st.mag))
+			dmag := tensor.NewMatrix(1, len(mag))
 			for j := 0; j < dW.Cols; j++ {
 				c := norms[j]
 				if c < 1e-12 {
@@ -213,43 +238,45 @@ func (f *Factorized) Step(ps []*nn.Param) {
 					u += float64(dW.At(i, j)) * float64(v.At(i, j))
 				}
 				dmag.Set(0, j, float32(u/c))
-				mOverC := float64(st.mag[j]) / c
+				mOverC := float64(mag[j]) / c
 				corr := u / (c * c)
 				for i := 0; i < dW.Rows; i++ {
 					dV.Set(i, j, float32(mOverC*(float64(dW.At(i, j))-float64(v.At(i, j))*corr)))
 				}
 			}
 			dirM := dmag.Clone()
-			st.adamM.update(dirM, dmag, f.h)
-			for j := range st.mag {
-				st.mag[j] -= float32(f.h.LR) * dirM.At(0, j)
+			st.Adam(fTM, fMM, fVM, dirM, dmag, f.h)
+			for j := range mag {
+				mag[j] -= float32(f.h.LR) * dirM.At(0, j)
 			}
 		} else {
 			dV = dW
 		}
 
 		// Factor gradients: dB = s·dV·Aᵀ, dA = s·Bᵀ·dV.
-		dB := tensor.MatMulT(dV, st.a)
+		dB := tensor.MatMulT(dV, st.M[fA])
 		tensor.ScaleInPlace(dB, s)
-		dA := tensor.TMatMul(st.b, dV)
+		dA := tensor.TMatMul(st.M[fB], dV)
 		tensor.ScaleInPlace(dA, s)
 
 		dirB := dB.Clone()
-		st.adamB.update(dirB, dB, f.h)
-		tensor.AxpyInPlace(st.b, float32(-f.h.LR), dirB)
+		st.Adam(fTB, fMB, fVB, dirB, dB, f.h)
+		tensor.AxpyInPlace(st.M[fB], float32(-f.h.LR), dirB)
 		dirA := dA.Clone()
-		st.adamA.update(dirA, dA, f.h)
-		tensor.AxpyInPlace(st.a, float32(-f.h.LR), dirA)
+		st.Adam(fTA, fMA, fVA, dirA, dA, f.h)
+		tensor.AxpyInPlace(st.M[fA], float32(-f.h.LR), dirA)
 
-		// ReLoRA merge-and-restart.
-		if f.cfg.Mode == ModeReLoRA && f.cfg.MergeEvery > 0 && st.steps%f.cfg.MergeEvery == 0 {
-			ba := tensor.MatMul(st.b, st.a)
+		// ReLoRA merge-and-restart: fold the adapter into the base, redraw A,
+		// zero B and both factors' moments and step counts.
+		if f.cfg.Mode == ModeReLoRA && f.cfg.MergeEvery > 0 && st.S[fSteps]%uint64(f.cfg.MergeEvery) == 0 {
+			ba := tensor.MatMul(st.M[fB], st.M[fA])
 			tensor.ScaleInPlace(ba, s)
-			tensor.AddInPlace(st.w0, ba)
-			st.a = tensor.NewMatrixRand(f.cfg.Rank, p.W.Cols, 0.02, f.rng)
-			st.b.Zero()
-			st.adamA = newAdamState(f.cfg.Rank, p.W.Cols)
-			st.adamB = newAdamState(p.W.Rows, f.cfg.Rank)
+			tensor.AddInPlace(st.M[fW0], ba)
+			st.M[fA] = tensor.NewMatrixRand(f.cfg.Rank, p.W.Cols, 0.02, f.rng)
+			for _, i := range []int{fB, fMA, fVA, fMB, fVB} {
+				st.M[i].Zero()
+			}
+			st.S[fTA], st.S[fTB] = 0, 0
 		}
 
 		f.effective(st, p.W)
@@ -257,23 +284,6 @@ func (f *Factorized) Step(ps []*nn.Param) {
 	if len(fallback) > 0 {
 		f.dense.Step(fallback)
 	}
-}
-
-// StateBytes implements Optimizer: frozen base + factors + their moments
-// (everything this method must keep resident beyond the live weight).
-func (f *Factorized) StateBytes() int64 {
-	total := f.dense.StateBytes()
-	for _, st := range f.states { //apollo:orderfree exact integer sum; iteration order cannot reach the result
-		if st.w0 != nil {
-			total += 4 * int64(st.w0.NumEl())
-		}
-		total += 4 * int64(st.a.NumEl()+st.b.NumEl())
-		total += st.adamA.bytes() + st.adamB.bytes()
-		if st.adamM != nil {
-			total += st.adamM.bytes() + 4*int64(len(st.mag))
-		}
-	}
-	return total
 }
 
 func min(a, b int) int {

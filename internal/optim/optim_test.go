@@ -293,14 +293,12 @@ func TestDoRAColumnNormsTrackMagnitude(t *testing.T) {
 		fillGrad(p, rng)
 		f.Step([]*nn.Param{p})
 	}
-	var st *factorState
-	for _, s := range f.states {
-		st = s
-	}
+	st, _ := f.State(p)
+	mag := st.M[fMag].Data
 	norms := p.W.ColNorms()
 	for j, nj := range norms {
-		if math.Abs(nj-float64(st.mag[j])) > 1e-3*(1+math.Abs(float64(st.mag[j]))) {
-			t.Fatalf("column %d norm %v != magnitude %v", j, nj, st.mag[j])
+		if math.Abs(nj-float64(mag[j])) > 1e-3*(1+math.Abs(float64(mag[j]))) {
+			t.Fatalf("column %d norm %v != magnitude %v", j, nj, mag[j])
 		}
 	}
 }

@@ -90,24 +90,6 @@ func unorient(u *tensor.Matrix, o orientation) *tensor.Matrix {
 	return u.T()
 }
 
-// adamState is the dense first/second moment pair reused by every
-// Adam-family optimizer in this package.
-type adamState struct {
-	m, v *tensor.Matrix
-	t    int
-}
-
-func newAdamState(rows, cols int) *adamState {
-	return &adamState{m: tensor.NewMatrix(rows, cols), v: tensor.NewMatrix(rows, cols)}
-}
-
-// update performs one AdamW moment update and writes the normalized
-// direction into out (which may alias g).
-func (s *adamState) update(out, g *tensor.Matrix, h Hyper) {
-	s.t++
-	AdamDirection(s.m, s.v, out, g, h, s.t)
-}
-
 // AdamDirection runs step t (1-based) of the bias-corrected AdamW moment
 // update on m and v and writes the normalized direction m̂/(√v̂+ε) into out
 // (which may alias g).
@@ -125,10 +107,6 @@ func AdamDirection(m, v, out, g *tensor.Matrix, h Hyper, t int) {
 		vhat := vd[i] * c2
 		od[i] = mhat / (sqrt32(vhat) + eps)
 	}
-}
-
-func (s *adamState) bytes() int64 {
-	return 4 * int64(s.m.NumEl()+s.v.NumEl())
 }
 
 func pow(b float64, n int) float64 {

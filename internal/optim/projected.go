@@ -3,10 +3,11 @@
 // moments in a rank-r space at r×max-dim, the projector that maps into it, a
 // refresh counter and, for the rules with a norm-growth limiter, one float of
 // limiter memory — and differ only in what they read out of that space. The
-// state is therefore declared once, here, and every view of it (lazy
-// allocation in Step, the ZeRO seed walk, byte and element accounting, the
-// canonical checkpoint layout) is derived from that one declaration; an
-// optimizer of the family is a constructor plus a Rule.
+// state is therefore declared once, as the Schema NewProjected builds, and
+// the StateTable derives allocation, byte and element accounting and the
+// canonical checkpoint layout from it (state.go); what is left here is the
+// engine — the ZeRO seed walk, the refresh cadence, the parallel step — and
+// an optimizer of the family is a constructor plus a Rule.
 package optim
 
 import (
@@ -142,22 +143,21 @@ func applyScaledRow(w, g []float32, f, alpha, limit, decay, nlr float32) {
 	}
 }
 
-// ProjState is the state a projected optimizer holds for one weight matrix.
-type ProjState struct {
-	proj     *linalg.Projector
-	adam     *adamState // moments of the r×n projected gradient, and the step count
-	since    int        // steps since the last projection refresh
-	prevNorm float64    // limiter memory; persisted and counted only by limiter rules
-	o        orientation
-}
+// ProjState is the state a projected optimizer holds for one weight matrix:
+// the table entry of the schema NewProjected declares.
+type ProjState Entry
+
+// projPrevNorm is the limiter-memory scalar of a limiter rule's schema
+// (float64 bits), after adamT and projSince.
+const projPrevNorm = 2
 
 // ProjectInto writes the projected gradient R = P·G (r×n) of the
 // m×n-oriented gradient the rule was handed into r.
-func (st *ProjState) ProjectInto(r, grad *tensor.Matrix) { st.proj.ProjectInto(r, grad) }
+func (st *ProjState) ProjectInto(r, grad *tensor.Matrix) { st.Proj.ProjectInto(r, grad) }
 
 // LimitNormGrowth runs the limiter on u against this parameter's memory.
 func (st *ProjState) LimitNormGrowth(u *tensor.Matrix, gamma float64) {
-	st.prevNorm = LimitNormGrowth(u, st.prevNorm, gamma)
+	st.S[projPrevNorm] = F64Bits(LimitNormGrowth(u, F64From(st.S[projPrevNorm]), gamma))
 }
 
 // Rule is the one thing the projected optimizers differ in: given the
@@ -175,20 +175,20 @@ func (st *ProjState) LimitNormGrowth(u *tensor.Matrix, gamma float64) {
 type Rule func(e *Projected, st *ProjState, p *nn.Param, grad *tensor.Matrix, ws *Workspace) *tensor.Matrix
 
 // Projected is the engine behind every projected optimizer. It implements
-// Optimizer, StateSharder, StateIntrospector, StateSaver and StateLoader.
+// Optimizer and StateSharder; StateIntrospector, StateSaver and StateLoader
+// are its StateTable's.
 type Projected struct {
-	name    string
-	h       Hyper
-	cfg     LowRankConfig
-	limiter bool // the rule keeps prevNorm: +1 state element, +1 checkpoint scalar
-	rule    Rule
+	// The table's rng draws one projector seed per projected parameter, in step order.
+	*StateTable
+	name string
+	h    Hyper
+	cfg  LowRankConfig
+	rule Rule
 	// refresh rebuilds st's projection from grad; Flora replaces the default
 	// to carry its momentum across the subspace change.
 	refresh func(st *ProjState, grad *tensor.Matrix)
 
-	states map[*nn.Param]*ProjState
-	dense  *AdamW      // parameters that are not projected
-	rng    *tensor.RNG // one projector seed per projected parameter, in step order
+	dense *AdamW // parameters that are not projected
 
 	// Per-step scratch, kept across steps; none of it is optimizer state.
 	fallback []*nn.Param  // this step's dense-AdamW parameters
@@ -205,20 +205,41 @@ type projJob struct {
 // NewProjected builds an engine around rule. cfg is taken as resolved (no
 // defaults are applied; cfg.Seed seeds the projector-seed stream); limiter
 // says whether the rule uses ProjState.LimitNormGrowth.
+//
+// The state it declares is Table 1's: 2nr rank-space moments, the projector
+// (mr for a persisted SVD projection, 1 for a random projection's seed) and,
+// for limiter rules, one float of limiter memory. Canonical layout — globals:
+// [projector-seed RNG phase]; projected parameters: Scalars [t, since,
+// (prevNorm bits — limiter rules only,) proj seed, proj rng, proj m, proj
+// ready]; Whole [m (r×n), v (r×n)] (+ the r×m SVD projection once built).
+// Only the dense fallback is element-wise; a projected matrix's subspace
+// statistics couple all of it. Other parameters are dense AdamW's.
 func NewProjected(name string, h Hyper, cfg LowRankConfig, limiter bool, rule Rule) *Projected {
 	if err := cfg.Validate(); err != nil {
 		panic(err)
 	}
+	sc := Schema{
+		Name:    name,
+		Scalars: []Scalar{{Name: "t"}, {Name: "since"}},
+		Slots: []Slot{
+			{Name: "m", Kind: Whole, Dims: rankSpace(cfg.Rank)},
+			{Name: "v", Kind: Whole, Dims: rankSpace(cfg.Rank)},
+		},
+		Proj:   &Projection{Kind: cfg.Projection, Rank: cfg.Rank},
+		Covers: func(p *nn.Param) bool { return projects(p, cfg.Rank) },
+	}
+	if limiter {
+		sc.Scalars = append(sc.Scalars, Scalar{Name: "prevNorm", Counted: true})
+	}
+	dense := NewAdamW(h)
 	return &Projected{
-		name:    name,
-		h:       h.withDefaults(),
-		cfg:     cfg,
-		limiter: limiter,
-		rule:    rule,
-		refresh: func(st *ProjState, grad *tensor.Matrix) { st.proj.Refresh(grad) },
-		states:  map[*nn.Param]*ProjState{},
-		dense:   NewAdamW(h),
-		rng:     tensor.NewRNG(cfg.Seed),
+		StateTable: NewStateTable(sc, tensor.NewRNG(cfg.Seed), dense.StateTable),
+		name:       name,
+		h:          h.withDefaults(),
+		cfg:        cfg,
+		rule:       rule,
+		refresh:    func(st *ProjState, grad *tensor.Matrix) { st.Proj.Refresh(grad) },
+		dense:      dense,
 	}
 }
 
@@ -236,29 +257,25 @@ func (e *Projected) LR() float64 { return e.h.LR }
 
 // Moments advances st's rank-space AdamW moments by the projected gradient r
 // and writes the normalized direction m̂/(√v̂+ε) into out (which may alias r).
-func (e *Projected) Moments(st *ProjState, out, r *tensor.Matrix) { st.adam.update(out, r, e.h) }
+func (e *Projected) Moments(st *ProjState, out, r *tensor.Matrix) {
+	(*Entry)(st).Adam(adamT, adamM, adamV, out, r, e.h)
+}
 
-// alloc creates p's state around the given projector seed. It is the only
-// place projected state comes into being outside RestoreParam.
-func (e *Projected) alloc(p *nn.Param, seed uint64) *ProjState {
-	o := orient(p.W.Rows, p.W.Cols)
-	st := &ProjState{
-		proj: linalg.NewProjector(e.cfg.Projection, e.cfg.Rank, seed),
-		adam: newAdamState(e.cfg.Rank, o.n),
-		o:    o,
-	}
-	e.states[p] = st
-	return st
+// projector builds the projector a parameter's state is given at first touch.
+func (e *Projected) projector(seed uint64) *linalg.Projector {
+	return linalg.NewProjector(e.cfg.Projection, e.cfg.Rank, seed)
 }
 
 // ApplyScaledGrad is ApplyScaledGrad with the engine's learning rate and
 // weight decay and st's limiter memory (left alone when limit is false).
 func (e *Projected) ApplyScaledGrad(st *ProjState, p *nn.Param, s []float32, alpha float32, gamma float64, limit bool) {
-	var prevNorm *float64
-	if limit {
-		prevNorm = &st.prevNorm
+	if !limit {
+		ApplyScaledGrad(p, s, alpha, e.h.LR, e.h.WeightDecay, gamma, nil)
+		return
 	}
-	ApplyScaledGrad(p, s, alpha, e.h.LR, e.h.WeightDecay, gamma, prevNorm)
+	prevNorm := F64From(st.S[projPrevNorm])
+	ApplyScaledGrad(p, s, alpha, e.h.LR, e.h.WeightDecay, gamma, &prevNorm)
+	st.S[projPrevNorm] = F64Bits(prevNorm)
 }
 
 // Step implements Optimizer: project (refreshing the subspace every
@@ -278,11 +295,11 @@ func (e *Projected) Step(ps []*nn.Param) {
 			e.fallback = append(e.fallback, p)
 			continue
 		}
-		st, ok := e.states[p]
-		if !ok {
-			st = e.alloc(p, e.rng.Uint64())
+		st, fresh := e.State(p)
+		if fresh {
+			st.Proj = e.projector(e.rng.Uint64())
 		}
-		e.jobs = append(e.jobs, projJob{p, st})
+		e.jobs = append(e.jobs, projJob{p, (*ProjState)(st)})
 	}
 
 	workers := min(runtime.Workers(), len(e.jobs))
@@ -310,12 +327,12 @@ func (e *Projected) Step(ps []*nn.Param) {
 // stepOne steps one projected parameter with the worker's scratch.
 func (e *Projected) stepOne(j projJob, ws *Workspace) {
 	p, st := j.p, j.st
-	grad := ws.orientedGrad(p.Grad, st.o)
-	if !st.proj.Ready() || (e.cfg.UpdateGap > 0 && st.since >= e.cfg.UpdateGap) {
+	grad := ws.orientedGrad(p.Grad, orient(p.W.Rows, p.W.Cols))
+	if !st.Proj.Ready() || (e.cfg.UpdateGap > 0 && st.S[projSince] >= uint64(e.cfg.UpdateGap)) {
 		e.refresh(st, grad)
-		st.since = 0
+		st.S[projSince] = 0
 	}
-	st.since++
+	st.S[projSince]++
 	if dir := e.rule(e, st, p, grad, ws); dir != nil {
 		DecayAndApply(p, dir, e.h.LR, e.h.WeightDecay)
 	}
@@ -331,152 +348,11 @@ func (e *Projected) PrepareShard(all []*nn.Param, owned func(*nn.Param) bool) {
 			continue
 		}
 		seed := e.rng.Uint64()
-		if _, ok := e.states[p]; !ok && owned(p) {
-			e.alloc(p, seed)
+		if !owned(p) {
+			continue
+		}
+		if st, fresh := e.State(p); fresh {
+			st.Proj = e.projector(seed)
 		}
 	}
-}
-
-// StateElemsFor implements StateIntrospector with the paper's Table 1
-// accounting: 2nr moments, plus mr for a persisted SVD projection or 1 for a
-// random projection's seed, plus 1 for limiter memory; dense AdamW's 2mn
-// otherwise.
-func (e *Projected) StateElemsFor(p *nn.Param) int64 {
-	if !projects(p, e.cfg.Rank) {
-		return e.dense.StateElemsFor(p)
-	}
-	o := orient(p.W.Rows, p.W.Cols)
-	elems := 2 * int64(e.cfg.Rank) * int64(o.n)
-	if e.cfg.Projection == linalg.SVDProjection {
-		elems += int64(e.cfg.Rank) * int64(o.m)
-	} else {
-		elems++
-	}
-	if e.limiter {
-		elems++
-	}
-	return elems
-}
-
-// RowSplittable implements StateIntrospector: only the dense fallback is
-// element-wise; a projected matrix's subspace statistics couple all of it.
-func (e *Projected) RowSplittable(p *nn.Param) bool { return !projects(p, e.cfg.Rank) }
-
-// StateBytes implements Optimizer, measured from the allocated state.
-func (e *Projected) StateBytes() int64 {
-	total := e.dense.StateBytes()
-	for _, st := range e.states { //apollo:orderfree exact integer sum; iteration order cannot reach the result
-		total += st.adam.bytes() + 4*int64(st.proj.StateFloats())
-		if e.limiter {
-			total += 4
-		}
-	}
-	return total
-}
-
-// Canonical checkpoint layout. Globals: [projector-seed RNG phase].
-// Projected parameters: Scalars [t, since, (prevNorm bits — limiter rules
-// only,) proj seed, proj rng, proj m, proj ready]; Whole [m (r×n), v (r×n)]
-// (+ the r×m SVD projection once built; a random projection is regenerated
-// from its seed and never persisted). Other parameters delegate to AdamW.
-
-// CaptureGlobals implements StateSaver.
-func (e *Projected) CaptureGlobals() ([]uint64, error) { return []uint64{e.rng.State()}, nil }
-
-// RestoreGlobals implements StateLoader.
-func (e *Projected) RestoreGlobals(gs []uint64) error {
-	if len(gs) != 1 {
-		return fmt.Errorf("optim: %s: %d global cursors, want 1", e.name, len(gs))
-	}
-	e.rng.SetState(gs[0])
-	return nil
-}
-
-// CaptureParam implements StateSaver.
-func (e *Projected) CaptureParam(p *nn.Param) (*ParamState, error) {
-	if !projects(p, e.cfg.Rank) {
-		return e.dense.CaptureParam(p)
-	}
-	st, ok := e.states[p]
-	if !ok {
-		return nil, nil
-	}
-	snap := st.proj.Snapshot()
-	scalars := []uint64{uint64(st.adam.t), uint64(st.since)}
-	if e.limiter {
-		scalars = append(scalars, F64Bits(st.prevNorm))
-	}
-	out := &ParamState{
-		Scalars: append(scalars, snapScalars(snap)...),
-		Whole:   []*tensor.Matrix{st.adam.m.Clone(), st.adam.v.Clone()},
-	}
-	if snap.P != nil {
-		out.Whole = append(out.Whole, snap.P)
-	}
-	return out, nil
-}
-
-// RestoreParam implements StateLoader. Everything the file supplies is
-// checked against the parameter before anything is sized by it.
-func (e *Projected) RestoreParam(p *nn.Param, st *ParamState) error {
-	if !projects(p, e.cfg.Rank) {
-		return e.dense.RestoreParam(p, st)
-	}
-	who := e.name + " " + p.Name
-	scalars := 6
-	if e.limiter {
-		scalars = 7
-	}
-	if st == nil || len(st.Scalars) != scalars {
-		return fmt.Errorf("optim: %s: missing state or wrong scalar count, want %d", who, scalars)
-	}
-	snap := snapFromScalars(st.Scalars[scalars-4:])
-	whole := 2
-	if e.cfg.Projection == linalg.SVDProjection && snap.Ready {
-		whole = 3
-	}
-	if err := wantLayout(st, scalars, 0, whole, 0, who); err != nil {
-		return err
-	}
-	if st.Sub != nil {
-		return fmt.Errorf("optim: %s: unexpected nested state", who)
-	}
-	o := orient(p.W.Rows, p.W.Cols)
-	if err := wantProjectedDim(snap, o, who); err != nil {
-		return err
-	}
-	for _, w := range st.Whole[:2] {
-		if err := wantShape(w, e.cfg.Rank, o.n, who); err != nil {
-			return err
-		}
-	}
-	if whole == 3 {
-		snap.P = st.Whole[2]
-	}
-	proj := linalg.NewProjector(e.cfg.Projection, e.cfg.Rank, 0)
-	if err := proj.RestoreSnapshot(snap); err != nil {
-		return fmt.Errorf("optim: %s: %w", who, err)
-	}
-	ps := &ProjState{
-		proj:  proj,
-		adam:  &adamState{m: st.Whole[0].Clone(), v: st.Whole[1].Clone(), t: int(st.Scalars[0])},
-		since: int(st.Scalars[1]),
-		o:     o,
-	}
-	if e.limiter {
-		ps.prevNorm = F64From(st.Scalars[2])
-	}
-	e.states[p] = ps
-	return nil
-}
-
-// wantProjectedDim rejects a restored projector whose projected dimension is
-// not the parameter's: RestoreSnapshot regenerates a random projection at
-// r×snap.M, so an unchecked M is both a file-controlled allocation size and
-// a shape the next Step multiplies against the gradient.
-func wantProjectedDim(snap linalg.ProjectorSnap, o orientation, who string) error {
-	if snap.Ready && snap.M != o.m {
-		return fmt.Errorf("optim: %s: state projects dimension %d, parameter has %d", who, snap.M, o.m)
-	}
-	return nil
 }

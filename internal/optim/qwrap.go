@@ -14,7 +14,6 @@ import (
 // stochastic rounding.
 type WeightQuantized struct {
 	inner Optimizer
-	group int
 	rng   *tensor.RNG
 	qw    map[*nn.Param]*quant.QuantizedWeight
 }
@@ -23,7 +22,6 @@ type WeightQuantized struct {
 func NewWeightQuantized(inner Optimizer, seed uint64) *WeightQuantized {
 	return &WeightQuantized{
 		inner: inner,
-		group: quant.DefaultGroupSize,
 		rng:   tensor.NewRNG(seed),
 		qw:    map[*nn.Param]*quant.QuantizedWeight{},
 	}
@@ -48,7 +46,7 @@ func (w *WeightQuantized) Step(ps []*nn.Param) {
 		}
 		q, ok := w.qw[p]
 		if !ok {
-			q = quant.NewQuantizedWeight(p.W, w.group, w.rng.Uint64())
+			q = quant.NewQuantizedWeight(p.W, quant.DefaultGroupSize, w.rng.Uint64())
 			w.qw[p] = q
 			q.Materialize(p.W)
 			continue

@@ -9,6 +9,12 @@ import (
 	"apollo/internal/tensor"
 )
 
+type checkpointable interface {
+	Optimizer
+	StateSaver
+	StateLoader
+}
+
 // A checkpoint's scalar channel carries the projector's projected dimension,
 // and a random projection is regenerated at that size on restore. These
 // tests tamper with a genuine captured state the way a corrupt or foreign
@@ -19,11 +25,6 @@ import (
 func TestRestoreRejectsForeignProjectedDim(t *testing.T) {
 	const m, n, r = 8, 16, 2
 	h := Hyper{LR: 0.01}
-	type checkpointable interface {
-		Optimizer
-		StateSaver
-		StateLoader
-	}
 	cases := []struct {
 		name   string
 		build  func(kind linalg.ProjectionKind) checkpointable
@@ -85,5 +86,73 @@ func TestRestoreRejectsForeignProjectedDim(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// TestRestoreRejectsMalformedState tampers with genuine captured states one
+// field at a time, the way a corrupt or foreign checkpoint would: every
+// count, shape, payload length and layout constant the declaration fixes
+// must be refused, and a refused restore must install nothing.
+func TestRestoreRejectsMalformedState(t *testing.T) {
+	h := Hyper{LR: 0.01}
+	lora := func() checkpointable { return NewFactorized(h, FactorizedConfig{Mode: ModeLoRA, Rank: 2}) }
+	adam8 := func() checkpointable { return NewAdam8bit(h, 3) }
+	adamw := func() checkpointable { return NewAdamW(h) }
+	qgalore := func() checkpointable {
+		return NewWeightQuantized(NewGaLore(h, LowRankConfig{Rank: 2}), 4)
+	}
+	cases := []struct {
+		what  string
+		build func() checkpointable
+		do    func(st *ParamState)
+	}{
+		{"a scalar too many", adamw, func(st *ParamState) { st.Scalars = append(st.Scalars, 0) }},
+		{"a missing moment", adamw, func(st *ParamState) { st.RowMats = st.RowMats[:1] }},
+		{"a moment in the wrong channel", adamw, func(st *ParamState) {
+			st.Whole, st.RowMats = st.RowMats[1:], st.RowMats[:1]
+		}},
+		{"a transposed moment", adamw, func(st *ParamState) { st.RowMats[1] = st.RowMats[1].T() }},
+		{"a header that disagrees with its payload", adamw, func(st *ParamState) {
+			st.RowMats[0].Data = st.RowMats[0].Data[:5]
+		}},
+		{"a nil matrix", adamw, func(st *ParamState) { st.RowMats[0] = nil }},
+		{"nested state under a plain optimizer", adamw, func(st *ParamState) { st.Sub = &ParamState{} }},
+		{"the frozen-base flag of another mode", lora, func(st *ParamState) { st.Scalars[fHasW0] = 0 }},
+		{"a DoRA magnitude step count under LoRA", lora, func(st *ParamState) { st.Scalars[fTM] = 7 }},
+		{"DoRA's extra slots under LoRA", lora, func(st *ParamState) {
+			st.Whole = append(st.Whole, tensor.NewMatrix(1, 16))
+		}},
+		{"short INT8 codes", adam8, func(st *ParamState) { st.Blobs[0] = st.Blobs[0][:100] }},
+		{"an odd scale blob", adam8, func(st *ParamState) { st.Blobs[3] = append(st.Blobs[3], 0) }},
+		{"a quantized-weight flag that is not a flag", qgalore, func(st *ParamState) { st.Scalars[0] = 2 }},
+		{"a quantized weight without its blobs", qgalore, func(st *ParamState) { st.Blobs = nil }},
+		{"a matrix beside a quantized weight", qgalore, func(st *ParamState) {
+			st.Whole = append(st.Whole, tensor.NewMatrix(1, 1))
+		}},
+		{"a malformed nested state", qgalore, func(st *ParamState) { st.Sub.Scalars = st.Sub.Scalars[1:] }},
+	}
+	for _, c := range cases {
+		p := matParam(t, 8, 16, 71)
+		src := c.build()
+		fillGrad(p, tensor.NewRNG(72))
+		src.Step([]*nn.Param{p})
+		st, err := src.CaptureParam(p)
+		if err != nil || st == nil {
+			t.Fatalf("%s: no captured state: %v", c.what, err)
+		}
+		if err := c.build().RestoreParam(p, st); err != nil {
+			t.Fatalf("%s: untampered state refused: %v", c.what, err)
+		}
+		c.do(st)
+		dst := c.build()
+		if err := dst.RestoreParam(p, st); err == nil {
+			t.Errorf("%s (%s): restored without error", c.what, dst.Name())
+		}
+		if left, _ := dst.CaptureParam(p); left != nil {
+			t.Errorf("%s (%s): a refused restore left state behind", c.what, dst.Name())
+		}
+	}
+	if err := NewSGD(h, 0).RestoreParam(matParam(t, 8, 16, 71), &ParamState{}); err == nil {
+		t.Error("stateless SGD accepted a state")
 	}
 }

@@ -7,24 +7,31 @@ import (
 
 // SGD is plain stochastic gradient descent with optional heavyweight
 // momentum and decoupled weight decay. It is the paper's memory floor
-// (Momentum = 0 keeps zero optimizer state) and the baseline known to fail
+// (momentum 0 keeps zero optimizer state) and the baseline known to fail
 // on transformer pre-training (Zhang et al., 2024a), which Table 2 and
 // Table 10 rely on.
 type SGD struct {
+	*StateTable
 	h        Hyper
-	Momentum float64
-
-	vel map[*nn.Param]*tensor.Matrix
+	momentum float64
 }
 
 // NewSGD builds the optimizer; momentum 0 disables velocity state entirely.
+// Layout: RowMats [velocity], and only with momentum; the update is
+// element-wise either way.
 func NewSGD(h Hyper, momentum float64) *SGD {
-	return &SGD{h: h.withDefaults(), Momentum: momentum, vel: map[*nn.Param]*tensor.Matrix{}}
+	s := &SGD{h: h.withDefaults(), momentum: momentum}
+	sc := Schema{Name: s.Name(), RowSplittable: func(*nn.Param) bool { return true }}
+	if momentum > 0 {
+		sc.Slots = []Slot{{Name: "velocity", Kind: RowAligned}}
+	}
+	s.StateTable = NewStateTable(sc, nil, nil)
+	return s
 }
 
 // Name implements Optimizer.
 func (s *SGD) Name() string {
-	if s.Momentum > 0 {
+	if s.momentum > 0 {
 		return "SGD-M"
 	}
 	return "SGD"
@@ -40,25 +47,12 @@ func (s *SGD) LR() float64 { return s.h.LR }
 func (s *SGD) Step(ps []*nn.Param) {
 	for _, p := range ps {
 		dir := p.Grad
-		if s.Momentum > 0 {
-			v, ok := s.vel[p]
-			if !ok {
-				v = tensor.NewMatrix(p.W.Rows, p.W.Cols)
-				s.vel[p] = v
-			}
-			tensor.ScaleInPlace(v, float32(s.Momentum))
-			tensor.AddInPlace(v, p.Grad)
-			dir = v
+		if s.momentum > 0 {
+			st, _ := s.State(p)
+			dir = st.M[0]
+			tensor.ScaleInPlace(dir, float32(s.momentum))
+			tensor.AddInPlace(dir, p.Grad)
 		}
 		DecayAndApply(p, dir, s.h.LR, s.h.WeightDecay)
 	}
-}
-
-// StateBytes implements Optimizer.
-func (s *SGD) StateBytes() int64 {
-	var total int64
-	for _, v := range s.vel { //apollo:orderfree exact integer sum; iteration order cannot reach the result
-		total += 4 * int64(v.NumEl())
-	}
-	return total
 }

@@ -15,9 +15,11 @@
 //     sharded optimizer that only ever sees its shard would draw a different
 //     seed sequence, so it must pre-walk the full list via StateSharder.
 //
-// This file holds the hook interfaces and the dense optimizers' answers to
-// them; the projected family's single PrepareShard / StateElemsFor /
-// RowSplittable live with its state declaration in projected.go.
+// This file holds the hook interfaces only. No optimizer answers
+// StateIntrospector by hand: StateElemsFor is summed from the slots its
+// Schema declares and RowSplittable is the schema's own declaration of the
+// update, both derived by the StateTable every member embeds (state.go). The
+// one StateSharder, the projected family's seed walk, is in projected.go.
 package optim
 
 import "apollo/internal/nn"
@@ -85,34 +87,3 @@ type ShardedStepper interface {
 	// footprint; the sum is the unsharded StateBytes.
 	ReplicaStateBytes() []int64
 }
-
-// StateElemsFor implements StateIntrospector: dense first+second moments.
-func (a *AdamW) StateElemsFor(p *nn.Param) int64 { return 2 * int64(p.NumEl()) }
-
-// RowSplittable implements StateIntrospector: the AdamW update is fully
-// element-wise.
-func (a *AdamW) RowSplittable(p *nn.Param) bool { return true }
-
-// StateElemsFor implements StateIntrospector: velocity only with momentum.
-func (s *SGD) StateElemsFor(p *nn.Param) int64 {
-	if s.Momentum > 0 {
-		return int64(p.NumEl())
-	}
-	return 0
-}
-
-// RowSplittable implements StateIntrospector: element-wise update.
-func (s *SGD) RowSplittable(p *nn.Param) bool { return true }
-
-// StateElemsFor implements StateIntrospector: full M plus one block second
-// moment per row (one total for vectors).
-func (a *AdamMini) StateElemsFor(p *nn.Param) int64 {
-	if p.Kind == nn.KindVector {
-		return int64(p.NumEl()) + 1
-	}
-	return int64(p.NumEl()) + int64(p.W.Rows)
-}
-
-// RowSplittable implements StateIntrospector: matrix/embedding blocks are
-// per-row, so row splits preserve them exactly; vectors share one block.
-func (a *AdamMini) RowSplittable(p *nn.Param) bool { return p.Kind != nn.KindVector }

@@ -341,12 +341,8 @@ func (b *batcher) scoreChunk(chunk []item, t int) {
 			rq.result = total / float64(t-rq.start)
 		}
 	})
-	for _, it := range chunk {
-		if err != nil {
-			it.score.err = err
-		}
-		it.wg.Done()
-	}
+	// Count the forward before releasing its callers, so one that reads
+	// Stats() on return sees its own last forward.
 	b.mu.Lock()
 	b.stats.Forwards++
 	b.stats.ScoredSeqs += int64(k)
@@ -355,6 +351,12 @@ func (b *batcher) scoreChunk(chunk []item, t int) {
 	}
 	b.mu.Unlock()
 	b.om.forward(k)
+	for _, it := range chunk {
+		if err != nil {
+			it.score.err = err
+		}
+		it.wg.Done()
+	}
 }
 
 // safely converts a panic in served work into an error on the query — a

@@ -46,8 +46,8 @@ func TestWatchdogSpikeHalts(t *testing.T) {
 
 // TestWatchdogQuietOnNormalRun is the false-positive guard: a normal run —
 // including genuinely anomalous but non-divergent batches injected through
-// data.Corpus.HookTrainBatch — must finish all steps with zero alerts under
-// the default thresholds.
+// data.Corpus.HookTrainBatch — must finish all steps with no NaN or spike
+// alert under the default thresholds.
 func TestWatchdogQuietOnNormalRun(t *testing.T) {
 	model, opt, corpus := dpTestSetup(t, 5)
 	batches := 0
@@ -70,8 +70,15 @@ func TestWatchdogQuietOnNormalRun(t *testing.T) {
 	if res.Halted || res.Steps != 20 {
 		t.Fatalf("normal run halted: %+v", res)
 	}
-	if al := wd.Alerts(); len(al) != 0 {
-		t.Fatalf("false positives: %+v", al)
+	// Stall alerts are not counted: this run's wall times are real, and on a
+	// loaded host a step can truly take StallFactor× the median. The stall
+	// threshold is pinned on synthetic wall times by
+	// runlog.TestWatchdogStallAlertsButNeverHalts and
+	// TestWatchdogNormalNoiseIsQuiet.
+	for _, a := range wd.Alerts() {
+		if a.Kind != runlog.AlertStall {
+			t.Fatalf("false positive: %+v", a)
+		}
 	}
 }
 
