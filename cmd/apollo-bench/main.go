@@ -1,4 +1,6 @@
-// Command apollo-bench regenerates the paper's tables and figures.
+// Command apollo-bench regenerates the paper's tables and figures, plus the
+// `zero` and `ckpt` parity rows (which exit 1 when a row reads DRIFT). It is
+// not a stopwatch: how fast anything runs is `bash benchmark/run.sh`.
 //
 // Usage:
 //
@@ -11,9 +13,8 @@
 // output capture (results print in registry order regardless of completion
 // order). -workers sizes the shared tensor worker pool each runner draws
 // from; kernels are deterministic at any pool size, so both flags change
-// only wall time, never the computed results (runners that print measured
-// timings, like table7 and runtime, report whatever contention they ran
-// under).
+// only wall time, never the computed results (table7, the one runner that
+// prints measured timings, reports whatever contention it ran under).
 package main
 
 import (

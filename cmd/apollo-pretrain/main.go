@@ -146,19 +146,14 @@ func main() {
 		r = proxy.DefaultRank()
 	}
 
-	opt, err := bench.BuildOptimizer(*method, proxy.LR, r, *seed)
+	build, err := bench.OptimizerBuilder(*method, proxy.LR, r, *seed)
 	if err != nil {
 		fail(err)
 	}
+	opt := build()
 	methodName := opt.Name() // canonical name before any ZeRO wrapping
 	if *zeroOpt {
-		opt = zero.NewSharded(func() optim.Optimizer {
-			o, err := bench.BuildOptimizer(*method, proxy.LR, r, *seed)
-			if err != nil {
-				fail(err)
-			}
-			return o
-		}, *replicas)
+		opt = zero.NewSharded(build, *replicas)
 	}
 	corpus, err := bench.NewCorpus(*seed + 17)
 	if err != nil {
@@ -216,7 +211,7 @@ func main() {
 		})
 		if mm, err := memmodel.MethodByName(methodName); err == nil {
 			shapes := bench.ShapesOf(model.Params().List())
-			predicted := memmodel.StateElems(shapes, mm, r) * memmodel.BytesFP32
+			predicted := memmodel.StateElems(shapes, mm, bench.StateRank(methodName, r)) * memmodel.BytesFP32
 			if *zeroOpt {
 				// ZeRO partitions the same state across the world —
 				// the ShardedOptimizerStateBytes rule, per shard.
@@ -247,7 +242,7 @@ func main() {
 
 	pcfg := train.PretrainConfig{
 		Batch: proxy.Batch, Seq: proxy.Seq, Steps: proxy.Steps,
-		EvalEvery: maxInt(1, proxy.Steps/10), EvalBatches: 4,
+		EvalEvery: max(1, proxy.Steps/10), EvalBatches: 4,
 		Schedule:  optim.NewWarmupCosine(proxy.LR, proxy.Steps),
 		Accum:     *accum,
 		CkptEvery: *ckptEach, CkptPath: *save,
@@ -366,10 +361,3 @@ func main() {
 
 // fmtSeconds prints a duration in seconds at millisecond resolution.
 func fmtSeconds(s float64) string { return fmt.Sprintf("%.3fs", s) }
-
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
-}

@@ -2,8 +2,10 @@ package main
 
 import (
 	"bytes"
+	"encoding/json"
 	"os"
 	"os/exec"
+	"path/filepath"
 	"strings"
 	"testing"
 )
@@ -41,5 +43,44 @@ func TestRejectsContradictoryGradientFlags(t *testing.T) {
 		if entries, _ := os.ReadDir(runs); len(entries) != 0 {
 			t.Fatalf("%v: rejected run left %d ledger entries", tc.args, len(entries))
 		}
+	}
+}
+
+// TestMiniPredictionIgnoresRankFlag: APOLLO-Mini runs at rank 1 whatever
+// -rank says, so the memmodel prediction recorded beside each memory sample
+// must too. At -rank 32 on the 60M proxy (dim 32) the flag's value used to
+// reach memmodel, which switched every matrix to the dense fallback and
+// recorded a prediction 2.4× the state the optimizer held.
+func TestMiniPredictionIgnoresRankFlag(t *testing.T) {
+	var states []float64
+	for _, rank := range []string{"32", "0"} {
+		runs := t.TempDir()
+		out, err := exec.Command("go", "run", ".", "-size", "60M", "-optimizer", "APOLLO-Mini",
+			"-rank", rank, "-steps", "3", "-runs", runs, "-run-id", "mini").CombinedOutput()
+		if err != nil {
+			t.Fatalf("-rank %s: %v\n%s", rank, err, out)
+		}
+		blob, err := os.ReadFile(filepath.Join(runs, "mini", "mem.jsonl"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		lines := strings.Split(strings.TrimSpace(string(blob)), "\n")
+		var last struct {
+			Components map[string]float64 `json:"components"`
+			Predicted  map[string]float64 `json:"predicted"`
+			DeltaFrac  map[string]float64 `json:"delta_frac"`
+		}
+		if err := json.Unmarshal([]byte(lines[len(lines)-1]), &last); err != nil {
+			t.Fatalf("-rank %s: last mem sample: %v", rank, err)
+		}
+		measured, predicted := last.Components["optimizer_state"], last.Predicted["optimizer_state"]
+		if measured <= 0 || predicted != measured || last.DeltaFrac["optimizer_state"] != 0 {
+			t.Fatalf("-rank %s: predicted %v vs measured %v (delta_frac %v), want equal",
+				rank, predicted, measured, last.DeltaFrac["optimizer_state"])
+		}
+		states = append(states, measured)
+	}
+	if states[0] != states[1] {
+		t.Fatalf("APOLLO-Mini state depends on -rank: %v", states)
 	}
 }

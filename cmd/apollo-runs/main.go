@@ -276,24 +276,24 @@ func cmdMem(root string, args []string) error {
 	fmt.Printf("components (peak):\n")
 	for _, comp := range sortedKeys(peaks) {
 		p := peaks[comp]
-		line := fmt.Sprintf("  %-24s %12s", comp, fmtBytes(p.bytes))
+		line := fmt.Sprintf("  %-24s %12s", comp, runlog.FormatBytes(p.bytes))
 		if p.hasPred && p.predicted > 0 {
 			line += fmt.Sprintf("  predicted %12s  delta %+.2f%%",
-				fmtBytes(int64(p.predicted)), 100*(float64(p.bytes)-p.predicted)/p.predicted)
+				runlog.FormatBytes(int64(p.predicted)), 100*(float64(p.bytes)-p.predicted)/p.predicted)
 		}
 		fmt.Println(line)
 	}
 
 	peak, _ := rd.MemPeak()
-	fmt.Printf("peaks      ledger %s (step %d)", fmtBytes(peak.TotalBytes), peak.Step)
+	fmt.Printf("peaks      ledger %s (step %d)", runlog.FormatBytes(peak.TotalBytes), peak.Step)
 	var heapMax, rssMax int64
 	for _, s := range rd.Mem {
-		heapMax = maxI64(heapMax, int64(s.HeapInuse))
-		rssMax = maxI64(rssMax, s.RSSBytes)
+		heapMax = max(heapMax, int64(s.HeapInuse))
+		rssMax = max(rssMax, s.RSSBytes)
 	}
-	fmt.Printf("  heap in-use %s", fmtBytes(heapMax))
+	fmt.Printf("  heap in-use %s", runlog.FormatBytes(heapMax))
 	if rssMax > 0 {
-		fmt.Printf("  rss %s", fmtBytes(rssMax))
+		fmt.Printf("  rss %s", runlog.FormatBytes(rssMax))
 	}
 	fmt.Println()
 	fmt.Printf("gc         %d cycles, %s total pause\n",
@@ -314,33 +314,11 @@ func cmdMem(root string, args []string) error {
 		}
 		rss := "-"
 		if s.RSSBytes > 0 {
-			rss = fmtBytes(s.RSSBytes)
+			rss = runlog.FormatBytes(s.RSSBytes)
 		}
-		fmt.Printf("%8d %12s %12s %12s%s\n", s.Step, fmtBytes(s.TotalBytes), fmtBytes(int64(s.HeapInuse)), rss, mark)
+		fmt.Printf("%8d %12s %12s %12s%s\n", s.Step, runlog.FormatBytes(s.TotalBytes), runlog.FormatBytes(int64(s.HeapInuse)), rss, mark)
 	}
 	return nil
-}
-
-// fmtBytes prints a byte count at a human scale (matches runlog's diff
-// rendering).
-func fmtBytes(b int64) string {
-	switch {
-	case b >= 1<<30:
-		return fmt.Sprintf("%.2f GiB", float64(b)/(1<<30))
-	case b >= 1<<20:
-		return fmt.Sprintf("%.2f MiB", float64(b)/(1<<20))
-	case b >= 1<<10:
-		return fmt.Sprintf("%.1f KiB", float64(b)/(1<<10))
-	default:
-		return fmt.Sprintf("%d B", b)
-	}
-}
-
-func maxI64(a, b int64) int64 {
-	if a > b {
-		return a
-	}
-	return b
 }
 
 func cmdGC(root string, args []string) error {

@@ -2,6 +2,8 @@ package bench
 
 import (
 	"bytes"
+	"math"
+	"slices"
 	"strings"
 	"testing"
 
@@ -9,27 +11,62 @@ import (
 )
 
 func TestRegistryComplete(t *testing.T) {
-	// Every table and figure from the paper's evaluation must have a runner.
-	want := []string{
+	// The whole registry, in the order -list and -run all print it: every
+	// table and figure of the paper's evaluation, plus the two contract rows
+	// that go beyond it — ZeRO-sharded optimizer state and checkpoint/resume
+	// with elastic resharding. Exactly these and nothing else.
+	want := slices.Sorted(slices.Values([]string{
 		"table1", "table2", "table3", "table4", "table5", "table6", "table7",
 		"table8", "table9", "table10", "table11",
 		"fig1-memory", "fig1-throughput", "fig2", "fig3", "fig4", "fig5",
 		"fig6", "fig7", "fig9", "scaling-13b",
-		// Beyond the paper: measured parallel-runtime counterpart of the
-		// cluster simulator's throughput claims, the ZeRO-sharded
-		// optimizer-state experiment on top of the DP trainer, the
-		// checkpoint/resume + elastic-resharding experiment, the
-		// checkpoint-streamed evaluation service, and its open-loop load
-		// harness.
-		"runtime", "zero", "ckpt", "serve", "load",
-	}
-	for _, id := range want {
-		if _, err := Lookup(id); err != nil {
-			t.Fatalf("missing experiment %q: %v", id, err)
+		"zero", "ckpt",
+	}))
+	var got []string
+	for _, e := range All() {
+		got = append(got, e.ID)
+		if e.Title == "" || e.PaperRef == "" || e.Run == nil {
+			t.Fatalf("experiment %q is incomplete: %+v", e.ID, e)
+		}
+		if _, err := Lookup(e.ID); err != nil {
+			t.Fatalf("listed experiment %q cannot be looked up: %v", e.ID, err)
 		}
 	}
-	if len(All()) != len(want) {
-		t.Fatalf("registry has %d experiments, want %d", len(All()), len(want))
+	if !slices.Equal(got, want) {
+		t.Fatalf("registry holds\n  %v\nwant\n  %v", got, want)
+	}
+	// The wall-clock runners are gone for good: benchmark/ is the one
+	// stopwatch, and their contracts are tests in internal/serve.
+	for _, id := range []string{"runtime", "serve", "load"} {
+		if _, err := Lookup(id); err == nil {
+			t.Fatalf("experiment %q is registered again; timing belongs to benchmark/", id)
+		}
+	}
+}
+
+// TestContractRowsCanFail: a parity row that reads DRIFT must turn into an
+// error naming the runner and the row, so `apollo-bench -run zero,ckpt` exits
+// 1 instead of printing the word and returning success.
+func TestContractRowsCanFail(t *testing.T) {
+	c := contract{id: "ckpt"}
+	if cell := c.parity("AdamW", 12.5, 12.5); cell != "exact" || c.err() != nil {
+		t.Fatalf("equal pair: cell %q, err %v", cell, c.err())
+	}
+	if cell := c.parity("APOLLO", 12.5, math.Nextafter(12.5, 13)); cell != "DRIFT" {
+		t.Fatalf("one-ulp mismatch printed %q, want DRIFT", cell)
+	}
+	c.fail("corruption check")
+	err := c.err()
+	if err == nil {
+		t.Fatal("a DRIFT row and a failed check returned no error")
+	}
+	for _, want := range []string{"ckpt", "APOLLO", "corruption check"} {
+		if !strings.Contains(err.Error(), want) {
+			t.Fatalf("error %q does not name %q", err, want)
+		}
+	}
+	if strings.Contains(err.Error(), "AdamW") {
+		t.Fatalf("error %q names a row that held", err)
 	}
 }
 
@@ -77,6 +114,18 @@ func TestBuildOptimizerAllNames(t *testing.T) {
 	}
 	if _, err := BuildOptimizer("bogus", 1e-3, 4, 1); err == nil {
 		t.Fatal("expected error for unknown optimizer")
+	}
+	// The constructor form reports a bad name up front and hands out a
+	// fresh instance per call (zero.NewSharded wants one per shard).
+	if build, err := OptimizerBuilder("bogus", 1e-3, 4, 1); err == nil || build != nil {
+		t.Fatalf("OptimizerBuilder(bogus): constructor nil=%v, err %v; want nil and an error", build == nil, err)
+	}
+	build, err := OptimizerBuilder("APOLLO", 1e-3, 4, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if a, b := build(), build(); a == b || a.Name() != "APOLLO" {
+		t.Fatalf("OptimizerBuilder must build a fresh APOLLO per call (got %s, same instance: %v)", a.Name(), a == b)
 	}
 }
 

@@ -14,6 +14,19 @@ import (
 	"apollo/internal/tensor"
 )
 
+// stepOnNoise takes one optimizer step on seeded non-zero gradients, which
+// allocates every lazily created state (SVD-projection methods refresh off
+// the gradient).
+func stepOnNoise(opt optim.Optimizer, params []*nn.Param) {
+	rng := tensor.NewRNG(9)
+	for _, p := range params {
+		for i := range p.Grad.Data {
+			p.Grad.Data[i] = rng.NormFloat32() * 0.1
+		}
+	}
+	opt.Step(params)
+}
+
 // TestMeasuredStateMatchesMemmodel enforces the "honest memory tables"
 // claim in CI: the bytes each seed optimizer actually allocates on a live
 // proxy model must match the memmodel Table 1 formulas evaluated on that
@@ -52,25 +65,13 @@ func TestMeasuredStateMatchesMemmodel(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			// One step with non-zero gradients allocates every state lazily
-			// (SVD-projection methods refresh off the gradient).
-			rng := tensor.NewRNG(9)
-			for _, p := range params {
-				for i := range p.Grad.Data {
-					p.Grad.Data[i] = rng.NormFloat32() * 0.1
-				}
-			}
-			opt.Step(params)
+			stepOnNoise(opt, params)
 
 			method, err := memmodel.MethodByName(c.method)
 			if err != nil {
 				t.Fatal(err)
 			}
-			r := rank
-			if c.name == "APOLLO-Mini" {
-				r = 1
-			}
-			predicted := memmodel.StateElems(ShapesOf(params), method, r)
+			predicted := memmodel.StateElems(ShapesOf(params), method, StateRank(c.name, rank))
 			measured := float64(opt.StateBytes()) / 4
 
 			if predicted == 0 && measured == 0 {
@@ -82,6 +83,35 @@ func TestMeasuredStateMatchesMemmodel(t *testing.T) {
 					c.name, measured, predicted, dev*100, c.tol*100)
 			}
 		})
+	}
+}
+
+// TestStateRankFollowsTheOptimizer: the rank memmodel is asked about must be
+// the rank the built optimizer runs at, not the one the caller typed.
+// APOLLO-Mini ignores its rank argument, so at `-rank 32` on the 60M proxy
+// (dim 32 — the rank reaches every layer's width, where memmodel switches to
+// the dense fallback) a prediction at the caller's rank is 2.4× the state
+// the optimizer holds; at StateRank it is exact.
+func TestStateRankFollowsTheOptimizer(t *testing.T) {
+	proxy, err := ProxyByName("60M")
+	if err != nil {
+		t.Fatal(err)
+	}
+	rank := proxy.Model.Dim
+	model := proxy.NewProxyModel(3)
+	params := model.Params().List()
+	opt, err := BuildOptimizer("APOLLO-Mini", 1e-3, rank, 7)
+	if err != nil {
+		t.Fatal(err)
+	}
+	stepOnNoise(opt, params)
+	measured := float64(opt.StateBytes()) / 4
+
+	if got := memmodel.StateElems(ShapesOf(params), memmodel.MethodAPOLLOMini, StateRank("APOLLO-Mini", rank)); got != measured {
+		t.Fatalf("at StateRank: predicted %.0f state elems, measured %.0f", got, measured)
+	}
+	if naive := memmodel.StateElems(ShapesOf(params), memmodel.MethodAPOLLOMini, rank); naive == measured {
+		t.Fatalf("rank %d does not reach the dense fallback on this proxy; the case above proves nothing", rank)
 	}
 }
 
@@ -113,13 +143,7 @@ func TestCheckpointBytesPrediction(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			rng := tensor.NewRNG(9)
-			for _, p := range params {
-				for i := range p.Grad.Data {
-					p.Grad.Data[i] = rng.NormFloat32() * 0.1
-				}
-			}
-			opt.Step(params)
+			stepOnNoise(opt, params)
 
 			st, err := ckpt.Capture(1, params, opt, nil)
 			if err != nil {
@@ -134,11 +158,7 @@ func TestCheckpointBytesPrediction(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			r := rank
-			if c.name == "APOLLO-Mini" {
-				r = 1
-			}
-			predicted := memmodel.CheckpointBytes(ShapesOf(params), method, r)
+			predicted := memmodel.CheckpointBytes(ShapesOf(params), method, StateRank(c.name, rank))
 			actual := float64(buf.Len())
 			if dev := math.Abs(actual-predicted) / actual; dev > 0.02 {
 				t.Fatalf("%s: file is %.0f bytes, predicted %.0f (%.2f%% off)",
@@ -212,13 +232,7 @@ func TestStateViewsAgree(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			rng := tensor.NewRNG(9)
-			for _, p := range params {
-				for i := range p.Grad.Data {
-					p.Grad.Data[i] = rng.NormFloat32() * 0.1
-				}
-			}
-			opt.Step(params)
+			stepOnNoise(opt, params)
 
 			var fromCapture int64
 			for _, p := range params {

@@ -2,8 +2,9 @@
 // table and figure in the paper's evaluation section. Each runner rebuilds
 // the experiment at proxy scale (CPU-trainable models with the same
 // architecture family), prints the same rows/series the paper reports, and
-// cites the published value alongside the measured one. DESIGN.md carries
-// the experiment → module → runner index; EXPERIMENTS.md records outcomes.
+// cites the published value alongside the measured one. `apollo-bench
+// -list` prints the experiment → paper artefact index; how fast anything
+// runs is benchmark/'s question, not this package's.
 package bench
 
 import (
@@ -126,6 +127,36 @@ func BuildOptimizer(name string, lr float64, rank int, seed uint64) (optim.Optim
 	default:
 		return nil, fmt.Errorf("bench: unknown optimizer %q", name)
 	}
+}
+
+// OptimizerBuilder validates the arguments once and returns a constructor
+// that builds a fresh, identical optimizer on every call — the shape
+// zero.NewSharded wants (one instance per shard) and what a runner comparing
+// several runs of one method needs.
+func OptimizerBuilder(name string, lr float64, rank int, seed uint64) (func() optim.Optimizer, error) {
+	if _, err := BuildOptimizer(name, lr, rank, seed); err != nil {
+		return nil, err
+	}
+	return func() optim.Optimizer {
+		o, err := BuildOptimizer(name, lr, rank, seed)
+		if err != nil {
+			panic(err) // the same arguments built above
+		}
+		return o
+	}, nil
+}
+
+// StateRank is the rank memmodel must be asked about for the optimizer
+// BuildOptimizer(name, …, rank, …) returns. APOLLO-Mini is rank 1 by
+// definition and ignores the rank it is handed; memmodel sends a matrix to
+// the dense fallback once min(m,n) ≤ rank, so passing the caller's rank
+// through would mispredict Mini's state whenever that rank reaches a
+// layer's width.
+func StateRank(name string, rank int) int {
+	if name == "APOLLO-Mini" {
+		return 1
+	}
+	return rank
 }
 
 // NewProxyModel instantiates the proxy's model.

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"io"
 	"sort"
+	"strings"
 )
 
 // Scale selects how much compute an experiment run spends.
@@ -13,7 +14,7 @@ const (
 	// Quick shrinks step counts so the whole registry completes in minutes
 	// (the default for `apollo-bench` and the Go benchmarks).
 	Quick Scale = iota
-	// Full uses the proxy defaults (the numbers recorded in EXPERIMENTS.md).
+	// Full uses the proxy defaults (Proxy.Steps as declared in proxies.go).
 	Full
 )
 
@@ -46,6 +47,34 @@ func (c *RunContext) steps(full int) int {
 		return s
 	}
 	return full
+}
+
+// contract collects the rows of a runner whose exact contract did not hold,
+// so the runner can finish printing its table and still fail: a row that
+// reads DRIFT must make `apollo-bench` exit 1, not scroll past.
+type contract struct {
+	id     string
+	broken []string
+}
+
+// parity returns the table cell for a bit-parity row — two runs that must
+// end on the same float — and records the row when they did not.
+func (c *contract) parity(row string, got, want float64) string {
+	if got == want { //apollo:exactfloat bit-parity contract: the two runs must agree float-for-float
+		return "exact"
+	}
+	c.fail(row)
+	return "DRIFT"
+}
+
+func (c *contract) fail(row string) { c.broken = append(c.broken, row) }
+
+// err names every recorded row, or is nil when all of them held.
+func (c *contract) err() error {
+	if len(c.broken) == 0 {
+		return nil
+	}
+	return fmt.Errorf("bench %s: contract broken: %s", c.id, strings.Join(c.broken, ", "))
 }
 
 // Experiment is one reproducible paper artifact.

@@ -8,7 +8,6 @@ import (
 
 	"apollo/internal/ckpt"
 	"apollo/internal/memmodel"
-	"apollo/internal/optim"
 	"apollo/internal/train"
 	"apollo/internal/zero"
 )
@@ -48,16 +47,14 @@ func runCkpt(ctx *RunContext) error {
 	defer os.RemoveAll(dir)
 
 	rows := []string{"AdamW", "APOLLO", "APOLLO-Mini", "GaLore"}
+	broken := contract{id: "ckpt"}
 	ctx.Printf("proxy-60M, %d+%d steps, save under zero x3 → resume under zero x4\n\n", k, k)
 	ctx.Printf("%-12s %-7s %10s %10s %8s\n", "optimizer", "parity", "file", "predicted", "dev")
 
 	for _, name := range rows {
-		if _, err := BuildOptimizer(name, proxy.LR, rank, ctx.Seed); err != nil {
+		build, err := OptimizerBuilder(name, proxy.LR, rank, ctx.Seed)
+		if err != nil {
 			return err
-		}
-		build := func() optim.Optimizer {
-			o, _ := BuildOptimizer(name, proxy.LR, rank, ctx.Seed)
-			return o
 		}
 		pcfg := train.PretrainConfig{Batch: proxy.Batch, Seq: proxy.Seq, Steps: 2 * k}
 
@@ -106,10 +103,8 @@ func runCkpt(ctx *RunContext) error {
 			PretrainConfig: resCfg, Replicas: 4,
 		})
 
-		parity := "exact"
-		if res.FinalValPPL != ref.FinalValPPL { //apollo:exactfloat bit-parity contract: resume must match straight run float-for-float
-			parity = "DRIFT"
-		}
+		// The resumed run must match the straight one float-for-float.
+		parity := broken.parity(name, res.FinalValPPL, ref.FinalValPPL)
 
 		fi, err := os.Stat(path)
 		if err != nil {
@@ -119,11 +114,7 @@ func runCkpt(ctx *RunContext) error {
 		if err != nil {
 			return err
 		}
-		rr := rank
-		if name == "APOLLO-Mini" {
-			rr = 1
-		}
-		predicted := memmodel.CheckpointBytes(ShapesOf(refModel.Params().List()), method, rr)
+		predicted := memmodel.CheckpointBytes(ShapesOf(refModel.Params().List()), method, StateRank(name, rank))
 		dev := (float64(fi.Size()) - predicted) / predicted
 		ctx.Printf("%-12s %-7s %10s %10s %+7.2f%%\n",
 			name, parity,
@@ -142,6 +133,7 @@ func runCkpt(ctx *RunContext) error {
 		ctx.Printf("\ncorruption check: flipped one byte → rejected (%v)\n", err)
 	} else {
 		ctx.Printf("\ncorruption check: FAILED — corrupted file was accepted\n")
+		broken.fail("corruption check")
 	}
-	return nil
+	return broken.err()
 }

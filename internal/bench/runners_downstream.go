@@ -130,7 +130,7 @@ func runTable5(ctx *RunContext) error {
 				return err
 			}
 			acc := train.FineTune(model, opt, task, train.FineTuneConfig{
-				Epochs: maxInt(1, ctx.steps(12)/4), Batch: 8,
+				Epochs: max(1, ctx.steps(12)/4), Batch: 8,
 				Schedule: optim.Linear{Peak: lr, TotalSteps: 200}, Seed: ctx.Seed,
 			})
 			accs = append(accs, acc)
@@ -195,7 +195,7 @@ func runTable6(ctx *RunContext) error {
 						return err
 					}
 					acc := train.FineTune(model, opt, task, train.FineTuneConfig{
-						Epochs: maxInt(1, ctx.steps(8)/4), Batch: 8,
+						Epochs: max(1, ctx.steps(8)/4), Batch: 8,
 						Schedule: optim.Linear{Peak: lr, TotalSteps: 120}, Seed: ctx.Seed,
 					})
 					accs = append(accs, acc)
@@ -227,11 +227,4 @@ func cloneModel(base *nn.Model, cfg nn.Config) *nn.Model {
 		dstParams[i].W.CopyFrom(srcParams[i].W)
 	}
 	return clone
-}
-
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }

@@ -67,7 +67,7 @@ func init() {
 // methodLRScale mirrors the paper's learning-rate recipe: the low-rank
 // family inherits GaLore's higher LR (0.01 vs the ~1e-3 tuned AdamW
 // baseline, Appendix A.4), which the shared proxy.LR does not reflect. The
-// 4× multiplier was validated by a sweep at proxy scale (EXPERIMENTS.md).
+// 4× multiplier was chosen by a sweep at proxy scale.
 func methodLRScale(method string) float64 {
 	switch method {
 	case "GaLore", "GaLore-RP", "Fira", "Flora", "8-bit GaLore",
@@ -622,11 +622,4 @@ func abs(x int) int {
 		return -x
 	}
 	return x
-}
-
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }

@@ -5,7 +5,6 @@ import (
 
 	"apollo/internal/cluster"
 	"apollo/internal/memmodel"
-	"apollo/internal/optim"
 	"apollo/internal/train"
 	"apollo/internal/zero"
 )
@@ -38,16 +37,8 @@ func runZero(ctx *RunContext) error {
 	}
 	rank := proxy.DefaultRank()
 
-	type row struct {
-		name   string
-		method string
-	}
-	rows := []row{
-		{"AdamW", "AdamW"},
-		{"APOLLO", "APOLLO"},
-		{"APOLLO-Mini", "APOLLO-Mini"},
-		{"GaLore", "GaLore"},
-	}
+	names := []string{"AdamW", "APOLLO", "APOLLO-Mini", "GaLore"}
+	broken := contract{id: "zero"}
 
 	ctx.Printf("proxy-60M, global batch %d, %d steps, %d replicas (ZeRO sharded)\n\n", proxy.Batch, steps, world)
 	ctx.Printf("%-12s %-6s %10s %12s %12s %8s\n",
@@ -55,15 +46,11 @@ func runZero(ctx *RunContext) error {
 
 	pcfg := train.PretrainConfig{Batch: proxy.Batch, Seq: proxy.Seq, Steps: steps}
 	var zeroRes train.Result
-	for _, r := range rows {
-		// Validate the optimizer name once so the rebuild closure below is
-		// known-good (zero.NewSharded calls it once per shard).
-		if _, err := BuildOptimizer(r.name, proxy.LR, rank, ctx.Seed); err != nil {
+	for _, name := range names {
+		// zero.NewSharded calls build once per shard.
+		build, err := OptimizerBuilder(name, proxy.LR, rank, ctx.Seed)
+		if err != nil {
 			return err
-		}
-		build := func() optim.Optimizer {
-			o, _ := BuildOptimizer(r.name, proxy.LR, rank, ctx.Seed)
-			return o
 		}
 
 		plainModel := proxy.NewProxyModel(ctx.Seed + 33)
@@ -85,32 +72,24 @@ func runZero(ctx *RunContext) error {
 		})
 		zeroRes = zres
 
-		parity := "exact"
-		if zres.FinalValPPL != plain.FinalValPPL { //apollo:exactfloat bit-parity contract: ZeRO run must match unsharded float-for-float
-			parity = "DRIFT"
-		}
+		// The ZeRO run must match the unsharded one float-for-float.
+		parity := broken.parity(name, zres.FinalValPPL, plain.FinalValPPL)
 		var maxReplica int64
 		for _, b := range zres.ReplicaStateBytes {
-			if b > maxReplica {
-				maxReplica = b
-			}
+			maxReplica = max(maxReplica, b)
 		}
-		method, err := memmodel.MethodByName(r.method)
+		method, err := memmodel.MethodByName(name)
 		if err != nil {
 			return err
 		}
-		rr := rank
-		if r.name == "APOLLO-Mini" {
-			rr = 1
-		}
 		// Live states are fp32: predicted per-replica bytes = elems·4/world.
-		predicted := memmodel.StateElems(ShapesOf(plainModel.Params().List()), method, rr) * 4 / world
+		predicted := memmodel.StateElems(ShapesOf(plainModel.Params().List()), method, StateRank(name, rank)) * 4 / world
 		dev := 0.0
 		if predicted > 0 {
 			dev = (float64(maxReplica) - predicted) / predicted
 		}
 		ctx.Printf("%-12s %-6s %10s %12s %12s %+7.1f%%\n",
-			r.name, parity,
+			name, parity,
 			train.FormatBytes(zres.StateBytes),
 			train.FormatBytes(maxReplica),
 			train.FormatBytes(int64(math.Round(predicted))),
@@ -160,5 +139,5 @@ func runZero(ctx *RunContext) error {
 		ctx.Printf("  %s micro=%-3d step %6.3fs (opt %.4f, comm %.4f)  states/GPU %.2f GiB\n",
 			label, micro, st.Total(), st.Optimizer, st.Comm, memmodel.GiB(states))
 	}
-	return nil
+	return broken.err()
 }

@@ -10,7 +10,7 @@ import (
 )
 
 // trainTiny runs a fixed training job and returns the final loss — shared by
-// the ablation tests below (DESIGN.md §5).
+// the ablation tests below.
 func trainTiny(t *testing.T, mk func() optim.Optimizer, steps int) float64 {
 	t.Helper()
 	cfg := nn.Config{Vocab: 32, Dim: 16, Hidden: 32, Heads: 2, Layers: 2, MaxSeq: 16}

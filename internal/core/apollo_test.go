@@ -140,7 +140,7 @@ func TestAPOLLOUpdateDirectionIsScaledGradient(t *testing.T) {
 // structured factor. The paper validates this on square layers (m = n, the
 // LLaMA-350M attention matrices); for m ≠ n the ratio actually tracks
 // √(r/m) because channel norms span the smaller dimension — we follow the
-// paper's square setup here and record the distinction in EXPERIMENTS.md.
+// paper's square setup here; `apollo-bench -run fig4` prints the same ratio.
 func TestScalingRatioTheorem(t *testing.T) {
 	const m, n = 96, 96
 	hyper := optim.Hyper{LR: 0} // LR 0: probe scales without moving weights

@@ -251,7 +251,7 @@ func (r *DiffReport) Write(w io.Writer) {
 	fmt.Fprintf(w, "  step wall p50     A %.4fs  B %.4fs\n", r.WallP50A, r.WallP50B)
 	fmt.Fprintf(w, "  step wall p95     A %.4fs  B %.4fs\n", r.WallP95A, r.WallP95B)
 	if r.MemPeakA > 0 || r.MemPeakB > 0 {
-		fmt.Fprintf(w, "  mem peak (ledger) A %s  B %s", fmtBytes(r.MemPeakA), fmtBytes(r.MemPeakB))
+		fmt.Fprintf(w, "  mem peak (ledger) A %s  B %s", FormatBytes(r.MemPeakA), FormatBytes(r.MemPeakB))
 		if r.MemTol > 0 && r.MemPeakA > 0 {
 			fmt.Fprintf(w, "  (gate: B ≤ A × %.2f)", 1+r.MemTol)
 		}
@@ -274,8 +274,9 @@ func (r *DiffReport) Write(w io.Writer) {
 	}
 }
 
-// fmtBytes renders byte counts human-first (diff/mem report cells).
-func fmtBytes(b int64) string {
+// FormatBytes renders byte counts human-first: the cells of `apollo-runs
+// diff` and `apollo-runs show`.
+func FormatBytes(b int64) string {
 	switch {
 	case b >= 1<<30:
 		return fmt.Sprintf("%.2f GiB", float64(b)/(1<<30))

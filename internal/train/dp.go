@@ -2,10 +2,11 @@
 // internal/cluster simulates. A global batch is sharded across N model
 // replicas, each replica runs forward/backward concurrently on its shard,
 // and gradients are all-reduced before a single optimizer step on the
-// master parameters — so the cluster simulator's predicted speedup and the
-// speedup measured here can be compared directly (see `apollo-bench -run
-// runtime`; `bash benchmark/run.sh --workload pretrain_fused --trace 1`
-// reports the kernels' `runtime.*_gflops` and `runtime.parallel_speedup`).
+// master parameters. Its wall time is the repository benchmark's to report:
+// `bash benchmark/run.sh --workload pretrain_dpzero` is the number of record
+// for this stage (with `--trace 1`, the all-reduce/broadcast phases and the
+// kernels' `runtime.parallel_speedup` beside it); `apollo-bench -run
+// fig1-throughput` prints the simulator's prediction.
 //
 // This file is the data-parallel gradient stage of the pre-training loop
 // (pretrain in train.go): where the batch gradient comes from and how

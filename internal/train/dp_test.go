@@ -131,27 +131,3 @@ func TestDPShardedLossMatchesFull(t *testing.T) {
 		t.Fatalf("sharded loss %v vs full %v (Δ %v)", sum/float64(counted), fullLoss, d)
 	}
 }
-
-func BenchmarkDPPretrain(b *testing.B) {
-	for _, replicas := range []int{1, 2, 4} {
-		b.Run(fmt.Sprintf("replicas=%d", replicas), func(b *testing.B) {
-			cfg := nn.Config{Vocab: 64, Dim: 32, Hidden: 88, Heads: 4, Layers: 2, MaxSeq: 64}
-			srcCfg := data.DefaultSourceConfig()
-			srcCfg.Vocab = 64
-			src, err := data.NewSource(srcCfg)
-			if err != nil {
-				b.Fatal(err)
-			}
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				model := nn.NewModel(cfg, tensor.NewRNG(1))
-				opt := optim.NewAdamW(optim.Hyper{LR: 1e-3})
-				corpus := data.NewCorpus(src, 2, 3)
-				DPPretrain(model, opt, corpus, DPConfig{
-					PretrainConfig: PretrainConfig{Batch: 8, Seq: 32, Steps: 4},
-					Replicas:       replicas,
-				})
-			}
-		})
-	}
-}
