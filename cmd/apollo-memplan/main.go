@@ -8,8 +8,8 @@
 //	apollo-memplan -model 7B -method AdamW -zero 8   # ZeRO-sharded states
 //	apollo-memplan -model 60M -method APOLLO -run-dir runs/<id>
 //
-// -run-dir joins a run's recorded memory timeline (mem.jsonl, written by
-// apollo-pretrain) against the plan: recorded component peaks line up next
+// -run-dir joins a run's recorded memory timeline (the "mem" events of its
+// events.jsonl, written by apollo-pretrain) against the plan: recorded component peaks line up next
 // to the analytic rows, and components the run predicted for themselves
 // (via memmodel.StateElems over the live shapes) show their measured-vs-
 // predicted delta. Note the scales differ by design — the plan prices the
@@ -22,7 +22,6 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"sort"
 
 	"apollo/internal/cluster"
 	"apollo/internal/memmodel"
@@ -40,7 +39,7 @@ func main() {
 		layerwise = flag.Bool("layerwise", false, "layer-wise gradient updates")
 		ckpt      = flag.Bool("ckpt", false, "full activation checkpointing")
 		zeroWorld = flag.Int("zero", 0, "ZeRO-shard optimizer states across N replicas (0 = unsharded)")
-		runDir    = flag.String("run-dir", "", "join this run directory's recorded mem.jsonl peaks against the plan")
+		runDir    = flag.String("run-dir", "", "join this run directory's recorded memory peaks against the plan")
 	)
 	flag.Parse()
 
@@ -98,7 +97,7 @@ func main() {
 }
 
 // joinRun prints the recorded side of the predicted-vs-actual join: the run
-// directory's mem.jsonl component peaks, each with the analytic prediction
+// directory's recorded component peaks, each with the analytic prediction
 // the run recorded for itself (if any) and the measured-vs-predicted delta.
 func joinRun(dir string) error {
 	rd, err := runlog.LoadDir(dir)
@@ -106,38 +105,14 @@ func joinRun(dir string) error {
 		return err
 	}
 	if len(rd.Mem) == 0 {
-		return fmt.Errorf("%s has no memory timeline (%s) — rerun apollo-pretrain with a run ledger", dir, runlog.MemFile)
+		return fmt.Errorf("%s has no memory timeline (no mem events in %s) — rerun apollo-pretrain with a run ledger", dir, runlog.EventsFile)
 	}
-	type peakInfo struct {
-		bytes     int64
-		predicted float64
-	}
-	peaks := map[string]peakInfo{}
-	for _, s := range rd.Mem {
-		for comp, v := range s.Components {
-			p := peaks[comp]
-			if v >= p.bytes {
-				p.bytes = v
-				if pred, ok := s.Predicted[comp]; ok {
-					p.predicted = pred
-				}
-			}
-			peaks[comp] = p
-		}
-	}
-	names := make([]string, 0, len(peaks))
-	for comp := range peaks {
-		names = append(names, comp)
-	}
-	sort.Strings(names)
-
 	fmt.Printf("\nrecorded run %s (%s, %d samples):\n", rd.Manifest.ID, rd.Manifest.Optimizer, len(rd.Mem))
-	for _, comp := range names {
-		p := peaks[comp]
-		line := fmt.Sprintf("  %-24s %10.4f MiB peak", comp, float64(p.bytes)/(1<<20))
-		if p.predicted > 0 {
+	for _, p := range rd.ComponentPeaks() {
+		line := fmt.Sprintf("  %-24s %10.4f MiB peak", p.Name, float64(p.Bytes)/(1<<20))
+		if p.Predicted > 0 {
 			line += fmt.Sprintf("  predicted %10.4f MiB  delta %+.2f%%",
-				p.predicted/(1<<20), 100*(float64(p.bytes)-p.predicted)/p.predicted)
+				p.Predicted/(1<<20), 100*(float64(p.Bytes)-p.Predicted)/p.Predicted)
 		}
 		fmt.Println(line)
 	}

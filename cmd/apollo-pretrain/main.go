@@ -34,8 +34,10 @@
 //
 // Every run also leaves a ledger entry under -runs DIR (default "runs";
 // empty disables): runs/<id>/manifest.json records the full configuration,
-// host, and outcome; steps.jsonl holds the per-step series; alerts.jsonl
-// any training-health alerts. The manifest is finalized even when the run
+// host, and outcome; events.jsonl is the run's one event stream — a "step"
+// line per training step (loss, gradient norm, LR, wall and phase timings),
+// a "mem" line per memory sample, an "alert" line per training-health
+// alert. The manifest is finalized even when the run
 // fails, panics, or is interrupted, so the ledger never lies about what
 // happened. A training-health watchdog rides along: NaN/Inf loss or
 // gradient norm, loss spikes above -spike-factor × the trailing-window
@@ -49,7 +51,6 @@ package main
 import (
 	"flag"
 	"fmt"
-	"io"
 	"os"
 	"os/signal"
 	"strings"
@@ -84,7 +85,6 @@ func main() {
 		save     = flag.String("save", "", "checkpoint file to write (periodically with -ckpt-every, always at the end)")
 		ckptEach = flag.Int("ckpt-every", 0, "steps between periodic checkpoint saves (0 = only final)")
 		resume   = flag.String("resume", "", "checkpoint file to resume from")
-		telem    = flag.String("telemetry", "", "stream per-step phase timings as JSONL to this file (timing only; never changes results)")
 		runsRoot = flag.String("runs", "runs", "run-ledger root directory (empty disables the ledger)")
 		runID    = flag.String("run-id", "", "ledger entry name (default: minted from timestamp+size+optimizer)")
 		haltDiv  = flag.Bool("halt-on-divergence", false, "abort the run when the watchdog sees NaN/Inf or a loss spike (exit 3)")
@@ -195,16 +195,16 @@ func main() {
 		}()
 	}
 
-	// Live memory accounting rides on the ledger: the timeline lands next to
-	// steps.jsonl and heap profiles land in the run dir. The component ledger
-	// is fed by the training loop; the analytic memmodel prediction for the
+	// Live memory accounting rides on the ledger: the timeline lands in the
+	// run's event stream and heap profiles land in the run dir. The component
+	// ledger is fed by the training loop; the analytic memmodel prediction for the
 	// optimizer state is attached here so every sample carries its own
 	// measured-vs-predicted delta. Methods without a memmodel row (plain
 	// SGD-family baselines) just record measurements without a prediction.
 	var mp *memprof.Profiler
 	if ledger != nil && *memEvery > 0 {
 		mp = memprof.New(memprof.Config{
-			Out:         ledger.MemWriter(),
+			Out:         ledger.Events(),
 			SampleEvery: *memEvery,
 			HighWater:   *memHW,
 			ProfileDir:  ledger.Dir(),
@@ -252,29 +252,10 @@ func main() {
 			fmt.Printf(format+"\n", args...)
 		},
 	}
-	// Step events go to the ledger, the -telemetry file, or both; the
-	// watchdog rides along whenever a ledger exists or halting is requested.
-	var stepSinks []io.Writer
+	// Step events go to the ledger; the watchdog rides along whenever a
+	// ledger exists or halting is requested.
 	if ledger != nil {
-		stepSinks = append(stepSinks, ledger.StepsWriter())
-	}
-	if *telem != "" {
-		f, err := os.Create(*telem)
-		if err != nil {
-			fail(err)
-		}
-		// Telemetry flush failures must surface: count the close error into
-		// apollo_obs_write_errors_total instead of dropping it.
-		defer func() { obs.CountWriteError(f.Close()) }()
-		stepSinks = append(stepSinks, f)
-		fmt.Printf("telemetry: per-step phase timings → %s\n", *telem)
-	}
-	switch len(stepSinks) {
-	case 0:
-	case 1:
-		pcfg.Telemetry = obs.NewTrainRecorder(stepSinks[0])
-	default:
-		pcfg.Telemetry = obs.NewTrainRecorder(io.MultiWriter(stepSinks...))
+		pcfg.Telemetry = obs.NewTrainRecorder(ledger.Events())
 	}
 	if ledger != nil || *haltDiv {
 		pcfg.Watchdog = runlog.NewWatchdog(runlog.WatchdogConfig{
@@ -333,7 +314,7 @@ func main() {
 	if peak := mp.Peak(); peak.TotalBytes > 0 {
 		fmt.Printf("memory peak: ledger %s (heap in-use %s) at step %d — timeline in %s\n",
 			train.FormatBytes(peak.TotalBytes), train.FormatBytes(int64(peak.HeapInuse)),
-			peak.Step, runlog.MemFile)
+			peak.Step, runlog.EventsFile)
 	}
 	if err := ledger.Finalize(status, fin); err != nil {
 		// The run succeeded but its ledger entry may be torn — say so.

@@ -2,12 +2,14 @@ package main
 
 import (
 	"bytes"
-	"encoding/json"
 	"os"
 	"os/exec"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
+
+	"apollo/internal/obs/runlog"
 )
 
 // TestRejectsContradictoryGradientFlags runs the real binary (`go run .`):
@@ -60,20 +62,24 @@ func TestMiniPredictionIgnoresRankFlag(t *testing.T) {
 		if err != nil {
 			t.Fatalf("-rank %s: %v\n%s", rank, err, out)
 		}
-		blob, err := os.ReadFile(filepath.Join(runs, "mini", "mem.jsonl"))
+		rd, err := runlog.LoadDir(filepath.Join(runs, "mini"))
 		if err != nil {
 			t.Fatal(err)
 		}
-		lines := strings.Split(strings.TrimSpace(string(blob)), "\n")
-		var last struct {
-			Components map[string]float64 `json:"components"`
-			Predicted  map[string]float64 `json:"predicted"`
-			DeltaFrac  map[string]float64 `json:"delta_frac"`
+		if len(rd.Steps) != 3 || len(rd.Mem) != 3 {
+			t.Fatalf("-rank %s: %d step and %d mem events, want 3 each", rank, len(rd.Steps), len(rd.Mem))
 		}
-		if err := json.Unmarshal([]byte(lines[len(lines)-1]), &last); err != nil {
-			t.Fatalf("-rank %s: last mem sample: %v", rank, err)
+		// The ledger entry is the manifest and the one event stream.
+		var names []string
+		entries, _ := os.ReadDir(filepath.Join(runs, "mini"))
+		for _, e := range entries {
+			names = append(names, e.Name())
 		}
-		measured, predicted := last.Components["optimizer_state"], last.Predicted["optimizer_state"]
+		if !slices.Equal(names, []string{runlog.EventsFile, runlog.ManifestFile}) {
+			t.Fatalf("-rank %s: run directory holds %v", rank, names)
+		}
+		last := rd.Mem[len(rd.Mem)-1]
+		measured, predicted := float64(last.Components["optimizer_state"]), last.Predicted["optimizer_state"]
 		if measured <= 0 || predicted != measured || last.DeltaFrac["optimizer_state"] != 0 {
 			t.Fatalf("-rank %s: predicted %v vs measured %v (delta_frac %v), want equal",
 				rank, predicted, measured, last.DeltaFrac["optimizer_state"])
@@ -82,5 +88,15 @@ func TestMiniPredictionIgnoresRankFlag(t *testing.T) {
 	}
 	if states[0] != states[1] {
 		t.Fatalf("APOLLO-Mini state depends on -rank: %v", states)
+	}
+}
+
+// TestTelemetryFlagIsGone: the step series has one home, the ledger's
+// events.jsonl; the second copy -telemetry used to tee is not an option.
+func TestTelemetryFlagIsGone(t *testing.T) {
+	out, err := exec.Command("go", "run", ".", "-size", "60M", "-steps", "1", "-runs", "",
+		"-telemetry", filepath.Join(t.TempDir(), "t.jsonl")).CombinedOutput()
+	if err == nil || !strings.Contains(string(out), "flag provided but not defined: -telemetry") {
+		t.Fatalf("-telemetry accepted: err %v\n%s", err, out)
 	}
 }

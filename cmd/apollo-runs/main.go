@@ -8,41 +8,37 @@
 //	apollo-runs show <id>                  # one run's manifest, alerts, final metrics
 //	apollo-runs diff <idA> <idB>           # align two runs step-by-step
 //	apollo-runs diff -baseline DIR <id>    # compare a run against a committed baseline dir
-//	apollo-runs mem <id>                   # render a run's memory timeline (mem.jsonl)
-//	apollo-runs gc -keep 20 -age 720h      # prune old entries
-//	apollo-runs watch <id>                 # live-tail a run's step stream
-//	apollo-runs watch -telemetry f.jsonl   # tail a bare -telemetry file instead
-//	apollo-runs watch -metrics http://127.0.0.1:8080/metrics <id>
+//	apollo-runs mem <id>                   # render a run's memory timeline (its "mem" events)
+//	apollo-runs gc -keep 20 -age 720h      # prune old entries (-n: same selection, no delete)
+//	apollo-runs watch <id>                 # live-tail a run's step events
+//	apollo-runs watch -metrics http://127.0.0.1:8080/debug/vars <id>
 //
 // Subcommand flags come before positional arguments (standard Go flag
 // parsing stops at the first non-flag).
 //
-// diff is the CI regression gate: it reports the first loss-divergence step,
-// loss deltas at checkpoints, phase-time breakdown deltas, step-wall
-// p50/p95, and peak ledger memory, then exits 1 when the loss gate
-// (-loss-tol, default 0 = bit-exact), the opt-in time gate (-time-tol,
-// fraction; 0 disables), or the opt-in memory gate (-mem-tol, fraction over
-// the baseline's peak ledger bytes; 0 disables) trips. mem renders the
-// memory timeline apollo-pretrain records (component peaks against their
-// memmodel predictions, heap/RSS peaks, high-water marks). watch polls a
-// growing steps.jsonl by byte offset — safe against
-// torn tail lines — and can additionally scrape a Prometheus /metrics
-// endpoint, reporting request rates and latency quantiles interpolated from
-// the cumulative histogram buckets.
+// Every subcommand reads runs/<id>/events.jsonl through the one reader in
+// internal/obs/runlog. diff is the CI regression gate: it reports the first
+// loss-divergence step, loss deltas at checkpoints, phase-time breakdown
+// deltas, step-wall p50/p95, and peak ledger memory, then exits 1 when the
+// loss gate (-loss-tol, default 0 = bit-exact), the opt-in time gate
+// (-time-tol, fraction; 0 disables), or the opt-in memory gate (-mem-tol,
+// fraction over the baseline's peak ledger bytes; 0 disables) trips — or
+// when the two runs have no aligned step to compare. mem renders the memory
+// timeline apollo-pretrain records (component peaks against their memmodel
+// predictions, heap/RSS peaks, high-water marks). watch polls the growing
+// event stream by byte offset — an unterminated tail line is retried on the
+// next poll — and can additionally read a server's GET /debug/vars each
+// poll, reporting its counters and the latency quantiles it serves.
 package main
 
 import (
-	"bufio"
 	"encoding/json"
 	"flag"
 	"fmt"
-	"io"
-	"math"
 	"net/http"
 	"os"
 	"path/filepath"
 	"sort"
-	"strconv"
 	"strings"
 	"time"
 
@@ -94,7 +90,7 @@ commands:
                                                     align two runs; exit 1 on gate failure
   mem     [-rows N] <id|dir>                        render a run's memory timeline
   gc      [-keep N] [-age DUR] [-n]                 prune old runs
-  watch   [-interval DUR] [-n N] [-metrics URL] [-telemetry FILE] [<id>]
+  watch   [-interval DUR] [-n N] [-metrics URL] <id>
                                                     live-tail a run
 `)
 }
@@ -223,10 +219,10 @@ func cmdDiff(root string, args []string) error {
 	return nil
 }
 
-// cmdMem renders a run's memory timeline (mem.jsonl): per-component peaks
-// with their analytic predictions, process-level peaks, and a sampled view
-// of the timeline itself. Accepts a ledger run ID or a bare run directory
-// (e.g. a committed CI baseline).
+// cmdMem renders a run's memory timeline (its "mem" events): per-component
+// peaks with their analytic predictions, process-level peaks, and a sampled
+// view of the timeline itself. Accepts a ledger run ID or a bare run
+// directory (e.g. a committed CI baseline).
 func cmdMem(root string, args []string) error {
 	fs := flag.NewFlagSet("mem", flag.ExitOnError)
 	rows := fs.Int("rows", 10, "timeline rows to print (0 = all)")
@@ -245,7 +241,7 @@ func cmdMem(root string, args []string) error {
 		return err
 	}
 	if len(rd.Mem) == 0 {
-		return fmt.Errorf("run %s has no memory timeline (%s)", rd.Manifest.ID, runlog.MemFile)
+		return fmt.Errorf("run %s has no memory timeline (no mem events in %s)", rd.Manifest.ID, runlog.EventsFile)
 	}
 
 	first, last := rd.Mem[0], rd.Mem[len(rd.Mem)-1]
@@ -253,33 +249,12 @@ func cmdMem(root string, args []string) error {
 	fmt.Printf("run        %s\n", rd.Manifest.ID)
 	fmt.Printf("samples    %d over %s (steps %d..%d)\n", len(rd.Mem), span.Round(time.Millisecond), first.Step, last.Step)
 
-	// Per-component peaks, with the analytic prediction (from the sample
-	// where the component peaked) and its delta when one was recorded.
-	type peakInfo struct {
-		bytes     int64
-		predicted float64
-		hasPred   bool
-	}
-	peaks := map[string]peakInfo{}
-	for _, s := range rd.Mem {
-		for comp, v := range s.Components {
-			p := peaks[comp]
-			if v >= p.bytes {
-				p.bytes = v
-				if pred, ok := s.Predicted[comp]; ok {
-					p.predicted, p.hasPred = pred, true
-				}
-			}
-			peaks[comp] = p
-		}
-	}
 	fmt.Printf("components (peak):\n")
-	for _, comp := range sortedKeys(peaks) {
-		p := peaks[comp]
-		line := fmt.Sprintf("  %-24s %12s", comp, runlog.FormatBytes(p.bytes))
-		if p.hasPred && p.predicted > 0 {
+	for _, p := range rd.ComponentPeaks() {
+		line := fmt.Sprintf("  %-24s %12s", p.Name, runlog.FormatBytes(p.Bytes))
+		if p.Predicted > 0 {
 			line += fmt.Sprintf("  predicted %12s  delta %+.2f%%",
-				runlog.FormatBytes(int64(p.predicted)), 100*(float64(p.bytes)-p.predicted)/p.predicted)
+				runlog.FormatBytes(int64(p.Predicted)), 100*(float64(p.Bytes)-p.Predicted)/p.Predicted)
 		}
 		fmt.Println(line)
 	}
@@ -325,29 +300,20 @@ func cmdGC(root string, args []string) error {
 	fs := flag.NewFlagSet("gc", flag.ExitOnError)
 	keep := fs.Int("keep", -1, "keep only the newest N runs (-1 = no count limit)")
 	age := fs.Duration("age", 0, "also remove runs older than this (0 = no age limit)")
-	dry := fs.Bool("n", false, "dry run: list what would be removed")
+	dry := fs.Bool("n", false, "dry run: list what gc would remove, delete nothing")
 	fs.Parse(args)
 	if *keep < 0 && *age <= 0 {
 		return fmt.Errorf("gc needs -keep N and/or -age DUR")
 	}
+	removed, err := runlog.GC(root, *keep, *age, *dry)
+	verb := "removed"
 	if *dry {
-		ms, err := runlog.List(root)
-		if err != nil {
-			return err
-		}
-		now := time.Now().UTC()
-		for i, m := range ms {
-			if (*keep >= 0 && len(ms)-i > *keep) || (*age > 0 && now.Sub(m.Start) > *age) {
-				fmt.Printf("would remove %s (%s, started %s)\n", m.ID, m.Status, m.Start.Format(time.RFC3339))
-			}
-		}
-		return nil
+		verb = "would remove"
 	}
-	removed, err := runlog.GC(root, *keep, *age)
 	for _, id := range removed {
-		fmt.Printf("removed %s\n", id)
+		fmt.Printf("%s %s\n", verb, id)
 	}
-	if err == nil {
+	if err == nil && !*dry {
 		fmt.Printf("gc: removed %d run(s)\n", len(removed))
 	}
 	return err
@@ -357,36 +323,27 @@ func cmdWatch(root string, args []string) error {
 	fs := flag.NewFlagSet("watch", flag.ExitOnError)
 	interval := fs.Duration("interval", 2*time.Second, "poll interval")
 	iters := fs.Int("n", 0, "stop after N polls (0 = until interrupted)")
-	metricsURL := fs.String("metrics", "", "also scrape this Prometheus /metrics endpoint each poll")
-	telem := fs.String("telemetry", "", "tail this bare telemetry JSONL file instead of a ledger run")
+	varsURL := fs.String("metrics", "", "also read this GET /debug/vars endpoint each poll")
 	fs.Parse(args)
-
-	var path string
-	switch {
-	case *telem != "":
-		if fs.NArg() != 0 {
-			return fmt.Errorf("watch takes a run ID or -telemetry FILE, not both")
-		}
-		path = *telem
-	case fs.NArg() == 1:
-		path = filepath.Join(root, fs.Arg(0), runlog.StepsFile)
-	default:
-		return fmt.Errorf("watch needs a run ID or -telemetry FILE")
+	if fs.NArg() != 1 {
+		return fmt.Errorf("watch needs exactly one run ID")
 	}
+	dir := filepath.Join(root, fs.Arg(0))
 
-	tail := &stepTail{path: path}
+	var off int64
 	lastStep, lastWall := 0, time.Now()
 	for poll := 0; *iters == 0 || poll < *iters; poll++ {
 		if poll > 0 {
 			time.Sleep(*interval)
 		}
-		evs, err := tail.next()
-		if err != nil {
+		var fresh runlog.RunData
+		var err error
+		if off, err = runlog.TailEvents(dir, off, &fresh); err != nil {
 			return err
 		}
 		now := time.Now()
 		line := fmt.Sprintf("%s ", now.Format("15:04:05"))
-		if len(evs) > 0 {
+		if evs := fresh.Steps; len(evs) > 0 {
 			last := evs[len(evs)-1]
 			rate := float64(last.Step-lastStep) / now.Sub(lastWall).Seconds()
 			if poll == 0 {
@@ -404,8 +361,8 @@ func cmdWatch(root string, args []string) error {
 			line += fmt.Sprintf("no new steps (at %d)", lastStep)
 		}
 		fmt.Println(line)
-		if *metricsURL != "" {
-			if err := scrapeMetrics(*metricsURL); err != nil {
+		if *varsURL != "" {
+			if err := scrapeVars(*varsURL); err != nil {
 				fmt.Printf("  metrics: %v\n", err)
 			}
 		}
@@ -413,235 +370,38 @@ func cmdWatch(root string, args []string) error {
 	return nil
 }
 
-// stepTail incrementally reads complete JSONL lines from a growing file,
-// resuming at the byte offset after the last full line so a torn tail line
-// (a write in progress) is retried on the next poll.
-type stepTail struct {
-	path string
-	off  int64
-}
-
-func (t *stepTail) next() ([]obs.StepEvent, error) {
-	f, err := os.Open(t.path)
-	if os.IsNotExist(err) {
-		return nil, nil
-	}
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close() //apollo:allowdiscard file opened read-only; close cannot lose written bytes
-	if _, err := f.Seek(t.off, io.SeekStart); err != nil {
-		return nil, err
-	}
-	var evs []obs.StepEvent
-	rd := bufio.NewReader(f)
-	for {
-		line, err := rd.ReadBytes('\n')
-		if err != nil {
-			// No trailing newline yet: leave the offset before this partial
-			// line and pick it up complete on the next poll.
-			break
-		}
-		t.off += int64(len(line))
-		var ev obs.StepEvent
-		if jerr := unmarshalStep(line, &ev); jerr == nil {
-			evs = append(evs, ev)
-		}
-	}
-	return evs, nil
-}
-
-func unmarshalStep(line []byte, ev *obs.StepEvent) error {
-	dec := strings.TrimSpace(string(line))
-	if dec == "" {
-		return fmt.Errorf("empty")
-	}
-	return json.Unmarshal([]byte(dec), ev)
-}
-
-// scrapeMetrics GETs a Prometheus text endpoint and reports counters plus
-// latency quantiles interpolated from cumulative histogram buckets.
-func scrapeMetrics(url string) error {
+// scrapeVars GETs a server's /debug/vars (obs.Registry.WriteVars: counters
+// and gauges as numbers, histograms as objects carrying their own
+// quantiles) and prints the counters plus each histogram's count, p50, p95.
+func scrapeVars(url string) error {
 	client := &http.Client{Timeout: 5 * time.Second}
 	resp, err := client.Get(url)
 	if err != nil {
 		return err
 	}
-	defer resp.Body.Close() //apollo:allowdiscard read-only response stream; body is fully consumed above EOF
+	defer resp.Body.Close() //apollo:allowdiscard read-only response stream; the decoder below consumes it
 	if resp.StatusCode != http.StatusOK {
 		return fmt.Errorf("%s: %s", url, resp.Status)
 	}
-	hists, counters, err := parsePromText(resp.Body)
-	if err != nil {
-		return err
+	var vars map[string]json.RawMessage
+	if err := json.NewDecoder(resp.Body).Decode(&vars); err != nil {
+		return fmt.Errorf("%s: %w", url, err)
 	}
-	for _, name := range sortedKeys(counters) {
-		fmt.Printf("  %-44s %d\n", name, counters[name])
-	}
-	for _, name := range sortedKeys(hists) {
-		h := hists[name]
-		fmt.Printf("  %-44s n=%d p50=%.4fs p95=%.4fs\n", name, h.count, h.quantile(0.50), h.quantile(0.95))
+	for _, name := range sortedKeys(vars) {
+		var hist struct {
+			Count int64   `json:"count"`
+			P50   float64 `json:"p50"`
+			P95   float64 `json:"p95"`
+		}
+		var n float64
+		switch raw := vars[name]; {
+		case json.Unmarshal(raw, &hist) == nil:
+			fmt.Printf("  %-44s n=%d p50=%.4fs p95=%.4fs\n", name, hist.Count, hist.P50, hist.P95)
+		case strings.Contains(name, "_total") && json.Unmarshal(raw, &n) == nil:
+			fmt.Printf("  %-44s %.0f\n", name, n)
+		}
 	}
 	return nil
-}
-
-// promHist is one histogram series reassembled from its cumulative buckets.
-type promHist struct {
-	les   []float64 // sorted upper bounds, +Inf last
-	cum   []uint64  // cumulative counts aligned with les
-	count uint64
-}
-
-// quantile interpolates linearly inside the bucket holding rank q·count —
-// the same estimate Prometheus's histogram_quantile produces.
-func (h *promHist) quantile(q float64) float64 {
-	if h.count == 0 || len(h.les) == 0 {
-		return 0
-	}
-	rank := q * float64(h.count)
-	for i, c := range h.cum {
-		if float64(c) < rank {
-			continue
-		}
-		upper := h.les[i]
-		if math.IsInf(upper, 1) {
-			// Open-ended bucket: report its lower bound.
-			if i > 0 {
-				return h.les[i-1]
-			}
-			return 0
-		}
-		lower, prev := 0.0, uint64(0)
-		if i > 0 {
-			lower, prev = h.les[i-1], h.cum[i-1]
-		}
-		width := float64(c - prev)
-		if width <= 0 {
-			return upper
-		}
-		return lower + (upper-lower)*(rank-float64(prev))/width
-	}
-	return h.les[len(h.les)-1]
-}
-
-// parsePromText reads Prometheus text exposition, returning histograms keyed
-// by "name{labels}" (labels minus le) and plain counter samples.
-func parsePromText(r io.Reader) (map[string]*promHist, map[string]int64, error) {
-	hists := map[string]*promHist{}
-	counters := map[string]int64{}
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 0, 64*1024), 4*1024*1024)
-	for sc.Scan() {
-		line := strings.TrimSpace(sc.Text())
-		if line == "" || strings.HasPrefix(line, "#") {
-			continue
-		}
-		sp := strings.LastIndexByte(line, ' ')
-		if sp < 0 {
-			continue
-		}
-		series, value := line[:sp], line[sp+1:]
-		name, labels := splitSeries(series)
-		switch {
-		case strings.HasSuffix(name, "_bucket"):
-			le, rest, ok := extractLE(labels)
-			if !ok {
-				continue
-			}
-			key := strings.TrimSuffix(name, "_bucket") + rest
-			v, err := strconv.ParseUint(value, 10, 64)
-			if err != nil {
-				continue
-			}
-			h := hists[key]
-			if h == nil {
-				h = &promHist{}
-				hists[key] = h
-			}
-			h.les = append(h.les, le)
-			h.cum = append(h.cum, v)
-		case strings.HasSuffix(name, "_count"):
-			key := strings.TrimSuffix(name, "_count") + labels
-			if h := hists[key]; h != nil {
-				if v, err := strconv.ParseUint(value, 10, 64); err == nil {
-					h.count = v
-				}
-			} else if v, err := strconv.ParseUint(value, 10, 64); err == nil {
-				// _count for a histogram whose buckets come later; create it.
-				hists[key] = &promHist{count: v}
-			}
-		case strings.HasSuffix(name, "_sum"):
-			// Sums aren't needed for quantiles.
-		case strings.Contains(name, "_total"):
-			if v, err := strconv.ParseInt(value, 10, 64); err == nil {
-				counters[series] = v
-			}
-		}
-	}
-	for _, h := range hists {
-		sortHist(h)
-	}
-	return hists, counters, sc.Err()
-}
-
-// splitSeries separates "name{a="b"}" into name and the brace part.
-func splitSeries(s string) (name, labels string) {
-	if i := strings.IndexByte(s, '{'); i >= 0 {
-		return s[:i], s[i:]
-	}
-	return s, ""
-}
-
-// extractLE pulls le="..." out of a label set, returning its value and the
-// label set with le removed (normalized for keying).
-func extractLE(labels string) (le float64, rest string, ok bool) {
-	if len(labels) < 2 {
-		return 0, "", false
-	}
-	inner := labels[1 : len(labels)-1]
-	var kept []string
-	for _, part := range strings.Split(inner, ",") {
-		k, v, found := strings.Cut(part, "=")
-		if !found {
-			continue
-		}
-		v = strings.Trim(v, `"`)
-		if k == "le" {
-			switch v {
-			case "+Inf":
-				le, ok = math.Inf(1), true
-			default:
-				f, err := strconv.ParseFloat(v, 64)
-				if err != nil {
-					return 0, "", false
-				}
-				le, ok = f, true
-			}
-			continue
-		}
-		kept = append(kept, part)
-	}
-	if len(kept) > 0 {
-		rest = "{" + strings.Join(kept, ",") + "}"
-	}
-	return le, rest, ok
-}
-
-func sortHist(h *promHist) {
-	idx := make([]int, len(h.les))
-	for i := range idx {
-		idx[i] = i
-	}
-	sort.Slice(idx, func(a, b int) bool { return h.les[idx[a]] < h.les[idx[b]] })
-	les := make([]float64, len(idx))
-	cum := make([]uint64, len(idx))
-	for i, j := range idx {
-		les[i], cum[i] = h.les[j], h.cum[j]
-	}
-	h.les, h.cum = les, cum
-	if h.count == 0 && len(cum) > 0 {
-		h.count = cum[len(cum)-1]
-	}
 }
 
 func sortedKeys[M ~map[string]V, V any](m M) []string {

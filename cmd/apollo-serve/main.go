@@ -31,6 +31,10 @@
 // backpressure while shedding. -drain-wait holds the listener open after a
 // shutdown signal flips /readyz to 503, giving load balancers a
 // deregistration window. Bodies over -max-body-bytes answer 413.
+//
+// GET /metrics and /debug/vars are always on; -events FILE appends the
+// service's one event stream as JSONL — a "span" line per finished request
+// span and a "mem" line per memory sample (every -mem-every).
 package main
 
 import (
@@ -74,8 +78,7 @@ func main() {
 		batch     = flag.Int("batch", 0, "validation batch size (offline mode; 0 = proxy default)")
 		seq       = flag.Int("seq", 0, "validation sequence length (offline mode; 0 = proxy default)")
 		pprofOn   = flag.Bool("pprof", false, "expose net/http/pprof under /debug/pprof/")
-		traceOut  = flag.String("trace", "", "append per-request trace spans to this JSONL file")
-		memOut    = flag.String("mem-timeline", "", "append memory-timeline samples to this JSONL file")
+		eventsOut = flag.String("events", "", "append the service's event stream — request spans (kind \"span\") and memory-timeline samples (kind \"mem\") — to this JSONL file")
 		memEvery  = flag.Duration("mem-every", 10*time.Second, "wall-clock stride of the background memory sampler")
 		memHW     = flag.Int64("mem-highwater", 0, "heap high-water mark in bytes: crossing it captures a heap profile into -mem-profile-dir (0 disables)")
 		memProf   = flag.String("mem-profile-dir", ".", "directory for high-water heap profiles")
@@ -121,35 +124,31 @@ func main() {
 	metrics := obs.NewRegistry()
 	rt.InstrumentDefault(metrics)
 	obs.InstrumentWriteErrors(metrics)
-	var tracer *obs.Tracer
-	if *traceOut != "" {
-		f, err := os.OpenFile(*traceOut, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
+	// One event stream for the process: request spans and the memory
+	// timeline are two kinds on it. Without -events the writer is nil —
+	// tracing is off and the profiler keeps its gauges live with no timeline.
+	var events *obs.JSONLWriter
+	if *eventsOut != "" {
+		f, err := os.OpenFile(*eventsOut, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
 		if err != nil {
 			fail(err)
 		}
-		// Trace flush failures must surface: count the close error into
+		events = obs.NewJSONLWriter(f)
+		// Flush failures must surface: count the close error into
 		// apollo_obs_write_errors_total instead of dropping it.
-		defer func() { obs.CountWriteError(f.Close()) }()
-		tracer = obs.NewTracer(f)
+		defer func() { obs.CountWriteError(events.Close()) }()
 	}
+	tracer := obs.NewTracer(events)
 
-	// Live memory accounting: component gauges on /metrics always; the JSONL
+	// Live memory accounting: component gauges on /metrics always; the
 	// timeline and heap flight recorder when asked for. The registry wires in
 	// its serve_snapshots / batcher_buffers components via Config.MemProf.
-	memCfg := memprof.Config{
+	mp := memprof.New(memprof.Config{
 		Registry:   metrics,
+		Out:        events,
 		HighWater:  *memHW,
 		ProfileDir: *memProf,
-	}
-	if *memOut != "" {
-		memSink, err := os.OpenFile(*memOut, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
-		if err != nil {
-			fail(err)
-		}
-		defer func() { obs.CountWriteError(memSink.Close()) }()
-		memCfg.Out = memSink // nil Out keeps gauges live without a timeline
-	}
-	mp := memprof.New(memCfg)
+	})
 	if *memEvery > 0 {
 		stop := mp.StartSampler(*memEvery)
 		defer stop()

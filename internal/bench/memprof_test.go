@@ -8,13 +8,14 @@ import (
 	"testing"
 
 	"apollo/internal/memmodel"
+	"apollo/internal/obs"
 	"apollo/internal/obs/memprof"
 	"apollo/internal/optim"
 	"apollo/internal/train"
 	"apollo/internal/zero"
 )
 
-// lastMemSample parses the final Sample of a mem.jsonl stream.
+// lastMemSample parses the final Sample of a memory-event stream.
 func lastMemSample(t *testing.T, buf *bytes.Buffer) memprof.Sample {
 	t.Helper()
 	lines := strings.Split(strings.TrimRight(buf.String(), "\n"), "\n")
@@ -52,7 +53,7 @@ func TestLiveStateMatchesMemmodel(t *testing.T) {
 				t.Fatal(err)
 			}
 			var mem bytes.Buffer
-			mp := memprof.New(memprof.Config{Out: &mem})
+			mp := memprof.New(memprof.Config{Out: obs.NewJSONLWriter(&mem)})
 
 			method, err := memmodel.MethodByName(name)
 			if err != nil {
@@ -109,7 +110,7 @@ func TestLiveStateMatchesMemmodelZeRO(t *testing.T) {
 				t.Fatal(err)
 			}
 			var mem bytes.Buffer
-			mp := memprof.New(memprof.Config{Out: &mem})
+			mp := memprof.New(memprof.Config{Out: obs.NewJSONLWriter(&mem)})
 
 			method, err := memmodel.MethodByName(name)
 			if err != nil {

@@ -135,7 +135,7 @@ func pretrainOne(ctx *RunContext, proxy Proxy, method string, rank int, steps in
 		if err != nil {
 			return train.Result{}, err
 		}
-		pcfg.Telemetry = obs.NewTrainRecorder(ledger.StepsWriter())
+		pcfg.Telemetry = obs.NewTrainRecorder(ledger.Events())
 		pcfg.Watchdog = runlog.NewWatchdog(runlog.WatchdogConfig{Emit: ledger.Alert})
 	}
 	res := train.Pretrain(model, opt, corpus, pcfg)

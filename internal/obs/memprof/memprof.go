@@ -10,11 +10,12 @@
 //     next to sampled runtime.MemStats and best-effort proc/cgroup RSS
 //     (apollo_mem_runtime_bytes{kind=...}).
 //
-//   - A mem.jsonl timeline (one Sample per line, written into the run
-//     directory alongside steps.jsonl) with high-water-mark tracking and the
-//     live measured-vs-predicted delta per component, so a run records not
-//     just what memory it used but how far it drifted from the analytic
-//     model that claims to describe it.
+//   - A memory timeline (one Sample per kind-"mem" line of the event stream
+//     the profiler is handed — a run's events.jsonl, interleaved with its
+//     step events) with high-water-mark tracking and the live
+//     measured-vs-predicted delta per component, so a run records not just
+//     what memory it used but how far it drifted from the analytic model
+//     that claims to describe it.
 //
 //   - A heap flight recorder: a bounded in-memory ring of recent samples
 //     plus automatic pprof heap-profile capture into the run directory when
@@ -32,7 +33,6 @@ package memprof
 
 import (
 	"fmt"
-	"io"
 	"os"
 	"path/filepath"
 	"runtime"
@@ -65,7 +65,8 @@ func ShardComponent(shard int) string {
 	return CompOptimizerState + "_shard" + strconv.Itoa(shard)
 }
 
-// Sample is one point of the memory timeline — the mem.jsonl line schema.
+// Sample is one point of the memory timeline — the payload of a kind-"mem"
+// event.
 type Sample struct {
 	UnixUS int64 `json:"unix_us"`
 	// Step is the training step the sample was taken after (0 for samples
@@ -108,8 +109,9 @@ type Config struct {
 	// the runtime gauges (heap, GC, RSS). One profiler per registry — the
 	// gauges are registered once.
 	Registry *obs.Registry
-	// Out, when set, receives one JSON Sample per line (mem.jsonl).
-	Out io.Writer
+	// Out, when set, receives one kind-"mem" event per Sample — the same
+	// stream the run's other emitters write.
+	Out *obs.JSONLWriter
 	// SampleEvery is the ObserveStep cadence: a sample every N observed
 	// steps. <= 0 selects 1 (every step).
 	SampleEvery int
@@ -152,7 +154,6 @@ type Profiler struct {
 	step       int64 // ObserveStep counter for the SampleEvery cadence
 	profiles   int
 	hwCaptured bool
-	out        *obs.JSONLWriter
 }
 
 // New builds a profiler. The registry's runtime gauges (heap, GC, RSS) are
@@ -172,7 +173,6 @@ func New(cfg Config) *Profiler {
 		comps: map[string]*component{},
 		preds: map[string]func() float64{},
 		ring:  make([]Sample, cfg.RingSize),
-		out:   obs.NewJSONLWriter(cfg.Out),
 	}
 	instrumentRuntime(cfg.Registry)
 	return p
@@ -342,7 +342,7 @@ func (p *Profiler) ObserveStep(step int) {
 
 // Sample takes one timeline point: evaluates the ledger and predictions,
 // reads MemStats and proc/cgroup RSS, updates the high-water mark and the
-// flight-recorder ring, emits the mem.jsonl line, and — when the heap-in-use
+// flight-recorder ring, emits the mem event, and — when the heap-in-use
 // high-water threshold is first crossed — captures a heap profile.
 func (p *Profiler) Sample(step int) Sample {
 	if p == nil {
@@ -414,7 +414,7 @@ func (p *Profiler) Sample(step int) Sample {
 	}
 	p.mu.Unlock()
 
-	p.out.Emit(s)
+	p.cfg.Out.Emit(obs.KindMem, s)
 	if capture {
 		p.CaptureHeapProfile("highwater")
 	}

@@ -45,7 +45,7 @@ func TestNilProfiler(t *testing.T) {
 // and the measured-vs-predicted delta math on a sample.
 func TestLedgerSampleAndDelta(t *testing.T) {
 	var buf bytes.Buffer
-	p := New(Config{Out: &buf})
+	p := New(Config{Out: obs.NewJSONLWriter(&buf)})
 	pulled := int64(1000)
 	p.Track("weights", func() int64 { return pulled })
 	p.Set("grads", 500)

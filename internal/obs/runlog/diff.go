@@ -22,7 +22,7 @@ type DiffOptions struct {
 	// different hosts are not comparable.
 	TimeTol float64
 	// MemTol is the tolerated fractional peak-memory regression: the diff
-	// fails when B's peak ledger total (mem.jsonl TotalBytes, the
+	// fails when B's peak ledger total (the mem events' TotalBytes, the
 	// shape-derived component sum — host-independent, unlike heap or RSS)
 	// exceeds A's by more than this fraction. One-directional: B using less
 	// memory than A never fails. <= 0 disables the gate; so does a baseline
@@ -71,7 +71,7 @@ type DiffReport struct {
 	WallP50A, WallP95A float64
 	WallP50B, WallP95B float64
 
-	// Peak ledger totals (mem.jsonl TotalBytes); 0 when a run has no
+	// Peak ledger totals (the mem events' TotalBytes); 0 when a run has no
 	// memory timeline.
 	MemPeakA, MemPeakB int64
 
@@ -83,8 +83,12 @@ type DiffReport struct {
 	MemTol        float64
 }
 
-// Failed reports whether any gate tripped.
-func (r *DiffReport) Failed() bool { return r.LossDiverged || r.TimeRegressed || r.MemRegressed }
+// Failed reports whether any gate tripped — or nothing was compared: with
+// zero aligned steps every gate is vacuously green, which is exactly what an
+// empty or missing event stream looks like, so it fails.
+func (r *DiffReport) Failed() bool {
+	return r.Steps == 0 || r.LossDiverged || r.TimeRegressed || r.MemRegressed
+}
 
 // Diff aligns two loaded runs: per-step loss deltas with first-divergence
 // step, loss checkpoints, phase-time breakdown deltas, and step-wall
@@ -229,9 +233,12 @@ func (r *DiffReport) Write(w io.Writer) {
 		fmt.Fprintf(w, "  (+%d only in A, +%d only in B)", r.ExtraA, r.ExtraB)
 	}
 	fmt.Fprintln(w)
-	if r.FirstDivergence < 0 {
+	switch {
+	case r.Steps == 0:
+		fmt.Fprintf(w, "  loss curve        not compared\n")
+	case r.FirstDivergence < 0:
 		fmt.Fprintf(w, "  loss curve        identical (bitwise) over the aligned range\n")
-	} else {
+	default:
 		fmt.Fprintf(w, "  first divergence  step %d\n", r.FirstDivergence)
 		fmt.Fprintf(w, "  max |Δloss|       %.6g at step %d (tol %.6g)\n", r.MaxLossDelta, r.MaxLossStep, r.LossTol)
 	}
@@ -258,6 +265,9 @@ func (r *DiffReport) Write(w io.Writer) {
 		fmt.Fprintln(w)
 	}
 	var fails []string
+	if r.Steps == 0 {
+		fails = append(fails, "no aligned steps")
+	}
 	if r.LossDiverged {
 		fails = append(fails, fmt.Sprintf("loss divergence beyond tol %.6g", r.LossTol))
 	}

@@ -2,8 +2,11 @@ package runlog
 
 import (
 	"bufio"
+	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"sort"
@@ -49,7 +52,9 @@ func List(root string) ([]Manifest, error) {
 	return out, nil
 }
 
-// ReadManifest loads one run directory's manifest.
+// ReadManifest loads one run directory's manifest. Only the current layout
+// version is readable: a directory written by any other version holds
+// different files, so it is refused by name rather than loaded as empty.
 func ReadManifest(dir string) (Manifest, error) {
 	blob, err := os.ReadFile(filepath.Join(dir, ManifestFile))
 	if err != nil {
@@ -59,8 +64,8 @@ func ReadManifest(dir string) (Manifest, error) {
 	if err := json.Unmarshal(blob, &m); err != nil {
 		return Manifest{}, fmt.Errorf("runlog: %s: %w", dir, err)
 	}
-	if m.Version > ManifestVersion {
-		return Manifest{}, fmt.Errorf("runlog: %s: manifest version %d is newer than this reader (%d)", dir, m.Version, ManifestVersion)
+	if m.Version != ManifestVersion {
+		return Manifest{}, fmt.Errorf("runlog: %s: manifest version %d is not the version this reader reads (%d)", dir, m.Version, ManifestVersion)
 	}
 	return m, nil
 }
@@ -71,45 +76,100 @@ func Load(root, id string) (*RunData, error) {
 }
 
 // LoadDir loads a run directory wherever it lives — under a runs root or a
-// committed baseline path. Missing step/alert streams load as empty: a
-// manifest-only directory is still a readable run.
+// committed baseline path. A missing event stream loads as empty: a
+// manifest-only directory is still a readable run (Diff refuses to pass it).
 func LoadDir(dir string) (*RunData, error) {
 	m, err := ReadManifest(dir)
 	if err != nil {
 		return nil, err
 	}
 	rd := &RunData{Manifest: m}
-	if err := readJSONL(filepath.Join(dir, StepsFile), func(line []byte) error {
-		var ev obs.StepEvent
-		if err := json.Unmarshal(line, &ev); err != nil {
-			return err
-		}
-		rd.Steps = append(rd.Steps, ev)
-		return nil
-	}); err != nil {
-		return nil, fmt.Errorf("runlog: %s: %w", dir, err)
-	}
-	if err := readJSONL(filepath.Join(dir, AlertsFile), func(line []byte) error {
-		var ev AlertEvent
-		if err := json.Unmarshal(line, &ev); err != nil {
-			return err
-		}
-		rd.Alerts = append(rd.Alerts, ev)
-		return nil
-	}); err != nil {
-		return nil, fmt.Errorf("runlog: %s: %w", dir, err)
-	}
-	if err := readJSONL(filepath.Join(dir, MemFile), func(line []byte) error {
-		var s memprof.Sample
-		if err := json.Unmarshal(line, &s); err != nil {
-			return err
-		}
-		rd.Mem = append(rd.Mem, s)
-		return nil
-	}); err != nil {
-		return nil, fmt.Errorf("runlog: %s: %w", dir, err)
+	if _, err := TailEvents(dir, 0, rd); err != nil {
+		return nil, err
 	}
 	return rd, nil
+}
+
+// TailEvents appends to rd the events run directory dir has recorded past
+// byte offset off and returns the offset to resume from — 0 loads the whole
+// stream, the returned value polls a live run. A missing file is empty.
+func TailEvents(dir string, off int64, rd *RunData) (int64, error) {
+	f, err := os.Open(filepath.Join(dir, EventsFile))
+	if os.IsNotExist(err) {
+		return off, nil
+	}
+	if err != nil {
+		return off, fmt.Errorf("runlog: %w", err)
+	}
+	defer f.Close() //apollo:allowdiscard file opened read-only; close cannot lose written bytes
+	if _, err := f.Seek(off, io.SeekStart); err != nil {
+		return off, fmt.Errorf("runlog: %w", err)
+	}
+	off, err = ReadEvents(f, off, rd)
+	if err != nil {
+		return off, fmt.Errorf("runlog: %s: %w", dir, err)
+	}
+	return off, nil
+}
+
+// ReadEvents is the one JSONL reader. r is positioned at byte offset off of
+// an event stream; every newline-terminated line is decoded by its "kind"
+// into rd, and the offset just past the last such line is returned. An
+// unterminated tail is a write in progress: it is ignored and the offset
+// stays before it, so the next call reads it whole. A terminated line that
+// does not parse, or carries no string "kind", is corruption and is an error
+// naming its byte offset (the offset returned with it is where it starts).
+// Kinds RunData has no field for — spans, anything a newer writer adds — are
+// skipped.
+func ReadEvents(r io.Reader, off int64, rd *RunData) (int64, error) {
+	br := bufio.NewReader(r)
+	for {
+		line, err := br.ReadBytes('\n')
+		if err == io.EOF {
+			return off, nil
+		}
+		if err != nil {
+			return off, err
+		}
+		if err := rd.decodeEvent(line); err != nil {
+			return off, fmt.Errorf("corrupt event line at byte %d: %w", off, err)
+		}
+		off += int64(len(line))
+	}
+}
+
+// decodeEvent appends one terminated line to the series its kind names.
+func (rd *RunData) decodeEvent(line []byte) error {
+	if len(bytes.TrimSpace(line)) == 0 {
+		return nil
+	}
+	var head struct {
+		Kind *string `json:"kind"`
+	}
+	if err := json.Unmarshal(line, &head); err != nil {
+		return err
+	}
+	if head.Kind == nil {
+		return errors.New(`no "kind"`)
+	}
+	switch *head.Kind {
+	case obs.KindStep:
+		return appendEvent(line, &rd.Steps)
+	case obs.KindAlert:
+		return appendEvent(line, &rd.Alerts)
+	case obs.KindMem:
+		return appendEvent(line, &rd.Mem)
+	}
+	return nil
+}
+
+func appendEvent[T any](line []byte, to *[]T) error {
+	var ev T
+	if err := json.Unmarshal(line, &ev); err != nil {
+		return err
+	}
+	*to = append(*to, ev)
+	return nil
 }
 
 // MemPeak returns the sample with the largest ledger total in a loaded
@@ -127,44 +187,45 @@ func (rd *RunData) MemPeak() (memprof.Sample, bool) {
 	return peak, true
 }
 
-// readJSONL streams a JSONL file line-by-line into fn. A missing file is
-// empty; a trailing partial line (live run mid-write) is ignored.
-func readJSONL(path string, fn func([]byte) error) error {
-	f, err := os.Open(path)
-	if os.IsNotExist(err) {
-		return nil
-	}
-	if err != nil {
-		return err
-	}
-	defer f.Close() //apollo:allowdiscard file opened read-only; close cannot lose written bytes
-	sc := bufio.NewScanner(f)
-	sc.Buffer(make([]byte, 0, 64*1024), 8*1024*1024)
-	var last error
-	for sc.Scan() {
-		line := sc.Bytes()
-		if len(line) == 0 {
-			continue
-		}
-		if err := fn(line); err != nil {
-			// Only fatal if a later complete line follows; a bad final line
-			// is a write in progress.
-			last = err
-			continue
-		}
-		if last != nil {
-			return last
+// ComponentPeak is one ledger component's largest recorded size, with the
+// analytic prediction recorded in the sample where it peaked (0: none).
+type ComponentPeak struct {
+	Name      string
+	Bytes     int64
+	Predicted float64
+}
+
+// ComponentPeaks folds the memory timeline into per-component peaks, sorted
+// by component name.
+func (rd *RunData) ComponentPeaks() []ComponentPeak {
+	peaks := map[string]ComponentPeak{}
+	for _, s := range rd.Mem {
+		for comp, v := range s.Components {
+			p := peaks[comp]
+			if v >= p.Bytes {
+				p.Name, p.Bytes = comp, v
+				if pred, ok := s.Predicted[comp]; ok {
+					p.Predicted = pred
+				}
+			}
+			peaks[comp] = p
 		}
 	}
-	return sc.Err()
+	out := make([]ComponentPeak, 0, len(peaks))
+	for _, p := range peaks {
+		out = append(out, p)
+	}
+	sort.Slice(out, func(i, j int) bool { return out[i].Name < out[j].Name })
+	return out
 }
 
 // GC deletes run directories under root beyond the newest keep (by start
 // time) or older than maxAge, returning the removed IDs. keep < 0 disables
 // the count rule; maxAge <= 0 disables the age rule. Runs still marked
 // "running" are spared when younger than a day — live jobs must survive a
-// janitor pass, but a week-old "running" entry is a corpse.
-func GC(root string, keep int, maxAge time.Duration) ([]string, error) {
+// janitor pass, but a week-old "running" entry is a corpse. dryRun selects
+// the same victims and returns them without deleting anything.
+func GC(root string, keep int, maxAge time.Duration, dryRun bool) ([]string, error) {
 	ms, err := List(root)
 	if err != nil {
 		return nil, err
@@ -185,8 +246,10 @@ func GC(root string, keep int, maxAge time.Duration) ([]string, error) {
 		if m.Status == StatusRunning && now.Sub(m.Start) < 24*time.Hour {
 			continue
 		}
-		if err := os.RemoveAll(filepath.Join(root, m.ID)); err != nil {
-			return removed, fmt.Errorf("runlog: gc %s: %w", m.ID, err)
+		if !dryRun {
+			if err := os.RemoveAll(filepath.Join(root, m.ID)); err != nil {
+				return removed, fmt.Errorf("runlog: gc %s: %w", m.ID, err)
+			}
 		}
 		removed = append(removed, m.ID)
 	}

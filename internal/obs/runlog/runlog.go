@@ -2,14 +2,21 @@
 // writes a directory under a runs root —
 //
 //	runs/<id>/manifest.json   identity, config, host, timing, exit status
-//	runs/<id>/steps.jsonl     one obs.StepEvent per training step
-//	runs/<id>/alerts.jsonl    structured training-health alerts (watchdog.go)
+//	runs/<id>/events.jsonl    the run's one event stream
 //
 // — turning per-process telemetry into a queryable record that outlives the
-// process. The writer half (Run) is crash-honest: the manifest is written
-// with status "running" before the first step, rewritten atomically on
-// Finalize, and a run killed hard still leaves a readable entry. The reader
-// half (reader.go) lists runs and loads series; diff.go aligns two runs to
+// process. Every line of events.jsonl is one JSON object whose leading
+// "kind" says what it is: "step" (obs.StepEvent, one per training step),
+// "mem" (memprof.Sample, the memory timeline), "alert" (AlertEvent,
+// watchdog.go) or "span" (a finished obs.Span); within a step the order is
+// step → mem → alert. All emitters share the run's single obs.JSONLWriter
+// (Run.Events), and one reader (ReadEvents) reads it back — a new signal is
+// a new kind, never another file.
+//
+// The writer half (Run) is crash-honest: the manifest is written with
+// status "running" before the first step, rewritten atomically on Finalize,
+// and a run killed hard still leaves a readable entry. The reader half
+// (reader.go) lists runs and loads series; diff.go aligns two runs to
 // report first-divergence step, loss deltas at checkpoints, phase-time
 // breakdown deltas and step-wall quantiles — the substrate of the
 // `apollo-runs` CLI and the CI regression gate.
@@ -22,7 +29,6 @@ package runlog
 import (
 	"encoding/json"
 	"fmt"
-	"io"
 	"os"
 	"path/filepath"
 	"runtime"
@@ -34,9 +40,11 @@ import (
 	"apollo/internal/obs"
 )
 
-// Manifest names and JSON schema version. Readers reject manifests from a
-// future major version rather than misreading them.
-const ManifestVersion = 1
+// ManifestVersion is the ledger layout version a manifest declares. Version
+// 2 is the one-stream layout (events.jsonl); version 1 directories kept
+// three per-kind files and are not read — ReadManifest rejects every other
+// version by name rather than misreading it.
+const ManifestVersion = 2
 
 // Exit statuses a finalized manifest can carry. A manifest still reading
 // StatusRunning belongs to a live run — or to one that died too hard to
@@ -119,9 +127,7 @@ type Final struct {
 // Ledger file names inside a run directory.
 const (
 	ManifestFile = "manifest.json"
-	StepsFile    = "steps.jsonl"
-	AlertsFile   = "alerts.jsonl"
-	MemFile      = "mem.jsonl"
+	EventsFile   = "events.jsonl"
 )
 
 // runSeq disambiguates IDs minted within one timestamp tick by one process.
@@ -162,19 +168,15 @@ func sanitizeID(s string) string {
 type Run struct {
 	dir      string
 	manifest Manifest
-
-	steps  *os.File
-	alerts *os.File
-	alertW *obs.JSONLWriter
+	events   *obs.JSONLWriter
 
 	mu        sync.Mutex
-	mem       *os.File // lazily opened by MemWriter
 	alertN    int
 	finalized bool
 }
 
 // Create starts a ledger entry under root: makes runs/<id>/, writes the
-// initial manifest (status "running"), and opens the step/alert streams.
+// initial manifest (status "running"), and opens the event stream.
 // A zero m.ID gets a minted one; Start defaults to now; Version and Status
 // are always stamped here.
 func Create(root string, m Manifest) (*Run, error) {
@@ -197,15 +199,11 @@ func Create(root string, m Manifest) (*Run, error) {
 	if err := writeManifest(dir, m); err != nil {
 		return nil, err
 	}
-	var err error
-	if r.steps, err = os.Create(filepath.Join(dir, StepsFile)); err != nil {
+	f, err := os.Create(filepath.Join(dir, EventsFile))
+	if err != nil {
 		return nil, fmt.Errorf("runlog: %w", err)
 	}
-	if r.alerts, err = os.Create(filepath.Join(dir, AlertsFile)); err != nil {
-		obs.CountWriteError(r.steps.Close())
-		return nil, fmt.Errorf("runlog: %w", err)
-	}
-	r.alertW = obs.NewJSONLWriter(r.alerts)
+	r.events = obs.NewJSONLWriter(f)
 	return r, nil
 }
 
@@ -225,40 +223,17 @@ func (r *Run) Dir() string {
 	return r.dir
 }
 
-// StepsWriter returns the open steps.jsonl stream for an obs.TrainRecorder
-// (nil on a nil run — obs.NewTrainRecorder(nil) keeps summaries only).
-func (r *Run) StepsWriter() io.Writer {
+// Events returns the run's event stream — the one writer the step recorder,
+// the memory profiler, a tracer and Alert all emit through (nil on a nil
+// run, which every one of them treats as "record nothing").
+func (r *Run) Events() *obs.JSONLWriter {
 	if r == nil {
 		return nil
 	}
-	return r.steps
+	return r.events
 }
 
-// MemWriter returns an open mem.jsonl stream for a memprof.Profiler,
-// creating the file on first call — run directories of memprof-disabled runs
-// stay free of an empty mem.jsonl. Returns nil on a nil or finalized run, or
-// when the file cannot be created (the profiler treats a nil writer as
-// "no timeline", matching the rest of the disabled-mode contract).
-func (r *Run) MemWriter() io.Writer {
-	if r == nil {
-		return nil
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if r.finalized {
-		return nil
-	}
-	if r.mem == nil {
-		f, err := os.Create(filepath.Join(r.dir, MemFile))
-		if err != nil {
-			return nil
-		}
-		r.mem = f
-	}
-	return r.mem
-}
-
-// Alert appends one structured alert to alerts.jsonl. The watchdog calls
+// Alert appends one structured alert to the event stream. The watchdog calls
 // this through its Emit hook; write failures are counted by the obs layer
 // (apollo_obs_write_errors_total), never dropped silently.
 func (r *Run) Alert(ev AlertEvent) {
@@ -268,7 +243,7 @@ func (r *Run) Alert(ev AlertEvent) {
 	r.mu.Lock()
 	r.alertN++
 	r.mu.Unlock()
-	r.alertW.Emit(ev)
+	r.events.Emit(obs.KindAlert, ev)
 }
 
 // AlertCount returns how many alerts this run has recorded.
@@ -282,7 +257,8 @@ func (r *Run) AlertCount() int {
 }
 
 // Finalize stamps the end time, exit status and final metrics into the
-// manifest (atomic rewrite) and closes the streams. Idempotent: only the
+// manifest (atomic rewrite) and closes the event stream under the writer's
+// lock, so an emitter racing the close tears no line. Idempotent: only the
 // first call wins, so the normal-exit defer, the failure path and the
 // signal handler can all call it without coordinating. Nil-receiver safe.
 func (r *Run) Finalize(status string, fin Final) error {
@@ -306,20 +282,11 @@ func (r *Run) Finalize(status string, fin Final) error {
 	m.Alerts = r.alertN
 	m.Error = fin.Error
 	r.manifest = m
-	mem := r.mem
 	r.mu.Unlock()
 
 	err := writeManifest(r.dir, m)
-	if cerr := r.steps.Close(); err == nil {
+	if cerr := r.events.Close(); err == nil {
 		err = cerr
-	}
-	if cerr := r.alerts.Close(); err == nil {
-		err = cerr
-	}
-	if mem != nil {
-		if cerr := mem.Close(); err == nil {
-			err = cerr
-		}
 	}
 	return err
 }

@@ -3,9 +3,13 @@ package runlog
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
+	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -13,20 +17,35 @@ import (
 	"apollo/internal/obs/memprof"
 )
 
-// writeSteps appends n synthetic step events to a run's steps stream,
-// starting at step from with the given losses (cycled).
+// writeSteps appends one synthetic step event per loss to a run's event
+// stream, numbered from 1.
 func writeSteps(t *testing.T, r *Run, losses []float64) {
 	t.Helper()
-	w := obs.NewJSONLWriter(r.StepsWriter())
 	for i, loss := range losses {
 		ev := obs.StepEvent{
 			Step: i + 1, Loss: loss, GradNorm: 0.5, LR: 1e-3,
 			WallSeconds: 0.01 + float64(i%3)*0.001,
 			Phases:      map[string]float64{"forward": 0.004, "backward": 0.006},
 		}
-		if err := w.Emit(ev); err != nil {
+		if err := r.Events().Emit(obs.KindStep, ev); err != nil {
 			t.Fatal(err)
 		}
+	}
+}
+
+// appendRaw writes bytes straight onto a run directory's event file, the way
+// a crash or a disk fault would leave them.
+func appendRaw(t *testing.T, dir, raw string) {
+	t.Helper()
+	f, err := os.OpenFile(filepath.Join(dir, EventsFile), os.O_WRONLY|os.O_APPEND, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := f.WriteString(raw); err != nil {
+		t.Fatal(err)
+	}
+	if err := f.Close(); err != nil {
+		t.Fatal(err)
 	}
 }
 
@@ -89,11 +108,19 @@ func TestLedgerRoundtrip(t *testing.T) {
 	if len(rd.Alerts) != 1 || rd.Alerts[0].Kind != AlertLossSpike {
 		t.Fatalf("alerts wrong: %+v", rd.Alerts)
 	}
+	// The run directory is exactly the manifest and the one event stream.
+	entries, err := os.ReadDir(run.Dir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(entries) != 2 || entries[0].Name() != EventsFile || entries[1].Name() != ManifestFile {
+		t.Fatalf("run directory holds %v, want exactly %s + %s", entries, EventsFile, ManifestFile)
+	}
 }
 
 func TestNilRunIsSafe(t *testing.T) {
 	var r *Run
-	if r.ID() != "" || r.Dir() != "" || r.StepsWriter() != nil || r.AlertCount() != 0 {
+	if r.ID() != "" || r.Dir() != "" || r.Events() != nil || r.AlertCount() != 0 {
 		t.Fatal("nil run leaked state")
 	}
 	r.Alert(AlertEvent{})
@@ -138,12 +165,17 @@ func TestReaderRejectsFutureVersion(t *testing.T) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		t.Fatal(err)
 	}
-	blob, _ := json.Marshal(Manifest{Version: ManifestVersion + 1, ID: "future"})
-	if err := os.WriteFile(filepath.Join(dir, ManifestFile), blob, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := ReadManifest(dir); err == nil {
-		t.Fatal("future manifest version accepted")
+	// There is no fallback reader: the previous layout (version 1, three
+	// per-kind files) is refused by name exactly like a future one.
+	for _, version := range []int{ManifestVersion + 1, 1} {
+		blob, _ := json.Marshal(Manifest{Version: version, ID: "future"})
+		if err := os.WriteFile(filepath.Join(dir, ManifestFile), blob, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		_, err := LoadDir(dir)
+		if err == nil || !strings.Contains(err.Error(), fmt.Sprintf("version %d", version)) {
+			t.Fatalf("manifest version %d: err %v, want a refusal naming the version", version, err)
+		}
 	}
 }
 
@@ -155,15 +187,197 @@ func TestLoadToleratesTornTailLine(t *testing.T) {
 	}
 	writeSteps(t, run, []float64{1.0, 2.0})
 	// A live run mid-write leaves a partial final line.
-	if _, err := run.StepsWriter().Write([]byte(`{"step":3,"lo`)); err != nil {
-		t.Fatal(err)
-	}
+	appendRaw(t, run.Dir(), `{"kind":"step","step":3,"lo`)
 	rd, err := Load(root, "torn")
 	if err != nil {
 		t.Fatalf("torn tail not tolerated: %v", err)
 	}
 	if len(rd.Steps) != 2 {
 		t.Fatalf("got %d steps, want 2", len(rd.Steps))
+	}
+
+	// Tailing resumes before the torn line and reads it whole once the
+	// writer finishes it.
+	var tail RunData
+	off, err := TailEvents(run.Dir(), 0, &tail)
+	if err != nil || len(tail.Steps) != 2 {
+		t.Fatalf("tail: %d steps, err %v", len(tail.Steps), err)
+	}
+	if again, err := TailEvents(run.Dir(), off, &tail); err != nil || again != off || len(tail.Steps) != 2 {
+		t.Fatalf("re-poll moved the offset %d → %d (%d steps, err %v)", off, again, len(tail.Steps), err)
+	}
+	appendRaw(t, run.Dir(), `ss":0.5}`+"\n")
+	if _, err := TailEvents(run.Dir(), off, &tail); err != nil || len(tail.Steps) != 3 || tail.Steps[2].Loss != 0.5 {
+		t.Fatalf("completed line not picked up: %+v, err %v", tail.Steps, err)
+	}
+}
+
+// TestReadEventsCorruptionVersusTornTail: only an unterminated tail is a
+// write in progress. A newline-terminated line that does not parse — even
+// the last one — or that carries no string kind is corruption, reported with
+// its byte offset; an unknown kind and a span are skipped.
+func TestReadEventsCorruptionVersusTornTail(t *testing.T) {
+	good := `{"kind":"step","step":1,"loss":2}` + "\n"
+	for _, tc := range []struct {
+		name, stream string
+		steps        int
+		wantOff      int
+		wantErr      string
+	}{
+		{"torn tail", good + `{"kind":"step","st`, 1, len(good), ""},
+		{"unknown kind and span skipped", good + `{"kind":"scale","layer":3}` + "\n" + `{"kind":"span","name":"x"}` + "\n" + good, 2, -1, ""},
+		{"blank line", good + "\n" + good, 2, -1, ""},
+		{"terminated garbage last", good + `{"kind":"step","st` + "\n", 1, len(good), fmt.Sprintf("byte %d", len(good))},
+		{"terminated garbage mid", good + "not json\n" + good, 1, len(good), fmt.Sprintf("byte %d", len(good))},
+		{"no kind", `{"step":1,"loss":2}` + "\n", 0, 0, `no "kind"`},
+		{"non-string kind", `{"kind":7,"step":1}` + "\n", 0, 0, "byte 0"},
+		{"wrong payload type", `{"kind":"step","step":"one"}` + "\n", 0, 0, "byte 0"},
+	} {
+		var rd RunData
+		off, err := ReadEvents(strings.NewReader(tc.stream), 0, &rd)
+		if tc.wantOff < 0 {
+			tc.wantOff = len(tc.stream)
+		}
+		if len(rd.Steps) != tc.steps || off != int64(tc.wantOff) {
+			t.Errorf("%s: %d steps, offset %d; want %d, %d", tc.name, len(rd.Steps), off, tc.steps, tc.wantOff)
+		}
+		if (tc.wantErr == "") != (err == nil) || (err != nil && !strings.Contains(err.Error(), tc.wantErr)) {
+			t.Errorf("%s: err %v, want %q", tc.name, err, tc.wantErr)
+		}
+	}
+}
+
+// FuzzReadEvents: whatever bytes the event file holds, the reader never
+// panics, stops on a line boundary inside the input, and decodes at most one
+// event per newline — nothing is sized from a number in the input.
+func FuzzReadEvents(f *testing.F) {
+	baseline, err := os.ReadFile(filepath.Join("..", "..", "..", "ci", "baseline", "baseline-60m-apollo", EventsFile))
+	if err != nil {
+		f.Fatal(err)
+	}
+	// The head of the committed baseline (two steps, two memory samples), not
+	// all 13 KB: the fuzz engine stalls for minutes on seeds that large, and
+	// TestBaselineLoads already reads the whole file.
+	head := bytes.SplitAfterN(baseline, []byte("\n"), 5)
+	seed := bytes.Join(head[:4], nil)
+	f.Add(seed)
+	f.Add(append(bytes.Clone(seed), `{"kind":"mem","unix_us":17861126`...))
+	f.Add([]byte(`{"kind":"scale","layer":3,"s":[1e308]}` + "\n" + `{"kind":"alert","step":2,"alert":"stall"}` + "\n"))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		var rd RunData
+		off, err := ReadEvents(bytes.NewReader(data), 0, &rd)
+		if off < 0 || off > int64(len(data)) || (off > 0 && data[off-1] != '\n') {
+			t.Fatalf("offset %d is not a line boundary of a %d-byte input", off, len(data))
+		}
+		if n := len(rd.Steps) + len(rd.Alerts) + len(rd.Mem); n > bytes.Count(data[:off], []byte("\n")) {
+			t.Fatalf("%d events from %d complete lines", n, bytes.Count(data[:off], []byte("\n")))
+		}
+		if err == nil {
+			// What is left is an unterminated tail: resuming there is a no-op.
+			var rest RunData
+			if again, err := ReadEvents(bytes.NewReader(data[off:]), off, &rest); err != nil || again != off ||
+				len(rest.Steps)+len(rest.Alerts)+len(rest.Mem) != 0 {
+				t.Fatalf("resume at %d read more: offset %d, err %v", off, again, err)
+			}
+		}
+	})
+}
+
+// TestBaselineLoads: the committed CI baseline is a version-2 entry whose
+// one stream carries the 20 steps and 20 memory samples the gates compare.
+func TestBaselineLoads(t *testing.T) {
+	rd, err := LoadDir(filepath.Join("..", "..", "..", "ci", "baseline", "baseline-60m-apollo"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(rd.Steps) != 20 || len(rd.Mem) != 20 || len(rd.Alerts) != 0 || !rd.Mem[0].HighWater {
+		t.Fatalf("baseline: %d steps, %d mem samples, %d alerts", len(rd.Steps), len(rd.Mem), len(rd.Alerts))
+	}
+}
+
+// failingSink refuses every write and close, like a full or yanked disk.
+type failingSink struct{}
+
+func (failingSink) Write([]byte) (int, error) { return 0, errors.New("disk full") }
+func (failingSink) Close() error              { return errors.New("close failed") }
+
+// TestFailedEmitOfEachKindIsCounted: the one stream has one failure path — a
+// failed emit of any kind lands in apollo_obs_write_errors_total, and
+// Finalize hands back the close error instead of swallowing it.
+func TestFailedEmitOfEachKindIsCounted(t *testing.T) {
+	run := &Run{dir: t.TempDir(), manifest: Manifest{ID: "fail"}, events: obs.NewJSONLWriter(failingSink{})}
+	emitters := map[string]func(){
+		obs.KindStep: func() {
+			obs.NewTrainRecorder(run.Events()).RecordStep(1, 2, 0.5, 1e-3, time.Millisecond, [obs.NumPhases]time.Duration{})
+		},
+		obs.KindMem:   func() { memprof.New(memprof.Config{Out: run.Events()}).Sample(1) },
+		obs.KindSpan:  func() { obs.NewTracer(run.Events()).Start("request").End() },
+		obs.KindAlert: func() { run.Alert(AlertEvent{Step: 1, Kind: AlertStall}) },
+	}
+	reg := obs.NewRegistry()
+	obs.InstrumentWriteErrors(reg)
+	for kind, emit := range emitters {
+		before := obs.WriteErrors()
+		emit()
+		if got := obs.WriteErrors() - before; got != 1 {
+			t.Fatalf("failed %s emit moved the counter by %d, want 1", kind, got)
+		}
+	}
+	var expo strings.Builder
+	reg.RenderPrometheus(&expo)
+	if want := fmt.Sprintf("apollo_obs_write_errors_total %d", obs.WriteErrors()); !strings.Contains(expo.String(), want) {
+		t.Fatalf("metric does not read %q:\n%s", want, expo.String())
+	}
+	if err := run.Finalize(StatusOK, Final{}); err == nil || !strings.Contains(err.Error(), "close failed") {
+		t.Fatalf("Finalize = %v, want the close error", err)
+	}
+}
+
+// TestConcurrentEmittersShareOneStream: a step recorder, a memory sampler, a
+// tracer and the watchdog's alert hook all emitting at once through the
+// run's one writer leave only whole lines — the reader, which rejects any
+// terminated line that does not parse, accounts for every event.
+func TestConcurrentEmittersShareOneStream(t *testing.T) {
+	const n = 200
+	root := t.TempDir()
+	run, err := Create(root, Manifest{ID: "mixed"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rec := obs.NewTrainRecorder(run.Events())
+	mp := memprof.New(memprof.Config{Out: run.Events()})
+	mp.Set("weights", 4096)
+	tr := obs.NewTracer(run.Events())
+	var wg sync.WaitGroup
+	for _, emit := range []func(i int){
+		func(i int) { rec.RecordStep(i, 2, 0.5, 1e-3, time.Millisecond, [obs.NumPhases]time.Duration{}) },
+		func(i int) { mp.Sample(i) },
+		func(i int) { tr.Start("request").Attr("i", i).End() },
+		func(i int) { run.Alert(AlertEvent{Step: i, Kind: AlertStall}) },
+	} {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 1; i <= n; i++ {
+				emit(i)
+			}
+		}()
+	}
+	wg.Wait()
+	if err := run.Finalize(StatusOK, Final{}); err != nil {
+		t.Fatal(err)
+	}
+	rd, err := Load(root, "mixed")
+	if err != nil {
+		t.Fatal(err)
+	}
+	blob, err := os.ReadFile(filepath.Join(run.Dir(), EventsFile))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(rd.Steps) != n || len(rd.Mem) != n || len(rd.Alerts) != n || bytes.Count(blob, []byte("\n")) != 4*n {
+		t.Fatalf("%d steps, %d mem, %d alerts, %d lines; want %d each and %d lines",
+			len(rd.Steps), len(rd.Mem), len(rd.Alerts), bytes.Count(blob, []byte("\n")), n, 4*n)
 	}
 }
 
@@ -185,9 +399,28 @@ func TestGC(t *testing.T) {
 	// A fresh still-running entry must survive any GC rule.
 	mk("live", time.Now().UTC().Add(-time.Minute), StatusRunning)
 
-	removed, err := GC(root, 2, 0)
+	// The dry run is the same selection with nothing deleted: it must not
+	// list the fresh running entry the real pass spares.
+	dry, err := GC(root, 0, 0, true)
 	if err != nil {
 		t.Fatal(err)
+	}
+	if ms, _ := List(root); len(ms) != 4 {
+		t.Fatalf("dry run deleted: %d runs left", len(ms))
+	}
+	if !slices.Equal(dry, []string{"old1", "old2", "new1"}) {
+		t.Fatalf("keep=0 dry run lists %v, want every run but live", dry)
+	}
+	dry, err = GC(root, 2, 0, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	removed, err := GC(root, 2, 0, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !slices.Equal(dry, removed) {
+		t.Fatalf("dry run lists %v, real gc removed %v", dry, removed)
 	}
 	got := map[string]bool{}
 	for _, id := range removed {
@@ -202,7 +435,7 @@ func TestGC(t *testing.T) {
 	}
 
 	// Age rule: everything older than 1h goes, live is spared.
-	removed, err = GC(root, -1, time.Hour)
+	removed, err = GC(root, -1, time.Hour, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -257,6 +490,28 @@ func TestDiffIdenticalAndDiverged(t *testing.T) {
 	if Diff(a, c, DiffOptions{LossTol: 0.2}).Failed() {
 		t.Fatal("tolerance did not absorb the divergence")
 	}
+
+	// Zero aligned steps compare nothing, so nothing passes: two
+	// manifest-only entries (or a baseline whose event stream went missing)
+	// must fail the gate by name, not sail through it vacuously.
+	for _, id := range []string{"a", "b"} {
+		if err := os.Remove(filepath.Join(root, id, EventsFile)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	bareA, errA := Load(root, "a")
+	bareB, errB := Load(root, "b")
+	if errA != nil || errB != nil {
+		t.Fatalf("manifest-only entries must still load: %v / %v", errA, errB)
+	}
+	for _, rep := range []*DiffReport{Diff(bareA, bareB, DiffOptions{}), Diff(bareA, c, DiffOptions{LossTol: 1})} {
+		var out bytes.Buffer
+		rep.Write(&out)
+		if !rep.Failed() || rep.Steps != 0 || !strings.Contains(out.String(), "verdict: FAIL (no aligned steps") ||
+			strings.Contains(out.String(), "identical") {
+			t.Fatalf("zero aligned steps passed:\n%s", out.String())
+		}
+	}
 }
 
 func TestDiffTimeGate(t *testing.T) {
@@ -266,9 +521,8 @@ func TestDiffTimeGate(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		w := obs.NewJSONLWriter(run.StepsWriter())
 		for i := 0; i < 10; i++ {
-			w.Emit(obs.StepEvent{Step: i + 1, Loss: 2.0, WallSeconds: wall})
+			run.Events().Emit(obs.KindStep, obs.StepEvent{Step: i + 1, Loss: 2.0, WallSeconds: wall})
 		}
 		run.Finalize(StatusOK, Final{})
 		rd, err := Load(root, id)
@@ -317,17 +571,13 @@ func TestDiffNaNMismatchIsDivergence(t *testing.T) {
 
 func nan() float64 { var z float64; return z / z }
 
-func TestMemWriterAndLoad(t *testing.T) {
+func TestMemEventsAndLoad(t *testing.T) {
 	root := t.TempDir()
 	run, err := Create(root, Manifest{ID: "mem"})
 	if err != nil {
 		t.Fatal(err)
 	}
-	// mem.jsonl does not exist until the first MemWriter call.
-	if _, err := os.Stat(filepath.Join(run.Dir(), MemFile)); !os.IsNotExist(err) {
-		t.Fatalf("mem.jsonl exists before MemWriter: %v", err)
-	}
-	mp := memprof.New(memprof.Config{Out: run.MemWriter()})
+	mp := memprof.New(memprof.Config{Out: run.Events()})
 	mp.Set("optimizer_state", 4096)
 	mp.Sample(1)
 	mp.Set("optimizer_state", 8192)
@@ -336,11 +586,6 @@ func TestMemWriterAndLoad(t *testing.T) {
 	if err := run.Finalize(StatusOK, Final{Steps: 2}); err != nil {
 		t.Fatal(err)
 	}
-	// Finalized runs hand out no writer.
-	if run.MemWriter() != nil {
-		t.Fatal("MemWriter after Finalize")
-	}
-
 	rd, err := Load(root, "mem")
 	if err != nil {
 		t.Fatal(err)
@@ -356,9 +601,14 @@ func TestMemWriterAndLoad(t *testing.T) {
 		t.Fatalf("MemPeak = %+v ok=%v", peak, ok)
 	}
 
-	// A nil run's MemWriter is nil, and a profiler built on it still works.
+	peaks := rd.ComponentPeaks()
+	if len(peaks) != 1 || peaks[0] != (ComponentPeak{Name: "optimizer_state", Bytes: 8192}) {
+		t.Fatalf("ComponentPeaks = %+v", peaks)
+	}
+
+	// A nil run's stream is nil, and a profiler built on it still works.
 	var nilRun *Run
-	p2 := memprof.New(memprof.Config{Out: nilRun.MemWriter()})
+	p2 := memprof.New(memprof.Config{Out: nilRun.Events()})
 	p2.Sample(1)
 }
 
@@ -369,7 +619,7 @@ func TestDiffMemGate(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		mp := memprof.New(memprof.Config{Out: run.MemWriter()})
+		mp := memprof.New(memprof.Config{Out: run.Events()})
 		mp.Set("optimizer_state", peak/2)
 		mp.Sample(1)
 		mp.Set("optimizer_state", peak)

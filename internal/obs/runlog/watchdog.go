@@ -16,11 +16,12 @@ const (
 	AlertStall     = "stall"      // step wall > StallFactor × trailing median wall
 )
 
-// AlertEvent is the JSONL schema of one training-health alert
-// (runs/<id>/alerts.jsonl).
+// AlertEvent is the payload of one training-health alert (kind "alert" in
+// runs/<id>/events.jsonl). Which alert it is travels as "alert": "kind" is
+// the stream's own discriminator.
 type AlertEvent struct {
 	Step        int     `json:"step"`
-	Kind        string  `json:"kind"`
+	Kind        string  `json:"alert"`
 	Loss        float64 `json:"loss"`
 	GradNorm    float64 `json:"grad_norm,omitempty"`
 	Median      float64 `json:"median,omitempty"` // trailing-window reference value

@@ -10,9 +10,21 @@ import (
 	"time"
 )
 
-// JSONLWriter serializes values as one JSON object per line onto an
-// io.Writer, safe for concurrent emitters. Nil-safe: a nil writer drops
-// events at one branch.
+// Event kinds of the one JSONL stream a process writes: every line is the
+// payload's own JSON object with a leading "kind" member naming which of
+// these it is. A new signal is a new kind, not a new file.
+const (
+	KindStep  = "step"  // StepEvent, one per training step
+	KindAlert = "alert" // runlog.AlertEvent, training-health alerts
+	KindMem   = "mem"   // memprof.Sample, the memory timeline
+	KindSpan  = "span"  // one finished Span
+)
+
+// JSONLWriter is the one event sink: it serializes values as one JSON object
+// per line onto an io.Writer under a single mutex, so concurrent emitters
+// (the step recorder, the memory sampler, request spans, the watchdog) never
+// interleave bytes within a line. Nil-safe: a nil writer drops events at one
+// branch.
 type JSONLWriter struct {
 	mu sync.Mutex
 	w  io.Writer
@@ -69,25 +81,49 @@ func InstrumentWriteErrors(r *Registry) {
 		WriteErrors)
 }
 
-// Emit marshals v and appends it as one line. Failures are returned and
+// Emit appends v as one line of the given kind: v must marshal to a JSON
+// object, and the kind is spliced in as its first member so the payload
+// bytes are exactly what json.Marshal produced. Failures are returned and
 // counted (WriteErrors) — callers that cannot act on the error may drop it
 // knowing it was recorded.
-func (jw *JSONLWriter) Emit(v any) error {
+func (jw *JSONLWriter) Emit(kind string, v any) error {
 	if jw == nil {
 		return nil
 	}
 	blob, err := json.Marshal(v)
+	if err == nil && (len(blob) < 2 || blob[0] != '{') {
+		err = fmt.Errorf("obs: %s event payload %T is not a JSON object", kind, v)
+	}
 	if err != nil {
 		noteWriteError(err)
 		return err
 	}
-	blob = append(blob, '\n')
+	sep := ","
+	if len(blob) == 2 { // v marshalled to {}
+		sep = ""
+	}
+	line := fmt.Appendf(nil, "{\"kind\":%q%s%s\n", kind, sep, blob[1:])
 	jw.mu.Lock()
 	defer jw.mu.Unlock()
-	if _, err = jw.w.Write(blob); err != nil {
+	if _, err = jw.w.Write(line); err != nil {
 		noteWriteError(err)
 	}
 	return err
+}
+
+// Close closes the underlying writer when it is an io.Closer, under the
+// emit lock so no line is torn by the close. Emits after Close fail (and are
+// counted) rather than vanish.
+func (jw *JSONLWriter) Close() error {
+	if jw == nil {
+		return nil
+	}
+	jw.mu.Lock()
+	defer jw.mu.Unlock()
+	if c, ok := jw.w.(io.Closer); ok {
+		return c.Close()
+	}
+	return nil
 }
 
 // Tracer hands out spans and writes one JSONL event per finished span.
@@ -100,17 +136,15 @@ type Tracer struct {
 	spans  atomic.Uint64
 }
 
-// NewTracer emits span events to w as JSONL; a nil w yields a nil
-// (disabled) tracer.
-func NewTracer(w io.Writer) *Tracer {
-	jw := NewJSONLWriter(w)
-	if jw == nil {
+// NewTracer emits span events to w; a nil w yields a nil (disabled) tracer.
+func NewTracer(w *JSONLWriter) *Tracer {
+	if w == nil {
 		return nil
 	}
-	return &Tracer{w: jw}
+	return &Tracer{w: w}
 }
 
-// spanEvent is the JSONL schema of one finished span.
+// spanEvent is the payload of one finished span (kind "span").
 type spanEvent struct {
 	Trace   string         `json:"trace"`
 	Span    string         `json:"span"`
@@ -198,5 +232,5 @@ func (s *Span) End() {
 	if s.parent != 0 {
 		ev.Parent = fmt.Sprintf("s%d", s.parent)
 	}
-	s.t.w.Emit(ev)
+	s.t.w.Emit(KindSpan, ev)
 }

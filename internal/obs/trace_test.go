@@ -12,7 +12,7 @@ import (
 // root spans get fresh trace IDs (the request-ID contract).
 func TestTracerSpans(t *testing.T) {
 	var b strings.Builder
-	tr := NewTracer(&b)
+	tr := NewTracer(NewJSONLWriter(&b))
 
 	root := tr.Start("http /v1/perplexity")
 	if root.TraceID() == "" {
@@ -89,7 +89,7 @@ func TestNilTracer(t *testing.T) {
 // stream schema.
 func TestTrainRecorderSummary(t *testing.T) {
 	var b strings.Builder
-	rec := NewTrainRecorder(&b)
+	rec := NewTrainRecorder(NewJSONLWriter(&b))
 	var phases [NumPhases]time.Duration
 	phases[PhaseForward] = 100 * time.Millisecond
 	phases[PhaseBackward] = 200 * time.Millisecond
@@ -156,10 +156,10 @@ func (*shortErr) Error() string { return "disk full" }
 func TestWriteErrorsCounted(t *testing.T) {
 	before := WriteErrors()
 	w := NewJSONLWriter(&failWriter{ok: 1})
-	if err := w.Emit(StepEvent{Step: 1}); err != nil {
+	if err := w.Emit(KindStep, StepEvent{Step: 1}); err != nil {
 		t.Fatalf("first write failed: %v", err)
 	}
-	if err := w.Emit(StepEvent{Step: 2}); err == nil {
+	if err := w.Emit(KindStep, StepEvent{Step: 2}); err == nil {
 		t.Fatal("failed write returned nil error")
 	}
 	if got := WriteErrors() - before; got != 1 {

@@ -1,7 +1,6 @@
 package obs
 
 import (
-	"io"
 	"sync"
 	"time"
 )
@@ -46,8 +45,8 @@ func PhaseNames() []string {
 	return names
 }
 
-// StepEvent is the JSONL schema of one training step (`apollo-pretrain
-// -telemetry out.jsonl`): the phases map holds seconds per Phase name.
+// StepEvent is the payload of one training step (kind "step" in a run's
+// events.jsonl): the phases map holds seconds per Phase name.
 type StepEvent struct {
 	Step        int                `json:"step"`
 	Loss        float64            `json:"loss"`
@@ -57,8 +56,8 @@ type StepEvent struct {
 	Phases      map[string]float64 `json:"phases"`
 }
 
-// TrainRecorder accumulates per-step phase timings and optionally streams
-// one StepEvent per step as JSONL. Nil-safe: a nil recorder makes every
+// TrainRecorder accumulates per-step phase timings and optionally emits
+// one StepEvent per step onto the event stream. Nil-safe: a nil recorder makes every
 // call a single branch, which is how the loop runs untelemetered.
 type TrainRecorder struct {
 	w *JSONLWriter
@@ -70,13 +69,13 @@ type TrainRecorder struct {
 }
 
 // NewTrainRecorder builds a recorder; w == nil keeps the summary (phase
-// totals for train.Result) without streaming JSONL.
-func NewTrainRecorder(w io.Writer) *TrainRecorder {
-	return &TrainRecorder{w: NewJSONLWriter(w)}
+// totals for train.Result) without emitting events.
+func NewTrainRecorder(w *JSONLWriter) *TrainRecorder {
+	return &TrainRecorder{w: w}
 }
 
-// RecordStep folds one step's measurements into the totals and streams the
-// JSONL event when a writer is configured.
+// RecordStep folds one step's measurements into the totals and emits the
+// step event when a writer is configured.
 func (r *TrainRecorder) RecordStep(step int, loss, gradNorm, lr float64, wall time.Duration, phases [NumPhases]time.Duration) {
 	if r == nil {
 		return
@@ -101,7 +100,7 @@ func (r *TrainRecorder) RecordStep(step int, loss, gradNorm, lr float64, wall ti
 			ev.Phases[Phase(i).String()] = d.Seconds()
 		}
 	}
-	r.w.Emit(ev)
+	r.w.Emit(KindStep, ev)
 }
 
 // Summary returns the recorded step count, total step wall seconds, and

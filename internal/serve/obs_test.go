@@ -53,7 +53,7 @@ func TestMetricsEndpoint(t *testing.T) {
 	var traceBuf strings.Builder
 	reg := newTestRegistry(t, Config{
 		Metrics: obs.NewRegistry(),
-		Tracer:  obs.NewTracer(&traceBuf),
+		Tracer:  obs.NewTracer(obs.NewJSONLWriter(&traceBuf)),
 	})
 	ts := httptest.NewServer(NewServer(reg).Handler())
 	defer ts.Close()
@@ -151,7 +151,7 @@ func TestRequestIDHeader(t *testing.T) {
 	dir := t.TempDir()
 	trainAndSave(t, dir, 2)
 	var buf strings.Builder
-	reg := newTestRegistry(t, Config{Tracer: obs.NewTracer(&buf)})
+	reg := newTestRegistry(t, Config{Tracer: obs.NewTracer(obs.NewJSONLWriter(&buf))})
 	ts := httptest.NewServer(NewServer(reg).Handler())
 	defer ts.Close()
 

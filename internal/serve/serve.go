@@ -110,7 +110,7 @@ type Config struct {
 	// ("batcher_buffers"). When nil and Metrics is set, the registry creates
 	// its own profiler against Metrics so the apollo_mem_bytes gauge family
 	// is on /metrics by default; pass an explicitly configured profiler to
-	// also get the mem.jsonl timeline, high-water heap capture, or a shared
+	// also get the memory-event timeline, high-water heap capture, or a shared
 	// ledger with other subsystems.
 	MemProf *memprof.Profiler
 	// Pprof exposes net/http/pprof handlers under /debug/pprof/ when true.

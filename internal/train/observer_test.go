@@ -1,13 +1,9 @@
 package train
 
 import (
-	"bytes"
-	"encoding/json"
-	"io"
 	"maps"
 	"math"
 	"slices"
-	"strings"
 	"testing"
 
 	"apollo/internal/nn"
@@ -83,17 +79,15 @@ func TestObserverParity(t *testing.T) {
 		t.Run(m.name, func(t *testing.T) {
 			ref, refModel, _ := m.run(t, seed, steps, nil)
 
-			var stream strings.Builder
-			var mem bytes.Buffer
 			ledger, err := runlog.Create(t.TempDir(), runlog.Manifest{ID: "parity", Command: "test"})
 			if err != nil {
 				t.Fatal(err)
 			}
 			wd := runlog.NewWatchdog(runlog.WatchdogConfig{Halt: true, Emit: ledger.Alert})
 			got, gotModel, opt := m.run(t, seed, steps, func(cfg *PretrainConfig) {
-				cfg.Telemetry = obs.NewTrainRecorder(io.MultiWriter(&stream, ledger.StepsWriter()))
+				cfg.Telemetry = obs.NewTrainRecorder(ledger.Events())
 				cfg.Watchdog = wd
-				cfg.MemProf = memprof.New(memprof.Config{Out: &mem})
+				cfg.MemProf = memprof.New(memprof.Config{Out: ledger.Events()})
 			})
 
 			// Bit-for-bit the bare run.
@@ -129,15 +123,7 @@ func TestObserverParity(t *testing.T) {
 
 			// Telemetry: every step and the summary carry exactly the
 			// mode's phases.
-			events := strings.Split(strings.TrimRight(stream.String(), "\n"), "\n")
-			if len(events) != steps {
-				t.Fatalf("got %d step events, want %d", len(events), steps)
-			}
-			for i, line := range events {
-				var ev obs.StepEvent
-				if err := json.Unmarshal([]byte(line), &ev); err != nil {
-					t.Fatal(err)
-				}
+			for i, ev := range rd.Steps {
 				if keys := slices.Sorted(maps.Keys(ev.Phases)); !slices.Equal(keys, m.phases()) {
 					t.Fatalf("step %d phases %v, want exactly %v", i+1, keys, m.phases())
 				}
@@ -148,14 +134,10 @@ func TestObserverParity(t *testing.T) {
 
 			// Memory timeline: one sample per step carrying the measured
 			// ledger, the optimizer state counted exactly once.
-			samples := strings.Split(strings.TrimRight(mem.String(), "\n"), "\n")
-			if len(samples) != steps {
-				t.Fatalf("got %d mem samples, want %d", len(samples), steps)
+			if len(rd.Mem) != steps {
+				t.Fatalf("got %d mem samples, want %d", len(rd.Mem), steps)
 			}
-			var last memprof.Sample
-			if err := json.Unmarshal([]byte(samples[steps-1]), &last); err != nil {
-				t.Fatal(err)
-			}
+			last := rd.Mem[steps-1]
 			if last.Step != steps {
 				t.Fatalf("last sample step = %d", last.Step)
 			}

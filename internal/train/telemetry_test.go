@@ -8,7 +8,7 @@ import (
 	"apollo/internal/obs"
 )
 
-// TestTelemetryStreamAndSummary checks the -telemetry surface end to end on
+// TestTelemetryStreamAndSummary checks the step-event stream end to end on
 // a fused run: the JSONL stream parses, steps are sequential, per-step
 // phases are positive and sum to at most the step's wall time, and the
 // Result summary agrees with the stream.
@@ -16,7 +16,7 @@ func TestTelemetryStreamAndSummary(t *testing.T) {
 	const seed = 5
 	model, opt, corpus := dpTestSetup(t, seed)
 	var b strings.Builder
-	rec := obs.NewTrainRecorder(&b)
+	rec := obs.NewTrainRecorder(obs.NewJSONLWriter(&b))
 	res := Pretrain(model, opt, corpus, PretrainConfig{
 		Batch: 6, Seq: 16, Steps: 5, EvalEvery: 2, EvalBatches: 2, ClipNorm: 1.0,
 		Telemetry: rec,
