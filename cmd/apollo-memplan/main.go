@@ -60,7 +60,7 @@ func main() {
 		ZeroWorld: *zeroWorld,
 	}
 	b := memmodel.Compute(plan)
-	fmt.Printf("%s + %s (rank %d), seq %d, micro-batch %d\n", cfg.Name, m.Name, effRank(cfg, *rank), *seq, *micro)
+	fmt.Printf("%s + %s (rank %d), seq %d, micro-batch %d\n", cfg.Name, m.Name, m.Rank(effRank(cfg, *rank)), *seq, *micro)
 	if *zeroWorld > 1 {
 		fmt.Printf("  optimizer states ZeRO-sharded across %d replicas (per-replica plan)\n", *zeroWorld)
 	}

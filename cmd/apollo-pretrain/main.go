@@ -71,7 +71,7 @@ import (
 func main() {
 	var (
 		size     = flag.String("size", "60M", "proxy size: 60M 130M 350M 1B 7B")
-		method   = flag.String("optimizer", "APOLLO", "optimizer name (see README)")
+		method   = flag.String("optimizer", "APOLLO", "method name (README, \"Method catalogue\")")
 		steps    = flag.Int("steps", 0, "training steps (0 = proxy default)")
 		batch    = flag.Int("batch", 0, "batch size (0 = proxy default)")
 		seq      = flag.Int("seq", 0, "sequence length (0 = proxy default)")
@@ -141,17 +141,15 @@ func main() {
 	if *lr > 0 {
 		proxy.LR = *lr
 	}
-	r := *rank
-	if r <= 0 {
-		r = proxy.DefaultRank()
-	}
-
-	build, err := bench.OptimizerBuilder(*method, proxy.LR, r, *seed)
+	m, err := bench.MethodByName(*method)
 	if err != nil {
 		fail(err)
 	}
+	r := m.Rank(*rank, proxy.Model.Dim)
+	// This is the CLI's own recipe, not the paper tables': -lr is used as
+	// given (no per-method multiplier) and gradients are not clipped.
+	build := func() optim.Optimizer { return m.New(optim.Hyper{LR: proxy.LR}, r, *seed) }
 	opt := build()
-	methodName := opt.Name() // canonical name before any ZeRO wrapping
 	if *zeroOpt {
 		opt = zero.NewSharded(build, *replicas)
 	}
@@ -209,9 +207,9 @@ func main() {
 			HighWater:   *memHW,
 			ProfileDir:  ledger.Dir(),
 		})
-		if mm, err := memmodel.MethodByName(methodName); err == nil {
+		if m.Mem != nil {
 			shapes := bench.ShapesOf(model.Params().List())
-			predicted := memmodel.StateElems(shapes, mm, bench.StateRank(methodName, r)) * memmodel.BytesFP32
+			predicted := memmodel.StateElems(shapes, *m.Mem, r) * memmodel.BytesFP32
 			if *zeroOpt {
 				// ZeRO partitions the same state across the world —
 				// the ShardedOptimizerStateBytes rule, per shard.

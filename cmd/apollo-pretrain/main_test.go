@@ -100,3 +100,21 @@ func TestTelemetryFlagIsGone(t *testing.T) {
 		t.Fatalf("-telemetry accepted: err %v\n%s", err, out)
 	}
 }
+
+// TestUnknownOptimizerListsTheCatalogue: a name that is not a catalogue row
+// exits 1 and says what the rows are, before a ledger entry exists.
+func TestUnknownOptimizerListsTheCatalogue(t *testing.T) {
+	runs := t.TempDir()
+	out, err := exec.Command("go", "run", ".", "-size", "60M", "-optimizer", "bogus", "-steps", "1", "-runs", runs).CombinedOutput()
+	if ee, ok := err.(*exec.ExitError); !ok || ee.ExitCode() != 1 || !strings.Contains(string(out), "exit status 1") {
+		t.Fatalf("err %v, want exit status 1\n%s", err, out)
+	}
+	for _, want := range []string{`"bogus"`, "AdamW", "APOLLO-Mini", "Q-GaLore"} {
+		if !strings.Contains(string(out), want) {
+			t.Fatalf("message does not name %s:\n%s", want, out)
+		}
+	}
+	if entries, _ := os.ReadDir(runs); len(entries) != 0 {
+		t.Fatalf("rejected run left %d ledger entries", len(entries))
+	}
+}

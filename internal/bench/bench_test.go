@@ -2,12 +2,16 @@ package bench
 
 import (
 	"bytes"
+	"fmt"
 	"math"
+	"os"
 	"slices"
 	"strings"
 	"testing"
 
+	"apollo/internal/memmodel"
 	"apollo/internal/obs/runlog"
+	"apollo/internal/optim"
 )
 
 func TestRegistryComplete(t *testing.T) {
@@ -93,39 +97,89 @@ func TestProxiesValid(t *testing.T) {
 	}
 }
 
-// zooNames is every name BuildOptimizer answers to.
-var zooNames = []string{
-	"AdamW", "SGD", "SGD-M", "Adam-mini", "8-bit Adam", "8-bit GaLore",
-	"Low-Rank", "LoRA", "ReLoRA", "DoRA", "GaLore", "GaLore-RP", "Fira",
-	"Flora", "APOLLO", "APOLLO w. SVD", "APOLLO-Tensor", "APOLLO-Mini",
-	"Q-APOLLO", "Q-APOLLO-Mini", "Q-GaLore",
-	"StructuredAdamW-channel", "StructuredAdamW-tensor",
+// TestBuildOptimizerAllNames: every catalogue row builds by name at an
+// explicit rank and hands out a fresh instance per call (zero.NewSharded
+// wants one per shard); what cannot be built is an error, never a panic.
+func TestBuildOptimizerAllNames(t *testing.T) {
+	if len(Methods()) != 26 {
+		t.Fatalf("the catalogue has %d rows, want the 23 zoo members and the 3 figure variants", len(Methods()))
+	}
+	for _, m := range Methods() {
+		a, err := BuildOptimizer(m.Name, 1e-3, 4, 1)
+		if err != nil {
+			t.Fatalf("%s: %v", m.Name, err)
+		}
+		if b := m.New(optim.Hyper{LR: 1e-3}, m.Rank(4, 32), 1); a == nil || a == b || a.Name() != b.Name() {
+			t.Fatalf("%s: BuildOptimizer gave %v, the row's New %v; want two instances of one method", m.Name, a, b)
+		}
+		if got, err := MethodByName(m.Name); err != nil || got.Name != m.Name {
+			t.Fatalf("MethodByName(%q) = %q, %v", m.Name, got.Name, err)
+		}
+	}
+	_, err := BuildOptimizer("bogus", 1e-3, 4, 1)
+	if err == nil || !strings.Contains(err.Error(), "APOLLO-Mini") || !strings.Contains(err.Error(), "Q-GaLore") {
+		t.Fatalf("unknown name: err %v, want one listing the catalogue", err)
+	}
+	// A row that uses the rank wants one; rows that do not are built anyway.
+	if _, err := BuildOptimizer("GaLore", 1e-3, 0, 1); err == nil {
+		t.Fatal("GaLore at rank 0 built")
+	}
+	for _, name := range []string{"AdamW", "APOLLO-Mini", "APOLLO-Mini w. SVD"} {
+		if _, err := BuildOptimizer(name, 1e-3, 0, 1); err != nil {
+			t.Fatalf("%s at rank 0: %v", name, err)
+		}
+	}
 }
 
-func TestBuildOptimizerAllNames(t *testing.T) {
-	for _, n := range zooNames {
-		opt, err := BuildOptimizer(n, 1e-3, 4, 1)
-		if err != nil {
-			t.Fatalf("%s: %v", n, err)
-		}
-		if opt == nil {
-			t.Fatalf("%s: nil optimizer", n)
-		}
-	}
-	if _, err := BuildOptimizer("bogus", 1e-3, 4, 1); err == nil {
-		t.Fatal("expected error for unknown optimizer")
-	}
-	// The constructor form reports a bad name up front and hands out a
-	// fresh instance per call (zero.NewSharded wants one per shard).
-	if build, err := OptimizerBuilder("bogus", 1e-3, 4, 1); err == nil || build != nil {
-		t.Fatalf("OptimizerBuilder(bogus): constructor nil=%v, err %v; want nil and an error", build == nil, err)
-	}
-	build, err := OptimizerBuilder("APOLLO", 1e-3, 4, 1)
+// TestMethodCatalogueTable checks the README's "Method catalogue" table
+// against the catalogue: every row is rendered from a Method, so what the
+// README says a name trains at cannot drift from what the tables run.
+func TestMethodCatalogueTable(t *testing.T) {
+	readme, err := os.ReadFile("../../README.md")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if a, b := build(), build(); a == b || a.Name() != "APOLLO" {
-		t.Fatalf("OptimizerBuilder must build a fresh APOLLO per call (got %s, same instance: %v)", a.Name(), a == b)
+	formula := map[string]string{}
+	for _, r := range memmodel.Table1() {
+		formula[r.Method] = r.StateFormula
+	}
+	for _, m := range Methods() {
+		rank, clip, mem := "r (default dim/4)", "clip at 1", "—"
+		if m.Family == familyDense {
+			rank = "—"
+		} else if m.FixedRank > 0 {
+			rank = fmt.Sprint(m.FixedRank)
+		}
+		if m.Limiter {
+			clip = "limiter, no clip"
+		}
+		if m.Mem != nil {
+			mem = m.Mem.Name
+			if f, ok := formula[mem]; ok {
+				mem += ": " + f
+			}
+		}
+		row := fmt.Sprintf("| `%s` | %s | %s | %g× | %s | %s |", m.Name, m.Family, rank, m.LRScale, clip, mem)
+		if !strings.Contains(string(readme), row+"\n") {
+			t.Errorf("README.md lacks the catalogue row\n%s", row)
+		}
+	}
+}
+
+// TestMethodRank: the one place the rank policy lives.
+func TestMethodRank(t *testing.T) {
+	apollo, _ := MethodByName("APOLLO")
+	mini, _ := MethodByName("Q-APOLLO-Mini")
+	for _, c := range []struct {
+		m                    Method
+		requested, dim, want int
+	}{
+		{apollo, 0, 32, 8}, {apollo, -1, 128, 32}, {apollo, 5, 32, 5},
+		{mini, 0, 32, 1}, {mini, 32, 32, 1},
+	} {
+		if got := c.m.Rank(c.requested, c.dim); got != c.want {
+			t.Errorf("%s.Rank(%d, %d) = %d, want %d", c.m.Name, c.requested, c.dim, got, c.want)
+		}
 	}
 }
 

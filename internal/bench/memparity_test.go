@@ -28,12 +28,13 @@ func stepOnNoise(opt optim.Optimizer, params []*nn.Param) {
 }
 
 // TestMeasuredStateMatchesMemmodel enforces the "honest memory tables"
-// claim in CI: the bytes each seed optimizer actually allocates on a live
-// proxy model must match the memmodel Table 1 formulas evaluated on that
-// model's shapes. Live states are fp32 (4 bytes/element), so the
-// comparison is in elements. Tolerances are tight: exact for the methods
-// whose formula is the implementation, a few percent for Adam-mini (the
-// formula books the block second moment as n per matrix; the
+// claim in CI: the bytes each catalogue method actually allocates on a live
+// proxy model must match the Table 1 formula of its memmodel row evaluated
+// on that model's shapes. Live states are fp32 (4 bytes/element), so the
+// comparison is in elements (the INT8 rows are priced in bytes, by
+// TestCheckpointBytesPrediction). Tolerances are tight: exact for the
+// methods whose formula is the implementation, a few percent for Adam-mini
+// (the formula books the block second moment as n per matrix; the
 // implementation keeps one per stored row, which for n×m-stored matrices
 // is the smaller dimension).
 func TestMeasuredStateMatchesMemmodel(t *testing.T) {
@@ -42,56 +43,40 @@ func TestMeasuredStateMatchesMemmodel(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-
-	cases := []struct {
-		name   string // BuildOptimizer name
-		method string // memmodel method name
-		tol    float64
-	}{
-		{"SGD", "SGD", 0},
-		{"AdamW", "AdamW", 0},
-		{"Adam-mini", "Adam-mini", 0.03},
-		{"GaLore", "GaLore", 0},
-		{"Fira", "Fira", 0},
-		{"Flora", "Flora", 0},
-		{"APOLLO", "APOLLO", 0},
-		{"APOLLO-Mini", "APOLLO-Mini", 0},
-	}
-	for _, c := range cases {
-		t.Run(c.name, func(t *testing.T) {
+	tol := map[string]float64{"Adam-mini": 0.03}
+	for _, m := range Methods() {
+		if m.Mem == nil || m.Mem.StateBytesPer < memmodel.BytesBF16 {
+			continue
+		}
+		t.Run(m.Name, func(t *testing.T) {
 			model := proxy.NewProxyModel(3)
 			params := model.Params().List()
-			opt, err := BuildOptimizer(c.name, 1e-3, rank, 7)
-			if err != nil {
-				t.Fatal(err)
-			}
+			rank := m.Rank(rank, proxy.Model.Dim)
+			opt := m.New(optim.Hyper{LR: 1e-3}, rank, 7)
 			stepOnNoise(opt, params)
 
-			method, err := memmodel.MethodByName(c.method)
-			if err != nil {
-				t.Fatal(err)
-			}
-			predicted := memmodel.StateElems(ShapesOf(params), method, StateRank(c.name, rank))
+			predicted := memmodel.StateElems(ShapesOf(params), *m.Mem, rank)
 			measured := float64(opt.StateBytes()) / 4
 
 			if predicted == 0 && measured == 0 {
 				return
 			}
 			dev := math.Abs(measured-predicted) / predicted
-			if dev > c.tol {
+			if dev > tol[m.Name] {
 				t.Fatalf("%s: measured %0.f state elems vs predicted %0.f (%.2f%% deviation, tol %.2f%%)",
-					c.name, measured, predicted, dev*100, c.tol*100)
+					m.Name, measured, predicted, dev*100, tol[m.Name]*100)
 			}
 		})
 	}
 }
 
-// TestStateRankFollowsTheOptimizer: the rank memmodel is asked about must be
-// the rank the built optimizer runs at, not the one the caller typed.
+// TestStateRankFollowsTheOptimizer: the rank memmodel prices must be the
+// rank the built optimizer runs at, not the one the caller typed.
 // APOLLO-Mini ignores its rank argument, so at `-rank 32` on the 60M proxy
 // (dim 32 — the rank reaches every layer's width, where memmodel switches to
 // the dense fallback) a prediction at the caller's rank is 2.4× the state
-// the optimizer holds; at StateRank it is exact.
+// the optimizer holds. memmodel's row carries the fixed rank itself, so the
+// prediction is exact whatever rank it is asked about.
 func TestStateRankFollowsTheOptimizer(t *testing.T) {
 	proxy, err := ProxyByName("60M")
 	if err != nil {
@@ -107,10 +92,12 @@ func TestStateRankFollowsTheOptimizer(t *testing.T) {
 	stepOnNoise(opt, params)
 	measured := float64(opt.StateBytes()) / 4
 
-	if got := memmodel.StateElems(ShapesOf(params), memmodel.MethodAPOLLOMini, StateRank("APOLLO-Mini", rank)); got != measured {
-		t.Fatalf("at StateRank: predicted %.0f state elems, measured %.0f", got, measured)
+	if got := memmodel.StateElems(ShapesOf(params), memmodel.MethodAPOLLOMini, rank); got != measured {
+		t.Fatalf("asked about rank %d: predicted %.0f state elems, measured %.0f", rank, got, measured)
 	}
-	if naive := memmodel.StateElems(ShapesOf(params), memmodel.MethodAPOLLOMini, rank); naive == measured {
+	naive := memmodel.MethodAPOLLOMini
+	naive.FixedRank = 0
+	if got := memmodel.StateElems(ShapesOf(params), naive, rank); got == measured {
 		t.Fatalf("rank %d does not reach the dense fallback on this proxy; the case above proves nothing", rank)
 	}
 }
@@ -126,23 +113,15 @@ func TestCheckpointBytesPrediction(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, c := range []struct{ name, method string }{
-		{"SGD", "SGD"},
-		{"AdamW", "AdamW"},
-		{"Adam-mini", "Adam-mini"},
-		{"GaLore", "GaLore"},
-		{"APOLLO", "APOLLO"},
-		{"APOLLO-Mini", "APOLLO-Mini"},
-		{"8-bit Adam", "8-bit Adam"},
-		{"8-bit GaLore", "8-bit GaLore"},
-	} {
-		t.Run(c.name, func(t *testing.T) {
+	for _, m := range Methods() {
+		if m.Mem == nil {
+			continue
+		}
+		t.Run(m.Name, func(t *testing.T) {
 			model := proxy.NewProxyModel(3)
 			params := model.Params().List()
-			opt, err := BuildOptimizer(c.name, 1e-3, rank, 7)
-			if err != nil {
-				t.Fatal(err)
-			}
+			rank := m.Rank(rank, proxy.Model.Dim)
+			opt := m.New(optim.Hyper{LR: 1e-3}, rank, 7)
 			stepOnNoise(opt, params)
 
 			st, err := ckpt.Capture(1, params, opt, nil)
@@ -154,15 +133,11 @@ func TestCheckpointBytesPrediction(t *testing.T) {
 				t.Fatal(err)
 			}
 
-			method, err := memmodel.MethodByName(c.method)
-			if err != nil {
-				t.Fatal(err)
-			}
-			predicted := memmodel.CheckpointBytes(ShapesOf(params), method, StateRank(c.name, rank))
+			predicted := memmodel.CheckpointBytes(ShapesOf(params), *m.Mem, rank)
 			actual := float64(buf.Len())
 			if dev := math.Abs(actual-predicted) / actual; dev > 0.02 {
 				t.Fatalf("%s: file is %.0f bytes, predicted %.0f (%.2f%% off)",
-					c.name, actual, predicted, dev*100)
+					m.Name, actual, predicted, dev*100)
 			}
 		})
 	}
@@ -184,7 +159,7 @@ func TestShapesOfMirrorsParamKinds(t *testing.T) {
 }
 
 // TestStateViewsAgree holds the three views of an optimizer's state to one
-// another for every name in the zoo, after one step on a live proxy model:
+// another for every row of the catalogue, after one step on a live proxy model:
 // the measured StateBytes, the bytes CaptureParam hands to a checkpoint, and
 // the StateElemsFor introspection ZeRO balances by. train.instrumentMemory's
 // optimizer_state / projector_scratch split assumes the first and the third
@@ -201,6 +176,7 @@ func TestStateViewsAgree(t *testing.T) {
 	paperScalars := map[string]int64{
 		"APOLLO": 2, "APOLLO-Tensor": 2, "APOLLO-Mini": 2, "Q-APOLLO": 2, "Q-APOLLO-Mini": 2,
 		"APOLLO w. SVD": 1, "Fira": 1, "GaLore-RP": 1, "Flora": 1,
+		"APOLLO-Mini w. SVD": 1, "APOLLO-Tensor w. SVD": 1, "APOLLO-Mini (rank r)": 2,
 		"StructuredAdamW-channel": 1, "StructuredAdamW-tensor": 1,
 	}
 	var captured func(st *optim.ParamState, perTreated int64, quantizedWeight bool) int64
@@ -225,13 +201,11 @@ func TestStateViewsAgree(t *testing.T) {
 		}
 		return n
 	}
-	for _, name := range zooNames {
+	for _, m := range Methods() {
+		name := m.Name
 		t.Run(name, func(t *testing.T) {
 			params := proxy.NewProxyModel(3).Params().List()
-			opt, err := BuildOptimizer(name, 1e-3, 8, 7)
-			if err != nil {
-				t.Fatal(err)
-			}
+			opt := m.New(optim.Hyper{LR: 1e-3}, m.Rank(8, proxy.Model.Dim), 7)
 			stepOnNoise(opt, params)
 
 			var fromCapture int64

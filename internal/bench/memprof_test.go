@@ -15,6 +15,18 @@ import (
 	"apollo/internal/zero"
 )
 
+// fpMemRows is the catalogue rows whose live fp32 state memmodel prices in
+// elements: a memmodel row, and not the INT8 members' one byte per code.
+func fpMemRows() []Method {
+	var rows []Method
+	for _, m := range Methods() {
+		if m.Mem != nil && m.Mem.StateBytesPer >= memmodel.BytesBF16 {
+			rows = append(rows, m)
+		}
+	}
+	return rows
+}
+
 // lastMemSample parses the final Sample of a memory-event stream.
 func lastMemSample(t *testing.T, buf *bytes.Buffer) memprof.Sample {
 	t.Helper()
@@ -34,20 +46,18 @@ func lastMemSample(t *testing.T, buf *bytes.Buffer) memprof.Sample {
 // TestMeasuredStateMatchesMemmodel's one-shot check: a short fused training
 // run on the 60M proxy with a memory profiler attached must record
 // optimizer-state bytes in its timeline within ±2% of the memmodel Table 1
-// prediction, for AdamW and APOLLO.
+// prediction, for every catalogue row with fp32 state and a memmodel row.
 func TestLiveStateMatchesMemmodel(t *testing.T) {
 	proxy, err := ProxyByName("60M")
 	if err != nil {
 		t.Fatal(err)
 	}
-	rank := proxy.DefaultRank()
-	for _, name := range []string{"AdamW", "APOLLO"} {
+	for _, m := range fpMemRows() {
+		name := m.Name
 		t.Run(name, func(t *testing.T) {
 			model := proxy.NewProxyModel(3)
-			opt, err := BuildOptimizer(name, proxy.LR, rank, 7)
-			if err != nil {
-				t.Fatal(err)
-			}
+			rank := m.Rank(0, proxy.Model.Dim)
+			opt := m.New(optim.Hyper{LR: proxy.LR}, rank, 7)
 			corpus, err := NewCorpus(11)
 			if err != nil {
 				t.Fatal(err)
@@ -55,11 +65,7 @@ func TestLiveStateMatchesMemmodel(t *testing.T) {
 			var mem bytes.Buffer
 			mp := memprof.New(memprof.Config{Out: obs.NewJSONLWriter(&mem)})
 
-			method, err := memmodel.MethodByName(name)
-			if err != nil {
-				t.Fatal(err)
-			}
-			predicted := memmodel.StateElems(ShapesOf(model.Params().List()), method, rank) * memmodel.BytesFP32
+			predicted := memmodel.StateElems(ShapesOf(model.Params().List()), *m.Mem, rank) * memmodel.BytesFP32
 			mp.Predict(memprof.CompOptimizerState, predicted)
 
 			train.Pretrain(model, opt, corpus, train.PretrainConfig{
@@ -94,16 +100,13 @@ func TestLiveStateMatchesMemmodelZeRO(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rank := proxy.DefaultRank()
-	for _, name := range []string{"AdamW", "APOLLO"} {
+	for _, m := range fpMemRows() {
+		name := m.Name
 		t.Run(name, func(t *testing.T) {
 			model := proxy.NewProxyModel(3)
+			rank := m.Rank(0, proxy.Model.Dim)
 			sharded := zero.NewSharded(func() optim.Optimizer {
-				opt, err := BuildOptimizer(name, proxy.LR, rank, 7)
-				if err != nil {
-					panic(err)
-				}
-				return opt
+				return m.New(optim.Hyper{LR: proxy.LR}, rank, 7)
 			}, replicas)
 			corpus, err := NewCorpus(11)
 			if err != nil {
@@ -112,12 +115,7 @@ func TestLiveStateMatchesMemmodelZeRO(t *testing.T) {
 			var mem bytes.Buffer
 			mp := memprof.New(memprof.Config{Out: obs.NewJSONLWriter(&mem)})
 
-			method, err := memmodel.MethodByName(name)
-			if err != nil {
-				t.Fatal(err)
-			}
-			shapes := ShapesOf(model.Params().List())
-			predicted := memmodel.StateElems(shapes, method, rank) * memmodel.BytesFP32
+			predicted := memmodel.StateElems(ShapesOf(model.Params().List()), *m.Mem, rank) * memmodel.BytesFP32
 
 			train.DPPretrain(model, sharded, corpus, train.DPConfig{
 				PretrainConfig: train.PretrainConfig{

@@ -5,6 +5,9 @@ import (
 	"io"
 	"sort"
 	"strings"
+
+	"apollo/internal/data"
+	"apollo/internal/nn"
 )
 
 // Scale selects how much compute an experiment run spends.
@@ -47,6 +50,17 @@ func (c *RunContext) steps(full int) int {
 		return s
 	}
 	return full
+}
+
+// fresh returns what every training run of an experiment starts from: a new
+// corpus and a newly initialised proxy model, each a fixed offset from the
+// run seed, so runs differ only in what the experiment varies.
+func (c *RunContext) fresh(proxy Proxy) (*data.Corpus, *nn.Model, error) {
+	corpus, err := NewCorpus(c.Seed + 17)
+	if err != nil {
+		return nil, nil, err
+	}
+	return corpus, proxy.NewProxyModel(c.Seed + 33), nil
 }
 
 // contract collects the rows of a runner whose exact contract did not hold,

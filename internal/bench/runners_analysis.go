@@ -61,11 +61,10 @@ func runFig3(ctx *RunContext) error {
 	series := map[string][]train.Metric{}
 	var order []string
 	for _, v := range variants {
-		corpus, err := NewCorpus(ctx.Seed + 17)
+		corpus, model, err := ctx.fresh(proxy)
 		if err != nil {
 			return err
 		}
-		model := proxy.NewProxyModel(ctx.Seed + 33)
 		res := train.Pretrain(model, v.mk(), corpus, train.PretrainConfig{
 			Batch: proxy.Batch, Seq: proxy.Seq, Steps: steps,
 			EvalEvery: evalEvery, EvalBatches: 3,
@@ -116,11 +115,10 @@ func runFig4(ctx *RunContext) error {
 	dim := proxy.Model.Dim
 	steps := ctx.steps(120)
 
-	corpus, err := NewCorpus(ctx.Seed + 17)
+	corpus, model, err := ctx.fresh(proxy)
 	if err != nil {
 		return err
 	}
-	model := proxy.NewProxyModel(ctx.Seed + 33)
 	trainOpt := optim.NewAdamW(optim.Hyper{LR: proxy.LR})
 
 	type probe struct {

@@ -8,6 +8,7 @@ import (
 
 	"apollo/internal/ckpt"
 	"apollo/internal/memmodel"
+	"apollo/internal/optim"
 	"apollo/internal/train"
 	"apollo/internal/zero"
 )
@@ -38,8 +39,6 @@ func runCkpt(ctx *RunContext) error {
 	if ctx.Scale == Full {
 		k = 10
 	}
-	rank := proxy.DefaultRank()
-
 	dir, err := os.MkdirTemp("", "apollo-ckpt-bench")
 	if err != nil {
 		return err
@@ -52,15 +51,16 @@ func runCkpt(ctx *RunContext) error {
 	ctx.Printf("%-12s %-7s %10s %10s %8s\n", "optimizer", "parity", "file", "predicted", "dev")
 
 	for _, name := range rows {
-		build, err := OptimizerBuilder(name, proxy.LR, rank, ctx.Seed)
+		m, err := MethodByName(name)
 		if err != nil {
 			return err
 		}
+		rank := m.Rank(0, proxy.Model.Dim)
+		build := func() optim.Optimizer { return m.New(optim.Hyper{LR: proxy.LR}, rank, ctx.Seed) }
 		pcfg := train.PretrainConfig{Batch: proxy.Batch, Seq: proxy.Seq, Steps: 2 * k}
 
 		// Uninterrupted single-replica reference.
-		refModel := proxy.NewProxyModel(ctx.Seed + 33)
-		refCorpus, err := NewCorpus(ctx.Seed + 17)
+		refCorpus, refModel, err := ctx.fresh(proxy)
 		if err != nil {
 			return err
 		}
@@ -70,8 +70,7 @@ func runCkpt(ctx *RunContext) error {
 
 		// Interrupted: K steps sharded across 3, periodic save at step K.
 		path := filepath.Join(dir, name+".ckpt")
-		halfModel := proxy.NewProxyModel(ctx.Seed + 33)
-		halfCorpus, err := NewCorpus(ctx.Seed + 17)
+		halfCorpus, halfModel, err := ctx.fresh(proxy)
 		if err != nil {
 			return err
 		}
@@ -88,8 +87,7 @@ func runCkpt(ctx *RunContext) error {
 		if err != nil {
 			return err
 		}
-		resModel := proxy.NewProxyModel(ctx.Seed + 33)
-		resCorpus, err := NewCorpus(ctx.Seed + 17)
+		resCorpus, resModel, err := ctx.fresh(proxy)
 		if err != nil {
 			return err
 		}
@@ -110,11 +108,7 @@ func runCkpt(ctx *RunContext) error {
 		if err != nil {
 			return err
 		}
-		method, err := memmodel.MethodByName(name)
-		if err != nil {
-			return err
-		}
-		predicted := memmodel.CheckpointBytes(ShapesOf(refModel.Params().List()), method, StateRank(name, rank))
+		predicted := memmodel.CheckpointBytes(ShapesOf(refModel.Params().List()), *m.Mem, rank)
 		dev := (float64(fi.Size()) - predicted) / predicted
 		ctx.Printf("%-12s %-7s %10s %10s %+7.2f%%\n",
 			name, parity,

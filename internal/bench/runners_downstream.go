@@ -30,26 +30,6 @@ func init() {
 	})
 }
 
-// pretrainBase trains a proxy base model for the downstream experiments and
-// returns it together with the source used (the tasks must come from the
-// same distribution the model was pretrained on).
-func pretrainBase(ctx *RunContext, proxy Proxy, method string, seq int, steps int) (*nn.Model, *data.Source, float64, error) {
-	corpus, err := NewCorpus(ctx.Seed + 17)
-	if err != nil {
-		return nil, nil, 0, err
-	}
-	model := proxy.NewProxyModel(ctx.Seed + 33)
-	opt, err := BuildOptimizer(method, proxy.LR, proxy.DefaultRank(), ctx.Seed)
-	if err != nil {
-		return nil, nil, 0, err
-	}
-	res := train.Pretrain(model, opt, corpus, train.PretrainConfig{
-		Batch: proxy.Batch, Seq: seq, Steps: steps,
-		Schedule: optim.NewWarmupCosine(proxy.LR, steps),
-	})
-	return model, corpus.Source(), res.FinalValPPL, nil
-}
-
 func runTable4(ctx *RunContext) error {
 	proxy, err := ProxyByName("350M")
 	if err != nil {
@@ -75,12 +55,13 @@ func runTable4(ctx *RunContext) error {
 		}
 		ctx.Printf(" %9s %9s\n", "Average", "paper-avg")
 		for _, method := range []string{"AdamW", "APOLLO", "APOLLO-Mini"} {
-			model, src, ppl, err := pretrainBase(ctx, proxy, method, setting.seq, ctx.steps(proxy.Steps))
+			// The models Table 2 reports: same recipe, same seed.
+			base, err := pretrainOne(ctx, proxy, method, 0, ctx.steps(proxy.Steps), setting.seq, 1)
 			if err != nil {
 				return err
 			}
-			results := eval.RunZeroShotSuite(model, src, ctx.Seed+77)
-			ctx.Printf("%-14s %8.2f", method, ppl)
+			results := eval.RunZeroShotSuite(base.Model, base.Source, ctx.Seed+77)
+			ctx.Printf("%-14s %8.2f", method, base.FinalValPPL)
 			for _, r := range results {
 				ctx.Printf(" %10.3f", r.Accuracy)
 			}
@@ -98,7 +79,7 @@ func runTable5(ctx *RunContext) error {
 		return err
 	}
 	// One shared pretrained base (the paper fine-tunes Llama-3.2-1B).
-	base, src, _, err := pretrainBase(ctx, proxy, "AdamW", proxy.Seq, ctx.steps(proxy.Steps))
+	base, err := pretrainOne(ctx, proxy, "AdamW", 0, ctx.steps(proxy.Steps), 0, 1)
 	if err != nil {
 		return err
 	}
@@ -119,8 +100,8 @@ func runTable5(ctx *RunContext) error {
 		var sum float64
 		accs := make([]float64, 0, len(suite))
 		for _, taskCfg := range suite {
-			task := data.GenerateFTTask(src, taskCfg)
-			model := cloneModel(base, proxy.Model)
+			task := data.GenerateFTTask(base.Source, taskCfg)
+			model := cloneModel(base.Model, proxy.Model)
 			lr := 3e-3
 			if method == "AdamW" {
 				lr = 1e-3
@@ -170,7 +151,7 @@ func runTable6(ctx *RunContext) error {
 	for _, b := range bases {
 		saved := ctx.Seed
 		ctx.Seed = ctx.Seed*131 + b.seed
-		base, src, _, err := pretrainBase(ctx, proxy, "AdamW", proxy.Seq, ctx.steps(proxy.Steps))
+		base, err := pretrainOne(ctx, proxy, "AdamW", 0, ctx.steps(proxy.Steps), 0, 1)
 		ctx.Seed = saved
 		if err != nil {
 			return err
@@ -188,8 +169,8 @@ func runTable6(ctx *RunContext) error {
 				var sum float64
 				accs := make([]float64, 0, len(suite))
 				for _, taskCfg := range suite {
-					task := data.GenerateFTTask(src, taskCfg)
-					model := cloneModel(base, proxy.Model)
+					task := data.GenerateFTTask(base.Source, taskCfg)
+					model := cloneModel(base.Model, proxy.Model)
 					opt, err := BuildOptimizer(method, lr, 4, ctx.Seed+7)
 					if err != nil {
 						return err

@@ -5,6 +5,7 @@ import (
 
 	"apollo/internal/cluster"
 	"apollo/internal/memmodel"
+	"apollo/internal/optim"
 	"apollo/internal/tensor"
 )
 
@@ -53,6 +54,33 @@ func init() {
 	})
 }
 
+// paperSetting is the paper's LLaMA-7B setting of one method, declared once
+// for Table 1, Fig. 1 and Fig. 2: GaLore at r = 1024, APOLLO at r = 256,
+// APOLLO-Mini at r = 1, layer-wise gradient updates (Lv et al., 2023) for
+// the low-rank methods. prof carries the catalogue name and rank (0 = hidden/4).
+type paperSetting struct {
+	prof      cluster.OptimizerProfile
+	layerWise bool
+	fig1      bool // a row of Fig. 1 and Fig. 2: the simulator has its step-time profile
+	int8      bool // Fig. 1 (middle) also shows its Q- variant (INT8 weights)
+}
+
+var paper7B = []paperSetting{
+	{prof: cluster.ProfileAdamW(), fig1: true},
+	{prof: cluster.ProfileGaLore(1024, 200), layerWise: true, fig1: true},
+	{prof: cluster.ProfileFira(1024, 200), layerWise: true},
+	{prof: cluster.ProfileAPOLLO(256), layerWise: true, fig1: true, int8: true},
+	{prof: cluster.ProfileAPOLLOMini(), layerWise: true, fig1: true, int8: true},
+	{prof: cluster.OptimizerProfile{Name: "8-bit Adam"}},
+	{prof: cluster.OptimizerProfile{Name: "8-bit GaLore", Rank: 1024}, layerWise: true},
+}
+
+// on returns w with the setting's gradient strategy.
+func (s paperSetting) on(w cluster.Workload) cluster.Workload {
+	w.LayerWise = s.layerWise
+	return w
+}
+
 func runTable1(ctx *RunContext) error {
 	ctx.Printf("Table 1 — optimizer states for one m×n weight (m ≤ n), rank r\n")
 	ctx.Printf("%-12s %-12s %-10s %-10s %-10s %-8s\n", "Method", "States", "FullRankG", "FullRankW", "Pretrain", "noSVD")
@@ -65,30 +93,19 @@ func runTable1(ctx *RunContext) error {
 	if err != nil {
 		return err
 	}
-	rows := []struct {
-		m    memmodel.Method
-		rank int
-	}{
-		{memmodel.MethodAdamW, 0},
-		{memmodel.MethodGaLore, 1024},
-		{memmodel.MethodFira, 1024},
-		{memmodel.MethodAPOLLO, 256},
-		{memmodel.MethodAPOLLOMini, 1},
-		{memmodel.MethodAdam8bit, 0},
-		{memmodel.MethodGaLore8bit, 1024},
-	}
 	ctx.Printf("%-14s %-8s %-10s %s\n", "Method", "Rank", "States", "paper")
 	paper := map[string]string{
 		"AdamW": "≈28G (intro)", "APOLLO": "1.6G (Table 3)", "APOLLO-Mini": "≈0G (Table 3)",
 		"8-bit Adam": "13G (Table 3)", "8-bit GaLore": "4.9G (Table 3)",
 	}
-	for _, row := range rows {
-		rank := row.rank
-		if rank == 0 {
-			rank = cfg.DefaultRank()
+	for _, s := range paper7B {
+		m, err := MethodByName(s.prof.Name)
+		if err != nil {
+			return err
 		}
-		gib := memmodel.GiB(memmodel.OptimizerStateBytes(cfg, row.m, rank))
-		ctx.Printf("%-14s %-8d %-10.2fG %s\n", row.m.Name, rank, gib, paper[row.m.Name])
+		rank := m.Rank(s.prof.Rank, cfg.Hidden)
+		gib := memmodel.GiB(memmodel.OptimizerStateBytes(cfg, *m.Mem, rank))
+		ctx.Printf("%-14s %-8d %-10.2fG %s\n", m.Name, rank, gib, paper[m.Name])
 	}
 	return nil
 }
@@ -101,30 +118,24 @@ func runFig1Memory(ctx *RunContext) error {
 	ctx.Printf("Fig. 1 (middle) — 7B single-batch memory breakdown (GiB), seq 256,\n")
 	ctx.Printf("layer-wise gradient updates for all low-rank methods (Lv et al., 2023)\n\n")
 	ctx.Printf("%-16s %8s %8s %8s %8s %8s\n", "Method", "Weights", "Grads", "States", "Act", "Total")
-	type row struct {
-		name      string
-		method    memmodel.Method
-		rank      int
-		layerWise bool
-		int8W     bool
-	}
-	rows := []row{
-		{"AdamW", memmodel.MethodAdamW, 0, false, false},
-		{"GaLore", memmodel.MethodGaLore, 1024, true, false},
-		{"APOLLO", memmodel.MethodAPOLLO, 256, true, false},
-		{"APOLLO-Mini", memmodel.MethodAPOLLOMini, 1, true, false},
-		{"Q-APOLLO", memmodel.MethodAPOLLO, 256, true, true},
-		{"Q-APOLLO-Mini", memmodel.MethodAPOLLOMini, 1, true, true},
-	}
-	for _, r := range rows {
-		b := memmodel.Compute(memmodel.Plan{
-			Config: cfg, Method: r.method, Rank: r.rank,
-			SeqLen: 256, MicroBatch: 1,
-			LayerWiseGrad: r.layerWise, ActivationCkpt: true, Int8Weights: r.int8W,
-		})
-		ctx.Printf("%-16s %8.2f %8.2f %8.2f %8.2f %8.2f\n",
-			r.name, memmodel.GiB(b.Weights), memmodel.GiB(b.Gradients),
-			memmodel.GiB(b.States), memmodel.GiB(b.Activations), memmodel.GiB(b.Total()))
+	for _, int8W := range []bool{false, true} {
+		for _, s := range paper7B {
+			if !s.fig1 || int8W && !s.int8 {
+				continue
+			}
+			name := s.prof.Name
+			if int8W {
+				name = "Q-" + name
+			}
+			b := memmodel.Compute(memmodel.Plan{
+				Config: cfg, Method: s.prof.Method, Rank: s.prof.Rank,
+				SeqLen: 256, MicroBatch: 1,
+				LayerWiseGrad: s.layerWise, ActivationCkpt: true, Int8Weights: int8W,
+			})
+			ctx.Printf("%-16s %8.2f %8.2f %8.2f %8.2f %8.2f\n",
+				name, memmodel.GiB(b.Weights), memmodel.GiB(b.Gradients),
+				memmodel.GiB(b.States), memmodel.GiB(b.Activations), memmodel.GiB(b.Total()))
+		}
 	}
 	ctx.Printf("\npaper: Q-APOLLO-Mini trains 7B in <12G; AdamW needs ≈58G+.\n")
 	return nil
@@ -139,24 +150,17 @@ func runFig1Throughput(ctx *RunContext) error {
 		Config: cfg, Dev: cluster.A100_80G(), World: 8,
 		SeqLen: 1024, GlobalBatch: 512,
 	}
-	wLW := w
-	wLW.LayerWise = true
 	ctx.Printf("Fig. 1 (right) — simulated 8×A100-80G training throughput, 7B\n\n")
 	var base float64
-	for _, p := range []struct {
-		prof cluster.OptimizerProfile
-		work cluster.Workload
-	}{
-		{cluster.ProfileAdamW(), w},
-		{cluster.ProfileGaLore(1024, 200), wLW},
-		{cluster.ProfileAPOLLO(256), wLW},
-		{cluster.ProfileAPOLLOMini(), wLW},
-	} {
-		tps, micro := cluster.Throughput(p.work, p.prof)
+	for _, s := range paper7B {
+		if !s.fig1 {
+			continue
+		}
+		tps, micro := cluster.Throughput(s.on(w), s.prof)
 		if base == 0 { //apollo:exactfloat zero marks the unset first-iteration baseline
 			base = tps
 		}
-		ctx.Printf("%-12s micro-batch %2d  %8.0f tok/s  (%.2fx AdamW)\n", p.prof.Name, micro, tps, tps/base)
+		ctx.Printf("%-12s micro-batch %2d  %8.0f tok/s  (%.2fx AdamW)\n", s.prof.Name, micro, tps, tps/base)
 	}
 	ctx.Printf("\npaper: APOLLO(-Mini) reach ≈3x AdamW by fitting 4x larger batches.\n")
 	return nil
@@ -192,10 +196,11 @@ func runTable7(ctx *RunContext) error {
 		ctx.Printf("proxy-%s:\n", proxyName)
 		for _, m := range methods {
 			model := proxy.NewProxyModel(ctx.Seed)
-			opt, err := BuildOptimizer(m, proxy.LR, proxy.DefaultRank(), ctx.Seed)
+			method, err := MethodByName(m)
 			if err != nil {
 				return err
 			}
+			opt := method.New(optim.Hyper{LR: proxy.LR}, method.Rank(0, proxy.Model.Dim), ctx.Seed)
 			rng := tensor.NewRNG(ctx.Seed + 9)
 			params := model.Params().List()
 			fill := func() {

@@ -5,6 +5,7 @@ import (
 
 	"apollo/internal/cluster"
 	"apollo/internal/memmodel"
+	"apollo/internal/optim"
 	"apollo/internal/train"
 	"apollo/internal/zero"
 )
@@ -35,8 +36,6 @@ func runZero(ctx *RunContext) error {
 	if ctx.Scale == Full {
 		steps = 20
 	}
-	rank := proxy.DefaultRank()
-
 	names := []string{"AdamW", "APOLLO", "APOLLO-Mini", "GaLore"}
 	broken := contract{id: "zero"}
 
@@ -47,14 +46,15 @@ func runZero(ctx *RunContext) error {
 	pcfg := train.PretrainConfig{Batch: proxy.Batch, Seq: proxy.Seq, Steps: steps}
 	var zeroRes train.Result
 	for _, name := range names {
-		// zero.NewSharded calls build once per shard.
-		build, err := OptimizerBuilder(name, proxy.LR, rank, ctx.Seed)
+		m, err := MethodByName(name)
 		if err != nil {
 			return err
 		}
+		rank := m.Rank(0, proxy.Model.Dim)
+		// zero.NewSharded calls build once per shard.
+		build := func() optim.Optimizer { return m.New(optim.Hyper{LR: proxy.LR}, rank, ctx.Seed) }
 
-		plainModel := proxy.NewProxyModel(ctx.Seed + 33)
-		plainCorpus, err := NewCorpus(ctx.Seed + 17)
+		plainCorpus, plainModel, err := ctx.fresh(proxy)
 		if err != nil {
 			return err
 		}
@@ -62,8 +62,7 @@ func runZero(ctx *RunContext) error {
 			PretrainConfig: pcfg, Replicas: 1,
 		})
 
-		zModel := proxy.NewProxyModel(ctx.Seed + 33)
-		zCorpus, err := NewCorpus(ctx.Seed + 17)
+		zCorpus, zModel, err := ctx.fresh(proxy)
 		if err != nil {
 			return err
 		}
@@ -78,12 +77,8 @@ func runZero(ctx *RunContext) error {
 		for _, b := range zres.ReplicaStateBytes {
 			maxReplica = max(maxReplica, b)
 		}
-		method, err := memmodel.MethodByName(name)
-		if err != nil {
-			return err
-		}
 		// Live states are fp32: predicted per-replica bytes = elems·4/world.
-		predicted := memmodel.StateElems(ShapesOf(plainModel.Params().List()), method, StateRank(name, rank)) * 4 / world
+		predicted := memmodel.StateElems(ShapesOf(plainModel.Params().List()), *m.Mem, rank) * 4 / world
 		dev := 0.0
 		if predicted > 0 {
 			dev = (float64(maxReplica) - predicted) / predicted
@@ -98,11 +93,7 @@ func runZero(ctx *RunContext) error {
 
 	// Comm volumes: measured counters from the last run vs the analytic
 	// per-step expectation.
-	var paramBytes int64
-	m := proxy.NewProxyModel(ctx.Seed + 33)
-	for _, p := range m.Params().List() {
-		paramBytes += 4 * int64(p.NumEl())
-	}
+	paramBytes := 4 * int64(proxy.Model.NumParams())
 	ctx.Printf("\ncomm per step (P = %s of fp32 weights):\n", train.FormatBytes(paramBytes))
 	ctx.Printf("  gradient all-reduce  measured %s   analytic (B-1)·P = %s\n",
 		train.FormatBytes(zeroRes.AllReduceBytes/int64(steps)),

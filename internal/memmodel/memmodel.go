@@ -127,6 +127,17 @@ type Method struct {
 	// fp32 even in the INT8 variants (only the moments are quantized), which
 	// CheckpointBytes must know to predict serialized sizes.
 	SVDProjElems func(m, n, r int64) int64
+	// FixedRank, when non-zero, is the rank the method runs at whatever rank
+	// it is asked about (APOLLO-Mini is rank 1 by definition).
+	FixedRank int
+}
+
+// Rank is the rank the method's state is priced at for a requested rank.
+func (m Method) Rank(requested int) int {
+	if m.FixedRank > 0 {
+		return m.FixedRank
+	}
+	return requested
 }
 
 // Paper-footprint methods (Table 1 plus the quantized variants).
@@ -171,7 +182,7 @@ var (
 	MethodAPOLLOMini = Method{
 		Name:            "APOLLO-Mini",
 		StateElems:      func(m, n, r int64) int64 { return 2*n + 2 },
-		FallbackPerElem: 2, StateBytesPer: BytesBF16,
+		FallbackPerElem: 2, StateBytesPer: BytesBF16, FixedRank: 1,
 	}
 	MethodAdam8bit = Method{
 		Name:            "8-bit Adam",
@@ -205,6 +216,7 @@ func MethodByName(name string) (Method, error) {
 // not a paper config) can be predicted too and cross-checked against
 // measured Optimizer.StateBytes (see internal/bench's parity test).
 func StateElems(shapes []Shape, m Method, rank int) float64 {
+	rank = m.Rank(rank)
 	var elems float64
 	for _, s := range shapes {
 		rows, cols := int64(s.Rows), int64(s.Cols)
@@ -265,6 +277,7 @@ const (
 // size is world-independent: a ZeRO-sharded run gathers its state into the
 // same canonical layout before writing.
 func CheckpointBytes(shapes []Shape, m Method, rank int) float64 {
+	rank = m.Rank(rank)
 	statePer := float64(ckptFPStateBytesPerElem)
 	if m.StateBytesPer == BytesINT8 { //apollo:exactfloat BytesINT8 is an exact constant discriminator, never computed
 		statePer = 1 + float64(BytesFP32)/ckptInt8GroupSize
