@@ -128,20 +128,22 @@ func DPPretrain(m *Model, opt Optimizer, corpus *Corpus, cfg DPConfig) Result {
 	return train.DPPretrain(m, opt, corpus, cfg)
 }
 
-// ZeRO is a ZeRO-style sharded-state wrapper around any optimizer: the
-// parameter list is partitioned into N deterministic, state-balanced owner
-// shards and each shard runs its own inner optimizer instance.
+// ZeRO is a ZeRO-style sharded-state wrapper around any optimizer: one
+// inner optimizer under a deterministic, state-balanced map of which of N
+// owner shards holds each parameter's (or row range's) state.
 type ZeRO = zero.Sharded
 
-// NewZeRO wraps an optimizer constructor in ZeRO-style state sharding
-// across the given replica count. Used with DPPretrain at the same replica
+// NewZeRO wraps the optimizer build returns (called once) in ZeRO-style
+// state sharding across the given replica count; the optimizer must be one
+// of this package's, or implement the state introspection they do. Used
+// with DPPretrain at the same replica
 // count, training stays bit-identical to the unsharded single-replica run
 // while each replica holds only ~1/N of the optimizer state (see
 // internal/zero for the determinism contract; Result.ReplicaStateBytes
 // reports the measured per-replica footprint). The wrapper is also a valid
 // drop-in Optimizer for Pretrain.
 func NewZeRO(build func() Optimizer, replicas int) *ZeRO {
-	return zero.NewSharded(build, replicas)
+	return zero.NewSharded(build(), replicas)
 }
 
 // Checkpoint is a decoded bit-exact training snapshot (internal/ckpt): model

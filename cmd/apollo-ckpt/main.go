@@ -21,7 +21,7 @@ import (
 	"apollo/internal/ckpt"
 	"apollo/internal/memmodel"
 	"apollo/internal/nn"
-	"apollo/internal/train"
+	"apollo/internal/obs"
 )
 
 func main() {
@@ -54,11 +54,11 @@ func inspect(path string, verifyOnly bool) error {
 		return err
 	}
 	if verifyOnly {
-		fmt.Printf("%s: ok (%d sections, %s)\n", path, len(info.Sections), train.FormatBytes(info.Size))
+		fmt.Printf("%s: ok (%d sections, %s)\n", path, len(info.Sections), obs.FormatBytes(info.Size))
 		return nil
 	}
 
-	fmt.Printf("%s: format v%d, %s\n", path, info.Version, train.FormatBytes(info.Size))
+	fmt.Printf("%s: format v%d, %s\n", path, info.Version, obs.FormatBytes(info.Size))
 	fmt.Printf("  %-4s %12s %10s  %s\n", "tag", "bytes", "crc32", "status")
 	for _, s := range info.Sections {
 		fmt.Printf("  %-4s %12d %10x  ok\n", s.Tag, s.Len, s.CRC)
@@ -90,7 +90,7 @@ func inspect(path string, verifyOnly bool) error {
 	fmt.Printf("  optimizer   %s\n", st.Optimizer)
 	fmt.Printf("  step        %d (lr %g)\n", st.Step, st.LR)
 	fmt.Printf("  params      %d tensors, %d elements (%s fp32)\n",
-		len(st.Params), weightElems, train.FormatBytes(4*weightElems))
+		len(st.Params), weightElems, obs.FormatBytes(4*weightElems))
 	fmt.Printf("  opt states  %d/%d parameters, %d global cursors\n",
 		statesPresent, len(st.Params), len(st.OptGlobals))
 	fmt.Printf("  data cursor %#x\n", st.DataCursor)
@@ -99,7 +99,7 @@ func inspect(path string, verifyOnly bool) error {
 	// path: optimizer sections CRC-checked but never decoded, gradients
 	// freed) — optimizer-independent by construction.
 	fmt.Printf("  serving     %s resident (memmodel.ServeBytes; weights only)\n",
-		train.FormatBytes(int64(memmodel.ServeBytes(shapes))))
+		obs.FormatBytes(int64(memmodel.ServeBytes(shapes))))
 
 	method, err := memmodel.MethodByName(st.Optimizer)
 	if err != nil {
@@ -109,6 +109,6 @@ func inspect(path string, verifyOnly bool) error {
 	predicted := memmodel.CheckpointBytes(shapes, method, rank)
 	dev := (float64(info.Size) - predicted) / predicted * 100
 	fmt.Printf("  predicted   %s (memmodel.CheckpointBytes, rank %d) — actual %+.1f%%\n",
-		train.FormatBytes(int64(predicted)), rank, dev)
+		obs.FormatBytes(int64(predicted)), rank, dev)
 	return nil
 }

@@ -148,10 +148,9 @@ func main() {
 	r := m.Rank(*rank, proxy.Model.Dim)
 	// This is the CLI's own recipe, not the paper tables': -lr is used as
 	// given (no per-method multiplier) and gradients are not clipped.
-	build := func() optim.Optimizer { return m.New(optim.Hyper{LR: proxy.LR}, r, *seed) }
-	opt := build()
+	opt := m.New(optim.Hyper{LR: proxy.LR}, r, *seed)
 	if *zeroOpt {
-		opt = zero.NewSharded(build, *replicas)
+		opt = zero.NewSharded(opt, *replicas)
 	}
 	corpus, err := bench.NewCorpus(*seed + 17)
 	if err != nil {
@@ -311,7 +310,7 @@ func main() {
 	}
 	if peak := mp.Peak(); peak.TotalBytes > 0 {
 		fmt.Printf("memory peak: ledger %s (heap in-use %s) at step %d — timeline in %s\n",
-			train.FormatBytes(peak.TotalBytes), train.FormatBytes(int64(peak.HeapInuse)),
+			obs.FormatBytes(peak.TotalBytes), obs.FormatBytes(int64(peak.HeapInuse)),
 			peak.Step, runlog.EventsFile)
 	}
 	if err := ledger.Finalize(status, fin); err != nil {
@@ -331,10 +330,10 @@ func main() {
 	if len(res.ReplicaStateBytes) > 0 {
 		per := make([]string, len(res.ReplicaStateBytes))
 		for i, b := range res.ReplicaStateBytes {
-			per[i] = train.FormatBytes(b)
+			per[i] = obs.FormatBytes(b)
 		}
 		fmt.Printf("per-replica optimizer states: [%s] (aggregate %s)\n",
-			strings.Join(per, " "), train.FormatBytes(res.StateBytes))
+			strings.Join(per, " "), obs.FormatBytes(res.StateBytes))
 	}
 }
 

@@ -251,24 +251,24 @@ func cmdMem(root string, args []string) error {
 
 	fmt.Printf("components (peak):\n")
 	for _, p := range rd.ComponentPeaks() {
-		line := fmt.Sprintf("  %-24s %12s", p.Name, runlog.FormatBytes(p.Bytes))
+		line := fmt.Sprintf("  %-24s %12s", p.Name, obs.FormatBytes(p.Bytes))
 		if p.Predicted > 0 {
 			line += fmt.Sprintf("  predicted %12s  delta %+.2f%%",
-				runlog.FormatBytes(int64(p.Predicted)), 100*(float64(p.Bytes)-p.Predicted)/p.Predicted)
+				obs.FormatBytes(int64(p.Predicted)), 100*(float64(p.Bytes)-p.Predicted)/p.Predicted)
 		}
 		fmt.Println(line)
 	}
 
 	peak, _ := rd.MemPeak()
-	fmt.Printf("peaks      ledger %s (step %d)", runlog.FormatBytes(peak.TotalBytes), peak.Step)
+	fmt.Printf("peaks      ledger %s (step %d)", obs.FormatBytes(peak.TotalBytes), peak.Step)
 	var heapMax, rssMax int64
 	for _, s := range rd.Mem {
 		heapMax = max(heapMax, int64(s.HeapInuse))
 		rssMax = max(rssMax, s.RSSBytes)
 	}
-	fmt.Printf("  heap in-use %s", runlog.FormatBytes(heapMax))
+	fmt.Printf("  heap in-use %s", obs.FormatBytes(heapMax))
 	if rssMax > 0 {
-		fmt.Printf("  rss %s", runlog.FormatBytes(rssMax))
+		fmt.Printf("  rss %s", obs.FormatBytes(rssMax))
 	}
 	fmt.Println()
 	fmt.Printf("gc         %d cycles, %s total pause\n",
@@ -289,9 +289,9 @@ func cmdMem(root string, args []string) error {
 		}
 		rss := "-"
 		if s.RSSBytes > 0 {
-			rss = runlog.FormatBytes(s.RSSBytes)
+			rss = obs.FormatBytes(s.RSSBytes)
 		}
-		fmt.Printf("%8d %12s %12s %12s%s\n", s.Step, runlog.FormatBytes(s.TotalBytes), runlog.FormatBytes(int64(s.HeapInuse)), rss, mark)
+		fmt.Printf("%8d %12s %12s %12s%s\n", s.Step, obs.FormatBytes(s.TotalBytes), obs.FormatBytes(int64(s.HeapInuse)), rss, mark)
 	}
 	return nil
 }

@@ -3,6 +3,7 @@ package main
 import (
 	"bytes"
 	"fmt"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -140,4 +141,46 @@ func TestSubcommandsOverARealLedger(t *testing.T) {
 	}
 	out, code = runs("diff", "a", "b")
 	expect(out, code, 1, "verdict: FAIL (no aligned steps")
+}
+
+// TestShowRendersADivergedStep: the step a run diverges on is the one the
+// ledger exists to keep. A step whose loss is NaN and whose gradient norm is
+// +Inf, with the nan_loss alert the watchdog raises for it (here injected
+// through HookLoss), leaves exactly one step line and one alert line — null
+// beside the exact text, since JSON has no literal for either — costs no
+// write error, and reads back through `show`.
+func TestShowRendersADivergedStep(t *testing.T) {
+	root := t.TempDir()
+	ledger, err := runlog.Create(root, runlog.Manifest{ID: "nan", Command: "test"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	before := obs.WriteErrors()
+	obs.NewTrainRecorder(ledger.Events()).RecordStep(3, math.NaN(), math.Inf(1), 1e-3, time.Millisecond, [obs.NumPhases]time.Duration{})
+	wd := runlog.NewWatchdog(runlog.WatchdogConfig{Halt: true, Emit: ledger.Alert})
+	wd.HookLoss = func(int, float64) float64 { return math.NaN() }
+	if !wd.ObserveStep(3, 2.5, 0.5, 0.001) {
+		t.Fatal("the injected NaN did not halt")
+	}
+	if err := ledger.Finalize(runlog.StatusHalted, runlog.Final{Steps: 3}); err != nil {
+		t.Fatal(err)
+	}
+	if n := obs.WriteErrors() - before; n != 0 {
+		t.Fatalf("%d events were dropped as write errors", n)
+	}
+	blob, err := os.ReadFile(filepath.Join(root, "nan", runlog.EventsFile))
+	if err != nil {
+		t.Fatal(err)
+	}
+	lines := strings.Split(strings.TrimSpace(string(blob)), "\n")
+	if len(lines) != 2 ||
+		!strings.HasPrefix(lines[0], `{"kind":"step","step":3,"loss":null,"loss_text":"NaN","grad_norm":null,"grad_norm_text":"+Inf",`) ||
+		!strings.HasPrefix(lines[1], `{"kind":"alert","step":3,"alert":"nan_loss","loss":null,"loss_text":"NaN","grad_norm":0.5,`) {
+		t.Fatalf("events.jsonl:\n%s", blob)
+	}
+	out, code := run(t, "apollo-runs", "-root", root, "show", "nan")
+	if code != 0 || !strings.Contains(out, "last: step 3 loss NaN grad +Inf") ||
+		!strings.Contains(out, "alert      step 3 nan_loss loss=NaN") {
+		t.Fatalf("show: exit %d\n%s", code, out)
+	}
 }

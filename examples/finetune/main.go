@@ -9,6 +9,7 @@ import (
 	"apollo/internal/bench"
 	"apollo/internal/data"
 	"apollo/internal/nn"
+	"apollo/internal/obs"
 	"apollo/internal/optim"
 	"apollo/internal/tensor"
 	"apollo/internal/train"
@@ -52,7 +53,7 @@ func main() {
 		acc := train.FineTune(model, opt, task, train.FineTuneConfig{
 			Epochs: 4, Batch: 8, Schedule: optim.Linear{Peak: lr, TotalSteps: 160}, Seed: 11,
 		})
-		fmt.Printf("%-14s %9.1f%% %16s\n", opt.Name(), acc*100, train.FormatBytes(opt.StateBytes()))
+		fmt.Printf("%-14s %9.1f%% %16s\n", opt.Name(), acc*100, obs.FormatBytes(opt.StateBytes()))
 	}
 	fmt.Println("\nexpected shape (Table 5): APOLLO family ≈ full fine-tuning accuracy with a fraction of the state.")
 }

@@ -98,8 +98,8 @@ func TestProxiesValid(t *testing.T) {
 }
 
 // TestBuildOptimizerAllNames: every catalogue row builds by name at an
-// explicit rank and hands out a fresh instance per call (zero.NewSharded
-// wants one per shard); what cannot be built is an error, never a panic.
+// explicit rank and hands out a fresh instance per call; what cannot be
+// built is an error, never a panic.
 func TestBuildOptimizerAllNames(t *testing.T) {
 	if len(Methods()) != 26 {
 		t.Fatalf("the catalogue has %d rows, want the 23 zoo members and the 3 figure variants", len(Methods()))

@@ -158,13 +158,14 @@ func TestShapesOfMirrorsParamKinds(t *testing.T) {
 	}
 }
 
-// TestStateViewsAgree holds the three views of an optimizer's state to one
-// another for every row of the catalogue, after one step on a live proxy model:
-// the measured StateBytes, the bytes CaptureParam hands to a checkpoint, and
+// TestStateViewsAgree holds the views of an optimizer's state to one another
+// for every row of the catalogue, after one step on a live proxy model: the
+// measured StateBytes (and the per-parameter StateBytesFor a ZeRO partition
+// charges its replicas by), the bytes CaptureParam hands to a checkpoint, and
 // the StateElemsFor introspection ZeRO balances by. train.instrumentMemory's
-// optimizer_state / projector_scratch split assumes the first and the third
-// agree; a slot that is counted but not captured (or the reverse) is a
-// trajectory that silently changes on resume.
+// optimizer_state / projector_scratch split assumes the measured bytes and
+// the introspection agree; a slot that is counted but not captured (or the
+// reverse) is a trajectory that silently changes on resume.
 func TestStateViewsAgree(t *testing.T) {
 	proxy, err := ProxyByName("60M")
 	if err != nil {
@@ -222,14 +223,15 @@ func TestStateViewsAgree(t *testing.T) {
 
 			si, ok := opt.(optim.StateIntrospector)
 			if !ok {
-				if !strings.HasPrefix(name, "Q-") {
-					t.Fatal("no StateIntrospector")
-				}
-				return
+				t.Fatal("no StateIntrospector")
 			}
-			var elems int64
+			var elems, perParam int64
 			for _, p := range params {
 				elems += si.StateElemsFor(p)
+				perParam += si.StateBytesFor(p)
+			}
+			if perParam != opt.StateBytes() {
+				t.Errorf("StateBytes %d, ΣStateBytesFor %d", opt.StateBytes(), perParam)
 			}
 			if strings.HasPrefix(name, "8-bit") {
 				// INT8 codes are one byte an element: introspection counts

@@ -105,9 +105,7 @@ func TestLiveStateMatchesMemmodelZeRO(t *testing.T) {
 		t.Run(name, func(t *testing.T) {
 			model := proxy.NewProxyModel(3)
 			rank := m.Rank(0, proxy.Model.Dim)
-			sharded := zero.NewSharded(func() optim.Optimizer {
-				return m.New(optim.Hyper{LR: proxy.LR}, rank, 7)
-			}, replicas)
+			sharded := zero.NewSharded(m.New(optim.Hyper{LR: proxy.LR}, rank, 7), replicas)
 			corpus, err := NewCorpus(11)
 			if err != nil {
 				t.Fatal(err)

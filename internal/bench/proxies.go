@@ -84,7 +84,7 @@ func NewCorpus(seed uint64) (*data.Corpus, error) {
 type Method struct {
 	Name   string
 	Family string // README grouping
-	// New builds a fresh instance per call (zero.NewSharded wants one per shard).
+	// New builds a fresh instance per call.
 	New func(h optim.Hyper, rank int, seed uint64) optim.Optimizer
 	// FixedRank > 0 is the rank the row always runs at, whatever is asked
 	// for (APOLLO-Mini is rank 1 by definition).

@@ -8,6 +8,7 @@ import (
 
 	"apollo/internal/ckpt"
 	"apollo/internal/memmodel"
+	"apollo/internal/obs"
 	"apollo/internal/optim"
 	"apollo/internal/train"
 	"apollo/internal/zero"
@@ -78,7 +79,7 @@ func runCkpt(ctx *RunContext) error {
 		halfCfg.Steps = k
 		halfCfg.CkptEvery = k
 		halfCfg.CkptPath = path
-		train.DPPretrain(halfModel, zero.NewSharded(build, 3), halfCorpus, train.DPConfig{
+		train.DPPretrain(halfModel, zero.NewSharded(build(), 3), halfCorpus, train.DPConfig{
 			PretrainConfig: halfCfg, Replicas: 3,
 		})
 
@@ -91,7 +92,7 @@ func runCkpt(ctx *RunContext) error {
 		if err != nil {
 			return err
 		}
-		resOpt := zero.NewSharded(build, 4)
+		resOpt := zero.NewSharded(build(), 4)
 		if err := ckpt.Restore(st, resModel.Params().List(), resOpt, resCorpus); err != nil {
 			return err
 		}
@@ -112,8 +113,8 @@ func runCkpt(ctx *RunContext) error {
 		dev := (float64(fi.Size()) - predicted) / predicted
 		ctx.Printf("%-12s %-7s %10s %10s %+7.2f%%\n",
 			name, parity,
-			train.FormatBytes(fi.Size()),
-			train.FormatBytes(int64(math.Round(predicted))),
+			obs.FormatBytes(fi.Size()),
+			obs.FormatBytes(int64(math.Round(predicted))),
 			dev*100)
 	}
 

@@ -5,7 +5,9 @@ import (
 
 	"apollo/internal/cluster"
 	"apollo/internal/memmodel"
+	"apollo/internal/obs"
 	"apollo/internal/optim"
+	"apollo/internal/quant"
 	"apollo/internal/train"
 	"apollo/internal/zero"
 )
@@ -36,22 +38,19 @@ func runZero(ctx *RunContext) error {
 	if ctx.Scale == Full {
 		steps = 20
 	}
-	names := []string{"AdamW", "APOLLO", "APOLLO-Mini", "GaLore"}
 	broken := contract{id: "zero"}
 
 	ctx.Printf("proxy-60M, global batch %d, %d steps, %d replicas (ZeRO sharded)\n\n", proxy.Batch, steps, world)
-	ctx.Printf("%-12s %-6s %10s %12s %12s %8s\n",
+	ctx.Printf("%-22s %-6s %10s %12s %12s %8s\n",
 		"optimizer", "parity", "total", "max/replica", "predicted", "dev")
 
 	pcfg := train.PretrainConfig{Batch: proxy.Batch, Seq: proxy.Seq, Steps: steps}
 	var zeroRes train.Result
-	for _, name := range names {
-		m, err := MethodByName(name)
-		if err != nil {
-			return err
+	for _, m := range Methods() {
+		if m.Mem == nil {
+			continue // no formula to set the per-replica bytes against
 		}
 		rank := m.Rank(0, proxy.Model.Dim)
-		// zero.NewSharded calls build once per shard.
 		build := func() optim.Optimizer { return m.New(optim.Hyper{LR: proxy.LR}, rank, ctx.Seed) }
 
 		plainCorpus, plainModel, err := ctx.fresh(proxy)
@@ -66,41 +65,48 @@ func runZero(ctx *RunContext) error {
 		if err != nil {
 			return err
 		}
-		zres := train.DPPretrain(zModel, zero.NewSharded(build, world), zCorpus, train.DPConfig{
+		zres := train.DPPretrain(zModel, zero.NewSharded(build(), world), zCorpus, train.DPConfig{
 			PretrainConfig: pcfg, Replicas: world,
 		})
 		zeroRes = zres
 
 		// The ZeRO run must match the unsharded one float-for-float.
-		parity := broken.parity(name, zres.FinalValPPL, plain.FinalValPPL)
+		parity := broken.parity(m.Name, zres.FinalValPPL, plain.FinalValPPL)
 		var maxReplica int64
 		for _, b := range zres.ReplicaStateBytes {
 			maxReplica = max(maxReplica, b)
 		}
-		// Live states are fp32: predicted per-replica bytes = elems·4/world.
-		predicted := memmodel.StateElems(ShapesOf(plainModel.Params().List()), *m.Mem, rank) * 4 / world
+		// Predicted per-replica bytes = elems·bytes/world: live states are
+		// fp32, INT8 moments a byte a code plus an fp32 scale per group
+		// (8-bit GaLore keeps its SVD projections in fp32, which this prices
+		// as INT8 too: its row reads about a third over).
+		per := 4.0
+		if m.Mem.StateBytesPer == memmodel.BytesINT8 { //apollo:exactfloat BytesINT8 is an exact constant discriminator, never computed
+			per = 1 + 4.0/quant.DefaultGroupSize
+		}
+		predicted := memmodel.StateElems(ShapesOf(plainModel.Params().List()), *m.Mem, rank) * per / world
 		dev := 0.0
 		if predicted > 0 {
 			dev = (float64(maxReplica) - predicted) / predicted
 		}
-		ctx.Printf("%-12s %-6s %10s %12s %12s %+7.1f%%\n",
-			name, parity,
-			train.FormatBytes(zres.StateBytes),
-			train.FormatBytes(maxReplica),
-			train.FormatBytes(int64(math.Round(predicted))),
+		ctx.Printf("%-22s %-6s %10s %12s %12s %+7.1f%%\n",
+			m.Name, parity,
+			obs.FormatBytes(zres.StateBytes),
+			obs.FormatBytes(maxReplica),
+			obs.FormatBytes(int64(math.Round(predicted))),
 			dev*100)
 	}
 
 	// Comm volumes: measured counters from the last run vs the analytic
 	// per-step expectation.
 	paramBytes := 4 * int64(proxy.Model.NumParams())
-	ctx.Printf("\ncomm per step (P = %s of fp32 weights):\n", train.FormatBytes(paramBytes))
+	ctx.Printf("\ncomm per step (P = %s of fp32 weights):\n", obs.FormatBytes(paramBytes))
 	ctx.Printf("  gradient all-reduce  measured %s   analytic (B-1)·P = %s\n",
-		train.FormatBytes(zeroRes.AllReduceBytes/int64(steps)),
-		train.FormatBytes(int64(proxy.Batch-1)*paramBytes))
+		obs.FormatBytes(zeroRes.AllReduceBytes/int64(steps)),
+		obs.FormatBytes(int64(proxy.Batch-1)*paramBytes))
 	ctx.Printf("  weight broadcast     measured %s   analytic (N-1)·P = %s\n",
-		train.FormatBytes(zeroRes.BroadcastBytes/int64(steps)),
-		train.FormatBytes(int64(world-1)*paramBytes))
+		obs.FormatBytes(zeroRes.BroadcastBytes/int64(steps)),
+		obs.FormatBytes(int64(world-1)*paramBytes))
 
 	// The cluster simulator's prediction for the same mechanism at paper
 	// scale: sharding buys per-GPU state memory and a shorter optimizer

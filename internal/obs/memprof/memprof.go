@@ -17,10 +17,9 @@
 //     what memory it used but how far it drifted from the analytic model
 //     that claims to describe it.
 //
-//   - A heap flight recorder: a bounded in-memory ring of recent samples
-//     plus automatic pprof heap-profile capture into the run directory when
-//     a configurable high-water threshold is crossed or when a caller (the
-//     training watchdog) asks for one on an alert.
+//   - A heap flight recorder: automatic pprof heap-profile capture into the
+//     run directory when a configurable high-water threshold is crossed or
+//     when a caller (the training watchdog) asks for one on an alert.
 //
 // The PR 5 contracts carry over. Cost: a nil *Profiler is the disabled mode —
 // every method is nil-receiver safe at one branch — and sampling happens off
@@ -115,8 +114,6 @@ type Config struct {
 	// SampleEvery is the ObserveStep cadence: a sample every N observed
 	// steps. <= 0 selects 1 (every step).
 	SampleEvery int
-	// RingSize bounds the in-memory flight-recorder ring. <= 0 selects 256.
-	RingSize int
 	// HighWater, when > 0, is the heap-in-use byte threshold whose first
 	// crossing triggers an automatic heap-profile capture (reason
 	// "highwater") into ProfileDir.
@@ -125,8 +122,7 @@ type Config struct {
 	// (heap-<reason>-<n>.pprof). Empty disables capture.
 	ProfileDir string
 	// MaxProfiles bounds how many heap profiles one profiler will write
-	// (captures past it are dropped, counted in the sample ring only).
-	// <= 0 selects 4.
+	// (captures past it are dropped). <= 0 selects 4.
 	MaxProfiles int
 }
 
@@ -146,9 +142,6 @@ type Profiler struct {
 	comps      map[string]*component
 	order      []string // registration order, for stable gauge listing
 	preds      map[string]func() float64
-	ring       []Sample
-	ringAt     int
-	ringFull   bool
 	peak       Sample
 	havePeak   bool
 	step       int64 // ObserveStep counter for the SampleEvery cadence
@@ -162,9 +155,6 @@ func New(cfg Config) *Profiler {
 	if cfg.SampleEvery <= 0 {
 		cfg.SampleEvery = 1
 	}
-	if cfg.RingSize <= 0 {
-		cfg.RingSize = 256
-	}
 	if cfg.MaxProfiles <= 0 {
 		cfg.MaxProfiles = 4
 	}
@@ -172,7 +162,6 @@ func New(cfg Config) *Profiler {
 		cfg:   cfg,
 		comps: map[string]*component{},
 		preds: map[string]func() float64{},
-		ring:  make([]Sample, cfg.RingSize),
 	}
 	instrumentRuntime(cfg.Registry)
 	return p
@@ -341,8 +330,8 @@ func (p *Profiler) ObserveStep(step int) {
 }
 
 // Sample takes one timeline point: evaluates the ledger and predictions,
-// reads MemStats and proc/cgroup RSS, updates the high-water mark and the
-// flight-recorder ring, emits the mem event, and — when the heap-in-use
+// reads MemStats and proc/cgroup RSS, updates the high-water mark, emits the
+// mem event, and — when the heap-in-use
 // high-water threshold is first crossed — captures a heap profile.
 func (p *Profiler) Sample(step int) Sample {
 	if p == nil {
@@ -402,12 +391,6 @@ func (p *Profiler) Sample(step int) Sample {
 		p.peak = s
 		p.havePeak = true
 	}
-	p.ring[p.ringAt] = s
-	p.ringAt++
-	if p.ringAt == len(p.ring) {
-		p.ringAt = 0
-		p.ringFull = true
-	}
 	capture := p.cfg.HighWater > 0 && !p.hwCaptured && int64(s.HeapInuse) >= p.cfg.HighWater
 	if capture {
 		p.hwCaptured = true
@@ -419,24 +402,6 @@ func (p *Profiler) Sample(step int) Sample {
 		p.CaptureHeapProfile("highwater")
 	}
 	return s
-}
-
-// Ring returns the flight-recorder samples, oldest first.
-func (p *Profiler) Ring() []Sample {
-	if p == nil {
-		return nil
-	}
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	if !p.ringFull {
-		out := make([]Sample, p.ringAt)
-		copy(out, p.ring[:p.ringAt])
-		return out
-	}
-	out := make([]Sample, 0, len(p.ring))
-	out = append(out, p.ring[p.ringAt:]...)
-	out = append(out, p.ring[:p.ringAt]...)
-	return out
 }
 
 // Peak returns the sample with the highest ledger total seen so far (the

@@ -7,6 +7,7 @@ import (
 	"path/filepath"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -27,9 +28,6 @@ func TestNilProfiler(t *testing.T) {
 	}
 	if got := p.Read("x"); got != 0 {
 		t.Fatalf("nil Read = %d", got)
-	}
-	if r := p.Ring(); r != nil {
-		t.Fatalf("nil Ring = %v", r)
 	}
 	if pk := p.Peak(); pk.TotalBytes != 0 {
 		t.Fatalf("nil Peak = %+v", pk)
@@ -91,9 +89,9 @@ func TestLedgerSampleAndDelta(t *testing.T) {
 	}
 }
 
-// TestRingAndPeak pins flight-recorder bounds, ordering, and peak tracking.
-func TestRingAndPeak(t *testing.T) {
-	p := New(Config{RingSize: 4})
+// TestPeak pins peak tracking: the highest ledger total, not the latest.
+func TestPeak(t *testing.T) {
+	p := New(Config{})
 	v := int64(0)
 	p.Track("x", func() int64 { return v })
 	for i := 1; i <= 6; i++ {
@@ -103,15 +101,6 @@ func TestRingAndPeak(t *testing.T) {
 		}
 		p.Sample(i)
 	}
-	ring := p.Ring()
-	if len(ring) != 4 {
-		t.Fatalf("ring len = %d", len(ring))
-	}
-	for i, s := range ring {
-		if s.Step != i+3 {
-			t.Fatalf("ring[%d].Step = %d, want %d (oldest first)", i, s.Step, i+3)
-		}
-	}
 	if pk := p.Peak(); pk.TotalBytes != 600 || pk.Step != 6 {
 		t.Fatalf("peak = total %d step %d", pk.TotalBytes, pk.Step)
 	}
@@ -119,18 +108,20 @@ func TestRingAndPeak(t *testing.T) {
 
 // TestSampleEvery pins the ObserveStep cadence.
 func TestSampleEvery(t *testing.T) {
-	p := New(Config{SampleEvery: 3, RingSize: 16})
+	var buf bytes.Buffer
+	p := New(Config{SampleEvery: 3, Out: obs.NewJSONLWriter(&buf)})
 	p.Set("x", 1)
 	for step := 1; step <= 9; step++ {
 		p.ObserveStep(step)
 	}
-	ring := p.Ring()
-	if len(ring) != 3 {
-		t.Fatalf("samples = %d, want 3", len(ring))
+	lines := strings.Split(strings.TrimSpace(buf.String()), "\n")
+	if len(lines) != 3 {
+		t.Fatalf("samples = %d, want 3", len(lines))
 	}
 	for i, want := range []int{3, 6, 9} {
-		if ring[i].Step != want {
-			t.Fatalf("ring[%d].Step = %d, want %d", i, ring[i].Step, want)
+		var s Sample
+		if err := json.Unmarshal([]byte(lines[i]), &s); err != nil || s.Step != want {
+			t.Fatalf("sample %d at step %d (err %v), want %d", i, s.Step, err, want)
 		}
 	}
 }
@@ -210,7 +201,7 @@ func TestHighWaterCapture(t *testing.T) {
 
 // TestConcurrentSampling races Track/Set/Sample/Read under -race.
 func TestConcurrentSampling(t *testing.T) {
-	p := New(Config{RingSize: 8})
+	p := New(Config{})
 	p.Track("a", func() int64 { return 1 })
 	var wg sync.WaitGroup
 	for g := 0; g < 4; g++ {
@@ -225,7 +216,6 @@ func TestConcurrentSampling(t *testing.T) {
 					p.Sample(i)
 				case 2:
 					p.Read("a")
-					p.Ring()
 				default:
 					p.ObserveStep(i)
 					p.Peak()
@@ -238,16 +228,17 @@ func TestConcurrentSampling(t *testing.T) {
 
 // TestStartSampler smoke-tests the background cadence used by serve.
 func TestStartSampler(t *testing.T) {
-	p := New(Config{RingSize: 64})
-	p.Set("x", 7)
+	p := New(Config{})
+	var samples atomic.Int64 // every Sample pulls the component once
+	p.Track("x", func() int64 { samples.Add(1); return 7 })
 	stop := p.StartSampler(2 * time.Millisecond)
 	deadline := time.Now().Add(2 * time.Second)
-	for len(p.Ring()) < 2 && time.Now().Before(deadline) {
+	for samples.Load() < 2 && time.Now().Before(deadline) {
 		time.Sleep(2 * time.Millisecond)
 	}
 	stop()
 	stop() // idempotent
-	if len(p.Ring()) < 2 {
-		t.Fatalf("background sampler produced %d samples", len(p.Ring()))
+	if samples.Load() < 2 {
+		t.Fatalf("background sampler produced %d samples", samples.Load())
 	}
 }

@@ -258,7 +258,7 @@ func (r *DiffReport) Write(w io.Writer) {
 	fmt.Fprintf(w, "  step wall p50     A %.4fs  B %.4fs\n", r.WallP50A, r.WallP50B)
 	fmt.Fprintf(w, "  step wall p95     A %.4fs  B %.4fs\n", r.WallP95A, r.WallP95B)
 	if r.MemPeakA > 0 || r.MemPeakB > 0 {
-		fmt.Fprintf(w, "  mem peak (ledger) A %s  B %s", FormatBytes(r.MemPeakA), FormatBytes(r.MemPeakB))
+		fmt.Fprintf(w, "  mem peak (ledger) A %s  B %s", obs.FormatBytes(r.MemPeakA), obs.FormatBytes(r.MemPeakB))
 		if r.MemTol > 0 && r.MemPeakA > 0 {
 			fmt.Fprintf(w, "  (gate: B ≤ A × %.2f)", 1+r.MemTol)
 		}
@@ -281,20 +281,5 @@ func (r *DiffReport) Write(w io.Writer) {
 		fmt.Fprintf(w, "  verdict: FAIL (%s)\n", strings.Join(fails, "; "))
 	} else {
 		fmt.Fprintf(w, "  verdict: PASS\n")
-	}
-}
-
-// FormatBytes renders byte counts human-first: the cells of `apollo-runs
-// diff` and `apollo-runs show`.
-func FormatBytes(b int64) string {
-	switch {
-	case b >= 1<<30:
-		return fmt.Sprintf("%.2f GiB", float64(b)/(1<<30))
-	case b >= 1<<20:
-		return fmt.Sprintf("%.2f MiB", float64(b)/(1<<20))
-	case b >= 1<<10:
-		return fmt.Sprintf("%.1f KiB", float64(b)/(1<<10))
-	default:
-		return fmt.Sprintf("%d B", b)
 	}
 }

@@ -1,6 +1,7 @@
 package runlog
 
 import (
+	"encoding/json"
 	"math"
 	"sort"
 	"time"
@@ -29,6 +30,46 @@ type AlertEvent struct {
 	WallSeconds float64 `json:"wall_seconds,omitempty"`
 	Halt        bool    `json:"halt"`
 	UnixUS      int64   `json:"unix_us"`
+}
+
+// alertWire is AlertEvent as events.jsonl carries it: the two members a
+// nan_loss / nan_grad alert makes non-finite are obs.JSONFloat, null beside
+// their exact text.
+type alertWire struct {
+	Step         int           `json:"step"`
+	Kind         string        `json:"alert"`
+	Loss         obs.JSONFloat `json:"loss"`
+	LossText     string        `json:"loss_text,omitempty"`
+	GradNorm     obs.JSONFloat `json:"grad_norm,omitempty"`
+	GradNormText string        `json:"grad_norm_text,omitempty"`
+	Median       float64       `json:"median,omitempty"`
+	Factor       float64       `json:"factor,omitempty"`
+	WallSeconds  float64       `json:"wall_seconds,omitempty"`
+	Halt         bool          `json:"halt"`
+	UnixUS       int64         `json:"unix_us"`
+}
+
+// MarshalJSON implements json.Marshaler.
+func (e AlertEvent) MarshalJSON() ([]byte, error) {
+	return json.Marshal(alertWire{
+		Step: e.Step, Kind: e.Kind, Loss: obs.JSONFloat(e.Loss), LossText: obs.NonFiniteText(e.Loss),
+		GradNorm: obs.JSONFloat(e.GradNorm), GradNormText: obs.NonFiniteText(e.GradNorm),
+		Median: e.Median, Factor: e.Factor, WallSeconds: e.WallSeconds, Halt: e.Halt, UnixUS: e.UnixUS,
+	})
+}
+
+// UnmarshalJSON implements json.Unmarshaler.
+func (e *AlertEvent) UnmarshalJSON(b []byte) error {
+	var w alertWire
+	if err := json.Unmarshal(b, &w); err != nil {
+		return err
+	}
+	*e = AlertEvent{Step: w.Step, Kind: w.Kind, Loss: float64(w.Loss), GradNorm: float64(w.GradNorm),
+		Median: w.Median, Factor: w.Factor, WallSeconds: w.WallSeconds, Halt: w.Halt, UnixUS: w.UnixUS}
+	if err := obs.FloatFromText(&e.Loss, w.LossText); err != nil {
+		return err
+	}
+	return obs.FloatFromText(&e.GradNorm, w.GradNormText)
 }
 
 // WatchdogConfig tunes the health checks. The zero value selects the

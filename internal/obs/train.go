@@ -1,6 +1,10 @@
 package obs
 
 import (
+	"encoding/json"
+	"fmt"
+	"math"
+	"strconv"
 	"sync"
 	"time"
 )
@@ -54,6 +58,80 @@ type StepEvent struct {
 	LR          float64            `json:"lr"`
 	WallSeconds float64            `json:"wall_seconds"`
 	Phases      map[string]float64 `json:"phases"`
+}
+
+// JSONFloat is a float64 member of an event payload on the wire. JSON has no
+// literal for NaN or ±Inf — json.Marshal refuses them, which used to drop
+// exactly the events a diverging run exists to record — so a non-finite
+// value travels as null, with its exact text in a sibling "<name>_text"
+// member (NonFiniteText; the ExactFloat convention of serve's responses).
+// A finite value marshals to the bytes a plain float64 does.
+type JSONFloat float64
+
+// MarshalJSON implements json.Marshaler.
+func (f JSONFloat) MarshalJSON() ([]byte, error) {
+	if NonFiniteText(float64(f)) != "" {
+		return []byte("null"), nil
+	}
+	return json.Marshal(float64(f))
+}
+
+// NonFiniteText is the "<name>_text" member for v: its shortest round-trip
+// text ("NaN", "+Inf", "-Inf") when v is not finite, "" (omitted) otherwise.
+func NonFiniteText(v float64) string {
+	if math.IsNaN(v) || math.IsInf(v, 0) {
+		return strconv.FormatFloat(v, 'g', -1, 64)
+	}
+	return ""
+}
+
+// FloatFromText puts a "<name>_text" member back: a non-empty text replaces
+// the value its null decoded to.
+func FloatFromText(dst *float64, text string) error {
+	if text == "" {
+		return nil
+	}
+	v, err := strconv.ParseFloat(text, 64)
+	if err != nil {
+		return fmt.Errorf("obs: event float text %q: %w", text, err)
+	}
+	*dst = v
+	return nil
+}
+
+// stepWire is StepEvent as events.jsonl carries it.
+type stepWire struct {
+	Step         int                `json:"step"`
+	Loss         JSONFloat          `json:"loss"`
+	LossText     string             `json:"loss_text,omitempty"`
+	GradNorm     JSONFloat          `json:"grad_norm"`
+	GradNormText string             `json:"grad_norm_text,omitempty"`
+	LR           float64            `json:"lr"`
+	WallSeconds  float64            `json:"wall_seconds"`
+	Phases       map[string]float64 `json:"phases"`
+}
+
+// MarshalJSON implements json.Marshaler.
+func (e StepEvent) MarshalJSON() ([]byte, error) {
+	return json.Marshal(stepWire{
+		Step: e.Step, Loss: JSONFloat(e.Loss), LossText: NonFiniteText(e.Loss),
+		GradNorm: JSONFloat(e.GradNorm), GradNormText: NonFiniteText(e.GradNorm),
+		LR: e.LR, WallSeconds: e.WallSeconds, Phases: e.Phases,
+	})
+}
+
+// UnmarshalJSON implements json.Unmarshaler.
+func (e *StepEvent) UnmarshalJSON(b []byte) error {
+	var w stepWire
+	if err := json.Unmarshal(b, &w); err != nil {
+		return err
+	}
+	*e = StepEvent{Step: w.Step, Loss: float64(w.Loss), GradNorm: float64(w.GradNorm),
+		LR: w.LR, WallSeconds: w.WallSeconds, Phases: w.Phases}
+	if err := FloatFromText(&e.Loss, w.LossText); err != nil {
+		return err
+	}
+	return FloatFromText(&e.GradNorm, w.GradNormText)
 }
 
 // TrainRecorder accumulates per-step phase timings and optionally emits

@@ -14,9 +14,8 @@ import (
 //
 // Layout — globals: [stochastic-rounding RNG phase]; per parameter: Scalars
 // [t]; Blobs [m codes, m scales, v codes, v scales]. INT8 groups straddle row
-// boundaries and the rounding noise comes from one stream per instance, so
-// the update is never row-splittable (nor bit-exact under more than one ZeRO
-// shard).
+// boundaries and the rounding noise comes from one stream in list order, so
+// the update is never row-splittable.
 type Adam8bit struct {
 	// The table's rng is the stochastic-rounding stream.
 	*StateTable

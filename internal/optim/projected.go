@@ -175,8 +175,8 @@ func (st *ProjState) LimitNormGrowth(u *tensor.Matrix, gamma float64) {
 type Rule func(e *Projected, st *ProjState, p *nn.Param, grad *tensor.Matrix, ws *Workspace) *tensor.Matrix
 
 // Projected is the engine behind every projected optimizer. It implements
-// Optimizer and StateSharder; StateIntrospector, StateSaver and StateLoader
-// are its StateTable's.
+// Optimizer; StateIntrospector, StateSaver and StateLoader are its
+// StateTable's.
 type Projected struct {
 	// The table's rng draws one projector seed per projected parameter, in step order.
 	*StateTable
@@ -283,8 +283,8 @@ func (e *Projected) ApplyScaledGrad(st *ProjState, p *nn.Param, s []float32, alp
 // apply it; everything not projected goes to dense AdamW.
 //
 // The list is walked serially first — the fallback split, and first-touch
-// allocation with its projector-seed draw in list order, which is the
-// contract PrepareShard replays. The projected parameters are then stepped
+// allocation with its projector-seed draw in list order (the order a ZeRO
+// partition steps its units in too). The projected parameters are then stepped
 // concurrently on the shared pool, workers claiming the next unclaimed one.
 // A parameter's update reads and writes nothing of any other parameter, so
 // the result is bit-identical at any pool width.
@@ -335,24 +335,5 @@ func (e *Projected) stepOne(j projJob, ws *Workspace) {
 	st.S[projSince]++
 	if dir := e.rule(e, st, p, grad, ws); dir != nil {
 		DecayAndApply(p, dir, e.h.LR, e.h.WeightDecay)
-	}
-}
-
-// PrepareShard implements StateSharder: projector seeds are drawn at first
-// touch in step order, so a shard-local instance walks the FULL list in
-// global order — one draw per projectable parameter, exactly as an unsharded
-// first Step — and allocates only what it owns.
-func (e *Projected) PrepareShard(all []*nn.Param, owned func(*nn.Param) bool) {
-	for _, p := range all {
-		if !projects(p, e.cfg.Rank) {
-			continue
-		}
-		seed := e.rng.Uint64()
-		if !owned(p) {
-			continue
-		}
-		if st, fresh := e.State(p); fresh {
-			st.Proj = e.projector(seed)
-		}
 	}
 }

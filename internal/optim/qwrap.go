@@ -61,6 +61,26 @@ func (w *WeightQuantized) Step(ps []*nn.Param) {
 // optimizer state).
 func (w *WeightQuantized) StateBytes() int64 { return w.inner.StateBytes() }
 
+// StateElemsFor, StateBytesFor and RowSplittable implement StateIntrospector:
+// the state is the inner optimizer's, but ownership is never cut along rows —
+// INT8 groups straddle row boundaries, and a row view would draw its own
+// per-weight rounding stream.
+func (w *WeightQuantized) StateElemsFor(p *nn.Param) int64 {
+	if si, ok := w.inner.(StateIntrospector); ok {
+		return si.StateElemsFor(p)
+	}
+	return 0
+}
+
+func (w *WeightQuantized) StateBytesFor(p *nn.Param) int64 {
+	if si, ok := w.inner.(StateIntrospector); ok {
+		return si.StateBytesFor(p)
+	}
+	return 0
+}
+
+func (w *WeightQuantized) RowSplittable(*nn.Param) bool { return false }
+
 // WeightBytes reports the resident INT8 master-weight footprint.
 func (w *WeightQuantized) WeightBytes() int64 {
 	var total int64

@@ -1,44 +1,30 @@
 // ZeRO-style state partitioning hooks (Rajbhandari et al., 2020; the
 // state-sharding lineage of Anil et al., 2019). Every optimizer in this zoo
 // keeps per-parameter state, so an external partitioner (internal/zero) can
-// hand each replica a disjoint sub-slice of the parameter list and have each
-// inner optimizer step only its shard. Two things make that bit-identical to
-// an unsharded run:
+// lay an ownership map over one optimizer's state: which replica each
+// parameter's (or row range's) state is charged to, and which replica
+// publishes its stepped weights. Two things make stepping through that map
+// bit-identical to stepping the list directly:
 //
 //  1. Per-parameter independence: Step's update for a parameter reads only
 //     that parameter's gradient and state. This holds for the whole zoo
 //     (clipping, the one cross-parameter coupling, happens in the trainer
-//     before Step).
-//  2. Order-independent randomness: the projected optimizers (GaLore, Fira,
-//     Flora, APOLLO — all one engine, Projected) draw one projector seed per
-//     parameter from a shared RNG at first touch — in *step order*. A
-//     sharded optimizer that only ever sees its shard would draw a different
-//     seed sequence, so it must pre-walk the full list via StateSharder.
+//     before Step), so an element-wise update may be cut along rows.
+//  2. Order-dependent randomness stays in order: projector seeds, factor
+//     initializations and stochastic-rounding noise are drawn from one
+//     stream per optimizer in *step order*. The partitioner therefore steps
+//     its one optimizer over every unit in list order; it never builds a
+//     second instance whose stream would have to be replayed.
 //
 // This file holds the hook interfaces only. No optimizer answers
 // StateIntrospector by hand: StateElemsFor is summed from the slots its
-// Schema declares and RowSplittable is the schema's own declaration of the
-// update, both derived by the StateTable every member embeds (state.go). The
-// one StateSharder, the projected family's seed walk, is in projected.go.
+// Schema declares, StateBytesFor is measured from the entry it allocated and
+// RowSplittable is the schema's own declaration of the update, all derived
+// by the StateTable every member embeds (state.go); WeightQuantized forwards
+// to the optimizer it wraps.
 package optim
 
 import "apollo/internal/nn"
-
-// StateSharder is the state-introspection hook for partitioned optimizers.
-// PrepareShard walks the FULL parameter list in global order, consuming any
-// order-dependent randomness exactly as an unsharded first Step would, but
-// allocates state only for parameters where owned(p) is true. After
-// PrepareShard, stepping only the owned sub-slice produces per-parameter
-// updates bit-identical to the unsharded optimizer.
-//
-// Optimizers without order-dependent randomness (AdamW, SGD, Adam-mini)
-// need no hook: their lazy per-parameter state is already subset-safe. The
-// 8-bit variants are NOT shardable — stochastic rounding draws from a
-// shared RNG on every step, so their updates depend on which parameters an
-// instance steps.
-type StateSharder interface {
-	PrepareShard(all []*nn.Param, owned func(*nn.Param) bool)
-}
 
 // StateIntrospector describes an optimizer's per-parameter state without
 // allocating it, so a partitioner can balance by actual state cost (the
@@ -49,6 +35,10 @@ type StateIntrospector interface {
 	// StateElemsFor returns the resident state element count Step would
 	// allocate for p.
 	StateElemsFor(p *nn.Param) int64
+	// StateBytesFor returns the bytes resident for p now, measured from the
+	// allocated state (0 before first touch). Summed over the parameters
+	// stepped so far it is Optimizer.StateBytes.
+	StateBytesFor(p *nn.Param) int64
 	// RowSplittable reports whether Step's update for p is element-wise
 	// (or per-row), so ownership of p may be split across row ranges with
 	// bit-identical results. Projected parameters are never splittable —
@@ -69,13 +59,13 @@ type Segment struct {
 // ShardedStepper is what a ZeRO-style wrapper (internal/zero) exposes to
 // the data-parallel gradient stage beyond Optimizer: the partition of the
 // parameter list into owner shards. Stepping stays Optimizer.Step — the
-// wrapper runs every shard's inner optimizer concurrently itself — so the
-// trainer needs the ownership map only to tree-broadcast each shard's
+// wrapper hands its one inner optimizer every owned segment in list order —
+// so the trainer needs the ownership map only to tree-broadcast each shard's
 // updated weights from its owner replica and to report per-replica state.
 type ShardedStepper interface {
 	Optimizer
-	// Init fixes the parameter list, partitions it and prepares the
-	// per-shard inner optimizers. Idempotent for the same list.
+	// Init fixes the parameter list and partitions it. Idempotent for the
+	// same list.
 	Init(all []*nn.Param)
 	// Shards returns the number of owner shards.
 	Shards() int

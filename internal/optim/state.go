@@ -155,30 +155,51 @@ func (t *StateTable) alloc(p *nn.Param) *Entry {
 	return e
 }
 
-// StateBytes implements Optimizer, measured from the allocated state: slots,
-// counted scalars, and what the projector must keep resident.
+// StateBytes implements Optimizer, measured from the allocated state: the
+// sum of StateBytesFor over every parameter touched so far.
 func (t *StateTable) StateBytes() int64 {
 	var total int64
 	if t.fallback != nil {
 		total = t.fallback.StateBytes()
 	}
-	var counted int64
+	for _, e := range t.entries { //apollo:orderfree exact integer sum; iteration order cannot reach the result
+		total += t.entryBytes(e)
+	}
+	return total
+}
+
+// StateBytesFor implements StateIntrospector: what is resident for p now.
+func (t *StateTable) StateBytesFor(p *nn.Param) int64 {
+	if !t.schema.covers(p) {
+		if t.fallback == nil {
+			return 0
+		}
+		return t.fallback.StateBytesFor(p)
+	}
+	e, ok := t.entries[p]
+	if !ok {
+		return 0
+	}
+	return t.entryBytes(e)
+}
+
+// entryBytes measures one entry: slots, counted scalars, and what the
+// projector must keep resident.
+func (t *StateTable) entryBytes(e *Entry) int64 {
+	var total int64
 	for _, sc := range t.schema.Scalars {
 		if sc.Counted {
-			counted += 4
+			total += 4
 		}
 	}
-	for _, e := range t.entries { //apollo:orderfree exact integer sum; iteration order cannot reach the result
-		total += counted
-		for _, m := range e.M {
-			total += 4 * int64(m.NumEl())
-		}
-		for _, q := range e.Q {
-			total += q.Bytes()
-		}
-		if e.Proj != nil {
-			total += 4 * int64(e.Proj.StateFloats())
-		}
+	for _, m := range e.M {
+		total += 4 * int64(m.NumEl())
+	}
+	for _, q := range e.Q {
+		total += q.Bytes()
+	}
+	if e.Proj != nil {
+		total += 4 * int64(e.Proj.StateFloats())
 	}
 	return total
 }

@@ -168,7 +168,7 @@ func TestElasticReshardParity(t *testing.T) {
 			halfCfg := ckptTestConfig(k)
 			halfCfg.CkptEvery = k
 			halfCfg.CkptPath = path
-			DPPretrain(halfModel, zero.NewSharded(b.build, 3), halfCorpus, DPConfig{
+			DPPretrain(halfModel, zero.NewSharded(b.build(), 3), halfCorpus, DPConfig{
 				PretrainConfig: halfCfg, Replicas: 3,
 			})
 			st, err := ckpt.LoadFile(path)
@@ -179,7 +179,7 @@ func TestElasticReshardParity(t *testing.T) {
 			// Resume A: reshard 3 → 4.
 			t.Run("reshard-3to4", func(t *testing.T) {
 				m, c := ckptTestSetup(t, seed)
-				opt := zero.NewSharded(b.build, 4)
+				opt := zero.NewSharded(b.build(), 4)
 				if err := ckpt.Restore(st, m.Params().List(), opt, c); err != nil {
 					t.Fatal(err)
 				}
@@ -234,7 +234,7 @@ func TestShardCheckpointOfUnshardedRun(t *testing.T) {
 		t.Fatal(err)
 	}
 	m, c := ckptTestSetup(t, seed)
-	opt := zero.NewSharded(build, 4)
+	opt := zero.NewSharded(build(), 4)
 	if err := ckpt.Restore(st, m.Params().List(), opt, c); err != nil {
 		t.Fatal(err)
 	}

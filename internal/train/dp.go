@@ -66,13 +66,15 @@ type dataParallel struct {
 // gradient computation. model holds the master weights; opt steps them.
 //
 // ZeRO extension. When opt implements optim.ShardedStepper (zero.Sharded),
-// the optimizer step itself is partitioned: each shard's inner optimizer
-// runs concurrently on the shard's owner, and the updated weights reach
-// the other replicas through a per-shard binomial-tree broadcast — the
-// weight-side mirror of the gradient all-reduce tree. Broadcast copies are
-// float-exact, so the sharded run stays bit-identical to `-replicas 1`
-// while each replica's resident optimizer state drops to ~1/N (see
-// Result.ReplicaStateBytes and internal/zero's determinism contract).
+// the optimizer's state is partitioned: every parameter row range has one
+// owner shard, which is charged its state and publishes its stepped rows,
+// and the updated weights reach the other replicas through a per-shard
+// binomial-tree broadcast — the weight-side mirror of the gradient
+// all-reduce tree. The step itself is still the one Optimizer.Step, and
+// broadcast copies are float-exact, so the sharded run stays bit-identical
+// to `-replicas 1` while each replica's resident optimizer state drops to
+// ~1/N (see Result.ReplicaStateBytes and internal/zero's determinism
+// contract).
 func DPPretrain(model *nn.Model, opt optim.Optimizer, corpus *data.Corpus, cfg DPConfig) Result {
 	pcfg := cfg.PretrainConfig.withDefaults()
 	return pretrain(model, opt, corpus, pcfg, newDataParallel(model, opt, pcfg.Batch, cfg.Replicas))

@@ -101,38 +101,6 @@ func TestValidateNonPositiveBatches(t *testing.T) {
 	}
 }
 
-// TestFormatBytesNegative covers the sign handling for the negative deltas
-// size-comparison tables print (positive thresholds are pinned by the
-// existing TestFormatBytes).
-func TestFormatBytesNegative(t *testing.T) {
-	cases := []struct {
-		in   int64
-		want string
-	}{
-		{0, "0B"},
-		{-512, "-512B"},
-		{-(1 << 10), "-1.00K"},
-		{-(3 << 20), "-3.00M"},
-		{-(5 << 30), "-5.00G"},
-		{math.MinInt64, "-8.00EG"},
-	}
-	for _, tc := range cases {
-		if tc.in == math.MinInt64 {
-			// Only the sign and magnitude-order matter at the overflow edge;
-			// the switch has no EiB tier, so just require no panic and a
-			// leading minus.
-			got := FormatBytes(tc.in)
-			if len(got) == 0 || got[0] != '-' {
-				t.Fatalf("FormatBytes(MinInt64) = %q, want negative rendering", got)
-			}
-			continue
-		}
-		if got := FormatBytes(tc.in); got != tc.want {
-			t.Fatalf("FormatBytes(%d) = %q, want %q", tc.in, tc.want, got)
-		}
-	}
-}
-
 // maskedDPRun trains with every training batch fully ignore-masked (the
 // counted==0 path) and returns the result plus the final weights.
 func maskedDPRun(t *testing.T, opt optim.Optimizer, replicas int) (Result, []*tensor.Matrix) {
@@ -173,7 +141,7 @@ func TestDPPretrainAllMaskedBatches(t *testing.T) {
 
 	res1, w1 := maskedDPRun(t, sgd(), 1)
 	res3, w3 := maskedDPRun(t, sgd(), 3)
-	resZ, wZ := maskedDPRun(t, zero.NewSharded(sgd, 4), 4)
+	resZ, wZ := maskedDPRun(t, zero.NewSharded(sgd(), 4), 4)
 
 	for _, res := range []Result{res1, res3, resZ} {
 		for _, m := range res.Series[:len(res.Series)-1] {
@@ -247,7 +215,7 @@ func TestDPPretrainMixedMaskedBatches(t *testing.T) {
 	adamw := func() optim.Optimizer { return optim.NewAdamW(optim.Hyper{LR: 1e-3}) }
 	res1, w1 := run(1, adamw())
 	res4, w4 := run(4, adamw())
-	resZ, wZ := run(3, zero.NewSharded(adamw, 3))
+	resZ, wZ := run(3, zero.NewSharded(adamw(), 3))
 
 	for _, res := range []Result{res1, res4, resZ} {
 		for i, m := range res.Series[:len(res.Series)-1] {

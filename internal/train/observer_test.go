@@ -54,7 +54,7 @@ func (m loopMode) run(t *testing.T, seed uint64, steps int, observe func(*Pretra
 	}
 	opt := build()
 	if m.zero {
-		opt = zero.NewSharded(build, m.replicas)
+		opt = zero.NewSharded(build(), m.replicas)
 	}
 	cfg := dpTestConfig(m.replicas).PretrainConfig
 	cfg.Steps = steps
@@ -227,6 +227,12 @@ func TestWatchdogHaltParity(t *testing.T) {
 				rd.Manifest.Error != "watchdog halt at step 3: "+runlog.AlertNaNLoss {
 				t.Fatalf("%s: halted manifest: status %s, steps %d, error %q",
 					m.name, rd.Manifest.Status, rd.Manifest.Steps, rd.Manifest.Error)
+			}
+			// The alert itself reached the stream: JSON cannot carry the value
+			// that raised it, so it travels as null beside its exact text.
+			if len(rd.Alerts) != 1 || rd.Alerts[0].Step != 3 ||
+				(rd.Alerts[0].Loss != bad && !(math.IsNaN(rd.Alerts[0].Loss) && math.IsNaN(bad))) {
+				t.Fatalf("%s: recorded alerts %+v, want the one step-3 alert with loss %v", m.name, rd.Alerts, bad)
 			}
 		}
 	}

@@ -145,21 +145,3 @@ func TestFTAccuracyBoundsAndDeterminism(t *testing.T) {
 		t.Fatalf("accuracy %v out of range", a)
 	}
 }
-
-func TestFormatBytes(t *testing.T) {
-	cases := map[int64]string{
-		512:           "512B",
-		2048:          "2.00K",
-		3 << 20:       "3.00M",
-		5 << 30:       "5.00G",
-		1536 << 20:    "1.50G",
-		1234 << 10:    "1.21M",
-		(1 << 30):     "1.00G",
-		(1 << 30) - 1: "1024.00M",
-	}
-	for in, want := range cases {
-		if got := FormatBytes(in); got != want {
-			t.Fatalf("FormatBytes(%d) = %q want %q", in, got, want)
-		}
-	}
-}

@@ -41,7 +41,7 @@ func TestZeroDPParity(t *testing.T) {
 			for _, replicas := range []int{2, 4} {
 				t.Run(fmt.Sprintf("replicas=%d", replicas), func(t *testing.T) {
 					gotModel, _, gotCorpus := dpTestSetup(t, seed)
-					sh := zero.NewSharded(build, replicas)
+					sh := zero.NewSharded(build(), replicas)
 					got := DPPretrain(gotModel, sh, gotCorpus, dpTestConfig(replicas))
 
 					if len(got.Series) != len(ref.Series) {
@@ -110,9 +110,7 @@ func TestZeroCommAccounting(t *testing.T) {
 	}
 
 	zModel, _, zCorpus := dpTestSetup(t, seed)
-	sh := zero.NewSharded(func() optim.Optimizer {
-		return optim.NewAdamW(optim.Hyper{LR: 1e-3})
-	}, 4)
+	sh := zero.NewSharded(optim.NewAdamW(optim.Hyper{LR: 1e-3}), 4)
 	z := DPPretrain(zModel, sh, zCorpus, cfg)
 	if want := steps * (b - 1) * paramBytes; z.AllReduceBytes != want {
 		t.Fatalf("zero all-reduce bytes %d, want %d", z.AllReduceBytes, want)

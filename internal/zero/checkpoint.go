@@ -1,20 +1,16 @@
 // Checkpoint gather/scatter: the elastic half of checkpoint/resume. A
 // Sharded optimizer saves its state in the *canonical unsharded layout* —
-// for every parameter, the full-row state exactly as one unsharded inner
-// optimizer would expose it — by merging the row segments owned by
-// different shards on capture and re-slicing them for the current partition
+// for every parameter, the full-row state exactly as the inner optimizer
+// stepping the list itself would expose it — by merging the row segments of
+// a split parameter on capture and re-slicing them for the current partition
 // on restore. Because the on-disk layout never mentions the world size, a
 // checkpoint written under `-replicas N -zero` resumes under any
 // `-replicas M -zero` (the new Init computes a fresh partition and the
 // scatter follows it) or under a plain unsharded optimizer, bit-for-bit.
 //
-// Globals (the projector-seed RNG phase for GaLore/Fira/Flora/APOLLO) are
-// identical across shards by construction: every shard's PrepareShard walks
-// the full parameter list in global order, consuming the seed stream
-// exactly as an unsharded first Step would. Capture verifies that invariant
-// and refuses to write a checkpoint if any shard disagrees — which is what
-// keeps the non-shardable 8-bit stochastic-rounding optimizers from
-// silently producing a bogus canonical state.
+// Globals (RNG phases: projector seeds, factor inits, stochastic rounding)
+// are the one inner optimizer's own — there is no second copy to disagree
+// with.
 package zero
 
 import (
@@ -27,65 +23,41 @@ import (
 // CheckpointName implements optim.CheckpointNamer: checkpoints are keyed by
 // the inner optimizer's identity, not the world size, so they reshard.
 func (s *Sharded) CheckpointName() string {
-	if n, ok := s.inner[0].(optim.CheckpointNamer); ok {
+	if n, ok := s.inner.(optim.CheckpointNamer); ok {
 		return n.CheckpointName()
 	}
-	return s.inner[0].Name()
+	return s.inner.Name()
 }
 
-// saver returns shard i's inner optimizer as a StateSaver.
-func (s *Sharded) saver(i int) (optim.StateSaver, error) {
-	sv, ok := s.inner[i].(optim.StateSaver)
+// saver returns the inner optimizer as a StateSaver.
+func (s *Sharded) saver() (optim.StateSaver, error) {
+	sv, ok := s.inner.(optim.StateSaver)
 	if !ok {
-		return nil, fmt.Errorf("zero: inner optimizer %s is not checkpointable", s.inner[i].Name())
+		return nil, fmt.Errorf("zero: inner optimizer %s is not checkpointable", s.inner.Name())
 	}
 	return sv, nil
 }
 
-// loader returns shard i's inner optimizer as a StateLoader.
-func (s *Sharded) loader(i int) (optim.StateLoader, error) {
-	ld, ok := s.inner[i].(optim.StateLoader)
+// loader returns the inner optimizer as a StateLoader.
+func (s *Sharded) loader() (optim.StateLoader, error) {
+	ld, ok := s.inner.(optim.StateLoader)
 	if !ok {
-		return nil, fmt.Errorf("zero: inner optimizer %s is not checkpointable", s.inner[i].Name())
+		return nil, fmt.Errorf("zero: inner optimizer %s is not checkpointable", s.inner.Name())
 	}
 	return ld, nil
 }
 
-// CaptureGlobals implements optim.StateSaver: the canonical global cursors,
-// verified identical across every shard.
+// CaptureGlobals implements optim.StateSaver.
 func (s *Sharded) CaptureGlobals() ([]uint64, error) {
-	first, err := s.saver(0)
+	sv, err := s.saver()
 	if err != nil {
 		return nil, err
 	}
-	ref, err := first.CaptureGlobals()
-	if err != nil {
-		return nil, err
-	}
-	for i := 1; i < s.n; i++ {
-		sv, err := s.saver(i)
-		if err != nil {
-			return nil, err
-		}
-		gs, err := sv.CaptureGlobals()
-		if err != nil {
-			return nil, err
-		}
-		if len(gs) != len(ref) {
-			return nil, fmt.Errorf("zero: shard %d has %d global cursors, shard 0 has %d", i, len(gs), len(ref))
-		}
-		for j := range gs {
-			if gs[j] != ref[j] {
-				return nil, fmt.Errorf("zero: shard %d global cursor %d diverged from shard 0 — %s has per-shard randomness and cannot be checkpointed canonically",
-					i, j, s.inner[0].Name())
-			}
-		}
-	}
-	return ref, nil
+	return sv.CaptureGlobals()
 }
 
 // CaptureParam implements optim.StateSaver: gather the parameter's state
-// from its owner shard(s) into the canonical full-row layout.
+// from its row segments into the canonical full-row layout.
 func (s *Sharded) CaptureParam(p *nn.Param) (*optim.ParamState, error) {
 	if !s.ready {
 		return nil, fmt.Errorf("zero: CaptureParam before Init")
@@ -94,38 +66,32 @@ func (s *Sharded) CaptureParam(p *nn.Param) (*optim.ParamState, error) {
 	if !ok {
 		return nil, fmt.Errorf("zero: CaptureParam for unknown parameter %s", p.Name)
 	}
+	sv, err := s.saver()
+	if err != nil {
+		return nil, err
+	}
 	units := s.unitsByParam[idx]
-	if len(units) == 1 && s.wholeUnit(units[0]) {
-		sv, err := s.saver(s.ownerOf[units[0]])
-		if err != nil {
-			return nil, err
-		}
-		return sv.CaptureParam(p)
+	if len(units) == 1 {
+		return sv.CaptureParam(p) // a sole unit is whole: its view is p
 	}
 
 	parts := make([]*optim.ParamState, 0, len(units))
 	segs := make([][2]int, 0, len(units))
-	absent := 0
 	for _, u := range units {
-		sv, err := s.saver(s.ownerOf[u])
-		if err != nil {
-			return nil, err
-		}
 		part, err := sv.CaptureParam(s.views[u])
 		if err != nil {
 			return nil, err
 		}
 		if part == nil {
-			absent++
 			continue
 		}
 		parts = append(parts, part)
 		segs = append(segs, [2]int{s.segs[u].Row0, s.segs[u].Row1})
 	}
-	if absent == len(units) {
+	if len(parts) == 0 {
 		return nil, nil
 	}
-	if absent > 0 {
+	if len(parts) < len(units) {
 		return nil, fmt.Errorf("zero: parameter %s has state on only %d of %d segments", p.Name, len(parts), len(units))
 	}
 	merged, err := optim.MergeRowStates(p.W.Rows, parts, segs)
@@ -135,19 +101,13 @@ func (s *Sharded) CaptureParam(p *nn.Param) (*optim.ParamState, error) {
 	return merged, nil
 }
 
-// RestoreGlobals implements optim.StateLoader: every shard receives the
-// same canonical cursors, restoring the cross-shard invariant.
+// RestoreGlobals implements optim.StateLoader.
 func (s *Sharded) RestoreGlobals(gs []uint64) error {
-	for i := 0; i < s.n; i++ {
-		ld, err := s.loader(i)
-		if err != nil {
-			return err
-		}
-		if err := ld.RestoreGlobals(gs); err != nil {
-			return err
-		}
+	ld, err := s.loader()
+	if err != nil {
+		return err
 	}
-	return nil
+	return ld.RestoreGlobals(gs)
 }
 
 // RestoreParam implements optim.StateLoader: scatter the canonical state
@@ -162,12 +122,12 @@ func (s *Sharded) RestoreParam(p *nn.Param, st *optim.ParamState) error {
 	if !ok {
 		return fmt.Errorf("zero: RestoreParam for unknown parameter %s", p.Name)
 	}
+	ld, err := s.loader()
+	if err != nil {
+		return err
+	}
 	units := s.unitsByParam[idx]
-	if len(units) == 1 && s.wholeUnit(units[0]) {
-		ld, err := s.loader(s.ownerOf[units[0]])
-		if err != nil {
-			return err
-		}
+	if len(units) == 1 {
 		return ld.RestoreParam(p, st)
 	}
 	for _, u := range units {
@@ -176,21 +136,9 @@ func (s *Sharded) RestoreParam(p *nn.Param, st *optim.ParamState) error {
 		if err != nil {
 			return fmt.Errorf("zero: scatter %s: %w", p.Name, err)
 		}
-		ld, err := s.loader(s.ownerOf[u])
-		if err != nil {
-			return err
-		}
 		if err := ld.RestoreParam(s.views[u], sub); err != nil {
 			return err
 		}
 	}
 	return nil
-}
-
-// wholeUnit reports whether unit u covers all rows of its parameter (in
-// which case its view *is* the original parameter and no row surgery is
-// needed — the path every projected parameter takes).
-func (s *Sharded) wholeUnit(u int) bool {
-	seg := s.segs[u]
-	return seg.Row0 == 0 && seg.Row1 == s.all[seg.Param].W.Rows
 }

@@ -111,7 +111,7 @@ func TestProjectedStepWidthIndependent(t *testing.T) {
 	for name, build := range projectedBuilders() {
 		modes := map[string]func() optim.Optimizer{
 			"fused":  build,
-			"zero-3": func() optim.Optimizer { return NewSharded(build, 3) },
+			"zero-3": func() optim.Optimizer { return NewSharded(build(), 3) },
 		}
 		var want string
 		for mode, mk := range modes {

@@ -3,36 +3,37 @@
 // optimizer state — already shrunk by APOLLO's rank reduction — is
 // partitioned across the DP replicas so each holds only ~1/N of it.
 //
-// Sharded wraps any optim.Optimizer constructor. Ownership is partitioned
-// at row-segment granularity: parameters whose update the inner optimizer
+// Sharded is a partition of one optimizer's state, not N optimizers (the
+// state-sharding idea of Anil et al., 2019, needs no more): an ownership
+// map over a single inner optim.Optimizer. Ownership is partitioned at
+// row-segment granularity: parameters whose update the inner optimizer
 // reports as element-wise (optim.StateIntrospector.RowSplittable — dense
 // AdamW state, embeddings, SGD velocity) may be split across row ranges,
 // mirroring ZeRO's flat partitioning, while projected parameters (whose
 // subspace statistics couple the whole matrix) stay whole. Units are
 // weighted by introspected state cost, so the thing that actually gets
-// balanced is the footprint ZeRO divides — not parameter count. Each shard
-// gets its own inner optimizer instance that steps only the owned
-// segments; updated weights then flow to the other replicas via the same
-// balanced-tree pattern the data-parallel stage uses for gradients (see
-// internal/train/dp.go).
+// balanced is the footprint ZeRO divides — not parameter count. A step
+// hands the inner optimizer every unit in ascending (Param, Row0) order;
+// what the map decides is which replica each unit's state is charged to
+// (ReplicaStateBytes) and which replica broadcasts its stepped rows to the
+// others, via the same balanced-tree pattern the data-parallel stage uses
+// for gradients (see internal/train/dp.go).
 //
-// Determinism contract. Sharded stepping is bit-identical to the unsharded
-// inner optimizer whenever (1) the inner update for a parameter depends
-// only on that parameter's own gradient and state — true across the zoo —
-// with row splits applied only where the update is element- or row-wise,
-// and (2) any order-dependent randomness is consumed in global parameter
-// order, which the optim.StateSharder hook restores for the
-// seeded-projection methods (GaLore, Fira, Flora, APOLLO). Consequently
-// `-replicas N -zero` reproduces `-replicas 1` float-for-float while each
-// replica's measured StateBytes is ~1/N of the unsharded footprint
-// (enforced by TestShardedStepParity and train.TestZeroDPParity). The
-// 8-bit optimizers are the exception: their stochastic rounding draws from
-// a shared per-step RNG, so they stay exact only at one shard.
+// Determinism contract. Ascending (Param, Row0) order is the unsharded list
+// order, so every first-touch seed draw, factor initialization and
+// stochastic-rounding sample is consumed exactly as an unsharded run
+// consumes it, and a row split is applied only where the update is element-
+// or row-wise. Sharded stepping is therefore bit-identical to the inner
+// optimizer stepping the list itself, for every member of the zoo, by
+// construction: `-replicas N -zero` reproduces `-replicas 1` float-for-float
+// — weights, captured state and global cursors — while each replica is
+// charged ~1/N of the measured footprint (bench.TestCatalogueShardedParity
+// ranges the contract over the method catalogue; TestShardedStepParity and
+// train.TestZeroDPParity pin it here and through the trainer).
 package zero
 
 import (
 	"fmt"
-	"sync"
 
 	"apollo/internal/nn"
 	"apollo/internal/optim"
@@ -45,40 +46,45 @@ func rowView(m *tensor.Matrix, rows, lo, hi int) *tensor.Matrix {
 	return &tensor.Matrix{Rows: rows, Cols: m.Cols, Data: m.Data[lo:hi]}
 }
 
-// Sharded partitions optimizer state across N owner shards. It implements
-// optim.Optimizer (Step runs every shard concurrently, so it is a drop-in
-// replacement under any gradient stage) and optim.ShardedStepper (the
-// ownership map the data-parallel stage tree-broadcasts stepped weights by).
+// shardable is what a partition needs of the optimizer it is laid over: the
+// update, and per-parameter answers about the state behind it.
+type shardable interface {
+	optim.Optimizer
+	optim.StateIntrospector
+}
+
+// Sharded partitions one optimizer's state across N owner shards. It
+// implements optim.Optimizer (a drop-in replacement under any gradient
+// stage) and optim.ShardedStepper (the ownership map the data-parallel
+// stage tree-broadcasts stepped weights by).
 type Sharded struct {
-	inner []optim.Optimizer
+	inner shardable
 	n     int
 
 	all   []*nn.Param
 	segs  []optim.Segment // all ownership units, ascending (Param, Row0)
-	views []*nn.Param     // view param per unit (aliases the unit's rows)
+	views []*nn.Param     // view param per unit (aliases the unit's rows); what Step steps
 	parts [][]int         // per-shard unit indices
-	owned [][]*nn.Param   // per-shard view params, what StepShard steps
+	owned [][]*nn.Param   // per-shard view params
 	ready bool
 
 	// Checkpoint gather/scatter indexes (built by Init).
-	ownerOf      []int             // unit index → owning shard
 	unitsByParam [][]int           // param index → unit indices, ascending Row0
 	paramIndex   map[*nn.Param]int // original param pointer → index in all
 }
 
-// NewSharded builds a wrapper with one inner optimizer per shard. The
-// constructor must return a fresh, identically configured instance on every
-// call (same seeds — the StateSharder walk, not the constructor, is what
-// differentiates the shards).
-func NewSharded(build func() optim.Optimizer, replicas int) *Sharded {
-	if replicas < 1 {
-		replicas = 1
+// NewSharded lays an N-shard ownership map over inner, which must also
+// implement optim.StateIntrospector (every member of the zoo does): a
+// partition by state needs per-parameter answers about that state.
+func NewSharded(inner optim.Optimizer, shards int) *Sharded {
+	sh, ok := inner.(shardable)
+	if !ok {
+		panic(fmt.Sprintf("zero: %s does not implement optim.StateIntrospector", inner.Name()))
 	}
-	s := &Sharded{inner: make([]optim.Optimizer, replicas), n: replicas}
-	for i := range s.inner {
-		s.inner[i] = build()
+	if shards < 1 {
+		shards = 1
 	}
-	return s
+	return &Sharded{inner: sh, n: shards}
 }
 
 // viewOf materializes a Segment as a parameter aliasing the rows
@@ -100,10 +106,9 @@ func viewOf(p *nn.Param, seg optim.Segment) *nn.Param {
 	}
 }
 
-// Init implements optim.ShardedStepper: build the ownership units,
-// partition them by introspected state cost and prepare each shard's inner
-// optimizer. Idempotent for the same list; a Sharded instance is bound to
-// one parameter list for its lifetime.
+// Init implements optim.ShardedStepper: build the ownership units and
+// partition them by introspected state cost. Idempotent for the same list;
+// a Sharded instance is bound to one parameter list for its lifetime.
 func (s *Sharded) Init(all []*nn.Param) {
 	if s.ready {
 		if len(all) != len(s.all) || (len(all) > 0 && all[0] != s.all[0]) {
@@ -112,7 +117,6 @@ func (s *Sharded) Init(all []*nn.Param) {
 		return
 	}
 	s.all = all
-	intro, _ := s.inner[0].(optim.StateIntrospector)
 
 	// Build units: whole parameters by default; element-wise parameters
 	// split into up to N balanced row chunks so no single tensor's state
@@ -120,7 +124,7 @@ func (s *Sharded) Init(all []*nn.Param) {
 	// granularity).
 	for i, p := range all {
 		chunks := 1
-		if intro != nil && intro.RowSplittable(p) && s.n > 1 {
+		if s.inner.RowSplittable(p) && s.n > 1 {
 			chunks = s.n
 			if chunks > p.W.Rows {
 				chunks = p.W.Rows
@@ -142,22 +146,19 @@ func (s *Sharded) Init(all []*nn.Param) {
 	// still spread their weight-broadcast payload.
 	weights := make([]int64, len(s.views))
 	for u, v := range s.views {
-		cost := int64(v.NumEl())
-		if intro != nil {
-			cost = intro.StateElemsFor(v)*256 + int64(v.NumEl())
-		}
-		weights[u] = cost
+		weights[u] = s.inner.StateElemsFor(v)*256 + int64(v.NumEl())
 	}
 	s.parts = PartitionWeighted(weights, s.n)
 
-	// Index ownership for the checkpoint gather/scatter paths: which shard
-	// owns each unit, and which units tile each parameter.
-	s.ownerOf = make([]int, len(s.segs))
+	s.owned = make([][]*nn.Param, s.n)
 	for shard, units := range s.parts {
 		for _, u := range units {
-			s.ownerOf[u] = shard
+			s.owned[shard] = append(s.owned[shard], s.views[u])
 		}
 	}
+
+	// Index the units tiling each parameter for the checkpoint
+	// gather/scatter paths.
 	s.unitsByParam = make([][]int, len(all))
 	for u, seg := range s.segs {
 		s.unitsByParam[seg.Param] = append(s.unitsByParam[seg.Param], u)
@@ -165,21 +166,6 @@ func (s *Sharded) Init(all []*nn.Param) {
 	s.paramIndex = make(map[*nn.Param]int, len(all))
 	for i, p := range all {
 		s.paramIndex[p] = i
-	}
-
-	s.owned = make([][]*nn.Param, s.n)
-	for shard, units := range s.parts {
-		own := make(map[*nn.Param]bool, len(units))
-		for _, u := range units {
-			own[s.views[u]] = true
-			s.owned[shard] = append(s.owned[shard], s.views[u])
-		}
-		if sh, ok := s.inner[shard].(optim.StateSharder); ok {
-			// Whole-parameter units reuse the original pointer, so the
-			// global walk sees owned projectable params; split units are
-			// never projectable and allocate their dense state lazily.
-			sh.PrepareShard(all, func(p *nn.Param) bool { return own[p] })
-		}
 	}
 	s.ready = true
 }
@@ -196,64 +182,50 @@ func (s *Sharded) OwnedSegments(shard int) []optim.Segment {
 	return out
 }
 
-// StepShard runs one shard's inner optimizer on its owned segments. Shards
-// own disjoint rows and separate inner optimizers, so concurrent calls for
-// distinct shards are race-free — which is how Step runs them.
+// StepShard steps only one shard's owned segments: one replica's share of
+// the step's work, which is what a probe times. It is not a way to train —
+// stepping shard by shard visits the units out of list order, and Step's
+// bit-parity with the unsharded optimizer rests on that order.
 func (s *Sharded) StepShard(shard int) {
 	if !s.ready {
 		panic("zero: StepShard before Init")
 	}
-	s.inner[shard].Step(s.owned[shard])
+	s.inner.Step(s.owned[shard])
 }
 
-// Step implements optim.Optimizer: initialize on first use, then run every
-// shard concurrently. Bit-identical to the unsharded inner optimizer (see
-// the package contract) under the fused and the data-parallel gradient stage
-// alike.
+// Step implements optim.Optimizer: initialize on first use, then hand the
+// inner optimizer every unit in ascending (Param, Row0) order. Bit-identical
+// to the inner optimizer stepping ps itself (see the package contract) under
+// the fused and the data-parallel gradient stage alike.
 func (s *Sharded) Step(ps []*nn.Param) {
 	s.Init(ps)
-	var wg sync.WaitGroup
-	for shard := 0; shard < s.n; shard++ {
-		wg.Add(1)
-		go func(shard int) {
-			defer wg.Done()
-			s.StepShard(shard)
-		}(shard)
-	}
-	wg.Wait()
+	s.inner.Step(s.views)
 }
 
 // Name implements optim.Optimizer.
 func (s *Sharded) Name() string {
-	return fmt.Sprintf("%s+ZeRO%d", s.inner[0].Name(), s.n)
+	return fmt.Sprintf("%s+ZeRO%d", s.inner.Name(), s.n)
 }
 
 // SetLR implements optim.Optimizer.
-func (s *Sharded) SetLR(lr float64) {
-	for _, o := range s.inner {
-		o.SetLR(lr)
-	}
-}
+func (s *Sharded) SetLR(lr float64) { s.inner.SetLR(lr) }
 
 // LR implements optim.Optimizer.
-func (s *Sharded) LR() float64 { return s.inner[0].LR() }
+func (s *Sharded) LR() float64 { return s.inner.LR() }
 
 // StateBytes implements optim.Optimizer: the aggregate footprint across all
-// shards — what one unsharded instance would hold.
-func (s *Sharded) StateBytes() int64 {
-	var total int64
-	for _, o := range s.inner {
-		total += o.StateBytes()
-	}
-	return total
-}
+// shards, which is the inner optimizer's own.
+func (s *Sharded) StateBytes() int64 { return s.inner.StateBytes() }
 
 // ReplicaStateBytes implements optim.ShardedStepper: each shard's resident
-// footprint, the number the paper-style memory tables care about per GPU.
+// footprint — the measured bytes behind the units it owns — the number the
+// paper-style memory tables care about per GPU.
 func (s *Sharded) ReplicaStateBytes() []int64 {
 	out := make([]int64, s.n)
-	for i, o := range s.inner {
-		out[i] = o.StateBytes()
+	for shard, vs := range s.owned {
+		for _, v := range vs {
+			out[shard] += s.inner.StateBytesFor(v)
+		}
 	}
 	return out
 }

@@ -104,8 +104,9 @@ func fillGrads(params []*nn.Param, step int) {
 }
 
 // shardableBuilders covers every optimizer family the determinism contract
-// claims: per-param-independent updates, with the StateSharder hook for the
-// seeded-projection methods. Small rank and update gap exercise projection
+// was first stated for: per-param-independent updates and the
+// seeded-projection methods (bench.TestCatalogueShardedParity ranges it over
+// the whole catalogue). Small rank and update gap exercise projection
 // refreshes within the test horizon.
 func shardableBuilders() map[string]func() optim.Optimizer {
 	h := optim.Hyper{LR: 0.01, WeightDecay: 0.1}
@@ -139,7 +140,7 @@ func TestShardedStepParity(t *testing.T) {
 				ref := testParams(5)
 				got := testParams(5)
 				refOpt := build()
-				shOpt := NewSharded(build, n)
+				shOpt := NewSharded(build(), n)
 				const steps = 8
 				for step := 0; step < steps; step++ {
 					fillGrads(ref, step)
@@ -172,7 +173,7 @@ func TestShardedStateBytesPartition(t *testing.T) {
 			unsharded.Step(params)
 			total := unsharded.StateBytes()
 
-			sh := NewSharded(build, 4)
+			sh := NewSharded(build(), 4)
 			params2 := testParams(5)
 			fillGrads(params2, 0)
 			sh.Step(params2)
@@ -195,7 +196,7 @@ func TestShardedStateBytesPartition(t *testing.T) {
 }
 
 func TestShardedOptimizerInterface(t *testing.T) {
-	sh := NewSharded(func() optim.Optimizer { return optim.NewAdamW(optim.Hyper{LR: 0.5}) }, 3)
+	sh := NewSharded(optim.NewAdamW(optim.Hyper{LR: 0.5}), 3)
 	if sh.Name() != "AdamW+ZeRO3" {
 		t.Fatalf("name %q", sh.Name())
 	}
@@ -229,7 +230,7 @@ func TestShardedOptimizerInterface(t *testing.T) {
 }
 
 func TestShardedRejectsNewParamList(t *testing.T) {
-	sh := NewSharded(func() optim.Optimizer { return optim.NewAdamW(optim.Hyper{LR: 0.5}) }, 2)
+	sh := NewSharded(optim.NewAdamW(optim.Hyper{LR: 0.5}), 2)
 	sh.Init(testParams(1))
 	defer func() {
 		if recover() == nil {
