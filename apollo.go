@@ -134,10 +134,11 @@ func DPPretrain(m *Model, opt Optimizer, corpus *Corpus, cfg DPConfig) Result {
 type ZeRO = zero.Sharded
 
 // NewZeRO wraps the optimizer build returns (called once) in ZeRO-style
-// state sharding across the given replica count; the optimizer must be one
-// of this package's, or implement the state introspection they do. Used
-// with DPPretrain at the same replica
-// count, training stays bit-identical to the unsharded single-replica run
+// state sharding across the given replica count. Every Optimizer is
+// checkpointable by type; the wrapper additionally needs the per-parameter
+// state introspection all of this package's optimizers provide and panics
+// on one without it. Used with DPPretrain at the same replica count,
+// training stays bit-identical to the unsharded single-replica run
 // while each replica holds only ~1/N of the optimizer state (see
 // internal/zero for the determinism contract; Result.ReplicaStateBytes
 // reports the measured per-replica footprint). The wrapper is also a valid

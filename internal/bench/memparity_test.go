@@ -211,7 +211,7 @@ func TestStateViewsAgree(t *testing.T) {
 
 			var fromCapture int64
 			for _, p := range params {
-				st, err := opt.(optim.StateSaver).CaptureParam(p)
+				st, err := opt.CaptureParam(p)
 				if err != nil {
 					t.Fatal(err)
 				}

@@ -5,6 +5,7 @@ import (
 	"strings"
 
 	"apollo/internal/core"
+	"apollo/internal/eval"
 	"apollo/internal/nn"
 	"apollo/internal/optim"
 	"apollo/internal/tensor"
@@ -344,8 +345,8 @@ func runTable10(ctx *RunContext) error {
 			model.Params().ZeroGrad()
 			model.Loss(tokens, targets, b, t)
 			for _, m := range methods {
-				dir := updateDirection(model.Params().List(), m.mk())
-				results[m.name][epoch] = directionalSharpness(model, dir, tokens, targets, b, t)
+				dir := eval.UpdateDirection(model.Params().List(), m.mk().Step)
+				results[m.name][epoch] = eval.DirectionalSharpness(model, dir, tokens, targets, b, t, 0.05)
 			}
 			epochIdx++
 		}
@@ -360,47 +361,4 @@ func runTable10(ctx *RunContext) error {
 	ctx.Printf("\npaper row for reference (epochs 2/5/10/20): SGD %v, Adam %v,\nAPOLLO %v, APOLLO-Mini %v\n", paper["SGD"], paper["Adam"], paper["APOLLO"], paper["APOLLO-Mini"])
 	ctx.Printf("shape to verify: SGD's direction is orders of magnitude sharper than the\nadaptive methods; APOLLO(-Mini) at or below Adam's sharpness.\n")
 	return nil
-}
-
-// updateDirection and directionalSharpness adapt internal/eval's probes for
-// the bench package without importing it into a cycle.
-func updateDirection(params []*nn.Param, opt optim.Optimizer) []*tensor.Matrix {
-	clones := make([]*nn.Param, len(params))
-	for i, p := range params {
-		c := nn.NewParam(p.Name, p.Kind, p.W.Clone())
-		c.Grad.CopyFrom(p.Grad)
-		clones[i] = c
-	}
-	opt.Step(clones)
-	out := make([]*tensor.Matrix, len(params))
-	for i := range params {
-		out[i] = tensor.Sub(params[i].W, clones[i].W)
-	}
-	return out
-}
-
-func directionalSharpness(model *nn.Model, dir []*tensor.Matrix, tokens, targets []int, b, t int) float64 {
-	const eps = 0.05
-	var sq float64
-	for _, d := range dir {
-		sq += d.SqNorm()
-	}
-	norm := math.Sqrt(sq)
-	if norm == 0 { //apollo:exactfloat guard against division by an exact-zero norm
-		return 0
-	}
-	scale := float32(eps / norm)
-	params := model.Params().List()
-	move := func(sign float32) {
-		for i, p := range params {
-			tensor.AxpyInPlace(p.W, sign*scale, dir[i])
-		}
-	}
-	base := model.EvalLoss(tokens, targets, b, t)
-	move(+1)
-	plus := model.EvalLoss(tokens, targets, b, t)
-	move(-2)
-	minus := model.EvalLoss(tokens, targets, b, t)
-	move(+1)
-	return (plus - 2*base + minus) / (eps * eps)
 }

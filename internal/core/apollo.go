@@ -29,9 +29,8 @@ type Config struct {
 	UpdateGap int
 	// Projection selects random (default) or SVD subspaces ("APOLLO w. SVD").
 	Projection linalg.ProjectionKind
-	// Gamma is the norm-growth limiter threshold; 0 keeps the default 1.01.
-	Gamma float64
-	// DisableNL switches the limiter off (ablation).
+	// DisableNL switches the norm-growth limiter (γ = DefaultGamma) off
+	// (ablation).
 	DisableNL bool
 	// Seed drives all projection randomness.
 	Seed uint64
@@ -47,9 +46,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.UpdateGap == 0 {
 		c.UpdateGap = 200
-	}
-	if c.Gamma == 0 { //apollo:exactfloat zero is the unset-field sentinel; defaults fill only untouched fields
-		c.Gamma = DefaultGamma
 	}
 	if c.Seed == 0 {
 		c.Seed = 0xA9011_0
@@ -183,6 +179,6 @@ func (a *APOLLO) rule(e *optim.Projected, st *optim.ProjState, p *nn.Param, grad
 
 	// Step 4: rescale the raw gradient by the factors and α, tame its
 	// growth, and apply — fused, in the parameter's native layout.
-	e.ApplyScaledGrad(st, p, factors, float32(a.cfg.Scale), a.cfg.Gamma, !a.cfg.DisableNL)
+	e.ApplyScaledGrad(st, p, factors, float32(a.cfg.Scale), DefaultGamma, !a.cfg.DisableNL)
 	return nil
 }

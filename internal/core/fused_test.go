@@ -105,7 +105,7 @@ func referenceAPOLLO(h optim.Hyper, cfg Config) *optim.Projected {
 		}
 		update := unfusedUpdate(p, channel, factor, cfg.Scale, 0, nil)
 		if !cfg.DisableNL {
-			st.LimitNormGrowth(update, cfg.Gamma)
+			st.LimitNormGrowth(update, DefaultGamma)
 		}
 		return update
 	}
@@ -211,7 +211,7 @@ func TestFusedAPOLLOMatchesUnfusedReference(t *testing.T) {
 						}
 						now := optim.F64From(sf.Scalars[2])
 						if !disableNL && prev > 0 {
-							if now == cfg.withDefaults().Gamma*prev {
+							if now == DefaultGamma*prev {
 								fired++
 							} else {
 								passed++

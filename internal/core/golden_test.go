@@ -119,8 +119,7 @@ func goldenResumedDigest(t *testing.T, build func() optim.Optimizer, steps, at i
 	for _, p := range ps {
 		hashMatrix(h, p.W)
 	}
-	saver := opt.(optim.StateSaver)
-	gs, err := saver.CaptureGlobals()
+	gs, err := opt.CaptureGlobals()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -129,7 +128,7 @@ func goldenResumedDigest(t *testing.T, build func() optim.Optimizer, steps, at i
 		hashU64(h, g)
 	}
 	for _, p := range ps {
-		st, err := saver.CaptureParam(p)
+		st, err := opt.CaptureParam(p)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -142,23 +141,22 @@ func goldenResumedDigest(t *testing.T, build func() optim.Optimizer, steps, at i
 // goldenResume moves src's captured state into the fresh optimizer dst.
 func goldenResume(t *testing.T, src, dst optim.Optimizer, ps []*nn.Param) optim.Optimizer {
 	t.Helper()
-	saver, loader := src.(optim.StateSaver), dst.(optim.StateLoader)
-	gs, err := saver.CaptureGlobals()
+	gs, err := src.CaptureGlobals()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := loader.RestoreGlobals(gs); err != nil {
+	if err := dst.RestoreGlobals(gs); err != nil {
 		t.Fatal(err)
 	}
 	for _, p := range ps {
-		st, err := saver.CaptureParam(p)
+		st, err := src.CaptureParam(p)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if st == nil {
 			continue
 		}
-		if err := loader.RestoreParam(p, st); err != nil {
+		if err := dst.RestoreParam(p, st); err != nil {
 			t.Fatalf("%s: restore %s: %v", dst.Name(), p.Name, err)
 		}
 	}

@@ -207,11 +207,7 @@ func blobF32(dst []float32, b []byte) {
 
 // CaptureGlobals implements StateSaver.
 func (w *WeightQuantized) CaptureGlobals() ([]uint64, error) {
-	saver, ok := w.inner.(StateSaver)
-	if !ok {
-		return nil, fmt.Errorf("optim: %s: inner optimizer %s is not checkpointable", w.Name(), w.inner.Name())
-	}
-	inner, err := saver.CaptureGlobals()
+	inner, err := w.inner.CaptureGlobals()
 	if err != nil {
 		return nil, err
 	}
@@ -220,11 +216,7 @@ func (w *WeightQuantized) CaptureGlobals() ([]uint64, error) {
 
 // CaptureParam implements StateSaver.
 func (w *WeightQuantized) CaptureParam(p *nn.Param) (*ParamState, error) {
-	saver, ok := w.inner.(StateSaver)
-	if !ok {
-		return nil, fmt.Errorf("optim: %s: inner optimizer %s is not checkpointable", w.Name(), w.inner.Name())
-	}
-	sub, err := saver.CaptureParam(p)
+	sub, err := w.inner.CaptureParam(p)
 	if err != nil {
 		return nil, err
 	}
@@ -242,25 +234,17 @@ func (w *WeightQuantized) CaptureParam(p *nn.Param) (*ParamState, error) {
 
 // RestoreGlobals implements StateLoader.
 func (w *WeightQuantized) RestoreGlobals(gs []uint64) error {
-	loader, ok := w.inner.(StateLoader)
-	if !ok {
-		return fmt.Errorf("optim: %s: inner optimizer %s is not checkpointable", w.Name(), w.inner.Name())
-	}
 	if len(gs) < 1 {
 		return fmt.Errorf("optim: %s: missing global cursor", w.Name())
 	}
 	w.rng.SetState(gs[0])
-	return loader.RestoreGlobals(gs[1:])
+	return w.inner.RestoreGlobals(gs[1:])
 }
 
 // RestoreParam implements StateLoader: the wrapper's own part is checked
 // against what Step would have built for p, the nested state goes to the
 // inner optimizer, and the INT8 weight is installed only once both passed.
 func (w *WeightQuantized) RestoreParam(p *nn.Param, st *ParamState) error {
-	loader, ok := w.inner.(StateLoader)
-	if !ok {
-		return fmt.Errorf("optim: %s: inner optimizer %s is not checkpointable", w.Name(), w.inner.Name())
-	}
 	who := w.Name() + " " + p.Name
 	if st == nil || len(st.Scalars) != 2 || st.Scalars[0] > 1 || len(st.RowMats)+len(st.Whole) != 0 {
 		return fmt.Errorf("optim: %s: malformed quantized-weight state", who)
@@ -284,7 +268,7 @@ func (w *WeightQuantized) RestoreParam(p *nn.Param, st *ParamState) error {
 		q.SetRNGState(st.Scalars[1])
 	}
 	if st.Sub != nil {
-		if err := loader.RestoreParam(p, st.Sub); err != nil {
+		if err := w.inner.RestoreParam(p, st.Sub); err != nil {
 			return err
 		}
 	}

@@ -14,46 +14,40 @@ import (
 	"apollo/internal/tensor"
 )
 
-type checkpointable interface {
-	optim.Optimizer
-	optim.StateSaver
-	optim.StateLoader
-}
-
 // fuzzZoo builds every member of the zoo — each Schema in optim and core,
 // both projection kinds, every Factorized mode, and the nesting wrapper over
 // an fp32 and an INT8 inner — at the configuration of the golden runs.
-var fuzzZoo = func() []func() checkpointable {
+var fuzzZoo = func() []func() optim.Optimizer {
 	h := optim.Hyper{LR: 0.01, WeightDecay: 0.1}
 	svd := optim.LowRankConfig{Rank: 4, UpdateGap: 3, Seed: 21, Projection: linalg.SVDProjection}
 	rp := svd
 	rp.Projection = linalg.RandomProjection
-	factorized := func(mode optim.FactorizedMode) func() checkpointable {
-		return func() checkpointable {
+	factorized := func(mode optim.FactorizedMode) func() optim.Optimizer {
+		return func() optim.Optimizer {
 			return optim.NewFactorized(h, optim.FactorizedConfig{Mode: mode, Rank: 4, MergeEvery: 3, Seed: 21})
 		}
 	}
-	return []func() checkpointable{
-		func() checkpointable { return optim.NewAdamW(h) },
-		func() checkpointable { return optim.NewSGD(h, 0) },
-		func() checkpointable { return optim.NewSGD(h, 0.9) },
-		func() checkpointable { return optim.NewAdamMini(h) },
-		func() checkpointable { return optim.NewAdam8bit(h, 21) },
-		func() checkpointable { return optim.NewGaLore8bit(h, svd) },
-		func() checkpointable { return optim.NewGaLore8bit(h, rp) },
+	return []func() optim.Optimizer{
+		func() optim.Optimizer { return optim.NewAdamW(h) },
+		func() optim.Optimizer { return optim.NewSGD(h, 0) },
+		func() optim.Optimizer { return optim.NewSGD(h, 0.9) },
+		func() optim.Optimizer { return optim.NewAdamMini(h) },
+		func() optim.Optimizer { return optim.NewAdam8bit(h, 21) },
+		func() optim.Optimizer { return optim.NewGaLore8bit(h, svd) },
+		func() optim.Optimizer { return optim.NewGaLore8bit(h, rp) },
 		factorized(optim.ModeLowRank), factorized(optim.ModeLoRA),
 		factorized(optim.ModeReLoRA), factorized(optim.ModeDoRA),
-		func() checkpointable { return optim.NewGaLore(h, svd) },
-		func() checkpointable { return optim.NewGaLore(h, rp) },
-		func() checkpointable { return optim.NewFira(h, svd) },
-		func() checkpointable { return optim.NewFlora(h, rp) },
-		func() checkpointable { return core.New(h, core.Config{Rank: 4, UpdateGap: 3, Seed: 21}) },
-		func() checkpointable { return core.NewMini(h) },
-		func() checkpointable { return core.NewStructuredAdamW(h, core.Channel) },
-		func() checkpointable { return core.NewStructuredAdamW(h, core.Tensor) },
-		func() checkpointable { return optim.NewWeightQuantized(optim.NewGaLore(h, svd), 22) },
-		func() checkpointable { return optim.NewWeightQuantized(optim.NewAdam8bit(h, 21), 22) },
-		func() checkpointable { return optim.NewWeightQuantized(core.NewMini(h), 22) },
+		func() optim.Optimizer { return optim.NewGaLore(h, svd) },
+		func() optim.Optimizer { return optim.NewGaLore(h, rp) },
+		func() optim.Optimizer { return optim.NewFira(h, svd) },
+		func() optim.Optimizer { return optim.NewFlora(h, rp) },
+		func() optim.Optimizer { return core.New(h, core.Config{Rank: 4, UpdateGap: 3, Seed: 21}) },
+		func() optim.Optimizer { return core.NewMini(h) },
+		func() optim.Optimizer { return core.NewStructuredAdamW(h, core.Channel) },
+		func() optim.Optimizer { return core.NewStructuredAdamW(h, core.Tensor) },
+		func() optim.Optimizer { return optim.NewWeightQuantized(optim.NewGaLore(h, svd), 22) },
+		func() optim.Optimizer { return optim.NewWeightQuantized(optim.NewAdam8bit(h, 21), 22) },
+		func() optim.Optimizer { return optim.NewWeightQuantized(core.NewMini(h), 22) },
 	}
 }()
 

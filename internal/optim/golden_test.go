@@ -117,8 +117,7 @@ func goldenResumedDigest(t *testing.T, build func() Optimizer, steps, at int) st
 	for _, p := range ps {
 		hashMatrix(h, p.W)
 	}
-	saver := opt.(StateSaver)
-	gs, err := saver.CaptureGlobals()
+	gs, err := opt.CaptureGlobals()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -127,7 +126,7 @@ func goldenResumedDigest(t *testing.T, build func() Optimizer, steps, at int) st
 		hashU64(h, g)
 	}
 	for _, p := range ps {
-		st, err := saver.CaptureParam(p)
+		st, err := opt.CaptureParam(p)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -140,23 +139,22 @@ func goldenResumedDigest(t *testing.T, build func() Optimizer, steps, at int) st
 // goldenResume moves src's captured state into the fresh optimizer dst.
 func goldenResume(t *testing.T, src, dst Optimizer, ps []*nn.Param) Optimizer {
 	t.Helper()
-	saver, loader := src.(StateSaver), dst.(StateLoader)
-	gs, err := saver.CaptureGlobals()
+	gs, err := src.CaptureGlobals()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := loader.RestoreGlobals(gs); err != nil {
+	if err := dst.RestoreGlobals(gs); err != nil {
 		t.Fatal(err)
 	}
 	for _, p := range ps {
-		st, err := saver.CaptureParam(p)
+		st, err := src.CaptureParam(p)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if st == nil {
 			continue
 		}
-		if err := loader.RestoreParam(p, st); err != nil {
+		if err := dst.RestoreParam(p, st); err != nil {
 			t.Fatalf("%s: restore %s: %v", dst.Name(), p.Name, err)
 		}
 	}

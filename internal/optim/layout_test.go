@@ -14,7 +14,7 @@ import (
 // layoutRow renders one optimizer's declaration as a row of the README's
 // checkpoint-layout table, with shapes for the first golden parameter the
 // schema covers (the 8×16 matrix, at rank 4).
-func layoutRow(opt checkpointable) string {
+func layoutRow(opt optim.Optimizer) string {
 	declared, ok := opt.(interface {
 		Declared() (optim.Schema, *optim.StateTable)
 	})

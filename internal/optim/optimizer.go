@@ -29,6 +29,11 @@ type Optimizer interface {
 	// measured from the actually allocated state (not a formula) so the
 	// memory tables are honest.
 	StateBytes() int64
+	// Checkpointable by type: the optimizer's memory is part of the
+	// objective a run optimizes, so a member that could not save and resume
+	// it would train a different run after every restart.
+	StateSaver
+	StateLoader
 }
 
 // Hyper carries the common hyperparameters. Zero values are replaced by the

@@ -9,12 +9,6 @@ import (
 	"apollo/internal/tensor"
 )
 
-type checkpointable interface {
-	Optimizer
-	StateSaver
-	StateLoader
-}
-
 // A checkpoint's scalar channel carries the projector's projected dimension,
 // and a random projection is regenerated at that size on restore. These
 // tests tamper with a genuine captured state the way a corrupt or foreign
@@ -27,14 +21,14 @@ func TestRestoreRejectsForeignProjectedDim(t *testing.T) {
 	h := Hyper{LR: 0.01}
 	cases := []struct {
 		name   string
-		build  func(kind linalg.ProjectionKind) checkpointable
+		build  func(kind linalg.ProjectionKind) Optimizer
 		mIndex int // position of the projected dimension in Scalars
 		pIndex int // position of the SVD projection in Whole
 	}{
-		{"engine", func(k linalg.ProjectionKind) checkpointable {
+		{"engine", func(k linalg.ProjectionKind) Optimizer {
 			return NewFira(h, LowRankConfig{Rank: r, Projection: k})
 		}, 5, 2},
-		{"GaLore8bit", func(k linalg.ProjectionKind) checkpointable {
+		{"GaLore8bit", func(k linalg.ProjectionKind) Optimizer {
 			return NewGaLore8bit(h, LowRankConfig{Rank: r, Projection: k})
 		}, 4, 0},
 	}
@@ -95,15 +89,15 @@ func TestRestoreRejectsForeignProjectedDim(t *testing.T) {
 // must be refused, and a refused restore must install nothing.
 func TestRestoreRejectsMalformedState(t *testing.T) {
 	h := Hyper{LR: 0.01}
-	lora := func() checkpointable { return NewFactorized(h, FactorizedConfig{Mode: ModeLoRA, Rank: 2}) }
-	adam8 := func() checkpointable { return NewAdam8bit(h, 3) }
-	adamw := func() checkpointable { return NewAdamW(h) }
-	qgalore := func() checkpointable {
+	lora := func() Optimizer { return NewFactorized(h, FactorizedConfig{Mode: ModeLoRA, Rank: 2}) }
+	adam8 := func() Optimizer { return NewAdam8bit(h, 3) }
+	adamw := func() Optimizer { return NewAdamW(h) }
+	qgalore := func() Optimizer {
 		return NewWeightQuantized(NewGaLore(h, LowRankConfig{Rank: 2}), 4)
 	}
 	cases := []struct {
 		what  string
-		build func() checkpointable
+		build func() Optimizer
 		do    func(st *ParamState)
 	}{
 		{"a scalar too many", adamw, func(st *ParamState) { st.Scalars = append(st.Scalars, 0) }},

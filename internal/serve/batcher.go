@@ -7,7 +7,6 @@ import (
 	"time"
 
 	"apollo/internal/nn"
-	"apollo/internal/obs"
 	"apollo/internal/tensor"
 )
 
@@ -61,63 +60,7 @@ type item struct {
 	score *scoreReq
 	wg    *sync.WaitGroup // completion of the score's submitting call
 	exec  *execReq
-	enq   time.Time // stamped at submit when the batcher is instrumented
-}
-
-// batcherMetrics is the coalescing observability surface shared by every
-// batcher of one registry. Record methods are nil-receiver safe.
-type batcherMetrics struct {
-	queueWait *obs.Histogram
-	batchSize *obs.Histogram
-	forwards  *obs.Counter
-	scored    *obs.Counter
-	execs     *obs.Counter
-}
-
-func newBatcherMetrics(o *obs.Registry) *batcherMetrics {
-	if o == nil {
-		return nil
-	}
-	return &batcherMetrics{
-		queueWait: o.Histogram("apollo_serve_batch_queue_wait_seconds",
-			"Time a queued unit waited for its snapshot executor.", obs.LatencyBuckets),
-		batchSize: o.Histogram("apollo_serve_batch_size",
-			"Scoring sequences coalesced into one batched forward.", obs.SizeBuckets),
-		forwards: o.Counter("apollo_serve_batched_forwards_total", "Batched forward passes run for scoring units."),
-		scored:   o.Counter("apollo_serve_scored_seqs_total", "Scoring units completed."),
-		execs:    o.Counter("apollo_serve_execs_total", "Whole-unit operations (perplexity, finetune) run on snapshot executors."),
-	}
-}
-
-func (m *batcherMetrics) waited(d time.Duration) {
-	if m == nil {
-		return
-	}
-	m.queueWait.Observe(d.Seconds())
-}
-
-func (m *batcherMetrics) forward(k int) {
-	if m == nil {
-		return
-	}
-	m.batchSize.Observe(float64(k))
-	m.forwards.Inc()
-	m.scored.Add(int64(k))
-}
-
-func (m *batcherMetrics) exec() {
-	if m == nil {
-		return
-	}
-	m.execs.Inc()
-}
-
-// Stats counts the batcher's coalescing behavior.
-type Stats struct {
-	Forwards     int64 // batched forward passes run for score units
-	ScoredSeqs   int64 // scoring units completed
-	LargestBatch int64 // max sequences coalesced into one forward
-	Execs        int64 // whole-unit operations run
+	enq   time.Time // stamped at submit; the executor observes the queue wait
 }
 
 // batcher serializes all model access for one Entry through a single
@@ -132,18 +75,17 @@ type Stats struct {
 type batcher struct {
 	model    *nn.Model
 	maxBatch int
-	maxQueue int             // pending-item bound; 0 = unbounded
-	om       *batcherMetrics // nil when uninstrumented (one branch per event)
+	maxQueue int      // pending-item bound; 0 = unbounded
+	m        *handles // the registry's, shared by every entry's batcher
 
 	mu     sync.Mutex
 	cond   *sync.Cond
 	queue  []item
 	closed bool
-	stats  Stats
 }
 
-func newBatcher(model *nn.Model, maxBatch, maxQueue int, om *batcherMetrics) *batcher {
-	b := &batcher{model: model, maxBatch: maxBatch, maxQueue: maxQueue, om: om}
+func newBatcher(model *nn.Model, maxBatch, maxQueue int, m *handles) *batcher {
+	b := &batcher{model: model, maxBatch: maxBatch, maxQueue: maxQueue, m: m}
 	b.cond = sync.NewCond(&b.mu)
 	go b.loop()
 	return b
@@ -188,11 +130,9 @@ func (b *batcher) exec(fn func(m *nn.Model)) error {
 }
 
 func (b *batcher) submit(items ...item) error {
-	if b.om != nil {
-		now := time.Now()
-		for i := range items {
-			items[i].enq = now
-		}
+	now := time.Now()
+	for i := range items {
+		items[i].enq = now
 	}
 	b.mu.Lock()
 	if b.closed {
@@ -223,13 +163,6 @@ func (b *batcher) close() {
 	if !already {
 		b.cond.Broadcast()
 	}
-}
-
-// Stats returns a snapshot of the coalescing counters.
-func (b *batcher) Stats() Stats {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	return b.stats
 }
 
 // itemOverheadBytes approximates one queued item's fixed cost beyond its
@@ -280,11 +213,9 @@ func (b *batcher) loop() {
 // then exec units in arrival order. Results are order-independent — every
 // unit depends only on its own inputs and the immutable weights.
 func (b *batcher) process(batch []item) {
-	if b.om != nil {
-		now := time.Now()
-		for _, it := range batch {
-			b.om.waited(now.Sub(it.enq))
-		}
+	now := time.Now()
+	for _, it := range batch {
+		b.m.queueWait.Observe(now.Sub(it.enq).Seconds())
 	}
 	groups := map[int][]item{}
 	var lens []int
@@ -313,10 +244,7 @@ func (b *batcher) process(batch []item) {
 			continue
 		}
 		it.exec.err = b.safely(func() { it.exec.fn(b.model) })
-		b.mu.Lock()
-		b.stats.Execs++
-		b.mu.Unlock()
-		b.om.exec()
+		b.m.execs.Inc()
 		close(it.exec.done)
 	}
 }
@@ -341,16 +269,11 @@ func (b *batcher) scoreChunk(chunk []item, t int) {
 			rq.result = total / float64(t-rq.start)
 		}
 	})
-	// Count the forward before releasing its callers, so one that reads
-	// Stats() on return sees its own last forward.
-	b.mu.Lock()
-	b.stats.Forwards++
-	b.stats.ScoredSeqs += int64(k)
-	if int64(k) > b.stats.LargestBatch {
-		b.stats.LargestBatch = int64(k)
-	}
-	b.mu.Unlock()
-	b.om.forward(k)
+	// Count the forward before releasing its callers, so one that reads the
+	// registry on return sees its own last forward.
+	b.m.batchSize.Observe(float64(k))
+	b.m.forwards.Inc()
+	b.m.scored.Add(int64(k))
 	for _, it := range chunk {
 		if err != nil {
 			it.score.err = err

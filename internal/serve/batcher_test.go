@@ -18,7 +18,7 @@ import (
 func TestBatcherCloseSubmitRace(t *testing.T) {
 	for round := 0; round < 20; round++ {
 		model := nn.NewModel(serveTestConfig(), tensor.NewRNG(7))
-		b := newBatcher(model, 4, 0, nil)
+		b := newBatcher(model, 4, 0, &handles{})
 
 		const workers = 8
 		var wg sync.WaitGroup
@@ -57,7 +57,7 @@ func TestBatcherCloseSubmitRace(t *testing.T) {
 // fast with errClosed, including the queue-bounded configuration.
 func TestBatcherSubmitAfterClose(t *testing.T) {
 	model := nn.NewModel(serveTestConfig(), tensor.NewRNG(7))
-	b := newBatcher(model, 4, 1, nil)
+	b := newBatcher(model, 4, 1, &handles{})
 	b.close()
 	if err := b.exec(func(m *nn.Model) {}); !errors.Is(err, errClosed) {
 		t.Fatalf("exec after close: %v, want errClosed", err)

@@ -5,9 +5,6 @@ import (
 	"strconv"
 	"strings"
 	"sync"
-	"sync/atomic"
-
-	"apollo/internal/obs"
 )
 
 // responseCache memoizes the marshaled response bodies of the pure scoring
@@ -29,8 +26,7 @@ type responseCache struct {
 	lru   *list.List // front = most recently used; values are *cacheEnt
 	byKey map[string]*list.Element
 
-	hits, misses, evicts atomic.Int64
-	m                    *cacheMetrics // nil when uninstrumented
+	m *handles // cacheHits / cacheMisses / cacheEvicts
 }
 
 type cacheEnt struct {
@@ -38,70 +34,28 @@ type cacheEnt struct {
 	blob []byte
 }
 
-// cacheMetrics is the cache's observability surface; record methods are
-// nil-receiver safe like every other obs handle in this package.
-type cacheMetrics struct {
-	hits, misses, evicts *obs.Counter
-}
-
-func newCacheMetrics(o *obs.Registry) *cacheMetrics {
-	if o == nil {
-		return nil
-	}
-	return &cacheMetrics{
-		hits:   o.Counter("apollo_serve_cache_hits_total", "Scoring queries answered from the response cache."),
-		misses: o.Counter("apollo_serve_cache_misses_total", "Scoring queries that had to compute (and filled the cache)."),
-		evicts: o.Counter("apollo_serve_cache_evictions_total", "Response-cache entries evicted by the entry-count bound."),
-	}
-}
-
-func (m *cacheMetrics) hit() {
-	if m == nil {
-		return
-	}
-	m.hits.Inc()
-}
-
-func (m *cacheMetrics) miss() {
-	if m == nil {
-		return
-	}
-	m.misses.Inc()
-}
-
-func (m *cacheMetrics) evicted() {
-	if m == nil {
-		return
-	}
-	m.evicts.Inc()
-}
-
-func newResponseCache(max int, o *obs.Registry) *responseCache {
-	return &responseCache{
-		max:   max,
-		lru:   list.New(),
-		byKey: map[string]*list.Element{},
-		m:     newCacheMetrics(o),
-	}
+func newResponseCache(max int, m *handles) *responseCache {
+	return &responseCache{max: max, lru: list.New(), byKey: map[string]*list.Element{}, m: m}
 }
 
 // get returns the cached response body for key, refreshing its LRU
-// position.
+// position. The blob is read under the lock: put overwrites that field when
+// two misses of one key race.
 func (c *responseCache) get(key string) ([]byte, bool) {
 	c.mu.Lock()
 	el, ok := c.byKey[key]
+	var blob []byte
 	if ok {
 		c.lru.MoveToFront(el)
+		blob = el.Value.(*cacheEnt).blob
 	}
 	c.mu.Unlock()
 	if !ok {
-		c.misses.Add(1)
-		c.m.miss()
+		c.m.cacheMisses.Inc()
 		return nil, false
 	}
-	c.hits.Add(1)
-	c.m.hit()
-	return el.Value.(*cacheEnt).blob, true
+	c.m.cacheHits.Inc()
+	return blob, true
 }
 
 // put stores a computed response body, evicting least-recently-used entries
@@ -124,12 +78,7 @@ func (c *responseCache) put(key string, blob []byte) {
 		evicted++
 	}
 	c.mu.Unlock()
-	if evicted > 0 {
-		c.evicts.Add(int64(evicted))
-		for i := 0; i < evicted; i++ {
-			c.m.evicted()
-		}
-	}
+	c.m.cacheEvicts.Add(int64(evicted))
 }
 
 // Len reports the resident entry count.

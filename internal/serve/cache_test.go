@@ -7,6 +7,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"os"
+	"sync"
 	"testing"
 
 	"apollo/internal/obs"
@@ -36,7 +37,8 @@ func postRaw(t *testing.T, url string, req any) (int, string, http.Header) {
 // entry bound evicts least-recently-used first, and the counters track every
 // event.
 func TestResponseCacheLRU(t *testing.T) {
-	c := newResponseCache(2, nil)
+	reg := newTestRegistry(t, Config{CacheEntries: 2})
+	c := reg.cache
 	if _, ok := c.get("a"); ok {
 		t.Fatal("empty cache hit")
 	}
@@ -61,9 +63,38 @@ func TestResponseCacheLRU(t *testing.T) {
 	if blob, _ := c.get("c"); string(blob) != "C2" {
 		t.Fatalf("c = %q, want C2", blob)
 	}
-	if h, m, e := c.hits.Load(), c.misses.Load(), c.evicts.Load(); h != 3 || m != 2 || e != 1 {
+	if h, m, e := reg.m.cacheHits.Value(), reg.m.cacheMisses.Value(), reg.m.cacheEvicts.Value(); h != 3 || m != 2 || e != 1 {
 		t.Fatalf("counters hits=%d misses=%d evicts=%d, want 3/2/1", h, m, e)
 	}
+}
+
+// TestCacheGetPutSameKeyRace: two misses of one key both put, and put
+// overwrites the resident entry's blob under the lock — so get must read
+// that field inside the critical section too. Run under -race (CI's Race
+// step lists this package); with the read after Unlock the detector fires.
+func TestCacheGetPutSameKeyRace(t *testing.T) {
+	c := newTestRegistry(t, Config{}).cache
+	c.put("k", []byte("v"))
+	var wg sync.WaitGroup
+	for w := 0; w < 4; w++ {
+		wg.Add(2)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 2000; i++ {
+				c.put("k", []byte("v"))
+			}
+		}()
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 2000; i++ {
+				if blob, ok := c.get("k"); !ok || string(blob) != "v" {
+					t.Errorf("get = %q, %v", blob, ok)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
 }
 
 // TestHTTPCacheBitIdentical is the tentpole parity contract over HTTP: a

@@ -49,7 +49,7 @@ func (s *Server) SetDraining(v bool) { s.draining.Store(v) }
 // Config.Metrics), GET /debug/vars (the same registry as JSON, with
 // histogram quantiles), and — when Config.Pprof is set — net/http/pprof
 // under /debug/pprof/. Every API endpoint is wrapped in the metrics/tracing
-// middleware; with neither configured the wrap is the identity.
+// middleware.
 func (s *Server) Handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("GET /healthz", s.wrap("/healthz", s.handleHealth))
@@ -72,9 +72,6 @@ func (s *Server) Handler() http.Handler {
 // request whose trace ID is echoed as X-Request-Id.
 func (s *Server) wrap(path string, h http.HandlerFunc) http.HandlerFunc {
 	o, tracer := s.reg.cfg.Metrics, s.reg.cfg.Tracer
-	if o == nil && tracer == nil {
-		return h
-	}
 	lbl := obs.Label{Key: "path", Value: path}
 	reqs := o.Counter("apollo_http_requests_total", "HTTP requests served, by endpoint.", lbl)
 	errs := o.Counter("apollo_http_errors_total", "HTTP requests answered with status >= 400, by endpoint.", lbl)
@@ -202,14 +199,11 @@ func (s *Server) writeQueryError(w http.ResponseWriter, err error) {
 			retry = 1
 		}
 		w.Header().Set("Retry-After", strconv.Itoa(retry))
-		if o := s.reg.cfg.Metrics; o != nil {
-			reason := "queue_full"
-			if errors.Is(err, errShedOverload) {
-				reason = "overload"
-			}
-			o.Counter("apollo_serve_shed_total", "Queries refused by admission control, by reason.",
-				obs.Label{Key: "reason", Value: reason}).Inc()
+		shed := s.reg.m.shedQueueFull
+		if errors.Is(err, errShedOverload) {
+			shed = s.reg.m.shedOverload
 		}
+		shed().Inc()
 	}
 	writeError(w, status, err)
 }

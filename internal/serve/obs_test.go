@@ -195,31 +195,40 @@ func TestPprofEndpoint(t *testing.T) {
 	}
 }
 
-// TestUninstrumentedHandlerStillServes pins the disabled mode: no Metrics,
-// no Tracer — queries work, /metrics serves an empty exposition, and no
-// X-Request-Id appears.
-func TestUninstrumentedHandlerStillServes(t *testing.T) {
+// TestConfigWithoutMetricsStillServes: a Config with only Model set (no
+// Metrics, no Tracer, no MemProf) gets a private registry — queries work, /metrics shows this
+// service's own counters, and no X-Request-Id appears without a tracer.
+func TestConfigWithoutMetricsStillServes(t *testing.T) {
 	dir := t.TempDir()
 	path, _ := trainAndSave(t, dir, 2)
-	reg := newTestRegistry(t, Config{})
-	ts := httptest.NewServer(NewServer(reg).Handler())
-	defer ts.Close()
-
-	var resp perplexityResponse
-	status, raw := postJSON(t, ts.URL+"/v1/perplexity",
-		perplexityRequest{Checkpoint: path, Batches: 1, Batch: 2, Seq: 8}, &resp)
-	if status != http.StatusOK {
-		t.Fatalf("perplexity status %d: %s", status, raw)
-	}
-	r, err := http.Get(ts.URL + "/metrics")
+	reg, err := NewRegistry(Config{Model: serveTestConfig()})
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer r.Body.Close()
-	if r.StatusCode != http.StatusOK {
-		t.Fatalf("/metrics status %d", r.StatusCode)
+	ts := httptest.NewServer(NewServer(reg).Handler())
+	defer ts.Close()
+
+	status, raw, h := postRaw(t, ts.URL+"/v1/logprob",
+		logProbRequest{Checkpoint: path, Context: []int{1, 2, 3}, Option: []int{4, 5}})
+	if status != http.StatusOK {
+		t.Fatalf("logprob status %d: %s", status, raw)
 	}
-	if r.Header.Get("X-Request-Id") != "" {
-		t.Fatalf("uninstrumented response carries X-Request-Id")
+	if h.Get("X-Request-Id") != "" {
+		t.Fatalf("response carries X-Request-Id without a tracer")
+	}
+	status, expo := scrape(t, ts.URL+"/metrics")
+	if status != http.StatusOK {
+		t.Fatalf("/metrics status %d", status)
+	}
+	for sample, want := range map[string]float64{
+		`apollo_http_requests_total{path="/v1/logprob"}`: 1,
+		"apollo_serve_registry_loads_total":              1,
+		"apollo_serve_scored_seqs_total":                 1,
+		"apollo_serve_cache_misses_total":                1,
+		`apollo_mem_bytes{component="serve_snapshots"}`:  float64(reg.Entries()[0].ResidentBytes()),
+	} {
+		if v := metricValue(t, expo, sample); v != want {
+			t.Fatalf("%s = %v, want %v", sample, v, want)
+		}
 	}
 }

@@ -92,13 +92,16 @@ type Config struct {
 	// MaxBodyBytes caps accepted request bodies; larger requests answer 413
 	// instead of letting a hostile client exhaust memory. Default 1 MiB.
 	MaxBodyBytes int64
-	// Metrics, when set, receives the service's counters and histograms —
-	// registry cache behavior (hits/loads/hot-reloads/evictions, per-path
-	// generation gauge), batcher coalescing (queue wait, batch size) and
-	// per-endpoint HTTP request counts/latency — rendered at GET /metrics
-	// (Prometheus text exposition) and GET /debug/vars (JSON). Nil disables
-	// instrumentation at one branch per event; results are never affected
-	// either way (timing-only).
+	// Metrics receives the service's counters and histograms — registry
+	// cache behavior (hits/loads/hot-reloads/evictions, per-path generation
+	// gauge), batcher coalescing (queue wait, batch size), the response cache
+	// and per-endpoint HTTP request counts/latency — rendered at GET /metrics
+	// (Prometheus text exposition) and GET /debug/vars (JSON). These handles
+	// are the service's only counters (Loads, Evictions and the shed verdict
+	// read them back), so nil selects a private registry, not "off": the
+	// endpoints then show this service alone. Pass a shared registry to have
+	// other subsystems (runtime pool, obs write errors) on the same page.
+	// Results are never affected (timing-only).
 	Metrics *obs.Registry
 	// Tracer, when set, emits one JSONL span per HTTP request (request id,
 	// endpoint, status, duration); the request id is echoed in the
@@ -107,11 +110,11 @@ type Config struct {
 	// MemProf, when set, receives the service's memory ledger: the resident
 	// snapshot bytes ("serve_snapshots", with a live memmodel.ServeBytes
 	// prediction alongside) and the queued batcher buffers
-	// ("batcher_buffers"). When nil and Metrics is set, the registry creates
-	// its own profiler against Metrics so the apollo_mem_bytes gauge family
-	// is on /metrics by default; pass an explicitly configured profiler to
-	// also get the memory-event timeline, high-water heap capture, or a shared
-	// ledger with other subsystems.
+	// ("batcher_buffers"). When nil, the registry creates its own profiler
+	// against Metrics so the apollo_mem_bytes gauge family is always on
+	// /metrics; pass an explicitly configured profiler to also get the
+	// memory-event timeline, high-water heap capture, or a shared ledger with
+	// other subsystems.
 	MemProf *memprof.Profiler
 	// Pprof exposes net/http/pprof handlers under /debug/pprof/ when true.
 	Pprof bool
@@ -135,6 +138,9 @@ func (c Config) withDefaults() Config {
 	}
 	if c.MaxBodyBytes == 0 {
 		c.MaxBodyBytes = 1 << 20
+	}
+	if c.Metrics == nil {
+		c.Metrics = obs.NewRegistry()
 	}
 	return c
 }
@@ -188,9 +194,6 @@ func (e *Entry) PredictedBytes() int64 {
 
 // ModelConfig exposes the served architecture (not the live instance).
 func (e *Entry) ModelConfig() nn.Config { return e.model.Cfg }
-
-// BatcherStats returns the entry's coalescing counters.
-func (e *Entry) BatcherStats() Stats { return e.batcher.Stats() }
 
 // Perplexity evaluates the corpus's fixed validation batches exactly as
 // train.Validate does, serialized through the entry's executor. The result
@@ -322,15 +325,31 @@ type Registry struct {
 	slots map[string]*slot
 	clock int64
 
-	loads  atomic.Int64
-	evicts atomic.Int64
+	loadSeq atomic.Int64 // response-cache invalidation tag source (Entry.loadSeq)
 
-	om *registryMetrics // nil when Config.Metrics is nil
-	bm *batcherMetrics  // shared by every entry's batcher; nil likewise
-	mp *memprof.Profiler
+	m handles // shared by every entry's batcher and the response cache
 
 	cache *responseCache // nil when CacheEntries < 0
 	adm   *admission     // nil when ShedThreshold == 0
+}
+
+// handles is every obs handle the service counts into, created once by
+// NewRegistry in the order /metrics lists them. They are the service's only
+// counters: event sites call Inc/Add/Observe on them directly, and Loads,
+// Evictions and the shed verdict read them back. Not here: the path-valued
+// apollo_serve_snapshot_generation{checkpoint} gauges (looked up per load in
+// Acquire) and the per-endpoint HTTP handles (Server.Handler, http.go).
+type handles struct {
+	hits, loads, reloads, evicts *obs.Counter // snapshot registry
+
+	queueWait, batchSize    *obs.Histogram // batchers
+	forwards, scored, execs *obs.Counter
+
+	cacheHits, cacheMisses, cacheEvicts *obs.Counter // nil (no-op) when caching is disabled
+
+	// apollo_serve_shed_total{reason}: each instance is created by its first
+	// refusal, so a server that never shed exposes no such line.
+	shedQueueFull, shedOverload func() *obs.Counter
 }
 
 // NewRegistry builds a registry for one served architecture.
@@ -339,47 +358,62 @@ func NewRegistry(cfg Config) (*Registry, error) {
 		return nil, err
 	}
 	r := &Registry{cfg: cfg.withDefaults(), slots: map[string]*slot{}}
-	r.om = newRegistryMetrics(r)
-	// The shed verdict reads the batcher queue-wait histogram, so that
-	// signal must exist even when the caller wired no metrics registry: an
-	// unscraped private one costs a few KB and keeps one instrumentation
-	// path instead of two.
-	bmReg := r.cfg.Metrics
-	if bmReg == nil && r.cfg.ShedThreshold > 0 {
-		bmReg = obs.NewRegistry()
-	}
-	r.bm = newBatcherMetrics(bmReg)
+	o, m := r.cfg.Metrics, &r.m
+	m.hits = o.Counter("apollo_serve_registry_hits_total", "Acquires answered by the already-resident snapshot.")
+	m.loads = o.Counter("apollo_serve_registry_loads_total", "Snapshot loads (initial opens + hot reloads).")
+	m.reloads = o.Counter("apollo_serve_registry_hot_reloads_total", "Loads that replaced an older generation of the same checkpoint path.")
+	m.evicts = o.Counter("apollo_serve_registry_evictions_total", "Snapshots evicted by the LRU bound.")
+	o.GaugeFunc("apollo_serve_resident_models", "Snapshots currently resident in the LRU registry.",
+		func() float64 { return float64(len(r.Entries())) })
+	m.queueWait = o.Histogram("apollo_serve_batch_queue_wait_seconds",
+		"Time a queued unit waited for its snapshot executor.", obs.LatencyBuckets)
+	m.batchSize = o.Histogram("apollo_serve_batch_size",
+		"Scoring sequences coalesced into one batched forward.", obs.SizeBuckets)
+	m.forwards = o.Counter("apollo_serve_batched_forwards_total", "Batched forward passes run for scoring units.")
+	m.scored = o.Counter("apollo_serve_scored_seqs_total", "Scoring units completed.")
+	m.execs = o.Counter("apollo_serve_execs_total", "Whole-unit operations (perplexity, finetune) run on snapshot executors.")
 	if r.cfg.ShedThreshold > 0 {
-		r.adm = newAdmission(r.cfg.ShedThreshold, r.cfg.ShedWindow, r.bm.queueWait, bmReg)
+		r.adm = newAdmission(r.cfg.ShedThreshold, r.cfg.ShedWindow, m.queueWait, o)
 	}
 	if r.cfg.CacheEntries > 0 {
-		r.cache = newResponseCache(r.cfg.CacheEntries, r.cfg.Metrics)
+		m.cacheHits = o.Counter("apollo_serve_cache_hits_total", "Scoring queries answered from the response cache.")
+		m.cacheMisses = o.Counter("apollo_serve_cache_misses_total", "Scoring queries that had to compute (and filled the cache).")
+		m.cacheEvicts = o.Counter("apollo_serve_cache_evictions_total", "Response-cache entries evicted by the entry-count bound.")
+		r.cache = newResponseCache(r.cfg.CacheEntries, m)
 	}
-	r.mp = r.cfg.MemProf
-	if r.mp == nil && r.cfg.Metrics != nil {
-		// No profiler wired but metrics are: give the gauge family a home so
-		// apollo_mem_bytes{component="serve_snapshots"} is on /metrics by
-		// default (no timeline, no capture — those need an explicit MemProf).
-		r.mp = memprof.New(memprof.Config{Registry: r.cfg.Metrics})
+	shed := func(reason string) func() *obs.Counter {
+		return sync.OnceValue(func() *obs.Counter {
+			return o.Counter("apollo_serve_shed_total", "Queries refused by admission control, by reason.",
+				obs.Label{Key: "reason", Value: reason})
+		})
+	}
+	m.shedQueueFull, m.shedOverload = shed("queue_full"), shed("overload")
+
+	mp := r.cfg.MemProf
+	if mp == nil {
+		// Gauges only (no timeline, no capture — those need an explicit
+		// MemProf): apollo_mem_bytes{component="serve_snapshots"} is on
+		// /metrics by default.
+		mp = memprof.New(memprof.Config{Registry: o})
 	}
 	// The ledger components pull through Entries(), so an eviction's bytes
 	// vanish from the gauge the moment the slot leaves the map — the
 	// eviction/GC accounting test pins exactly that.
-	r.mp.Track(memprof.CompServeSnapshots, func() int64 {
+	mp.Track(memprof.CompServeSnapshots, func() int64 {
 		var total int64
 		for _, e := range r.Entries() {
 			total += e.ResidentBytes()
 		}
 		return total
 	})
-	r.mp.Track(memprof.CompBatcherBuffers, func() int64 {
+	mp.Track(memprof.CompBatcherBuffers, func() int64 {
 		var total int64
 		for _, e := range r.Entries() {
 			total += e.batcher.queuedBytes()
 		}
 		return total
 	})
-	r.mp.PredictFunc(memprof.CompServeSnapshots, func() float64 {
+	mp.PredictFunc(memprof.CompServeSnapshots, func() float64 {
 		var total float64
 		for _, e := range r.Entries() {
 			total += float64(e.PredictedBytes())
@@ -389,76 +423,11 @@ func NewRegistry(cfg Config) (*Registry, error) {
 	return r, nil
 }
 
-// registryMetrics is the snapshot registry's observability surface. All
-// record methods are nil-receiver safe — the uninstrumented registry pays
-// one branch per event.
-type registryMetrics struct {
-	reg     *obs.Registry
-	hits    *obs.Counter
-	loads   *obs.Counter
-	reloads *obs.Counter
-	evicts  *obs.Counter
-}
-
-func newRegistryMetrics(r *Registry) *registryMetrics {
-	o := r.cfg.Metrics
-	if o == nil {
-		return nil
-	}
-	m := &registryMetrics{
-		reg:     o,
-		hits:    o.Counter("apollo_serve_registry_hits_total", "Acquires answered by the already-resident snapshot."),
-		loads:   o.Counter("apollo_serve_registry_loads_total", "Snapshot loads (initial opens + hot reloads)."),
-		reloads: o.Counter("apollo_serve_registry_hot_reloads_total", "Loads that replaced an older generation of the same checkpoint path."),
-		evicts:  o.Counter("apollo_serve_registry_evictions_total", "Snapshots evicted by the LRU bound."),
-	}
-	o.GaugeFunc("apollo_serve_resident_models", "Snapshots currently resident in the LRU registry.",
-		func() float64 {
-			r.mu.Lock()
-			defer r.mu.Unlock()
-			n := 0
-			for _, s := range r.slots {
-				if s.cur.Load() != nil {
-					n++
-				}
-			}
-			return float64(n)
-		})
-	return m
-}
-
-func (m *registryMetrics) hit() {
-	if m == nil {
-		return
-	}
-	m.hits.Inc()
-}
-
-func (m *registryMetrics) loaded(path string, gen int) {
-	if m == nil {
-		return
-	}
-	m.loads.Inc()
-	if gen > 1 {
-		m.reloads.Inc()
-	}
-	m.reg.Gauge("apollo_serve_snapshot_generation",
-		"Hot-reload generation of each resident snapshot path.",
-		obs.Label{Key: "checkpoint", Value: path}).Set(float64(gen))
-}
-
-func (m *registryMetrics) evicted() {
-	if m == nil {
-		return
-	}
-	m.evicts.Inc()
-}
-
 // Loads returns how many snapshot loads (initial + hot reloads) happened.
-func (r *Registry) Loads() int64 { return r.loads.Load() }
+func (r *Registry) Loads() int64 { return r.m.loads.Value() }
 
 // Evictions returns how many snapshots the LRU bound pushed out.
-func (r *Registry) Evictions() int64 { return r.evicts.Load() }
+func (r *Registry) Evictions() int64 { return r.m.evicts.Value() }
 
 // Acquire returns the current entry for a checkpoint path, loading it on
 // first use and hot-reloading when the file on disk changed. Change
@@ -489,7 +458,7 @@ func (r *Registry) Acquire(path string) (*Entry, error) {
 	}
 	if cur := s.cur.Load(); cur != nil && os.SameFile(cur.fi, fi) &&
 		cur.fi.ModTime().Equal(fi.ModTime()) && cur.fi.Size() == fi.Size() {
-		r.om.hit()
+		r.m.hits.Inc()
 		return cur, nil
 	}
 	e, err := r.load(path, fi)
@@ -499,7 +468,13 @@ func (r *Registry) Acquire(path string) (*Entry, error) {
 	}
 	s.gen++
 	e.Generation = s.gen
-	r.om.loaded(path, s.gen)
+	r.m.loads.Inc()
+	if s.gen > 1 {
+		r.m.reloads.Inc()
+	}
+	r.cfg.Metrics.Gauge("apollo_serve_snapshot_generation",
+		"Hot-reload generation of each resident snapshot path.",
+		obs.Label{Key: "checkpoint", Value: path}).Set(float64(s.gen))
 	if old := s.cur.Swap(e); old != nil {
 		old.batcher.close()
 	}
@@ -573,9 +548,9 @@ func (r *Registry) load(path string, fi os.FileInfo) (*Entry, error) {
 		LR:        snap.LR,
 		LoadedAt:  time.Now(),
 		fi:        fi,
-		loadSeq:   r.loads.Add(1),
+		loadSeq:   r.loadSeq.Add(1),
 		model:     model,
-		batcher:   newBatcher(model, r.cfg.MaxBatch, mq, r.bm),
+		batcher:   newBatcher(model, r.cfg.MaxBatch, mq, &r.m),
 		corpus:    r.cfg.Corpus,
 	}, nil
 }
@@ -598,8 +573,7 @@ func (r *Registry) evictLocked(keep string) {
 		if e := s.cur.Load(); e != nil {
 			e.batcher.close()
 		}
-		r.evicts.Add(1)
-		r.om.evicted()
+		r.m.evicts.Inc()
 	}
 }
 

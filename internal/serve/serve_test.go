@@ -1,6 +1,8 @@
 package serve
 
 import (
+	"bytes"
+	"encoding/json"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -185,10 +187,20 @@ func TestZeroShotCoalescesAndMatchesEval(t *testing.T) {
 	if got != want {
 		t.Fatalf("served zero-shot accuracy %v != eval %v", got, want)
 	}
-	st := e.batcher.Stats()
-	// 18 equal-length units, MaxBatch 8 → 3 forwards, largest batch 8.
-	if st.ScoredSeqs != 18 || st.LargestBatch != 8 || st.Forwards != 3 {
-		t.Fatalf("coalescing stats %+v, want 18 units over 3 forwards with largest batch 8", st)
+	// 18 equal-length units, MaxBatch 8 → 3 forwards, largest batch 8 (the
+	// histogram's exact maximum is on the /debug/vars rendering).
+	var buf bytes.Buffer
+	if err := reg.cfg.Metrics.WriteVars(&buf); err != nil {
+		t.Fatal(err)
+	}
+	var vars struct {
+		BatchSize struct{ Max float64 } `json:"apollo_serve_batch_size"`
+	}
+	if err := json.Unmarshal(buf.Bytes(), &vars); err != nil {
+		t.Fatal(err)
+	}
+	if scored, forwards, largest := reg.m.scored.Value(), reg.m.forwards.Value(), vars.BatchSize.Max; scored != 18 || largest != 8 || forwards != 3 {
+		t.Fatalf("coalescing: %d units over %d forwards, largest batch %v; want 18 over 3 with largest 8", scored, forwards, largest)
 	}
 }
 

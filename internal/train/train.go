@@ -95,9 +95,8 @@ type PretrainConfig struct {
 	Accum int
 	// CkptEvery > 0 saves a checkpoint to CkptPath after every CkptEvery-th
 	// step (internal/ckpt format, written atomically — a crash mid-save
-	// never destroys the previous snapshot). The optimizer must implement
-	// optim.StateSaver; a failed save panics, since silently continuing
-	// without durability is worse than stopping.
+	// never destroys the previous snapshot). A failed save panics, since
+	// silently continuing without durability is worse than stopping.
 	CkptEvery int
 	CkptPath  string
 	// StartStep resumes the loop at this step index. The caller must first

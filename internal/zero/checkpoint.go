@@ -29,32 +29,8 @@ func (s *Sharded) CheckpointName() string {
 	return s.inner.Name()
 }
 
-// saver returns the inner optimizer as a StateSaver.
-func (s *Sharded) saver() (optim.StateSaver, error) {
-	sv, ok := s.inner.(optim.StateSaver)
-	if !ok {
-		return nil, fmt.Errorf("zero: inner optimizer %s is not checkpointable", s.inner.Name())
-	}
-	return sv, nil
-}
-
-// loader returns the inner optimizer as a StateLoader.
-func (s *Sharded) loader() (optim.StateLoader, error) {
-	ld, ok := s.inner.(optim.StateLoader)
-	if !ok {
-		return nil, fmt.Errorf("zero: inner optimizer %s is not checkpointable", s.inner.Name())
-	}
-	return ld, nil
-}
-
 // CaptureGlobals implements optim.StateSaver.
-func (s *Sharded) CaptureGlobals() ([]uint64, error) {
-	sv, err := s.saver()
-	if err != nil {
-		return nil, err
-	}
-	return sv.CaptureGlobals()
-}
+func (s *Sharded) CaptureGlobals() ([]uint64, error) { return s.inner.CaptureGlobals() }
 
 // CaptureParam implements optim.StateSaver: gather the parameter's state
 // from its row segments into the canonical full-row layout.
@@ -66,19 +42,15 @@ func (s *Sharded) CaptureParam(p *nn.Param) (*optim.ParamState, error) {
 	if !ok {
 		return nil, fmt.Errorf("zero: CaptureParam for unknown parameter %s", p.Name)
 	}
-	sv, err := s.saver()
-	if err != nil {
-		return nil, err
-	}
 	units := s.unitsByParam[idx]
 	if len(units) == 1 {
-		return sv.CaptureParam(p) // a sole unit is whole: its view is p
+		return s.inner.CaptureParam(p) // a sole unit is whole: its view is p
 	}
 
 	parts := make([]*optim.ParamState, 0, len(units))
 	segs := make([][2]int, 0, len(units))
 	for _, u := range units {
-		part, err := sv.CaptureParam(s.views[u])
+		part, err := s.inner.CaptureParam(s.views[u])
 		if err != nil {
 			return nil, err
 		}
@@ -102,13 +74,7 @@ func (s *Sharded) CaptureParam(p *nn.Param) (*optim.ParamState, error) {
 }
 
 // RestoreGlobals implements optim.StateLoader.
-func (s *Sharded) RestoreGlobals(gs []uint64) error {
-	ld, err := s.loader()
-	if err != nil {
-		return err
-	}
-	return ld.RestoreGlobals(gs)
-}
+func (s *Sharded) RestoreGlobals(gs []uint64) error { return s.inner.RestoreGlobals(gs) }
 
 // RestoreParam implements optim.StateLoader: scatter the canonical state
 // across the current partition, slicing row-aligned matrices per segment.
@@ -122,13 +88,9 @@ func (s *Sharded) RestoreParam(p *nn.Param, st *optim.ParamState) error {
 	if !ok {
 		return fmt.Errorf("zero: RestoreParam for unknown parameter %s", p.Name)
 	}
-	ld, err := s.loader()
-	if err != nil {
-		return err
-	}
 	units := s.unitsByParam[idx]
 	if len(units) == 1 {
-		return ld.RestoreParam(p, st)
+		return s.inner.RestoreParam(p, st)
 	}
 	for _, u := range units {
 		seg := s.segs[u]
@@ -136,7 +98,7 @@ func (s *Sharded) RestoreParam(p *nn.Param, st *optim.ParamState) error {
 		if err != nil {
 			return fmt.Errorf("zero: scatter %s: %w", p.Name, err)
 		}
-		if err := ld.RestoreParam(s.views[u], sub); err != nil {
+		if err := s.inner.RestoreParam(s.views[u], sub); err != nil {
 			return err
 		}
 	}

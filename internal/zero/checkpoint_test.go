@@ -57,8 +57,7 @@ func TestGatherMatchesUnshardedCapture(t *testing.T) {
 				sh.Step(shardParams)
 			}
 
-			plainSaver := plain.(optim.StateSaver)
-			wantG, err := plainSaver.CaptureGlobals()
+			wantG, err := plain.CaptureGlobals()
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -75,7 +74,7 @@ func TestGatherMatchesUnshardedCapture(t *testing.T) {
 				}
 			}
 			for i := range plainParams {
-				want, err := plainSaver.CaptureParam(plainParams[i])
+				want, err := plain.CaptureParam(plainParams[i])
 				if err != nil {
 					t.Fatal(err)
 				}

@@ -81,8 +81,7 @@ func stepDigest(t *testing.T, opt optim.Optimizer) string {
 		opt.Step(ps)
 	}
 	h := sha256.New()
-	saver := opt.(optim.StateSaver)
-	gs, err := saver.CaptureGlobals()
+	gs, err := opt.CaptureGlobals()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -91,7 +90,7 @@ func stepDigest(t *testing.T, opt optim.Optimizer) string {
 	}
 	for _, p := range ps {
 		hashMatrices(h, []*tensor.Matrix{p.W})
-		st, err := saver.CaptureParam(p)
+		st, err := opt.CaptureParam(p)
 		if err != nil {
 			t.Fatal(err)
 		}
