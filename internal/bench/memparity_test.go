@@ -162,10 +162,9 @@ func TestShapesOfMirrorsParamKinds(t *testing.T) {
 // for every row of the catalogue, after one step on a live proxy model: the
 // measured StateBytes (and the per-parameter StateBytesFor a ZeRO partition
 // charges its replicas by), the bytes CaptureParam hands to a checkpoint, and
-// the StateElemsFor introspection ZeRO balances by. train.instrumentMemory's
-// optimizer_state / projector_scratch split assumes the measured bytes and
-// the introspection agree; a slot that is counted but not captured (or the
-// reverse) is a trajectory that silently changes on resume.
+// the StateElemsFor introspection ZeRO balances by. A slot that is counted but
+// not captured (or the reverse) is a trajectory that silently changes on
+// resume.
 func TestStateViewsAgree(t *testing.T) {
 	proxy, err := ProxyByName("60M")
 	if err != nil {

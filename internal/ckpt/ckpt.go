@@ -146,13 +146,3 @@ func LoadFile(path string) (*State, error) {
 	defer f.Close() //apollo:allowdiscard file opened read-only; close cannot lose written bytes
 	return Read(f)
 }
-
-// InspectFile parses a checkpoint's header and section table, verifying
-// every CRC without decoding payloads — the apollo-ckpt entry point.
-func InspectFile(path string) (*FileInfo, error) {
-	raw, err := os.ReadFile(path)
-	if err != nil {
-		return nil, err
-	}
-	return Inspect(raw)
-}

@@ -29,13 +29,13 @@ func TestLimitNormGrowth(t *testing.T) {
 	g := tensor.NewMatrixRand(4, 4, 1, rng)
 	norm := g.Norm()
 	// First step: no limiting.
-	got := LimitNormGrowth(g, 0, 1.01)
+	got := optim.LimitNormGrowth(g, 0, 1.01)
 	if math.Abs(got-norm) > 1e-9 {
 		t.Fatalf("first-step norm %v want %v", got, norm)
 	}
 	// Growth above γ·prev is clamped to exactly γ·prev.
 	prev := norm / 10
-	got = LimitNormGrowth(g, prev, 1.01)
+	got = optim.LimitNormGrowth(g, prev, 1.01)
 	if math.Abs(got-1.01*prev) > 1e-6 {
 		t.Fatalf("limited norm %v want %v", got, 1.01*prev)
 	}
@@ -45,7 +45,7 @@ func TestLimitNormGrowth(t *testing.T) {
 	// Growth below the threshold passes through.
 	g2 := tensor.NewMatrixRand(4, 4, 1, rng)
 	n2 := g2.Norm()
-	got = LimitNormGrowth(g2, n2, 1.01)
+	got = optim.LimitNormGrowth(g2, n2, 1.01)
 	if math.Abs(got-n2) > 1e-9 {
 		t.Fatalf("unlimited norm %v want %v", got, n2)
 	}

@@ -9,18 +9,12 @@ import (
 	"fmt"
 
 	"apollo/internal/optim"
-	"apollo/internal/tensor"
 )
 
 // DefaultGamma is the norm-growth limiter threshold used throughout the
-// paper (γ = 1.01, Section 3.2).
+// paper (γ = 1.01, Section 3.2). The limiter itself (equation 4) is
+// optim.LimitNormGrowth, beside the projected engine, which Fira shares.
 const DefaultGamma = optim.DefaultGamma
-
-// LimitNormGrowth applies the paper's norm-growth limiter (equation 4); the
-// one implementation sits beside the projected engine, which Fira shares.
-func LimitNormGrowth(g *tensor.Matrix, prevNorm, gamma float64) float64 {
-	return optim.LimitNormGrowth(g, prevNorm, gamma)
-}
 
 // Granularity selects how coarse the structured scaling factor is.
 type Granularity int

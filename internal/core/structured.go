@@ -15,8 +15,7 @@ import (
 // gradient. It saves no memory — it exists to isolate the effect of
 // structuring the update (Fig. 3 and the Fig. 4 "golden" reference).
 type StructuredAdamW struct {
-	*optim.StateTable
-	h           optim.Hyper
+	optim.Base  // everything that is not a matrix is its dense AdamW's
 	Granularity Granularity
 	// Gamma is the norm-growth limiter threshold; 0 disables the limiter
 	// (the "w/o NL" curve in Fig. 3).
@@ -25,8 +24,6 @@ type StructuredAdamW struct {
 	// ScalingProbe, when non-nil, receives the per-channel scaling factors
 	// of every matrix parameter each step (Fig. 4 instrumentation).
 	ScalingProbe func(param string, s []float64)
-
-	dense *optim.AdamW // everything that is not a matrix
 }
 
 // Scalar and slot indices of the StructuredAdamW declaration.
@@ -41,79 +38,55 @@ const (
 // not memory. The moments are row-aligned but the update is not
 // row-splittable: a channel norm runs across rows.
 func NewStructuredAdamW(h optim.Hyper, g Granularity) *StructuredAdamW {
-	dense := optim.NewAdamW(h)
-	s := &StructuredAdamW{h: h.WithDefaults(), Granularity: g, Gamma: DefaultGamma, dense: dense}
-	s.StateTable = optim.NewStateTable(optim.Schema{
-		Name:    s.Name(),
+	sc := optim.Schema{
+		Name:    "StructuredAdamW-" + g.String(),
 		Scalars: []optim.Scalar{{Name: "t"}, {Name: "prevNorm", Counted: true}},
 		Slots:   []optim.Slot{{Name: "m", Kind: optim.RowAligned}, {Name: "v", Kind: optim.RowAligned}},
 		Covers:  func(p *nn.Param) bool { return p.Kind == nn.KindMatrix },
-	}, nil, dense.StateTable)
-	return s
+	}
+	return &StructuredAdamW{Base: optim.NewBase(sc, h, nil, optim.NewAdamW(h)), Granularity: g, Gamma: DefaultGamma}
 }
-
-// Name implements optim.Optimizer.
-func (s *StructuredAdamW) Name() string {
-	return "StructuredAdamW-" + s.Granularity.String()
-}
-
-// SetLR implements optim.Optimizer.
-func (s *StructuredAdamW) SetLR(lr float64) {
-	s.h.LR = lr
-	s.dense.SetLR(lr)
-}
-
-// LR implements optim.Optimizer.
-func (s *StructuredAdamW) LR() float64 { return s.h.LR }
 
 // Step implements optim.Optimizer.
-func (s *StructuredAdamW) Step(ps []*nn.Param) {
-	var fallback []*nn.Param
-	for _, p := range ps {
-		if p.Kind != nn.KindMatrix {
-			fallback = append(fallback, p)
-			continue
-		}
-		st, _ := s.State(p)
-		// Full AdamW moments → element-wise normalized direction ˜G.
-		gt := tensor.NewMatrix(p.W.Rows, p.W.Cols)
-		st.Adam(structT, structM, structV, gt, p.Grad, s.h)
+func (s *StructuredAdamW) Step(ps []*nn.Param) { s.Walk(ps, s.update) }
 
-		// Collapse to one factor per channel of the m×n orientation: the
-		// columns, or for a parameter stored n×m the rows (whose norms are
-		// the column norms of the transpose, bit for bit).
-		scales, den := gt.ColNorms(), p.Grad.ColNorms()
-		if p.W.Rows > p.W.Cols {
-			scales, den = gt.RowNorms(), p.Grad.RowNorms()
-		}
-		channelRatios(scales, den)
-		factors := make([]float32, len(scales))
-		switch s.Granularity {
-		case Channel:
-			for j, f := range scales {
-				factors[j] = float32(f)
-			}
-		case Tensor:
-			f := tensorScale(math.Sqrt(orientedSqNorm(gt)), math.Sqrt(orientedSqNorm(p.Grad)))
-			for j := range factors {
-				factors[j] = float32(f)
-			}
-		}
-		if s.ScalingProbe != nil {
-			s.ScalingProbe(p.Name, scales)
-		}
+func (s *StructuredAdamW) update(p *nn.Param, st *optim.Entry, _ bool) {
+	h := s.Hyper()
+	// Full AdamW moments → element-wise normalized direction ˜G.
+	gt := s.Direction(p)
+	st.Adam(structT, structM, structV, gt, p.Grad, h)
 
-		// Rescale the raw gradient, limit its growth, apply.
-		if s.Gamma > 0 {
-			prevNorm := optim.F64From(st.S[structPrevNorm])
-			optim.ApplyScaledGrad(p, factors, 1, s.h.LR, s.h.WeightDecay, s.Gamma, &prevNorm)
-			st.S[structPrevNorm] = optim.F64Bits(prevNorm)
-		} else {
-			optim.ApplyScaledGrad(p, factors, 1, s.h.LR, s.h.WeightDecay, s.Gamma, nil)
+	// Collapse to one factor per channel of the m×n orientation: the
+	// columns, or for a parameter stored n×m the rows (whose norms are
+	// the column norms of the transpose, bit for bit).
+	scales, den := gt.ColNorms(), p.Grad.ColNorms()
+	if p.W.Rows > p.W.Cols {
+		scales, den = gt.RowNorms(), p.Grad.RowNorms()
+	}
+	channelRatios(scales, den)
+	factors := make([]float32, len(scales))
+	switch s.Granularity {
+	case Channel:
+		for j, f := range scales {
+			factors[j] = float32(f)
+		}
+	case Tensor:
+		f := tensorScale(math.Sqrt(orientedSqNorm(gt)), math.Sqrt(orientedSqNorm(p.Grad)))
+		for j := range factors {
+			factors[j] = float32(f)
 		}
 	}
-	if len(fallback) > 0 {
-		s.dense.Step(fallback)
+	if s.ScalingProbe != nil {
+		s.ScalingProbe(p.Name, scales)
+	}
+
+	// Rescale the raw gradient, limit its growth, apply.
+	if s.Gamma > 0 {
+		prevNorm := optim.F64From(st.S[structPrevNorm])
+		optim.ApplyScaledGrad(p, factors, 1, h.LR, h.WeightDecay, s.Gamma, &prevNorm)
+		st.S[structPrevNorm] = optim.F64Bits(prevNorm)
+	} else {
+		optim.ApplyScaledGrad(p, factors, 1, h.LR, h.WeightDecay, s.Gamma, nil)
 	}
 }
 

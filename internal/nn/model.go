@@ -277,17 +277,6 @@ func (m *Model) Loss(tokens []int, targets []int, batch, seq int) float64 {
 	return loss
 }
 
-// LossShard is the data-parallel form of Loss: forward + sharded
-// cross-entropy + backward for one shard of a larger batch, normalizing
-// gradients by the global non-ignored target count and returning the
-// shard's UNnormalized loss sum.
-func (m *Model) LossShard(tokens []int, targets []int, batch, seq, normCount int) float64 {
-	logits := m.Forward(tokens, batch, seq)
-	lossSum, dlogits := CrossEntropyShard(logits, targets, -1, normCount)
-	m.Backward(dlogits)
-	return lossSum
-}
-
 // EvalLoss computes the loss without touching gradients (no backward pass).
 func (m *Model) EvalLoss(tokens []int, targets []int, batch, seq int) float64 {
 	logits := m.Forward(tokens, batch, seq)

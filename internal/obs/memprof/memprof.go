@@ -48,14 +48,13 @@ import (
 // may track additional ad-hoc components; these are the ones the train and
 // serve layers wire up.
 const (
-	CompWeights          = "weights"
-	CompGrads            = "grads"
-	CompOptimizerState   = "optimizer_state"
-	CompProjectorScratch = "projector_scratch"
-	CompServeSnapshots   = "serve_snapshots"
-	CompBatcherBuffers   = "batcher_buffers"
-	CompDPGradLeaves     = "dp_grad_leaves"
-	CompDPReplicas       = "dp_replicas"
+	CompWeights        = "weights"
+	CompGrads          = "grads"
+	CompOptimizerState = "optimizer_state"
+	CompServeSnapshots = "serve_snapshots"
+	CompBatcherBuffers = "batcher_buffers"
+	CompDPGradLeaves   = "dp_grad_leaves"
+	CompDPReplicas     = "dp_replicas"
 )
 
 // ShardComponent names the per-shard optimizer-state component for one ZeRO

@@ -6,11 +6,7 @@ import "apollo/internal/nn"
 // Hutter, 2019) — the paper's main baseline. It keeps full-rank first and
 // second moments: 2·mn state per m×n parameter, the memory cost APOLLO
 // eliminates.
-type AdamW struct {
-	*StateTable
-	h   Hyper
-	dir scratchMatrix // the normalized direction of the parameter being stepped
-}
+type AdamW struct{ Base }
 
 // Slot and scalar indices of the AdamW declaration, shared by every schema
 // that opens with AdamW moments (Projected, Adam8bit, GaLore8bit).
@@ -29,24 +25,14 @@ func NewAdamW(h Hyper) *AdamW {
 		Slots:         []Slot{{Name: "m", Kind: RowAligned}, {Name: "v", Kind: RowAligned}},
 		RowSplittable: func(*nn.Param) bool { return true },
 	}
-	return &AdamW{StateTable: NewStateTable(sc, nil, nil), h: h.withDefaults()}
+	return &AdamW{NewBase(sc, h, nil, nil)}
 }
 
-// Name implements Optimizer.
-func (a *AdamW) Name() string { return "AdamW" }
-
-// SetLR implements Optimizer.
-func (a *AdamW) SetLR(lr float64) { a.h.LR = lr }
-
-// LR implements Optimizer.
-func (a *AdamW) LR() float64 { return a.h.LR }
-
 // Step implements Optimizer.
-func (a *AdamW) Step(ps []*nn.Param) {
-	for _, p := range ps {
-		st, _ := a.State(p)
-		dir := a.dir.shaped(p.W.Rows, p.W.Cols)
-		st.Adam(adamT, adamM, adamV, dir, p.Grad, a.h)
-		DecayAndApply(p, dir, a.h.LR, a.h.WeightDecay)
-	}
+func (a *AdamW) Step(ps []*nn.Param) { a.Walk(ps, a.update) }
+
+func (a *AdamW) update(p *nn.Param, st *Entry, _ bool) {
+	dir := a.Direction(p)
+	st.Adam(adamT, adamM, adamV, dir, p.Grad, a.h)
+	DecayAndApply(p, dir, a.h.LR, a.h.WeightDecay)
 }

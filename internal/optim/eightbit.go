@@ -17,9 +17,7 @@ import (
 // boundaries and the rounding noise comes from one stream in list order, so
 // the update is never row-splittable.
 type Adam8bit struct {
-	// The table's rng is the stochastic-rounding stream.
-	*StateTable
-	h Hyper
+	Base // its rng is the stochastic-rounding stream
 }
 
 // NewAdam8bit builds the optimizer.
@@ -29,27 +27,17 @@ func NewAdam8bit(h Hyper, seed uint64) *Adam8bit {
 		Scalars: []Scalar{{Name: "t"}},
 		Slots:   []Slot{{Name: "m", Kind: Int8}, {Name: "v", Kind: Int8}},
 	}
-	return &Adam8bit{StateTable: NewStateTable(sc, tensor.NewRNG(seed), nil), h: h.withDefaults()}
+	return &Adam8bit{NewBase(sc, h, tensor.NewRNG(seed), nil)}
 }
 
-// Name implements Optimizer.
-func (a *Adam8bit) Name() string { return "8-bit Adam" }
-
-// SetLR implements Optimizer.
-func (a *Adam8bit) SetLR(lr float64) { a.h.LR = lr }
-
-// LR implements Optimizer.
-func (a *Adam8bit) LR() float64 { return a.h.LR }
-
 // Step implements Optimizer.
-func (a *Adam8bit) Step(ps []*nn.Param) {
-	for _, p := range ps {
-		st, _ := a.State(p)
-		st.S[adamT]++
-		dir := tensor.NewMatrix(p.W.Rows, p.W.Cols)
-		adam8Direction(st.Q[adamM], st.Q[adamV], dir, p.Grad, a.h, int(st.S[adamT]), a.rng)
-		DecayAndApply(p, dir, a.h.LR, a.h.WeightDecay)
-	}
+func (a *Adam8bit) Step(ps []*nn.Param) { a.Walk(ps, a.update) }
+
+func (a *Adam8bit) update(p *nn.Param, st *Entry, _ bool) {
+	st.S[adamT]++
+	dir := a.Direction(p)
+	adam8Direction(st.Q[adamM], st.Q[adamV], dir, p.Grad, a.h, int(st.S[adamT]), a.rng)
+	DecayAndApply(p, dir, a.h.LR, a.h.WeightDecay)
 }
 
 // adam8Direction is step t of the AdamW moment update on INT8 moments:
@@ -93,19 +81,17 @@ func adam8Direction(mq, vq *quant.Tensor8, out, g *tensor.Matrix, h Hyper, t int
 // It is its own serial optimizer rather than a Rule on Projected: projector
 // seeds and stochastic-rounding noise come from one RNG, interleaved in list
 // order, which the engine's seeds-first-then-parallel walk cannot reproduce
-// bit for bit. What it shares with the engine is the state table.
+// bit for bit. What it shares with the engine is the walk, the refresh
+// cadence and the workspace.
 //
 // Layout — globals: [own RNG phase, dense 8-bit Adam RNG phase]; projected
 // parameters: Scalars [t, since, proj seed, proj rng, proj m, proj ready];
 // Blobs [m codes, m scales, v codes, v scales] at r×n; Whole [SVD P] once
 // built. Everything else is the dense 8-bit Adam's.
 type GaLore8bit struct {
-	// The table's rng draws projector seeds and rounding noise, interleaved.
-	*StateTable
-	h   Hyper
-	cfg LowRankConfig
-
-	dense *Adam8bit
+	Base // its rng draws projector seeds and rounding noise, interleaved
+	cfg  LowRankConfig
+	ws   Workspace
 }
 
 // NewGaLore8bit builds the optimizer.
@@ -114,7 +100,6 @@ func NewGaLore8bit(h Hyper, cfg LowRankConfig) *GaLore8bit {
 	if err := cfg.Validate(); err != nil {
 		panic(err)
 	}
-	dense := NewAdam8bit(h, cfg.Seed+3)
 	sc := Schema{
 		Name:    "8-bit GaLore",
 		Scalars: []Scalar{{Name: "t"}, {Name: "since"}},
@@ -125,54 +110,26 @@ func NewGaLore8bit(h Hyper, cfg LowRankConfig) *GaLore8bit {
 		Proj:   &Projection{Kind: cfg.Projection, Rank: cfg.Rank},
 		Covers: func(p *nn.Param) bool { return projects(p, cfg.Rank) },
 	}
-	return &GaLore8bit{
-		StateTable: NewStateTable(sc, tensor.NewRNG(cfg.Seed+4), dense.StateTable),
-		h:          h.withDefaults(),
-		cfg:        cfg,
-		dense:      dense,
-	}
+	return &GaLore8bit{Base: NewBase(sc, h, tensor.NewRNG(cfg.Seed+4), NewAdam8bit(h, cfg.Seed+3)), cfg: cfg}
 }
-
-// Name implements Optimizer.
-func (g *GaLore8bit) Name() string { return "8-bit GaLore" }
-
-// SetLR implements Optimizer.
-func (g *GaLore8bit) SetLR(lr float64) {
-	g.h.LR = lr
-	g.dense.SetLR(lr)
-}
-
-// LR implements Optimizer.
-func (g *GaLore8bit) LR() float64 { return g.h.LR }
 
 // Step implements Optimizer.
-func (g *GaLore8bit) Step(ps []*nn.Param) {
-	var fallback []*nn.Param
-	for _, p := range ps {
-		if !projects(p, g.cfg.Rank) {
-			fallback = append(fallback, p)
-			continue
-		}
-		st, fresh := g.State(p)
-		if fresh {
-			st.Proj = linalg.NewProjector(g.cfg.Projection, g.cfg.Rank, g.rng.Uint64())
-		}
-		o := orient(p.W.Rows, p.W.Cols)
-		grad := orientedView(p.Grad, o)
-		if !st.Proj.Ready() || (g.cfg.UpdateGap > 0 && st.S[projSince] >= uint64(g.cfg.UpdateGap)) {
-			st.Proj.Refresh(grad)
-			st.S[projSince] = 0
-		}
-		st.S[projSince]++
-		st.S[adamT]++
+func (g *GaLore8bit) Step(ps []*nn.Param) { g.Walk(ps, g.update) }
 
-		r := st.Proj.Project(grad)
-		adam8Direction(st.Q[adamM], st.Q[adamV], r, r, g.h, int(st.S[adamT]), g.rng)
-		dir := unorient(st.Proj.ProjectBack(r), o)
-		tensor.ScaleInPlace(dir, float32(g.cfg.Scale))
-		DecayAndApply(p, dir, g.h.LR, g.h.WeightDecay)
+func (g *GaLore8bit) update(p *nn.Param, st *Entry, fresh bool) {
+	if fresh {
+		st.Proj = linalg.NewProjector(g.cfg.Projection, g.cfg.Rank, g.rng.Uint64())
 	}
-	if len(fallback) > 0 {
-		g.dense.Step(fallback)
+	grad := g.ws.orientedGrad(p.Grad, orient(p.W.Rows, p.W.Cols))
+	if refreshDue(st, g.cfg.UpdateGap) {
+		st.Proj.Refresh(grad)
 	}
+	st.S[adamT]++
+
+	r, _ := g.ws.RankSpace(g.cfg.Rank, grad.Cols)
+	st.Proj.ProjectInto(r, grad)
+	adam8Direction(st.Q[adamM], st.Q[adamV], r, r, g.h, int(st.S[adamT]), g.rng)
+	update := g.ws.dense[0].shaped(grad.Rows, grad.Cols)
+	st.Proj.ProjectBackInto(update, r)
+	DecayAndApply(p, g.ws.lift(p, update, g.cfg.Scale), g.h.LR, g.h.WeightDecay)
 }

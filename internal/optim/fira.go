@@ -49,5 +49,5 @@ func firaRule(e *Projected, st *ProjState, p *nn.Param, grad *tensor.Matrix, ws 
 	// orientation before the sum.
 	st.LimitNormGrowth(residual, DefaultGamma)
 	tensor.AddInPlace(lowRank, residual)
-	return e.lift(p, lowRank, ws)
+	return ws.lift(p, lowRank, e.cfg.Scale)
 }

@@ -58,6 +58,18 @@ func projects(p *nn.Param, rank int) bool {
 // the last projection refresh.
 const projSince = 1
 
+// refreshDue counts this step against st's refresh cadence and reports
+// whether the projection must be rebuilt before it is used: at first use, and
+// every gap steps after (gap 0: never again).
+func refreshDue(st *Entry, gap int) bool {
+	due := !st.Proj.Ready() || (gap > 0 && st.S[projSince] >= uint64(gap))
+	if due {
+		st.S[projSince] = 0
+	}
+	st.S[projSince]++
+	return due
+}
+
 // rankSpace is the shape of a moment of the r×n projected gradient.
 func rankSpace(rank int) func(p *nn.Param) (int, int) {
 	return func(p *nn.Param) (int, int) { return rank, orient(p.W.Rows, p.W.Cols).n }
@@ -88,17 +100,5 @@ func liftedAdam(e *Projected, st *ProjState, p *nn.Param, grad *tensor.Matrix, w
 	e.Moments(st, r, r)          // in place: r becomes the normalized direction
 	update := ws.dense[0].shaped(grad.Rows, grad.Cols)
 	st.Proj.ProjectBackInto(update, r)
-	return e.lift(p, update, ws)
-}
-
-// lift turns the m×n-oriented update, which sits in ws.dense[0], into the
-// scaled direction in the parameter's native orientation.
-func (e *Projected) lift(p *nn.Param, update *tensor.Matrix, ws *Workspace) *tensor.Matrix {
-	dir := update
-	if orient(p.W.Rows, p.W.Cols).transposed {
-		dir = ws.dense[1].shaped(update.Cols, update.Rows)
-		tensor.TransposeInto(dir, update)
-	}
-	tensor.ScaleInPlace(dir, float32(e.cfg.Scale))
-	return dir
+	return ws.lift(p, update, e.cfg.Scale)
 }

@@ -9,6 +9,7 @@ import (
 	"apollo/internal/linalg"
 	"apollo/internal/nn"
 	"apollo/internal/optim"
+	"apollo/internal/tensor"
 )
 
 // layoutRow renders one optimizer's declaration as a row of the README's
@@ -112,5 +113,55 @@ func TestCheckpointLayoutTable(t *testing.T) {
 	}
 	if len(seen) < 15 {
 		t.Fatalf("only %d distinct layouts rendered", len(seen))
+	}
+}
+
+// TestEntriesSitInTheCoveringTable steps every member once and checks each
+// table of its chain on its own: what the table holds beyond its fallback is
+// exactly the StateBytesFor of the parameters that reach it and that its
+// schema covers. The walk splits the list by Schema.Covers; a Step that split
+// by a second copy of the predicate could allocate an entry in a table that
+// then refuses to account for it or checkpoint it.
+func TestEntriesSitInTheCoveringTable(t *testing.T) {
+	type table interface {
+		Declared() (optim.Schema, *optim.StateTable)
+		StateBytes() int64
+		StateBytesFor(p *nn.Param) int64
+	}
+	for _, build := range fuzzZoo {
+		opt := build()
+		tbl, ok := opt.(table)
+		if !ok {
+			continue // a wrapper; its inner is a row of its own
+		}
+		reach := optim.GoldenParams()
+		optim.GoldenGrads(reach, tensor.NewRNG(3), 2)
+		opt.Step(reach)
+		for depth := 0; ; depth++ {
+			sc, fallback := tbl.Declared()
+			held := tbl.StateBytes()
+			if fallback != nil {
+				held -= fallback.StateBytes()
+			}
+			var claimed int64
+			var rest []*nn.Param
+			for _, p := range reach {
+				if sc.Covers == nil || sc.Covers(p) {
+					claimed += tbl.StateBytesFor(p)
+				} else {
+					rest = append(rest, p)
+				}
+			}
+			if held != claimed {
+				t.Errorf("%s: table %d (%s) holds %d bytes, the parameters it covers account for %d", opt.Name(), depth, sc.Name, held, claimed)
+			}
+			if fallback == nil {
+				if len(rest) > 0 {
+					t.Errorf("%s: %d parameters are covered by no table", opt.Name(), len(rest))
+				}
+				break
+			}
+			tbl, reach = fallback, rest
+		}
 	}
 }

@@ -71,12 +71,8 @@ func (c FactorizedConfig) withDefaults() FactorizedConfig {
 // Factorized implements the four reparameterized baselines behind one
 // Optimizer.
 type Factorized struct {
-	// The table's rng draws factor initializations and ReLoRA restarts, in step order.
-	*StateTable
-	h   Hyper
-	cfg FactorizedConfig
-
-	dense *AdamW
+	Base // its rng draws factor initializations and ReLoRA restarts, in step order
+	cfg  FactorizedConfig
 }
 
 // Scalar and slot indices of the Factorized declaration. Which optional
@@ -90,29 +86,24 @@ const (
 	fMag, fMM, fVM     = 7, 8, 9 // DoRA per-column magnitudes (1×in) and their moments
 )
 
-// factorizes reports whether p is reparameterized; the rest is dense AdamW's.
-func (f *Factorized) factorizes(p *nn.Param) bool {
-	return p.Kind == nn.KindMatrix && min(p.W.Rows, p.W.Cols) > f.cfg.Rank
-}
-
 // NewFactorized builds the wrapper. Canonical layout — globals: [init/restart
 // RNG phase]; factorized parameters: Scalars [steps, adamA.t, adamB.t, hasW0,
 // hasMag, adamM.t]; Whole [a, b, adamA.m, adamA.v, adamB.m, adamB.v] (+ [w0]
 // when frozen-base, + [mag, adamM.m, adamM.v] for DoRA) — everything the
-// method must keep resident beyond the live weight.
+// method must keep resident beyond the live weight. Matrices whose smaller
+// dimension exceeds the rank are reparameterized; the rest is dense AdamW's.
 func NewFactorized(h Hyper, cfg FactorizedConfig) *Factorized {
 	cfg = cfg.withDefaults()
 	if cfg.Rank < 1 {
 		panic(fmt.Sprintf("optim: factorized rank %d", cfg.Rank))
 	}
-	f := &Factorized{h: h.withDefaults(), cfg: cfg, dense: NewAdamW(h)}
 	r := cfg.Rank
 	rIn := func(p *nn.Param) (int, int) { return r, p.W.Cols }
 	outR := func(p *nn.Param) (int, int) { return p.W.Rows, r }
 	oneIn := func(p *nn.Param) (int, int) { return 1, p.W.Cols }
 	hasW0, hasMag := boolBit(cfg.Mode != ModeLowRank), boolBit(cfg.Mode == ModeDoRA)
 	sc := Schema{
-		Name: f.Name(),
+		Name: cfg.Mode.String(),
 		Scalars: []Scalar{
 			{Name: "steps"}, {Name: "adamA.t"}, {Name: "adamB.t"},
 			{Name: "hasW0", Const: true, Value: hasW0}, {Name: "hasMag", Const: true, Value: hasMag},
@@ -123,7 +114,7 @@ func NewFactorized(h Hyper, cfg FactorizedConfig) *Factorized {
 			{Name: "adamA.m", Kind: Whole, Dims: rIn}, {Name: "adamA.v", Kind: Whole, Dims: rIn},
 			{Name: "adamB.m", Kind: Whole, Dims: outR}, {Name: "adamB.v", Kind: Whole, Dims: outR},
 		},
-		Covers: f.factorizes,
+		Covers: func(p *nn.Param) bool { return p.Kind == nn.KindMatrix && min(p.W.Rows, p.W.Cols) > r },
 	}
 	if hasW0 == 1 {
 		sc.Slots = append(sc.Slots, Slot{Name: "w0", Kind: Whole})
@@ -132,21 +123,8 @@ func NewFactorized(h Hyper, cfg FactorizedConfig) *Factorized {
 		sc.Slots = append(sc.Slots, Slot{Name: "mag", Kind: Whole, Dims: oneIn},
 			Slot{Name: "adamM.m", Kind: Whole, Dims: oneIn}, Slot{Name: "adamM.v", Kind: Whole, Dims: oneIn})
 	}
-	f.StateTable = NewStateTable(sc, tensor.NewRNG(cfg.Seed), f.dense.StateTable)
-	return f
+	return &Factorized{Base: NewBase(sc, h, tensor.NewRNG(cfg.Seed), NewAdamW(h)), cfg: cfg}
 }
-
-// Name implements Optimizer.
-func (f *Factorized) Name() string { return f.cfg.Mode.String() }
-
-// SetLR implements Optimizer.
-func (f *Factorized) SetLR(lr float64) {
-	f.h.LR = lr
-	f.dense.SetLR(lr)
-}
-
-// LR implements Optimizer.
-func (f *Factorized) LR() float64 { return f.h.LR }
 
 // scale returns the adapter scaling factor s.
 func (f *Factorized) scale() float32 {
@@ -202,88 +180,79 @@ func (f *Factorized) effective(st *Entry, w *tensor.Matrix) {
 }
 
 // Step implements Optimizer.
-func (f *Factorized) Step(ps []*nn.Param) {
-	var fallback []*nn.Param
-	for _, p := range ps {
-		if !f.factorizes(p) {
-			fallback = append(fallback, p)
-			continue
-		}
-		st, fresh := f.State(p)
-		if fresh {
-			f.seed(st, p)
-			f.effective(st, p.W)
-		}
-		st.S[fSteps]++
-		s := f.scale()
-		dW := p.Grad
+func (f *Factorized) Step(ps []*nn.Param) { f.Walk(ps, f.update) }
 
-		var dV *tensor.Matrix
-		if f.cfg.Mode == ModeDoRA {
-			// DoRA: route dW through the magnitude/direction decomposition.
-			mag := st.M[fMag].Data
-			ba := tensor.MatMul(st.M[fB], st.M[fA])
-			tensor.ScaleInPlace(ba, s)
-			v := tensor.Add(st.M[fW0], ba)
-			norms := v.ColNorms()
-			dV = tensor.NewMatrix(dW.Rows, dW.Cols)
-			dmag := tensor.NewMatrix(1, len(mag))
-			for j := 0; j < dW.Cols; j++ {
-				c := norms[j]
-				if c < 1e-12 {
-					c = 1e-12
-				}
-				var u float64
-				for i := 0; i < dW.Rows; i++ {
-					u += float64(dW.At(i, j)) * float64(v.At(i, j))
-				}
-				dmag.Set(0, j, float32(u/c))
-				mOverC := float64(mag[j]) / c
-				corr := u / (c * c)
-				for i := 0; i < dW.Rows; i++ {
-					dV.Set(i, j, float32(mOverC*(float64(dW.At(i, j))-float64(v.At(i, j))*corr)))
-				}
-			}
-			dirM := dmag.Clone()
-			st.Adam(fTM, fMM, fVM, dirM, dmag, f.h)
-			for j := range mag {
-				mag[j] -= float32(f.h.LR) * dirM.At(0, j)
-			}
-		} else {
-			dV = dW
-		}
-
-		// Factor gradients: dB = s·dV·Aᵀ, dA = s·Bᵀ·dV.
-		dB := tensor.MatMulT(dV, st.M[fA])
-		tensor.ScaleInPlace(dB, s)
-		dA := tensor.TMatMul(st.M[fB], dV)
-		tensor.ScaleInPlace(dA, s)
-
-		dirB := dB.Clone()
-		st.Adam(fTB, fMB, fVB, dirB, dB, f.h)
-		tensor.AxpyInPlace(st.M[fB], float32(-f.h.LR), dirB)
-		dirA := dA.Clone()
-		st.Adam(fTA, fMA, fVA, dirA, dA, f.h)
-		tensor.AxpyInPlace(st.M[fA], float32(-f.h.LR), dirA)
-
-		// ReLoRA merge-and-restart: fold the adapter into the base, redraw A,
-		// zero B and both factors' moments and step counts.
-		if f.cfg.Mode == ModeReLoRA && f.cfg.MergeEvery > 0 && st.S[fSteps]%uint64(f.cfg.MergeEvery) == 0 {
-			ba := tensor.MatMul(st.M[fB], st.M[fA])
-			tensor.ScaleInPlace(ba, s)
-			tensor.AddInPlace(st.M[fW0], ba)
-			st.M[fA] = tensor.NewMatrixRand(f.cfg.Rank, p.W.Cols, 0.02, f.rng)
-			for _, i := range []int{fB, fMA, fVA, fMB, fVB} {
-				st.M[i].Zero()
-			}
-			st.S[fTA], st.S[fTB] = 0, 0
-		}
-
+func (f *Factorized) update(p *nn.Param, st *Entry, fresh bool) {
+	if fresh {
+		f.seed(st, p)
 		f.effective(st, p.W)
 	}
-	if len(fallback) > 0 {
-		f.dense.Step(fallback)
+	st.S[fSteps]++
+	s := f.scale()
+	dW := p.Grad
+
+	var dV *tensor.Matrix
+	if f.cfg.Mode == ModeDoRA {
+		// DoRA: route dW through the magnitude/direction decomposition.
+		mag := st.M[fMag].Data
+		ba := tensor.MatMul(st.M[fB], st.M[fA])
+		tensor.ScaleInPlace(ba, s)
+		v := tensor.Add(st.M[fW0], ba)
+		norms := v.ColNorms()
+		dV = tensor.NewMatrix(dW.Rows, dW.Cols)
+		dmag := tensor.NewMatrix(1, len(mag))
+		for j := 0; j < dW.Cols; j++ {
+			c := norms[j]
+			if c < 1e-12 {
+				c = 1e-12
+			}
+			var u float64
+			for i := 0; i < dW.Rows; i++ {
+				u += float64(dW.At(i, j)) * float64(v.At(i, j))
+			}
+			dmag.Set(0, j, float32(u/c))
+			mOverC := float64(mag[j]) / c
+			corr := u / (c * c)
+			for i := 0; i < dW.Rows; i++ {
+				dV.Set(i, j, float32(mOverC*(float64(dW.At(i, j))-float64(v.At(i, j))*corr)))
+			}
+		}
+		dirM := dmag.Clone()
+		st.Adam(fTM, fMM, fVM, dirM, dmag, f.h)
+		for j := range mag {
+			mag[j] -= float32(f.h.LR) * dirM.At(0, j)
+		}
+	} else {
+		dV = dW
 	}
+
+	// Factor gradients: dB = s·dV·Aᵀ, dA = s·Bᵀ·dV.
+	dB := tensor.MatMulT(dV, st.M[fA])
+	tensor.ScaleInPlace(dB, s)
+	dA := tensor.TMatMul(st.M[fB], dV)
+	tensor.ScaleInPlace(dA, s)
+
+	dirB := dB.Clone()
+	st.Adam(fTB, fMB, fVB, dirB, dB, f.h)
+	tensor.AxpyInPlace(st.M[fB], float32(-f.h.LR), dirB)
+	dirA := dA.Clone()
+	st.Adam(fTA, fMA, fVA, dirA, dA, f.h)
+	tensor.AxpyInPlace(st.M[fA], float32(-f.h.LR), dirA)
+
+	// ReLoRA merge-and-restart: fold the adapter into the base, redraw A,
+	// zero B and both factors' moments and step counts.
+	if f.cfg.Mode == ModeReLoRA && f.cfg.MergeEvery > 0 && st.S[fSteps]%uint64(f.cfg.MergeEvery) == 0 {
+		ba := tensor.MatMul(st.M[fB], st.M[fA])
+		tensor.ScaleInPlace(ba, s)
+		tensor.AddInPlace(st.M[fW0], ba)
+		st.M[fA] = tensor.NewMatrixRand(f.cfg.Rank, p.W.Cols, 0.02, f.rng)
+		for _, i := range []int{fB, fMA, fVA, fMB, fVB} {
+			st.M[i].Zero()
+		}
+		st.S[fTA], st.S[fTB] = 0, 0
+	}
+
+	f.effective(st, p.W)
 }
 
 func min(a, b int) int {

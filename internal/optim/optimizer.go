@@ -78,23 +78,6 @@ func orient(rows, cols int) orientation {
 	return orientation{transposed: true, m: cols, n: rows}
 }
 
-// orientedView returns g in m×n orientation, transposing only when needed.
-func orientedView(g *tensor.Matrix, o orientation) *tensor.Matrix {
-	if !o.transposed {
-		return g
-	}
-	return g.T()
-}
-
-// unorient converts an m×n-oriented update back to the parameter's native
-// storage orientation.
-func unorient(u *tensor.Matrix, o orientation) *tensor.Matrix {
-	if !o.transposed {
-		return u
-	}
-	return u.T()
-}
-
 // AdamDirection runs step t (1-based) of the bias-corrected AdamW moment
 // update on m and v and writes the normalized direction m̂/(√v̂+ε) into out
 // (which may alias g).

@@ -6,8 +6,8 @@
 // state is therefore declared once, as the Schema NewProjected builds, and
 // the StateTable derives allocation, byte and element accounting and the
 // canonical checkpoint layout from it (state.go); what is left here is the
-// engine — the ZeRO seed walk, the refresh cadence, the parallel step — and
-// an optimizer of the family is a constructor plus a Rule.
+// engine — the seed draw over Base's first touches, the refresh cadence, the
+// parallel step — and an optimizer of the family is a constructor plus a Rule.
 package optim
 
 import (
@@ -175,31 +175,17 @@ func (st *ProjState) LimitNormGrowth(u *tensor.Matrix, gamma float64) {
 type Rule func(e *Projected, st *ProjState, p *nn.Param, grad *tensor.Matrix, ws *Workspace) *tensor.Matrix
 
 // Projected is the engine behind every projected optimizer. It implements
-// Optimizer; StateIntrospector, StateSaver and StateLoader are its
-// StateTable's.
+// Optimizer; everything but Step is its Base's, and parameters that are not
+// projected are the Base's dense AdamW's.
 type Projected struct {
-	// The table's rng draws one projector seed per projected parameter, in step order.
-	*StateTable
-	name string
-	h    Hyper
+	Base // its rng draws one projector seed per projected parameter, in step order
 	cfg  LowRankConfig
 	rule Rule
 	// refresh rebuilds st's projection from grad; Flora replaces the default
 	// to carry its momentum across the subspace change.
 	refresh func(st *ProjState, grad *tensor.Matrix)
 
-	dense *AdamW // parameters that are not projected
-
-	// Per-step scratch, kept across steps; none of it is optimizer state.
-	fallback []*nn.Param  // this step's dense-AdamW parameters
-	jobs     []projJob    // this step's projected parameters, in list order
-	ws       []*Workspace // one per worker of the parallel section
-}
-
-// projJob is one projected parameter of the step in flight.
-type projJob struct {
-	p  *nn.Param
-	st *ProjState
+	ws []*Workspace // one per worker of the parallel section; scratch, not state
 }
 
 // NewProjected builds an engine around rule. cfg is taken as resolved (no
@@ -231,39 +217,18 @@ func NewProjected(name string, h Hyper, cfg LowRankConfig, limiter bool, rule Ru
 	if limiter {
 		sc.Scalars = append(sc.Scalars, Scalar{Name: "prevNorm", Counted: true})
 	}
-	dense := NewAdamW(h)
 	return &Projected{
-		StateTable: NewStateTable(sc, tensor.NewRNG(cfg.Seed), dense.StateTable),
-		name:       name,
-		h:          h.withDefaults(),
-		cfg:        cfg,
-		rule:       rule,
-		refresh:    func(st *ProjState, grad *tensor.Matrix) { st.Proj.Refresh(grad) },
-		dense:      dense,
+		Base:    NewBase(sc, h, tensor.NewRNG(cfg.Seed), NewAdamW(h)),
+		cfg:     cfg,
+		rule:    rule,
+		refresh: func(st *ProjState, grad *tensor.Matrix) { st.Proj.Refresh(grad) },
 	}
 }
-
-// Name implements Optimizer.
-func (e *Projected) Name() string { return e.name }
-
-// SetLR implements Optimizer.
-func (e *Projected) SetLR(lr float64) {
-	e.h.LR = lr
-	e.dense.SetLR(lr)
-}
-
-// LR implements Optimizer.
-func (e *Projected) LR() float64 { return e.h.LR }
 
 // Moments advances st's rank-space AdamW moments by the projected gradient r
 // and writes the normalized direction m̂/(√v̂+ε) into out (which may alias r).
 func (e *Projected) Moments(st *ProjState, out, r *tensor.Matrix) {
 	(*Entry)(st).Adam(adamT, adamM, adamV, out, r, e.h)
-}
-
-// projector builds the projector a parameter's state is given at first touch.
-func (e *Projected) projector(seed uint64) *linalg.Projector {
-	return linalg.NewProjector(e.cfg.Projection, e.cfg.Rank, seed)
 }
 
 // ApplyScaledGrad is ApplyScaledGrad with the engine's learning rate and
@@ -282,27 +247,20 @@ func (e *Projected) ApplyScaledGrad(st *ProjState, p *nn.Param, s []float32, alp
 // UpdateGap steps), let the rule turn state and gradient into a direction,
 // apply it; everything not projected goes to dense AdamW.
 //
-// The list is walked serially first — the fallback split, and first-touch
-// allocation with its projector-seed draw in list order (the order a ZeRO
-// partition steps its units in too). The projected parameters are then stepped
-// concurrently on the shared pool, workers claiming the next unclaimed one.
-// A parameter's update reads and writes nothing of any other parameter, so
-// the result is bit-identical at any pool width.
+// The serial half is Base's touch — the split, and first-touch allocation in
+// list order (the order a ZeRO partition steps its units in too) — plus the
+// projector-seed draw of each fresh entry. The projected parameters are then
+// stepped concurrently on the shared pool, workers claiming the next
+// unclaimed one. A parameter's update reads and writes nothing of any other
+// parameter, so the result is bit-identical at any pool width.
 func (e *Projected) Step(ps []*nn.Param) {
-	e.fallback, e.jobs = e.fallback[:0], e.jobs[:0]
-	for _, p := range ps {
-		if !projects(p, e.cfg.Rank) {
-			e.fallback = append(e.fallback, p)
-			continue
+	for _, j := range e.touch(ps) {
+		if j.fresh {
+			j.st.Proj = linalg.NewProjector(e.cfg.Projection, e.cfg.Rank, e.rng.Uint64())
 		}
-		st, fresh := e.State(p)
-		if fresh {
-			st.Proj = e.projector(e.rng.Uint64())
-		}
-		e.jobs = append(e.jobs, projJob{p, (*ProjState)(st)})
 	}
 
-	workers := min(runtime.Workers(), len(e.jobs))
+	workers := min(runtime.Workers(), len(e.touched))
 	for len(e.ws) < workers {
 		e.ws = append(e.ws, &Workspace{})
 	}
@@ -311,28 +269,24 @@ func (e *Projected) Step(ps []*nn.Param) {
 		for w := w0; w < w1; w++ {
 			for {
 				i := int(next.Add(1)) - 1
-				if i >= len(e.jobs) {
+				if i >= len(e.touched) {
 					break
 				}
-				e.stepOne(e.jobs[i], e.ws[w])
+				j := e.touched[i]
+				e.stepOne(j.p, (*ProjState)(j.st), e.ws[w])
 			}
 		}
 	})
 
-	if len(e.fallback) > 0 {
-		e.dense.Step(e.fallback)
-	}
+	e.stepRest()
 }
 
 // stepOne steps one projected parameter with the worker's scratch.
-func (e *Projected) stepOne(j projJob, ws *Workspace) {
-	p, st := j.p, j.st
+func (e *Projected) stepOne(p *nn.Param, st *ProjState, ws *Workspace) {
 	grad := ws.orientedGrad(p.Grad, orient(p.W.Rows, p.W.Cols))
-	if !st.Proj.Ready() || (e.cfg.UpdateGap > 0 && st.S[projSince] >= uint64(e.cfg.UpdateGap)) {
+	if refreshDue((*Entry)(st), e.cfg.UpdateGap) {
 		e.refresh(st, grad)
-		st.S[projSince] = 0
 	}
-	st.S[projSince]++
 	if dir := e.rule(e, st, p, grad, ws); dir != nil {
 		DecayAndApply(p, dir, e.h.LR, e.h.WeightDecay)
 	}

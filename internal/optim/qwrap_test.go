@@ -158,13 +158,14 @@ func TestOrientation(t *testing.T) {
 	}
 	rng := tensor.NewRNG(49)
 	g := tensor.NewMatrixRand(8, 4, 1, rng)
-	ov := orientedView(g, o)
+	var ws Workspace
+	ov := ws.orientedGrad(g, o)
 	if ov.Rows != 4 || ov.Cols != 8 {
-		t.Fatalf("oriented view %dx%d", ov.Rows, ov.Cols)
+		t.Fatalf("oriented gradient %dx%d", ov.Rows, ov.Cols)
 	}
-	back := unorient(ov, o)
-	if !back.AllClose(g, 0) {
-		t.Fatal("unorient(orientedView(g)) != g")
+	p := &nn.Param{W: tensor.NewMatrix(8, 4)}
+	if back := ws.lift(p, ov, 1); !back.AllClose(g, 0) {
+		t.Fatal("lift(orientedGrad(g)) != g")
 	}
 }
 

@@ -11,8 +11,7 @@ import (
 // on transformer pre-training (Zhang et al., 2024a), which Table 2 and
 // Table 10 rely on.
 type SGD struct {
-	*StateTable
-	h        Hyper
+	Base
 	momentum float64
 }
 
@@ -20,39 +19,25 @@ type SGD struct {
 // Layout: RowMats [velocity], and only with momentum; the update is
 // element-wise either way.
 func NewSGD(h Hyper, momentum float64) *SGD {
-	s := &SGD{h: h.withDefaults(), momentum: momentum}
-	sc := Schema{Name: s.Name(), RowSplittable: func(*nn.Param) bool { return true }}
+	sc := Schema{Name: "SGD", RowSplittable: func(*nn.Param) bool { return true }}
 	if momentum > 0 {
+		sc.Name = "SGD-M"
 		sc.Slots = []Slot{{Name: "velocity", Kind: RowAligned}}
 	}
-	s.StateTable = NewStateTable(sc, nil, nil)
-	return s
+	return &SGD{Base: NewBase(sc, h, nil, nil), momentum: momentum}
 }
-
-// Name implements Optimizer.
-func (s *SGD) Name() string {
-	if s.momentum > 0 {
-		return "SGD-M"
-	}
-	return "SGD"
-}
-
-// SetLR implements Optimizer.
-func (s *SGD) SetLR(lr float64) { s.h.LR = lr }
-
-// LR implements Optimizer.
-func (s *SGD) LR() float64 { return s.h.LR }
 
 // Step implements Optimizer.
-func (s *SGD) Step(ps []*nn.Param) {
-	for _, p := range ps {
-		dir := p.Grad
-		if s.momentum > 0 {
-			st, _ := s.State(p)
-			dir = st.M[0]
-			tensor.ScaleInPlace(dir, float32(s.momentum))
-			tensor.AddInPlace(dir, p.Grad)
-		}
-		DecayAndApply(p, dir, s.h.LR, s.h.WeightDecay)
+func (s *SGD) Step(ps []*nn.Param) { s.Walk(ps, s.update) }
+
+// update steps one parameter; st is nil without momentum (the schema then
+// declares no state).
+func (s *SGD) update(p *nn.Param, st *Entry, _ bool) {
+	dir := p.Grad
+	if st != nil {
+		dir = st.M[0]
+		tensor.ScaleInPlace(dir, float32(s.momentum))
+		tensor.AddInPlace(dir, p.Grad)
 	}
+	DecayAndApply(p, dir, s.h.LR, s.h.WeightDecay)
 }

@@ -6,7 +6,8 @@
 // ZeRO partitions by (shard.go), and the canonical CaptureParam /
 // RestoreParam layout (checkpoint.go), where everything a file supplies is
 // checked against the declaration before anything is cloned or sized. A
-// member of the zoo is then a Schema plus its Step arithmetic.
+// member of the zoo is then a Schema plus its per-parameter update; the walk
+// that joins the two is Base's (base.go).
 package optim
 
 import (
@@ -100,19 +101,12 @@ func (e *Entry) Adam(t, m, v int, out, g *tensor.Matrix, h Hyper) {
 
 // StateTable holds the entries of one optimizer and implements, from its
 // schema alone, Optimizer.StateBytes, StateIntrospector, StateSaver and
-// StateLoader. Optimizers embed it.
+// StateLoader. NewBase builds it; optimizers embed it through their Base.
 type StateTable struct {
 	schema   Schema
 	rng      *tensor.RNG // the random stream the owner draws from (nil: none); its phase is the global cursor
 	fallback *StateTable // holds the parameters the schema does not cover
 	entries  map[*nn.Param]*Entry
-}
-
-// NewStateTable builds an empty table. rng is the stream the owner draws its
-// order-dependent randomness from, persisted as the table's global cursor;
-// fallback is the table of the optimizer that steps what sc does not cover.
-func NewStateTable(sc Schema, rng *tensor.RNG, fallback *StateTable) *StateTable {
-	return &StateTable{schema: sc, rng: rng, fallback: fallback, entries: map[*nn.Param]*Entry{}}
 }
 
 func (sc *Schema) covers(p *nn.Param) bool { return sc.Covers == nil || sc.Covers(p) }

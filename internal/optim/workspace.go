@@ -1,14 +1,17 @@
 package optim
 
-import "apollo/internal/tensor"
+import (
+	"apollo/internal/nn"
+	"apollo/internal/tensor"
+)
 
 // Workspace is the scratch one worker of Projected.Step hands to the Rule of
-// whichever parameter it is stepping: grow-only buffers reshaped per
-// parameter, so a steady-state step allocates nothing proportional to a
-// matrix. It is scratch, not optimizer state — nothing in it outlives a rule
-// call, and it appears in no StateBytes, StateElemsFor or checkpoint. Contents
-// are whatever the previous parameter left behind; every user overwrites what
-// it takes in full.
+// whichever parameter it is stepping (GaLore8bit, which is serial, keeps
+// one): grow-only buffers reshaped per parameter, so a steady-state step
+// allocates nothing proportional to a matrix. It is scratch, not optimizer
+// state — nothing in it outlives a rule call, and it appears in no
+// StateBytes, StateElemsFor or checkpoint. Contents are whatever the previous
+// parameter left behind; every user overwrites what it takes in full.
 type Workspace struct {
 	gradT    scratchMatrix    // the gradient in m×n orientation, for rows > cols
 	r, rt    scratchMatrix    // R and R̃, r×n
@@ -53,4 +56,16 @@ func (w *Workspace) orientedGrad(g *tensor.Matrix, o orientation) *tensor.Matrix
 	t := w.gradT.shaped(g.Cols, g.Rows)
 	tensor.TransposeInto(t, g)
 	return t
+}
+
+// lift turns the m×n-oriented update, which sits in w.dense[0], into the
+// direction in p's native orientation, scaled by α.
+func (w *Workspace) lift(p *nn.Param, update *tensor.Matrix, scale float64) *tensor.Matrix {
+	dir := update
+	if orient(p.W.Rows, p.W.Cols).transposed {
+		dir = w.dense[1].shaped(update.Cols, update.Rows)
+		tensor.TransposeInto(dir, update)
+	}
+	tensor.ScaleInPlace(dir, float32(scale))
+	return dir
 }

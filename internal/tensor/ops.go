@@ -15,11 +15,6 @@ func Parallel(n, minPerTask int, fn func(i0, i1 int)) {
 	runtime.ForRange(n, minPerTask, fn)
 }
 
-// parallelRows is the historical name used inside this package.
-func parallelRows(rows int, minRowsPerTask int, fn func(i0, i1 int)) {
-	runtime.ForRange(rows, minRowsPerTask, fn)
-}
-
 // MatMul returns a·b.
 func MatMul(a, b *Matrix) *Matrix {
 	out := NewMatrix(a.Rows, b.Cols)

@@ -68,21 +68,6 @@ func (m *Matrix) Max() float32 {
 	return best
 }
 
-// AbsMax returns the maximum |element|; 0 for an empty matrix.
-func (m *Matrix) AbsMax() float32 {
-	var best float32
-	for _, v := range m.Data {
-		a := v
-		if a < 0 {
-			a = -a
-		}
-		if a > best {
-			best = a
-		}
-	}
-	return best
-}
-
 // ColNorms returns the per-column ℓ2 norms.
 func (m *Matrix) ColNorms() []float64 {
 	out := make([]float64, m.Cols)
@@ -105,18 +90,6 @@ func (m *Matrix) ColNormsInto(out []float64) {
 	for j := range out {
 		out[j] = math.Sqrt(out[j])
 	}
-}
-
-// ColAbsSums returns the per-column ℓ1 norms.
-func (m *Matrix) ColAbsSums() []float64 {
-	out := make([]float64, m.Cols)
-	for i := 0; i < m.Rows; i++ {
-		row := m.Row(i)
-		for j, v := range row {
-			out[j] += math.Abs(float64(v))
-		}
-	}
-	return out
 }
 
 // RowNorms returns the per-row ℓ2 norms.
@@ -142,7 +115,7 @@ func NormSlice(x []float32) float64 { return math.Sqrt(SqNormSlice(x)) }
 
 // SoftmaxRowsInPlace applies a numerically stable softmax to each row.
 func SoftmaxRowsInPlace(m *Matrix) {
-	parallelRows(m.Rows, 16, func(i0, i1 int) {
+	runtime.ForRange(m.Rows, 16, func(i0, i1 int) {
 		for i := i0; i < i1; i++ {
 			SoftmaxInPlace(m.Row(i))
 		}
@@ -221,12 +194,4 @@ func (m *Matrix) HasNaN() bool {
 		}
 	}
 	return false
-}
-
-// CheckFinite panics with context if the matrix contains NaN/Inf. Training
-// code calls this behind a debug flag.
-func (m *Matrix) CheckFinite(label string) {
-	if m.HasNaN() {
-		panic(fmt.Sprintf("tensor: non-finite values in %s", label))
-	}
 }

@@ -1,5 +1,5 @@
 // Live memory accounting for the pre-training loop: wiring its resident
-// tensors and the optimizer's introspection hooks into a memprof.Profiler's
+// tensors and the optimizer's measured state into a memprof.Profiler's
 // component ledger. Everything here is observational — the closures read byte
 // counts the loop already owns and feed nothing back, so a profiled run is
 // bit-identical to an unprofiled one (TestObserverParity).
@@ -24,13 +24,8 @@ func paramListBytes(params []*nn.Param) (weights, grads int64) {
 }
 
 // instrumentMemory registers the loop's components on the profiler: weights
-// and grads (fixed once the model exists) plus live optimizer state. When
-// the optimizer exposes optim.StateIntrospector, its state splits into the
-// introspected per-parameter moments ("optimizer_state") and whatever
-// StateBytes reports beyond them ("projector_scratch" — projection buffers,
-// quantization tables); the two always sum to the measured StateBytes, so
-// the ledger total never double-counts. Without introspection the whole
-// measured footprint lands in "optimizer_state". Under ZeRO the state is
+// and grads (fixed once the model exists) plus live optimizer state, the
+// measured StateBytes, as "optimizer_state". Under ZeRO the state is
 // registered as one component per shard *instead* — the shards partition the
 // measured state exactly (ReplicaStateBytes sums to StateBytes), so the
 // total stays double-count free while showing the ~1/N split the sharding
@@ -43,37 +38,14 @@ func instrumentMemory(mp *memprof.Profiler, params []*nn.Param, opt optim.Optimi
 	weights, grads := paramListBytes(params)
 	mp.Set(memprof.CompWeights, weights)
 	mp.Set(memprof.CompGrads, grads)
-	si, introspects := opt.(optim.StateIntrospector)
-	switch {
-	case dp != nil && dp.sharder != nil:
+	if dp != nil && dp.sharder != nil {
 		for s := 0; s < dp.sharder.Shards(); s++ {
 			mp.Track(memprof.ShardComponent(s), func() int64 {
 				return dp.sharder.ReplicaStateBytes()[s]
 			})
 		}
-	case introspects:
-		moments := func() int64 {
-			var elems int64
-			for _, p := range params {
-				elems += si.StateElemsFor(p)
-			}
-			return 4 * elems
-		}
-		mp.Track(memprof.CompOptimizerState, func() int64 {
-			m, total := moments(), opt.StateBytes()
-			if m > total {
-				return total // introspection over-promises; report measured
-			}
-			return m
-		})
-		mp.Track(memprof.CompProjectorScratch, func() int64 {
-			if extra := opt.StateBytes() - moments(); extra > 0 {
-				return extra
-			}
-			return 0
-		})
-	default:
-		mp.Track(memprof.CompOptimizerState, func() int64 { return opt.StateBytes() })
+	} else {
+		mp.Track(memprof.CompOptimizerState, opt.StateBytes)
 	}
 	if dp == nil {
 		return

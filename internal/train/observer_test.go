@@ -161,12 +161,8 @@ func TestObserverParity(t *testing.T) {
 					t.Fatal("sharded run also carries the aggregate optimizer_state component (double count)")
 				}
 			} else {
-				// AdamW state is exactly its introspected moments.
 				if got := comp[memprof.CompOptimizerState]; got != opt.StateBytes() {
 					t.Fatalf("optimizer_state = %d, StateBytes = %d", got, opt.StateBytes())
-				}
-				if comp[memprof.CompProjectorScratch] != 0 {
-					t.Fatalf("AdamW scratch = %d, want 0", comp[memprof.CompProjectorScratch])
 				}
 			}
 			_, hasReps := comp[memprof.CompDPReplicas]

@@ -293,10 +293,12 @@ func (pc *phaseClock) merge(o *phaseClock) {
 	}
 }
 
-// lossShardPhased is model.LossShard with phase laps at the forward/backward
-// boundary — the one forward/backward every gradient stage is built from (a
-// fused micro-batch and a data-parallel leaf differ only in the rows they
-// pass). Cross-entropy is charged to backward: it produces the gradient seed.
+// lossShardPhased is forward, sharded cross-entropy (gradients normalized by
+// the global target count, the shard's unnormalized loss sum returned) and
+// backward, with phase laps at the forward/backward boundary — the one
+// forward/backward every gradient stage is built from (a fused micro-batch
+// and a data-parallel leaf differ only in the rows they pass). Cross-entropy
+// is charged to backward: it produces the gradient seed.
 func lossShardPhased(model *nn.Model, tokens, targets []int, b, t, counted int, pc *phaseClock) float64 {
 	logits := model.Forward(tokens, b, t)
 	pc.lap(obs.PhaseForward)
