@@ -2,6 +2,7 @@ package main
 
 import (
 	"bytes"
+	"math"
 	"os"
 	"os/exec"
 	"path/filepath"
@@ -116,5 +117,52 @@ func TestUnknownOptimizerListsTheCatalogue(t *testing.T) {
 	}
 	if entries, _ := os.ReadDir(runs); len(entries) != 0 {
 		t.Fatalf("rejected run left %d ledger entries", len(entries))
+	}
+}
+
+// TestDivergedRunFinalizesItsManifest builds the real binary (`go run` would
+// fold every exit status into 1) and trains SGD at a learning rate that
+// turns the loss into NaN on the second step. The run's finals are then
+// non-finite, which used to make the manifest unencodable: the run exited
+// with its entry still reading "running". It must leave "halted" beside
+// exit 3 under -halt-on-divergence and "ok" beside exit 0 without, the NaN
+// finals readable either way.
+func TestDivergedRunFinalizesItsManifest(t *testing.T) {
+	bin := filepath.Join(t.TempDir(), "apollo-pretrain")
+	if out, err := exec.Command("go", "build", "-o", bin, ".").CombinedOutput(); err != nil {
+		t.Fatalf("go build: %v\n%s", err, out)
+	}
+	for _, tc := range []struct {
+		extra  []string
+		exit   int
+		status string
+		steps  int
+	}{
+		{[]string{"-halt-on-divergence"}, 3, runlog.StatusHalted, 2},
+		{nil, 0, runlog.StatusOK, 30},
+	} {
+		runs := t.TempDir()
+		args := append([]string{"-size", "60M", "-steps", "30", "-optimizer", "SGD", "-lr", "1e30", "-runs", runs, "-run-id", "d"}, tc.extra...)
+		cmd := exec.Command(bin, args...)
+		out, err := cmd.CombinedOutput()
+		if cmd.ProcessState == nil {
+			t.Fatalf("%v: %v", tc.extra, err)
+		}
+		if got := cmd.ProcessState.ExitCode(); got != tc.exit {
+			t.Fatalf("%v: exit %d (%v), want %d\n%s", tc.extra, got, err, tc.exit, out)
+		}
+		if strings.Contains(string(out), "encode manifest") {
+			t.Fatalf("%v: the manifest was not encodable:\n%s", tc.extra, out)
+		}
+		m, err := runlog.ReadManifest(filepath.Join(runs, "d"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if m.Status != tc.status || m.Steps != tc.steps || m.End.IsZero() {
+			t.Fatalf("%v: manifest status %q after %d steps (end %v), want %q after %d", tc.extra, m.Status, m.Steps, m.End, tc.status, tc.steps)
+		}
+		if !math.IsNaN(m.FinalLoss) || !math.IsNaN(m.FinalPPL) {
+			t.Fatalf("%v: finals read back as loss %v ppl %v, want NaN", tc.extra, m.FinalLoss, m.FinalPPL)
+		}
 	}
 }

@@ -162,7 +162,9 @@ func TestShowRendersADivergedStep(t *testing.T) {
 	if !wd.ObserveStep(3, 2.5, 0.5, 0.001) {
 		t.Fatal("the injected NaN did not halt")
 	}
-	if err := ledger.Finalize(runlog.StatusHalted, runlog.Final{Steps: 3}); err != nil {
+	// The finals of such a run are non-finite too, and must not cost it its
+	// exit status: the manifest carries them the same way.
+	if err := ledger.Finalize(runlog.StatusHalted, runlog.Final{Steps: 3, FinalLoss: math.NaN(), FinalPPL: math.Inf(1)}); err != nil {
 		t.Fatal(err)
 	}
 	if n := obs.WriteErrors() - before; n != 0 {
@@ -180,7 +182,12 @@ func TestShowRendersADivergedStep(t *testing.T) {
 	}
 	out, code := run(t, "apollo-runs", "-root", root, "show", "nan")
 	if code != 0 || !strings.Contains(out, "last: step 3 loss NaN grad +Inf") ||
-		!strings.Contains(out, "alert      step 3 nan_loss loss=NaN") {
+		!strings.Contains(out, "alert      step 3 nan_loss loss=NaN") ||
+		!strings.Contains(out, "status     halted") || !strings.Contains(out, "final loss NaN  ppl +Inf") {
 		t.Fatalf("show: exit %d\n%s", code, out)
+	}
+	out, code = run(t, "apollo-runs", "-root", root, "list")
+	if code != 0 || !strings.Contains(out, "halted") || !strings.Contains(out, "NaN") || !strings.Contains(out, "+Inf") {
+		t.Fatalf("list: exit %d\n%s", code, out)
 	}
 }

@@ -382,7 +382,14 @@ func TestProjectedStepSteadyStateAllocs(t *testing.T) {
 			for _, p := range ps {
 				fillGrad(p, rng, 1)
 			}
-			step := func() { c.opt.Step(ps) }
+			// AllocsPerRun measures at GOMAXPROCS(1), where the pool's worker
+			// runs only when this goroutine lets it. Yielding after each step
+			// has it answer that step's invitation there and then, to find
+			// nothing left, as it did when the fan-out itself ended on a yield.
+			// Otherwise it gets in at a preemption in the middle of some later
+			// step and grows a Workspace the warm-up calls never showed these
+			// shapes: warm-up, not what a steady-state step costs.
+			step := func() { c.opt.Step(ps); goruntime.Gosched() }
 			step()
 			step()
 

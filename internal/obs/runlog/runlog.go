@@ -114,6 +114,45 @@ type Manifest struct {
 	Error           string             `json:"error,omitempty"`
 }
 
+// manifestWire is Manifest as manifest.json carries it: the two finals a
+// diverged run leaves non-finite travel the way a step event's loss does
+// (obs.JSONFloat: null beside the exact text in "<name>_text"), so the run
+// that most needs its exit status on disk can still be finalized. The
+// shallower members shadow the embedded ones of the same JSON name.
+type manifestWire struct {
+	plainManifest
+	FinalLoss     obs.JSONFloat `json:"final_loss,omitzero"`
+	FinalLossText string        `json:"final_loss_text,omitempty"`
+	FinalPPL      obs.JSONFloat `json:"final_ppl,omitzero"`
+	FinalPPLText  string        `json:"final_ppl_text,omitempty"`
+}
+
+// plainManifest is Manifest without its methods.
+type plainManifest Manifest
+
+// MarshalJSON implements json.Marshaler.
+func (m Manifest) MarshalJSON() ([]byte, error) {
+	return json.Marshal(manifestWire{
+		plainManifest: plainManifest(m),
+		FinalLoss:     obs.JSONFloat(m.FinalLoss), FinalLossText: obs.NonFiniteText(m.FinalLoss),
+		FinalPPL: obs.JSONFloat(m.FinalPPL), FinalPPLText: obs.NonFiniteText(m.FinalPPL),
+	})
+}
+
+// UnmarshalJSON implements json.Unmarshaler.
+func (m *Manifest) UnmarshalJSON(b []byte) error {
+	var w manifestWire
+	if err := json.Unmarshal(b, &w); err != nil {
+		return err
+	}
+	*m = Manifest(w.plainManifest)
+	m.FinalLoss, m.FinalPPL = float64(w.FinalLoss), float64(w.FinalPPL) // a null leaves 0 for the text to replace
+	if err := obs.FloatFromText(&m.FinalLoss, w.FinalLossText); err != nil {
+		return err
+	}
+	return obs.FloatFromText(&m.FinalPPL, w.FinalPPLText)
+}
+
 // Final carries the end-of-run numbers into Finalize.
 type Final struct {
 	Steps           int

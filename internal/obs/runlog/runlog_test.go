@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"math"
 	"os"
 	"path/filepath"
 	"slices"
@@ -115,6 +116,50 @@ func TestLedgerRoundtrip(t *testing.T) {
 	}
 	if len(entries) != 2 || entries[0].Name() != EventsFile || entries[1].Name() != ManifestFile {
 		t.Fatalf("run directory holds %v, want exactly %s + %s", entries, EventsFile, ManifestFile)
+	}
+}
+
+// TestManifestCarriesNonFiniteFinals: a diverged run ends on a NaN loss and
+// an infinite perplexity, and it is the run whose exit status most needs to
+// reach the disk. JSON has a literal for neither, so they travel as null
+// beside their exact text — and a finite final stays the bare number it was.
+func TestManifestCarriesNonFiniteFinals(t *testing.T) {
+	root := t.TempDir()
+	for id, fin := range map[string]Final{
+		"diverged": {Steps: 2, FinalLoss: math.NaN(), FinalPPL: math.Inf(1)},
+		"finite":   {Steps: 2, FinalLoss: 2.5, FinalPPL: 12.25},
+	} {
+		run, err := Create(root, Manifest{ID: id, Command: "test"})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := run.Finalize(StatusHalted, fin); err != nil {
+			t.Fatalf("%s: %v", id, err)
+		}
+		m, err := ReadManifest(run.Dir())
+		if err != nil {
+			t.Fatalf("%s: %v", id, err)
+		}
+		same := func(a, b float64) bool { return math.Float64bits(a) == math.Float64bits(b) }
+		if m.Status != StatusHalted || m.Steps != 2 || !same(m.FinalLoss, fin.FinalLoss) || !same(m.FinalPPL, fin.FinalPPL) {
+			t.Fatalf("%s: read back %+v", id, m)
+		}
+		blob, err := os.ReadFile(filepath.Join(run.Dir(), ManifestFile))
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := []string{`"final_loss": 2.5,`, `"final_ppl": 12.25`}
+		if id == "diverged" {
+			want = []string{`"final_loss": null,`, `"final_loss_text": "NaN",`, `"final_ppl": null,`, `"final_ppl_text": "+Inf"`}
+		}
+		for _, w := range want {
+			if !strings.Contains(string(blob), w) {
+				t.Fatalf("%s: manifest.json lacks %s:\n%s", id, w, blob)
+			}
+		}
+		if id == "finite" && strings.Contains(string(blob), "_text") {
+			t.Fatalf("finite finals grew a text member:\n%s", blob)
+		}
 	}
 }
 

@@ -3,6 +3,8 @@ package runtime
 import (
 	"fmt"
 	"math"
+	goruntime "runtime"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -43,13 +45,17 @@ var shapes = []struct{ m, k, n int }{
 	{64, 64, 64},
 	{100, 128, 96},
 	{257, 130, 511},
+	// Fewer rows than the pool cuts chunks for, each row a task of its own.
+	{1, 256, 344},
+	{3, 344, 256},
+	{5, 260, 257},
 }
 
 func withPoolSizes(t *testing.T, body func(t *testing.T)) {
 	t.Helper()
 	orig := Workers()
 	defer SetWorkers(orig)
-	for _, w := range []int{1, 2, 3, 8} {
+	for _, w := range []int{1, 2, 3, 4, 8} {
 		SetWorkers(w)
 		t.Run(fmt.Sprintf("workers=%d", w), body)
 	}
@@ -190,11 +196,14 @@ func refMatMulT(a, b []float32, m, k, n int) []float32 {
 	return out
 }
 
-// orderShapes are (m, k, n): every k%4, odd and unit m and n, and the
-// shapes the repository benchmark issues.
+// orderShapes are (m, k, n): every k%4, odd and unit m and n, the shapes
+// the repository benchmark issues, and m of 1, 3 and 5 with rows wide enough
+// to be a task each — fewer rows than a pool of 4 cuts chunks for, so the
+// chunk geometry is covered as well as the worker count.
 var orderShapes = []struct{ m, k, n int }{
 	{1, 8, 5}, {3, 9, 7}, {5, 10, 1}, {7, 11, 9}, {1, 3, 1}, {2, 4, 2},
 	{512, 96, 256}, {512, 256, 96}, {64, 16, 64}, {16, 128, 344},
+	{1, 256, 344}, {3, 344, 256}, {5, 260, 257},
 }
 
 var nonFinite = []float32{float32(math.Inf(1)), float32(math.Inf(-1)), float32(math.NaN())}
@@ -223,7 +232,7 @@ func TestKernelsMatchReferenceOrder(t *testing.T) {
 				fill(a, uint64(m*31+k)) // one entry in seventeen is an exact zero
 			}
 			wantMM, wantTM, wantMT := refMatMul(a, b, m, k, n), refTMatMul(a, b, k, m, n), refMatMulT(a, b, m, k, n)
-			for _, w := range []int{1, 2, 3} {
+			for _, w := range []int{1, 2, 3, 4} {
 				SetWorkers(w)
 				tag := fmt.Sprintf("%dx%dx%d zeroA=%v workers=%d", m, k, n, zeroA, w)
 				got := make([]float32, m*n)
@@ -414,14 +423,16 @@ func TestForRangeCallerPanicWaitsForInflight(t *testing.T) {
 	}
 }
 
-// TestForRangeAllocs pins what a fan-out allocates: its task closures and
-// the one object they share with the owner, nothing per call beyond that.
+// TestForRangeAllocs pins what a fan-out allocates: the one record its
+// caller and helpers share, however many chunks it cuts.
 func TestForRangeAllocs(t *testing.T) {
 	p := NewPool(4)
 	defer p.Resize(1)
 	fn := func(i0, i1 int) {}
-	if got := testing.AllocsPerRun(100, func() { p.ForRange(4, 1, fn) }); got > 4 {
-		t.Fatalf("ForRange over 4 chunks allocates %v objects, want at most 3 tasks + 1 shared", got)
+	for _, n := range []int{4, 1000} {
+		if got := testing.AllocsPerRun(100, func() { p.ForRange(n, 1, fn) }); got > 1 {
+			t.Fatalf("ForRange over %d items allocates %v objects, want at most the 1 shared record", n, got)
+		}
 	}
 }
 
@@ -446,4 +457,259 @@ func TestPoolResize(t *testing.T) {
 			t.Fatalf("index %d visited %d times", i, h)
 		}
 	}
+}
+
+// waitFor polls cond until it holds, failing the test after five seconds.
+func waitFor(t *testing.T, what string, cond func() bool) {
+	t.Helper()
+	for deadline := time.Now().Add(5 * time.Second); !cond(); time.Sleep(100 * time.Microsecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("timed out waiting for %s", what)
+		}
+	}
+}
+
+// TestForRangeCoversEveryIndexOnce is the claim protocol's coverage
+// contract: whatever the chunk geometry, the chunks are disjoint, together
+// cover [0, n), and all but the one ending at n hold at least minPerTask
+// items.
+func TestForRangeCoversEveryIndexOnce(t *testing.T) {
+	for width := 1; width <= 5; width++ {
+		p := NewPool(width)
+		for _, n := range []int{1, 2, 7, 64, 1000} {
+			for _, minPerTask := range []int{1, 3, n} {
+				hits := make([]int32, n)
+				p.ForRange(n, minPerTask, func(i0, i1 int) {
+					if i1-i0 < minPerTask && i1 != n {
+						t.Errorf("width %d n %d minPerTask %d: chunk [%d, %d) is below the grain", width, n, minPerTask, i0, i1)
+					}
+					for i := i0; i < i1; i++ {
+						atomic.AddInt32(&hits[i], 1)
+					}
+				})
+				for i, h := range hits {
+					if h != 1 {
+						t.Fatalf("width %d n %d minPerTask %d: index %d visited %d times", width, n, minPerTask, i, h)
+					}
+				}
+			}
+		}
+		p.Resize(1)
+	}
+}
+
+// blockWorkers parks every background worker of a pool of the given width
+// (and one goroutine standing in as that fan-out's caller) inside a chunk
+// until the returned release is called; release returns once they are out.
+func blockWorkers(t *testing.T, p *Pool, width int) (release func()) {
+	t.Helper()
+	gate := make(chan struct{})
+	returned := make(chan struct{})
+	var in atomic.Int32
+	go func() {
+		defer close(returned)
+		p.ForRange(width, 1, func(i0, i1 int) {
+			in.Add(1)
+			<-gate
+		})
+	}()
+	waitFor(t, "every worker to block on the gate", func() bool { return int(in.Load()) == width })
+	return func() {
+		close(gate)
+		<-returned
+	}
+}
+
+// TestForRangeProgressWithoutWorkers: helpers are invited, never relied on.
+// With every worker stuck elsewhere the caller runs each chunk itself, and
+// the tokens it left in the queue find nothing to do when they are finally
+// answered.
+func TestForRangeProgressWithoutWorkers(t *testing.T) {
+	const width = 4
+	p := NewPool(width)
+	release := blockWorkers(t, p, width)
+
+	var calls, items atomic.Int32
+	p.ForRange(64, 1, func(i0, i1 int) {
+		calls.Add(1)
+		items.Add(int32(i1 - i0))
+	})
+	const chunks = width * chunksPerWorker
+	if calls.Load() != chunks || items.Load() != 64 {
+		t.Fatalf("alone, the caller ran fn %d times over %d items, want %d chunks over 64", calls.Load(), items.Load(), chunks)
+	}
+	if got := len(p.tasks); got != width-1 {
+		t.Fatalf("%d tokens left in the queue, want the %d invitations nobody answered", got, width-1)
+	}
+
+	release()
+	// Poisons queue behind the stale tokens, so once every worker has taken
+	// its poison every token has been answered.
+	p.Resize(1)
+	waitFor(t, "the stale tokens and poisons to drain", func() bool { return len(p.tasks) == 0 })
+	if calls.Load() != chunks {
+		t.Fatalf("stale tokens ran fn %d more times", calls.Load()-chunks)
+	}
+}
+
+// TestForRangeRebalancesAroundSlowChunk: a caller held up in chunk 0 keeps
+// only chunk 0. Chunk 0 here does not return until every other chunk has been
+// claimed and finished by the helpers — under a fixed caller's share of the
+// range it never would — so the fan-out ends with its slowest chunk, not that
+// plus whatever the caller was dealt. The wait is on that event, not a clock.
+func TestForRangeRebalancesAroundSlowChunk(t *testing.T) {
+	const width, n = 4, 32
+	p := NewPool(width)
+	defer p.Resize(1)
+	var others, othersAtRelease atomic.Int32
+	var released time.Time
+	p.ForRange(n, 1, func(i0, i1 int) {
+		if i0 != 0 {
+			others.Add(1)
+			return
+		}
+		for deadline := time.Now().Add(5 * time.Second); others.Load() < n-1 && time.Now().Before(deadline); {
+			time.Sleep(100 * time.Microsecond)
+		}
+		othersAtRelease.Store(others.Load())
+		released = time.Now()
+	})
+	after := time.Since(released)
+	if got := othersAtRelease.Load(); got != n-1 {
+		t.Fatalf("with the caller held in chunk 0 the helpers finished %d of the other %d chunks", got, n-1)
+	}
+	// Nothing was left for the caller to do; a second is a stuck wait, not a slow host.
+	if after > time.Second {
+		t.Fatalf("fan-out went on for %v after its last chunk", after)
+	}
+}
+
+// TestForRangeWaitingCallerLeavesForeignFanOut: a caller down to waiting for
+// its last chunk in flight helps whoever is queued, but looks at its own
+// fan-out between their chunks. X's only helper holds x's chunk 1 until a
+// chunk of y has started, Y is held in y's chunk 0, so it is X, waiting, that
+// answers y's token: it must be back once x is finished, with the rest of y
+// handed on to the worker rather than run to the end or dropped.
+func TestForRangeWaitingCallerLeavesForeignFanOut(t *testing.T) {
+	p := NewPool(2)
+	defer p.Resize(1)
+	workerIn, xGate, yGate, yReturned := make(chan struct{}), make(chan struct{}), make(chan struct{}), make(chan struct{})
+	var xOut atomic.Bool
+	var yRan atomic.Int32
+	go func() {
+		defer close(yReturned)
+		<-workerIn // the pool's one worker is inside x from here on
+		p.ForRange(64, 1, func(i0, i1 int) {
+			if i0 == 0 {
+				<-yGate
+				return
+			}
+			if yRan.Add(1) == 1 {
+				close(xGate)
+			}
+			for !xOut.Load() {
+				time.Sleep(100 * time.Microsecond)
+			}
+			time.Sleep(time.Millisecond) // x's chunk 1 has returned: let it be counted
+		})
+	}()
+	p.ForRange(2, 1, func(i0, i1 int) {
+		if i0 == 0 {
+			<-workerIn // so chunk 1 is the worker's, not claimed by the caller
+			return
+		}
+		defer xOut.Store(true)
+		close(workerIn)
+		<-xGate
+	})
+	const yChunks = 2*chunksPerWorker - 1 // all but Y's own
+	if got := yRan.Load(); got > 3 {
+		t.Fatalf("the waiting caller came back after %d of y's %d chunks, want after the one it was in", got, yChunks)
+	}
+	close(yGate)
+	<-yReturned
+	if got := yRan.Load(); got != yChunks {
+		t.Fatalf("y ran %d chunks, want %d", got, yChunks)
+	}
+}
+
+// TestForRangeHelperPanicWaitsForCaller: a chunk panicking on a worker while
+// the caller is in the middle of its own is not raised there and then — the
+// caller finishes its chunk, and only then does ForRange re-raise on it. The
+// worker survives.
+func TestForRangeHelperPanicWaitsForCaller(t *testing.T) {
+	p := NewPool(2)
+	defer p.Resize(1)
+	callerIn := make(chan struct{})
+	helperOut := make(chan struct{})
+	var callerFinished atomic.Bool
+	func() {
+		defer func() {
+			if r := recover(); r != "helper boom" {
+				t.Fatalf("recovered %v, want the helper chunk's panic", r)
+			}
+			if !callerFinished.Load() {
+				t.Fatal("panic surfaced before the caller's own chunk finished")
+			}
+		}()
+		p.ForRange(2, 1, func(i0, i1 int) {
+			if i0 == 0 { // the caller, which cannot claim chunk 1 from in here
+				close(callerIn)
+				<-helperOut
+				time.Sleep(5 * time.Millisecond) // let the panic unwind on the worker
+				callerFinished.Store(true)
+				return
+			}
+			<-callerIn
+			defer close(helperOut)
+			panic("helper boom")
+		})
+	}()
+	// The worker is still there to be blocked.
+	blockWorkers(t, p, 2)()
+}
+
+// TestPoolResizeDuringFanOuts resizes a pool down and up under concurrent
+// fan-outs: no chunk may be lost or run twice, and no poison may be lost —
+// in the end exactly the workers the last Resize asked for are alive.
+func TestPoolResizeDuringFanOuts(t *testing.T) {
+	before := goruntime.NumGoroutine()
+	p := NewPool(4)
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	for g := 0; g < 3; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			const n = 200
+			hits := make([]int32, n)
+			for round := int32(1); ; round++ {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				p.ForRange(n, 1, func(i0, i1 int) {
+					for i := i0; i < i1; i++ {
+						atomic.AddInt32(&hits[i], 1)
+					}
+				})
+				for i := range hits {
+					if h := atomic.LoadInt32(&hits[i]); h != round {
+						t.Errorf("round %d: index %d visited %d times", round, i, h)
+						return
+					}
+				}
+			}
+		}()
+	}
+	for i := 0; i < 200; i++ {
+		p.Resize([]int{1, 5, 2, 4, 1, 3}[i%6])
+	}
+	close(stop)
+	wg.Wait()
+	p.Resize(1)
+	waitFor(t, "every worker to retire", func() bool {
+		return len(p.tasks) == 0 && goruntime.NumGoroutine() <= before
+	})
 }

@@ -44,6 +44,10 @@ func TestPoolInstrument(t *testing.T) {
 	if !strings.Contains(expo, "apollo_pool_forrange_chunks_count 1\n") {
 		t.Fatalf("chunks histogram missing:\n%s", expo)
 	}
+	// The histogram sees the chunks actually cut, not one per worker.
+	if !strings.Contains(expo, `apollo_pool_forrange_chunks_bucket{le="4"} 0`+"\n") {
+		t.Fatalf("a %d-item fan-out at width 4 recorded no more than 4 chunks:\n%s", n, expo)
+	}
 
 	// Disable again: further work must not count.
 	p.Instrument(nil)

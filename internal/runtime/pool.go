@@ -1,8 +1,8 @@
 // Package runtime is the parallel execution substrate shared by the whole
-// repository: a persistent worker pool, a deterministic range-splitting
-// fan-out, tiled multi-goroutine kernels for the hot dense ops (MatMul and
-// its transposed variants, large elementwise loops) and fixed-grid parallel
-// reductions.
+// repository: a persistent worker pool, a range fan-out whose chunks are
+// claimed rather than dealt, tiled multi-goroutine kernels for the hot dense
+// ops (MatMul and its transposed variants, large elementwise loops) and
+// fixed-grid parallel reductions.
 //
 // Determinism contract: every kernel in this package produces bits that
 // depend only on its inputs (and compile-time tile constants) — never on the
@@ -23,11 +23,24 @@ import (
 	"apollo/internal/obs"
 )
 
-// Pool is a set of persistent worker goroutines executing submitted tasks.
-// A Pool of size n uses n-1 background workers; the goroutine calling
-// ForRange acts as the nth, so size 1 means fully inline execution.
+// Pool is a set of persistent worker goroutines that help ForRange callers
+// through their fan-outs. A Pool of size n uses n-1 background workers; the
+// goroutine calling ForRange acts as the nth, so size 1 means fully inline
+// execution.
+//
+// A fan-out is not dealt out in advance: ForRange cuts its range into more
+// chunks than there are participants and everyone — the caller first —
+// claims the next unclaimed chunk from one counter until none is left. The
+// queue carries only invitations to join (the fan-out's record), so a worker
+// that wakes late, is slow, or never gets scheduled costs the caller at most
+// the one chunk that worker holds, and a caller nobody joins does all the
+// work itself.
 type Pool struct {
-	tasks chan func()
+	// tasks carries one token per invited helper; nil is the poison that
+	// retires one worker. The buffer is slack for nested and concurrent
+	// fan-outs (at most Size()-1 tokens each); a full queue never blocks a
+	// fan-out, its caller just goes uninvited.
+	tasks chan *fanout
 
 	mu   sync.Mutex // guards resizes
 	size int32      // atomic: total parallel width including the caller
@@ -39,17 +52,77 @@ type Pool struct {
 	metrics atomic.Pointer[poolMetrics]
 }
 
+// chunksPerWorker is how many chunks ForRange cuts per participant: enough
+// that the wait for the last chunk in flight is a small share of the range,
+// few enough that claiming stays invisible. 4, 8 and 16 read the same within
+// run-to-run noise on the fused pre-training step; 8 is kept.
+const chunksPerWorker = 8
+
+// fanout is the one heap object a ForRange call allocates: what the caller
+// and its helpers share. A token in the queue is a pointer to it.
+type fanout struct {
+	fn     func(i0, i1 int)
+	n      int // the range is [0, n)
+	chunk  int // items per chunk; the last chunk may be shorter
+	chunks int // chunks cut: ceil(n / chunk)
+
+	next       atomic.Int64        // next unclaimed chunk index
+	done       atomic.Int64        // chunks finished, panicked ones included
+	firstPanic atomic.Pointer[any] // first panic from any chunk
+}
+
+// run executes chunk c. A panicking chunk still counts as done (or the owner
+// waits forever) and is kept for the owning ForRange caller to re-raise, not
+// raised on whichever worker or helping goroutine claimed it. It does not
+// stop the fan-out: every chunk runs exactly once whether or not an earlier
+// one panicked (TestForRangeCallerPanicWaitsForInflight counts on the chunks
+// behind a panicking chunk 0), so an fn that panics on every chunk is called,
+// and recovered, once per chunk before the caller sees the first panic.
+func (f *fanout) run(c int) {
+	defer func() {
+		if r := recover(); r != nil {
+			first := r // heap copy on the panic path only
+			f.firstPanic.CompareAndSwap(nil, &first)
+		}
+		f.done.Add(1)
+	}()
+	i0 := c * f.chunk
+	f.fn(i0, min(i0+f.chunk, f.n))
+}
+
+// claimOne runs the next unclaimed chunk and reports whether there was one.
+// Each index comes out of next exactly once, so no chunk is ever run by two
+// goroutines, and a token that arrives after its fan-out completed calls fn
+// zero times.
+func (f *fanout) claimOne() bool {
+	c := int(f.next.Add(1)) - 1
+	if c >= f.chunks {
+		return false
+	}
+	f.run(c)
+	return true
+}
+
+// claim runs unclaimed chunks until there is none.
+func (f *fanout) claim() {
+	for f.claimOne() {
+	}
+}
+
+// finished reports whether every chunk has been run, not merely claimed.
+func (f *fanout) finished() bool { return f.done.Load() >= int64(f.chunks) }
+
 // poolMetrics is the pool's observability surface: how much work flows
 // through it and how it fans out.
 type poolMetrics struct {
-	tasks     *obs.Counter   // background/stolen tasks executed
+	tasks     *obs.Counter   // tokens executed by workers or helping callers
 	forRanges *obs.Counter   // ForRange calls that actually fanned out
-	chunks    *obs.Histogram // chunks per fanned-out ForRange
+	chunks    *obs.Histogram // chunks cut per fanned-out ForRange
 }
 
 // NewPool returns a pool with the given parallel width (minimum 1).
 func NewPool(size int) *Pool {
-	p := &Pool{tasks: make(chan func(), 1024)}
+	p := &Pool{tasks: make(chan *fanout, 1024)}
 	p.Resize(size)
 	return p
 }
@@ -105,21 +178,55 @@ func (p *Pool) worker() {
 		if f == nil {
 			return
 		}
-		f()
-		if m := p.metrics.Load(); m != nil {
-			m.tasks.Inc()
-		}
+		p.join(f)
 	}
 }
 
-// ForRange splits [0, n) into contiguous chunks of at least minPerTask items
-// and runs fn over them, using the pool when the range is large enough. The
-// caller executes the first chunk itself and, while waiting for the rest,
-// helps drain the task queue — so nested ForRange calls from inside a task
-// can never deadlock the pool.
+// join answers one token: claim whatever f still has unclaimed.
+func (p *Pool) join(f *fanout) {
+	f.claim()
+	p.countToken()
+}
+
+// helpWhileWaiting answers token g on behalf of a ForRange caller whose own
+// fan-out f still has chunks in flight elsewhere. It looks at f between g's
+// chunks, so the caller is held past its own completion by at most the one
+// foreign chunk it is in, never by the rest of someone else's range; leaving
+// g with chunks unclaimed, it hands the invitation on to whoever is next.
+func (p *Pool) helpWhileWaiting(g, f *fanout) {
+	for g.claimOne() {
+		if f.finished() && int(g.next.Load()) < g.chunks {
+			select {
+			case p.tasks <- g:
+			default: // queue full: g goes on with one helper fewer
+			}
+			break
+		}
+	}
+	p.countToken()
+}
+
+func (p *Pool) countToken() {
+	if m := p.metrics.Load(); m != nil {
+		m.tasks.Inc()
+	}
+}
+
+// ForRange cuts [0, n) into contiguous chunks of at least minPerTask items
+// (the last may be shorter) and runs fn over each exactly once, using the
+// pool when the range is large enough: up to chunksPerWorker chunks per
+// participant, claimed one at a time by the caller and by whichever workers
+// answer its invitation. The caller executes chunk 0 itself, keeps claiming
+// like any helper, and only once nothing is unclaimed waits for the chunks
+// still in flight — helping drain the task queue meanwhile, one chunk of
+// anyone's fan-out at a time, so nested ForRange calls from inside a chunk can
+// never deadlock the pool and a finished caller is not kept for the rest of
+// someone else's range. A panic in any chunk is re-raised on the caller after
+// every chunk has run: a panic does not cancel the chunks behind it.
 //
 // fn must write only to data owned by its [i0, i1) range; under that
-// discipline the result is bit-identical to fn(0, n).
+// discipline the result is bit-identical to fn(0, n), whatever the width
+// and whoever ran which chunk.
 func (p *Pool) ForRange(n, minPerTask int, fn func(i0, i1 int)) {
 	if n <= 0 {
 		return
@@ -128,85 +235,48 @@ func (p *Pool) ForRange(n, minPerTask int, fn func(i0, i1 int)) {
 		minPerTask = 1
 	}
 	w := p.Size()
-	if max := n / minPerTask; w > max {
-		w = max
-	}
-	if w <= 1 {
+	chunks := min(n/minPerTask, w*chunksPerWorker)
+	if w <= 1 || chunks <= 1 {
 		fn(0, n)
 		return
 	}
-	chunk := (n + w - 1) / w
+	chunk := (n + chunks - 1) / chunks
+	f := &fanout{fn: fn, n: n, chunk: chunk, chunks: (n + chunk - 1) / chunk}
+	f.next.Store(1) // chunk 0 is the caller's
 	if m := p.metrics.Load(); m != nil {
 		m.forRanges.Inc()
-		m.chunks.Observe(float64((n + chunk - 1) / chunk))
+		m.chunks.Observe(float64(f.chunks))
 	}
-	// What the submitted chunks share with their owner: one heap object per
-	// fan-out, besides the task closures.
-	var shared struct {
-		pending    atomic.Int32
-		firstPanic atomic.Pointer[any] // first panic from a submitted chunk
-	}
-	for i0 := chunk; i0 < n; i0 += chunk {
-		i1 := i0 + chunk
-		if i1 > n {
-			i1 = n
-		}
-		shared.pending.Add(1)
-		a, b := i0, i1
-		task := func() {
-			// A panicking chunk must still decrement pending (or the owner
-			// spins forever) and must be re-raised on the owning ForRange
-			// caller, not on whichever worker or helping goroutine stole it.
-			defer func() {
-				if r := recover(); r != nil {
-					first := r // heap copy on the panic path only
-					shared.firstPanic.CompareAndSwap(nil, &first)
-				}
-				shared.pending.Add(-1)
-			}()
-			fn(a, b)
-		}
+invite:
+	for range min(w, f.chunks) - 1 {
 		select {
-		case p.tasks <- task:
-		default: // queue full: run inline rather than block
-			task()
+		case p.tasks <- f:
+		default: // queue full: go on alone rather than block
+			break invite
 		}
 	}
-	// The caller's own chunk must not let a panic escape before the
-	// submitted chunks drain: in-flight workers would still be writing into
-	// shared output while the caller unwinds — and a recovering caller
-	// (bench.runCaptured) could reuse or free that output. Recover here,
-	// wait like the submitted-chunk path does, then re-raise.
-	var callerPanic any
-	var callerPanicked bool
-	func() {
-		defer func() {
-			if r := recover(); r != nil {
-				callerPanic, callerPanicked = r, true
-			}
-		}()
-		fn(0, chunk)
-	}()
-	// Help with queued work (ours or anyone's) until our chunks are done.
-	for shared.pending.Load() > 0 {
+	// The caller's own chunks must not let a panic escape before the chunks
+	// in flight elsewhere finish: their goroutines would still be writing
+	// into shared output while the caller unwinds — and a recovering caller
+	// (bench.runCaptured) could reuse or free that output. run recovers, the
+	// wait below is the same as for anyone's panic, then it is re-raised.
+	f.run(0)
+	f.claim()
+	// Every chunk is claimed; help with queued work (stale tokens of ours,
+	// or anyone's fan-out) until the ones claimed by others are done.
+	for !f.finished() {
 		select {
-		case f := <-p.tasks:
-			if f == nil {
+		case g := <-p.tasks:
+			if g == nil {
 				p.requeuePoison()
 				continue
 			}
-			f()
-			if m := p.metrics.Load(); m != nil {
-				m.tasks.Inc()
-			}
+			p.helpWhileWaiting(g, f)
 		default:
 			goruntime.Gosched()
 		}
 	}
-	if callerPanicked {
-		panic(callerPanic)
-	}
-	if r := shared.firstPanic.Load(); r != nil {
+	if r := f.firstPanic.Load(); r != nil {
 		panic(*r)
 	}
 }
@@ -214,7 +284,7 @@ func (p *Pool) ForRange(n, minPerTask int, fn func(i0, i1 int)) {
 // requeuePoison returns a retirement poison (stolen from the queue by a
 // helping ForRange caller) so a background worker eventually consumes it.
 // Sending can momentarily fail on a full queue, in which case we drain a
-// task to make room — executing real work or collecting further poisons —
+// token to make room — executing real work or collecting further poisons —
 // so no poison is ever dropped and Resize's worker accounting stays exact.
 func (p *Pool) requeuePoison() {
 	owed := 1
@@ -226,7 +296,7 @@ func (p *Pool) requeuePoison() {
 			if f == nil {
 				owed++
 			} else {
-				f()
+				p.join(f)
 			}
 		}
 	}
