@@ -85,8 +85,10 @@ type APOLLO struct {
 
 	// ScalingProbe, when non-nil, receives each matrix parameter's
 	// channel scaling factors every step (Fig. 4 instrumentation). It is
-	// called on the goroutine that called Step, once per projected matrix,
-	// in parameter-list order, after all of them have been stepped.
+	// called on the goroutine that stepped the group — under the training
+	// loop's overlapped step, its stepping goroutine — once per projected
+	// matrix of the group, in list order, after all of them have been
+	// stepped.
 	ScalingProbe func(param string, s []float64)
 
 	probeMu sync.Mutex

@@ -383,23 +383,29 @@ func TestProjectedStepSteadyStateAllocs(t *testing.T) {
 				fillGrad(p, rng, 1)
 			}
 			// AllocsPerRun measures at GOMAXPROCS(1), where the pool's worker
-			// runs only when this goroutine lets it. Yielding after each step
-			// has it answer that step's invitation there and then, to find
-			// nothing left, as it did when the fan-out itself ended on a yield.
-			// Otherwise it gets in at a preemption in the middle of some later
-			// step and grows a Workspace the warm-up calls never showed these
-			// shapes: warm-up, not what a steady-state step costs.
-			step := func() { c.opt.Step(ps); goruntime.Gosched() }
-			step()
-			step()
+			// runs only when it gets in at a preemption, steps late, and
+			// claims whichever parameter is next. Step grows every worker's
+			// Workspace alike after its fan-out, so one step shows them all
+			// every shape and the second — AllocsPerRun's warm-up call — is
+			// already steady, whoever claims what.
+			c.opt.Step(ps)
 
+			// Bytes are read between the counted steps themselves: the
+			// GOMAXPROCS switches around them may start an OS thread, whose
+			// runtime structures (≈ 5 KB) are the scheduler's, not a step's.
 			const runs = 10 // with the warm-up calls, still short of a refresh
-			var before, after goruntime.MemStats
-			goruntime.ReadMemStats(&before)
-			objects := testing.AllocsPerRun(runs, step)
-			goruntime.ReadMemStats(&after)
-			// AllocsPerRun makes one warm-up call besides the counted ones.
-			bytes := float64(after.TotalAlloc-before.TotalAlloc) / (runs + 1)
+			var first, last goruntime.MemStats
+			calls := 0
+			objects := testing.AllocsPerRun(runs, func() {
+				if calls == 1 {
+					goruntime.ReadMemStats(&first)
+				}
+				c.opt.Step(ps)
+				if calls++; calls == runs+1 {
+					goruntime.ReadMemStats(&last)
+				}
+			})
+			bytes := float64(last.TotalAlloc-first.TotalAlloc) / runs
 
 			if objects >= float64(len(ps)) {
 				t.Errorf("%s at width %d: steady-state step allocates %v objects for %d parameters", c.opt.Name(), width, objects, len(ps))

@@ -114,7 +114,8 @@ type Model struct {
 	Head   *Linear
 
 	params *ParamSet
-	ws     workspace // every layer's activations and backward temporaries
+	groups [][]*Param // BackwardRelease's groups, in release order
+	ws     workspace  // every layer's activations and backward temporaries
 	batch  int
 	seq    int
 }
@@ -153,6 +154,11 @@ func NewModel(cfg Config, rng *tensor.RNG) *Model {
 	}
 	ps.Add(m.NormF.P, m.Head.P)
 	m.params = ps
+	m.groups = [][]*Param{{m.NormF.P, m.Head.P}}
+	for i := len(m.Blocks) - 1; i >= 0; i-- {
+		m.groups = append(m.groups, m.Blocks[i].Params())
+	}
+	m.groups = append(m.groups, []*Param{m.Embed.P})
 	m.Embed.ws, m.NormF.ws, m.Head.ws = &m.ws, &m.ws, &m.ws
 	for _, b := range m.Blocks {
 		b.bind(&m.ws)
@@ -185,18 +191,37 @@ func (m *Model) Forward(tokens []int, batch, seq int) *tensor.Matrix {
 
 // Backward propagates dlogits through the whole network, accumulating every
 // parameter gradient.
-func (m *Model) Backward(dlogits *tensor.Matrix) {
+func (m *Model) Backward(dlogits *tensor.Matrix) { m.BackwardRelease(dlogits, nil) }
+
+// BackwardRelease is Backward that hands release each group of parameters
+// the moment the pass has finished with it: [norm_f, head] once the head's
+// backward is done, each block's Params as its Block.Backward completes (last
+// block first), [embed] last. Every parameter is released exactly once, and
+// the rest of the pass neither reads nor writes a released parameter's weight
+// or gradient, so release may update it while the pass goes on. The group
+// slices belong to the model; release must not modify them. A nil release
+// releases nothing.
+func (m *Model) BackwardRelease(dlogits *tensor.Matrix, release func([]*Param)) {
 	outer := m.ws.mark()
 	// Two buffers carry the hidden-state gradient down the stack in turn.
 	dx, dy := m.ws.matrix(dlogits.Rows, m.Cfg.Dim), m.ws.matrix(dlogits.Rows, m.Cfg.Dim)
 	inner := m.ws.mark()
 	m.NormF.backwardInto(dx, m.Head.Backward(dlogits))
 	m.ws.release(inner)
+	if release != nil {
+		release(m.groups[0])
+	}
 	for i := len(m.Blocks) - 1; i >= 0; i-- {
 		dx, dy = dy, dx
 		m.Blocks[i].Backward(dx, dy)
+		if release != nil {
+			release(m.groups[len(m.Blocks)-i])
+		}
 	}
 	m.Embed.Backward(dx)
+	if release != nil {
+		release(m.groups[len(m.groups)-1])
+	}
 	m.ws.release(outer)
 }
 

@@ -2,6 +2,7 @@ package nn
 
 import (
 	"math"
+	"slices"
 	"testing"
 
 	"apollo/internal/tensor"
@@ -238,6 +239,75 @@ func TestClipGradNorm(t *testing.T) {
 	post := model.Params().GradNorm()
 	if math.Abs(post-1.0) > 1e-3 {
 		t.Fatalf("post-clip norm %v want 1.0", post)
+	}
+}
+
+// TestBackwardReleaseOrder is the contract a caller stepping released groups
+// during the pass relies on: on a 3-layer model with masked targets the
+// groups come as [norm_f, head], blocks 2, 1, 0, [embed] and cover the
+// parameter list exactly once; no gradient changes after its group was
+// released; and Backward is the same pass, bit for bit.
+func TestBackwardReleaseOrder(t *testing.T) {
+	cfg := tinyConfig()
+	cfg.Layers = 3
+	rng := tensor.NewRNG(15)
+	tokens := make([]int, 2*6)
+	targets := make([]int, len(tokens))
+	for i := range tokens {
+		tokens[i] = rng.Intn(cfg.Vocab)
+		targets[i] = rng.Intn(cfg.Vocab)
+		if i%3 == 1 {
+			targets[i] = -1
+		}
+	}
+	pass := func(release func([]*Param)) *Model {
+		model := NewModel(cfg, tensor.NewRNG(16))
+		_, dlogits := CrossEntropy(model.Forward(tokens, 2, 6), targets, -1)
+		if release == nil {
+			model.Backward(dlogits)
+		} else {
+			model.BackwardRelease(dlogits, release)
+		}
+		return model
+	}
+
+	var names []string
+	var groups [][]string
+	snap := map[*Param]*tensor.Matrix{}
+	model := pass(func(g []*Param) {
+		var group []string
+		for _, p := range g {
+			if _, seen := snap[p]; seen {
+				t.Errorf("%s released twice", p.Name)
+			}
+			snap[p] = p.Grad.Clone()
+			group = append(group, p.Name)
+		}
+		names = append(names, group...)
+		groups = append(groups, group)
+	})
+	want := []string{"norm_f", "head"}
+	for i := cfg.Layers - 1; i >= 0; i-- {
+		for _, p := range model.Blocks[i].Params() {
+			want = append(want, p.Name)
+		}
+	}
+	want = append(want, "embed")
+	if len(groups) != cfg.Layers+2 || !slices.Equal(names, want) {
+		t.Fatalf("released %v, want %v in %d groups", groups, want, cfg.Layers+2)
+	}
+	list := model.Params().List()
+	if len(snap) != len(list) {
+		t.Fatalf("released %d parameters, the model has %d", len(snap), len(list))
+	}
+	whole := pass(nil).Params().List()
+	for i, p := range list {
+		if !p.Grad.Equal(snap[p]) {
+			t.Errorf("gradient of %s changed after its group was released", p.Name)
+		}
+		if !p.Grad.Equal(whole[i].Grad) {
+			t.Errorf("gradient of %s differs between Backward and BackwardRelease", p.Name)
+		}
 	}
 }
 

@@ -23,6 +23,21 @@ type Fallback interface {
 
 func (t *StateTable) table() *StateTable { return t }
 
+// OrderFree reports whether opt's parameters may be stepped in groups, in any
+// order, once every one of them has been stepped: the groups' Steps are then
+// bit for bit one whole-list Step. A member of the zoo is, unless its schema
+// or its fallback's Redraws; its first step must still be whole, because
+// first touches draw in list order. A wrapper — zero.Sharded, the Q- weight
+// quantizer, anything not built on Base — is not.
+func OrderFree(opt Optimizer) bool {
+	of, ok := opt.(interface{ orderFree() bool })
+	return ok && of.orderFree()
+}
+
+func (t *StateTable) orderFree() bool {
+	return !t.schema.Redraws && (t.fallback == nil || t.fallback.orderFree())
+}
+
 // touched is one covered parameter of a walk: its entry (nil when the schema
 // declares no state) and whether this walk allocated it, so the member can
 // seed what does not start at zero.

@@ -26,6 +26,7 @@ func NewAdam8bit(h Hyper, seed uint64) *Adam8bit {
 		Name:    "8-bit Adam",
 		Scalars: []Scalar{{Name: "t"}},
 		Slots:   []Slot{{Name: "m", Kind: Int8}, {Name: "v", Kind: Int8}},
+		Redraws: true,
 	}
 	return &Adam8bit{NewBase(sc, h, tensor.NewRNG(seed), nil)}
 }
@@ -107,8 +108,9 @@ func NewGaLore8bit(h Hyper, cfg LowRankConfig) *GaLore8bit {
 			{Name: "m", Kind: Int8, Dims: rankSpace(cfg.Rank)},
 			{Name: "v", Kind: Int8, Dims: rankSpace(cfg.Rank)},
 		},
-		Proj:   &Projection{Kind: cfg.Projection, Rank: cfg.Rank},
-		Covers: func(p *nn.Param) bool { return projects(p, cfg.Rank) },
+		Proj:    &Projection{Kind: cfg.Projection, Rank: cfg.Rank},
+		Covers:  func(p *nn.Param) bool { return projects(p, cfg.Rank) },
+		Redraws: true,
 	}
 	return &GaLore8bit{Base: NewBase(sc, h, tensor.NewRNG(cfg.Seed+4), NewAdam8bit(h, cfg.Seed+3)), cfg: cfg}
 }

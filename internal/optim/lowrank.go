@@ -114,7 +114,8 @@ func NewFactorized(h Hyper, cfg FactorizedConfig) *Factorized {
 			{Name: "adamA.m", Kind: Whole, Dims: rIn}, {Name: "adamA.v", Kind: Whole, Dims: rIn},
 			{Name: "adamB.m", Kind: Whole, Dims: outR}, {Name: "adamB.v", Kind: Whole, Dims: outR},
 		},
-		Covers: func(p *nn.Param) bool { return p.Kind == nn.KindMatrix && min(p.W.Rows, p.W.Cols) > r },
+		Covers:  func(p *nn.Param) bool { return p.Kind == nn.KindMatrix && min(p.W.Rows, p.W.Cols) > r },
+		Redraws: cfg.Mode == ModeReLoRA, // a restart redraws A
 	}
 	if hasW0 == 1 {
 		sc.Slots = append(sc.Slots, Slot{Name: "w0", Kind: Whole})

@@ -19,7 +19,11 @@ type Optimizer interface {
 	// Name identifies the method in experiment tables.
 	Name() string
 	// Step consumes the gradients of ps and updates the weights. Gradients
-	// are left untouched (callers zero them before the next accumulation).
+	// are left untouched: callers zero them before the next accumulation,
+	// and the training loop takes their norm after stepping. ps may be one
+	// group of the list: for an OrderFree optimizer the training loop steps
+	// each group nn.Model.BackwardRelease releases on a goroutine of its
+	// own, one Step at a time, while the rest of backward runs.
 	Step(ps []*nn.Param)
 	// SetLR changes the learning rate (driven by the schedule).
 	SetLR(lr float64)

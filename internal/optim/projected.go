@@ -252,7 +252,11 @@ func (e *Projected) ApplyScaledGrad(st *ProjState, p *nn.Param, s []float32, alp
 // projector-seed draw of each fresh entry. The projected parameters are then
 // stepped concurrently on the shared pool, workers claiming the next
 // unclaimed one. A parameter's update reads and writes nothing of any other
-// parameter, so the result is bit-identical at any pool width.
+// parameter, so the result is bit-identical at any pool width. After the
+// join, serially, every worker's Workspace is grown to the largest size any
+// of them needed for each buffer: the engine cannot tell before a rule runs
+// which buffers it uses, and sizing them all would give APOLLO m×n buffers it
+// never touches.
 func (e *Projected) Step(ps []*nn.Param) {
 	for _, j := range e.touch(ps) {
 		if j.fresh {
@@ -277,6 +281,10 @@ func (e *Projected) Step(ps []*nn.Param) {
 			}
 		}
 	})
+	// Which worker claimed which parameter was the scheduler's choice; after
+	// this no worker allocates for any parameter it has been shown, so a
+	// steady step is the second one whatever the schedule.
+	growAlike(e.ws)
 
 	e.stepRest()
 }

@@ -81,6 +81,11 @@ type Schema struct {
 	// not of the slots: StructuredAdamW's moments are row-aligned but its
 	// channel norms couple the rows.
 	RowSplittable func(p *nn.Param) bool
+	// Redraws says the update draws from the member's global random stream
+	// (NewBase's rng) after a parameter's first touch — rounding noise every
+	// step, a restart's fresh factors — so which parameter gets which draw
+	// depends on the order they are stepped in: the member is not OrderFree.
+	Redraws bool
 }
 
 // Entry is the state held for one parameter, in declaration order.

@@ -32,6 +32,36 @@ func (s *scratchMatrix) shaped(rows, cols int) *tensor.Matrix {
 	return &s.m
 }
 
+// matrices returns the workspace's matrix buffers in a fixed order.
+func (w *Workspace) matrices() [5]*scratchMatrix {
+	return [5]*scratchMatrix{&w.gradT, &w.r, &w.rt, &w.dense[0], &w.dense[1]}
+}
+
+// growAlike grows every buffer of every workspace to the largest capacity the
+// same buffer has in any of them — the largest shape any rule call asked of
+// it — so a workspace serves whichever parameter its worker claims next
+// without allocating.
+func growAlike(ws []*Workspace) {
+	var peak [5]int
+	channels := 0
+	for _, w := range ws {
+		for i, s := range w.matrices() {
+			peak[i] = max(peak[i], cap(s.m.Data))
+		}
+		channels = max(channels, cap(w.num))
+	}
+	for _, w := range ws {
+		for i, s := range w.matrices() {
+			if cap(s.m.Data) < peak[i] {
+				s.m.Data = make([]float32, peak[i])
+			}
+		}
+		if cap(w.num) < channels {
+			w.num, w.den, w.factors = make([]float64, channels), make([]float64, channels), make([]float32, channels)
+		}
+	}
+}
+
 // RankSpace returns the two rank×n buffers a rule projects into: R = P·G and
 // the normalized R̃.
 func (w *Workspace) RankSpace(rank, n int) (r, rTilde *tensor.Matrix) {

@@ -161,7 +161,7 @@ func (dp *dataParallel) gradient(batch data.Batch, pc *phaseClock) float64 {
 				rep.model.Params().ZeroGrad()
 				rc.skip()
 				dp.lossSums[s] = lossShardPhased(rep.model,
-					batch.Tokens[s*t:(s+1)*t], batch.Targets[s*t:(s+1)*t], 1, t, counted, rc)
+					batch.Tokens[s*t:(s+1)*t], batch.Targets[s*t:(s+1)*t], 1, t, counted, rc, nil)
 				for i, p := range rep.params {
 					dp.leaves[s][i].CopyFrom(p.Grad)
 				}

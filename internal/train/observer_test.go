@@ -1,11 +1,13 @@
 package train
 
 import (
+	"bytes"
 	"maps"
 	"math"
 	"slices"
 	"testing"
 
+	"apollo/internal/core"
 	"apollo/internal/nn"
 	"apollo/internal/obs"
 	"apollo/internal/obs/memprof"
@@ -24,6 +26,9 @@ type loopMode struct {
 	accum    int
 	replicas int // 0 = fused stage
 	zero     bool
+	// unclipped trains APOLLO with no ClipNorm: from the second step on, the
+	// fused stage steps each released group while backward goes on.
+	unclipped bool
 }
 
 var loopModes = []loopMode{
@@ -31,6 +36,7 @@ var loopModes = []loopMode{
 	{name: "fused/accum=2", accum: 2},
 	{name: "replicas=3", replicas: 3},
 	{name: "replicas=3/zero", replicas: 3, zero: true},
+	{name: "fused/unclipped/APOLLO", unclipped: true},
 }
 
 // phases is the phase-key set a mode's telemetry must carry — exactly: a
@@ -49,8 +55,10 @@ func (m loopMode) phases() []string {
 func (m loopMode) run(t *testing.T, seed uint64, steps int, observe func(*PretrainConfig)) (Result, *nn.Model, optim.Optimizer) {
 	t.Helper()
 	model, _, corpus := dpTestSetup(t, seed)
-	build := func() optim.Optimizer {
-		return optim.NewAdamW(optim.Hyper{LR: 1e-3, WeightDecay: 0.01})
+	h := optim.Hyper{LR: 1e-3, WeightDecay: 0.01}
+	build := func() optim.Optimizer { return optim.NewAdamW(h) }
+	if m.unclipped {
+		build = func() optim.Optimizer { return core.New(h, core.Config{Rank: 4, Seed: 11, UpdateGap: 3}) }
 	}
 	opt := build()
 	if m.zero {
@@ -59,6 +67,9 @@ func (m loopMode) run(t *testing.T, seed uint64, steps int, observe func(*Pretra
 	cfg := dpTestConfig(m.replicas).PretrainConfig
 	cfg.Steps = steps
 	cfg.Accum = m.accum
+	if m.unclipped {
+		cfg.ClipNorm = 0
+	}
 	if observe != nil {
 		observe(&cfg)
 	}
@@ -72,7 +83,11 @@ func (m loopMode) run(t *testing.T, seed uint64, steps int, observe func(*Pretra
 // in every mode, a run with a TrainRecorder, a run-ledger entry, an armed
 // watchdog AND a memory profiler sampling every step is bit-identical to a
 // bare one — weights, metric series, final perplexity — and what the
-// observers recorded is what the mode actually did.
+// observers recorded is what the mode actually did. In the unclipped mode the
+// loop takes the gradient norm after the overlapped step, so the recorded
+// grad_norm series must also equal, bit for bit, the one a run takes before
+// any step: the same run under ClipNorm +Inf, which never clips but steps the
+// whole list after backward.
 func TestObserverParity(t *testing.T) {
 	const seed, steps = 42, 8
 	for _, m := range loopModes {
@@ -119,6 +134,24 @@ func TestObserverParity(t *testing.T) {
 			if len(rd.Steps) != steps || rd.Manifest.Status != runlog.StatusOK || rd.Manifest.Error != "" {
 				t.Fatalf("ledger entry wrong: %d steps, status %s, error %q",
 					len(rd.Steps), rd.Manifest.Status, rd.Manifest.Error)
+			}
+
+			if m.unclipped {
+				var events bytes.Buffer
+				serial, _, _ := m.run(t, seed, steps, func(cfg *PretrainConfig) {
+					cfg.ClipNorm = math.Inf(1)
+					cfg.Telemetry = obs.NewTrainRecorder(obs.NewJSONLWriter(&events))
+				})
+				if !slices.Equal(serial.Series, ref.Series) {
+					t.Fatal("series under ClipNorm +Inf differs from the unclipped run")
+				}
+				var before runlog.RunData
+				if _, err := runlog.ReadEvents(&events, 0, &before); err != nil {
+					t.Fatal(err)
+				}
+				if got, want := gradNorms(rd.Steps), gradNorms(before.Steps); len(want) != steps || !slices.Equal(got, want) {
+					t.Fatalf("grad_norm after the overlapped step %v, before the whole-list step %v", got, want)
+				}
 			}
 
 			// Telemetry: every step and the summary carry exactly the
@@ -175,6 +208,14 @@ func TestObserverParity(t *testing.T) {
 			}
 		})
 	}
+}
+
+func gradNorms(steps []obs.StepEvent) []float64 {
+	var out []float64
+	for _, ev := range steps {
+		out = append(out, ev.GradNorm)
+	}
+	return out
 }
 
 // TestWatchdogHaltParity: a non-finite loss injected at step 3 raises one

@@ -172,6 +172,12 @@ func pretrain(model *nn.Model, opt optim.Optimizer, corpus *data.Corpus, cfg Pre
 	wd := cfg.Watchdog
 	instrumentMemory(cfg.MemProf, params.List(), opt, dp)
 	timed := rec != nil || wd != nil
+	// Whether the fused stage may step each group backward releases while
+	// backward goes on, bit for bit one whole-list Step: not under clipping,
+	// which needs the global norm first, nor for an optimizer whose draws
+	// follow the list order; and never on a run's first step (below), whose
+	// first touches draw in list order.
+	overlap := dp == nil && cfg.ClipNorm <= 0 && optim.OrderFree(opt)
 	endStep := cfg.Steps
 	for step := cfg.StartStep; step < cfg.Steps; step++ {
 		var stepStart time.Time
@@ -185,11 +191,18 @@ func pretrain(model *nn.Model, opt optim.Optimizer, corpus *data.Corpus, cfg Pre
 		batch := corpus.NextTrainBatch(cfg.Batch, cfg.Seq)
 		pc.lap(obs.PhaseData)
 		var loss float64
-		if dp != nil {
+		stepped := false
+		switch {
+		case dp != nil:
 			loss = dp.gradient(batch, &pc)
-		} else {
+		case overlap && step > cfg.StartStep:
 			params.ZeroGrad()
-			loss = lossAccum(model, batch, accum, &pc)
+			stepped = stepDuring(opt, len(params.List()), func(release func([]*nn.Param)) {
+				loss = lossAccum(model, batch, accum, &pc, release)
+			})
+		default:
+			params.ZeroGrad()
+			loss = lossAccum(model, batch, accum, &pc, nil)
 		}
 		var gradNorm float64
 		if timed {
@@ -198,7 +211,9 @@ func pretrain(model *nn.Model, opt optim.Optimizer, corpus *data.Corpus, cfg Pre
 		if cfg.ClipNorm > 0 {
 			params.ClipGradNorm(cfg.ClipNorm)
 		}
-		opt.Step(params.List())
+		if !stepped {
+			opt.Step(params.List())
+		}
 		pc.lap(obs.PhaseStep)
 		if dp != nil {
 			dp.publish(&pc)
@@ -298,14 +313,47 @@ func (pc *phaseClock) merge(o *phaseClock) {
 // backward, with phase laps at the forward/backward boundary — the one
 // forward/backward every gradient stage is built from (a fused micro-batch
 // and a data-parallel leaf differ only in the rows they pass). Cross-entropy
-// is charged to backward: it produces the gradient seed.
-func lossShardPhased(model *nn.Model, tokens, targets []int, b, t, counted int, pc *phaseClock) float64 {
+// is charged to backward: it produces the gradient seed. release, when not
+// nil, receives each parameter group as its gradient becomes final
+// (nn.Model.BackwardRelease).
+func lossShardPhased(model *nn.Model, tokens, targets []int, b, t, counted int, pc *phaseClock, release func([]*nn.Param)) float64 {
 	logits := model.Forward(tokens, b, t)
 	pc.lap(obs.PhaseForward)
 	sum, dlogits := nn.CrossEntropyShard(logits, targets, -1, counted)
-	model.Backward(dlogits)
+	model.BackwardRelease(dlogits, release)
 	pc.lap(obs.PhaseBackward)
 	return sum
+}
+
+// stepDuring is the fused stage's overlapped step: backward runs on the
+// calling goroutine and hands each parameter group it releases to one
+// stepping goroutine, which calls opt.Step on the groups in release order
+// while backward goes on with the next block. It returns once every released
+// group is stepped, re-raising here a panic from Step; stepped reports
+// whether backward released anything (a batch with no target runs none).
+// params bounds the number of groups: each holds at least one parameter.
+func stepDuring(opt optim.Optimizer, params int, backward func(release func([]*nn.Param))) (stepped bool) {
+	queue := make(chan []*nn.Param, params) // room for every group of a pass: releasing never blocks
+	done := make(chan any, 1)
+	go func() {
+		defer func() { done <- recover() }()
+		for g := range queue {
+			opt.Step(g)
+		}
+	}()
+	// Deferred so that a panicking backward, too, leaves no Step running on
+	// the model it unwinds from.
+	defer func() {
+		close(queue)
+		if r := <-done; r != nil {
+			panic(r)
+		}
+	}()
+	backward(func(g []*nn.Param) {
+		stepped = true
+		queue <- g
+	})
+	return stepped
 }
 
 // maybeCheckpoint writes a periodic snapshot after step completed (the
@@ -333,7 +381,9 @@ func maybeCheckpoint(cfg PretrainConfig, step int, params []*nn.Param, opt optim
 // full-batch gradient (same math; float32 summation order differs). Only one
 // micro-batch of activations is resident at a time. accum == 1 is exactly
 // model.Loss: nn.CrossEntropy is CountTargets + CrossEntropyShard + a divide.
-func lossAccum(model *nn.Model, batch data.Batch, accum int, pc *phaseClock) float64 {
+// Only the last micro-batch's backward releases groups to release (nil:
+// none): until then every gradient is still accumulating.
+func lossAccum(model *nn.Model, batch data.Batch, accum int, pc *phaseClock, release func([]*nn.Param)) float64 {
 	counted := nn.CountTargets(batch.Targets, -1)
 	if counted == 0 {
 		// The fused CrossEntropy convention: no targets → zero loss and
@@ -345,7 +395,11 @@ func lossAccum(model *nn.Model, batch data.Batch, accum int, pc *phaseClock) flo
 	var sum float64
 	for a := 0; a < accum; a++ {
 		lo, hi := a*span, (a+1)*span
-		sum += lossShardPhased(model, batch.Tokens[lo:hi], batch.Targets[lo:hi], micro, batch.T, counted, pc)
+		var rel func([]*nn.Param)
+		if a == accum-1 {
+			rel = release
+		}
+		sum += lossShardPhased(model, batch.Tokens[lo:hi], batch.Targets[lo:hi], micro, batch.T, counted, pc, rel)
 	}
 	return sum / float64(counted)
 }
