@@ -142,7 +142,8 @@ type ZeRO = zero.Sharded
 // while each replica holds only ~1/N of the optimizer state (see
 // internal/zero for the determinism contract; Result.ReplicaStateBytes
 // reports the measured per-replica footprint). The wrapper is also a valid
-// drop-in Optimizer for Pretrain.
+// drop-in Optimizer for Pretrain's fused stage, where it is stepped over the
+// whole list after backward: its ownership map is fixed from that list.
 func NewZeRO(build func() Optimizer, replicas int) *ZeRO {
 	return zero.NewSharded(build(), replicas)
 }

@@ -91,8 +91,7 @@ func inspect(path string, verifyOnly bool) error {
 	fmt.Printf("  step        %d (lr %g)\n", st.Step, st.LR)
 	fmt.Printf("  params      %d tensors, %d elements (%s fp32)\n",
 		len(st.Params), weightElems, obs.FormatBytes(4*weightElems))
-	fmt.Printf("  opt states  %d/%d parameters, %d global cursors\n",
-		statesPresent, len(st.Params), len(st.OptGlobals))
+	fmt.Printf("  opt states  %d/%d parameters\n", statesPresent, len(st.Params))
 	fmt.Printf("  data cursor %#x\n", st.DataCursor)
 
 	// What the snapshot costs to *serve* (apollo-serve's weights-only open

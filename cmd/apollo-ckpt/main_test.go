@@ -47,7 +47,8 @@ func run(t *testing.T, name string, args ...string) (string, int) {
 // and under -zero, and reads the checkpoints back: the dump of a good file,
 // -verify on it and on two damaged copies, and the ZeRO file reading exactly
 // as the unsharded one does (the on-disk layout is the canonical unsharded
-// one, and an INT8 member's rounding stream is not the partition's to move).
+// one, and an INT8 member's rounding noise is keyed by parameter, not by
+// which replica steps it).
 func TestInspectAndVerify(t *testing.T) {
 	dir := t.TempDir()
 	plain, sharded := filepath.Join(dir, "plain.ckpt"), filepath.Join(dir, "zero.ckpt")
@@ -64,15 +65,15 @@ func TestInspectAndVerify(t *testing.T) {
 		t.Fatalf("inspect: exit %d\n%s", code, out)
 	}
 	for _, want := range []string{
-		plain + ": format v", "  optimizer   8-bit Adam\n", "  step        6 (lr ", "global cursors\n",
+		plain + ": format v", "  optimizer   8-bit Adam\n", "  step        6 (lr ", "  opt states  ",
 		"  serving     ", "  predicted   ", "(memmodel.CheckpointBytes, rank 0)",
 	} {
 		if !strings.Contains(out, want) {
 			t.Fatalf("inspect output lacks %q:\n%s", want, out)
 		}
 	}
-	if n := strings.Count(out, "  ok\n"); n < 5 {
-		t.Fatalf("%d sections read ok, want the format's five or more:\n%s", n, out)
+	if n := strings.Count(out, "  ok\n"); n < 4 {
+		t.Fatalf("%d sections read ok, want the format's four or more:\n%s", n, out)
 	}
 	zout, code := run(t, "apollo-ckpt", sharded)
 	if want := strings.ReplaceAll(out, plain, sharded); code != 0 || zout != want {

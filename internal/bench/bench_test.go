@@ -9,9 +9,12 @@ import (
 	"strings"
 	"testing"
 
+	"apollo/internal/core"
 	"apollo/internal/memmodel"
+	"apollo/internal/nn"
 	"apollo/internal/obs/runlog"
 	"apollo/internal/optim"
+	"apollo/internal/tensor"
 )
 
 func TestRegistryComplete(t *testing.T) {
@@ -179,6 +182,53 @@ func TestMethodRank(t *testing.T) {
 	} {
 		if got := c.m.Rank(c.requested, c.dim); got != c.want {
 			t.Errorf("%s.Rank(%d, %d) = %d, want %d", c.m.Name, c.requested, c.dim, got, c.want)
+		}
+	}
+}
+
+// TestMiniRowsTakeTheSeed: the two APOLLO-Mini rows are core.New at rank 1,
+// tensor-wise, at the seed they are handed — bitwise that run at seed s, a
+// different one at s+1 — not core.NewMini, whose seed is the constant
+// default.
+func TestMiniRowsTakeTheSeed(t *testing.T) {
+	const s = 7
+	h := optim.Hyper{LR: 0.01}
+	mini := func(seed uint64) optim.Optimizer {
+		return core.New(h, core.Config{Rank: 1, Granularity: core.Tensor, Seed: seed})
+	}
+	stepped := func(opt optim.Optimizer) []*nn.Param {
+		ps := shardParityParams()
+		for step := range 3 {
+			rng := tensor.NewRNG(uint64(step) + 1)
+			for _, p := range ps {
+				for i := range p.Grad.Data {
+					p.Grad.Data[i] = rng.NormFloat32()
+				}
+			}
+			opt.Step(ps)
+		}
+		return ps
+	}
+	same := func(a, b []*nn.Param) bool {
+		return slices.EqualFunc(a, b, func(p, q *nn.Param) bool { return p.W.Equal(q.W) })
+	}
+	for _, c := range []struct {
+		row  string
+		want func(seed uint64) optim.Optimizer
+	}{
+		{"APOLLO-Mini", mini},
+		{"Q-APOLLO-Mini", func(seed uint64) optim.Optimizer { return optim.NewWeightQuantized(mini(seed), seed+1) }},
+	} {
+		m, err := MethodByName(c.row)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got := stepped(m.New(h, m.Rank(4, 16), s))
+		if !same(got, stepped(c.want(s))) {
+			t.Errorf("%s at seed %d is not core.New at seed %d", c.row, s, s)
+		}
+		if same(got, stepped(c.want(s+1))) {
+			t.Errorf("%s at seed %d trains like seed %d: the seed does not reach it", c.row, s, s+1)
 		}
 	}
 }

@@ -129,7 +129,10 @@ func apolloAt(cfg core.Config) newFunc {
 	}
 }
 
-func newMini(h optim.Hyper, _ int, _ uint64) optim.Optimizer { return core.NewMini(h) }
+// newMini is core.NewMini at the row's seed.
+func newMini(h optim.Hyper, _ int, seed uint64) optim.Optimizer {
+	return core.New(h, core.Config{Rank: 1, Granularity: core.Tensor, Seed: seed})
+}
 
 // quantized wraps a row's optimizer in INT8 master weights (the Q- variants).
 func quantized(inner newFunc) newFunc {

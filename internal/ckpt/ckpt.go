@@ -47,11 +47,6 @@ func Capture(step int, params []*nn.Param, opt optim.Optimizer, corpus *data.Cor
 	if corpus != nil {
 		st.DataCursor = corpus.TrainCursor()
 	}
-	globals, err := opt.CaptureGlobals()
-	if err != nil {
-		return nil, err
-	}
-	st.OptGlobals = globals
 	for _, p := range params {
 		st.Params = append(st.Params, ParamMeta{
 			Name: p.Name, Kind: uint8(p.Kind), Rows: p.W.Rows, Cols: p.W.Cols,
@@ -95,9 +90,6 @@ func Restore(st *State, params []*nn.Param, opt optim.Optimizer, corpus *data.Co
 		corpus.SeekTrain(st.DataCursor)
 	}
 	opt.SetLR(st.LR)
-	if err := opt.RestoreGlobals(st.OptGlobals); err != nil {
-		return err
-	}
 	for i, ps := range st.OptStates {
 		if ps == nil {
 			continue

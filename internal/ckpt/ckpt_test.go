@@ -2,6 +2,7 @@ package ckpt
 
 import (
 	"bytes"
+	"encoding/binary"
 	"os"
 	"path/filepath"
 	"strings"
@@ -141,6 +142,30 @@ func TestCRCDetectsCorruption(t *testing.T) {
 	}
 	if _, err := Read(bytes.NewReader(raw[:4])); err == nil {
 		t.Fatal("header stub went undetected")
+	}
+}
+
+// TestVersionOneRejected: a version-1 file carries optimizer-level RNG
+// cursors that version 2 has no place for, so both read paths refuse it by
+// its header, naming the version found and the one this build reads.
+func TestVersionOneRejected(t *testing.T) {
+	params, opt, corpus := testSetup(t)
+	st, err := Capture(3, params, opt, corpus)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if err := Write(&buf, st); err != nil {
+		t.Fatal(err)
+	}
+	raw := buf.Bytes()
+	binary.LittleEndian.PutUint32(raw[len(Magic):], 1)
+	_, errRead := Read(bytes.NewReader(raw))
+	_, errModel := ReadModel(bytes.NewReader(raw))
+	for i, err := range []error{errRead, errModel} {
+		if err == nil || !strings.Contains(err.Error(), "version 1") || !strings.Contains(err.Error(), "version 2") {
+			t.Errorf("%s of a version-1 header: %v, want an error naming versions 1 and 2", []string{"Read", "ReadModel"}[i], err)
+		}
 	}
 }
 

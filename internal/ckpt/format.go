@@ -7,12 +7,17 @@
 // All integers are little-endian; float32/float64 travel as their IEEE-754
 // bit patterns, so a load reproduces the saved values bit-for-bit. Each
 // section carries its own CRC-32 (IEEE): a single flipped byte anywhere in
-// a payload is detected at load time and named by section. The five
+// a payload is detected at load time and named by section. The four
 // sections are META (optimizer identity, step/LR counters, the full
 // parameter table with names, kinds and shapes — what makes the file
 // self-describing), WGTS (model weights), DATA (the corpus training-stream
-// cursor), OPTG (optimizer-level RNG cursors) and OPTP (per-parameter
-// optimizer state in the canonical unsharded layout of optim.ParamState).
+// cursor) and OPTP (per-parameter optimizer state in the canonical unsharded
+// layout of optim.ParamState).
+//
+// Version 2 dropped version 1's OPTG section of optimizer-level RNG cursors:
+// an optimizer's random draws are keyed by parameter, so its whole state is
+// per-parameter. A version-1 file's cursors cannot be translated into keys,
+// so Read rejects it rather than resume a different run.
 package ckpt
 
 import (
@@ -31,8 +36,8 @@ import (
 const (
 	// Magic identifies a checkpoint file.
 	Magic = "APOLCKPT"
-	// Version is the current format version; Read rejects anything newer.
-	Version = 1
+	// Version is the current format version; Read rejects any other.
+	Version = 2
 
 	headerBytes     = 8 + 4 + 4
 	sectionOverhead = 4 + 8 + 4
@@ -43,11 +48,10 @@ const (
 	TagMeta    = "META"
 	TagWeights = "WGTS"
 	TagData    = "DATA"
-	TagGlobals = "OPTG"
 	TagStates  = "OPTP"
 )
 
-var sectionOrder = []string{TagMeta, TagWeights, TagData, TagGlobals, TagStates}
+var sectionOrder = []string{TagMeta, TagWeights, TagData, TagStates}
 
 // ParamMeta describes one parameter in the checkpoint's own table.
 type ParamMeta struct {
@@ -67,8 +71,6 @@ type State struct {
 	Weights   []*tensor.Matrix // one per parameter, in table order
 	// DataCursor is the corpus training-stream RNG phase.
 	DataCursor uint64
-	// OptGlobals are the optimizer-level cursors (optim.StateSaver order).
-	OptGlobals []uint64
 	// OptStates holds one canonical per-parameter state per table entry;
 	// nil entries mean the optimizer held no state for that parameter.
 	OptStates []*optim.ParamState
@@ -285,7 +287,7 @@ func decodeParamState(d *dec, depth int) *optim.ParamState {
 	return st
 }
 
-// encodeSections renders the five section payloads of a State.
+// encodeSections renders the four section payloads of a State.
 func encodeSections(st *State) map[string][]byte {
 	meta := &enc{}
 	meta.str(st.Optimizer)
@@ -307,12 +309,6 @@ func encodeSections(st *State) map[string][]byte {
 	data := &enc{}
 	data.u64(st.DataCursor)
 
-	optg := &enc{}
-	optg.u16(uint16(len(st.OptGlobals)))
-	for _, g := range st.OptGlobals {
-		optg.u64(g)
-	}
-
 	optp := &enc{}
 	for _, ps := range st.OptStates {
 		if ps == nil {
@@ -327,7 +323,6 @@ func encodeSections(st *State) map[string][]byte {
 		TagMeta:    meta.buf,
 		TagWeights: wgts.buf,
 		TagData:    data.buf,
-		TagGlobals: optg.buf,
 		TagStates:  optp.buf,
 	}
 }
@@ -372,8 +367,8 @@ func readSections(raw []byte) (version uint32, secs []rawSection, err error) {
 		return 0, nil, fmt.Errorf("ckpt: not a checkpoint file (bad magic)")
 	}
 	version = binary.LittleEndian.Uint32(raw[8:])
-	if version > Version {
-		return 0, nil, fmt.Errorf("ckpt: format version %d is newer than supported %d", version, Version)
+	if version != Version {
+		return 0, nil, fmt.Errorf("ckpt: format version %d, this build reads only version %d", version, Version)
 	}
 	n := int(binary.LittleEndian.Uint32(raw[12:]))
 	at := headerBytes
@@ -436,15 +431,6 @@ func Read(r io.Reader) (*State, error) {
 	st.DataCursor = data.u64()
 	if err := data.done(); err != nil {
 		return nil, fmt.Errorf("ckpt: DATA: %w", err)
-	}
-
-	optg := &dec{buf: byTag[TagGlobals]}
-	nglob := int(optg.u16())
-	for i := 0; i < nglob && optg.err == nil; i++ {
-		st.OptGlobals = append(st.OptGlobals, optg.u64())
-	}
-	if err := optg.done(); err != nil {
-		return nil, fmt.Errorf("ckpt: OPTG: %w", err)
 	}
 
 	optp := &dec{buf: byTag[TagStates]}

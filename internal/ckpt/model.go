@@ -1,7 +1,7 @@
 // Weights-only checkpoint access: the read path of the evaluation service.
 // A served snapshot needs the model and its identity — never the optimizer
 // moments — so ReadModel decodes only the META and WGTS sections and leaves
-// the OPTG/OPTP payloads untouched. Every section CRC is still verified
+// the OPTP payload untouched. Every section CRC is still verified
 // (serving a silently corrupted model is worse than refusing), but the
 // optimizer-state bytes are never decoded into matrices: the resident cost
 // of an open snapshot is its model weights (memmodel.ServeBytes), not the

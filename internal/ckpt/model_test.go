@@ -55,7 +55,7 @@ func TestReadModelMatchesFullRead(t *testing.T) {
 }
 
 // TestReadModelRejectsCorruptOptimizerSection: the read-only path skips
-// decoding OPTG/OPTP but still verifies their CRCs — a served model must
+// decoding OPTP but still verifies its CRC — a served model must
 // never come from a file that would be refused for resume.
 func TestReadModelRejectsCorruptOptimizerSection(t *testing.T) {
 	params, opt, corpus := testSetup(t)

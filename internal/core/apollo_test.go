@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"math"
+	"slices"
 	"testing"
 
 	"apollo/internal/linalg"
@@ -298,23 +299,30 @@ func TestAPOLLONormGrowthLimited(t *testing.T) {
 	}
 }
 
+// TestAPOLLOWithoutNLCanSpike: with the limiter off, the structural change
+// grows the update by ≈ √n in expectation, but by how much for one projector
+// depends on its draw (a rank-2 projection can shrink the lone first-step
+// channel), so the claim is made of the median over nine projector seeds.
 func TestAPOLLOWithoutNLCanSpike(t *testing.T) {
-	p := matParam(t, "w", 8, 16, 20)
-	a := New(optim.Hyper{LR: 1}, Config{Rank: 2, Granularity: Channel, Scale: 1, DisableNL: true})
-	rng := tensor.NewRNG(21)
+	var ratios []float64
+	for seed := uint64(1); seed <= 9; seed++ {
+		p := matParam(t, "w", 8, 16, 20)
+		a := New(optim.Hyper{LR: 1}, Config{Rank: 2, Granularity: Channel, Scale: 1, DisableNL: true, Seed: seed})
+		rng := tensor.NewRNG(21)
 
-	structuredSpikeGrads(p, rng, false)
-	before := p.W.Clone()
-	a.Step([]*nn.Param{p})
-	normalStep := tensor.Sub(p.W, before).Norm()
+		structuredSpikeGrads(p, rng, false)
+		before := p.W.Clone()
+		a.Step([]*nn.Param{p})
+		normalStep := tensor.Sub(p.W, before).Norm()
 
-	structuredSpikeGrads(p, rng, true)
-	before = p.W.Clone()
-	a.Step([]*nn.Param{p})
-	bigStep := tensor.Sub(p.W, before).Norm()
-
-	if bigStep < normalStep*2 {
-		t.Fatalf("expected an unlimited spike: %v vs %v", normalStep, bigStep)
+		structuredSpikeGrads(p, rng, true)
+		before = p.W.Clone()
+		a.Step([]*nn.Param{p})
+		ratios = append(ratios, tensor.Sub(p.W, before).Norm()/normalStep)
+	}
+	slices.Sort(ratios)
+	if ratios[4] < 2 {
+		t.Fatalf("expected an unlimited spike: median step growth %v (all %v)", ratios[4], ratios)
 	}
 }
 

@@ -44,7 +44,7 @@ func NewStructuredAdamW(h optim.Hyper, g Granularity) *StructuredAdamW {
 		Slots:   []optim.Slot{{Name: "m", Kind: optim.RowAligned}, {Name: "v", Kind: optim.RowAligned}},
 		Covers:  func(p *nn.Param) bool { return p.Kind == nn.KindMatrix },
 	}
-	return &StructuredAdamW{Base: optim.NewBase(sc, h, nil, optim.NewAdamW(h)), Granularity: g, Gamma: DefaultGamma}
+	return &StructuredAdamW{Base: optim.NewBase(sc, h, optim.NewAdamW(h)), Granularity: g, Gamma: DefaultGamma}
 }
 
 // Step implements optim.Optimizer.

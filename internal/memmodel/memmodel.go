@@ -257,11 +257,11 @@ func ShardedOptimizerStateBytes(cfg LLaMAConfig, m Method, rank, world int) floa
 // Checkpoint-format accounting (mirrors internal/ckpt's binary layout).
 // The data payload dominates; the per-parameter constants cover the META
 // table entry and the OPTP bookkeeping (presence flag, counters, projector
-// seed/RNG phases, matrix headers), which vary a little across methods —
+// seed and RNG cursor, matrix headers), which vary a little across methods —
 // predictions land within a few percent of the serialized file and are
 // cross-checked by the `ckpt` bench experiment.
 const (
-	ckptFixedBytes          = 16 + 5*16 + 8 + 32 // header, 5 section headers, data cursor, name + globals
+	ckptFixedBytes          = 16 + 4*16 + 8 + 32 // header, 4 section headers, data cursor, META's name and 3 counters
 	ckptParamMetaBytes      = 11                 // length prefix + kind + dims (plus the name itself)
 	ckptParamStateBytes     = 64
 	ckptInt8GroupSize       = 128
@@ -309,8 +309,8 @@ func CheckpointBytes(shapes []Shape, m Method, rank int) float64 {
 
 // Serve-footprint accounting. An open snapshot in the evaluation service
 // holds the fp32 model weights and per-tensor bookkeeping only: the
-// weights-only read path (ckpt.ReadModel) never decodes the OPTG/OPTP
-// optimizer sections, and gradient accumulators are released after load
+// weights-only read path (ckpt.ReadModel) never decodes the OPTP
+// optimizer section, and gradient accumulators are released after load
 // (nn.ParamSet.FreeGrads). The per-parameter constant covers the nn.Param
 // and matrix headers plus the registry's table entry.
 const (

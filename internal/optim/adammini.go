@@ -33,7 +33,7 @@ func NewAdamMini(h Hyper) *AdamMini {
 		},
 		RowSplittable: func(p *nn.Param) bool { return p.Kind != nn.KindVector },
 	}
-	return &AdamMini{NewBase(sc, h, nil, nil)}
+	return &AdamMini{NewBase(sc, h, nil)}
 }
 
 // Step implements Optimizer.

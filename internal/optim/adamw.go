@@ -25,7 +25,7 @@ func NewAdamW(h Hyper) *AdamW {
 		Slots:         []Slot{{Name: "m", Kind: RowAligned}, {Name: "v", Kind: RowAligned}},
 		RowSplittable: func(*nn.Param) bool { return true },
 	}
-	return &AdamW{NewBase(sc, h, nil, nil)}
+	return &AdamW{NewBase(sc, h, nil)}
 }
 
 // Step implements Optimizer.

@@ -3,9 +3,9 @@
 // update); everything between the two is here, once: the name, the learning
 // rate and its forwarding, the table the schema is declared on, the optimizer
 // that steps what the schema does not cover — and the one walk over the
-// parameter list. The order of first touches and fallback steps in that walk
-// is the determinism contract (a ZeRO partition steps the same units in the
-// same order; a resumed run re-enters it mid-list), so no member restates it.
+// parameter list. A member draws no randomness from a shared stream: what it
+// needs is keyed by its seed and the parameter's name (tensor.Mix), so
+// stepping a list in any grouping and any order is stepping it whole.
 package optim
 
 import (
@@ -22,21 +22,6 @@ type Fallback interface {
 }
 
 func (t *StateTable) table() *StateTable { return t }
-
-// OrderFree reports whether opt's parameters may be stepped in groups, in any
-// order, once every one of them has been stepped: the groups' Steps are then
-// bit for bit one whole-list Step. A member of the zoo is, unless its schema
-// or its fallback's Redraws; its first step must still be whole, because
-// first touches draw in list order. A wrapper — zero.Sharded, the Q- weight
-// quantizer, anything not built on Base — is not.
-func OrderFree(opt Optimizer) bool {
-	of, ok := opt.(interface{ orderFree() bool })
-	return ok && of.orderFree()
-}
-
-func (t *StateTable) orderFree() bool {
-	return !t.schema.Redraws && (t.fallback == nil || t.fallback.orderFree())
-}
 
 // touched is one covered parameter of a walk: its entry (nil when the schema
 // declares no state) and whether this walk allocated it, so the member can
@@ -60,12 +45,10 @@ type Base struct {
 	dir      scratchMatrix // the normalized direction of the parameter being stepped
 }
 
-// NewBase builds the base of a member declared by sc. rng is the stream the
-// member draws its order-dependent randomness from (nil: none), persisted as
-// the table's global cursor; dense steps the parameters sc does not cover
-// (nil when it covers them all).
-func NewBase(sc Schema, h Hyper, rng *tensor.RNG, dense Fallback) Base {
-	t := &StateTable{schema: sc, rng: rng, entries: map[*nn.Param]*Entry{}}
+// NewBase builds the base of a member declared by sc; dense steps the
+// parameters sc does not cover (nil when it covers them all).
+func NewBase(sc Schema, h Hyper, dense Fallback) Base {
+	t := &StateTable{schema: sc, entries: map[*nn.Param]*Entry{}}
 	if dense != nil {
 		t.fallback = dense.table()
 	}
@@ -127,8 +110,9 @@ func (b *Base) stepRest() {
 }
 
 // Walk is a member's Step: touch, then update for each covered parameter in
-// list order, then the uncovered rest through the fallback. Stepping a list
-// in two consecutive pieces is therefore stepping it whole.
+// list order, then the uncovered rest through the fallback. Every update
+// reads and writes only its own parameter and entry, so stepping a list in
+// pieces, in any order, is stepping it whole.
 func (b *Base) Walk(ps []*nn.Param, update func(p *nn.Param, st *Entry, fresh bool)) {
 	for _, t := range b.touch(ps) {
 		update(t.p, t.st, t.fresh)

@@ -1,11 +1,11 @@
 // Checkpoint hooks: the state-serialization counterpart of the
 // introspection/sharding hooks in shard.go. Every optimizer in the zoo
 // exposes its complete persistent state — moments, step counters, projector
-// matrices and the phase of every RNG stream — in a canonical per-parameter
-// form, so internal/ckpt can persist a training run and resume it
-// bit-identically (per Cattaneo et al., the optimizer's memory is part of
-// the effective objective: dropping any of it silently changes the
-// trajectory).
+// matrices and seeds, and the cursor of every per-parameter RNG stream — in
+// a canonical per-parameter form, so internal/ckpt can persist a training
+// run and resume it bit-identically (per Cattaneo et al., the optimizer's
+// memory is part of the effective objective: dropping any of it silently
+// changes the trajectory).
 //
 // The canonical form is *unsharded*: one ParamState per parameter, covering
 // all rows, in global parameter order. A ZeRO-partitioned wrapper
@@ -17,7 +17,7 @@
 // This file holds the canonical form, its row slicing/merging and the
 // saver/loader interfaces. Where each optimizer's layout comes from: every
 // member of the zoo declares a Schema and embeds the StateTable that derives
-// CaptureParam / RestoreParam (and the global cursors) from it — state.go;
+// CaptureParam / RestoreParam from it — state.go;
 // the README's checkpoint table is checked against those declarations by
 // TestCheckpointLayoutTable. The one hand-written pair left is
 // WeightQuantized's, below: it nests its inner optimizer's state.
@@ -42,7 +42,7 @@ import (
 // matrices (projected moments, SVD projections) only ever belong to
 // never-split parameters.
 type ParamState struct {
-	// Scalars carries step counters, projector seeds, RNG phases and
+	// Scalars carries step counters, projector seeds, RNG cursors and
 	// float64 bit patterns in a fixed order documented per optimizer.
 	// Row-split segments of one parameter must agree on all scalars.
 	Scalars []uint64
@@ -132,13 +132,12 @@ func MergeRowStates(rows int, parts []*ParamState, segs [][2]int) (*ParamState, 
 }
 
 // StateSaver exposes an optimizer's complete persistent state for
-// checkpointing. CaptureGlobals returns optimizer-level cursors shared
-// across parameters (RNG stream phases), in a fixed per-optimizer order;
-// CaptureParam returns the canonical state held for p (nil when none is —
-// lazy allocation hasn't touched it, or the method keeps no state). All
-// returned data is deeply copied.
+// checkpointing: CaptureParam returns the canonical state held for p (nil
+// when none is — lazy allocation hasn't touched it, or the method keeps no
+// state), deeply copied. There is no optimizer-level state: every random
+// draw is keyed by the parameter it is for, so nothing is shared across
+// parameters.
 type StateSaver interface {
-	CaptureGlobals() ([]uint64, error)
 	CaptureParam(p *nn.Param) (*ParamState, error)
 }
 
@@ -146,7 +145,6 @@ type StateSaver interface {
 // allocating (or overwriting) the per-parameter state so the next Step
 // continues bit-identically to the run that wrote the checkpoint.
 type StateLoader interface {
-	RestoreGlobals(gs []uint64) error
 	RestoreParam(p *nn.Param, st *ParamState) error
 }
 
@@ -201,18 +199,9 @@ func blobF32(dst []float32, b []byte) {
 }
 
 // ---------------------------------------------------------------------------
-// WeightQuantized — globals: [own RNG phase] ++ inner globals. Per
-// parameter: Scalars [has quantized weight, per-weight RNG phase];
-// Blobs [codes, scales] when present; Sub nests the inner optimizer's state.
-
-// CaptureGlobals implements StateSaver.
-func (w *WeightQuantized) CaptureGlobals() ([]uint64, error) {
-	inner, err := w.inner.CaptureGlobals()
-	if err != nil {
-		return nil, err
-	}
-	return append([]uint64{w.rng.State()}, inner...), nil
-}
+// WeightQuantized — per parameter: Scalars [has quantized weight, its store
+// count]; Blobs [codes, scales] when present; Sub nests the inner optimizer's
+// state.
 
 // CaptureParam implements StateSaver.
 func (w *WeightQuantized) CaptureParam(p *nn.Param) (*ParamState, error) {
@@ -226,19 +215,10 @@ func (w *WeightQuantized) CaptureParam(p *nn.Param) (*ParamState, error) {
 	}
 	out := &ParamState{Scalars: []uint64{boolBit(hasQ), 0}, Sub: sub}
 	if hasQ {
-		out.Scalars[1] = q.RNGState()
+		out.Scalars[1] = q.Draws
 		out.Blobs = [][]byte{int8Blob(q.Q.Codes), f32Blob(q.Q.Scales)}
 	}
 	return out, nil
-}
-
-// RestoreGlobals implements StateLoader.
-func (w *WeightQuantized) RestoreGlobals(gs []uint64) error {
-	if len(gs) < 1 {
-		return fmt.Errorf("optim: %s: missing global cursor", w.Name())
-	}
-	w.rng.SetState(gs[0])
-	return w.inner.RestoreGlobals(gs[1:])
 }
 
 // RestoreParam implements StateLoader: the wrapper's own part is checked
@@ -258,14 +238,14 @@ func (w *WeightQuantized) RestoreParam(p *nn.Param, st *ParamState) error {
 	}
 	var q *quant.QuantizedWeight
 	if hasQ {
-		q = quant.NewQuantizedWeight(p.W, quant.DefaultGroupSize, 0)
+		q = w.newWeight(p)
 		if codes, scales := st.Blobs[0], st.Blobs[1]; len(codes) != len(q.Q.Codes) || len(scales) != 4*len(q.Q.Scales) {
 			return fmt.Errorf("optim: %s: %d INT8 codes and %d scale bytes, want %d and %d",
 				who, len(codes), len(scales), len(q.Q.Codes), 4*len(q.Q.Scales))
 		}
 		blobInt8(q.Q.Codes, st.Blobs[0])
 		blobF32(q.Q.Scales, st.Blobs[1])
-		q.SetRNGState(st.Scalars[1])
+		q.Draws = st.Scalars[1]
 	}
 	if st.Sub != nil {
 		if err := w.inner.RestoreParam(p, st.Sub); err != nil {

@@ -12,12 +12,13 @@ import (
 // bitsandbytes' 8-bit Adam). It is the "8-bit Adam" baseline of Table 3: 4×
 // less optimizer memory than AdamW at a small quality cost.
 //
-// Layout — globals: [stochastic-rounding RNG phase]; per parameter: Scalars
-// [t]; Blobs [m codes, m scales, v codes, v scales]. INT8 groups straddle row
-// boundaries and the rounding noise comes from one stream in list order, so
-// the update is never row-splittable.
+// Layout — per parameter: Scalars [t]; Blobs [m codes, m scales, v codes, v
+// scales]. INT8 groups straddle row boundaries, so the update is never
+// row-splittable. Step t's rounding noise for slot k of parameter p is keyed
+// tensor.Mix(seed, p.Name, t, k).
 type Adam8bit struct {
-	Base // its rng is the stochastic-rounding stream
+	Base
+	seed uint64
 }
 
 // NewAdam8bit builds the optimizer.
@@ -26,9 +27,8 @@ func NewAdam8bit(h Hyper, seed uint64) *Adam8bit {
 		Name:    "8-bit Adam",
 		Scalars: []Scalar{{Name: "t"}},
 		Slots:   []Slot{{Name: "m", Kind: Int8}, {Name: "v", Kind: Int8}},
-		Redraws: true,
 	}
-	return &Adam8bit{NewBase(sc, h, tensor.NewRNG(seed), nil)}
+	return &Adam8bit{NewBase(sc, h, nil), seed}
 }
 
 // Step implements Optimizer.
@@ -37,18 +37,18 @@ func (a *Adam8bit) Step(ps []*nn.Param) { a.Walk(ps, a.update) }
 func (a *Adam8bit) update(p *nn.Param, st *Entry, _ bool) {
 	st.S[adamT]++
 	dir := a.Direction(p)
-	adam8Direction(st.Q[adamM], st.Q[adamV], dir, p.Grad, a.h, int(st.S[adamT]), a.rng)
+	adam8Direction(st.Q[adamM], st.Q[adamV], dir, p.Grad, a.h, int(st.S[adamT]), tensor.Mix(a.seed, p.Name, st.S[adamT]))
 	DecayAndApply(p, dir, a.h.LR, a.h.WeightDecay)
 }
 
 // adam8Direction is step t of the AdamW moment update on INT8 moments:
 // dequantize, run the float update by g, write the normalized direction into
-// out (which may alias g), and requantize — m, then v — with stochastic
-// rounding from rng so tiny moment changes survive in expectation. The second
-// moment is stored in the sqrt domain: V's dynamic range is the square of
-// M's, and linear INT8 codes would zero out most of it, which blows up m̂/√v̂
-// wherever m survives but v does not.
-func adam8Direction(mq, vq *quant.Tensor8, out, g *tensor.Matrix, h Hyper, t int, rng *tensor.RNG) {
+// out (which may alias g), and requantize with stochastic rounding — slot k
+// keyed tensor.Mix(key, "", k) — so tiny moment changes survive in
+// expectation. The second moment is stored in the sqrt domain: V's dynamic
+// range is the square of M's, and linear INT8 codes would zero out most of
+// it, which blows up m̂/√v̂ wherever m survives but v does not.
+func adam8Direction(mq, vq *quant.Tensor8, out, g *tensor.Matrix, h Hyper, t int, key uint64) {
 	m := quant.Dequantize(mq, nil)
 	v := quant.Dequantize(vq, nil) // holds √v
 	for i, sv := range v.Data {
@@ -68,31 +68,30 @@ func adam8Direction(mq, vq *quant.Tensor8, out, g *tensor.Matrix, h Hyper, t int
 		v.Data[i] = vv
 		out.Data[i] = (m.Data[i] * c1) / (sqrt32(vv*c2) + eps)
 	}
-	quant.Quantize(mq, m, rng)
+	quant.Quantize(mq, m, tensor.Mix(key, "", adamM))
 	for i, vv := range v.Data {
 		v.Data[i] = sqrt32(vv)
 	}
-	quant.Quantize(vq, v, rng)
+	quant.Quantize(vq, v, tensor.Mix(key, "", adamV))
 }
 
 // GaLore8bit quantizes GaLore's projected moments to INT8 — the "8-bit
 // GaLore" row of Table 3 (Q-GaLore's optimizer-state half; its INT8 weights
 // are handled by internal/quant.QuantizedWeight at the training-loop level).
 //
-// It is its own serial optimizer rather than a Rule on Projected: projector
-// seeds and stochastic-rounding noise come from one RNG, interleaved in list
-// order, which the engine's seeds-first-then-parallel walk cannot reproduce
-// bit for bit. What it shares with the engine is the walk, the refresh
-// cadence and the workspace.
+// It is its own serial optimizer rather than a Rule on Projected: its slots
+// are INT8 and its fallback is 8-bit Adam, which the engine's schema does not
+// declare. What it shares with the engine is the walk, the refresh cadence,
+// the workspace and the keying: a parameter's projector is seeded
+// tensor.Mix(cfg.Seed, p.Name), its rounding noise keyed as Adam8bit's.
 //
-// Layout — globals: [own RNG phase, dense 8-bit Adam RNG phase]; projected
-// parameters: Scalars [t, since, proj seed, proj rng, proj m, proj ready];
-// Blobs [m codes, m scales, v codes, v scales] at r×n; Whole [SVD P] once
-// built. Everything else is the dense 8-bit Adam's.
+// Layout — projected parameters: Scalars [t, since, proj seed, proj rng, proj
+// m, proj ready]; Blobs [m codes, m scales, v codes, v scales] at r×n; Whole
+// [SVD P] once built. Everything else is the dense 8-bit Adam's.
 type GaLore8bit struct {
-	Base // its rng draws projector seeds and rounding noise, interleaved
-	cfg  LowRankConfig
-	ws   Workspace
+	Base
+	cfg LowRankConfig
+	ws  Workspace
 }
 
 // NewGaLore8bit builds the optimizer.
@@ -108,11 +107,10 @@ func NewGaLore8bit(h Hyper, cfg LowRankConfig) *GaLore8bit {
 			{Name: "m", Kind: Int8, Dims: rankSpace(cfg.Rank)},
 			{Name: "v", Kind: Int8, Dims: rankSpace(cfg.Rank)},
 		},
-		Proj:    &Projection{Kind: cfg.Projection, Rank: cfg.Rank},
-		Covers:  func(p *nn.Param) bool { return projects(p, cfg.Rank) },
-		Redraws: true,
+		Proj:   &Projection{Kind: cfg.Projection, Rank: cfg.Rank},
+		Covers: func(p *nn.Param) bool { return projects(p, cfg.Rank) },
 	}
-	return &GaLore8bit{Base: NewBase(sc, h, tensor.NewRNG(cfg.Seed+4), NewAdam8bit(h, cfg.Seed+3)), cfg: cfg}
+	return &GaLore8bit{Base: NewBase(sc, h, NewAdam8bit(h, cfg.Seed+3)), cfg: cfg}
 }
 
 // Step implements Optimizer.
@@ -120,7 +118,7 @@ func (g *GaLore8bit) Step(ps []*nn.Param) { g.Walk(ps, g.update) }
 
 func (g *GaLore8bit) update(p *nn.Param, st *Entry, fresh bool) {
 	if fresh {
-		st.Proj = linalg.NewProjector(g.cfg.Projection, g.cfg.Rank, g.rng.Uint64())
+		st.Proj = linalg.NewProjector(g.cfg.Projection, g.cfg.Rank, tensor.Mix(g.cfg.Seed, p.Name))
 	}
 	grad := g.ws.orientedGrad(p.Grad, orient(p.W.Rows, p.W.Cols))
 	if refreshDue(st, g.cfg.UpdateGap) {
@@ -130,7 +128,7 @@ func (g *GaLore8bit) update(p *nn.Param, st *Entry, fresh bool) {
 
 	r, _ := g.ws.RankSpace(g.cfg.Rank, grad.Cols)
 	st.Proj.ProjectInto(r, grad)
-	adam8Direction(st.Q[adamM], st.Q[adamV], r, r, g.h, int(st.S[adamT]), g.rng)
+	adam8Direction(st.Q[adamM], st.Q[adamV], r, r, g.h, int(st.S[adamT]), tensor.Mix(g.cfg.Seed, p.Name, st.S[adamT]))
 	update := g.ws.dense[0].shaped(grad.Rows, grad.Cols)
 	st.Proj.ProjectBackInto(update, r)
 	DecayAndApply(p, g.ws.lift(p, update, g.cfg.Scale), g.h.LR, g.h.WeightDecay)

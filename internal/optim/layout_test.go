@@ -68,7 +68,6 @@ func layoutRow(opt optim.Optimizer) string {
 			name += " (random)"
 		}
 	}
-	gs, _ := opt.CaptureGlobals()
 	split := "no"
 	switch {
 	case splits == covered:
@@ -87,7 +86,7 @@ func layoutRow(opt optim.Optimizer) string {
 		}
 		return strings.Join(s, ", ")
 	}
-	return fmt.Sprintf("| %s | %d | %s | %s | %s | %s | %s | %s |", name, len(gs),
+	return fmt.Sprintf("| %s | %s | %s | %s | %s | %s | %s |", name,
 		cell(scalars), cell(cols[optim.RowAligned]), cell(cols[optim.Whole]), cell(cols[optim.Int8]), split, others)
 }
 

@@ -69,10 +69,11 @@ func (c FactorizedConfig) withDefaults() FactorizedConfig {
 }
 
 // Factorized implements the four reparameterized baselines behind one
-// Optimizer.
+// Optimizer. Parameter p's factors are drawn from tensor.Mix(cfg.Seed, p.Name)
+// and its k-th ReLoRA restart from tensor.Mix(cfg.Seed, p.Name, k).
 type Factorized struct {
-	Base // its rng draws factor initializations and ReLoRA restarts, in step order
-	cfg  FactorizedConfig
+	Base
+	cfg FactorizedConfig
 }
 
 // Scalar and slot indices of the Factorized declaration. Which optional
@@ -86,10 +87,10 @@ const (
 	fMag, fMM, fVM     = 7, 8, 9 // DoRA per-column magnitudes (1×in) and their moments
 )
 
-// NewFactorized builds the wrapper. Canonical layout — globals: [init/restart
-// RNG phase]; factorized parameters: Scalars [steps, adamA.t, adamB.t, hasW0,
-// hasMag, adamM.t]; Whole [a, b, adamA.m, adamA.v, adamB.m, adamB.v] (+ [w0]
-// when frozen-base, + [mag, adamM.m, adamM.v] for DoRA) — everything the
+// NewFactorized builds the wrapper. Canonical layout of a factorized
+// parameter: Scalars [steps, adamA.t, adamB.t, hasW0, hasMag, adamM.t];
+// Whole [a, b, adamA.m, adamA.v, adamB.m, adamB.v] (+ [w0] when
+// frozen-base, + [mag, adamM.m, adamM.v] for DoRA) — everything the
 // method must keep resident beyond the live weight. Matrices whose smaller
 // dimension exceeds the rank are reparameterized; the rest is dense AdamW's.
 func NewFactorized(h Hyper, cfg FactorizedConfig) *Factorized {
@@ -114,8 +115,7 @@ func NewFactorized(h Hyper, cfg FactorizedConfig) *Factorized {
 			{Name: "adamA.m", Kind: Whole, Dims: rIn}, {Name: "adamA.v", Kind: Whole, Dims: rIn},
 			{Name: "adamB.m", Kind: Whole, Dims: outR}, {Name: "adamB.v", Kind: Whole, Dims: outR},
 		},
-		Covers:  func(p *nn.Param) bool { return p.Kind == nn.KindMatrix && min(p.W.Rows, p.W.Cols) > r },
-		Redraws: cfg.Mode == ModeReLoRA, // a restart redraws A
+		Covers: func(p *nn.Param) bool { return p.Kind == nn.KindMatrix && min(p.W.Rows, p.W.Cols) > r },
 	}
 	if hasW0 == 1 {
 		sc.Slots = append(sc.Slots, Slot{Name: "w0", Kind: Whole})
@@ -124,7 +124,7 @@ func NewFactorized(h Hyper, cfg FactorizedConfig) *Factorized {
 		sc.Slots = append(sc.Slots, Slot{Name: "mag", Kind: Whole, Dims: oneIn},
 			Slot{Name: "adamM.m", Kind: Whole, Dims: oneIn}, Slot{Name: "adamM.v", Kind: Whole, Dims: oneIn})
 	}
-	return &Factorized{Base: NewBase(sc, h, tensor.NewRNG(cfg.Seed), NewAdamW(h)), cfg: cfg}
+	return &Factorized{Base: NewBase(sc, h, NewAdamW(h)), cfg: cfg}
 }
 
 // scale returns the adapter scaling factor s.
@@ -136,10 +136,11 @@ func (f *Factorized) scale() float32 {
 // the random factors, the frozen base and DoRA's magnitudes.
 func (f *Factorized) seed(st *Entry, p *nn.Param) {
 	out, in, r := p.W.Rows, p.W.Cols, f.cfg.Rank
-	st.M[fA] = tensor.NewMatrixRand(r, in, 0.02, f.rng)
+	rng := tensor.NewRNG(tensor.Mix(f.cfg.Seed, p.Name))
+	st.M[fA] = tensor.NewMatrixRand(r, in, 0.02, rng)
 	if f.cfg.Mode == ModeLowRank {
 		// Train W = B·A from scratch: random B too, otherwise W stays 0.
-		st.M[fB] = tensor.NewMatrixRand(out, r, 0.02, f.rng)
+		st.M[fB] = tensor.NewMatrixRand(out, r, 0.02, rng)
 	} else {
 		st.M[fW0].CopyFrom(p.W)
 	}
@@ -246,7 +247,8 @@ func (f *Factorized) update(p *nn.Param, st *Entry, fresh bool) {
 		ba := tensor.MatMul(st.M[fB], st.M[fA])
 		tensor.ScaleInPlace(ba, s)
 		tensor.AddInPlace(st.M[fW0], ba)
-		st.M[fA] = tensor.NewMatrixRand(f.cfg.Rank, p.W.Cols, 0.02, f.rng)
+		restart := tensor.NewRNG(tensor.Mix(f.cfg.Seed, p.Name, st.S[fSteps]/uint64(f.cfg.MergeEvery)))
+		st.M[fA] = tensor.NewMatrixRand(f.cfg.Rank, p.W.Cols, 0.02, restart)
 		for _, i := range []int{fB, fMA, fVA, fMB, fVB} {
 			st.M[i].Zero()
 		}

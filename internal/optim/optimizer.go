@@ -21,9 +21,10 @@ type Optimizer interface {
 	// Step consumes the gradients of ps and updates the weights. Gradients
 	// are left untouched: callers zero them before the next accumulation,
 	// and the training loop takes their norm after stepping. ps may be one
-	// group of the list: for an OrderFree optimizer the training loop steps
-	// each group nn.Model.BackwardRelease releases on a goroutine of its
-	// own, one Step at a time, while the rest of backward runs.
+	// group of the list, in any order: a member's update for a parameter
+	// depends on nothing stepped before it, so the training loop steps each
+	// group nn.Model.BackwardRelease releases on a goroutine of its own, one
+	// Step at a time, while the rest of backward runs.
 	Step(ps []*nn.Param)
 	// SetLR changes the learning rate (driven by the schedule).
 	SetLR(lr float64)

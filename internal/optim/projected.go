@@ -6,7 +6,7 @@
 // state is therefore declared once, as the Schema NewProjected builds, and
 // the StateTable derives allocation, byte and element accounting and the
 // canonical checkpoint layout from it (state.go); what is left here is the
-// engine — the seed draw over Base's first touches, the refresh cadence, the
+// engine — the projector seed of each first touch, the refresh cadence, the
 // parallel step — and an optimizer of the family is a constructor plus a Rule.
 package optim
 
@@ -178,7 +178,7 @@ type Rule func(e *Projected, st *ProjState, p *nn.Param, grad *tensor.Matrix, ws
 // Optimizer; everything but Step is its Base's, and parameters that are not
 // projected are the Base's dense AdamW's.
 type Projected struct {
-	Base // its rng draws one projector seed per projected parameter, in step order
+	Base
 	cfg  LowRankConfig
 	rule Rule
 	// refresh rebuilds st's projection from grad; Flora replaces the default
@@ -189,15 +189,16 @@ type Projected struct {
 }
 
 // NewProjected builds an engine around rule. cfg is taken as resolved (no
-// defaults are applied; cfg.Seed seeds the projector-seed stream); limiter
-// says whether the rule uses ProjState.LimitNormGrowth.
+// defaults are applied); a projected parameter's projector is seeded
+// tensor.Mix(cfg.Seed, its name). limiter says whether the rule uses
+// ProjState.LimitNormGrowth.
 //
 // The state it declares is Table 1's: 2nr rank-space moments, the projector
 // (mr for a persisted SVD projection, 1 for a random projection's seed) and,
-// for limiter rules, one float of limiter memory. Canonical layout — globals:
-// [projector-seed RNG phase]; projected parameters: Scalars [t, since,
-// (prevNorm bits — limiter rules only,) proj seed, proj rng, proj m, proj
-// ready]; Whole [m (r×n), v (r×n)] (+ the r×m SVD projection once built).
+// for limiter rules, one float of limiter memory. Canonical layout of a
+// projected parameter: Scalars [t, since, (prevNorm bits — limiter rules
+// only,) proj seed, proj rng, proj m, proj ready]; Whole [m (r×n), v (r×n)]
+// (+ the r×m SVD projection once built).
 // Only the dense fallback is element-wise; a projected matrix's subspace
 // statistics couple all of it. Other parameters are dense AdamW's.
 func NewProjected(name string, h Hyper, cfg LowRankConfig, limiter bool, rule Rule) *Projected {
@@ -218,7 +219,7 @@ func NewProjected(name string, h Hyper, cfg LowRankConfig, limiter bool, rule Ru
 		sc.Scalars = append(sc.Scalars, Scalar{Name: "prevNorm", Counted: true})
 	}
 	return &Projected{
-		Base:    NewBase(sc, h, tensor.NewRNG(cfg.Seed), NewAdamW(h)),
+		Base:    NewBase(sc, h, NewAdamW(h)),
 		cfg:     cfg,
 		rule:    rule,
 		refresh: func(st *ProjState, grad *tensor.Matrix) { st.Proj.Refresh(grad) },
@@ -247,9 +248,8 @@ func (e *Projected) ApplyScaledGrad(st *ProjState, p *nn.Param, s []float32, alp
 // UpdateGap steps), let the rule turn state and gradient into a direction,
 // apply it; everything not projected goes to dense AdamW.
 //
-// The serial half is Base's touch — the split, and first-touch allocation in
-// list order (the order a ZeRO partition steps its units in too) — plus the
-// projector-seed draw of each fresh entry. The projected parameters are then
+// The serial half is Base's touch — the split, and first-touch allocation —
+// plus the projector of each fresh entry. The projected parameters are then
 // stepped concurrently on the shared pool, workers claiming the next
 // unclaimed one. A parameter's update reads and writes nothing of any other
 // parameter, so the result is bit-identical at any pool width. After the
@@ -260,7 +260,7 @@ func (e *Projected) ApplyScaledGrad(st *ProjState, p *nn.Param, s []float32, alp
 func (e *Projected) Step(ps []*nn.Param) {
 	for _, j := range e.touch(ps) {
 		if j.fresh {
-			j.st.Proj = linalg.NewProjector(e.cfg.Projection, e.cfg.Rank, e.rng.Uint64())
+			j.st.Proj = linalg.NewProjector(e.cfg.Projection, e.cfg.Rank, tensor.Mix(e.cfg.Seed, j.p.Name))
 		}
 	}
 

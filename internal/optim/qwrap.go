@@ -11,20 +11,17 @@ import (
 // stochastic rounding and decoded back, so the resident master copy is one
 // byte per element (the Q-GaLore / Q-APOLLO weight path of Table 8). Updates
 // smaller than one quantization step survive in expectation through the
-// stochastic rounding.
+// stochastic rounding, which for parameter p is keyed tensor.Mix(seed, p.Name)
+// and its weight's store count.
 type WeightQuantized struct {
 	inner Optimizer
-	rng   *tensor.RNG
+	seed  uint64
 	qw    map[*nn.Param]*quant.QuantizedWeight
 }
 
 // NewWeightQuantized wraps inner with the paper's group size of 128.
 func NewWeightQuantized(inner Optimizer, seed uint64) *WeightQuantized {
-	return &WeightQuantized{
-		inner: inner,
-		rng:   tensor.NewRNG(seed),
-		qw:    map[*nn.Param]*quant.QuantizedWeight{},
-	}
+	return &WeightQuantized{inner: inner, seed: seed, qw: map[*nn.Param]*quant.QuantizedWeight{}}
 }
 
 // Name implements Optimizer.
@@ -46,14 +43,18 @@ func (w *WeightQuantized) Step(ps []*nn.Param) {
 		}
 		q, ok := w.qw[p]
 		if !ok {
-			q = quant.NewQuantizedWeight(p.W, quant.DefaultGroupSize, w.rng.Uint64())
+			q = w.newWeight(p)
 			w.qw[p] = q
-			q.Materialize(p.W)
-			continue
+		} else {
+			q.Store(p.W)
 		}
-		quant.Quantize(q.Q, p.W, w.rng)
-		quant.Dequantize(q.Q, p.W)
+		q.Materialize(p.W)
 	}
+}
+
+// newWeight encodes p's weight as the first state of its quantized copy.
+func (w *WeightQuantized) newWeight(p *nn.Param) *quant.QuantizedWeight {
+	return quant.NewQuantizedWeight(p.W, quant.DefaultGroupSize, tensor.Mix(w.seed, p.Name))
 }
 
 // StateBytes implements Optimizer (inner states only; the INT8 weight
@@ -62,9 +63,8 @@ func (w *WeightQuantized) Step(ps []*nn.Param) {
 func (w *WeightQuantized) StateBytes() int64 { return w.inner.StateBytes() }
 
 // StateElemsFor, StateBytesFor and RowSplittable implement StateIntrospector:
-// the state is the inner optimizer's, but ownership is never cut along rows —
-// INT8 groups straddle row boundaries, and a row view would draw its own
-// per-weight rounding stream.
+// the state is the inner optimizer's, but ownership is never cut along rows,
+// because INT8 groups straddle row boundaries.
 func (w *WeightQuantized) StateElemsFor(p *nn.Param) int64 {
 	if si, ok := w.inner.(StateIntrospector); ok {
 		return si.StateElemsFor(p)

@@ -24,7 +24,7 @@ func NewSGD(h Hyper, momentum float64) *SGD {
 		sc.Name = "SGD-M"
 		sc.Slots = []Slot{{Name: "velocity", Kind: RowAligned}}
 	}
-	return &SGD{Base: NewBase(sc, h, nil, nil), momentum: momentum}
+	return &SGD{Base: NewBase(sc, h, nil), momentum: momentum}
 }
 
 // Step implements Optimizer.

@@ -10,11 +10,12 @@
 //     that parameter's gradient and state. This holds for the whole zoo
 //     (clipping, the one cross-parameter coupling, happens in the trainer
 //     before Step), so an element-wise update may be cut along rows.
-//  2. Order-dependent randomness stays in order: projector seeds, factor
-//     initializations and stochastic-rounding noise are drawn from one
-//     stream per optimizer in *step order*. The partitioner therefore steps
-//     its one optimizer over every unit in list order; it never builds a
-//     second instance whose stream would have to be replayed.
+//  2. Randomness is keyed, not streamed: projector seeds, factor
+//     initializations and stochastic-rounding noise are functions of the
+//     member's seed, the parameter's name and its own counters
+//     (tensor.Mix), so no draw depends on which units were stepped before
+//     it. A randomized update is never row-splittable, so a unit that draws
+//     is always the whole parameter, under its own name.
 //
 // This file holds the hook interfaces only. No optimizer answers
 // StateIntrospector by hand: StateElemsFor is summed from the slots its
@@ -62,6 +63,8 @@ type Segment struct {
 // wrapper hands its one inner optimizer every owned segment in list order —
 // so the trainer needs the ownership map only to tree-broadcast each shard's
 // updated weights from its owner replica and to report per-replica state.
+// Because Init fixes the map from the list it is first handed, the training
+// loop steps a ShardedStepper over the whole list, never group by group.
 type ShardedStepper interface {
 	Optimizer
 	// Init fixes the parameter list and partitions it. Idempotent for the

@@ -60,7 +60,9 @@ type Scalar struct {
 // appends it to the canonical layout — Scalars [… seed, rng phase, projected
 // dim, ready]; Whole [… the r×m SVD matrix once built; a random projection is
 // regenerated from its seed and never persisted] — and rebuilds it on
-// restore. Its seed is the owner's to draw, at first touch.
+// restore. The owner seeds it at first touch from its own seed and the
+// parameter's name (tensor.Mix), so which projector a parameter gets does not
+// depend on the parameters stepped before it.
 type Projection struct {
 	Kind linalg.ProjectionKind
 	Rank int
@@ -81,11 +83,6 @@ type Schema struct {
 	// not of the slots: StructuredAdamW's moments are row-aligned but its
 	// channel norms couple the rows.
 	RowSplittable func(p *nn.Param) bool
-	// Redraws says the update draws from the member's global random stream
-	// (NewBase's rng) after a parameter's first touch — rounding noise every
-	// step, a restart's fresh factors — so which parameter gets which draw
-	// depends on the order they are stepped in: the member is not OrderFree.
-	Redraws bool
 }
 
 // Entry is the state held for one parameter, in declaration order.
@@ -109,7 +106,6 @@ func (e *Entry) Adam(t, m, v int, out, g *tensor.Matrix, h Hyper) {
 // StateLoader. NewBase builds it; optimizers embed it through their Base.
 type StateTable struct {
 	schema   Schema
-	rng      *tensor.RNG // the random stream the owner draws from (nil: none); its phase is the global cursor
 	fallback *StateTable // holds the parameters the schema does not cover
 	entries  map[*nn.Param]*Entry
 }
@@ -244,43 +240,6 @@ func (t *StateTable) RowSplittable(p *nn.Param) bool {
 		return t.fallback != nil && t.fallback.RowSplittable(p)
 	}
 	return t.schema.RowSplittable != nil && t.schema.RowSplittable(p)
-}
-
-// CaptureGlobals implements StateSaver: the owner's RNG phase, then the
-// fallback's cursors.
-func (t *StateTable) CaptureGlobals() ([]uint64, error) {
-	var gs []uint64
-	if t.rng != nil {
-		gs = append(gs, t.rng.State())
-	}
-	if t.fallback != nil {
-		inner, err := t.fallback.CaptureGlobals()
-		if err != nil {
-			return nil, err
-		}
-		gs = append(gs, inner...)
-	}
-	return gs, nil
-}
-
-// RestoreGlobals implements StateLoader.
-func (t *StateTable) RestoreGlobals(gs []uint64) error {
-	own := 0
-	if t.rng != nil {
-		own = 1
-	}
-	if len(gs) < own || (t.fallback == nil && len(gs) != own) {
-		return fmt.Errorf("optim: %s: %d global cursors, want %d", t.schema.Name, len(gs), own)
-	}
-	if t.fallback != nil {
-		if err := t.fallback.RestoreGlobals(gs[own:]); err != nil {
-			return err
-		}
-	}
-	if own == 1 {
-		t.rng.SetState(gs[0])
-	}
-	return nil
 }
 
 // CaptureParam implements StateSaver with the canonical layout the schema

@@ -40,20 +40,24 @@ func NewTensor8(rows, cols, groupSize int) *Tensor8 {
 	}
 }
 
-// Quantize encodes m into q. If rng is non-nil, stochastic rounding is used
-// (required when the tensor is an optimizer state that accumulates small
-// updates); otherwise round-to-nearest.
-func Quantize(q *Tensor8, m *tensor.Matrix, rng *tensor.RNG) {
+// Quantize encodes m into q with stochastic rounding (required when the
+// tensor is an optimizer state that accumulates small updates): element e
+// rounds up with probability equal to its fractional code, against
+// tensor.Uniform(key, e). The noise depends on key and e alone, so a caller
+// that keys it by what the tensor is draws the same codes in any order.
+func Quantize(q *Tensor8, m *tensor.Matrix, key uint64) { quantize(q, m, key, true) }
+
+// QuantizeNearest encodes m into q with round-to-nearest.
+func QuantizeNearest(q *Tensor8, m *tensor.Matrix) { quantize(q, m, 0, false) }
+
+func quantize(q *Tensor8, m *tensor.Matrix, key uint64, stochastic bool) {
 	if q.Rows != m.Rows || q.Cols != m.Cols {
 		panic(fmt.Sprintf("quant: shape mismatch %dx%d vs %dx%d", q.Rows, q.Cols, m.Rows, m.Cols))
 	}
 	n := len(m.Data)
 	for g := 0; g*q.GroupSize < n; g++ {
 		lo := g * q.GroupSize
-		hi := lo + q.GroupSize
-		if hi > n {
-			hi = n
-		}
+		hi := min(lo+q.GroupSize, n)
 		var absmax float32
 		for _, v := range m.Data[lo:hi] {
 			a := v
@@ -77,11 +81,11 @@ func Quantize(q *Tensor8, m *tensor.Matrix, rng *tensor.RNG) {
 		for i := lo; i < hi; i++ {
 			x := float64(m.Data[i] * inv)
 			var code int
-			if rng != nil {
+			if stochastic {
 				floor := math.Floor(x)
 				frac := x - floor
 				code = int(floor)
-				if rng.Float64() < frac {
+				if tensor.Uniform(key, i) < frac {
 					code++
 				}
 			} else {
@@ -108,10 +112,7 @@ func Dequantize(q *Tensor8, out *tensor.Matrix) *tensor.Matrix {
 	}
 	for g := 0; g*q.GroupSize < len(q.Codes); g++ {
 		lo := g * q.GroupSize
-		hi := lo + q.GroupSize
-		if hi > len(q.Codes) {
-			hi = len(q.Codes)
-		}
+		hi := min(lo+q.GroupSize, len(q.Codes))
 		s := q.Scales[g]
 		for i := lo; i < hi; i++ {
 			out.Data[i] = float32(q.Codes[i]) * s
@@ -130,7 +131,7 @@ func (q *Tensor8) Bytes() int64 {
 // round-trip through INT8. Used by tests and by the memory/quality tables.
 func QuantError(m *tensor.Matrix, groupSize int) float64 {
 	q := NewTensor8(m.Rows, m.Cols, groupSize)
-	Quantize(q, m, nil)
+	QuantizeNearest(q, m)
 	back := Dequantize(q, nil)
 	diff := tensor.Sub(back, m)
 	denom := m.Norm()
@@ -141,21 +142,21 @@ func QuantError(m *tensor.Matrix, groupSize int) float64 {
 }
 
 // QuantizedWeight keeps a weight matrix in INT8 between steps and exposes a
-// float32 working copy for forward/backward. Update() folds a delta into the
-// quantized representation with stochastic rounding — the Q-GaLore / Q-APOLLO
-// weight path.
+// float32 working copy for forward/backward — the Q-GaLore / Q-APOLLO weight
+// path. Its rounding noise is keyed by the weight's own key and its store
+// count, never by which other weights were stored before it.
 type QuantizedWeight struct {
-	Q   *Tensor8
-	rng *tensor.RNG
+	Q *Tensor8
+	// Draws counts the stochastic stores so far: the persistent cursor.
+	Draws uint64
+	key   uint64
 }
 
-// NewQuantizedWeight quantizes w as the initial state.
-func NewQuantizedWeight(w *tensor.Matrix, groupSize int, seed uint64) *QuantizedWeight {
-	qw := &QuantizedWeight{
-		Q:   NewTensor8(w.Rows, w.Cols, groupSize),
-		rng: tensor.NewRNG(seed),
-	}
-	Quantize(qw.Q, w, nil)
+// NewQuantizedWeight encodes w round-to-nearest as the initial state of the
+// weight keyed by key.
+func NewQuantizedWeight(w *tensor.Matrix, groupSize int, key uint64) *QuantizedWeight {
+	qw := &QuantizedWeight{Q: NewTensor8(w.Rows, w.Cols, groupSize), key: key}
+	QuantizeNearest(qw.Q, w)
 	return qw
 }
 
@@ -164,19 +165,12 @@ func (qw *QuantizedWeight) Materialize(out *tensor.Matrix) *tensor.Matrix {
 	return Dequantize(qw.Q, out)
 }
 
-// Update applies w ← w + delta in the quantized domain: decode, add,
-// re-encode with stochastic rounding.
-func (qw *QuantizedWeight) Update(delta *tensor.Matrix) {
-	w := Dequantize(qw.Q, nil)
-	tensor.AddInPlace(w, delta)
-	Quantize(qw.Q, w, qw.rng)
+// Store re-encodes w as the weight with stochastic rounding, keyed
+// tensor.Mix(key, "", Draws).
+func (qw *QuantizedWeight) Store(w *tensor.Matrix) {
+	Quantize(qw.Q, w, tensor.Mix(qw.key, "", qw.Draws))
+	qw.Draws++
 }
 
 // Bytes returns the resident byte count.
 func (qw *QuantizedWeight) Bytes() int64 { return qw.Q.Bytes() }
-
-// RNGState exposes the stochastic-rounding RNG phase for checkpointing.
-func (qw *QuantizedWeight) RNGState() uint64 { return qw.rng.State() }
-
-// SetRNGState restores a phase captured by RNGState.
-func (qw *QuantizedWeight) SetRNGState(s uint64) { qw.rng.SetState(s) }

@@ -19,7 +19,7 @@ func TestRoundTripErrorSmall(t *testing.T) {
 func TestRoundTripExactForZeros(t *testing.T) {
 	m := tensor.NewMatrix(8, 8)
 	q := NewTensor8(8, 8, 4)
-	Quantize(q, m, nil)
+	QuantizeNearest(q, m)
 	back := Dequantize(q, nil)
 	if !back.Equal(m) {
 		t.Fatal("zero tensor must round-trip exactly")
@@ -29,7 +29,7 @@ func TestRoundTripExactForZeros(t *testing.T) {
 func TestQuantizePreservesSign(t *testing.T) {
 	m := tensor.FromSlice(1, 4, []float32{-3, -1, 1, 3})
 	q := NewTensor8(1, 4, 4)
-	Quantize(q, m, nil)
+	QuantizeNearest(q, m)
 	back := Dequantize(q, nil)
 	for i, v := range back.Data {
 		if (v < 0) != (m.Data[i] < 0) {
@@ -48,7 +48,7 @@ func TestGroupScalesIndependent(t *testing.T) {
 		m.Data[i] = 0.001 * float32(i)
 	}
 	q := NewTensor8(1, 8, 4)
-	Quantize(q, m, nil)
+	QuantizeNearest(q, m)
 	back := Dequantize(q, nil)
 	for i := 4; i < 8; i++ {
 		if math.Abs(float64(back.Data[i]-m.Data[i])) > 1e-4 {
@@ -60,7 +60,6 @@ func TestGroupScalesIndependent(t *testing.T) {
 func TestStochasticRoundingUnbiased(t *testing.T) {
 	// Encoding a constant 0.5-of-a-code value many times must average to
 	// the true value, not the floor.
-	rng := tensor.NewRNG(2)
 	m := tensor.NewMatrix(1, 128)
 	m.Fill(0.5)
 	// Add one sentinel 127 so scale = 1/... known: absmax=127? simpler:
@@ -69,7 +68,7 @@ func TestStochasticRoundingUnbiased(t *testing.T) {
 	var sum float64
 	const trials = 400
 	for k := 0; k < trials; k++ {
-		Quantize(q, m, rng)
+		Quantize(q, m, tensor.Mix(2, "", uint64(k)))
 		back := Dequantize(q, nil)
 		sum += float64(back.Data[1])
 	}
@@ -93,7 +92,7 @@ func TestQuantizedWeightUpdate(t *testing.T) {
 	qw := NewQuantizedWeight(w, 32, 7)
 	delta := tensor.NewMatrixRand(8, 8, 0.1, rng)
 	before := qw.Materialize(nil)
-	qw.Update(delta)
+	qw.Store(tensor.Add(before, delta))
 	after := qw.Materialize(nil)
 	moved := tensor.Sub(after, before)
 	// The realized movement must correlate strongly with the requested delta.
@@ -116,7 +115,7 @@ func TestQuantizedWeightAccumulatesSmallUpdates(t *testing.T) {
 	delta := tensor.NewMatrix(1, 128)
 	delta.Data[5] = 0.001 // far below one code (scale ≈ 1/127)
 	for i := 0; i < 3000; i++ {
-		qw.Update(delta)
+		qw.Store(tensor.Add(qw.Materialize(nil), delta))
 	}
 	got := qw.Materialize(nil).Data[5]
 	if got < 1.0 { // expect ≈ 3.0 accumulated
@@ -129,7 +128,7 @@ func TestQuantizeClampsOutliers(t *testing.T) {
 		rng := tensor.NewRNG(seed)
 		m := tensor.NewMatrixRand(4, 32, 10, rng)
 		q := NewTensor8(4, 32, 16)
-		Quantize(q, m, rng)
+		Quantize(q, m, seed)
 		for _, c := range q.Codes {
 			if c > 127 || c < -127 {
 				return false
@@ -146,7 +145,7 @@ func TestDequantizeIntoProvided(t *testing.T) {
 	rng := tensor.NewRNG(5)
 	m := tensor.NewMatrixRand(4, 4, 1, rng)
 	q := NewTensor8(4, 4, 8)
-	Quantize(q, m, nil)
+	QuantizeNearest(q, m)
 	out := tensor.NewMatrix(4, 4)
 	got := Dequantize(q, out)
 	if got != out {

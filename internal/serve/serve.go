@@ -28,7 +28,7 @@
 // TestBatchedScoringMatchesEval).
 //
 // Memory contract: an open snapshot costs model-weight memory, not
-// training memory — ckpt.ReadModel skips the OPTG/OPTP optimizer sections
+// training memory — ckpt.ReadModel skips the OPTP optimizer section
 // and gradient accumulators are freed after load, so Entry.ResidentBytes
 // tracks memmodel.ServeBytes within 2% (TestResidentBytesMatchServeModel).
 package serve

@@ -89,3 +89,39 @@ func (r *RNG) State() uint64 { return r.state }
 // it performs no warm-up: the next draw continues exactly where the
 // captured generator left off.
 func (r *RNG) SetState(s uint64) { r.state = s }
+
+// Mix is the one way a key for randomness is derived: seed, then the bytes
+// of name (FNV-1a; an empty name adds nothing, so Mix(key, "", c…) extends
+// key), then each counter, each folded in by one splitmix64 step. A
+// component that needs randomness keys it by what it is for — a parameter's
+// name, a step, a slot — never by the order it is asked in, so stepping
+// parameters in any order, in any grouping, draws the same numbers.
+func Mix(seed uint64, name string, counters ...uint64) uint64 {
+	z := seed
+	if name != "" {
+		h := uint64(0xCBF29CE484222325)
+		for i := 0; i < len(name); i++ {
+			h = (h ^ uint64(name[i])) * 0x100000001B3
+		}
+		z = fold(z, h)
+	}
+	for _, c := range counters {
+		z = fold(z, c)
+	}
+	return z
+}
+
+// Uniform returns element e's sample in [0, 1) of the stream keyed by key:
+// float64(Mix(key, "", e)) at 53 bits, which is the (e+1)-th output of a
+// splitmix64 generator seeded at key.
+func Uniform(key uint64, e int) float64 {
+	return float64(fold(key, uint64(e))>>11) / float64(1<<53)
+}
+
+// fold is one splitmix64 step from state z, advanced by w+1 increments.
+func fold(z, w uint64) uint64 {
+	z += (w + 1) * 0x9E3779B97F4A7C15
+	z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9
+	z = (z ^ (z >> 27)) * 0x94D049BB133111EB
+	return z ^ (z >> 31)
+}

@@ -20,16 +20,19 @@ import (
 // Cross-commit checkpoint fixtures. Every other checkpoint test writes and
 // reads with the same binary, so a change to the canonical optimizer-state
 // layout that is self-consistent would pass them all and still strand every
-// checkpoint already on disk. The files under testdata/ were written once,
+// checkpoint already on disk. The files under testdata/ were first written
 // by commit 13dac4a (the last one with four hand-kept projected optimizers)
 // for the projected family and by commit 3060225 (the last one where the
 // rest of the zoo hand-kept its checkpoint hooks) for AdamW, 8-bit GaLore,
 // DoRA and Q-APOLLO: fused Pretrain on fixtureSetup/fixtureConfig for
-// fixtureAt steps, saved at that step. The digests are the sha256 of the
-// checkpoint file the same commit reached by resuming each fixture to
-// fixtureEnd. They are not regenerable from HEAD by design — a new fixture
-// is written with the commit that introduces its optimizer and then never
-// touched.
+// fixtureAt steps, saved at that step. All eight were rewritten once, in
+// format version 2 (no optimizer-level cursor section; random draws keyed
+// by parameter), by the same procedure — which reproduced the version-1
+// files byte for byte on the commit before. The digests are the sha256 of
+// the checkpoint file the writing commit reached by resuming each fixture
+// to fixtureEnd. They are not regenerable from HEAD by design — a new
+// fixture is written with the commit that introduces its optimizer or its
+// format and then never touched.
 const (
 	fixtureAt  = 5 // step the fixtures were saved at: past one refresh (gap 3), limiter armed
 	fixtureEnd = 9 // resumed to here: crosses the step-6 refresh
@@ -41,44 +44,42 @@ var ckptFixtures = []struct {
 	// sha256 of the step-fixtureEnd checkpoint, resumed by the fused loop
 	// and by DPPretrain at 3 replicas (the two loops round differently by
 	// contract, so each has its own digest). zero3 is what both build() and
-	// zero.NewSharded(build(), 3) must reach there; for galore8bit and
-	// q-apollo it was recorded from the unsharded optimizer, the one form in
-	// which the commits before the partition was one optimizer could run them.
+	// zero.NewSharded(build(), 3) must reach there.
 	fused, zero3 string
 }{
 	// SVD P (third Whole matrix) + limiter scalar: both optional slots.
 	{"fira.ckpt", func() optim.Optimizer {
 		return optim.NewFira(fixtureHyper, optim.LowRankConfig{Rank: 2, Seed: 5, UpdateGap: 3})
-	}, "8562a53b433676b635f3ed53f633850754aabcc104e2fdb89f0fce621c4ed7aa",
-		"f022a0ce3025a7040bb39254e693bed88f9e9165bfd3b5c1ad46c0c765b9f7c4"},
+	}, "9c9b13bd29ff9d767f0e7420bfd1f6c034ae13942de7caf60211069f49047d69",
+		"1069c24dfb2fbb08ded51d1de4b5064579da78ad8b35800861158d210e78ded5"},
 	{"flora.ckpt", func() optim.Optimizer {
 		return optim.NewFlora(fixtureHyper, optim.LowRankConfig{Rank: 2, Seed: 5, UpdateGap: 3})
-	}, "c9f4e849989f0cf38b65e3cf3ffcf402616079fd8fdff295bcf314670a6498da",
-		"08372cbfbe7f7438e6b0a472a00af0b7aeff404e452058616c96ec556ec9032b"},
+	}, "f441b702976f8f34f388bee2bec589ffeee65c84516eb3cc8db5be5e591fed4b",
+		"a6983c76b6c98f582a1fc96b3db4a4067837659dabfbcb2834fe8b74b463a58b"},
 	{"galore-rp.ckpt", func() optim.Optimizer {
 		return optim.NewGaLore(fixtureHyper, optim.LowRankConfig{
 			Rank: 2, Seed: 5, UpdateGap: 3, Projection: linalg.RandomProjection})
-	}, "f553cf32d44306782545e4a30ecc89bbb070fb2620056a614a6562d7196db6f4",
-		"0c8b6c559937ab24381aff7446c8f181d77f4e556c936def9ec65d3914db6283"},
+	}, "ab4032d38d800dc91c8647771fe311331d80d3ede5763c294d78de190f4e4b65",
+		"f426c5c0021dbd16e29a694347b67ff1dfe75b874318858a24d94cc5e1d96f49"},
 	{"apollo.ckpt", func() optim.Optimizer {
 		return core.New(fixtureHyper, core.Config{Rank: 2, Seed: 5, UpdateGap: 3})
-	}, "b8e48406782f6d2740d874df8fa0410139ee7af676cfe98efb1a8fc437884b67",
-		"80ee6d6fd3777ece20a9f01c965e0ec4f8d4d2c733116773a50b0b8980841362"},
+	}, "153b4a6b9987df96965dfc9915927b10483cfa85e6696c0f3485b7e4ab95c84a",
+		"bcf8208533233a4e7e643a1e9003824b8367ee709d14c7eb155ed1882b04c582"},
 	// Row-aligned moments: the one layout ZeRO cuts along rows.
 	{"adamw.ckpt", func() optim.Optimizer { return optim.NewAdamW(fixtureHyper) },
-		"7b4624d5797cadfc345517a37bca96d5a134f812379dbe07d0223e1947a5662a", "3c9c9e6a78a57f580456e2aa80bfd266a3bb8e5100cb582594813fd24ae6da7c"},
-	// INT8 blobs + projector scalars + SVD P, and the two-cursor globals.
+		"3bbdbc0e1f928e9a0a8991bbed1b6a9eae17eb9c5e1a264f721ab3cd7f6455bd", "0a1844164a167a29859fd5ff6d17fc360a2dc9d0915993616dcb3265c7f10f88"},
+	// INT8 blobs + projector scalars + SVD P.
 	{"galore8bit.ckpt", func() optim.Optimizer {
 		return optim.NewGaLore8bit(fixtureHyper, optim.LowRankConfig{Rank: 2, Seed: 5, UpdateGap: 3})
-	}, "e09e557290116da72d8ff84c7409f6f871f480e22754a97354e29ea17bd5e663", "b17ebb63d29d91cf497faa81e8f425be47ca1ad75c6f92c13a49d9fadfb73da8"},
+	}, "05fa71df7483489c7d1184a276f11fcdd754ad4c5574b65a71f14af57872a206", "c604a5a3136852aa701f40db26cca871d3cb41804eb79a135cb7893c62acb083"},
 	// Every optional Factorized slot: frozen base, magnitudes and their moments.
 	{"dora.ckpt", func() optim.Optimizer {
 		return optim.NewFactorized(fixtureHyper, optim.FactorizedConfig{Mode: optim.ModeDoRA, Rank: 2, Seed: 5})
-	}, "53b6c07d3c6ba570d65a52768334f06607189c6e665f4b32059f769a61af843e", "45b113c8244143bd7ebc20b13ad6a32fcc6e8dcc14319e59cb0be0fe781f443c"},
+	}, "a9b16b84c999c2c01e27ce5898d90d561f6e908ab6e2853f77acb2b5bfa2025a", "5b5a90497ccc8503bf2d31242e437e3930ba03afbf65ca659ae3aa6ec5650b96"},
 	// Nested Sub state under INT8 weight blobs.
 	{"q-apollo.ckpt", func() optim.Optimizer {
 		return optim.NewWeightQuantized(core.New(fixtureHyper, core.Config{Rank: 2, Seed: 5, UpdateGap: 3}), 6)
-	}, "a34c62b479212b926b53746ca6f0215d36f49c7ca55b14fff0628a2abd0919a5", "e0317a86aa1ad98d2e56d53c5b9f7a2d3b5ee829886d069a41494343d327b136"},
+	}, "c9ae49d680209430f1cc6c70c318c9246199265021e7136f47655621c0c303e5", "5979d9e16d3e734a278ac3a09bf8dabd28d2d93eb6a7fff3d1a24202c0c3832a"},
 }
 
 var fixtureHyper = optim.Hyper{LR: 1e-3, WeightDecay: 0.01}

@@ -7,6 +7,7 @@ import (
 	"apollo/internal/data"
 	"apollo/internal/nn"
 	"apollo/internal/optim"
+	"apollo/internal/zero"
 )
 
 // groupLog records the length of every list Step is handed.
@@ -14,47 +15,45 @@ type groupLog struct{ sizes []int }
 
 func (l *groupLog) add(ps []*nn.Param) { l.sizes = append(l.sizes, len(ps)) }
 
-// Embedding a member keeps its OrderFree answer; the plain wrapper has none.
+// logged records what Step is handed; loggedSharded does so for a
+// ShardedStepper without hiding that it is one.
 type (
-	loggedAdamW struct {
-		*optim.AdamW
-		log *groupLog
-	}
-	loggedAdam8bit struct {
-		*optim.Adam8bit
-		log *groupLog
-	}
-	loggedWrapper struct {
+	logged struct {
 		optim.Optimizer
+		log *groupLog
+	}
+	loggedSharded struct {
+		*zero.Sharded
 		log *groupLog
 	}
 )
 
-func (o loggedAdamW) Step(ps []*nn.Param)    { o.log.add(ps); o.AdamW.Step(ps) }
-func (o loggedAdam8bit) Step(ps []*nn.Param) { o.log.add(ps); o.Adam8bit.Step(ps) }
-func (o loggedWrapper) Step(ps []*nn.Param)  { o.log.add(ps); o.Optimizer.Step(ps) }
+func (o logged) Step(ps []*nn.Param)        { o.log.add(ps); o.Optimizer.Step(ps) }
+func (o loggedSharded) Step(ps []*nn.Param) { o.log.add(ps); o.Sharded.Step(ps) }
 
 // TestReleaseGroupsReachStep pins when the loop steps the groups backward
-// releases and when it falls back to one whole-list Step: only the fused
-// stage of an unclipped run with an order-free optimizer, and there not on
-// the run's first step, nor after a batch with no target (no backward ran),
-// and under -accum only once per step. The dpTestSetup model has 21
-// parameters: [norm_f, head], two blocks of 9, [embed].
+// releases and when it falls back to one whole-list Step: every optimizer is
+// handed the groups in the fused stage of an unclipped run, from the run's
+// first step on, and under -accum only once per step. Whole lists are left
+// for clipping (which needs the global norm first), the data-parallel stage
+// and a ShardedStepper (whose ownership map is fixed from the whole list),
+// and for a batch with no target (no backward ran). The dpTestSetup model
+// has 21 parameters: [norm_f, head], two blocks of 9, [embed].
 func TestReleaseGroupsReachStep(t *testing.T) {
 	h := optim.Hyper{LR: 1e-3}
 	whole, groups := []int{21}, []int{2, 9, 9, 1}
-	adamW := func(l *groupLog) optim.Optimizer { return loggedAdamW{optim.NewAdamW(h), l} }
+	adamW := func(l *groupLog) optim.Optimizer { return logged{optim.NewAdamW(h), l} }
 	cases := []struct {
 		name  string
 		opt   func(*groupLog) optim.Optimizer
 		tweak func(*DPConfig, *data.Corpus)
 		want  [][]int // per step
 	}{
-		{"unclipped", adamW, nil, [][]int{whole, groups, groups}},
+		{"unclipped", adamW, nil, [][]int{groups, groups, groups}},
 		{"unclipped/accum=2", adamW, func(c *DPConfig, _ *data.Corpus) { c.Accum = 2 },
-			[][]int{whole, groups, groups}},
+			[][]int{groups, groups, groups}},
 		{"unclipped/resumed", adamW, func(c *DPConfig, _ *data.Corpus) { c.StartStep = 1 },
-			[][]int{whole, groups}},
+			[][]int{groups, groups}},
 		{"unclipped/untargeted batch", adamW, func(_ *DPConfig, corpus *data.Corpus) {
 			calls := 0
 			corpus.HookTrainBatch = func(b *data.Batch) {
@@ -64,14 +63,17 @@ func TestReleaseGroupsReachStep(t *testing.T) {
 					}
 				}
 			}
-		}, [][]int{whole, whole, groups}},
+		}, [][]int{groups, whole, groups}},
 		{"clipped", adamW, func(c *DPConfig, _ *data.Corpus) { c.ClipNorm = 1 },
 			[][]int{whole, whole, whole}},
 		{"replicas=2", adamW, func(c *DPConfig, _ *data.Corpus) { c.Replicas = 2 },
 			[][]int{whole, whole, whole}},
-		{"8-bit Adam", func(l *groupLog) optim.Optimizer { return loggedAdam8bit{optim.NewAdam8bit(h, 1), l} }, nil,
-			[][]int{whole, whole, whole}},
-		{"unknown wrapper", func(l *groupLog) optim.Optimizer { return loggedWrapper{optim.NewAdamW(h), l} }, nil,
+		{"8-bit Adam", func(l *groupLog) optim.Optimizer { return logged{optim.NewAdam8bit(h, 1), l} }, nil,
+			[][]int{groups, groups, groups}},
+		{"unknown wrapper", func(l *groupLog) optim.Optimizer {
+			return logged{optim.NewWeightQuantized(optim.NewAdamW(h), 1), l}
+		}, nil, [][]int{groups, groups, groups}},
+		{"sharded", func(l *groupLog) optim.Optimizer { return loggedSharded{zero.NewSharded(optim.NewAdamW(h), 2), l} }, nil,
 			[][]int{whole, whole, whole}},
 	}
 	for _, c := range cases {

@@ -174,10 +174,10 @@ func pretrain(model *nn.Model, opt optim.Optimizer, corpus *data.Corpus, cfg Pre
 	timed := rec != nil || wd != nil
 	// Whether the fused stage may step each group backward releases while
 	// backward goes on, bit for bit one whole-list Step: not under clipping,
-	// which needs the global norm first, nor for an optimizer whose draws
-	// follow the list order; and never on a run's first step (below), whose
-	// first touches draw in list order.
-	overlap := dp == nil && cfg.ClipNorm <= 0 && optim.OrderFree(opt)
+	// which needs the global norm first, nor for a ShardedStepper, which fixes
+	// its ownership map from the whole list.
+	_, sharded := opt.(optim.ShardedStepper)
+	overlap := dp == nil && cfg.ClipNorm <= 0 && !sharded
 	endStep := cfg.Steps
 	for step := cfg.StartStep; step < cfg.Steps; step++ {
 		var stepStart time.Time
@@ -195,7 +195,7 @@ func pretrain(model *nn.Model, opt optim.Optimizer, corpus *data.Corpus, cfg Pre
 		switch {
 		case dp != nil:
 			loss = dp.gradient(batch, &pc)
-		case overlap && step > cfg.StartStep:
+		case overlap:
 			params.ZeroGrad()
 			stepped = stepDuring(opt, len(params.List()), func(release func([]*nn.Param)) {
 				loss = lossAccum(model, batch, accum, &pc, release)

@@ -7,10 +7,6 @@
 // checkpoint written under `-replicas N -zero` resumes under any
 // `-replicas M -zero` (the new Init computes a fresh partition and the
 // scatter follows it) or under a plain unsharded optimizer, bit-for-bit.
-//
-// Globals (RNG phases: projector seeds, factor inits, stochastic rounding)
-// are the one inner optimizer's own — there is no second copy to disagree
-// with.
 package zero
 
 import (
@@ -28,9 +24,6 @@ func (s *Sharded) CheckpointName() string {
 	}
 	return s.inner.Name()
 }
-
-// CaptureGlobals implements optim.StateSaver.
-func (s *Sharded) CaptureGlobals() ([]uint64, error) { return s.inner.CaptureGlobals() }
 
 // CaptureParam implements optim.StateSaver: gather the parameter's state
 // from its row segments into the canonical full-row layout.
@@ -72,9 +65,6 @@ func (s *Sharded) CaptureParam(p *nn.Param) (*optim.ParamState, error) {
 	}
 	return merged, nil
 }
-
-// RestoreGlobals implements optim.StateLoader.
-func (s *Sharded) RestoreGlobals(gs []uint64) error { return s.inner.RestoreGlobals(gs) }
 
 // RestoreParam implements optim.StateLoader: scatter the canonical state
 // across the current partition, slicing row-aligned matrices per segment.

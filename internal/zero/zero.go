@@ -19,17 +19,19 @@
 // others, via the same balanced-tree pattern the data-parallel stage uses
 // for gradients (see internal/train/dp.go).
 //
-// Determinism contract. Ascending (Param, Row0) order is the unsharded list
-// order, so every first-touch seed draw, factor initialization and
-// stochastic-rounding sample is consumed exactly as an unsharded run
-// consumes it, and a row split is applied only where the update is element-
-// or row-wise. Sharded stepping is therefore bit-identical to the inner
-// optimizer stepping the list itself, for every member of the zoo, by
-// construction: `-replicas N -zero` reproduces `-replicas 1` float-for-float
-// — weights, captured state and global cursors — while each replica is
-// charged ~1/N of the measured footprint (bench.TestCatalogueShardedParity
-// ranges the contract over the method catalogue; TestShardedStepParity and
-// train.TestZeroDPParity pin it here and through the trainer).
+// Determinism contract. Every random draw of a member is keyed by its seed
+// and the parameter's name (tensor.Mix), so it does not matter which units
+// are stepped before it, and a row split is applied only where the update is
+// element- or row-wise — never where it draws. Sharded stepping is therefore
+// bit-identical to the inner optimizer stepping the list itself, for every
+// member of the zoo, by construction: `-replicas N -zero` reproduces
+// `-replicas 1` float-for-float — weights and captured state — while each
+// replica is charged ~1/N of the measured footprint
+// (bench.TestCatalogueShardedParity ranges the contract over the method
+// catalogue; TestShardedStepParity and train.TestZeroDPParity pin it here and
+// through the trainer). The ownership map is fixed from the whole list at the
+// first Step, which is why the training loop hands a Sharded optimizer the
+// whole list rather than the groups backward releases.
 package zero
 
 import (
@@ -183,9 +185,7 @@ func (s *Sharded) OwnedSegments(shard int) []optim.Segment {
 }
 
 // StepShard steps only one shard's owned segments: one replica's share of
-// the step's work, which is what a probe times. It is not a way to train —
-// stepping shard by shard visits the units out of list order, and Step's
-// bit-parity with the unsharded optimizer rests on that order.
+// the step's work, which is what a probe times.
 func (s *Sharded) StepShard(shard int) {
 	if !s.ready {
 		panic("zero: StepShard before Init")
