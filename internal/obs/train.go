@@ -14,8 +14,8 @@ import (
 // A fused run uses Data/Forward/Backward/Step/Checkpoint/Eval and its phases
 // partition the step's wall time exactly; a data-parallel run adds AllReduce
 // and Broadcast, under ZeRO the Step phase is the sharded optimizer step,
-// and its Forward/Backward are summed across concurrently running replicas,
-// so their totals can exceed the step's wall time.
+// and its Forward/Backward/AllReduce are summed across concurrently running
+// replicas, so their totals can exceed the step's wall time.
 type Phase int
 
 const (

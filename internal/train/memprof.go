@@ -29,8 +29,9 @@ func paramListBytes(params []*nn.Param) (weights, grads int64) {
 // registered as one component per shard *instead* — the shards partition the
 // measured state exactly (ReplicaStateBytes sums to StateBytes), so the
 // total stays double-count free while showing the ~1/N split the sharding
-// buys. A data-parallel stage then adds its own residents: the per-sequence
-// gradient leaves and the replica models (weights + grads each).
+// buys. A data-parallel stage then adds its own residents: the partial-sum
+// buffers its replicas' tree folds have allocated so far, and the replica
+// models beside the master (weights + grads each; replica 0 is the master).
 func instrumentMemory(mp *memprof.Profiler, params []*nn.Param, opt optim.Optimizer, dp *dataParallel) {
 	if mp == nil {
 		return
@@ -50,9 +51,15 @@ func instrumentMemory(mp *memprof.Profiler, params []*nn.Param, opt optim.Optimi
 	if dp == nil {
 		return
 	}
-	mp.Set(memprof.CompDPGradLeaves, int64(len(dp.leaves))*weights)
+	mp.Track(memprof.CompDPGradLeaves, func() int64 {
+		var held int64
+		for _, rep := range dp.reps {
+			held += rep.spareBytes.Load()
+		}
+		return held
+	})
 	var repBytes int64
-	for _, rep := range dp.reps {
+	for _, rep := range dp.reps[1:] {
 		w, g := paramListBytes(rep.params)
 		repBytes += w + g
 	}

@@ -203,7 +203,8 @@ func TestObserverParity(t *testing.T) {
 			if dp := m.replicas > 0; hasReps != dp || hasLeaves != dp {
 				t.Fatalf("DP components present=%v/%v in a run with %d replicas: %v", hasReps, hasLeaves, m.replicas, comp)
 			}
-			if m.replicas > 0 && (comp[memprof.CompDPReplicas] <= 0 || comp[memprof.CompDPGradLeaves] <= 0) {
+			// dp_replicas counts the models beside the master: none at N = 1.
+			if m.replicas > 0 && (comp[memprof.CompDPGradLeaves] <= 0 || m.replicas > 1 && comp[memprof.CompDPReplicas] <= 0) {
 				t.Fatalf("DP components empty: %v", comp)
 			}
 		})

@@ -56,8 +56,10 @@ type Result struct {
 	// (obs.Phase names: data, forward, backward, allreduce, step, broadcast,
 	// checkpoint, eval). Nil unless PretrainConfig.Telemetry was set. A
 	// fused run has no allreduce/broadcast entries and its phases partition
-	// each step's wall time exactly; a data-parallel run's forward/backward
-	// are summed across concurrently running replicas and can exceed it.
+	// each step's wall time exactly; a data-parallel run's forward, backward
+	// and allreduce are summed across concurrently running replicas (each
+	// replica folds its leaves into the tree between its sequences) and can
+	// exceed it.
 	PhaseSeconds map[string]float64
 	// StepWallSeconds is the wall time spent inside training steps (the sum
 	// RecordStep saw), excluding the final out-of-loop validation. Zero
