@@ -129,8 +129,9 @@ func DPPretrain(m *Model, opt Optimizer, corpus *Corpus, cfg DPConfig) Result {
 }
 
 // ZeRO is a ZeRO-style sharded-state wrapper around any optimizer: one
-// inner optimizer under a deterministic, state-balanced map of which of N
-// owner shards holds each parameter's (or row range's) state.
+// optimizer's own state under a deterministic, state-balanced map of which of
+// N owner shards is charged each parameter's (or row range's) state and
+// broadcasts its stepped weights. The map only charges and broadcasts.
 type ZeRO = zero.Sharded
 
 // NewZeRO wraps the optimizer build returns (called once) in ZeRO-style
@@ -138,8 +139,9 @@ type ZeRO = zero.Sharded
 // checkpointable by type; the wrapper additionally needs the per-parameter
 // state introspection all of this package's optimizers provide and panics
 // on one without it. Used with DPPretrain at the same replica count,
-// training stays bit-identical to the unsharded single-replica run
-// while each replica holds only ~1/N of the optimizer state (see
+// training stays bit-identical to the unsharded single-replica run — the
+// inner optimizer steps the list itself — while each replica is charged only
+// ~1/N of the optimizer state (see
 // internal/zero for the determinism contract; Result.ReplicaStateBytes
 // reports the measured per-replica footprint). The wrapper is also a valid
 // drop-in Optimizer for Pretrain's fused stage, where it is stepped over the
@@ -155,8 +157,8 @@ type Checkpoint = ckpt.State
 
 // SaveCheckpoint snapshots a training run after `step` completed steps and
 // writes it atomically to path. The optimizer must support checkpointing
-// (every optimizer in this zoo does); a ZeRO wrapper gathers its shard-owned
-// state into the canonical layout first.
+// (every optimizer in this zoo does); a ZeRO wrapper saves through its inner
+// optimizer, whose state is already the canonical, world-independent one.
 func SaveCheckpoint(path string, step int, m *Model, opt Optimizer, corpus *Corpus) error {
 	st, err := ckpt.Capture(step, m.Params().List(), opt, corpus)
 	if err != nil {
@@ -171,7 +173,8 @@ func LoadCheckpoint(path string) (*Checkpoint, error) { return ckpt.LoadFile(pat
 // RestoreCheckpoint installs a snapshot into live objects. Resuming with
 // PretrainConfig.StartStep = st.Step then reproduces the uninterrupted run
 // float-for-float; the optimizer may be wrapped in a different ZeRO world
-// size than the one that saved (elastic resharding).
+// size than the one that saved (elastic resharding): the state restores into
+// its inner optimizer, and the new ownership map is fixed at the first step.
 func RestoreCheckpoint(st *Checkpoint, m *Model, opt Optimizer, corpus *Corpus) error {
 	return ckpt.Restore(st, m.Params().List(), opt, corpus)
 }

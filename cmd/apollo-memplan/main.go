@@ -70,9 +70,9 @@ func main() {
 	fmt.Printf("  activations  %8.2f GiB\n", memmodel.GiB(b.Activations))
 	fmt.Printf("  total        %8.2f GiB\n", memmodel.GiB(b.Total()))
 	// Predicted on-disk checkpoint size (internal/ckpt format): float32
-	// weights + the method's full serialized optimizer state. The canonical
-	// gather makes this world-independent — a -zero N run writes the same
-	// file an unsharded run would.
+	// weights + the method's full serialized optimizer state. World-independent:
+	// a -zero N run steps one optimizer's own state (the map only charges and
+	// broadcasts), so it writes the same file an unsharded run would.
 	ckptBytes := memmodel.CheckpointBytesFor(cfg, m, *rank)
 	note := ""
 	if *zeroWorld > 1 {

@@ -7,10 +7,10 @@
 // float-for-float (train.TestCheckpointResumeParity).
 //
 // Optimizer state is stored in the canonical unsharded layout, so
-// checkpoints are elastic across ZeRO world sizes: a snapshot written under
-// `-replicas N -zero` (internal/zero gathers shard-owned segments on save)
-// resumes under any `-replicas M -zero` or unsharded world
-// (train.TestElasticReshardParity).
+// checkpoints are elastic across ZeRO world sizes: under `-replicas N -zero`
+// the state is still one optimizer's own (internal/zero's map only charges
+// and broadcasts), so a snapshot written there resumes under any
+// `-replicas M -zero` or unsharded world (train.TestElasticReshardParity).
 package ckpt
 
 import (
@@ -66,21 +66,14 @@ func Capture(step int, params []*nn.Param, opt optim.Optimizer, corpus *data.Cor
 // state is rebuilt through optim.StateLoader. The parameter table must
 // match the checkpoint exactly (same names, kinds and shapes in the same
 // order); the optimizer must be the same method that wrote the snapshot,
-// though its ZeRO world size may differ — a sharded target is initialized
-// here and the canonical states are scattered across its current partition.
+// though its ZeRO world size may differ — a sharded target restores through
+// its inner optimizer, and its ownership map is fixed at the first Step.
 func Restore(st *State, params []*nn.Param, opt optim.Optimizer, corpus *data.Corpus) error {
 	if got := Name(opt); got != st.Optimizer {
 		return fmt.Errorf("ckpt: checkpoint was written by %q, cannot resume with %q", st.Optimizer, got)
 	}
 	if err := matchParams(params, st.Params); err != nil {
 		return err
-	}
-
-	// A partitioned optimizer must know its ownership map before states can
-	// be scattered; Init is idempotent for the same parameter list, so the
-	// training loop's own Init call later is a no-op.
-	if sh, ok := opt.(optim.ShardedStepper); ok {
-		sh.Init(params)
 	}
 
 	for i, p := range params {

@@ -274,8 +274,9 @@ const (
 // rank. Unlike the paper-table formulas (which count states in BF16), the
 // checkpoint serializes the *live* float32 states plus the float32 weights;
 // INT8 methods serialize one byte per code plus group scales. The predicted
-// size is world-independent: a ZeRO-sharded run gathers its state into the
-// same canonical layout before writing.
+// size is world-independent: a ZeRO-sharded run holds one optimizer's own
+// state (the ownership map only charges and broadcasts), so it writes the
+// same file.
 func CheckpointBytes(shapes []Shape, m Method, rank int) float64 {
 	rank = m.Rank(rank)
 	statePer := float64(ckptFPStateBytesPerElem)

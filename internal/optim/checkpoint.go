@@ -8,14 +8,13 @@
 // changes the trajectory).
 //
 // The canonical form is *unsharded*: one ParamState per parameter, covering
-// all rows, in global parameter order. A ZeRO-partitioned wrapper
-// (internal/zero) gathers shard-owned row segments into this layout on save
-// and re-slices it for an arbitrary new world size on load — which is what
-// makes checkpoints elastic: a `-replicas 3 -zero` snapshot resumes under
-// `-replicas 4 -zero` or unsharded without losing bit-parity.
+// all rows, in global parameter order. A ZeRO partition (internal/zero) is an
+// ownership map over one optimizer's own state — the map only charges and
+// broadcasts — so it saves and restores through that optimizer's hooks, and
+// checkpoints are elastic by construction: a `-replicas 3 -zero` snapshot
+// resumes under `-replicas 4 -zero` or unsharded without losing bit-parity.
 //
-// This file holds the canonical form, its row slicing/merging and the
-// saver/loader interfaces. Where each optimizer's layout comes from: every
+// This file holds the canonical form and the saver/loader interfaces. Where each optimizer's layout comes from: every
 // member of the zoo declares a Schema and embeds the StateTable that derives
 // CaptureParam / RestoreParam from it — state.go;
 // the README's checkpoint table is checked against those declarations by
@@ -33,102 +32,25 @@ import (
 	"apollo/internal/tensor"
 )
 
-// ParamState is the canonical serializable optimizer state for one
-// parameter (or a row range of one, while a partitioned wrapper is
-// gathering/scattering). Matrices are deep copies, decoupled from the live
-// optimizer. The split into row-aligned and whole matrices is what makes
-// ZeRO gather/scatter mechanical: RowMats can be cut and concatenated along
-// parameter rows without knowing which optimizer produced them, while Whole
-// matrices (projected moments, SVD projections) only ever belong to
-// never-split parameters.
+// ParamState is the canonical serializable optimizer state for one whole
+// parameter. Matrices are deep copies, decoupled from the live optimizer.
+// The split into row-aligned and whole matrices is a file layout, not a cut
+// line: nothing slices or merges a state along rows.
 type ParamState struct {
 	// Scalars carries step counters, projector seeds, RNG cursors and
 	// float64 bit patterns in a fixed order documented per optimizer.
-	// Row-split segments of one parameter must agree on all scalars.
 	Scalars []uint64
 	// RowMats are matrices whose rows align 1:1 with the parameter's rows
 	// (dense moments, velocities, per-row second moments).
 	RowMats []*tensor.Matrix
 	// Whole are matrices with no row alignment (rank-space moments, SVD
-	// projection matrices); present only on never-split parameters.
+	// projection matrices).
 	Whole []*tensor.Matrix
-	// Blobs carries opaque bytes (INT8 codes and group scales, which
-	// straddle row boundaries); present only on never-split parameters.
+	// Blobs carries opaque bytes (INT8 codes and group scales).
 	Blobs [][]byte
 	// Sub nests the state a wrapped inner optimizer holds for the same
-	// parameter (WeightQuantized); present only on never-split parameters.
+	// parameter (WeightQuantized).
 	Sub *ParamState
-}
-
-// splittable reports whether the state may be cut along parameter rows.
-func (st *ParamState) splittable() bool {
-	return len(st.Whole) == 0 && len(st.Blobs) == 0 && st.Sub == nil
-}
-
-// SliceRows returns the state restricted to parameter rows [r0, r1) — the
-// scatter half of elastic resharding. Only row-aligned states can be cut.
-func (st *ParamState) SliceRows(r0, r1 int) (*ParamState, error) {
-	if !st.splittable() {
-		return nil, fmt.Errorf("optim: cannot row-slice a state with whole matrices, blobs or nested state")
-	}
-	if r0 < 0 || r1 <= r0 {
-		return nil, fmt.Errorf("optim: bad state row range [%d, %d)", r0, r1)
-	}
-	out := &ParamState{Scalars: append([]uint64(nil), st.Scalars...)}
-	for _, m := range st.RowMats {
-		if r1 > m.Rows {
-			return nil, fmt.Errorf("optim: state row range [%d, %d) exceeds %d rows", r0, r1, m.Rows)
-		}
-		s := tensor.NewMatrix(r1-r0, m.Cols)
-		copy(s.Data, m.Data[r0*m.Cols:r1*m.Cols])
-		out.RowMats = append(out.RowMats, s)
-	}
-	return out, nil
-}
-
-// MergeRowStates concatenates per-segment states back into the canonical
-// full-parameter state — the gather half of elastic resharding. parts[i]
-// covers rows [segs[i][0], segs[i][1]); segments must tile [0, rows)
-// in ascending order and agree on every scalar.
-func MergeRowStates(rows int, parts []*ParamState, segs [][2]int) (*ParamState, error) {
-	if len(parts) == 0 || len(parts) != len(segs) {
-		return nil, fmt.Errorf("optim: merge of %d parts with %d segments", len(parts), len(segs))
-	}
-	first := parts[0]
-	if !first.splittable() {
-		return nil, fmt.Errorf("optim: cannot row-merge a state with whole matrices, blobs or nested state")
-	}
-	out := &ParamState{Scalars: append([]uint64(nil), first.Scalars...)}
-	for _, m := range first.RowMats {
-		out.RowMats = append(out.RowMats, tensor.NewMatrix(rows, m.Cols))
-	}
-	at := 0
-	for i, part := range parts {
-		r0, r1 := segs[i][0], segs[i][1]
-		if r0 != at || r1 <= r0 || r1 > rows {
-			return nil, fmt.Errorf("optim: merge segment [%d, %d) does not tile rows at %d", r0, r1, at)
-		}
-		at = r1
-		if len(part.Scalars) != len(first.Scalars) || len(part.RowMats) != len(first.RowMats) || !part.splittable() {
-			return nil, fmt.Errorf("optim: merge segment %d has a different state layout", i)
-		}
-		for j, v := range part.Scalars {
-			if v != first.Scalars[j] {
-				return nil, fmt.Errorf("optim: merge segments disagree on scalar %d (%d vs %d)", j, v, first.Scalars[j])
-			}
-		}
-		for j, m := range part.RowMats {
-			if m.Rows != r1-r0 || m.Cols != out.RowMats[j].Cols {
-				return nil, fmt.Errorf("optim: merge segment %d matrix %d is %dx%d, want %dx%d",
-					i, j, m.Rows, m.Cols, r1-r0, out.RowMats[j].Cols)
-			}
-			copy(out.RowMats[j].Data[r0*m.Cols:r1*m.Cols], m.Data)
-		}
-	}
-	if at != rows {
-		return nil, fmt.Errorf("optim: merge segments cover %d of %d rows", at, rows)
-	}
-	return out, nil
 }
 
 // StateSaver exposes an optimizer's complete persistent state for

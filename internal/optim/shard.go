@@ -1,21 +1,22 @@
 // ZeRO-style state partitioning hooks (Rajbhandari et al., 2020; the
 // state-sharding lineage of Anil et al., 2019). Every optimizer in this zoo
 // keeps per-parameter state, so an external partitioner (internal/zero) can
-// lay an ownership map over one optimizer's state: which replica each
+// lay an ownership map over one optimizer's own state: which replica each
 // parameter's (or row range's) state is charged to, and which replica
-// publishes its stepped weights. Two things make stepping through that map
-// bit-identical to stepping the list directly:
+// publishes its stepped weights. The map only charges and broadcasts; the
+// optimizer steps, saves and restores its own parameters. Two things make
+// that partition sound:
 //
 //  1. Per-parameter independence: Step's update for a parameter reads only
 //     that parameter's gradient and state. This holds for the whole zoo
 //     (clipping, the one cross-parameter coupling, happens in the trainer
-//     before Step), so an element-wise update may be cut along rows.
+//     before Step), so an element-wise update's rows may be owned apart.
 //  2. Randomness is keyed, not streamed: projector seeds, factor
 //     initializations and stochastic-rounding noise are functions of the
 //     member's seed, the parameter's name and its own counters
 //     (tensor.Mix), so no draw depends on which units were stepped before
 //     it. A randomized update is never row-splittable, so a unit that draws
-//     is always the whole parameter, under its own name.
+//     is always the whole parameter.
 //
 // This file holds the hook interfaces only. No optimizer answers
 // StateIntrospector by hand: StateElemsFor is summed from the slots its
@@ -60,9 +61,9 @@ type Segment struct {
 // ShardedStepper is what a ZeRO-style wrapper (internal/zero) exposes to
 // the data-parallel gradient stage beyond Optimizer: the partition of the
 // parameter list into owner shards. Stepping stays Optimizer.Step — the
-// wrapper hands its one inner optimizer every owned segment in list order —
-// so the trainer needs the ownership map only to tree-broadcast each shard's
-// updated weights from its owner replica and to report per-replica state.
+// wrapper's one inner optimizer steps the list itself — so the trainer needs
+// the ownership map only to tree-broadcast each shard's updated weights from
+// its owner replica and to report per-replica state.
 // Because Init fixes the map from the list it is first handed, the training
 // loop steps a ShardedStepper over the whole list, never group by group.
 type ShardedStepper interface {
@@ -77,6 +78,7 @@ type ShardedStepper interface {
 	// disjoint and together tile every parameter exactly once.
 	OwnedSegments(shard int) []Segment
 	// ReplicaStateBytes reports each shard's resident optimizer-state
-	// footprint; the sum is the unsharded StateBytes.
+	// footprint — a split unit is charged its row share of the parameter's
+	// state; the sum is the unsharded StateBytes.
 	ReplicaStateBytes() []int64
 }

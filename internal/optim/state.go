@@ -25,7 +25,8 @@ type SlotKind int
 
 const (
 	// RowAligned is an fp32 matrix whose rows align 1:1 with the parameter's
-	// rows (ParamState.RowMats) — the only kind ZeRO may cut.
+	// rows (ParamState.RowMats) — the only kind whose rows ZeRO may charge
+	// to different owners.
 	RowAligned SlotKind = iota
 	// Whole is an fp32 matrix with no row alignment (ParamState.Whole).
 	Whole

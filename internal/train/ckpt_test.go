@@ -143,8 +143,9 @@ func TestCheckpointResumeParity(t *testing.T) {
 // checkpoint written by a `-replicas 3 -zero` run resumes under
 // `-replicas 4 -zero` AND under a plain unsharded `-replicas 1` run, both
 // reproducing the uninterrupted single-replica reference float-for-float.
-// The canonical on-disk layout never mentions the world size: save gathers
-// shard-owned row segments, resume re-slices them for the new partition.
+// The canonical on-disk layout never mentions the world size: a sharded
+// run's state is its inner optimizer's own, and the resumed run fixes a new
+// ownership map at its first step.
 func TestElasticReshardParity(t *testing.T) {
 	const seed = 42
 	const k = 4

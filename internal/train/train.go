@@ -220,9 +220,9 @@ func pretrain(model *nn.Model, opt optim.Optimizer, corpus *data.Corpus, cfg Pre
 		if dp != nil {
 			dp.publish(&pc)
 		}
-		// After the step (and the ZeRO broadcast): master weights are current
-		// and a Sharded optimizer gathers its state into the canonical
-		// layout, so the snapshot resumes under any world size.
+		// After the step (and the ZeRO broadcast): master weights are current,
+		// and a Sharded optimizer's state is its inner optimizer's own, so the
+		// snapshot resumes under any world size.
 		maybeCheckpoint(cfg, step, params.List(), opt, corpus)
 		pc.lap(obs.PhaseCheckpoint)
 

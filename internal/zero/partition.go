@@ -1,10 +1,6 @@
 package zero
 
-import (
-	"sort"
-
-	"apollo/internal/nn"
-)
+import "sort"
 
 // PartitionWeighted splits unit indices 0..len(weights)-1 into n
 // deterministic, balanced shards by greedy largest-first: units are visited
@@ -48,17 +44,4 @@ func PartitionWeighted(weights []int64, n int) [][]int {
 		sort.Ints(shards[s])
 	}
 	return shards
-}
-
-// Partition is the whole-parameter convenience form: a size-balanced
-// partition of the list by element count, one unit per parameter. The
-// Sharded wrapper partitions finer (row segments weighted by introspected
-// state cost); this form is the shape-only contract exported for callers
-// and the balance tests.
-func Partition(params []*nn.Param, n int) [][]int {
-	weights := make([]int64, len(params))
-	for i, p := range params {
-		weights[i] = int64(p.NumEl())
-	}
-	return PartitionWeighted(weights, n)
 }

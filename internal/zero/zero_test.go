@@ -34,17 +34,26 @@ func testParams(seed uint64) []*nn.Param {
 	}
 }
 
+// elemWeights weighs each parameter by its element count: the whole-parameter,
+// shape-only form of the partition.
+func elemWeights(params []*nn.Param) []int64 {
+	weights := make([]int64, len(params))
+	for i, p := range params {
+		weights[i] = int64(p.NumEl())
+	}
+	return weights
+}
+
 func TestPartitionBalance(t *testing.T) {
 	params := testParams(1)
+	weights := elemWeights(params)
 	var total, largest int64
-	for _, p := range params {
-		total += int64(p.NumEl())
-		if int64(p.NumEl()) > largest {
-			largest = int64(p.NumEl())
-		}
+	for _, w := range weights {
+		total += w
+		largest = max(largest, w)
 	}
 	for _, n := range []int{1, 2, 3, 4, 7} {
-		parts := Partition(params, n)
+		parts := PartitionWeighted(weights, n)
 		if len(parts) != n {
 			t.Fatalf("n=%d: got %d shards", n, len(parts))
 		}
@@ -65,7 +74,7 @@ func TestPartitionBalance(t *testing.T) {
 		for s, idxs := range parts {
 			var load int64
 			for _, i := range idxs {
-				load += int64(params[i].NumEl())
+				load += weights[i]
 			}
 			if load > ideal+largest {
 				t.Fatalf("n=%d shard %d holds %d elems, bound %d", n, s, load, ideal+largest)
@@ -75,20 +84,20 @@ func TestPartitionBalance(t *testing.T) {
 }
 
 func TestPartitionDeterministic(t *testing.T) {
-	a := Partition(testParams(1), 4)
-	b := Partition(testParams(2), 4) // same shapes, different values/addresses
+	a := PartitionWeighted(elemWeights(testParams(1)), 4)
+	b := PartitionWeighted(elemWeights(testParams(2)), 4) // same shapes, different values/addresses
 	if !reflect.DeepEqual(a, b) {
 		t.Fatalf("partition depends on more than shapes:\n%v\n%v", a, b)
 	}
 }
 
 func TestPartitionClampsShardCount(t *testing.T) {
-	params := testParams(1)
-	parts := Partition(params, len(params)+5)
-	if len(parts) != len(params) {
-		t.Fatalf("got %d shards for %d params", len(parts), len(params))
+	weights := elemWeights(testParams(1))
+	parts := PartitionWeighted(weights, len(weights)+5)
+	if len(parts) != len(weights) {
+		t.Fatalf("got %d shards for %d params", len(parts), len(weights))
 	}
-	if len(Partition(params, 0)) != 1 {
+	if len(PartitionWeighted(weights, 0)) != 1 {
 		t.Fatal("n=0 should clamp to one shard")
 	}
 }
@@ -238,4 +247,45 @@ func TestShardedRejectsNewParamList(t *testing.T) {
 		}
 	}()
 	sh.Init(testParams(2))
+}
+
+// TestGatherMatchesUnshardedCapture pins the state half of step parity at the
+// unit level: after identical training steps, a Sharded wrapper captures
+// every parameter's state bit-for-bit as the unsharded optimizer does, under
+// the same checkpoint name — which is why a sharded checkpoint can resume
+// anywhere.
+func TestGatherMatchesUnshardedCapture(t *testing.T) {
+	const steps = 4
+	for name, build := range shardableBuilders() {
+		t.Run(name, func(t *testing.T) {
+			plainParams := testParams(3)
+			plain := build()
+			shardParams := testParams(3)
+			sh := NewSharded(build(), 3)
+
+			for s := 0; s < steps; s++ {
+				fillGrads(plainParams, s)
+				fillGrads(shardParams, s)
+				plain.Step(plainParams)
+				sh.Step(shardParams)
+			}
+
+			for i := range plainParams {
+				want, err := plain.CaptureParam(plainParams[i])
+				if err != nil {
+					t.Fatal(err)
+				}
+				got, err := sh.CaptureParam(shardParams[i])
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !reflect.DeepEqual(got, want) {
+					t.Fatalf("%s: captured state differs from the unsharded run", plainParams[i].Name)
+				}
+			}
+			if sh.CheckpointName() != plain.Name() {
+				t.Fatalf("checkpoint name %q, want %q", sh.CheckpointName(), plain.Name())
+			}
+		})
+	}
 }
