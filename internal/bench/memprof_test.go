@@ -151,3 +151,63 @@ func TestLiveStateMatchesMemmodelZeRO(t *testing.T) {
 		})
 	}
 }
+
+// TestLentGradientLedger: memprof's grads is the gradient storage the loop
+// holds, sampled after every step. On the 7B proxy's shapes the largest
+// group is one block (197,888 elements), so a fused APOLLO run, which lends
+// each group's gradient from a ring of two block-sized slabs, holds exactly
+// 2 × 4 × 197,888 = 1,583,104 B at every sample; under -accum 2 or clipping
+// the gradients stay resident, the whole model's 1,252,992 elements, and the
+// ledger reads 5,011,968 B.
+func TestLentGradientLedger(t *testing.T) {
+	const lent, resident = 1_583_104, 5_011_968
+	proxy, err := ProxyByName("7B")
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := proxy.Model
+	if block := 4*c.Dim*c.Dim + 3*c.Dim*c.Hidden + 2*c.Dim; 2*4*block != lent || 4*c.NumParams() != resident {
+		t.Fatalf("7B proxy shapes moved: block %d, model %d elements", block, c.NumParams())
+	}
+	apollo, err := MethodByName("APOLLO")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name  string
+		accum int
+		clip  float64
+		want  int64
+	}{
+		{"lent", 1, 0, lent},
+		{"accum=2", 2, 0, resident},
+		{"clipped", 1, 1, resident},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			model := proxy.NewProxyModel(3)
+			opt := apollo.New(optim.Hyper{LR: proxy.LR}, apollo.Rank(0, c.Dim), 7)
+			corpus, err := NewCorpus(11)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var mem bytes.Buffer
+			mp := memprof.New(memprof.Config{Out: obs.NewJSONLWriter(&mem)})
+			train.Pretrain(model, opt, corpus, train.PretrainConfig{
+				Batch: 2, Seq: 16, Steps: 3, EvalBatches: 1, Accum: tc.accum, ClipNorm: tc.clip, MemProf: mp,
+			})
+			lines := strings.Split(strings.TrimRight(mem.String(), "\n"), "\n")
+			if len(lines) != 3 {
+				t.Fatalf("%d mem samples, want one per step", len(lines))
+			}
+			for i, line := range lines {
+				var s memprof.Sample
+				if err := json.Unmarshal([]byte(line), &s); err != nil {
+					t.Fatal(err)
+				}
+				if got := s.Components[memprof.CompGrads]; got != tc.want {
+					t.Fatalf("step %d: grads %d B, want %d", i+1, got, tc.want)
+				}
+			}
+		})
+	}
+}

@@ -113,11 +113,13 @@ type Model struct {
 	NormF  *RMSNorm
 	Head   *Linear
 
-	params *ParamSet
-	groups [][]*Param // BackwardRelease's groups, in release order
-	ws     workspace  // every layer's activations and backward temporaries
-	batch  int
-	seq    int
+	params  *ParamSet
+	groups  [][]*Param // BackwardRelease's groups, in release order
+	largest int        // elements of the largest group: one ring slab
+	ring    gradRing   // BackwardLend's gradient storage
+	ws      workspace  // every layer's activations and backward temporaries
+	batch   int
+	seq     int
 }
 
 // NewModel constructs and initializes a model from cfg using rng.
@@ -159,6 +161,13 @@ func NewModel(cfg Config, rng *tensor.RNG) *Model {
 		m.groups = append(m.groups, m.Blocks[i].Params())
 	}
 	m.groups = append(m.groups, []*Param{m.Embed.P})
+	for _, g := range m.groups {
+		n := 0
+		for _, p := range g {
+			n += p.NumEl()
+		}
+		m.largest = max(m.largest, n)
+	}
 	m.Embed.ws, m.NormF.ws, m.Head.ws = &m.ws, &m.ws, &m.ws
 	for _, b := range m.Blocks {
 		b.bind(&m.ws)
@@ -200,27 +209,37 @@ func (m *Model) Backward(dlogits *tensor.Matrix) { m.BackwardRelease(dlogits, ni
 // the rest of the pass neither reads nor writes a released parameter's weight
 // or gradient, so release may update it while the pass goes on. The group
 // slices belong to the model; release must not modify them. A nil release
-// releases nothing.
+// releases nothing. The gradients accumulate into resident storage; under
+// BackwardLend they are lent one group at a time instead.
 func (m *Model) BackwardRelease(dlogits *tensor.Matrix, release func([]*Param)) {
+	m.backward(dlogits, release, false)
+}
+
+// backward is the one backward pass, group by group in release order; lend
+// borrows each group's gradient storage from the ring just before the pass
+// first writes it.
+func (m *Model) backward(dlogits *tensor.Matrix, release func([]*Param), lend bool) {
 	outer := m.ws.mark()
 	// Two buffers carry the hidden-state gradient down the stack in turn.
 	dx, dy := m.ws.matrix(dlogits.Rows, m.Cfg.Dim), m.ws.matrix(dlogits.Rows, m.Cfg.Dim)
-	inner := m.ws.mark()
-	m.NormF.backwardInto(dx, m.Head.Backward(dlogits))
-	m.ws.release(inner)
-	if release != nil {
-		release(m.groups[0])
-	}
-	for i := len(m.Blocks) - 1; i >= 0; i-- {
-		dx, dy = dy, dx
-		m.Blocks[i].Backward(dx, dy)
-		if release != nil {
-			release(m.groups[len(m.Blocks)-i])
+	for k, g := range m.groups {
+		if lend {
+			m.borrow(g)
 		}
-	}
-	m.Embed.Backward(dx)
-	if release != nil {
-		release(m.groups[len(m.groups)-1])
+		switch {
+		case k == 0:
+			inner := m.ws.mark()
+			m.NormF.backwardInto(dx, m.Head.Backward(dlogits))
+			m.ws.release(inner)
+		case k <= len(m.Blocks):
+			dx, dy = dy, dx
+			m.Blocks[len(m.Blocks)-k].Backward(dx, dy)
+		default:
+			m.Embed.Backward(dx)
+		}
+		if release != nil {
+			release(g)
+		}
 	}
 	m.ws.release(outer)
 }

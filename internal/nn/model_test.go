@@ -311,6 +311,94 @@ func TestBackwardReleaseOrder(t *testing.T) {
 	}
 }
 
+// TestBackwardLendMatchesResident: a lent pass gives every group, while it
+// holds its slab, the gradient a resident Backward accumulates, bit for bit —
+// the second pass too, on slabs that came back dirty — and the model then
+// holds exactly the ring's two largest-group slabs. A pass whose give-backs
+// are abandoned panics at its next borrow instead of waiting, the pass after
+// it starts from a fresh ring, and ZeroGrad makes the gradients resident.
+func TestBackwardLendMatchesResident(t *testing.T) {
+	cfg := tinyConfig()
+	cfg.Layers = 3
+	tokens := []int{1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12}
+	dlogits := func(m *Model) *tensor.Matrix {
+		_, d := CrossEntropy(m.Forward(tokens, 2, 6), tokens, -1)
+		return d
+	}
+	resident := NewModel(cfg, tensor.NewRNG(16))
+	resident.Backward(dlogits(resident))
+	want := resident.Params().List()
+	full := resident.GradBytes()
+	if full != 4*int64(cfg.NumParams()) {
+		t.Fatalf("resident GradBytes %d, want %d", full, 4*cfg.NumParams())
+	}
+
+	model := NewModel(cfg, tensor.NewRNG(16))
+	list := model.Params().List()
+	index := map[*Param]int{}
+	for i, p := range list {
+		index[p] = i
+	}
+	lent := func(release func([]*Param)) (got []*tensor.Matrix) {
+		got = make([]*tensor.Matrix, len(list))
+		model.BackwardLend(dlogits(model), func(g []*Param) {
+			for _, p := range g {
+				got[index[p]] = p.Grad.Clone()
+			}
+			release(g)
+		})
+		return got
+	}
+	for pass := 1; pass <= 2; pass++ {
+		got := lent(model.GiveBack)
+		for i, p := range list {
+			if !got[i].Equal(want[i].Grad) {
+				t.Fatalf("pass %d: lent gradient of %s differs from the resident one", pass, p.Name)
+			}
+			if p.Grad.Data != nil {
+				t.Fatalf("pass %d: %s still holds storage after GiveBack", pass, p.Name)
+			}
+		}
+		block := 4*cfg.Dim*cfg.Dim + 3*cfg.Dim*cfg.Hidden + 2*cfg.Dim
+		if got := model.GradBytes(); got != 2*4*int64(block) {
+			t.Fatalf("pass %d: GradBytes %d, want two slabs of one block, %d", pass, got, 2*4*block)
+		}
+	}
+
+	var released int
+	func() {
+		defer func() {
+			if r := recover(); r == nil {
+				t.Fatal("a borrow after AbandonLending returned")
+			}
+		}()
+		lent(func([]*Param) {
+			if released++; released == 2 {
+				model.AbandonLending()
+			}
+		})
+	}()
+	if released != 2 {
+		t.Fatalf("the abandoned pass released %d groups, want 2", released)
+	}
+	got := lent(model.GiveBack)
+	for i, p := range list {
+		if !got[i].Equal(want[i].Grad) {
+			t.Fatalf("after an abandoned pass: lent gradient of %s differs", p.Name)
+		}
+	}
+	model.Params().ZeroGrad()
+	model.Backward(dlogits(model))
+	for i, p := range list {
+		if !p.Grad.Equal(want[i].Grad) {
+			t.Fatalf("resident again: gradient of %s differs", p.Name)
+		}
+	}
+	if got := model.GradBytes(); got <= full {
+		t.Fatalf("GradBytes %d after ZeroGrad: want the resident %d plus the ring", got, full)
+	}
+}
+
 func TestEvalLossMatchesLoss(t *testing.T) {
 	cfg := tinyConfig()
 	model := NewModel(cfg, tensor.NewRNG(14))

@@ -47,6 +47,12 @@ type Param struct {
 	Name string
 	Kind ParamKind
 	W    *tensor.Matrix
+	// Grad is the gradient accumulator. It is resident — allocated with the
+	// parameter and kept across passes — unless the model lends it
+	// (Model.BackwardLend): then the header's storage is a piece of a ring
+	// slab, valid from the group's borrow, just before the pass first writes
+	// it, until GiveBack after the group's step returns; outside that window
+	// Data is nil. ZeroGrad makes it resident again.
 	Grad *tensor.Matrix
 }
 
@@ -55,8 +61,15 @@ func NewParam(name string, kind ParamKind, w *tensor.Matrix) *Param {
 	return &Param{Name: name, Kind: kind, W: w, Grad: tensor.NewMatrix(w.Rows, w.Cols)}
 }
 
-// ZeroGrad clears the accumulated gradient.
-func (p *Param) ZeroGrad() { p.Grad.Zero() }
+// ZeroGrad clears the accumulated gradient, allocating it zeroed if a lent
+// pass left it without storage.
+func (p *Param) ZeroGrad() {
+	if p.Grad.Data == nil {
+		p.Grad.Data = make([]float32, p.Grad.NumEl())
+		return
+	}
+	p.Grad.Zero()
+}
 
 // NumEl returns the parameter element count.
 func (p *Param) NumEl() int { return p.W.NumEl() }

@@ -105,7 +105,7 @@ func newDataParallel(model *nn.Model, opt optim.Optimizer, batch, replicas int) 
 		join:   treeFold{b: batch},
 		clocks: make([]phaseClock, replicas),
 	}
-	dp.paramBytes, _ = paramListBytes(dp.master)
+	dp.paramBytes = paramBytes(dp.master)
 	for r := range dp.reps {
 		rm := model
 		if r > 0 {
@@ -160,7 +160,7 @@ func (dp *dataParallel) gradient(batch data.Batch, pc *phaseClock) float64 {
 	// compute rather than hand CrossEntropyShard a zero normalizer.
 	if counted == 0 {
 		for _, p := range dp.master {
-			p.Grad.Zero()
+			p.ZeroGrad()
 		}
 		pc.lap(obs.PhaseAllReduce)
 		return 0
@@ -182,7 +182,7 @@ func (dp *dataParallel) gradient(batch data.Batch, pc *phaseClock) float64 {
 				rep.model.Params().ZeroGrad()
 				rc.skip()
 				loss := lossShardPhased(rep.model,
-					batch.Tokens[s*t:(s+1)*t], batch.Targets[s*t:(s+1)*t], 1, t, counted, rc, nil)
+					batch.Tokens[s*t:(s+1)*t], batch.Targets[s*t:(s+1)*t], 1, t, counted, rc, nil, false)
 				rep.fold.push(treeNode{lo: s, grad: rep.grads, loss: loss}, rep.stash)
 				rc.lap(obs.PhaseAllReduce)
 			}
@@ -287,8 +287,7 @@ func (rep *dpReplica) stash(depth int, n *treeNode) {
 			buf[i] = tensor.NewMatrix(g.Rows, g.Cols)
 		}
 		rep.spares = append(rep.spares, buf)
-		_, bytes := paramListBytes(rep.params)
-		rep.spareBytes.Add(bytes)
+		rep.spareBytes.Add(paramBytes(rep.params))
 	}
 	if n.grad[0] != rep.grads[0] {
 		return

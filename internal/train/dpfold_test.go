@@ -106,7 +106,7 @@ func TestDPGradLeavesLedger(t *testing.T) {
 	for _, b := range treeBatches() {
 		for n := 1; n <= 4; n++ {
 			model, opt, corpus := dpTestSetup(t, 3)
-			p, _ := paramListBytes(model.Params().List())
+			p := paramBytes(model.Params().List())
 			mp := memprof.New(memprof.Config{})
 			DPPretrain(model, opt, corpus, DPConfig{
 				PretrainConfig: PretrainConfig{Batch: b, Seq: 8, Steps: 2, EvalBatches: 1, MemProf: mp},

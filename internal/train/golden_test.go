@@ -113,6 +113,11 @@ func TestLoopGolden(t *testing.T) {
 			"596679816cd07ef875ca93ee72b496fcfa071f5ac49e63b1eaf934a3abf2e2c4"},
 		{"fused/unclipped/APOLLO/resume=3", apollo, 0, 0, false, true, 3,
 			"0edbb4cdd9b7924396ece905e298df531b771d56943e21c4cf5e4157f588a48c"},
+		// Recorded at e519628, before the unclipped fused stage lent
+		// gradients: a batch with no target borrows nothing, and the
+		// whole-list step that follows must still see zero gradients.
+		{"fused/unclipped/masked/APOLLO", apollo, 0, 0, true, true, 0,
+			"8b858b20dde49c8587136f92c3764ecc3e6416411ec15f3b1d727b884fb3a0d8"},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {

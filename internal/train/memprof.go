@@ -11,34 +11,33 @@ import (
 	"apollo/internal/optim"
 )
 
-// paramListBytes sums the float32 storage of a parameter list's weights and
-// (when allocated) gradients.
-func paramListBytes(params []*nn.Param) (weights, grads int64) {
+// paramBytes is the float32 storage of one set of a parameter list's
+// shapes: its weights, or one gradient set.
+func paramBytes(params []*nn.Param) int64 {
+	var n int64
 	for _, p := range params {
-		weights += 4 * int64(p.W.NumEl())
-		if p.Grad != nil {
-			grads += 4 * int64(p.Grad.NumEl())
-		}
+		n += 4 * int64(p.W.NumEl())
 	}
-	return weights, grads
+	return n
 }
 
 // instrumentMemory registers the loop's components on the profiler: weights
-// and grads (fixed once the model exists) plus live optimizer state, the
-// measured StateBytes, as "optimizer_state". Under ZeRO the state is
-// registered as one component per shard *instead* — the shards partition the
-// measured state exactly (ReplicaStateBytes sums to StateBytes), so the
-// total stays double-count free while showing the ~1/N split the sharding
-// buys. A data-parallel stage then adds its own residents: the partial-sum
-// buffers its replicas' tree folds have allocated so far, and the replica
-// models beside the master (weights + grads each; replica 0 is the master).
-func instrumentMemory(mp *memprof.Profiler, params []*nn.Param, opt optim.Optimizer, dp *dataParallel) {
+// (fixed once the model exists), the model's gradient storage as it stands
+// when sampled — resident, or the lending ring's two slabs — plus live
+// optimizer state, the measured StateBytes, as "optimizer_state". Under ZeRO
+// the state is registered as one component per shard *instead* — the shards
+// partition the measured state exactly (ReplicaStateBytes sums to
+// StateBytes), so the total stays double-count free while showing the ~1/N
+// split the sharding buys. A data-parallel stage then adds its own residents:
+// the partial-sum buffers its replicas' tree folds have allocated so far, and
+// the replica models beside the master (weights + grads each; replica 0 is
+// the master).
+func instrumentMemory(mp *memprof.Profiler, model *nn.Model, opt optim.Optimizer, dp *dataParallel) {
 	if mp == nil {
 		return
 	}
-	weights, grads := paramListBytes(params)
-	mp.Set(memprof.CompWeights, weights)
-	mp.Set(memprof.CompGrads, grads)
+	mp.Set(memprof.CompWeights, paramBytes(model.Params().List()))
+	mp.Track(memprof.CompGrads, model.GradBytes)
 	if dp != nil && dp.sharder != nil {
 		for s := 0; s < dp.sharder.Shards(); s++ {
 			mp.Track(memprof.ShardComponent(s), func() int64 {
@@ -60,8 +59,7 @@ func instrumentMemory(mp *memprof.Profiler, params []*nn.Param, opt optim.Optimi
 	})
 	var repBytes int64
 	for _, rep := range dp.reps[1:] {
-		w, g := paramListBytes(rep.params)
-		repBytes += w + g
+		repBytes += paramBytes(rep.params) + rep.model.GradBytes()
 	}
 	mp.Set(memprof.CompDPReplicas, repBytes)
 }

@@ -1,12 +1,17 @@
 package train
 
 import (
+	"fmt"
+	"runtime"
 	"slices"
+	"strings"
 	"testing"
+	"time"
 
 	"apollo/internal/data"
 	"apollo/internal/nn"
 	"apollo/internal/optim"
+	"apollo/internal/tensor"
 	"apollo/internal/zero"
 )
 
@@ -127,4 +132,65 @@ func TestReleasedStepPanicReachesTheLoop(t *testing.T) {
 	}()
 	Pretrain(model, opt, corpus, cfg)
 	t.Fatal("Pretrain returned although a released group's Step panicked")
+}
+
+// TestLentPassPanicLeavesNothingRunning: with lent gradients a panic on
+// either side of the overlapped step — in a released group's Step, or in
+// backward itself halfway down the stack, after two groups went out — reaches
+// the caller of Pretrain and leaves no goroutine running: a borrow stops
+// waiting for a slab the dead stepper will never give back, and a dead
+// backward's stepper drains and exits. The model then trains on from a fresh
+// ring.
+func TestLentPassPanicLeavesNothingRunning(t *testing.T) {
+	h := optim.Hyper{LR: 1e-3}
+	cases := []struct {
+		name  string
+		opt   func(all int) optim.Optimizer
+		spoil func(*nn.Model) (mend func())
+		want  string // in the recovered panic
+	}{
+		{"step panics", func(all int) optim.Optimizer { return panicOnGroup{optim.NewAdamW(h), all} }, nil, "boom"},
+		{"backward panics", func(int) optim.Optimizer { return optim.NewAdamW(h) }, func(m *nn.Model) func() {
+			// Block 0 is the last block backward reaches; its first
+			// accumulation into a gradient of the wrong shape panics.
+			p := m.Blocks[0].MLP.Down.P
+			grad := p.Grad
+			p.Grad = tensor.NewMatrix(1, 1)
+			return func() { p.Grad = grad }
+		}, "AddInPlace shape mismatch"},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			model, _, corpus := dpTestSetup(t, 3)
+			cfg := dpTestConfig(0).PretrainConfig
+			cfg.ClipNorm, cfg.Steps = 0, 2
+			Pretrain(model, optim.NewAdamW(h), corpus, cfg) // the pool's workers are up from here on
+			before := runtime.NumGoroutine()
+
+			mend := func() {}
+			if c.spoil != nil {
+				mend = c.spoil(model)
+			}
+			func() {
+				defer func() {
+					if r := recover(); !strings.Contains(fmt.Sprint(r), c.want) {
+						t.Fatalf("recovered %v, want a panic with %q", r, c.want)
+					}
+				}()
+				Pretrain(model, c.opt(len(model.Params().List())), corpus, cfg)
+				t.Fatal("Pretrain returned although the pass panicked")
+			}()
+			for i := 0; i < 200 && runtime.NumGoroutine() > before; i++ {
+				time.Sleep(5 * time.Millisecond)
+			}
+			if n := runtime.NumGoroutine(); n > before {
+				t.Fatalf("%d goroutines after the panic, %d before", n, before)
+			}
+
+			mend()
+			if res := Pretrain(model, optim.NewAdamW(h), corpus, cfg); res.Steps != cfg.Steps {
+				t.Fatalf("the model trained %d steps after the panic, want %d", res.Steps, cfg.Steps)
+			}
+		})
+	}
 }

@@ -172,7 +172,7 @@ func pretrain(model *nn.Model, opt optim.Optimizer, corpus *data.Corpus, cfg Pre
 
 	rec := cfg.Telemetry
 	wd := cfg.Watchdog
-	instrumentMemory(cfg.MemProf, params.List(), opt, dp)
+	instrumentMemory(cfg.MemProf, model, opt, dp)
 	timed := rec != nil || wd != nil
 	// Whether the fused stage may step each group backward releases while
 	// backward goes on, bit for bit one whole-list Step: not under clipping,
@@ -180,6 +180,13 @@ func pretrain(model *nn.Model, opt optim.Optimizer, corpus *data.Corpus, cfg Pre
 	// its ownership map from the whole list.
 	_, sharded := opt.(optim.ShardedStepper)
 	overlap := dp == nil && cfg.ClipNorm <= 0 && !sharded
+	// With one micro-batch the overlapped step also lends: a group's gradient
+	// lives in a ring slab from its backward until its step returns. Under
+	// -accum every micro-batch accumulates into resident gradients.
+	var lent *lending
+	if overlap && accum == 1 {
+		lent = newLending(model, timed)
+	}
 	endStep := cfg.Steps
 	for step := cfg.StartStep; step < cfg.Steps; step++ {
 		var stepStart time.Time
@@ -198,16 +205,26 @@ func pretrain(model *nn.Model, opt optim.Optimizer, corpus *data.Corpus, cfg Pre
 		case dp != nil:
 			loss = dp.gradient(batch, &pc)
 		case overlap:
-			params.ZeroGrad()
-			stepped = stepDuring(opt, len(params.List()), func(release func([]*nn.Param)) {
-				loss = lossAccum(model, batch, accum, &pc, release)
+			if lent == nil {
+				params.ZeroGrad()
+			}
+			stepped = stepDuring(opt, len(params.List()), lent, func(release func([]*nn.Param)) {
+				loss = lossAccum(model, batch, accum, &pc, release, lent != nil)
 			})
 		default:
 			params.ZeroGrad()
-			loss = lossAccum(model, batch, accum, &pc, nil)
+			loss = lossAccum(model, batch, accum, &pc, nil, false)
+		}
+		if lent != nil && !stepped {
+			// No target, no backward, nothing lent: the whole-list step
+			// below takes resident zeros.
+			params.ZeroGrad()
 		}
 		var gradNorm float64
-		if timed {
+		switch {
+		case timed && lent != nil && stepped:
+			gradNorm = lent.gradNorm()
+		case timed:
 			gradNorm = params.GradNorm()
 		}
 		if cfg.ClipNorm > 0 {
@@ -317,12 +334,17 @@ func (pc *phaseClock) merge(o *phaseClock) {
 // and a data-parallel leaf differ only in the rows they pass). Cross-entropy
 // is charged to backward: it produces the gradient seed. release, when not
 // nil, receives each parameter group as its gradient becomes final
-// (nn.Model.BackwardRelease).
-func lossShardPhased(model *nn.Model, tokens, targets []int, b, t, counted int, pc *phaseClock, release func([]*nn.Param)) float64 {
+// (nn.Model.BackwardRelease); lend lends the gradients instead of
+// accumulating into resident ones (nn.Model.BackwardLend).
+func lossShardPhased(model *nn.Model, tokens, targets []int, b, t, counted int, pc *phaseClock, release func([]*nn.Param), lend bool) float64 {
 	logits := model.Forward(tokens, b, t)
 	pc.lap(obs.PhaseForward)
 	sum, dlogits := nn.CrossEntropyShard(logits, targets, -1, counted)
-	model.BackwardRelease(dlogits, release)
+	if lend {
+		model.BackwardLend(dlogits, release)
+	} else {
+		model.BackwardRelease(dlogits, release)
+	}
 	pc.lap(obs.PhaseBackward)
 	return sum
 }
@@ -334,13 +356,28 @@ func lossShardPhased(model *nn.Model, tokens, targets []int, b, t, counted int, 
 // group is stepped, re-raising here a panic from Step; stepped reports
 // whether backward released anything (a batch with no target runs none).
 // params bounds the number of groups: each holds at least one parameter.
-func stepDuring(opt optim.Optimizer, params int, backward func(release func([]*nn.Param))) (stepped bool) {
+// With lent gradients (lent != nil) the stepping goroutine gives each group's
+// slab back once its step returns, and abandons the pass's lending when a
+// step panics, so that backward stops waiting for a slab.
+func stepDuring(opt optim.Optimizer, params int, lent *lending, backward func(release func([]*nn.Param))) (stepped bool) {
 	queue := make(chan []*nn.Param, params) // room for every group of a pass: releasing never blocks
 	done := make(chan any, 1)
 	go func() {
-		defer func() { done <- recover() }()
+		defer func() {
+			r := recover()
+			if r != nil && lent != nil {
+				lent.model.AbandonLending()
+			}
+			done <- r
+		}()
 		for g := range queue {
+			if lent != nil {
+				lent.measure(g)
+			}
 			opt.Step(g)
+			if lent != nil {
+				lent.model.GiveBack(g)
+			}
 		}
 	}()
 	// Deferred so that a panicking backward, too, leaves no Step running on
@@ -356,6 +393,46 @@ func stepDuring(opt optim.Optimizer, params int, backward func(release func([]*n
 		queue <- g
 	})
 	return stepped
+}
+
+// lending is one run's bookkeeping for the lent overlapped step. A timed run
+// needs the gradient norm, but no gradient outlives its group's step: each
+// parameter's squared norm is taken on the stepping goroutine before its
+// group's step and stored by list position, and gradNorm sums them after the
+// join in list order — ParamSet.GradNorm's order, so the same float64.
+type lending struct {
+	model *nn.Model
+	pos   map[*nn.Param]int // list positions; nil unless timed
+	sq    []float64
+}
+
+func newLending(model *nn.Model, timed bool) *lending {
+	l := &lending{model: model}
+	if timed {
+		ps := model.Params().List()
+		l.pos, l.sq = make(map[*nn.Param]int, len(ps)), make([]float64, len(ps))
+		for i, p := range ps {
+			l.pos[p] = i
+		}
+	}
+	return l
+}
+
+func (l *lending) measure(g []*nn.Param) {
+	if l.pos == nil {
+		return
+	}
+	for _, p := range g {
+		l.sq[l.pos[p]] = p.Grad.SqNorm()
+	}
+}
+
+func (l *lending) gradNorm() float64 {
+	var sq float64
+	for _, v := range l.sq {
+		sq += v
+	}
+	return math.Sqrt(sq)
 }
 
 // maybeCheckpoint writes a periodic snapshot after step completed (the
@@ -384,8 +461,9 @@ func maybeCheckpoint(cfg PretrainConfig, step int, params []*nn.Param, opt optim
 // micro-batch of activations is resident at a time. accum == 1 is exactly
 // model.Loss: nn.CrossEntropy is CountTargets + CrossEntropyShard + a divide.
 // Only the last micro-batch's backward releases groups to release (nil:
-// none): until then every gradient is still accumulating.
-func lossAccum(model *nn.Model, batch data.Batch, accum int, pc *phaseClock, release func([]*nn.Param)) float64 {
+// none): until then every gradient is still accumulating. lend (accum == 1
+// only) lends the gradients to the released groups instead.
+func lossAccum(model *nn.Model, batch data.Batch, accum int, pc *phaseClock, release func([]*nn.Param), lend bool) float64 {
 	counted := nn.CountTargets(batch.Targets, -1)
 	if counted == 0 {
 		// The fused CrossEntropy convention: no targets → zero loss and
@@ -401,7 +479,7 @@ func lossAccum(model *nn.Model, batch data.Batch, accum int, pc *phaseClock, rel
 		if a == accum-1 {
 			rel = release
 		}
-		sum += lossShardPhased(model, batch.Tokens[lo:hi], batch.Targets[lo:hi], micro, batch.T, counted, pc, rel)
+		sum += lossShardPhased(model, batch.Tokens[lo:hi], batch.Targets[lo:hi], micro, batch.T, counted, pc, rel, lend)
 	}
 	return sum / float64(counted)
 }
