@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"apollo/internal/ckpt"
+	"apollo/internal/data"
 	"apollo/internal/nn"
 	"apollo/internal/optim"
 	"apollo/internal/tensor"
@@ -19,15 +20,20 @@ import (
 // same four steps under ClipNorm +Inf, which never clips but keeps every
 // gradient resident and steps the whole list after backward. A member that
 // read a gradient after its group's step returned, or kept one across steps,
-// would see a slab another group has since written.
+// would see a slab another group has since written. The same holds when the
+// second batch has no target: lent, its zero gradient comes from the ring
+// group by group; resident, one whole-list step takes it.
 func TestCatalogueLendingParity(t *testing.T) {
 	cfg := nn.Config{Vocab: proxyVocab, Dim: 16, Hidden: 40, Heads: 2, Layers: 2, MaxSeq: 8}
-	run := func(m Method, clip float64) (*ckpt.State, []*nn.Param) {
+	run := func(m Method, clip float64, masked bool) (*ckpt.State, []*nn.Param) {
 		model := nn.NewModel(cfg, tensor.NewRNG(5))
 		opt := m.New(optim.Hyper{LR: 0.01, WeightDecay: 0.1}, m.Rank(4, cfg.Dim), 11)
 		corpus, err := NewCorpus(13)
 		if err != nil {
 			t.Fatal(err)
+		}
+		if masked {
+			maskSecondBatch(corpus)
 		}
 		res := train.Pretrain(model, opt, corpus, train.PretrainConfig{
 			Batch: 2, Seq: 8, Steps: 4, EvalBatches: 1, ClipNorm: clip,
@@ -40,20 +46,36 @@ func TestCatalogueLendingParity(t *testing.T) {
 	}
 	for _, m := range Methods() {
 		t.Run(m.Name, func(t *testing.T) {
-			want, wantPs := run(m, math.Inf(1))
-			got, ps := run(m, 0)
-			var diffs []string
-			for i, p := range ps {
-				if !p.W.Equal(wantPs[i].W) {
-					diffs = append(diffs, "weights of "+p.Name)
+			for _, masked := range []bool{false, true} {
+				want, wantPs := run(m, math.Inf(1), masked)
+				got, ps := run(m, 0, masked)
+				var diffs []string
+				for i, p := range ps {
+					if !p.W.Equal(wantPs[i].W) {
+						diffs = append(diffs, "weights of "+p.Name)
+					}
+					if !reflect.DeepEqual(got.OptStates[i], want.OptStates[i]) {
+						diffs = append(diffs, "captured state of "+p.Name)
+					}
 				}
-				if !reflect.DeepEqual(got.OptStates[i], want.OptStates[i]) {
-					diffs = append(diffs, "captured state of "+p.Name)
+				if len(diffs) > 0 {
+					t.Errorf("untargeted second batch %v: lent differs from resident in %d places, first %v",
+						masked, len(diffs), diffs[:min(3, len(diffs))])
 				}
-			}
-			if len(diffs) > 0 {
-				t.Errorf("lent differs from resident in %d places, first %v", len(diffs), diffs[:min(3, len(diffs))])
 			}
 		})
+	}
+}
+
+// maskSecondBatch makes the corpus's second training batch one with no
+// target.
+func maskSecondBatch(corpus *data.Corpus) {
+	calls := 0
+	corpus.HookTrainBatch = func(b *data.Batch) {
+		if calls++; calls == 2 {
+			for i := range b.Targets {
+				b.Targets[i] = -1
+			}
+		}
 	}
 }

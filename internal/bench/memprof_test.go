@@ -158,7 +158,8 @@ func TestLiveStateMatchesMemmodelZeRO(t *testing.T) {
 // each group's gradient from a ring of two block-sized slabs, holds exactly
 // 2 × 4 × 197,888 = 1,583,104 B at every sample; under -accum 2 or clipping
 // the gradients stay resident, the whole model's 1,252,992 elements, and the
-// ledger reads 5,011,968 B.
+// ledger reads 5,011,968 B. A lent run whose second batch has no target
+// steps that batch's zero gradient from the ring as well.
 func TestLentGradientLedger(t *testing.T) {
 	const lent, resident = 1_583_104, 5_011_968
 	proxy, err := ProxyByName("7B")
@@ -174,14 +175,16 @@ func TestLentGradientLedger(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, tc := range []struct {
-		name  string
-		accum int
-		clip  float64
-		want  int64
+		name   string
+		accum  int
+		clip   float64
+		want   int64
+		masked bool // the second batch has no target
 	}{
-		{"lent", 1, 0, lent},
-		{"accum=2", 2, 0, resident},
-		{"clipped", 1, 1, resident},
+		{"lent", 1, 0, lent, false},
+		{"accum=2", 2, 0, resident, false},
+		{"clipped", 1, 1, resident, false},
+		{"lent/untargeted batch", 1, 0, lent, true},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			model := proxy.NewProxyModel(3)
@@ -189,6 +192,9 @@ func TestLentGradientLedger(t *testing.T) {
 			corpus, err := NewCorpus(11)
 			if err != nil {
 				t.Fatal(err)
+			}
+			if tc.masked {
+				maskSecondBatch(corpus)
 			}
 			var mem bytes.Buffer
 			mp := memprof.New(memprof.Config{Out: obs.NewJSONLWriter(&mem)})

@@ -83,7 +83,7 @@ type OptimizerProfile struct {
 	// ProjectionFlopsPerParam models per-step projection matmuls
 	// (GaLore/Fira project and lift every step; APOLLO only projects).
 	ProjectionFlopsPerParam float64
-	// SVDEvery is the projection refresh period via SVD (0 = никогда; the
+	// SVDEvery is the projection refresh period via SVD (0 = never; the
 	// cost is paid on refresh steps and shows up as Fig. 9's spikes).
 	SVDEvery int
 	// FullRankResidual marks Fira's extra full-rank residual pass.

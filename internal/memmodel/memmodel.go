@@ -311,9 +311,9 @@ func CheckpointBytes(shapes []Shape, m Method, rank int) float64 {
 // Serve-footprint accounting. An open snapshot in the evaluation service
 // holds the fp32 model weights and per-tensor bookkeeping only: the
 // weights-only read path (ckpt.ReadModel) never decodes the OPTP
-// optimizer section, and gradient accumulators are released after load
-// (nn.ParamSet.FreeGrads). The per-parameter constant covers the nn.Param
-// and matrix headers plus the registry's table entry.
+// optimizer section, and the served model's gradient policy is
+// nn.NoGrads. The per-parameter constant covers the nn.Param and matrix
+// headers plus the registry's table entry.
 const (
 	serveFixedBytes = 192 // registry entry + snapshot identity fields
 	serveParamBytes = 64  // nn.Param + tensor.Matrix headers (plus the name)

@@ -113,13 +113,12 @@ type Model struct {
 	NormF  *RMSNorm
 	Head   *Linear
 
-	params  *ParamSet
-	groups  [][]*Param // BackwardRelease's groups, in release order
-	largest int        // elements of the largest group: one ring slab
-	ring    gradRing   // BackwardLend's gradient storage
-	ws      workspace  // every layer's activations and backward temporaries
-	batch   int
-	seq     int
+	params *ParamSet
+	groups [][]*Param // BackwardRelease's groups, in release order
+	grads  gradArena  // every parameter's gradient storage
+	ws     workspace  // every layer's activations and backward temporaries
+	batch  int
+	seq    int
 }
 
 // NewModel constructs and initializes a model from cfg using rng.
@@ -162,11 +161,7 @@ func NewModel(cfg Config, rng *tensor.RNG) *Model {
 	}
 	m.groups = append(m.groups, []*Param{m.Embed.P})
 	for _, g := range m.groups {
-		n := 0
-		for _, p := range g {
-			n += p.NumEl()
-		}
-		m.largest = max(m.largest, n)
+		m.grads.largest = max(m.grads.largest, (&ParamSet{list: g}).NumParams())
 	}
 	m.Embed.ws, m.NormF.ws, m.Head.ws = &m.ws, &m.ws, &m.ws
 	for _, b := range m.Blocks {
@@ -209,24 +204,22 @@ func (m *Model) Backward(dlogits *tensor.Matrix) { m.BackwardRelease(dlogits, ni
 // the rest of the pass neither reads nor writes a released parameter's weight
 // or gradient, so release may update it while the pass goes on. The group
 // slices belong to the model; release must not modify them. A nil release
-// releases nothing. The gradients accumulate into resident storage; under
-// BackwardLend they are lent one group at a time instead.
+// releases nothing. The pass borrows each group's gradient storage from the
+// model's gradient arena just before it first writes the group. A nil
+// dlogits is a zero gradient: the pass computes nothing, but still borrows
+// and releases every group.
 func (m *Model) BackwardRelease(dlogits *tensor.Matrix, release func([]*Param)) {
-	m.backward(dlogits, release, false)
-}
-
-// backward is the one backward pass, group by group in release order; lend
-// borrows each group's gradient storage from the ring just before the pass
-// first writes it.
-func (m *Model) backward(dlogits *tensor.Matrix, release func([]*Param), lend bool) {
+	m.grads.open()
 	outer := m.ws.mark()
 	// Two buffers carry the hidden-state gradient down the stack in turn.
-	dx, dy := m.ws.matrix(dlogits.Rows, m.Cfg.Dim), m.ws.matrix(dlogits.Rows, m.Cfg.Dim)
+	var dx, dy *tensor.Matrix
+	if dlogits != nil {
+		dx, dy = m.ws.matrix(dlogits.Rows, m.Cfg.Dim), m.ws.matrix(dlogits.Rows, m.Cfg.Dim)
+	}
 	for k, g := range m.groups {
-		if lend {
-			m.borrow(g)
-		}
+		m.grads.borrow(g)
 		switch {
+		case dlogits == nil:
 		case k == 0:
 			inner := m.ws.mark()
 			m.NormF.backwardInto(dx, m.Head.Backward(dlogits))

@@ -311,13 +311,14 @@ func TestBackwardReleaseOrder(t *testing.T) {
 	}
 }
 
-// TestBackwardLendMatchesResident: a lent pass gives every group, while it
-// holds its slab, the gradient a resident Backward accumulates, bit for bit —
-// the second pass too, on slabs that came back dirty — and the model then
-// holds exactly the ring's two largest-group slabs. A pass whose give-backs
-// are abandoned panics at its next borrow instead of waiting, the pass after
-// it starts from a fresh ring, and ZeroGrad makes the gradients resident.
-func TestBackwardLendMatchesResident(t *testing.T) {
+// TestLentRingMatchesResident: under LentGrads a pass gives every group,
+// while it holds its slab, the gradient a resident Backward accumulates, bit
+// for bit — the second pass too, on slabs that came back dirty — and the
+// model then holds exactly the ring's two largest-group slabs. A nil pass on
+// dirty slabs releases zeros. A pass whose give-backs are abandoned panics at
+// its next borrow instead of waiting, and the pass after it starts from a
+// fresh ring.
+func TestLentRingMatchesResident(t *testing.T) {
 	cfg := tinyConfig()
 	cfg.Layers = 3
 	tokens := []int{1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12}
@@ -328,20 +329,22 @@ func TestBackwardLendMatchesResident(t *testing.T) {
 	resident := NewModel(cfg, tensor.NewRNG(16))
 	resident.Backward(dlogits(resident))
 	want := resident.Params().List()
-	full := resident.GradBytes()
-	if full != 4*int64(cfg.NumParams()) {
-		t.Fatalf("resident GradBytes %d, want %d", full, 4*cfg.NumParams())
+	if got := resident.GradBytes(); got != 4*int64(cfg.NumParams()) {
+		t.Fatalf("resident GradBytes %d, want %d", got, 4*cfg.NumParams())
 	}
 
 	model := NewModel(cfg, tensor.NewRNG(16))
+	if prev := model.SetGradPolicy(LentGrads); prev != ResidentGrads {
+		t.Fatalf("a new model's policy is %v, want ResidentGrads", prev)
+	}
 	list := model.Params().List()
 	index := map[*Param]int{}
 	for i, p := range list {
 		index[p] = i
 	}
-	lent := func(release func([]*Param)) (got []*tensor.Matrix) {
+	lent := func(d *tensor.Matrix, release func([]*Param)) (got []*tensor.Matrix) {
 		got = make([]*tensor.Matrix, len(list))
-		model.BackwardLend(dlogits(model), func(g []*Param) {
+		model.BackwardRelease(d, func(g []*Param) {
 			for _, p := range g {
 				got[index[p]] = p.Grad.Clone()
 			}
@@ -350,7 +353,7 @@ func TestBackwardLendMatchesResident(t *testing.T) {
 		return got
 	}
 	for pass := 1; pass <= 2; pass++ {
-		got := lent(model.GiveBack)
+		got := lent(dlogits(model), model.GiveBack)
 		for i, p := range list {
 			if !got[i].Equal(want[i].Grad) {
 				t.Fatalf("pass %d: lent gradient of %s differs from the resident one", pass, p.Name)
@@ -364,6 +367,11 @@ func TestBackwardLendMatchesResident(t *testing.T) {
 			t.Fatalf("pass %d: GradBytes %d, want two slabs of one block, %d", pass, got, 2*4*block)
 		}
 	}
+	for i, g := range lent(nil, model.GiveBack) {
+		if g.SqNorm() != 0 {
+			t.Fatalf("a nil pass released a nonzero gradient for %s", list[i].Name)
+		}
+	}
 
 	var released int
 	func() {
@@ -372,7 +380,7 @@ func TestBackwardLendMatchesResident(t *testing.T) {
 				t.Fatal("a borrow after AbandonLending returned")
 			}
 		}()
-		lent(func([]*Param) {
+		lent(dlogits(model), func([]*Param) {
 			if released++; released == 2 {
 				model.AbandonLending()
 			}
@@ -381,21 +389,54 @@ func TestBackwardLendMatchesResident(t *testing.T) {
 	if released != 2 {
 		t.Fatalf("the abandoned pass released %d groups, want 2", released)
 	}
-	got := lent(model.GiveBack)
+	got := lent(dlogits(model), model.GiveBack)
 	for i, p := range list {
 		if !got[i].Equal(want[i].Grad) {
 			t.Fatalf("after an abandoned pass: lent gradient of %s differs", p.Name)
 		}
 	}
-	model.Params().ZeroGrad()
-	model.Backward(dlogits(model))
-	for i, p := range list {
-		if !p.Grad.Equal(want[i].Grad) {
-			t.Fatalf("resident again: gradient of %s differs", p.Name)
+}
+
+// TestNoGradsHoldsNothing: under NoGrads a model holds no gradient storage
+// and every Param.Grad is nil, forward passes still run, a backward pass
+// panics, and back under ResidentGrads the model trains again: zeroed
+// storage, and the gradient a fresh model accumulates.
+func TestNoGradsHoldsNothing(t *testing.T) {
+	cfg := tinyConfig()
+	tokens := []int{1, 2, 3, 4, 5, 6}
+	fresh := NewModel(cfg, tensor.NewRNG(17))
+	fresh.Loss(tokens, tokens, 1, 6)
+
+	model := NewModel(cfg, tensor.NewRNG(17))
+	model.SetGradPolicy(NoGrads)
+	if got := model.GradBytes(); got != 0 {
+		t.Fatalf("GradBytes %d under NoGrads, want 0", got)
+	}
+	for _, p := range model.Params().List() {
+		if p.Grad != nil {
+			t.Fatalf("%s holds a gradient under NoGrads", p.Name)
 		}
 	}
-	if got := model.GradBytes(); got <= full {
-		t.Fatalf("GradBytes %d after ZeroGrad: want the resident %d plus the ring", got, full)
+	if got, want := model.EvalLoss(tokens, tokens, 1, 6), fresh.EvalLoss(tokens, tokens, 1, 6); got != want {
+		t.Fatalf("EvalLoss %v under NoGrads, want %v", got, want)
+	}
+	func() {
+		defer func() {
+			if r := recover(); r == nil {
+				t.Fatal("a backward pass under NoGrads returned")
+			}
+		}()
+		model.Loss(tokens, tokens, 1, 6)
+	}()
+	model.SetGradPolicy(ResidentGrads)
+	if got := model.GradBytes(); got != 4*int64(cfg.NumParams()) {
+		t.Fatalf("GradBytes %d resident again, want %d", got, 4*cfg.NumParams())
+	}
+	model.Loss(tokens, tokens, 1, 6)
+	for i, p := range model.Params().List() {
+		if !p.Grad.Equal(fresh.Params().List()[i].Grad) {
+			t.Fatalf("resident again: gradient of %s differs from a fresh model's", p.Name)
+		}
 	}
 }
 

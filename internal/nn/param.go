@@ -47,12 +47,9 @@ type Param struct {
 	Name string
 	Kind ParamKind
 	W    *tensor.Matrix
-	// Grad is the gradient accumulator. It is resident — allocated with the
-	// parameter and kept across passes — unless the model lends it
-	// (Model.BackwardLend): then the header's storage is a piece of a ring
-	// slab, valid from the group's borrow, just before the pass first writes
-	// it, until GiveBack after the group's step returns; outside that window
-	// Data is nil. ZeroGrad makes it resident again.
+	// Grad is the gradient accumulator, allocated by NewParam. A Model's
+	// parameters hold what the model's gradient arena gives them: under
+	// LentGrads, storage only from the pass's borrow until GiveBack.
 	Grad *tensor.Matrix
 }
 
@@ -61,15 +58,8 @@ func NewParam(name string, kind ParamKind, w *tensor.Matrix) *Param {
 	return &Param{Name: name, Kind: kind, W: w, Grad: tensor.NewMatrix(w.Rows, w.Cols)}
 }
 
-// ZeroGrad clears the accumulated gradient, allocating it zeroed if a lent
-// pass left it without storage.
-func (p *Param) ZeroGrad() {
-	if p.Grad.Data == nil {
-		p.Grad.Data = make([]float32, p.Grad.NumEl())
-		return
-	}
-	p.Grad.Zero()
-}
+// ZeroGrad clears the accumulated gradient.
+func (p *Param) ZeroGrad() { p.Grad.Zero() }
 
 // NumEl returns the parameter element count.
 func (p *Param) NumEl() int { return p.W.NumEl() }
@@ -92,18 +82,6 @@ func (s *ParamSet) List() []*Param { return s.list }
 func (s *ParamSet) ZeroGrad() {
 	for _, p := range s.list {
 		p.ZeroGrad()
-	}
-}
-
-// FreeGrads releases every gradient accumulator, halving a model's resident
-// footprint for inference-only use (the evaluation service's open snapshots
-// never run a backward pass). After the call any gradient-touching operation
-// (Backward, ZeroGrad, ClipGradNorm) panics on the nil matrices — the crash
-// is deliberate: training a model that was declared eval-only is a bug, not
-// a state to limp through.
-func (s *ParamSet) FreeGrads() {
-	for _, p := range s.list {
-		p.Grad = nil
 	}
 }
 

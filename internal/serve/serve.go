@@ -29,7 +29,7 @@
 //
 // Memory contract: an open snapshot costs model-weight memory, not
 // training memory — ckpt.ReadModel skips the OPTP optimizer section
-// and gradient accumulators are freed after load, so Entry.ResidentBytes
+// and the loaded model holds no gradients (nn.NoGrads), so Entry.ResidentBytes
 // tracks memmodel.ServeBytes within 2% (TestResidentBytesMatchServeModel).
 package serve
 
@@ -165,17 +165,14 @@ type Entry struct {
 }
 
 // ResidentBytes is the measured footprint of the open snapshot: the fp32
-// weights actually held live. Gradients are freed on load and the optimizer
-// sections were never decoded, so this is what serving costs.
+// weights actually held live. The model holds no gradients (NoGrads) and
+// the optimizer sections were never decoded, so this is what serving costs.
 func (e *Entry) ResidentBytes() int64 {
 	var total int64
 	for _, p := range e.model.Params().List() {
 		total += 4 * int64(p.NumEl())
-		if p.Grad != nil {
-			total += 4 * int64(p.Grad.NumEl())
-		}
 	}
-	return total
+	return total + e.model.GradBytes()
 }
 
 // PredictedBytes is the analytic counterpart of ResidentBytes: what
@@ -533,10 +530,10 @@ func (r *Registry) load(path string, fi os.FileInfo) (*Entry, error) {
 	if err := snap.InstallWeights(model.Params().List()); err != nil {
 		return nil, internalErr(fmt.Errorf("serve: %s does not match the served architecture: %w", path, err))
 	}
-	// Eval-only: free the gradient accumulators; the snapshot's own weight
-	// copies are garbage after InstallWeights. Resident cost from here on
-	// is one set of fp32 weights (memmodel.ServeBytes).
-	model.Params().FreeGrads()
+	// Forward passes only: the model holds no gradients, and the snapshot's
+	// own weight copies are garbage after InstallWeights. Resident cost from
+	// here on is one set of fp32 weights (memmodel.ServeBytes).
+	model.SetGradPolicy(nn.NoGrads)
 	mq := r.cfg.MaxQueue
 	if mq < 0 {
 		mq = 0 // negative config = explicitly unbounded

@@ -182,7 +182,7 @@ func (dp *dataParallel) gradient(batch data.Batch, pc *phaseClock) float64 {
 				rep.model.Params().ZeroGrad()
 				rc.skip()
 				loss := lossShardPhased(rep.model,
-					batch.Tokens[s*t:(s+1)*t], batch.Targets[s*t:(s+1)*t], 1, t, counted, rc, nil, false)
+					batch.Tokens[s*t:(s+1)*t], batch.Targets[s*t:(s+1)*t], 1, t, counted, rc, nil)
 				rep.fold.push(treeNode{lo: s, grad: rep.grads, loss: loss}, rep.stash)
 				rc.lap(obs.PhaseAllReduce)
 			}

@@ -39,11 +39,12 @@ func (o loggedSharded) Step(ps []*nn.Param) { o.log.add(ps); o.Sharded.Step(ps) 
 // TestReleaseGroupsReachStep pins when the loop steps the groups backward
 // releases and when it falls back to one whole-list Step: every optimizer is
 // handed the groups in the fused stage of an unclipped run, from the run's
-// first step on, and under -accum only once per step. Whole lists are left
+// first step on, and under -accum only once per step; a batch with no target
+// releases them too, from a pass that computes nothing. Whole lists are left
 // for clipping (which needs the global norm first), the data-parallel stage
-// and a ShardedStepper (whose ownership map is fixed from the whole list),
-// and for a batch with no target (no backward ran). The dpTestSetup model
-// has 21 parameters: [norm_f, head], two blocks of 9, [embed].
+// and a ShardedStepper (whose ownership map is fixed from the whole list).
+// The dpTestSetup model has 21 parameters: [norm_f, head], two blocks of 9,
+// [embed].
 func TestReleaseGroupsReachStep(t *testing.T) {
 	h := optim.Hyper{LR: 1e-3}
 	whole, groups := []int{21}, []int{2, 9, 9, 1}
@@ -59,16 +60,12 @@ func TestReleaseGroupsReachStep(t *testing.T) {
 			[][]int{groups, groups, groups}},
 		{"unclipped/resumed", adamW, func(c *DPConfig, _ *data.Corpus) { c.StartStep = 1 },
 			[][]int{groups, groups}},
-		{"unclipped/untargeted batch", adamW, func(_ *DPConfig, corpus *data.Corpus) {
-			calls := 0
-			corpus.HookTrainBatch = func(b *data.Batch) {
-				if calls++; calls == 2 {
-					for i := range b.Targets {
-						b.Targets[i] = -1
-					}
-				}
-			}
-		}, [][]int{groups, whole, groups}},
+		{"unclipped/untargeted batch", adamW, func(_ *DPConfig, corpus *data.Corpus) { maskSecondBatch(corpus) },
+			[][]int{groups, groups, groups}},
+		{"unclipped/accum=2/untargeted batch", adamW, func(c *DPConfig, corpus *data.Corpus) {
+			c.Accum = 2
+			maskSecondBatch(corpus)
+		}, [][]int{groups, groups, groups}},
 		{"clipped", adamW, func(c *DPConfig, _ *data.Corpus) { c.ClipNorm = 1 },
 			[][]int{whole, whole, whole}},
 		{"replicas=2", adamW, func(c *DPConfig, _ *data.Corpus) { c.Replicas = 2 },
@@ -100,6 +97,19 @@ func TestReleaseGroupsReachStep(t *testing.T) {
 				t.Fatalf("Step was handed lists of %v parameters, want %v", log.sizes, want)
 			}
 		})
+	}
+}
+
+// maskSecondBatch makes the corpus's second training batch one with no
+// target.
+func maskSecondBatch(corpus *data.Corpus) {
+	calls := 0
+	corpus.HookTrainBatch = func(b *data.Batch) {
+		if calls++; calls == 2 {
+			for i := range b.Targets {
+				b.Targets[i] = -1
+			}
+		}
 	}
 }
 
@@ -190,6 +200,58 @@ func TestLentPassPanicLeavesNothingRunning(t *testing.T) {
 			mend()
 			if res := Pretrain(model, optim.NewAdamW(h), corpus, cfg); res.Steps != cfg.Steps {
 				t.Fatalf("the model trained %d steps after the panic, want %d", res.Steps, cfg.Steps)
+			}
+		})
+	}
+}
+
+// TestLentPolicyEndsWithTheRun: lending is the run's policy, not the
+// model's. After a lent Pretrain returns, and after one whose released Step
+// panicked, the model is resident again — it holds the whole model's
+// gradients, not the ring — and ZeroGrad + Backward on it accumulates the
+// gradient a fresh model with the same weights does, bit for bit.
+func TestLentPolicyEndsWithTheRun(t *testing.T) {
+	h := optim.Hyper{LR: 1e-3}
+	for _, c := range []struct {
+		name   string
+		opt    func(all int) optim.Optimizer
+		panics bool
+	}{
+		{"returned", func(int) optim.Optimizer { return optim.NewAdamW(h) }, false},
+		{"step panicked", func(all int) optim.Optimizer { return panicOnGroup{optim.NewAdamW(h), all} }, true},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			model, _, corpus := dpTestSetup(t, 3)
+			cfg := dpTestConfig(0).PretrainConfig
+			cfg.ClipNorm, cfg.Steps = 0, 2
+			func() {
+				defer func() {
+					if r := recover(); (r != nil) != c.panics {
+						t.Fatalf("recovered %v, want a panic: %v", r, c.panics)
+					}
+				}()
+				Pretrain(model, c.opt(len(model.Params().List())), corpus, cfg)
+			}()
+			if got, want := model.GradBytes(), 4*int64(model.Cfg.NumParams()); got != want {
+				t.Fatalf("GradBytes %d after the run, want the resident %d", got, want)
+			}
+
+			fresh := nn.NewModel(model.Cfg, tensor.NewRNG(1))
+			for i, p := range fresh.Params().List() {
+				p.W.CopyFrom(model.Params().List()[i].W)
+			}
+			b := corpus.ValBatch(0, 2, 8)
+			grads := func(m *nn.Model) []*nn.Param {
+				m.Params().ZeroGrad()
+				_, dlogits := nn.CrossEntropy(m.Forward(b.Tokens, b.B, b.T), b.Targets, -1)
+				m.Backward(dlogits)
+				return m.Params().List()
+			}
+			want := grads(fresh)
+			for i, p := range grads(model) {
+				if !p.Grad.Equal(want[i].Grad) {
+					t.Fatalf("gradient of %s differs from a fresh resident model's", p.Name)
+				}
 			}
 		})
 	}

@@ -181,11 +181,17 @@ func pretrain(model *nn.Model, opt optim.Optimizer, corpus *data.Corpus, cfg Pre
 	_, sharded := opt.(optim.ShardedStepper)
 	overlap := dp == nil && cfg.ClipNorm <= 0 && !sharded
 	// With one micro-batch the overlapped step also lends: a group's gradient
-	// lives in a ring slab from its backward until its step returns. Under
-	// -accum every micro-batch accumulates into resident gradients.
-	var lent *lending
+	// lives in a ring slab from its borrow until its step returns. Under
+	// -accum every micro-batch accumulates into resident gradients. The
+	// policy is the run's: the model gets its own back however the run ends.
 	if overlap && accum == 1 {
-		lent = newLending(model, timed)
+		defer model.SetGradPolicy(model.SetGradPolicy(nn.LentGrads))
+	}
+	// A timed overlapped run takes the gradient norm group by group, before
+	// each group's step: a lent gradient does not outlive it.
+	var norms *groupNorms
+	if overlap && timed {
+		norms = newGroupNorms(params.List())
 	}
 	endStep := cfg.Steps
 	for step := cfg.StartStep; step < cfg.Steps; step++ {
@@ -200,37 +206,29 @@ func pretrain(model *nn.Model, opt optim.Optimizer, corpus *data.Corpus, cfg Pre
 		batch := corpus.NextTrainBatch(cfg.Batch, cfg.Seq)
 		pc.lap(obs.PhaseData)
 		var loss float64
-		stepped := false
 		switch {
 		case dp != nil:
 			loss = dp.gradient(batch, &pc)
 		case overlap:
-			if lent == nil {
-				params.ZeroGrad()
-			}
-			stepped = stepDuring(opt, len(params.List()), lent, func(release func([]*nn.Param)) {
-				loss = lossAccum(model, batch, accum, &pc, release, lent != nil)
+			params.ZeroGrad()
+			stepDuring(opt, model, norms, func(release func([]*nn.Param)) {
+				loss = lossAccum(model, batch, accum, &pc, release)
 			})
 		default:
 			params.ZeroGrad()
-			loss = lossAccum(model, batch, accum, &pc, nil, false)
-		}
-		if lent != nil && !stepped {
-			// No target, no backward, nothing lent: the whole-list step
-			// below takes resident zeros.
-			params.ZeroGrad()
+			loss = lossAccum(model, batch, accum, &pc, nil)
 		}
 		var gradNorm float64
 		switch {
-		case timed && lent != nil && stepped:
-			gradNorm = lent.gradNorm()
+		case norms != nil:
+			gradNorm = norms.sum()
 		case timed:
 			gradNorm = params.GradNorm()
 		}
 		if cfg.ClipNorm > 0 {
 			params.ClipGradNorm(cfg.ClipNorm)
 		}
-		if !stepped {
+		if !overlap {
 			opt.Step(params.List())
 		}
 		pc.lap(obs.PhaseStep)
@@ -334,17 +332,12 @@ func (pc *phaseClock) merge(o *phaseClock) {
 // and a data-parallel leaf differ only in the rows they pass). Cross-entropy
 // is charged to backward: it produces the gradient seed. release, when not
 // nil, receives each parameter group as its gradient becomes final
-// (nn.Model.BackwardRelease); lend lends the gradients instead of
-// accumulating into resident ones (nn.Model.BackwardLend).
-func lossShardPhased(model *nn.Model, tokens, targets []int, b, t, counted int, pc *phaseClock, release func([]*nn.Param), lend bool) float64 {
+// (nn.Model.BackwardRelease).
+func lossShardPhased(model *nn.Model, tokens, targets []int, b, t, counted int, pc *phaseClock, release func([]*nn.Param)) float64 {
 	logits := model.Forward(tokens, b, t)
 	pc.lap(obs.PhaseForward)
 	sum, dlogits := nn.CrossEntropyShard(logits, targets, -1, counted)
-	if lend {
-		model.BackwardLend(dlogits, release)
-	} else {
-		model.BackwardRelease(dlogits, release)
-	}
+	model.BackwardRelease(dlogits, release)
 	pc.lap(obs.PhaseBackward)
 	return sum
 }
@@ -352,32 +345,28 @@ func lossShardPhased(model *nn.Model, tokens, targets []int, b, t, counted int, 
 // stepDuring is the fused stage's overlapped step: backward runs on the
 // calling goroutine and hands each parameter group it releases to one
 // stepping goroutine, which calls opt.Step on the groups in release order
-// while backward goes on with the next block. It returns once every released
-// group is stepped, re-raising here a panic from Step; stepped reports
-// whether backward released anything (a batch with no target runs none).
-// params bounds the number of groups: each holds at least one parameter.
-// With lent gradients (lent != nil) the stepping goroutine gives each group's
-// slab back once its step returns, and abandons the pass's lending when a
-// step panics, so that backward stops waiting for a slab.
-func stepDuring(opt optim.Optimizer, params int, lent *lending, backward func(release func([]*nn.Param))) (stepped bool) {
-	queue := make(chan []*nn.Param, params) // room for every group of a pass: releasing never blocks
+// while backward goes on with the next block, then gives the group's
+// gradient back to the model's arena. It returns once every released group
+// is stepped, re-raising here a panic from Step; a panicking Step abandons
+// the pass's lending first, so that backward stops waiting for a slab.
+// norms, when not nil, measures each group before its step.
+func stepDuring(opt optim.Optimizer, model *nn.Model, norms *groupNorms, backward func(release func([]*nn.Param))) {
+	// Room for every group of a pass, each at least one parameter: releasing
+	// never blocks.
+	queue := make(chan []*nn.Param, len(model.Params().List()))
 	done := make(chan any, 1)
 	go func() {
 		defer func() {
 			r := recover()
-			if r != nil && lent != nil {
-				lent.model.AbandonLending()
+			if r != nil {
+				model.AbandonLending()
 			}
 			done <- r
 		}()
 		for g := range queue {
-			if lent != nil {
-				lent.measure(g)
-			}
+			norms.measure(g)
 			opt.Step(g)
-			if lent != nil {
-				lent.model.GiveBack(g)
-			}
+			model.GiveBack(g)
 		}
 	}()
 	// Deferred so that a panicking backward, too, leaves no Step running on
@@ -388,48 +377,38 @@ func stepDuring(opt optim.Optimizer, params int, lent *lending, backward func(re
 			panic(r)
 		}
 	}()
-	backward(func(g []*nn.Param) {
-		stepped = true
-		queue <- g
-	})
-	return stepped
+	backward(func(g []*nn.Param) { queue <- g })
 }
 
-// lending is one run's bookkeeping for the lent overlapped step. A timed run
-// needs the gradient norm, but no gradient outlives its group's step: each
+// groupNorms is one timed run's gradient norm taken group by group: each
 // parameter's squared norm is taken on the stepping goroutine before its
-// group's step and stored by list position, and gradNorm sums them after the
+// group's step and stored by list position, and sum adds them after the
 // join in list order — ParamSet.GradNorm's order, so the same float64.
-type lending struct {
-	model *nn.Model
-	pos   map[*nn.Param]int // list positions; nil unless timed
-	sq    []float64
+type groupNorms struct {
+	pos map[*nn.Param]int // list positions
+	sq  []float64
 }
 
-func newLending(model *nn.Model, timed bool) *lending {
-	l := &lending{model: model}
-	if timed {
-		ps := model.Params().List()
-		l.pos, l.sq = make(map[*nn.Param]int, len(ps)), make([]float64, len(ps))
-		for i, p := range ps {
-			l.pos[p] = i
-		}
+func newGroupNorms(ps []*nn.Param) *groupNorms {
+	n := &groupNorms{pos: make(map[*nn.Param]int, len(ps)), sq: make([]float64, len(ps))}
+	for i, p := range ps {
+		n.pos[p] = i
 	}
-	return l
+	return n
 }
 
-func (l *lending) measure(g []*nn.Param) {
-	if l.pos == nil {
+func (n *groupNorms) measure(g []*nn.Param) {
+	if n == nil {
 		return
 	}
 	for _, p := range g {
-		l.sq[l.pos[p]] = p.Grad.SqNorm()
+		n.sq[n.pos[p]] = p.Grad.SqNorm()
 	}
 }
 
-func (l *lending) gradNorm() float64 {
+func (n *groupNorms) sum() float64 {
 	var sq float64
-	for _, v := range l.sq {
+	for _, v := range n.sq {
 		sq += v
 	}
 	return math.Sqrt(sq)
@@ -461,13 +440,13 @@ func maybeCheckpoint(cfg PretrainConfig, step int, params []*nn.Param, opt optim
 // micro-batch of activations is resident at a time. accum == 1 is exactly
 // model.Loss: nn.CrossEntropy is CountTargets + CrossEntropyShard + a divide.
 // Only the last micro-batch's backward releases groups to release (nil:
-// none): until then every gradient is still accumulating. lend (accum == 1
-// only) lends the gradients to the released groups instead.
-func lossAccum(model *nn.Model, batch data.Batch, accum int, pc *phaseClock, release func([]*nn.Param), lend bool) float64 {
+// none): until then every gradient is still accumulating.
+func lossAccum(model *nn.Model, batch data.Batch, accum int, pc *phaseClock, release func([]*nn.Param)) float64 {
 	counted := nn.CountTargets(batch.Targets, -1)
 	if counted == 0 {
 		// The fused CrossEntropy convention: no targets → zero loss and
-		// zero gradient.
+		// zero gradient, which a nil pass borrows and releases.
+		model.BackwardRelease(nil, release)
 		return 0
 	}
 	micro := batch.B / accum
@@ -479,7 +458,7 @@ func lossAccum(model *nn.Model, batch data.Batch, accum int, pc *phaseClock, rel
 		if a == accum-1 {
 			rel = release
 		}
-		sum += lossShardPhased(model, batch.Tokens[lo:hi], batch.Targets[lo:hi], micro, batch.T, counted, pc, rel, lend)
+		sum += lossShardPhased(model, batch.Tokens[lo:hi], batch.Targets[lo:hi], micro, batch.T, counted, pc, rel)
 	}
 	return sum / float64(counted)
 }
