@@ -11,7 +11,7 @@
 //	apollo-runs mem <id>                   # render a run's memory timeline (its "mem" events)
 //	apollo-runs gc -keep 20 -age 720h      # prune old entries (-n: same selection, no delete)
 //	apollo-runs watch <id>                 # live-tail a run's step events
-//	apollo-runs watch -metrics http://127.0.0.1:8080/debug/vars <id>
+//	apollo-runs watch -metrics http://127.0.0.1:8080/metrics <id>
 //
 // Subcommand flags come before positional arguments (standard Go flag
 // parsing stops at the first non-flag).
@@ -27,19 +27,18 @@
 // timeline apollo-pretrain records (component peaks against their memmodel
 // predictions, heap/RSS peaks, high-water marks). watch polls the growing
 // event stream by byte offset — an unterminated tail line is retried on the
-// next poll — and can additionally read a server's GET /debug/vars each
-// poll, reporting its counters and the latency quantiles it serves.
+// next poll — and can additionally read a server's GET /metrics each poll,
+// reporting its counters and each histogram's p50/p95 from its buckets.
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
+	"math"
 	"net/http"
 	"os"
 	"path/filepath"
 	"sort"
-	"strings"
 	"time"
 
 	"apollo/internal/obs"
@@ -323,7 +322,7 @@ func cmdWatch(root string, args []string) error {
 	fs := flag.NewFlagSet("watch", flag.ExitOnError)
 	interval := fs.Duration("interval", 2*time.Second, "poll interval")
 	iters := fs.Int("n", 0, "stop after N polls (0 = until interrupted)")
-	varsURL := fs.String("metrics", "", "also read this GET /debug/vars endpoint each poll")
+	metricsURL := fs.String("metrics", "", "also read this GET /metrics endpoint each poll")
 	fs.Parse(args)
 	if fs.NArg() != 1 {
 		return fmt.Errorf("watch needs exactly one run ID")
@@ -361,8 +360,8 @@ func cmdWatch(root string, args []string) error {
 			line += fmt.Sprintf("no new steps (at %d)", lastStep)
 		}
 		fmt.Println(line)
-		if *varsURL != "" {
-			if err := scrapeVars(*varsURL); err != nil {
+		if *metricsURL != "" {
+			if err := scrapeMetrics(*metricsURL); err != nil {
 				fmt.Printf("  metrics: %v\n", err)
 			}
 		}
@@ -370,36 +369,34 @@ func cmdWatch(root string, args []string) error {
 	return nil
 }
 
-// scrapeVars GETs a server's /debug/vars (obs.Registry.WriteVars: counters
-// and gauges as numbers, histograms as objects carrying their own
-// quantiles) and prints the counters plus each histogram's count, p50, p95.
-func scrapeVars(url string) error {
+// scrapeMetrics GETs a server's /metrics (Prometheus text) and prints each
+// counter, and each histogram's count, p50 and p95 by obs.BucketQuantile.
+// The exposition carries no maximum, so a quantile in the overflow bucket
+// prints as +Inf.
+func scrapeMetrics(url string) error {
 	client := &http.Client{Timeout: 5 * time.Second}
 	resp, err := client.Get(url)
 	if err != nil {
 		return err
 	}
-	defer resp.Body.Close() //apollo:allowdiscard read-only response stream; the decoder below consumes it
+	defer resp.Body.Close() //apollo:allowdiscard read-only response stream; the parser below consumes it
 	if resp.StatusCode != http.StatusOK {
 		return fmt.Errorf("%s: %s", url, resp.Status)
 	}
-	var vars map[string]json.RawMessage
-	if err := json.NewDecoder(resp.Body).Decode(&vars); err != nil {
+	s, err := obs.ParseExposition(resp.Body)
+	if err != nil {
 		return fmt.Errorf("%s: %w", url, err)
 	}
-	for _, name := range sortedKeys(vars) {
-		var hist struct {
-			Count int64   `json:"count"`
-			P50   float64 `json:"p50"`
-			P95   float64 `json:"p95"`
-		}
-		var n float64
-		switch raw := vars[name]; {
-		case json.Unmarshal(raw, &hist) == nil:
-			fmt.Printf("  %-44s n=%d p50=%.4fs p95=%.4fs\n", name, hist.Count, hist.P50, hist.P95)
-		case strings.Contains(name, "_total") && json.Unmarshal(raw, &n) == nil:
-			fmt.Printf("  %-44s %.0f\n", name, n)
-		}
+	lines := map[string]string{}
+	for series, v := range s.Counters {
+		lines[series] = fmt.Sprintf("%.0f", v)
+	}
+	for series, h := range s.Histograms {
+		quantile := func(q float64) float64 { return obs.BucketQuantile(h.Le, h.Cum, math.Inf(1), q) }
+		lines[series] = fmt.Sprintf("n=%d p50=%.4fs p95=%.4fs", h.Cum[len(h.Cum)-1], quantile(0.50), quantile(0.95))
+	}
+	for _, series := range sortedKeys(lines) {
+		fmt.Printf("  %-44s %s\n", series, lines[series])
 	}
 	return nil
 }

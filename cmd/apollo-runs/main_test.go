@@ -102,22 +102,29 @@ func TestSubcommandsOverARealLedger(t *testing.T) {
 	out, code = runs("watch", "-n", "1", "a")
 	expect(out, code, 0, "step 6  loss ")
 
-	// watch -metrics reads the JSON a server's GET /debug/vars serves.
+	// watch -metrics reads the Prometheus text a server's GET /metrics
+	// serves, histograms with and without labels alike. The text carries no
+	// maximum, so a quantile in the overflow bucket prints +Inf.
 	reg := obs.NewRegistry()
 	reg.Counter("apollo_http_requests_total", "Requests.", obs.Label{Key: "path", Value: "/v1/logprob"}).Add(3)
-	lat := reg.Histogram("apollo_http_request_seconds", "Latency.", obs.LatencyBuckets)
+	lat := reg.Histogram("apollo_serve_batch_queue_wait_seconds", "Queue wait.", obs.LatencyBuckets)
 	for _, ms := range []int{2, 4, 40} {
 		lat.Observe((time.Duration(ms) * time.Millisecond).Seconds())
 	}
+	byPath := reg.Histogram("apollo_http_request_seconds", "Latency.", obs.LatencyBuckets, obs.Label{Key: "path", Value: "/v1/logprob"})
+	for _, ms := range []int{1, 1, 7, 30000} {
+		byPath.Observe((time.Duration(ms) * time.Millisecond).Seconds())
+	}
 	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, _ *http.Request) {
-		if err := reg.WriteVars(w); err != nil {
+		if err := reg.RenderPrometheus(w); err != nil {
 			t.Error(err)
 		}
 	}))
 	defer srv.Close()
 	out, code = runs("watch", "-n", "1", "-metrics", srv.URL, "a")
 	expect(out, code, 0, "step 6  loss ", `apollo_http_requests_total{path="/v1/logprob"} 3`+"\n",
-		fmt.Sprintf("apollo_http_request_seconds                  n=3 p50=%.4fs p95=%.4fs", lat.Quantile(0.50), lat.Quantile(0.95)))
+		fmt.Sprintf("apollo_serve_batch_queue_wait_seconds        n=3 p50=%.4fs p95=%.4fs\n", lat.Quantile(0.50), lat.Quantile(0.95)),
+		`apollo_http_request_seconds{path="/v1/logprob"} n=4 p50=0.0010s p95=+Infs`+"\n")
 
 	// A version-1 directory is refused by name; two entries with no event
 	// stream have nothing to align and fail the gate.

@@ -32,9 +32,9 @@
 // shutdown signal flips /readyz to 503, giving load balancers a
 // deregistration window. Bodies over -max-body-bytes answer 413.
 //
-// GET /metrics and /debug/vars are always on; -events FILE appends the
-// service's one event stream as JSONL — a "span" line per finished request
-// span and a "mem" line per memory sample (every -mem-every).
+// GET /metrics is always on; -events FILE appends the service's one event
+// stream as JSONL — a "span" line per finished request span and a "mem"
+// line per memory sample (every -mem-every).
 package main
 
 import (

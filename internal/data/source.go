@@ -162,10 +162,6 @@ func (st *Stream) Next() int {
 	return tok
 }
 
-// Topic returns the current latent topic (used by the task generators to
-// derive labels).
-func (st *Stream) Topic() int { return st.topic }
-
 // Fill writes n consecutive tokens into dst.
 func (st *Stream) Fill(dst []int) {
 	for i := range dst {

@@ -115,13 +115,3 @@ func (s *ParamSet) ClipGradNorm(maxNorm float64) float64 {
 	}
 	return norm
 }
-
-// ByName returns the first parameter with the given name, or nil.
-func (s *ParamSet) ByName(name string) *Param {
-	for _, p := range s.list {
-		if p.Name == name {
-			return p
-		}
-	}
-	return nil
-}

@@ -1,7 +1,8 @@
 package obs
 
 import (
-	"encoding/json"
+	"bufio"
+	"errors"
 	"fmt"
 	"io"
 	"math"
@@ -52,53 +53,84 @@ func (r *Registry) RenderPrometheus(w io.Writer) error {
 	return err
 }
 
-// WriteVars renders the registry as one JSON object — the GET /debug/vars
-// view. Keys are "name{labels}"; counters and gauges map to their value,
-// histograms to {count, sum, p50, p95, p99, max}. A nil registry renders
-// "{}".
-func (r *Registry) WriteVars(w io.Writer) error {
-	if r == nil {
-		_, err := io.WriteString(w, "{}\n")
-		return err
-	}
-	vars := map[string]any{}
-	r.mu.Lock()
-	for _, name := range r.order {
-		fam := r.families[name]
-		for _, in := range fam.instances {
-			key := fam.name + renderLabels(in.labelSet())
-			switch m := in.(type) {
-			case *Counter:
-				vars[key] = m.Value()
-			case *funcCounter:
-				vars[key] = m.fn()
-			case *Gauge:
-				vars[key] = m.Value()
-			case *funcGauge:
-				vars[key] = m.fn()
-			case *Histogram:
-				hv := map[string]any{
-					"count": m.Count(),
-					"sum":   m.Sum(),
-					"p50":   m.Quantile(0.50),
-					"p95":   m.Quantile(0.95),
-					"p99":   m.Quantile(0.99),
-				}
-				if m.Count() > 0 {
-					hv["max"] = math.Float64frombits(m.max.Load())
-				}
-				vars[key] = hv
+// Scrape is an exposition read back by ParseExposition. Both maps are keyed
+// by series, "name{labels}" as rendered; a histogram's key is its family
+// name with the le label dropped.
+type Scrape struct {
+	Counters   map[string]float64
+	Histograms map[string]*Buckets
+}
+
+// Buckets is one histogram as the exposition carries it: the finite upper
+// bounds, and the cumulative counts aligned with them plus the +Inf total —
+// BucketQuantile's input. The exposition carries no maximum, so a reader
+// passes +Inf as the overflow value.
+type Buckets struct {
+	Le  []float64
+	Cum []int64
+}
+
+// ParseExposition reads the counters and histogram buckets back out of the
+// text RenderPrometheus writes (gauges, _sum and _count are skipped). It
+// relies on that renderer's shape: a TYPE line before each family's
+// samples, and le as a histogram bucket's last label.
+func ParseExposition(r io.Reader) (Scrape, error) {
+	s := Scrape{Counters: map[string]float64{}, Histograms: map[string]*Buckets{}}
+	types := map[string]string{}
+	sc := bufio.NewScanner(r)
+	for sc.Scan() {
+		line := sc.Text()
+		if f := strings.Fields(line); len(f) == 4 && f[0] == "#" && f[1] == "TYPE" {
+			types[f[2]] = f[3]
+		}
+		if line == "" || line[0] == '#' {
+			continue
+		}
+		sp := strings.LastIndexByte(line, ' ')
+		if sp < 0 {
+			return s, fmt.Errorf("obs: malformed sample line %q", line)
+		}
+		series, val := line[:sp], line[sp+1:]
+		name, labels, _ := strings.Cut(series, "{")
+		base, isBucket := strings.CutSuffix(name, "_bucket")
+		at := strings.LastIndex(labels, `le="`)
+		switch {
+		case types[name] == "counter":
+			v, err := strconv.ParseFloat(val, 64)
+			if err != nil {
+				return s, fmt.Errorf("obs: sample line %q: %w", line, err)
 			}
+			s.Counters[series] = v
+		case isBucket && types[base] == "histogram":
+			if at < 0 || !strings.HasSuffix(labels[at+4:], `"}`) {
+				return s, fmt.Errorf("obs: bucket line %q has no trailing le label", line)
+			}
+			le, err := strconv.ParseFloat(strings.TrimSuffix(labels[at+4:], `"}`), 64)
+			cum, err2 := strconv.ParseInt(val, 10, 64)
+			if err = errors.Join(err, err2); err != nil {
+				return s, fmt.Errorf("obs: bucket line %q: %w", line, err)
+			}
+			key := base
+			if rest := strings.TrimSuffix(labels[:at], ","); rest != "" {
+				key += "{" + rest + "}"
+			}
+			h := s.Histograms[key]
+			if h == nil {
+				h = &Buckets{}
+				s.Histograms[key] = h
+			}
+			if !math.IsInf(le, 1) {
+				h.Le = append(h.Le, le)
+			}
+			h.Cum = append(h.Cum, cum)
 		}
 	}
-	r.mu.Unlock()
-	blob, err := json.MarshalIndent(vars, "", "  ")
-	if err != nil {
-		return err
+	for key, h := range s.Histograms {
+		if len(h.Cum) != len(h.Le)+1 {
+			return s, fmt.Errorf("obs: histogram %s: %d bounds, %d cumulative counts", key, len(h.Le), len(h.Cum))
+		}
 	}
-	blob = append(blob, '\n')
-	_, err = w.Write(blob)
-	return err
+	return s, sc.Err()
 }
 
 // renderLabels formats a label set as {k="v",...} with proper escaping, or

@@ -32,6 +32,7 @@ package memprof
 
 import (
 	"fmt"
+	"maps"
 	"os"
 	"path/filepath"
 	"runtime"
@@ -125,21 +126,13 @@ type Config struct {
 	MaxProfiles int
 }
 
-// component is one ledger cell: either pulled from fn at sample/render time
-// or pushed via Set.
-type component struct {
-	fn  func() int64
-	val int64
-}
-
 // Profiler is the live memory accountant. All methods are nil-receiver safe;
 // Track/Set/Predict and Sample may be called concurrently.
 type Profiler struct {
 	cfg Config
 
 	mu         sync.Mutex
-	comps      map[string]*component
-	order      []string // registration order, for stable gauge listing
+	comps      map[string]func() int64 // pulled at sample/render time
 	preds      map[string]func() float64
 	peak       Sample
 	havePeak   bool
@@ -159,7 +152,7 @@ func New(cfg Config) *Profiler {
 	}
 	p := &Profiler{
 		cfg:   cfg,
-		comps: map[string]*component{},
+		comps: map[string]func() int64{},
 		preds: map[string]func() float64{},
 	}
 	instrumentRuntime(cfg.Registry)
@@ -229,37 +222,20 @@ func (p *Profiler) Track(name string, fn func() int64) {
 		return
 	}
 	p.mu.Lock()
-	c, existed := p.comps[name]
-	if !existed {
-		c = &component{}
-		p.comps[name] = c
-		p.order = append(p.order, name)
-	}
-	c.fn = fn
+	_, existed := p.comps[name]
+	p.comps[name] = fn
 	p.mu.Unlock()
 	if !existed {
 		p.registerGauge(name)
 	}
 }
 
-// Set registers (on first use) and stores a pushed component value.
+// Set registers (on first use) or replaces a component with a constant.
 func (p *Profiler) Set(name string, bytes int64) {
 	if p == nil {
 		return
 	}
-	p.mu.Lock()
-	c, existed := p.comps[name]
-	if !existed {
-		c = &component{}
-		p.comps[name] = c
-		p.order = append(p.order, name)
-	}
-	c.fn = nil
-	c.val = bytes
-	p.mu.Unlock()
-	if !existed {
-		p.registerGauge(name)
-	}
+	p.Track(name, func() int64 { return bytes })
 }
 
 // registerGauge exposes one component on the gauge family. Called exactly
@@ -281,15 +257,12 @@ func (p *Profiler) Read(name string) int64 {
 		return 0
 	}
 	p.mu.Lock()
-	c := p.comps[name]
+	fn := p.comps[name]
 	p.mu.Unlock()
-	if c == nil {
+	if fn == nil {
 		return 0
 	}
-	if c.fn != nil {
-		return c.fn()
-	}
-	return c.val
+	return fn()
 }
 
 // Predict registers a constant analytic prediction for a component — the
@@ -339,22 +312,15 @@ func (p *Profiler) Sample(step int) Sample {
 	p.mu.Lock()
 	comps := make(map[string]int64, len(p.comps))
 	var total int64
-	for name, c := range p.comps {
-		v := c.val
-		fn := c.fn
-		if fn != nil {
-			// Pull outside p.mu? fn may take other locks (serve registry) but
-			// must not call back into the profiler's mutating methods; holding
-			// p.mu keeps the sample atomic w.r.t. Track/Set.
-			v = fn()
-		}
+	for name, fn := range p.comps {
+		// fn may take other locks (serve registry) but must not call back
+		// into the profiler's mutating methods; holding p.mu keeps the
+		// sample atomic w.r.t. Track/Set.
+		v := fn()
 		comps[name] = v
 		total += v
 	}
-	preds := make(map[string]func() float64, len(p.preds))
-	for name, fn := range p.preds {
-		preds[name] = fn
-	}
+	preds := maps.Clone(p.preds)
 	p.mu.Unlock()
 
 	s := Sample{

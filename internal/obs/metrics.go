@@ -70,8 +70,8 @@ func NewRegistry() *Registry {
 
 // lookup finds or creates the family, enforcing name/type/help agreement,
 // then returns the existing instance with the identical label set (nil if
-// none). Callers hold no locks; lookup takes r.mu and leaves it held via the
-// returned unlock func so get-or-create is atomic.
+// none). Callers hold r.mu across lookup and the insert that follows, so
+// get-or-create is atomic.
 func (r *Registry) lookup(name, help, typ string, buckets []float64, labels []Label) (*family, instance) {
 	if !validMetricName(name) {
 		panic(fmt.Sprintf("obs: invalid metric name %q", name))
@@ -282,10 +282,9 @@ func (c *funcCounter) labelSet() []Label { return c.labels }
 // Histogram counts observations into fixed buckets (upper bounds le[i],
 // plus an implicit +Inf overflow bucket) and tracks sum, count and the
 // maximum observed value. Observe is lock-free; quantile readout is exact
-// with respect to the bucket counts: Quantile(q) returns the upper bound of
-// the bucket containing the rank-⌈q·n⌉ observation (the maximum observed
-// value for the overflow bucket), so repeated readouts of an unchanged
-// histogram are bit-identical — no interpolation, no sampling.
+// with respect to the bucket counts (BucketQuantile), so repeated readouts
+// of an unchanged histogram are bit-identical — no interpolation, no
+// sampling.
 type Histogram struct {
 	le     []float64
 	counts []atomic.Int64 // len(le)+1; last is the +Inf bucket
@@ -343,38 +342,33 @@ func (h *Histogram) Sum() float64 {
 	return math.Float64frombits(h.sum.Load())
 }
 
-// Quantile returns the q-quantile (0 < q <= 1) at bucket resolution: the
-// upper bound of the bucket holding the rank-⌈q·n⌉ observation, or the
-// maximum observed value when that rank falls in the +Inf overflow bucket.
-// An empty histogram returns 0 by convention (keeps JSON renderings and
-// bench tables finite). Nil-safe.
+// Quantile returns the q-quantile (0 < q <= 1) by BucketQuantile's rule,
+// the maximum observed value standing in for the +Inf overflow bucket. An
+// empty histogram returns 0. Nil-safe.
 func (h *Histogram) Quantile(q float64) float64 {
 	if h == nil {
 		return 0
 	}
-	n := h.count.Load()
+	return BucketQuantile(h.le, h.snapshot(), math.Float64frombits(h.max.Load()), q)
+}
+
+// BucketQuantile is the one quantile rule over bucket counts: the q-quantile
+// (0 < q <= 1) is the upper bound le[i] of the first bucket whose cumulative
+// count cum[i] reaches rank ⌈q·n⌉, or overflow when that rank falls in the
+// +Inf bucket. cum is aligned with le plus one trailing +Inf entry, which is
+// n. An empty histogram returns 0 by convention (keeps bench tables finite).
+func BucketQuantile(le []float64, cum []int64, overflow, q float64) float64 {
+	n := cum[len(cum)-1]
 	if n == 0 {
 		return 0
 	}
-	rank := int64(math.Ceil(q * float64(n)))
-	if rank < 1 {
-		rank = 1
-	}
-	if rank > n {
-		rank = n
-	}
-	var cum int64
-	for i := range h.counts {
-		cum += h.counts[i].Load()
-		if cum >= rank {
-			if i < len(h.le) {
-				return h.le[i]
-			}
-			return math.Float64frombits(h.max.Load())
+	rank := min(max(int64(math.Ceil(q*float64(n))), 1), n)
+	for i, c := range cum[:len(le)] {
+		if c >= rank {
+			return le[i]
 		}
 	}
-	// Unreachable: cum == n >= rank by the loop's end.
-	return math.Float64frombits(h.max.Load())
+	return overflow
 }
 
 func (h *Histogram) labelSet() []Label { return h.labels }

@@ -60,39 +60,67 @@ func TestNilRegistryIsDisabledMode(t *testing.T) {
 	if err := r.RenderPrometheus(&strings.Builder{}); err != nil {
 		t.Fatalf("nil render: %v", err)
 	}
-	var b strings.Builder
-	if err := r.WriteVars(&b); err != nil {
-		t.Fatalf("nil vars: %v", err)
-	}
-	var vars map[string]any
-	if err := json.Unmarshal([]byte(b.String()), &vars); err != nil || len(vars) != 0 {
-		t.Fatalf("nil WriteVars = %q, want empty object", b.String())
-	}
 }
 
 // TestHistogramQuantileEdges pins Quantile at the edge counts the readout
 // contract names: empty, a single observation, all observations in one
-// bucket, and the +Inf overflow bucket reporting the observed maximum.
+// bucket, and the +Inf overflow bucket reporting the observed maximum. At
+// each, three readers agree: Histogram.Quantile, a window opened before the
+// first observation, and the text reader (ParseExposition + BucketQuantile)
+// over the rendered exposition — which carries no maximum, so in the
+// overflow bucket it reads +Inf.
 func TestHistogramQuantileEdges(t *testing.T) {
 	r := NewRegistry()
+	agree := func(h *Histogram, w *HistogramWindow, key string, overflow bool, qs ...float64) {
+		t.Helper()
+		var b strings.Builder
+		if err := r.RenderPrometheus(&b); err != nil {
+			t.Fatal(err)
+		}
+		s, err := ParseExposition(strings.NewReader(b.String()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		hb := s.Histograms[key]
+		if hb == nil {
+			t.Fatalf("text reader found no histogram %q in:\n%s", key, b.String())
+		}
+		for _, q := range qs {
+			want, wantText := h.Quantile(q), h.Quantile(q)
+			if overflow {
+				wantText = math.Inf(1)
+			}
+			if got := w.Quantile(q); got != want {
+				t.Fatalf("%s: window Quantile(%g) = %g, histogram %g", key, q, got, want)
+			}
+			if got := BucketQuantile(hb.Le, hb.Cum, math.Inf(1), q); got != wantText {
+				t.Fatalf("%s: text reader Quantile(%g) = %g, want %g", key, q, got, wantText)
+			}
+		}
+	}
 
 	empty := r.Histogram("edge_empty", "h", []float64{1, 2})
+	emptyW := empty.Window()
 	if got := empty.Quantile(0.5); got != 0 {
 		t.Fatalf("empty histogram quantile = %g, want 0", got)
 	}
 	if empty.Count() != 0 || empty.Sum() != 0 {
 		t.Fatalf("empty histogram count/sum nonzero")
 	}
+	agree(empty, emptyW, "edge_empty", false, 0.5, 1)
 
 	one := r.Histogram("edge_one", "h", []float64{1, 2, 4})
+	oneW := one.Window()
 	one.Observe(1.5)
 	for _, q := range []float64{0.01, 0.5, 0.99, 1} {
 		if got := one.Quantile(q); got != 2 {
 			t.Fatalf("single-observation Quantile(%g) = %g, want bucket bound 2", q, got)
 		}
 	}
+	agree(one, oneW, "edge_one", false, 0.01, 0.5, 0.99, 1)
 
 	packed := r.Histogram("edge_packed", "h", []float64{1, 2, 4})
+	packedW := packed.Window()
 	for i := 0; i < 100; i++ {
 		packed.Observe(3) // all land in the le=4 bucket
 	}
@@ -101,8 +129,10 @@ func TestHistogramQuantileEdges(t *testing.T) {
 			t.Fatalf("packed Quantile(%g) = %g, want 4", q, got)
 		}
 	}
+	agree(packed, packedW, "edge_packed", false, 0.5, 0.95, 0.99)
 
 	over := r.Histogram("edge_over", "h", []float64{1})
+	overW := over.Window()
 	over.Observe(0.5)
 	over.Observe(10)
 	over.Observe(25) // overflow bucket max
@@ -112,8 +142,29 @@ func TestHistogramQuantileEdges(t *testing.T) {
 	if got := over.Quantile(0.33); got != 1 {
 		t.Fatalf("Quantile(0.33) = %g, want first bucket bound 1", got)
 	}
+	agree(over, overW, "edge_over", false, 0.33)
+	agree(over, overW, "edge_over", true, 0.5, 1)
 	if got := over.Sum(); got != 35.5 {
 		t.Fatalf("Sum = %g, want 35.5", got)
+	}
+}
+
+// TestParseExpositionRejectsMalformed feeds the text reader lines its
+// renderer never writes; each is an error, not a panic or a silent
+// misreading.
+func TestParseExpositionRejectsMalformed(t *testing.T) {
+	const head = "# TYPE c_total counter\n# TYPE h histogram\n"
+	for _, body := range []string{
+		"c_total\n",
+		"c_total x\n",
+		`h_bucket{le="} 1` + "\n",
+		`h_bucket{path="/a"} 1` + "\n",
+		`h_bucket{le="1"} 1.5` + "\n",
+		`h_bucket{le="1"} 1` + "\n", // no +Inf bucket
+	} {
+		if _, err := ParseExposition(strings.NewReader(head + body)); err == nil {
+			t.Errorf("ParseExposition(%q) = nil error", body)
+		}
 	}
 }
 
@@ -248,31 +299,6 @@ func parseFloat(s string) (float64, error) {
 	var v float64
 	err := json.Unmarshal([]byte(s), &v)
 	return v, err
-}
-
-// TestWriteVars checks the /debug/vars JSON view: parseable, counters as
-// numbers, histograms as quantile objects.
-func TestWriteVars(t *testing.T) {
-	r := NewRegistry()
-	r.Counter("v_total", "h").Add(2)
-	h := r.Histogram("v_seconds", "h", []float64{1, 2})
-	h.Observe(0.5)
-	h.Observe(1.5)
-	var b strings.Builder
-	if err := r.WriteVars(&b); err != nil {
-		t.Fatal(err)
-	}
-	var vars map[string]any
-	if err := json.Unmarshal([]byte(b.String()), &vars); err != nil {
-		t.Fatalf("vars not valid JSON: %v\n%s", err, b.String())
-	}
-	if got := vars["v_total"].(float64); got != 2 {
-		t.Fatalf("v_total = %v, want 2", got)
-	}
-	hv := vars["v_seconds"].(map[string]any)
-	if hv["count"].(float64) != 2 || hv["p50"].(float64) != 1 || hv["max"].(float64) != 1.5 {
-		t.Fatalf("histogram vars wrong: %v", hv)
-	}
 }
 
 // TestRegistryConflictsPanic pins the registration guards: type mismatch

@@ -115,7 +115,7 @@ func (c WatchdogConfig) withDefaults() WatchdogConfig {
 	return c
 }
 
-// Watchdog is the training-health monitor both train loops feed once per
+// Watchdog is the training-health monitor the train loop feeds once per
 // step: it flags NaN/Inf loss or gradient norm, loss spikes above a multiple
 // of the trailing-window median, and stalled steps, raising structured
 // alerts into the ledger and obs counters. Purely observational — it reads

@@ -72,34 +72,12 @@ func (w *HistogramWindow) Count() int64 {
 }
 
 // Quantile returns the q-quantile (0 < q <= 1) of the windowed
-// observations at bucket resolution — the same rank-exact rule as
-// Histogram.Quantile, restricted to observations since the last Rotate.
-// An empty window returns 0.
+// observations by BucketQuantile's rule, restricted to observations since
+// the last Rotate. No windowed max exists, so the overflow bucket reports
+// the lifetime max — the conservative upper bound. An empty window returns 0.
 func (w *HistogramWindow) Quantile(q float64) float64 {
 	if w == nil {
 		return 0
 	}
-	d := w.delta()
-	n := d[len(d)-1]
-	if n == 0 {
-		return 0
-	}
-	rank := int64(math.Ceil(q * float64(n)))
-	if rank < 1 {
-		rank = 1
-	}
-	if rank > n {
-		rank = n
-	}
-	for i, cum := range d {
-		if cum >= rank {
-			if i < len(w.h.le) {
-				return w.h.le[i]
-			}
-			// Overflow bucket: no windowed max exists; the lifetime max is
-			// the conservative upper bound.
-			return math.Float64frombits(w.h.max.Load())
-		}
-	}
-	return math.Float64frombits(w.h.max.Load())
+	return BucketQuantile(w.h.le, w.delta(), math.Float64frombits(w.h.max.Load()), q)
 }

@@ -46,9 +46,8 @@ func (s *Server) SetDraining(v bool) { s.draining.Store(v) }
 
 // Handler returns the routed HTTP handler. Besides the query API it serves
 // the observability surface: GET /metrics (Prometheus text exposition over
-// Config.Metrics), GET /debug/vars (the same registry as JSON, with
-// histogram quantiles), and — when Config.Pprof is set — net/http/pprof
-// under /debug/pprof/. Every API endpoint is wrapped in the metrics/tracing
+// Config.Metrics) and — when Config.Pprof is set — net/http/pprof under
+// /debug/pprof/. Every API endpoint is wrapped in the metrics/tracing
 // middleware.
 func (s *Server) Handler() http.Handler {
 	mux := http.NewServeMux()
@@ -60,7 +59,6 @@ func (s *Server) Handler() http.Handler {
 	mux.HandleFunc("POST /v1/zeroshot", s.wrap("/v1/zeroshot", s.handleZeroShot))
 	mux.HandleFunc("POST /v1/finetune", s.wrap("/v1/finetune", s.handleFineTune))
 	mux.HandleFunc("GET /metrics", s.handleMetrics)
-	mux.HandleFunc("GET /debug/vars", s.handleVars)
 	if s.reg.cfg.Pprof {
 		obs.RegisterPprof(mux)
 	}
@@ -107,11 +105,6 @@ func (w *statusWriter) WriteHeader(code int) {
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
 	s.reg.cfg.Metrics.RenderPrometheus(w)
-}
-
-func (s *Server) handleVars(w http.ResponseWriter, r *http.Request) {
-	w.Header().Set("Content-Type", "application/json")
-	s.reg.cfg.Metrics.WriteVars(w)
 }
 
 // NewHTTPServer wraps h in an http.Server with production traffic

@@ -45,8 +45,8 @@ func metricValue(t *testing.T, expo, sample string) float64 {
 
 // TestMetricsEndpoint exercises the whole instrumented serve path: queries
 // flow through the middleware, batcher and registry, then GET /metrics must
-// expose well-formed Prometheus text with nonzero counters for each layer,
-// and GET /debug/vars must be valid JSON over the same registry.
+// expose well-formed Prometheus text with nonzero counters for each layer;
+// it is the only rendering, so GET /debug/vars answers 404.
 func TestMetricsEndpoint(t *testing.T) {
 	dir := t.TempDir()
 	path, _ := trainAndSave(t, dir, 3)
@@ -121,17 +121,8 @@ func TestMetricsEndpoint(t *testing.T) {
 		t.Fatalf("snapshot generation gauge = %g, want 1", v)
 	}
 
-	// /debug/vars: valid JSON over the same registry.
-	status, vars := scrape(t, ts.URL+"/debug/vars")
-	if status != http.StatusOK {
-		t.Fatalf("/debug/vars status %d", status)
-	}
-	var parsed map[string]any
-	if err := json.Unmarshal([]byte(vars), &parsed); err != nil {
-		t.Fatalf("/debug/vars not valid JSON: %v", err)
-	}
-	if parsed[`apollo_http_requests_total{path="/v1/perplexity"}`].(float64) < 1 {
-		t.Fatalf("vars missing request counter: %v", parsed)
+	if status, _ := scrape(t, ts.URL+"/debug/vars"); status != http.StatusNotFound {
+		t.Fatalf("/debug/vars status %d, want 404", status)
 	}
 
 	// Tracing: each handled request emitted one span with the http name.

@@ -96,11 +96,11 @@ type Config struct {
 	// cache behavior (hits/loads/hot-reloads/evictions, per-path generation
 	// gauge), batcher coalescing (queue wait, batch size), the response cache
 	// and per-endpoint HTTP request counts/latency — rendered at GET /metrics
-	// (Prometheus text exposition) and GET /debug/vars (JSON). These handles
-	// are the service's only counters (Loads, Evictions and the shed verdict
-	// read them back), so nil selects a private registry, not "off": the
-	// endpoints then show this service alone. Pass a shared registry to have
-	// other subsystems (runtime pool, obs write errors) on the same page.
+	// (Prometheus text exposition). These handles are the service's only
+	// counters (Loads, Evictions and the shed verdict read them back), so
+	// nil selects a private registry, not "off": /metrics then shows this
+	// service alone. Pass a shared registry to have other subsystems
+	// (runtime pool, obs write errors) on the same page.
 	// Results are never affected (timing-only).
 	Metrics *obs.Registry
 	// Tracer, when set, emits one JSONL span per HTTP request (request id,

@@ -1,8 +1,6 @@
 package serve
 
 import (
-	"bytes"
-	"encoding/json"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -187,19 +185,9 @@ func TestZeroShotCoalescesAndMatchesEval(t *testing.T) {
 	if got != want {
 		t.Fatalf("served zero-shot accuracy %v != eval %v", got, want)
 	}
-	// 18 equal-length units, MaxBatch 8 → 3 forwards, largest batch 8 (the
-	// histogram's exact maximum is on the /debug/vars rendering).
-	var buf bytes.Buffer
-	if err := reg.cfg.Metrics.WriteVars(&buf); err != nil {
-		t.Fatal(err)
-	}
-	var vars struct {
-		BatchSize struct{ Max float64 } `json:"apollo_serve_batch_size"`
-	}
-	if err := json.Unmarshal(buf.Bytes(), &vars); err != nil {
-		t.Fatal(err)
-	}
-	if scored, forwards, largest := reg.m.scored.Value(), reg.m.forwards.Value(), vars.BatchSize.Max; scored != 18 || largest != 8 || forwards != 3 {
+	// 18 equal-length units, MaxBatch 8 → 3 forwards, largest batch 8 (8 is
+	// a SizeBuckets bound, so the batch-size histogram's Quantile(1) is exact).
+	if scored, forwards, largest := reg.m.scored.Value(), reg.m.forwards.Value(), reg.m.batchSize.Quantile(1); scored != 18 || largest != 8 || forwards != 3 {
 		t.Fatalf("coalescing: %d units over %d forwards, largest batch %v; want 18 over 3 with largest 8", scored, forwards, largest)
 	}
 }

@@ -177,14 +177,6 @@ func ArgMax(x []float32) int {
 	return bi
 }
 
-// Mean returns the arithmetic mean of all elements.
-func (m *Matrix) Mean() float64 {
-	if m.NumEl() == 0 {
-		return 0
-	}
-	return m.Sum() / float64(m.NumEl())
-}
-
 // HasNaN reports whether any element is NaN or ±Inf.
 func (m *Matrix) HasNaN() bool {
 	for _, v := range m.Data {

@@ -128,7 +128,8 @@ type PretrainConfig struct {
 	// only: a profiled run is bit-identical to an unprofiled one
 	// (TestObserverParity); disabled it costs one nil check per step.
 	MemProf *memprof.Profiler
-	// Quiet suppresses progress output.
+	// Logf receives progress lines (eval, checkpoint, watchdog halt); nil
+	// discards them.
 	Logf func(format string, args ...any)
 }
 
