@@ -206,7 +206,9 @@ func NewEvalRegistry(cfg ServeConfig) (*EvalRegistry, error) { return serve.NewR
 // checkpoints: perplexity, option-logprob, zero-shot and fine-tune queries
 // against any internal/ckpt snapshot, without retraining. A served
 // perplexity query is bit-identical to train.Validate on the restored
-// snapshot at any concurrency; see internal/serve for the contract.
+// snapshot at any concurrency, and so to the validation loss the training
+// loop reports, which forwards at its training shape and sums the same rows
+// in the same order; see internal/serve for the contract.
 func Serve(addr string, cfg ServeConfig, checkpoints ...string) error {
 	return serve.ListenAndServe(addr, cfg, checkpoints)
 }

@@ -227,3 +227,67 @@ func TestCrossEntropyGradientNumeric(t *testing.T) {
 		checkGrad(t, "ce.logits", logits.Data, idx, float64(dl.Data[idx]), loss, 1e-3, 0.02)
 	}
 }
+
+// TestCrossEntropyShardWritesOverLogits pins the in-place form: the gradient
+// lands in the logits' own storage, each element bit for bit the softmax
+// formula taken from an untouched copy, a row whose target is ignored reads
+// exact zeros whatever its logits were, and CrossEntropy leaves the caller's
+// logits alone and hands back fresh storage.
+func TestCrossEntropyShardWritesOverLogits(t *testing.T) {
+	logits := tensor.NewMatrixRand(5, 7, 3, tensor.NewRNG(8))
+	targets := []int{2, -1, 0, 6, -1}
+	const normCount = 11 // a wider batch's count, as a data-parallel shard sees
+	orig := logits.Clone()
+	storage := &logits.Data[0]
+
+	sum, dl := CrossEntropyShard(logits, targets, -1, normCount)
+	if &dl.Data[0] != storage || dl.Rows != orig.Rows || dl.Cols != orig.Cols {
+		t.Fatal("CrossEntropyShard returned storage other than the logits it was handed")
+	}
+	invN := float32(1.0 / float64(normCount))
+	var wantSum float64
+	for i, tgt := range targets {
+		row, got := orig.Row(i), dl.Row(i)
+		if tgt == -1 {
+			nonzero := false
+			for j := range row {
+				nonzero = nonzero || row[j] != 0
+				if math.Float32bits(got[j]) != 0 {
+					t.Fatalf("ignored row %d col %d reads %v, want exactly 0", i, j, got[j])
+				}
+			}
+			if !nonzero {
+				t.Fatalf("ignored row %d had zero logits: the test proves nothing", i)
+			}
+			continue
+		}
+		lse := tensor.LogSumExp(row)
+		wantSum += lse - float64(row[tgt])
+		for j, v := range row {
+			want := float32(expf(float64(v)-lse)) * invN
+			if j == tgt {
+				want -= invN
+			}
+			if math.Float32bits(got[j]) != math.Float32bits(want) {
+				t.Fatalf("row %d col %d: dlogits %v, formula %v", i, j, got[j], want)
+			}
+		}
+	}
+	if math.Float64bits(sum) != math.Float64bits(wantSum) {
+		t.Fatalf("loss sum %v, formula %v", sum, wantSum)
+	}
+
+	caller := orig.Clone()
+	loss, fresh := CrossEntropy(caller, targets, -1)
+	if !caller.Equal(orig) {
+		t.Fatal("CrossEntropy modified the caller's logits")
+	}
+	if &fresh.Data[0] == &caller.Data[0] {
+		t.Fatal("CrossEntropy returned the caller's logits as dlogits")
+	}
+	counted := CountTargets(targets, -1)
+	shardSum, shard := CrossEntropyShard(orig.Clone(), targets, -1, counted)
+	if loss != shardSum/float64(counted) || !fresh.Equal(shard) {
+		t.Fatal("CrossEntropy differs from CrossEntropyShard at the batch's own count")
+	}
+}

@@ -176,7 +176,9 @@ func (m *Model) Params() *ParamSet { return m.params }
 // Forward maps token ids (length batch·seq, row-major by sequence) to logits
 // of shape (batch·seq)×vocab. The logits live in the model's arena: they are
 // valid until the next Forward on this model, and a model runs one pass at a
-// time.
+// time. They are the last buffer the forward takes from the arena, so a
+// caller may write the gradient over them (CrossEntropyShard) and hand that
+// to BackwardRelease: backward's temporaries come after them.
 func (m *Model) Forward(tokens []int, batch, seq int) *tensor.Matrix {
 	if len(tokens) != batch*seq {
 		panic(fmt.Sprintf("nn: %d tokens for batch %d × seq %d", len(tokens), batch, seq))
@@ -253,13 +255,15 @@ func CountTargets(targets []int, ignoreIndex int) int {
 
 // CrossEntropy computes the mean negative log-likelihood of targets under
 // logits and the gradient dlogits = (softmax − onehot)/N. Targets equal to
-// ignoreIndex contribute neither loss nor gradient.
+// ignoreIndex contribute neither loss nor gradient. The caller's logits are
+// left as they are and dlogits is a fresh matrix: it runs CrossEntropyShard
+// on a clone.
 func CrossEntropy(logits *tensor.Matrix, targets []int, ignoreIndex int) (float64, *tensor.Matrix) {
 	counted := CountTargets(targets, ignoreIndex)
 	if counted == 0 {
 		return 0, tensor.NewMatrix(logits.Rows, logits.Cols)
 	}
-	sum, dlogits := CrossEntropyShard(logits, targets, ignoreIndex, counted)
+	sum, dlogits := CrossEntropyShard(logits.Clone(), targets, ignoreIndex, counted)
 	return sum / float64(counted), dlogits
 }
 
@@ -270,6 +274,13 @@ func CrossEntropy(logits *tensor.Matrix, targets []int, ignoreIndex int) (float6
 // only on that row and normCount, a shard's dlogits rows are bit-identical
 // to the corresponding rows of a single full-batch call — the property the
 // data-parallel trainer's determinism contract rests on.
+//
+// The gradient is written over the logits, and dlogits is logits itself:
+// each row's log-sum-exp and loss are taken before the row is overwritten,
+// and a row whose target is ignored is cleared to zeros. A training step
+// hands it the logits Model.Forward returned, which are the last forward
+// buffer in the model's arena, so the backward pass reads them as dlogits
+// and allocates no rows×vocab matrix of its own.
 func CrossEntropyShard(logits *tensor.Matrix, targets []int, ignoreIndex, normCount int) (float64, *tensor.Matrix) {
 	if len(targets) != logits.Rows {
 		panic(fmt.Sprintf("nn: %d targets for %d logit rows", len(targets), logits.Rows))
@@ -277,32 +288,29 @@ func CrossEntropyShard(logits *tensor.Matrix, targets []int, ignoreIndex, normCo
 	if normCount <= 0 {
 		panic(fmt.Sprintf("nn: CrossEntropyShard normCount %d", normCount))
 	}
-	dlogits := tensor.NewMatrix(logits.Rows, logits.Cols)
-	counted := normCount
 	lossCh := make([]float64, logits.Rows)
-	invN := float32(1.0 / float64(counted))
+	invN := float32(1.0 / float64(normCount))
 	tensor.Parallel(logits.Rows, 8, func(i0, i1 int) {
 		for i := i0; i < i1; i++ {
+			row := logits.Row(i)
 			tgt := targets[i]
 			if tgt == ignoreIndex {
+				clear(row)
 				continue
 			}
-			row := logits.Row(i)
 			lse := tensor.LogSumExp(row)
 			lossCh[i] = lse - float64(row[tgt])
-			drow := dlogits.Row(i)
 			for j, v := range row {
-				p := expf(float64(v) - lse)
-				drow[j] = float32(p) * invN
+				row[j] = float32(expf(float64(v)-lse)) * invN
 			}
-			drow[tgt] -= invN
+			row[tgt] -= invN
 		}
 	})
 	var total float64
 	for _, l := range lossCh {
 		total += l
 	}
-	return total, dlogits
+	return total, logits
 }
 
 // Loss is a convenience wrapper: forward + cross-entropy + backward.
@@ -316,34 +324,39 @@ func (m *Model) Loss(tokens []int, targets []int, batch, seq int) float64 {
 
 // EvalLoss computes the loss without touching gradients (no backward pass).
 func (m *Model) EvalLoss(tokens []int, targets []int, batch, seq int) float64 {
-	logits := m.Forward(tokens, batch, seq)
-	loss, _ := crossEntropyLossOnly(logits, targets, -1)
-	return loss
+	total, counted := m.AddRowLosses(0, tokens, targets, batch, seq)
+	if counted == 0 {
+		return 0
+	}
+	return total / float64(counted)
 }
 
-func crossEntropyLossOnly(logits *tensor.Matrix, targets []int, ignoreIndex int) (float64, int) {
+// AddRowLosses forwards tokens without a backward pass and adds the loss of
+// each row whose target is not ignored (-1) to total, in row order; targets
+// holds one entry per token. It returns the new total and the number of rows
+// it added. A batch evaluated sequence range by sequence range, each call
+// given the total the previous one returned, sums the very float64 of one
+// call over the whole batch, so EvalLoss may run at any forward shape.
+func (m *Model) AddRowLosses(total float64, tokens, targets []int, batch, seq int) (float64, int) {
+	logits := m.Forward(tokens, batch, seq)
 	// Row losses fan out; the sum stays serial and in row order.
 	rowLoss := make([]float64, logits.Rows)
 	tensor.Parallel(logits.Rows, 8, func(i0, i1 int) {
 		for i := i0; i < i1; i++ {
-			if tgt := targets[i]; tgt != ignoreIndex {
+			if tgt := targets[i]; tgt != -1 {
 				row := logits.Row(i)
 				rowLoss[i] = tensor.LogSumExp(row) - float64(row[tgt])
 			}
 		}
 	})
-	var total float64
 	counted := 0
-	for i, tgt := range targets[:logits.Rows] {
-		if tgt != ignoreIndex {
+	for i, tgt := range targets {
+		if tgt != -1 {
 			total += rowLoss[i]
 			counted++
 		}
 	}
-	if counted == 0 {
-		return 0, 0
-	}
-	return total / float64(counted), counted
+	return total, counted
 }
 
 func expf(x float64) float64 {

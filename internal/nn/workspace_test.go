@@ -61,7 +61,8 @@ func TestArenaReuseMatchesFreshModel(t *testing.T) {
 // (nothing is allocated per row, let alone per element) and fewer bytes than
 // a quarter of the smallest rows×dim activation (no activation, activation
 // gradient or attention buffer reaches the heap). dlogits is made once,
-// outside the pass: cross-entropy is the caller's and allocates its own.
+// outside the pass; TestCrossEntropyShardPassSteadyStateAllocs pins the pass
+// with the loop's cross-entropy in it.
 func TestForwardBackwardSteadyStateAllocs(t *testing.T) {
 	defer runtime.SetWorkers(runtime.Workers())
 	runtime.SetWorkers(1)
@@ -92,4 +93,37 @@ func TestForwardBackwardSteadyStateAllocs(t *testing.T) {
 		t.Errorf("steady-state forward+backward allocates %.0f bytes, want under %.0f (a quarter of one %d×%d activation)", bytes, limit, rows, cfg.Dim)
 	}
 	t.Logf("%v objects, %.0f bytes per pass", objects, bytes)
+}
+
+// TestCrossEntropyShardPassSteadyStateAllocs pins a training pass as the
+// loop runs it — Forward, CrossEntropyShard over the logits it returns,
+// BackwardRelease of the gradient that comes back — at fewer heap bytes than
+// one logits matrix once the arena has seen the shape: the gradient seed is
+// the logits' own arena buffer, not a rows×vocab matrix of its own.
+func TestCrossEntropyShardPassSteadyStateAllocs(t *testing.T) {
+	defer runtime.SetWorkers(runtime.Workers())
+	runtime.SetWorkers(1)
+	cfg := Config{Vocab: 64, Dim: 32, Hidden: 64, Heads: 2, Layers: 2, MaxSeq: 32}
+	const batch, seq = 8, 32
+	model := NewModel(cfg, tensor.NewRNG(24))
+	tokens, targets := arenaBatch(tensor.NewRNG(25), cfg.Vocab, batch, seq)
+	counted := CountTargets(targets, -1)
+	pass := func() {
+		_, dlogits := CrossEntropyShard(model.Forward(tokens, batch, seq), targets, -1, counted)
+		model.BackwardRelease(dlogits, nil)
+	}
+	pass()
+
+	const runs = 10
+	var before, after goruntime.MemStats
+	goruntime.ReadMemStats(&before)
+	for range runs {
+		pass()
+	}
+	goruntime.ReadMemStats(&after)
+	bytes := float64(after.TotalAlloc-before.TotalAlloc) / runs
+	if limit := float64(batch * seq * cfg.Vocab * 4); bytes >= limit {
+		t.Errorf("steady-state training pass allocates %.0f bytes, want under %.0f (one %d×%d logits matrix)", bytes, limit, batch*seq, cfg.Vocab)
+	}
+	t.Logf("%.0f bytes per pass", bytes)
 }

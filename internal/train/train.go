@@ -166,9 +166,14 @@ func pretrain(model *nn.Model, opt optim.Optimizer, corpus *data.Corpus, cfg Pre
 	for cfg.Batch%accum != 0 {
 		accum--
 	}
+	// Validation forwards as many sequences at a time as a training forward:
+	// a micro-batch, or one sequence on the master model (replica 0) under
+	// data parallelism.
+	evalPer := cfg.Batch / accum
 	tag := opt.Name()
 	if dp != nil {
 		tag = fmt.Sprintf("%s x%d", tag, len(dp.reps))
+		evalPer = 1
 	}
 
 	rec := cfg.Telemetry
@@ -243,7 +248,7 @@ func pretrain(model *nn.Model, opt optim.Optimizer, corpus *data.Corpus, cfg Pre
 		pc.lap(obs.PhaseCheckpoint)
 
 		if cfg.EvalEvery > 0 && (step+1)%cfg.EvalEvery == 0 {
-			val := Validate(model, corpus, cfg.EvalBatches, cfg.Batch, cfg.Seq)
+			val := validate(model, corpus, cfg.EvalBatches, cfg.Batch, cfg.Seq, evalPer)
 			series = append(series, Metric{
 				Step: step + 1, TrainLoss: loss, ValLoss: val,
 				ValPPL: math.Exp(val), LR: opt.LR(),
@@ -265,7 +270,7 @@ func pretrain(model *nn.Model, opt optim.Optimizer, corpus *data.Corpus, cfg Pre
 			break
 		}
 	}
-	final := Validate(model, corpus, cfg.EvalBatches, cfg.Batch, cfg.Seq)
+	final := validate(model, corpus, cfg.EvalBatches, cfg.Batch, cfg.Seq, evalPer)
 	series = append(series, Metric{
 		Step: endStep, ValLoss: final, ValPPL: math.Exp(final), LR: opt.LR(),
 	})
@@ -331,9 +336,9 @@ func (pc *phaseClock) merge(o *phaseClock) {
 // backward, with phase laps at the forward/backward boundary — the one
 // forward/backward every gradient stage is built from (a fused micro-batch
 // and a data-parallel leaf differ only in the rows they pass). Cross-entropy
-// is charged to backward: it produces the gradient seed. release, when not
-// nil, receives each parameter group as its gradient becomes final
-// (nn.Model.BackwardRelease).
+// is charged to backward: it writes the gradient seed over the logits.
+// release, when not nil, receives each parameter group as its gradient
+// becomes final (nn.Model.BackwardRelease).
 func lossShardPhased(model *nn.Model, tokens, targets []int, b, t, counted int, pc *phaseClock, release func([]*nn.Param)) float64 {
 	logits := model.Forward(tokens, b, t)
 	pc.lap(obs.PhaseForward)
@@ -438,10 +443,12 @@ func maybeCheckpoint(cfg PretrainConfig, step int, params []*nn.Param, opt optim
 // accum micro-batches, accumulating gradients and normalizing by the batch's
 // global non-ignored target count so the accumulated gradient equals the
 // full-batch gradient (same math; float32 summation order differs). Only one
-// micro-batch of activations is resident at a time. accum == 1 is exactly
-// model.Loss: nn.CrossEntropy is CountTargets + CrossEntropyShard + a divide.
-// Only the last micro-batch's backward releases groups to release (nil:
-// none): until then every gradient is still accumulating.
+// micro-batch of activations is resident at a time, and each micro-batch's
+// gradient seed is written over its own logits (nn.CrossEntropyShard), so
+// the stage allocates no rows×vocab matrix. accum == 1 is exactly
+// model.Loss: nn.CrossEntropy is CountTargets + CrossEntropyShard (on a
+// clone) + a divide. Only the last micro-batch's backward releases groups to
+// release (nil: none): until then every gradient is still accumulating.
 func lossAccum(model *nn.Model, batch data.Batch, accum int, pc *phaseClock, release func([]*nn.Param)) float64 {
 	counted := nn.CountTargets(batch.Targets, -1)
 	if counted == 0 {
@@ -465,19 +472,45 @@ func lossAccum(model *nn.Model, batch data.Batch, accum int, pc *phaseClock, rel
 }
 
 // Validate returns the mean validation loss over the corpus's fixed
-// evaluation batches. batches <= 0 evaluates nothing and returns 0 by
-// convention (perplexity 1) — never the NaN a zero divisor would produce,
-// which math.Exp would otherwise propagate into every downstream perplexity.
+// evaluation batches, each b sequences of t tokens forwarded at once.
+// batches <= 0 evaluates nothing and returns 0 by convention (perplexity 1)
+// — never the NaN a zero divisor would produce, which math.Exp would
+// otherwise propagate into every downstream perplexity.
 func Validate(model *nn.Model, corpus *data.Corpus, batches, b, t int) float64 {
+	return validate(model, corpus, batches, b, t, b)
+}
+
+// validate is Validate forwarding per sequences at a time. The loop passes
+// its training forward's shape, so validating grows the model's arena no
+// larger than its training steps did.
+func validate(model *nn.Model, corpus *data.Corpus, batches, b, t, per int) float64 {
 	if batches <= 0 {
 		return 0
 	}
 	var total float64
 	for i := 0; i < batches; i++ {
-		vb := corpus.ValBatch(i, b, t)
-		total += model.EvalLoss(vb.Tokens, vb.Targets, vb.B, vb.T)
+		total += evalBatch(model, corpus.ValBatch(i, b, t), per)
 	}
 	return total / float64(batches)
+}
+
+// evalBatch is model.EvalLoss over batch, forwarding per sequences at a
+// time. The row losses are summed in row order across the forwards into one
+// float64 (nn.Model.AddRowLosses), so the loss is EvalLoss's to the last bit
+// whatever per is.
+func evalBatch(model *nn.Model, batch data.Batch, per int) float64 {
+	var sum float64
+	counted := 0
+	for lo := 0; lo < batch.B; lo += per {
+		hi := min(lo+per, batch.B)
+		var n int
+		sum, n = model.AddRowLosses(sum, batch.Tokens[lo*batch.T:hi*batch.T], batch.Targets[lo*batch.T:hi*batch.T], hi-lo, batch.T)
+		counted += n
+	}
+	if counted == 0 {
+		return 0
+	}
+	return sum / float64(counted)
 }
 
 // EncodeFT builds the LM sequence for a fine-tuning example:
