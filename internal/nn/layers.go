@@ -22,11 +22,14 @@ func NewLinear(name string, in, out int, std float64, rng *tensor.RNG) *Linear {
 	return &Linear{P: NewParam(name, KindMatrix, w)}
 }
 
-// Forward computes y = x·Wᵀ for x of shape N×in.
+// Forward computes y = x·Wᵀ for x of shape N×in. The kernel's transpose
+// goes to the arena's weight-shaped scratch, the buffer Backward's dW
+// already grows to W's size, so a forward adds no resident bytes to a
+// training model.
 func (l *Linear) Forward(x *tensor.Matrix) *tensor.Matrix {
 	l.x = x
 	y := l.ws.matrix(x.Rows, l.P.W.Rows)
-	tensor.MatMulTInto(y, x, l.P.W)
+	tensor.MatMulTInto(y, x, l.P.W, l.ws.scratch(l.P.W.Rows, l.P.W.Cols).Data)
 	return y
 }
 

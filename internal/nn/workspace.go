@@ -60,8 +60,9 @@ func (w *workspace) floats(n int) []float32 { return w.matrix(1, n).Data }
 
 // scratch hands out the arena's one transient matrix, uncleared and valid
 // until the next call: weight-shaped temporaries (a Linear's dW before it is
-// added to the gradient) would otherwise each grow the buffer at whatever
-// position the backward pass had reached to weight size. Where a batch has
+// added to the gradient, and the transposed operand its Forward's MatMulT
+// sweeps) would otherwise each grow the buffer at whatever position the
+// pass had reached to weight size. Where a batch has
 // fewer rows than a weight has, that is most of the arena: 1.16 MB with
 // scratch against 1.77 MB with mark/matrix/release around dW on a 1×16-token
 // step of the 128×344 model (equal within 1% at 512 rows).

@@ -5,20 +5,30 @@ import (
 	"testing"
 )
 
-// Square-matrix kernel benchmarks for use while working on the kernels:
+// Kernel benchmarks for use while working on the kernels:
 //
-//	go test ./internal/runtime/ -bench MatMul -benchtime 2s
+//	go test ./internal/runtime/ -run '^$' -bench 'MatMul' -benchtime 2s
 //
-// The numbers of record are the repository benchmark's, at the shapes a
-// training step issues: `bash benchmark/run.sh --workload pretrain_fused
-// --trace 1` reports `runtime.*_gflops` and `runtime.parallel_speedup`.
-// Speedup scales with core count: the parallel kernel is bit-identical to
-// the serial one, so worker count is a pure perf knob.
+// BenchmarkMatMulT, BenchmarkMatMul and BenchmarkTMatMul time each kernel
+// at the Linear shapes the repository benchmark's workloads issue, serially
+// and on the pool, and report GMAC/s (multiply-adds per nanosecond). The
+// numbers of record stay the repository benchmark's: `bash benchmark/run.sh
+// --workload pretrain_fused --trace 1` reports `runtime.*_gflops` and
+// `runtime.parallel_speedup` at its MLP-up shape. Speedup scales with core
+// count: the parallel kernel is bit-identical to the serial one, so worker
+// count is a pure perf knob.
 
-func benchMatMul(b *testing.B, size int, parallel bool) {
-	a := make([]float32, size*size)
-	bb := make([]float32, size*size)
-	out := make([]float32, size*size)
+// linearShapes are (rows, in, out) of a Linear forward: pretrain_fused's
+// MLP up and down projections at 512 rows, pretrain_dpzero's per-sequence
+// attention projection, and pretrain_microbatch's up and down at 16 rows.
+var linearShapes = []struct{ m, k, n int }{
+	{512, 96, 256}, {512, 256, 96}, {64, 96, 96}, {16, 128, 344}, {16, 344, 128},
+}
+
+// benchKernel times run over inputs of the given lengths, serially or on
+// the pool, and reports GMAC/s for macs multiply-adds per call.
+func benchKernel(b *testing.B, parallel bool, macs, outLen, aLen, bLen int, run func(out, a, bb []float32)) {
+	a, bb, out := make([]float32, aLen), make([]float32, bLen), make([]float32, outLen)
 	fill(a, 1)
 	fill(bb, 2)
 	orig := Workers()
@@ -26,27 +36,51 @@ func benchMatMul(b *testing.B, size int, parallel bool) {
 	if !parallel {
 		SetWorkers(1)
 	}
-	b.SetBytes(int64(size * size * 4))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		MatMul(out, a, bb, size, size, size)
+		run(out, a, bb)
+	}
+	b.ReportMetric(float64(macs)*float64(b.N)/float64(b.Elapsed().Nanoseconds()), "GMAC/s")
+}
+
+// benchShapes runs one kernel over linearShapes, serial and pooled; mk
+// returns the a and b lengths and the call for a shape.
+func benchShapes(b *testing.B, mk func(m, k, n int) (aLen, bLen int, run func(out, a, bb []float32))) {
+	for _, sh := range linearShapes {
+		for _, parallel := range []bool{false, true} {
+			mode := "serial"
+			if parallel {
+				mode = "pooled"
+			}
+			b.Run(fmt.Sprintf("%dx%dx%d/%s", sh.m, sh.k, sh.n, mode), func(b *testing.B) {
+				aLen, bLen, run := mk(sh.m, sh.k, sh.n)
+				benchKernel(b, parallel, sh.m*sh.k*sh.n, sh.m*sh.n, aLen, bLen, run)
+			})
+		}
 	}
 }
 
-func BenchmarkMatMulSerial(b *testing.B) {
-	for _, size := range []int{128, 256, 512} {
-		b.Run(fmt.Sprintf("%dx%d", size, size), func(b *testing.B) {
-			benchMatMul(b, size, false)
-		})
-	}
+// BenchmarkMatMulT is Linear's forward, y (m×n) = x (m×k) · Wᵀ (W n×k).
+func BenchmarkMatMulT(b *testing.B) {
+	benchShapes(b, func(m, k, n int) (int, int, func(out, a, bb []float32)) {
+		return m * k, n * k, func(out, a, bb []float32) { MatMulT(out, a, bb, m, k, n) }
+	})
 }
 
-func BenchmarkMatMulParallel(b *testing.B) {
-	for _, size := range []int{128, 256, 512} {
-		b.Run(fmt.Sprintf("%dx%d", size, size), func(b *testing.B) {
-			benchMatMul(b, size, true)
-		})
-	}
+// BenchmarkMatMul is Linear's input gradient at the same shape, dx (m×k) =
+// dy (m×n) · W (n×k); it reports the same m·k·n multiply-adds.
+func BenchmarkMatMul(b *testing.B) {
+	benchShapes(b, func(m, k, n int) (int, int, func(out, a, bb []float32)) {
+		return m * n, n * k, func(out, a, bb []float32) { MatMul(out, a, bb, m, n, k) }
+	})
+}
+
+// BenchmarkTMatMul is Linear's weight gradient at the same shape, dW (n×k)
+// = dyᵀ (dy m×n) · x (m×k).
+func BenchmarkTMatMul(b *testing.B) {
+	benchShapes(b, func(m, k, n int) (int, int, func(out, a, bb []float32)) {
+		return m * n, m * k, func(out, a, bb []float32) { TMatMul(out, a, bb, m, n, k) }
+	})
 }
 
 func BenchmarkSqNormChunked(b *testing.B) {

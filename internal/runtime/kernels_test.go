@@ -257,6 +257,185 @@ func TestKernelsMatchReferenceOrder(t *testing.T) {
 	}
 }
 
+// sameBits demands identical bit patterns, so +0 and −0 differ; two NaNs
+// count as equal, as in bitEqual.
+func sameBits(t *testing.T, name string, got, want []float32) {
+	t.Helper()
+	for i := range want {
+		if math.Float32bits(got[i]) != math.Float32bits(want[i]) && !(got[i] != got[i] && want[i] != want[i]) {
+			t.Fatalf("%s: bit mismatch at %d: got %v (%#08x) want %v (%#08x)", name, i, got[i], math.Float32bits(got[i]), want[i], math.Float32bits(want[i]))
+		}
+	}
+}
+
+// TestMatMulTScratchIsOpaque: MatMulTWith reads nothing from its scratch
+// but what it wrote there itself. The scratch arrives full of NaN, or of a
+// previous call's transpose, or longer than needed, and the result is the
+// reference's bit for bit — through both orientations (m == n and m = n+1
+// transpose b, m = n−1 transposes a), on both sides of matmulParallelFlops,
+// and across laneWidth. Row 0 of a is −0 against a positive b, so every
+// product of that output row is −0 and the row must read the reference's
+// +0.
+func TestMatMulTScratchIsOpaque(t *testing.T) {
+	orig := Workers()
+	defer SetWorkers(orig)
+	SetWorkers(3)
+	negZero := float32(math.Copysign(0, -1))
+	for _, sh := range []struct{ m, k, n int }{
+		{8, 8, 8}, {9, 7, 8}, {8, 6, 9}, // small
+		{30, 30, 30}, {31, 30, 30}, {30, 30, 31}, // below the fan-out threshold
+		{40, 41, 40}, {41, 40, 40}, {40, 40, 41}, // above it
+		{1, 9, 2}, {2, 5, 1}, {513, 2, 514}, {514, 3, 513}, // unit sides, sweeps longer than laneWidth
+	} {
+		m, k, n := sh.m, sh.k, sh.n
+		if below := m*k*n < matmulParallelFlops; below != (m <= 31) {
+			t.Fatalf("%dx%dx%d was meant to be on the other side of matmulParallelFlops", m, k, n)
+		}
+		a := make([]float32, m*k)
+		b := make([]float32, n*k)
+		fill(a, uint64(m*7+k))
+		fill(b, uint64(n*7+k))
+		for i := range b {
+			b[i] = float32(math.Abs(float64(b[i]))) + 0.5
+		}
+		for p := 0; p < k; p++ {
+			a[p] = negZero
+		}
+		want := refMatMulT(a, b, m, k, n)
+		for j := 0; j < n; j++ {
+			if math.Float32bits(want[j]) != 0 {
+				t.Fatalf("%dx%dx%d: reference row 0 reads %v, want +0", m, k, n, want[j])
+			}
+		}
+		need := min(m, n) * k
+		nan := make([]float32, need)
+		for i := range nan {
+			nan[i] = float32(math.NaN())
+		}
+		stale := make([]float32, need+37)
+		fill(stale, 77)
+		for i := 0; i < len(stale); i += 3 {
+			stale[i] = nonFinite[i%len(nonFinite)]
+		}
+		for _, sc := range []struct {
+			name    string
+			scratch []float32
+		}{{"NaN", nan}, {"stale and longer", stale}, {"NaN again", nan}} {
+			tag := fmt.Sprintf("%dx%dx%d scratch %s", m, k, n, sc.name)
+			got := make([]float32, m*n)
+			fill(got, 999)
+			MatMulTWith(got, a, b, sc.scratch, m, k, n)
+			sameBits(t, tag, got, want)
+			// The scratch now holds this call's transpose: the next shape's
+			// call through it is a call over stale values.
+			fill(got, 999)
+			MatMulTWith(got, b, a, sc.scratch, n, k, m) // the other orientation
+			sameBits(t, tag+" swapped", got, refMatMulT(b, a, n, k, m))
+		}
+	}
+}
+
+// FuzzMatMulTOrder holds MatMulT, serial and pooled, to refMatMulT bit for
+// bit on fuzzed shapes (m, n ≤ 40, k ≤ 40) and values — among them ±Inf,
+// NaN and −0 — at 1 and 3 workers. Every shape here is below
+// matmulParallelFlops, so the pooled path is also forced directly.
+//
+//	go test ./internal/runtime -run '^$' -fuzz FuzzMatMulTOrder -fuzztime 20s
+func FuzzMatMulTOrder(f *testing.F) {
+	f.Add([]byte{3, 5, 7, 0, 1, 2, 3, 4, 5, 6, 7, 200, 100, 50})
+	f.Add([]byte{40, 40, 40, 9, 1, 250, 4})
+	f.Add([]byte{1, 0, 1})
+	f.Add([]byte{2, 9, 39, 1, 1, 1, 1, 1, 1, 1, 1, 1, 30, 2, 4})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) < 3 {
+			return
+		}
+		m, k, n := int(data[0])%40+1, int(data[1])%41, int(data[2])%40+1
+		vals := data[3:]
+		special := []float32{0, float32(math.Copysign(0, -1)), float32(math.Inf(1)), float32(math.Inf(-1)), float32(math.NaN()), 1, -1, 1e-40}
+		value := func(i int) float32 {
+			if len(vals) == 0 {
+				return float32(i%13) - 6
+			}
+			v := vals[i%len(vals)] + byte(i/len(vals))
+			if int(v) < len(special) {
+				return special[v]
+			}
+			return float32(int8(v)) / 7
+		}
+		a := make([]float32, m*k)
+		b := make([]float32, n*k)
+		for i := range a {
+			a[i] = value(i)
+		}
+		for i := range b {
+			b[i] = value(len(a) + i)
+		}
+		want := refMatMulT(a, b, m, k, n)
+		orig := Workers()
+		defer SetWorkers(orig)
+		for _, w := range []int{1, 3} {
+			SetWorkers(w)
+			got := make([]float32, m*n)
+			for _, kern := range []struct {
+				name string
+				run  func()
+			}{
+				{"MatMulT", func() { MatMulT(got, a, b, m, k, n) }},
+				{"MatMulTSerial", func() { MatMulTSerial(got, a, b, m, k, n) }},
+				{"pooled", func() { matmulT(got, a, b, make([]float32, min(m, n)*k), m, k, n, true) }},
+			} {
+				fill(got, 999)
+				kern.run()
+				sameBits(t, fmt.Sprintf("%s %dx%dx%d workers=%d", kern.name, m, k, n, w), got, want)
+			}
+		}
+	})
+}
+
+// TestMatMulTConcurrentCallers: data-parallel replicas, the overlapped
+// stepper and serve each call MatMulT on their own goroutine, on one pool.
+// Four callers share a read-only b, each with its own a, out and scratch,
+// in both orientations and through the allocating entry point; every
+// result must be the serial one bit for bit (run it under -race).
+func TestMatMulTConcurrentCallers(t *testing.T) {
+	orig := Workers()
+	defer SetWorkers(orig)
+	SetWorkers(3)
+	for _, sh := range []struct{ m, k, n int }{{96, 64, 48}, {48, 64, 96}} {
+		m, k, n := sh.m, sh.k, sh.n
+		b := make([]float32, n*k)
+		fill(b, 5)
+		var wg sync.WaitGroup
+		for g := 0; g < 4; g++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				a := make([]float32, m*k)
+				fill(a, uint64(g+11))
+				want := make([]float32, m*n)
+				MatMulTSerial(want, a, b, m, k, n)
+				got := make([]float32, m*n)
+				scratch := make([]float32, min(m, n)*k)
+				for rep := 0; rep < 5; rep++ {
+					if rep%2 == 0 {
+						MatMulTWith(got, a, b, scratch, m, k, n)
+					} else {
+						MatMulT(got, a, b, m, k, n)
+					}
+					for i := range want {
+						if math.Float32bits(got[i]) != math.Float32bits(want[i]) {
+							t.Errorf("%dx%dx%d caller %d rep %d: out[%d] = %v, serial %v", m, k, n, g, rep, i, got[i], want[i])
+							return
+						}
+					}
+				}
+			}()
+		}
+		wg.Wait()
+	}
+}
+
 // TestMatMulSkipsZeroAgainstNonFinite pins the skip where it matters: a row
 // whose only zeros sit exactly on the non-finite rows of b stays finite.
 func TestMatMulSkipsZeroAgainstNonFinite(t *testing.T) {

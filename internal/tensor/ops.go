@@ -54,22 +54,31 @@ func Dot(x, y []float32) float32 {
 	return s0 + s1 + s2 + s3
 }
 
-// MatMulT returns a·bᵀ without materializing the transpose.
+// MatMulT returns a·bᵀ.
 func MatMulT(a, b *Matrix) *Matrix {
 	out := NewMatrix(a.Rows, b.Rows)
-	MatMulTInto(out, a, b)
+	mustMatMulT(out, a, b)
+	runtime.MatMulT(out.Data, a.Data, b.Data, a.Rows, a.Cols, b.Rows)
 	return out
 }
 
-// MatMulTInto computes out = a·bᵀ. a is r×k, b is c×k, out is r×c.
-func MatMulTInto(out, a, b *Matrix) {
+// MatMulTInto computes out = a·bᵀ. a is r×k, b is c×k, out is r×c. The
+// kernel transposes whichever of a and b has fewer rows into scratch, which
+// must hold at least min(r, c)·k floats; a b-sized scratch always does. What
+// scratch held before is ignored, and what it holds after is not part of
+// the result.
+func MatMulTInto(out, a, b *Matrix, scratch []float32) {
+	mustMatMulT(out, a, b)
+	runtime.MatMulTWith(out.Data, a.Data, b.Data, scratch, a.Rows, a.Cols, b.Rows)
+}
+
+func mustMatMulT(out, a, b *Matrix) {
 	if a.Cols != b.Cols {
 		panic(fmt.Sprintf("tensor: MatMulT inner dim mismatch %dx%d · (%dx%d)ᵀ", a.Rows, a.Cols, b.Rows, b.Cols))
 	}
 	if out.Rows != a.Rows || out.Cols != b.Rows {
 		panic(fmt.Sprintf("tensor: MatMulT out shape %dx%d, want %dx%d", out.Rows, out.Cols, a.Rows, b.Rows))
 	}
-	runtime.MatMulT(out.Data, a.Data, b.Data, a.Rows, a.Cols, b.Rows)
 }
 
 // TMatMul returns aᵀ·b without materializing the transpose.
