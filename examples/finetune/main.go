@@ -8,10 +8,8 @@ import (
 
 	"apollo/internal/bench"
 	"apollo/internal/data"
-	"apollo/internal/nn"
 	"apollo/internal/obs"
 	"apollo/internal/optim"
-	"apollo/internal/tensor"
 	"apollo/internal/train"
 )
 
@@ -41,7 +39,7 @@ func main() {
 	methods := []string{"AdamW", "LoRA", "DoRA", "GaLore", "Fira", "APOLLO", "APOLLO-Mini"}
 	fmt.Printf("%-14s %10s %16s\n", "method", "accuracy", "optim states")
 	for _, m := range methods {
-		model := cloneModel(base, proxy.Model)
+		model := base.Clone()
 		lr := 3e-3
 		if m == "AdamW" {
 			lr = 1e-3
@@ -56,14 +54,4 @@ func main() {
 		fmt.Printf("%-14s %9.1f%% %16s\n", opt.Name(), acc*100, obs.FormatBytes(opt.StateBytes()))
 	}
 	fmt.Println("\nexpected shape (Table 5): APOLLO family ≈ full fine-tuning accuracy with a fraction of the state.")
-}
-
-func cloneModel(base *nn.Model, cfg nn.Config) *nn.Model {
-	clone := nn.NewModel(cfg, tensor.NewRNG(0xC10E))
-	src := base.Params().List()
-	dst := clone.Params().List()
-	for i := range src {
-		dst[i].W.CopyFrom(src[i].W)
-	}
-	return clone
 }

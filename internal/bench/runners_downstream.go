@@ -3,9 +3,7 @@ package bench
 import (
 	"apollo/internal/data"
 	"apollo/internal/eval"
-	"apollo/internal/nn"
 	"apollo/internal/optim"
-	"apollo/internal/tensor"
 	"apollo/internal/train"
 )
 
@@ -101,7 +99,7 @@ func runTable5(ctx *RunContext) error {
 		accs := make([]float64, 0, len(suite))
 		for _, taskCfg := range suite {
 			task := data.GenerateFTTask(base.Source, taskCfg)
-			model := cloneModel(base.Model, proxy.Model)
+			model := base.Model.Clone()
 			lr := 3e-3
 			if method == "AdamW" {
 				lr = 1e-3
@@ -170,7 +168,7 @@ func runTable6(ctx *RunContext) error {
 				accs := make([]float64, 0, len(suite))
 				for _, taskCfg := range suite {
 					task := data.GenerateFTTask(base.Source, taskCfg)
-					model := cloneModel(base.Model, proxy.Model)
+					model := base.Model.Clone()
 					opt, err := BuildOptimizer(method, lr, 4, ctx.Seed+7)
 					if err != nil {
 						return err
@@ -196,16 +194,4 @@ func runTable6(ctx *RunContext) error {
 	}
 	ctx.Printf("\nshape to verify: all memory-efficient methods within ~1-2 points of full\nfine-tuning; APOLLO competitive at rank 4, Mini at rank 1.\n")
 	return nil
-}
-
-// cloneModel deep-copies a pretrained base so each fine-tuning run starts
-// from identical weights.
-func cloneModel(base *nn.Model, cfg nn.Config) *nn.Model {
-	clone := nn.NewModel(cfg, tensor.NewRNG(0xC10E))
-	srcParams := base.Params().List()
-	dstParams := clone.Params().List()
-	for i := range srcParams {
-		dstParams[i].W.CopyFrom(srcParams[i].W)
-	}
-	return clone
 }

@@ -12,49 +12,73 @@ import (
 	"apollo/internal/tensor"
 )
 
-// OptionLogProb scores one candidate continuation: the mean log-probability
-// of the option tokens conditioned on the context, exactly the
-// length-normalized scoring rule used by lm-eval-harness for the paper's
-// zero-shot suites.
+// Query is one candidate continuation under the length-normalized scoring
+// rule of lm-eval-harness, which the paper's zero-shot suites use: the mean
+// log-probability of the option tokens conditioned on the context. A
+// forward over Seq[:len(Seq)-1] predicts Seq[i+1] at position i, and the
+// option tokens are scored from position Start on.
 //
 // With an empty context the first option token has no conditioning position
 // (the model has no BOS convention), so the mean runs over the remaining
-// option tokens; a query with nothing scoreable at all returns 0.
-func OptionLogProb(model *nn.Model, context, option []int) float64 {
+// option tokens; a query with nothing scoreable at all has Start -1 and
+// scores 0.
+type Query struct {
+	Seq   []int // context + option
+	Start int   // first scored position; -1 when nothing is scoreable
+}
+
+// NewQuery builds the query scoring option after context.
+func NewQuery(context, option []int) Query {
 	seq := make([]int, 0, len(context)+len(option))
 	seq = append(seq, context...)
 	seq = append(seq, option...)
 	if len(option) == 0 || len(seq) < 2 {
-		return 0
+		return Query{Seq: seq, Start: -1}
 	}
-	logits := model.Forward(seq[:len(seq)-1], 1, len(seq)-1)
-	// Position i of logits predicts seq[i+1]; option tokens start at
-	// len(context).
-	start := len(context) - 1
-	if start < 0 {
-		start = 0
-	}
-	var total float64
-	for i := start; i < len(seq)-1; i++ {
-		row := logits.Row(i)
-		lse := tensor.LogSumExp(row)
-		total += float64(row[seq[i+1]]) - lse
-	}
-	return total / float64(len(seq)-1-start)
+	return Query{Seq: seq, Start: max(len(context)-1, 0)}
 }
 
-// ZeroShotAccuracy scores a multiple-choice suite: an item is correct when
-// the genuine continuation receives the highest mean log-probability.
-func ZeroShotAccuracy(model *nn.Model, items []data.MCItem) float64 {
+// Score reads the query's mean option log-probability from the rows
+// row0 … row0+len(Seq)-2 of logits, a forward over Seq[:len(Seq)-1] that
+// may sit among other rows of a batched forward. A query with nothing
+// scoreable returns 0 without reading logits.
+func (q Query) Score(logits *tensor.Matrix, row0 int) float64 {
+	if q.Start < 0 {
+		return 0
+	}
+	t := len(q.Seq) - 1
+	var total float64
+	for pos := q.Start; pos < t; pos++ {
+		row := logits.Row(row0 + pos)
+		total += float64(row[q.Seq[pos+1]]) - tensor.LogSumExp(row)
+	}
+	return total / float64(t-q.Start)
+}
+
+// OptionLogProb scores one candidate continuation with one forward of model
+// (Query.Score).
+func OptionLogProb(model *nn.Model, context, option []int) float64 {
+	q := NewQuery(context, option)
+	if q.Start < 0 {
+		return q.Score(nil, 0)
+	}
+	t := len(q.Seq) - 1
+	return q.Score(model.Forward(q.Seq[:t], 1, t), 0)
+}
+
+// Accuracy is the likelihood-comparison protocol: an item is correct when
+// its answer holds the strictly highest score(i, o) of item i's options (the
+// first option wins a tie). No items score 0.
+func Accuracy(items []data.MCItem, score func(i, o int) float64) float64 {
 	if len(items) == 0 {
 		return 0
 	}
 	correct := 0
-	for _, item := range items {
+	for i, item := range items {
 		best, bi := math.Inf(-1), 0
-		for o, opt := range item.Options {
-			if lp := OptionLogProb(model, item.Context, opt); lp > best {
-				best, bi = lp, o
+		for o := range item.Options {
+			if s := score(i, o); s > best {
+				best, bi = s, o
 			}
 		}
 		if bi == item.Answer {
@@ -64,19 +88,43 @@ func ZeroShotAccuracy(model *nn.Model, items []data.MCItem) float64 {
 	return float64(correct) / float64(len(items))
 }
 
+// ZeroShotAccuracy scores a multiple-choice suite on model: Accuracy over
+// OptionLogProb.
+func ZeroShotAccuracy(model *nn.Model, items []data.MCItem) float64 {
+	return Accuracy(items, func(i, o int) float64 {
+		return OptionLogProb(model, items[i].Context, items[i].Options[o])
+	})
+}
+
 // SuiteResult is one task's score.
 type SuiteResult struct {
-	Task     string
-	Accuracy float64
+	Task     string  `json:"task"`
+	Accuracy float64 `json:"accuracy"`
+}
+
+// ZeroShotSuite evaluates the Table 4 suite for seed in task order: each
+// task's items, generated from src, are scored by accuracy. itemsPerTask > 0
+// replaces every task's item count. The first error stops the suite.
+func ZeroShotSuite(src *data.Source, seed uint64, itemsPerTask int, accuracy func([]data.MCItem) (float64, error)) ([]SuiteResult, error) {
+	var out []SuiteResult
+	for _, cfg := range data.ZeroShotSuite(seed) {
+		if itemsPerTask > 0 {
+			cfg.Items = itemsPerTask
+		}
+		acc, err := accuracy(data.GenerateMCTask(src, cfg))
+		if err != nil {
+			return nil, err
+		}
+		out = append(out, SuiteResult{Task: cfg.Name, Accuracy: acc})
+	}
+	return out, nil
 }
 
 // RunZeroShotSuite evaluates the full Table 4 suite on a model.
 func RunZeroShotSuite(model *nn.Model, src *data.Source, seed uint64) []SuiteResult {
-	var out []SuiteResult
-	for _, cfg := range data.ZeroShotSuite(seed) {
-		items := data.GenerateMCTask(src, cfg)
-		out = append(out, SuiteResult{Task: cfg.Name, Accuracy: ZeroShotAccuracy(model, items)})
-	}
+	out, _ := ZeroShotSuite(src, seed, 0, func(items []data.MCItem) (float64, error) { // never fails
+		return ZeroShotAccuracy(model, items), nil
+	})
 	return out
 }
 

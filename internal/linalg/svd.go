@@ -172,10 +172,3 @@ func SVDFlops(m, n int) float64 {
 	mn := math.Min(float64(m), float64(n))
 	return 4 * float64(m) * float64(n) * mn
 }
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}

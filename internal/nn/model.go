@@ -170,6 +170,17 @@ func NewModel(cfg Config, rng *tensor.RNG) *Model {
 	return m
 }
 
+// Clone returns an independent model with a copy of m's weights and a fresh
+// arena under ResidentGrads: a trainable copy whatever m's gradient policy.
+func (m *Model) Clone() *Model {
+	c := NewModel(m.Cfg, tensor.NewRNG(0))
+	src := m.params.List()
+	for i, p := range c.params.List() {
+		p.W.CopyFrom(src[i].W)
+	}
+	return c
+}
+
 // Params returns the model's parameter set.
 func (m *Model) Params() *ParamSet { return m.params }
 

@@ -257,10 +257,3 @@ func (f *Factorized) update(p *nn.Param, st *Entry, fresh bool) {
 
 	f.effective(st, p.W)
 }
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}

@@ -6,8 +6,8 @@ import (
 	"sync"
 	"time"
 
+	"apollo/internal/eval"
 	"apollo/internal/nn"
-	"apollo/internal/tensor"
 )
 
 // errClosed reports a query racing an entry swap: the registry already
@@ -21,30 +21,11 @@ var errClosed = errors.New("serve: snapshot superseded")
 // backs off instead of the queue growing without bound.
 var errQueueFull = errors.New("serve: executor queue full, retry later")
 
-// scoreReq is one option-scoring unit: the mean log-probability of the
-// option tokens conditioned on the context — exactly eval.OptionLogProb's
-// length-normalized rule, including its empty-context handling (the first
-// option token has no conditioning position; queries with nothing
-// scoreable return 0).
+// scoreReq is one option-scoring unit: an eval.Query and its result.
 type scoreReq struct {
-	seq    []int // context + option
-	start  int   // first scored logits position; -1 = nothing scoreable
+	q      eval.Query
 	result float64
 	err    error
-}
-
-func newScoreReq(context, option []int) *scoreReq {
-	seq := make([]int, 0, len(context)+len(option))
-	seq = append(seq, context...)
-	seq = append(seq, option...)
-	if len(option) == 0 || len(seq) < 2 {
-		return &scoreReq{seq: seq, start: -1}
-	}
-	start := len(context) - 1
-	if start < 0 {
-		start = 0
-	}
-	return &scoreReq{seq: seq, start: start}
 }
 
 // execReq is a whole-unit operation on the served model (perplexity over
@@ -66,12 +47,13 @@ type item struct {
 // batcher serializes all model access for one Entry through a single
 // executor goroutine and coalesces queued scoring units into batched
 // forwards: units with equal sequence length stack into one
-// model.Forward(tokens, k, t) call of up to maxBatch rows. Stacking is
+// model.Forward(tokens, k, t) call of up to maxBatch rows, and each unit
+// reads its result from its own rows with eval.Query.Score. Stacking is
 // bit-transparent — every op in the forward pass is row-local or
 // per-(batch,head)-local and the runtime kernels accumulate each output
 // row in a fixed order — so a unit's result never depends on what it was
 // batched with (TestBatchedScoringMatchesEval pins this against
-// eval.OptionLogProb).
+// eval.OptionLogProb, the same Score over a forward of one).
 type batcher struct {
 	model    *nn.Model
 	maxBatch int
@@ -92,13 +74,13 @@ func newBatcher(model *nn.Model, maxBatch, maxQueue int, m *handles) *batcher {
 }
 
 // score submits units and waits for all of them; units with nothing
-// scoreable complete immediately with result 0.
+// scoreable complete at once, scored by eval.Query.Score without a forward.
 func (b *batcher) score(reqs []*scoreReq) error {
 	var wg sync.WaitGroup
 	items := make([]item, 0, len(reqs))
 	for _, rq := range reqs {
-		if rq.start < 0 {
-			rq.result = 0
+		if rq.q.Start < 0 {
+			rq.result = rq.q.Score(nil, 0)
 			continue
 		}
 		wg.Add(1)
@@ -181,7 +163,7 @@ func (b *batcher) queuedBytes() int64 {
 	for _, it := range b.queue {
 		total += itemOverheadBytes
 		if it.score != nil {
-			total += 8 * int64(cap(it.score.seq))
+			total += 8 * int64(cap(it.score.q.Seq))
 		}
 	}
 	return total
@@ -223,7 +205,7 @@ func (b *batcher) process(batch []item) {
 		if it.score == nil {
 			continue
 		}
-		l := len(it.score.seq)
+		l := len(it.score.q.Seq)
 		if _, ok := groups[l]; !ok {
 			lens = append(lens, l)
 		}
@@ -256,17 +238,11 @@ func (b *batcher) scoreChunk(chunk []item, t int) {
 	err := b.safely(func() {
 		tokens := make([]int, 0, k*t)
 		for _, it := range chunk {
-			tokens = append(tokens, it.score.seq[:t]...)
+			tokens = append(tokens, it.score.q.Seq[:t]...)
 		}
 		logits := b.model.Forward(tokens, k, t)
 		for i, it := range chunk {
-			rq := it.score
-			var total float64
-			for pos := rq.start; pos < t; pos++ {
-				row := logits.Row(i*t + pos)
-				total += float64(row[rq.seq[pos+1]]) - tensor.LogSumExp(row)
-			}
-			rq.result = total / float64(t-rq.start)
+			it.score.result = it.score.q.Score(logits, i*t)
 		}
 	})
 	// Count the forward before releasing its callers, so one that reads the

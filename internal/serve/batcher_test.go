@@ -6,6 +6,7 @@ import (
 	"testing"
 	"time"
 
+	"apollo/internal/eval"
 	"apollo/internal/nn"
 	"apollo/internal/tensor"
 )
@@ -28,7 +29,7 @@ func TestBatcherCloseSubmitRace(t *testing.T) {
 			go func(w int) {
 				defer wg.Done()
 				if w%2 == 0 {
-					errsCh <- b.score([]*scoreReq{newScoreReq([]int{1, 2}, []int{3})})
+					errsCh <- b.score([]*scoreReq{{q: eval.NewQuery([]int{1, 2}, []int{3})}})
 				} else {
 					errsCh <- b.exec(func(m *nn.Model) {})
 				}
@@ -62,7 +63,7 @@ func TestBatcherSubmitAfterClose(t *testing.T) {
 	if err := b.exec(func(m *nn.Model) {}); !errors.Is(err, errClosed) {
 		t.Fatalf("exec after close: %v, want errClosed", err)
 	}
-	if err := b.score([]*scoreReq{newScoreReq([]int{1}, []int{2})}); !errors.Is(err, errClosed) {
+	if err := b.score([]*scoreReq{{q: eval.NewQuery([]int{1}, []int{2})}}); !errors.Is(err, errClosed) {
 		t.Fatalf("score after close: %v, want errClosed", err)
 	}
 }

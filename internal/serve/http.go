@@ -12,6 +12,7 @@ import (
 	"time"
 
 	"apollo/internal/data"
+	"apollo/internal/eval"
 	"apollo/internal/obs"
 	"apollo/internal/optim"
 	"apollo/internal/train"
@@ -145,9 +146,6 @@ func ListenAndServe(addr string, cfg Config, paths []string) error {
 // shell clients can compare served results bit-for-bit without a float
 // parser.
 func ExactFloat(v float64) string { return strconv.FormatFloat(v, 'g', -1, 64) }
-
-// exact is the package-internal shorthand for ExactFloat.
-func exact(v float64) string { return ExactFloat(v) }
 
 func writeJSON(w http.ResponseWriter, status int, v any) {
 	// Marshal before touching the ResponseWriter: an unencodable value must
@@ -364,7 +362,7 @@ func (s *Server) handlePerplexity(w http.ResponseWriter, r *http.Request) {
 		}
 		resp := perplexityResponse{
 			Checkpoint: e.Path, Step: e.Step, Optimizer: e.Optimizer,
-			Batches: req.Batches, Loss: loss, LossText: exact(loss),
+			Batches: req.Batches, Loss: loss, LossText: ExactFloat(loss),
 		}
 		// ppl is a display value and saturates rather than carrying +Inf
 		// (which JSON cannot encode); loss/loss_text stay the exact contract.
@@ -399,7 +397,7 @@ func (s *Server) handleLogProb(w http.ResponseWriter, r *http.Request) {
 		if err != nil {
 			return nil, err
 		}
-		return logProbResponse{Checkpoint: e.Path, Step: e.Step, LogProb: lp, LogProbText: exact(lp)}, nil
+		return logProbResponse{Checkpoint: e.Path, Step: e.Step, LogProb: lp, LogProbText: ExactFloat(lp)}, nil
 	})
 }
 
@@ -418,17 +416,12 @@ type zeroShotRequest struct {
 	ItemsPerTask int    `json:"items_per_task"`
 }
 
-type zeroShotTask struct {
-	Task     string  `json:"task"`
-	Accuracy float64 `json:"accuracy"`
-}
-
 type zeroShotResponse struct {
-	Checkpoint   string         `json:"checkpoint"`
-	Step         int            `json:"step"`
-	Accuracy     float64        `json:"accuracy"`
-	AccuracyText string         `json:"accuracy_text"`
-	Tasks        []zeroShotTask `json:"tasks,omitempty"`
+	Checkpoint   string             `json:"checkpoint"`
+	Step         int                `json:"step"`
+	Accuracy     float64            `json:"accuracy"`
+	AccuracyText string             `json:"accuracy_text"`
+	Tasks        []eval.SuiteResult `json:"tasks,omitempty"`
 }
 
 // logProbCanon renders the canonical cache encoding of a logprob query.
@@ -482,21 +475,12 @@ func (s *Server) handleZeroShot(w http.ResponseWriter, r *http.Request) {
 			if req.ItemsPerTask < 0 || req.ItemsPerTask > 1000 {
 				return nil, fmt.Errorf("serve: items_per_task %d outside [0, 1000]", req.ItemsPerTask)
 			}
-			src := s.reg.cfg.Corpus.Source()
-			var sum float64
-			for _, cfg := range data.ZeroShotSuite(req.SuiteSeed) {
-				if req.ItemsPerTask > 0 {
-					cfg.Items = req.ItemsPerTask
-				}
-				acc, err := e.ZeroShot(data.GenerateMCTask(src, cfg))
-				if err != nil {
-					return nil, err
-				}
-				resp.Tasks = append(resp.Tasks, zeroShotTask{Task: cfg.Name, Accuracy: acc})
-				sum += acc
+			tasks, err := eval.ZeroShotSuite(s.reg.cfg.Corpus.Source(), req.SuiteSeed, req.ItemsPerTask, e.ZeroShot)
+			if err != nil {
+				return nil, err
 			}
-			resp.Accuracy = sum / float64(len(resp.Tasks))
-			resp.AccuracyText = exact(resp.Accuracy)
+			resp.Tasks, resp.Accuracy = tasks, eval.Average(tasks)
+			resp.AccuracyText = ExactFloat(resp.Accuracy)
 			return resp, nil
 		}
 		if len(req.Items) == 0 {
@@ -514,7 +498,7 @@ func (s *Server) handleZeroShot(w http.ResponseWriter, r *http.Request) {
 			return nil, err
 		}
 		resp.Accuracy = acc
-		resp.AccuracyText = exact(acc)
+		resp.AccuracyText = ExactFloat(acc)
 		return resp, nil
 	})
 }
@@ -620,7 +604,7 @@ func (s *Server) handleFineTune(w http.ResponseWriter, r *http.Request) {
 		})
 		resp = fineTuneResponse{
 			Checkpoint: e.Path, Step: e.Step, Task: task.Cfg.Name,
-			Accuracy: acc, AccuracyText: exact(acc),
+			Accuracy: acc, AccuracyText: ExactFloat(acc),
 		}
 		return nil
 	})

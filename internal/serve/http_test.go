@@ -13,6 +13,7 @@ import (
 	"sync"
 	"testing"
 
+	"apollo/internal/data"
 	"apollo/internal/eval"
 	"apollo/internal/train"
 )
@@ -129,6 +130,51 @@ func TestHTTPLogProbAndZeroShot(t *testing.T) {
 	}
 	if len(suite.Tasks) != 10 {
 		t.Fatalf("%d suite tasks, want 10", len(suite.Tasks))
+	}
+}
+
+// TestHTTPZeroShotSuiteMatchesOffline: suite mode returns, task by task and
+// overall, the accuracies of an offline evaluation of the same weights —
+// eval.RunZeroShotSuite (apollo-bench table4's path) at the default task
+// size, and with items_per_task each task regenerated at that size and
+// scored with eval.ZeroShotAccuracy. The queue is unbounded: a full-size
+// task submits up to 600 option units at once, over the default bound.
+func TestHTTPZeroShotSuiteMatchesOffline(t *testing.T) {
+	dir := t.TempDir()
+	path, ref := trainAndSave(t, dir, 2)
+	reg := newTestRegistry(t, Config{MaxQueue: -1})
+	ts := httptest.NewServer(NewServer(reg).Handler())
+	defer ts.Close()
+	src := serveTestCorpus(t).Source()
+
+	const seed = 7
+	for _, perTask := range []int{0, 2} {
+		var got zeroShotResponse
+		if status, raw := postJSON(t, ts.URL+"/v1/zeroshot",
+			zeroShotRequest{Checkpoint: path, SuiteSeed: seed, ItemsPerTask: perTask}, &got); status != http.StatusOK {
+			t.Fatalf("items_per_task %d: status %d: %s", perTask, status, raw)
+		}
+		var want []eval.SuiteResult
+		if perTask == 0 {
+			want = eval.RunZeroShotSuite(ref, src, seed)
+		} else {
+			for _, cfg := range data.ZeroShotSuite(seed) {
+				cfg.Items = perTask
+				want = append(want, eval.SuiteResult{Task: cfg.Name, Accuracy: eval.ZeroShotAccuracy(ref, data.GenerateMCTask(src, cfg))})
+			}
+		}
+		if len(got.Tasks) != len(want) {
+			t.Fatalf("items_per_task %d: %d tasks, want %d", perTask, len(got.Tasks), len(want))
+		}
+		for i := range want {
+			if got.Tasks[i] != want[i] {
+				t.Fatalf("items_per_task %d: task %d served %+v, offline %+v", perTask, i, got.Tasks[i], want[i])
+			}
+		}
+		avg := eval.Average(want)
+		if got.Accuracy != avg || got.AccuracyText != strconv.FormatFloat(avg, 'g', -1, 64) {
+			t.Fatalf("items_per_task %d: accuracy %v (%q), offline %v", perTask, got.Accuracy, got.AccuracyText, avg)
+		}
 	}
 }
 

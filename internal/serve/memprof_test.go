@@ -5,6 +5,7 @@ import (
 	"runtime"
 	"testing"
 
+	"apollo/internal/eval"
 	"apollo/internal/obs"
 	"apollo/internal/obs/memprof"
 )
@@ -118,7 +119,7 @@ func TestServeMemprofComponents(t *testing.T) {
 	if got := e.batcher.queuedBytes(); got != 0 {
 		t.Fatalf("idle queuedBytes = %d", got)
 	}
-	q := []*scoreReq{newScoreReq([]int{1, 2, 3}, []int{4, 5})}
+	q := []*scoreReq{{q: eval.NewQuery([]int{1, 2, 3}, []int{4, 5})}}
 	if err := e.batcher.score(q); err != nil {
 		t.Fatal(err)
 	}

@@ -46,6 +46,7 @@ import (
 
 	"apollo/internal/ckpt"
 	"apollo/internal/data"
+	"apollo/internal/eval"
 	"apollo/internal/memmodel"
 	"apollo/internal/nn"
 	"apollo/internal/obs"
@@ -216,9 +217,9 @@ func (e *Entry) Perplexity(batches, b, t int) (float64, error) {
 	return loss, err
 }
 
-// LogProb scores one candidate continuation under the served model —
-// eval.OptionLogProb's length-normalized rule, routed through the batcher
-// so concurrent queries share forwards.
+// LogProb scores one candidate continuation under the served model with
+// eval.Query.Score, routed through the batcher so concurrent queries share
+// forwards.
 func (e *Entry) LogProb(context, option []int) (float64, error) {
 	rq, err := e.newScoreReq(context, option)
 	if err != nil {
@@ -230,14 +231,10 @@ func (e *Entry) LogProb(context, option []int) (float64, error) {
 	return rq.result, nil
 }
 
-// ZeroShot scores a multiple-choice item set and returns the accuracy under
-// the likelihood-comparison protocol (eval.ZeroShotAccuracy). All options
-// of all items are submitted to the batcher at once, so a single query
-// already fills batched forwards.
+// ZeroShot scores a multiple-choice item set with eval.Accuracy over
+// LogProb's scores. All options of all items are submitted to the batcher
+// at once, so a single query already fills batched forwards.
 func (e *Entry) ZeroShot(items []data.MCItem) (float64, error) {
-	if len(items) == 0 {
-		return 0, nil
-	}
 	var all []*scoreReq
 	per := make([][]*scoreReq, len(items))
 	for i, it := range items {
@@ -256,33 +253,14 @@ func (e *Entry) ZeroShot(items []data.MCItem) (float64, error) {
 	if err := e.batcher.score(all); err != nil {
 		return 0, err
 	}
-	correct := 0
-	for i, it := range items {
-		best, bi := math.Inf(-1), 0
-		for o, rq := range per[i] {
-			if rq.result > best {
-				best, bi = rq.result, o
-			}
-		}
-		if bi == it.Answer {
-			correct++
-		}
-	}
-	return float64(correct) / float64(len(items)), nil
+	return eval.Accuracy(items, func(i, o int) float64 { return per[i][o].result }), nil
 }
 
 // CloneModel returns an independent trainable copy of the served weights —
 // the starting point for fine-tune-accuracy queries, which must never
 // mutate the served snapshot. Weight reads race nothing: entries are
 // immutable and forwards do not write weights.
-func (e *Entry) CloneModel() *nn.Model {
-	m := nn.NewModel(e.model.Cfg, tensor.NewRNG(1))
-	src := e.model.Params().List()
-	for i, p := range m.Params().List() {
-		p.W.CopyFrom(src[i].W)
-	}
-	return m
-}
+func (e *Entry) CloneModel() *nn.Model { return e.model.Clone() }
 
 // newScoreReq validates a query against the served architecture before it
 // can reach the executor (a panic there would take the service down).
@@ -301,7 +279,7 @@ func (e *Entry) newScoreReq(context, option []int) (*scoreReq, error) {
 			return nil, fmt.Errorf("serve: option token %d outside vocab %d", tok, cfg.Vocab)
 		}
 	}
-	return newScoreReq(context, option), nil
+	return &scoreReq{q: eval.NewQuery(context, option)}, nil
 }
 
 // slot is the registry's per-path cell: it serializes loads for one
