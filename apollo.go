@@ -150,9 +150,10 @@ func NewZeRO(build func() Optimizer, replicas int) *ZeRO {
 	return zero.NewSharded(build(), replicas)
 }
 
-// Checkpoint is a decoded bit-exact training snapshot (internal/ckpt): model
-// weights, step/LR counters, the data-stream cursor and the optimizer's
-// complete persistent state in a canonical, ZeRO-world-independent layout.
+// Checkpoint is a decoded bit-exact training snapshot (internal/ckpt): a
+// Snapshot — identity, step/LR counters, parameter table and model weights —
+// plus the resume state: the data-stream cursor and the optimizer's complete
+// persistent state in a canonical, ZeRO-world-independent layout.
 type Checkpoint = ckpt.State
 
 // SaveCheckpoint snapshots a training run after `step` completed steps and
@@ -181,8 +182,9 @@ func RestoreCheckpoint(st *Checkpoint, m *Model, opt Optimizer, corpus *Corpus) 
 
 // Snapshot is the weights-only view of a checkpoint (ckpt.ModelSnapshot):
 // identity, parameter table and weight matrices — no optimizer state, no
-// data cursor. Opening one costs model-weight memory (memmodel.ServeBytes),
-// not the training footprint a full Checkpoint decode materializes.
+// data cursor; a Checkpoint is a Snapshot plus that resume state. Opening
+// one costs model-weight memory (memmodel.ServeBytes), not the training
+// footprint a full Checkpoint decode materializes.
 type Snapshot = ckpt.ModelSnapshot
 
 // OpenSnapshot reads the weights-only view of a checkpoint file: every

@@ -23,8 +23,9 @@
 // summed. -workers sizes the shared tensor worker pool; it never changes
 // results, only speed.
 //
-// -save writes bit-exact checkpoints (internal/ckpt): every -ckpt-every
-// steps when set, and always once at the end of the run. -resume continues
+// -save writes bit-exact checkpoints (internal/ckpt) from the training loop:
+// every -ckpt-every steps when set, and once after the last step (a run the
+// watchdog halts keeps its last periodic one). -resume continues
 // from a checkpoint — the flags must rebuild the same model and optimizer
 // method, but the ZeRO world may differ: checkpoints store the canonical
 // unsharded state layout, so a `-replicas 3 -zero` snapshot resumes under
@@ -295,19 +296,6 @@ func main() {
 		os.Exit(3)
 	}
 
-	// The periodic path already wrote this exact snapshot when the last
-	// step hit the -ckpt-every boundary; skip the redundant capture+write.
-	finalAlreadySaved := *ckptEach > 0 && proxy.Steps%*ckptEach == 0
-	if *save != "" && !finalAlreadySaved {
-		st, err := ckpt.Capture(proxy.Steps, model.Params().List(), opt, corpus)
-		if err == nil {
-			err = ckpt.SaveFile(*save, st)
-		}
-		if err != nil {
-			fail("final checkpoint:", err)
-		}
-		fmt.Printf("final checkpoint → %s\n", *save)
-	}
 	if peak := mp.Peak(); peak.TotalBytes > 0 {
 		fmt.Printf("memory peak: ledger %s (heap in-use %s) at step %d — timeline in %s\n",
 			obs.FormatBytes(peak.TotalBytes), obs.FormatBytes(int64(peak.HeapInuse)),

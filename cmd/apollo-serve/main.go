@@ -67,7 +67,7 @@ func main() {
 		maxModels = flag.Int("max-models", 4, "snapshots resident at once (LRU beyond)")
 		maxBatch  = flag.Int("max-batch", 8, "scoring sequences coalesced per forward")
 		cacheEnt  = flag.Int("cache-entries", 4096, "response-cache entries (LRU beyond; 0 disables caching)")
-		maxQueue  = flag.Int("max-queue", 256, "executor queue bound per snapshot; over it queries answer 429 (0 = unbounded)")
+		maxQueue  = flag.Int("max-queue", 256, "queued units per snapshot (one per zero-shot option or perplexity query) at which new queries answer 429; below it a query joins whole (0 = unbounded)")
 		shedMS    = flag.Float64("shed-ms", 0, "shed new compute with 429 when queue-wait p95 exceeds this many ms (0 disables)")
 		shedWinMS = flag.Float64("shed-window-ms", 1000, "rolling window feeding the shed p95")
 		maxBody   = flag.Int64("max-body-bytes", 1<<20, "request bodies over this answer 413")

@@ -38,12 +38,12 @@ func Name(opt optim.Optimizer) string {
 // corpus may be nil for runs without a data stream. All captured data is
 // deeply copied — the snapshot stays valid while training continues.
 func Capture(step int, params []*nn.Param, opt optim.Optimizer, corpus *data.Corpus) (*State, error) {
-	st := &State{
+	st := &State{ModelSnapshot: ModelSnapshot{
 		Version:   Version,
 		Optimizer: Name(opt),
 		Step:      step,
 		LR:        opt.LR(),
-	}
+	}}
 	if corpus != nil {
 		st.DataCursor = corpus.TrainCursor()
 	}
@@ -72,12 +72,8 @@ func Restore(st *State, params []*nn.Param, opt optim.Optimizer, corpus *data.Co
 	if got := Name(opt); got != st.Optimizer {
 		return fmt.Errorf("ckpt: checkpoint was written by %q, cannot resume with %q", st.Optimizer, got)
 	}
-	if err := matchParams(params, st.Params); err != nil {
+	if err := st.InstallWeights(params); err != nil {
 		return err
-	}
-
-	for i, p := range params {
-		p.W.CopyFrom(st.Weights[i])
 	}
 	if corpus != nil {
 		corpus.SeekTrain(st.DataCursor)

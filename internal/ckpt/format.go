@@ -21,7 +21,6 @@
 package ckpt
 
 import (
-	"bytes"
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
@@ -60,15 +59,11 @@ type ParamMeta struct {
 	Rows, Cols int
 }
 
-// State is a fully decoded checkpoint: everything needed to resume a
-// training run bit-identically, decoupled from any live objects.
+// State is a fully decoded checkpoint: the weights-only view plus the
+// resume state — everything needed to resume a training run
+// bit-identically, decoupled from any live objects.
 type State struct {
-	Version   uint32
-	Optimizer string
-	Step      int
-	LR        float64
-	Params    []ParamMeta
-	Weights   []*tensor.Matrix // one per parameter, in table order
+	ModelSnapshot
 	// DataCursor is the corpus training-stream RNG phase.
 	DataCursor uint64
 	// OptStates holds one canonical per-parameter state per table entry;
@@ -287,8 +282,8 @@ func decodeParamState(d *dec, depth int) *optim.ParamState {
 	return st
 }
 
-// encodeSections renders the four section payloads of a State.
-func encodeSections(st *State) map[string][]byte {
+// encodeSections renders the section payloads of a State in sectionOrder.
+func encodeSections(st *State) [][]byte {
 	meta := &enc{}
 	meta.str(st.Optimizer)
 	meta.u64(uint64(st.Step))
@@ -318,40 +313,39 @@ func encodeSections(st *State) map[string][]byte {
 		optp.u8(1)
 		encodeParamState(optp, ps)
 	}
-
-	return map[string][]byte{
-		TagMeta:    meta.buf,
-		TagWeights: wgts.buf,
-		TagData:    data.buf,
-		TagStates:  optp.buf,
-	}
+	return [][]byte{meta.buf, wgts.buf, data.buf, optp.buf}
 }
 
-// Write serializes st. The layout is deterministic: identical states
-// produce identical bytes, so tests may hash the output.
+// Write serializes st: the header, then each section straight to w. The
+// layout is deterministic: identical states produce identical bytes, so
+// tests may hash the output.
 func Write(w io.Writer, st *State) error {
 	if len(st.Weights) != len(st.Params) || len(st.OptStates) != len(st.Params) {
 		return fmt.Errorf("ckpt: state tables disagree: %d params, %d weights, %d opt states",
 			len(st.Params), len(st.Weights), len(st.OptStates))
 	}
 	sections := encodeSections(st)
-	var buf bytes.Buffer
-	buf.WriteString(Magic)
-	var hdr [8]byte
-	binary.LittleEndian.PutUint32(hdr[0:], Version)
-	binary.LittleEndian.PutUint32(hdr[4:], uint32(len(sectionOrder)))
-	buf.Write(hdr[:])
-	for _, tag := range sectionOrder {
-		payload := sections[tag]
-		buf.WriteString(tag)
-		var sh [12]byte
-		binary.LittleEndian.PutUint64(sh[0:], uint64(len(payload)))
-		binary.LittleEndian.PutUint32(sh[8:], crc32.ChecksumIEEE(payload))
-		buf.Write(sh[:])
-		buf.Write(payload)
+	var hdr [headerBytes]byte
+	copy(hdr[:], Magic)
+	binary.LittleEndian.PutUint32(hdr[8:], Version)
+	binary.LittleEndian.PutUint32(hdr[12:], uint32(len(sections)))
+	if _, err := w.Write(hdr[:]); err != nil {
+		return err
 	}
-	_, err := w.Write(buf.Bytes())
-	return err
+	for i, tag := range sectionOrder {
+		payload := sections[i]
+		var sh [sectionOverhead]byte
+		copy(sh[:], tag)
+		binary.LittleEndian.PutUint64(sh[4:], uint64(len(payload)))
+		binary.LittleEndian.PutUint32(sh[12:], crc32.ChecksumIEEE(payload))
+		if _, err := w.Write(sh[:]); err != nil {
+			return err
+		}
+		if _, err := w.Write(payload); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // rawSection is one parsed-but-undecoded section.
@@ -398,34 +392,13 @@ func readSections(raw []byte) (version uint32, secs []rawSection, err error) {
 
 // Read decodes a checkpoint, verifying the magic, version and every
 // section CRC; any corruption is rejected with the offending section named.
+// It is ReadModel plus the DATA and OPTP sections.
 func Read(r io.Reader) (*State, error) {
-	raw, err := io.ReadAll(r)
+	snap, byTag, err := readModel(r, TagData, TagStates)
 	if err != nil {
 		return nil, err
 	}
-	version, secs, err := readSections(raw)
-	if err != nil {
-		return nil, err
-	}
-	byTag := map[string][]byte{}
-	for _, s := range secs {
-		byTag[s.tag] = s.payload
-	}
-	for _, tag := range sectionOrder {
-		if _, ok := byTag[tag]; !ok {
-			return nil, fmt.Errorf("ckpt: missing section %s", tag)
-		}
-	}
-
-	st := &State{Version: version}
-	st.Optimizer, st.Step, st.LR, st.Params, err = decodeMeta(byTag[TagMeta])
-	if err != nil {
-		return nil, err
-	}
-	st.Weights, err = decodeWeights(byTag[TagWeights], st.Params)
-	if err != nil {
-		return nil, err
-	}
+	st := &State{ModelSnapshot: *snap}
 
 	data := &dec{buf: byTag[TagData]}
 	st.DataCursor = data.u64()

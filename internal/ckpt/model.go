@@ -41,72 +41,65 @@ func (s *ModelSnapshot) WeightBytes() int64 {
 	return total
 }
 
-// decodeMeta parses a META payload (shared by Read and ReadModel).
-func decodeMeta(payload []byte) (optimizer string, step int, lr float64, params []ParamMeta, err error) {
-	meta := &dec{buf: payload}
-	optimizer = meta.str()
-	step = int(meta.u64())
-	lr = math.Float64frombits(meta.u64())
+// readModel reads a whole checkpoint, verifies its magic, version and
+// every section CRC, requires META, WGTS and the extra sections named, and
+// decodes the model half. It returns the verified payloads by tag for the
+// caller to decode the rest: the one decoder of Read and ReadModel.
+func readModel(r io.Reader, extra ...string) (*ModelSnapshot, map[string][]byte, error) {
+	raw, err := io.ReadAll(r)
+	if err != nil {
+		return nil, nil, err
+	}
+	version, secs, err := readSections(raw)
+	if err != nil {
+		return nil, nil, err
+	}
+	byTag := map[string][]byte{}
+	for _, s := range secs {
+		byTag[s.tag] = s.payload
+	}
+	for _, tag := range append([]string{TagMeta, TagWeights}, extra...) {
+		if _, ok := byTag[tag]; !ok {
+			return nil, nil, fmt.Errorf("ckpt: missing section %s", tag)
+		}
+	}
+
+	snap := &ModelSnapshot{Version: version}
+	meta := &dec{buf: byTag[TagMeta]}
+	snap.Optimizer = meta.str()
+	snap.Step = int(meta.u64())
+	snap.LR = math.Float64frombits(meta.u64())
 	nparams := int(meta.u64())
 	if meta.err == nil && nparams > len(meta.buf) {
-		return "", 0, 0, nil, fmt.Errorf("ckpt: META claims %d parameters in a %d-byte table", nparams, len(meta.buf))
+		return nil, nil, fmt.Errorf("ckpt: META claims %d parameters in a %d-byte table", nparams, len(meta.buf))
 	}
 	for i := 0; i < nparams && meta.err == nil; i++ {
-		params = append(params, ParamMeta{
+		snap.Params = append(snap.Params, ParamMeta{
 			Name: meta.str(), Kind: meta.u8(),
 			Rows: int(meta.u32()), Cols: int(meta.u32()),
 		})
 	}
 	if err := meta.done(); err != nil {
-		return "", 0, 0, nil, fmt.Errorf("ckpt: META: %w", err)
+		return nil, nil, fmt.Errorf("ckpt: META: %w", err)
 	}
-	return optimizer, step, lr, params, nil
-}
 
-// decodeWeights parses a WGTS payload against a parameter table.
-func decodeWeights(payload []byte, params []ParamMeta) ([]*tensor.Matrix, error) {
-	wgts := &dec{buf: payload}
-	out := make([]*tensor.Matrix, 0, len(params))
-	for _, p := range params {
-		out = append(out, wgts.matrix(p.Rows, p.Cols))
+	wgts := &dec{buf: byTag[TagWeights]}
+	snap.Weights = make([]*tensor.Matrix, 0, len(snap.Params))
+	for _, p := range snap.Params {
+		snap.Weights = append(snap.Weights, wgts.matrix(p.Rows, p.Cols))
 	}
 	if err := wgts.done(); err != nil {
-		return nil, fmt.Errorf("ckpt: WGTS: %w", err)
+		return nil, nil, fmt.Errorf("ckpt: WGTS: %w", err)
 	}
-	return out, nil
+	return snap, byTag, nil
 }
 
 // ReadModel decodes the weights-only view of a checkpoint. The magic,
 // version and every section CRC are verified exactly as in Read, but only
 // META and WGTS are decoded — the optimizer sections never allocate.
 func ReadModel(r io.Reader) (*ModelSnapshot, error) {
-	raw, err := io.ReadAll(r)
-	if err != nil {
-		return nil, err
-	}
-	version, secs, err := readSections(raw)
-	if err != nil {
-		return nil, err
-	}
-	byTag := map[string][]byte{}
-	for _, s := range secs {
-		byTag[s.tag] = s.payload
-	}
-	for _, tag := range []string{TagMeta, TagWeights} {
-		if _, ok := byTag[tag]; !ok {
-			return nil, fmt.Errorf("ckpt: missing section %s", tag)
-		}
-	}
-	snap := &ModelSnapshot{Version: version}
-	snap.Optimizer, snap.Step, snap.LR, snap.Params, err = decodeMeta(byTag[TagMeta])
-	if err != nil {
-		return nil, err
-	}
-	snap.Weights, err = decodeWeights(byTag[TagWeights], snap.Params)
-	if err != nil {
-		return nil, err
-	}
-	return snap, nil
+	snap, _, err := readModel(r)
+	return snap, err
 }
 
 // LoadModelFile reads the weights-only view of a checkpoint file.
@@ -119,28 +112,19 @@ func LoadModelFile(path string) (*ModelSnapshot, error) {
 	return ReadModel(f)
 }
 
-// matchParams verifies a live parameter list against a checkpoint table:
-// same names, kinds and shapes in the same order.
-func matchParams(params []*nn.Param, metas []ParamMeta) error {
-	if len(params) != len(metas) {
-		return fmt.Errorf("ckpt: model has %d parameters, checkpoint %d", len(params), len(metas))
-	}
-	for i, p := range params {
-		m := metas[i]
-		if p.Name != m.Name || uint8(p.Kind) != m.Kind || p.W.Rows != m.Rows || p.W.Cols != m.Cols {
-			return fmt.Errorf("ckpt: parameter %d is %s/%v/%dx%d, checkpoint has %s/%d/%dx%d",
-				i, p.Name, p.Kind, p.W.Rows, p.W.Cols, m.Name, m.Kind, m.Rows, m.Cols)
-		}
-	}
-	return nil
-}
-
 // InstallWeights copies the snapshot's weights into a live parameter list
 // after verifying the table matches (same names, kinds and shapes in the
 // same order). The snapshot stays valid and unshared afterwards.
 func (s *ModelSnapshot) InstallWeights(params []*nn.Param) error {
-	if err := matchParams(params, s.Params); err != nil {
-		return err
+	if len(params) != len(s.Params) {
+		return fmt.Errorf("ckpt: model has %d parameters, checkpoint %d", len(params), len(s.Params))
+	}
+	for i, p := range params {
+		m := s.Params[i]
+		if p.Name != m.Name || uint8(p.Kind) != m.Kind || p.W.Rows != m.Rows || p.W.Cols != m.Cols {
+			return fmt.Errorf("ckpt: parameter %d is %s/%v/%dx%d, checkpoint has %s/%d/%dx%d",
+				i, p.Name, p.Kind, p.W.Rows, p.W.Cols, m.Name, m.Kind, m.Rows, m.Cols)
+		}
 	}
 	for i, p := range params {
 		p.W.CopyFrom(s.Weights[i])

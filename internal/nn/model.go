@@ -325,12 +325,19 @@ func CrossEntropyShard(logits *tensor.Matrix, targets []int, ignoreIndex, normCo
 }
 
 // Loss is a convenience wrapper: forward + cross-entropy + backward.
-// It returns the mean loss over non-ignored targets.
+// It returns the mean loss over non-ignored targets. The gradient is written
+// over the arena logits (CrossEntropyShard), so a call allocates no
+// rows×vocab matrix; with no target counted the loss and gradient are zero.
 func (m *Model) Loss(tokens []int, targets []int, batch, seq int) float64 {
 	logits := m.Forward(tokens, batch, seq)
-	loss, dlogits := CrossEntropy(logits, targets, -1)
+	counted := CountTargets(targets, -1)
+	if counted == 0 {
+		m.Backward(nil)
+		return 0
+	}
+	sum, dlogits := CrossEntropyShard(logits, targets, -1, counted)
 	m.Backward(dlogits)
-	return loss
+	return sum / float64(counted)
 }
 
 // EvalLoss computes the loss without touching gradients (no backward pass).

@@ -1,6 +1,7 @@
 package nn
 
 import (
+	"math"
 	goruntime "runtime"
 	"testing"
 
@@ -126,4 +127,55 @@ func TestCrossEntropyShardPassSteadyStateAllocs(t *testing.T) {
 		t.Errorf("steady-state training pass allocates %.0f bytes, want under %.0f (one %d×%d logits matrix)", bytes, limit, batch*seq, cfg.Vocab)
 	}
 	t.Logf("%.0f bytes per pass", bytes)
+}
+
+// TestLossWritesOverLogits: Model.Loss is the clone-free pass — the loss and
+// every gradient bit for bit those of Forward, CrossEntropy (which works on
+// a clone) and Backward, a batch with no counted target a zero loss and
+// gradient, and a steady-state call under one logits matrix of heap.
+func TestLossWritesOverLogits(t *testing.T) {
+	defer runtime.SetWorkers(runtime.Workers())
+	runtime.SetWorkers(1)
+	cfg := Config{Vocab: 64, Dim: 32, Hidden: 64, Heads: 2, Layers: 2, MaxSeq: 32}
+	const batch, seq = 4, 16
+	tokens, targets := arenaBatch(tensor.NewRNG(27), cfg.Vocab, batch, seq)
+	for _, masked := range []bool{false, true} {
+		tgts := targets
+		if masked {
+			tgts = make([]int, len(targets))
+			for i := range tgts {
+				tgts[i] = -1
+			}
+		}
+		ref, got := NewModel(cfg, tensor.NewRNG(26)), NewModel(cfg, tensor.NewRNG(26))
+		ref.Params().ZeroGrad()
+		got.Params().ZeroGrad()
+		want, dlogits := CrossEntropy(ref.Forward(tokens, batch, seq), tgts, -1)
+		ref.Backward(dlogits)
+		if loss := got.Loss(tokens, tgts, batch, seq); math.Float64bits(loss) != math.Float64bits(want) {
+			t.Fatalf("masked=%v: Loss %v, want %v", masked, loss, want)
+		}
+		gp := got.Params().List()
+		for i, p := range ref.Params().List() {
+			for j, v := range p.Grad.Data {
+				if math.Float32bits(gp[i].Grad.Data[j]) != math.Float32bits(v) {
+					t.Fatalf("masked=%v: %s grad[%d] %v, want %v", masked, p.Name, j, gp[i].Grad.Data[j], v)
+				}
+			}
+		}
+	}
+
+	model := NewModel(cfg, tensor.NewRNG(26))
+	model.Loss(tokens, targets, batch, seq)
+	const runs = 10
+	var before, after goruntime.MemStats
+	goruntime.ReadMemStats(&before)
+	for range runs {
+		model.Loss(tokens, targets, batch, seq)
+	}
+	goruntime.ReadMemStats(&after)
+	bytes := float64(after.TotalAlloc-before.TotalAlloc) / runs
+	if limit := float64(batch * seq * cfg.Vocab * 4); bytes >= limit {
+		t.Errorf("steady-state Loss allocates %.0f bytes, want under %.0f (one %d×%d logits matrix)", bytes, limit, batch*seq, cfg.Vocab)
+	}
 }

@@ -16,7 +16,7 @@ import (
 var errClosed = errors.New("serve: snapshot superseded")
 
 // errQueueFull reports a submission bounced off the executor's admission
-// bound: accepting it would grow the pending queue beyond maxQueue. Unlike
+// bound: the pending queue it would join already holds maxQueue items. Unlike
 // errClosed this is not retried internally — it maps to 429 so the client
 // backs off instead of the queue growing without bound.
 var errQueueFull = errors.New("serve: executor queue full, retry later")
@@ -121,10 +121,12 @@ func (b *batcher) submit(items ...item) error {
 		b.mu.Unlock()
 		return errClosed
 	}
-	// Admission bound: all-or-nothing, so a multi-unit zero-shot query never
-	// half-enqueues. The executor drains the whole queue each wake, so this
-	// bounds instantaneous backlog — and therefore worst-case queue wait.
-	if b.maxQueue > 0 && len(b.queue)+len(items) > b.maxQueue {
+	// Admission bound: a submission joins whole when the queue it joins holds
+	// fewer than maxQueue items, so a multi-unit zero-shot query never
+	// half-enqueues and one larger than the bound is still admissible. The
+	// executor drains the whole queue each wake, so this bounds the backlog
+	// ahead of a query — and therefore its worst-case queue wait.
+	if b.maxQueue > 0 && len(b.queue) >= b.maxQueue {
 		b.mu.Unlock()
 		return errQueueFull
 	}

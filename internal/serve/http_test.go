@@ -137,12 +137,13 @@ func TestHTTPLogProbAndZeroShot(t *testing.T) {
 // overall, the accuracies of an offline evaluation of the same weights —
 // eval.RunZeroShotSuite (apollo-bench table4's path) at the default task
 // size, and with items_per_task each task regenerated at that size and
-// scored with eval.ZeroShotAccuracy. The queue is unbounded: a full-size
-// task submits up to 600 option units at once, over the default bound.
+// scored with eval.ZeroShotAccuracy. The queue keeps its default bound: a
+// full-size task submits up to 600 option units at once, and a query joins
+// whole while fewer than the bound wait.
 func TestHTTPZeroShotSuiteMatchesOffline(t *testing.T) {
 	dir := t.TempDir()
 	path, ref := trainAndSave(t, dir, 2)
-	reg := newTestRegistry(t, Config{MaxQueue: -1})
+	reg := newTestRegistry(t, Config{})
 	ts := httptest.NewServer(NewServer(reg).Handler())
 	defer ts.Close()
 	src := serveTestCorpus(t).Source()

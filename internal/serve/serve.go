@@ -79,9 +79,11 @@ type Config struct {
 	// canonical query) — a hot reload bumps the sequence, so stale entries
 	// die for free. 0 selects the default 4096; negative disables caching.
 	CacheEntries int
-	// MaxQueue bounds each snapshot executor's pending queue; submissions
-	// beyond it are refused and surface as HTTP 429. 0 selects the default
-	// 256; negative leaves the queue unbounded (the pre-admission behavior).
+	// MaxQueue bounds each snapshot executor's pending queue, counted in
+	// scoring units (a zero-shot item contributes one per option) and exec
+	// units (one per perplexity query): a query is admitted whole while
+	// fewer than MaxQueue units wait, and refused with HTTP 429 otherwise.
+	// 0 selects the default 256; negative leaves the queue unbounded.
 	MaxQueue int
 	// ShedThreshold enables load shedding: when the queue-wait p95 over the
 	// last ShedWindow exceeds it, new compute queries are refused with 429

@@ -1,13 +1,18 @@
 package train
 
 import (
+	"bytes"
+	"math"
+	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"apollo/internal/ckpt"
 	"apollo/internal/core"
 	"apollo/internal/data"
 	"apollo/internal/nn"
+	"apollo/internal/obs/runlog"
 	"apollo/internal/optim"
 	"apollo/internal/tensor"
 	"apollo/internal/zero"
@@ -244,4 +249,83 @@ func TestShardCheckpointOfUnshardedRun(t *testing.T) {
 	got := DPPretrain(m, opt, c, DPConfig{PretrainConfig: cfg, Replicas: 4})
 	requireSameTail(t, ref, got)
 	requireSameWeights(t, refModel, m, "unsharded → zero x4")
+}
+
+// TestLoopWritesFinalSnapshot: the loop is the one writer of a run's
+// snapshots. The file it leaves is the run's last state, byte for byte the
+// capture of the live objects after the loop; a last step that is also a
+// periodic one is written once; a halted run keeps its last periodic
+// snapshot and writes no final one.
+func TestLoopWritesFinalSnapshot(t *testing.T) {
+	cases := []struct {
+		name            string
+		steps, every    int
+		haltAt          int // 0: no halt
+		wantStep, saves int // wantStep 0: no file
+	}{
+		{"final only", 5, 0, 0, 5, 1},
+		{"periodic then final", 5, 3, 0, 5, 2},
+		{"last step periodic", 6, 3, 0, 6, 2},
+		{"halted after a periodic", 8, 2, 3, 2, 1},
+		{"halted, final only", 8, 0, 3, 0, 0},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			model, corpus := ckptTestSetup(t, 5)
+			opt := optim.NewAdamW(optim.Hyper{LR: 1e-3})
+			cfg := ckptTestConfig(c.steps)
+			cfg.CkptEvery, cfg.CkptPath = c.every, filepath.Join(t.TempDir(), "run.ckpt")
+			saves := 0
+			cfg.Logf = func(format string, args ...any) {
+				if strings.Contains(format, "checkpoint →") {
+					saves++
+				}
+			}
+			if c.haltAt > 0 {
+				wd := runlog.NewWatchdog(runlog.WatchdogConfig{Halt: true})
+				wd.HookLoss = func(step int, loss float64) float64 {
+					if step == c.haltAt {
+						return math.NaN()
+					}
+					return loss
+				}
+				cfg.Watchdog = wd
+			}
+			Pretrain(model, opt, corpus, cfg)
+			if saves != c.saves {
+				t.Fatalf("%d saves logged, want %d", saves, c.saves)
+			}
+			raw, err := os.ReadFile(cfg.CkptPath)
+			if c.wantStep == 0 {
+				if !os.IsNotExist(err) {
+					t.Fatalf("halted run left a snapshot (err %v)", err)
+				}
+				return
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			st, err := ckpt.Read(bytes.NewReader(raw))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if st.Step != c.wantStep {
+				t.Fatalf("snapshot at step %d, want %d", st.Step, c.wantStep)
+			}
+			if c.haltAt > 0 {
+				return
+			}
+			live, err := ckpt.Capture(c.steps, model.Params().List(), opt, corpus)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var want bytes.Buffer
+			if err := ckpt.Write(&want, live); err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(raw, want.Bytes()) {
+				t.Fatal("final snapshot differs from the capture of the finished run")
+			}
+		})
+	}
 }

@@ -109,7 +109,7 @@ func newDataParallel(model *nn.Model, opt optim.Optimizer, batch, replicas int) 
 	for r := range dp.reps {
 		rm := model
 		if r > 0 {
-			rm = nn.NewModel(model.Cfg, tensor.NewRNG(uint64(r)+1))
+			rm = model.Clone()
 		}
 		rep := &dpReplica{model: rm, params: rm.Params().List(), fold: treeFold{b: batch}}
 		for _, p := range rep.params {
@@ -119,8 +119,7 @@ func newDataParallel(model *nn.Model, opt optim.Optimizer, batch, replicas int) 
 	}
 	if sharder, ok := opt.(optim.ShardedStepper); ok {
 		sharder.Init(dp.master)
-		dp.sharder = sharder
-		dp.syncReplicas() // once; thereafter publish keeps them current
+		dp.sharder = sharder // the clones start current; publish keeps them so
 	}
 	return dp
 }

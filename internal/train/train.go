@@ -95,10 +95,13 @@ type PretrainConfig struct {
 	// (DPPretrain) ignores Accum: its per-sequence gradient leaves already
 	// keep one sequence of activations per replica.
 	Accum int
-	// CkptEvery > 0 saves a checkpoint to CkptPath after every CkptEvery-th
-	// step (internal/ckpt format, written atomically — a crash mid-save
-	// never destroys the previous snapshot). A failed save panics, since
-	// silently continuing without durability is worse than stopping.
+	// CkptPath, when set, receives the run's checkpoints (internal/ckpt
+	// format, written atomically — a crash mid-save never destroys the
+	// previous snapshot): one after every CkptEvery-th step when CkptEvery >
+	// 0, and the final snapshot after the last step, unless the watchdog
+	// halted the run or that step was a periodic one. The final save is
+	// outside WallSeconds. A failed save panics, since silently continuing
+	// without durability is worse than stopping.
 	CkptEvery int
 	CkptPath  string
 	// StartStep resumes the loop at this step index. The caller must first
@@ -244,7 +247,9 @@ func pretrain(model *nn.Model, opt optim.Optimizer, corpus *data.Corpus, cfg Pre
 		// After the step (and the ZeRO broadcast): master weights are current,
 		// and a Sharded optimizer's state is its inner optimizer's own, so the
 		// snapshot resumes under any world size.
-		maybeCheckpoint(cfg, step, params.List(), opt, corpus)
+		if cfg.CkptEvery > 0 && (step+1)%cfg.CkptEvery == 0 {
+			checkpoint(cfg, step+1, params.List(), opt, corpus)
+		}
 		pc.lap(obs.PhaseCheckpoint)
 
 		if cfg.EvalEvery > 0 && (step+1)%cfg.EvalEvery == 0 {
@@ -292,6 +297,11 @@ func pretrain(model *nn.Model, opt optim.Optimizer, corpus *data.Corpus, cfg Pre
 		if alerts := wd.Alerts(); len(alerts) > 0 {
 			res.HaltReason = alerts[len(alerts)-1].Kind
 		}
+	}
+	// The run's last snapshot, outside the wall clock: not for a halted run,
+	// and not again when the periodic path has just written this step.
+	if !res.Halted && (cfg.CkptEvery <= 0 || endStep%cfg.CkptEvery != 0) {
+		checkpoint(cfg, endStep, params.List(), opt, corpus)
 	}
 	return res
 }
@@ -420,23 +430,23 @@ func (n *groupNorms) sum() float64 {
 	return math.Sqrt(sq)
 }
 
-// maybeCheckpoint writes a periodic snapshot after step completed (the
-// loop calls it right after the optimizer step, so the saved state is the
-// post-step state the next step builds on). Save failures panic: a training
-// run that silently loses its durability guarantee is strictly worse than
-// one that stops.
-func maybeCheckpoint(cfg PretrainConfig, step int, params []*nn.Param, opt optim.Optimizer, corpus *data.Corpus) {
-	if cfg.CkptEvery <= 0 || cfg.CkptPath == "" || (step+1)%cfg.CkptEvery != 0 {
+// checkpoint writes the snapshot after step completed steps to
+// cfg.CkptPath, if set (the loop calls it right after the optimizer step, so
+// the saved state is the post-step state the next step builds on). Save
+// failures panic: a training run that silently loses its durability
+// guarantee is strictly worse than one that stops.
+func checkpoint(cfg PretrainConfig, step int, params []*nn.Param, opt optim.Optimizer, corpus *data.Corpus) {
+	if cfg.CkptPath == "" {
 		return
 	}
-	st, err := ckpt.Capture(step+1, params, opt, corpus)
+	st, err := ckpt.Capture(step, params, opt, corpus)
 	if err == nil {
 		err = ckpt.SaveFile(cfg.CkptPath, st)
 	}
 	if err != nil {
-		panic(fmt.Errorf("train: checkpoint at step %d: %w", step+1, err))
+		panic(fmt.Errorf("train: checkpoint at step %d: %w", step, err))
 	}
-	cfg.Logf("[%s] step %d: checkpoint → %s", opt.Name(), step+1, cfg.CkptPath)
+	cfg.Logf("[%s] step %d: checkpoint → %s", opt.Name(), step, cfg.CkptPath)
 }
 
 // lossAccum is the fused gradient stage: forward/backward over the batch in
@@ -446,9 +456,9 @@ func maybeCheckpoint(cfg PretrainConfig, step int, params []*nn.Param, opt optim
 // micro-batch of activations is resident at a time, and each micro-batch's
 // gradient seed is written over its own logits (nn.CrossEntropyShard), so
 // the stage allocates no rows×vocab matrix. accum == 1 is exactly
-// model.Loss: nn.CrossEntropy is CountTargets + CrossEntropyShard (on a
-// clone) + a divide. Only the last micro-batch's backward releases groups to
-// release (nil: none): until then every gradient is still accumulating.
+// model.Loss: CountTargets + CrossEntropyShard + a divide. Only the last
+// micro-batch's backward releases groups to release (nil: none): until then
+// every gradient is still accumulating.
 func lossAccum(model *nn.Model, batch data.Batch, accum int, pc *phaseClock, release func([]*nn.Param)) float64 {
 	counted := nn.CountTargets(batch.Targets, -1)
 	if counted == 0 {
