@@ -3,6 +3,7 @@ package ckpt
 import (
 	"bytes"
 	"encoding/binary"
+	"hash/crc32"
 	"os"
 	"path/filepath"
 	"strings"
@@ -241,6 +242,69 @@ func TestInspect(t *testing.T) {
 
 // TestSaveLoadFile checks the atomic file path and that restoring into
 // fresh objects reproduces weights, cursor and LR exactly.
+// TestSectionTableIsExact checks that a file carries exactly the sections
+// of sectionOrder: a second CRC-valid DATA section appended (which would
+// resume from the wrong data cursor if the last payload per tag won), a
+// duplicate META or an unknown tag is refused, by tag, by Read, ReadModel
+// and Inspect alike.
+func TestSectionTableIsExact(t *testing.T) {
+	params, opt, corpus := testSetup(t)
+	st, err := Capture(3, params, opt, corpus)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if err := Write(&buf, st); err != nil {
+		t.Fatal(err)
+	}
+	raw := buf.Bytes()
+	info, err := Inspect(raw)
+	if err != nil {
+		t.Fatal(err)
+	}
+	metaLen := sectionOverhead + int(info.Sections[0].Len)
+	meta := raw[headerBytes : headerBytes+metaLen]
+
+	// withSection returns raw with a section spliced in at byte offset at
+	// and the header's section count raised by one.
+	withSection := func(at int, section []byte) []byte {
+		out := append(append(append([]byte(nil), raw[:at]...), section...), raw[at:]...)
+		binary.LittleEndian.PutUint32(out[12:], binary.LittleEndian.Uint32(out[12:])+1)
+		return out
+	}
+	section := func(tag string, payload []byte) []byte {
+		sh := make([]byte, sectionOverhead, sectionOverhead+len(payload))
+		copy(sh, tag)
+		binary.LittleEndian.PutUint64(sh[4:], uint64(len(payload)))
+		binary.LittleEndian.PutUint32(sh[12:], crc32.ChecksumIEEE(payload))
+		return append(sh, payload...)
+	}
+	var cursor [8]byte
+	binary.LittleEndian.PutUint64(cursor[:], 12345)
+	for _, c := range []struct {
+		name, tag string
+		file      []byte
+	}{
+		{"appended DATA", TagData, withSection(len(raw), section(TagData, cursor[:]))},
+		{"duplicate META", TagMeta, withSection(headerBytes+metaLen, meta)},
+		{"unknown tag", "XTRA", withSection(len(raw), section("XTRA", nil))},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			_, errRead := Read(bytes.NewReader(c.file))
+			_, errModel := ReadModel(bytes.NewReader(c.file))
+			_, errInspect := Inspect(c.file)
+			for i, err := range []error{errRead, errModel, errInspect} {
+				reader := []string{"Read", "ReadModel", "Inspect"}[i]
+				if err == nil {
+					t.Errorf("%s accepts the file", reader)
+				} else if !strings.Contains(err.Error(), " is "+c.tag) {
+					t.Errorf("%s: %v does not name section %s", reader, err, c.tag)
+				}
+			}
+		})
+	}
+}
+
 func TestSaveLoadFile(t *testing.T) {
 	params, opt, corpus := testSetup(t)
 	st, err := Capture(3, params, opt, corpus)

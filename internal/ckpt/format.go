@@ -355,7 +355,9 @@ type rawSection struct {
 	payload []byte
 }
 
-// readSections parses the header and section table, verifying every CRC.
+// readSections parses the header and section table, verifying every CRC,
+// and requires exactly the sections of sectionOrder, in that order: a
+// duplicate, unknown, missing or misplaced section is refused by tag.
 func readSections(raw []byte) (version uint32, secs []rawSection, err error) {
 	if len(raw) < headerBytes || string(raw[:8]) != Magic {
 		return 0, nil, fmt.Errorf("ckpt: not a checkpoint file (bad magic)")
@@ -371,6 +373,12 @@ func readSections(raw []byte) (version uint32, secs []rawSection, err error) {
 			return 0, nil, fmt.Errorf("ckpt: truncated section table (section %d of %d)", i+1, n)
 		}
 		tag := string(raw[at : at+4])
+		if i >= len(sectionOrder) {
+			return 0, nil, fmt.Errorf("ckpt: section %d is %s, past the last section %s", i+1, tag, sectionOrder[len(sectionOrder)-1])
+		}
+		if tag != sectionOrder[i] {
+			return 0, nil, fmt.Errorf("ckpt: section %d is %s, want %s", i+1, tag, sectionOrder[i])
+		}
 		plen := binary.LittleEndian.Uint64(raw[at+4:])
 		crc := binary.LittleEndian.Uint32(raw[at+12:])
 		at += sectionOverhead
@@ -384,6 +392,9 @@ func readSections(raw []byte) (version uint32, secs []rawSection, err error) {
 		}
 		secs = append(secs, rawSection{tag: tag, crc: crc, payload: payload})
 	}
+	if len(secs) != len(sectionOrder) {
+		return 0, nil, fmt.Errorf("ckpt: missing section %s", sectionOrder[len(secs)])
+	}
 	if at != len(raw) {
 		return 0, nil, fmt.Errorf("ckpt: %d trailing bytes after last section", len(raw)-at)
 	}
@@ -394,7 +405,7 @@ func readSections(raw []byte) (version uint32, secs []rawSection, err error) {
 // section CRC; any corruption is rejected with the offending section named.
 // It is ReadModel plus the DATA and OPTP sections.
 func Read(r io.Reader) (*State, error) {
-	snap, byTag, err := readModel(r, TagData, TagStates)
+	snap, byTag, err := readModel(r)
 	if err != nil {
 		return nil, err
 	}

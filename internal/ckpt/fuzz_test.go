@@ -17,7 +17,7 @@ import (
 // the payload decoders instead of dying at the checksum. Read and ReadModel
 // must never panic, and whenever Read accepts a file, ReadModel accepts it
 // too with the same identity, LR bits, parameter table and weights, bit
-// for bit.
+// for bit, and Inspect lists exactly the sections of sectionOrder.
 func FuzzRead(f *testing.F) {
 	seeds, err := filepath.Glob(filepath.Join("..", "train", "testdata", "*.ckpt"))
 	if err != nil {
@@ -42,6 +42,18 @@ func FuzzRead(f *testing.F) {
 		}
 		if errModel != nil {
 			t.Fatalf("Read accepts the file, ReadModel refuses it: %v", errModel)
+		}
+		info, err := Inspect(data)
+		if err != nil {
+			t.Fatalf("Read accepts the file, Inspect refuses it: %v", err)
+		}
+		if len(info.Sections) != len(sectionOrder) {
+			t.Fatalf("Read accepts a file of %d sections, want %d", len(info.Sections), len(sectionOrder))
+		}
+		for i, s := range info.Sections {
+			if s.Tag != sectionOrder[i] {
+				t.Fatalf("Read accepts a file whose section %d is %s, want %s", i+1, s.Tag, sectionOrder[i])
+			}
 		}
 		if snap.Version != st.Version || snap.Optimizer != st.Optimizer || snap.Step != st.Step ||
 			math.Float64bits(snap.LR) != math.Float64bits(st.LR) || len(snap.Params) != len(st.Params) {

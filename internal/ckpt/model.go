@@ -41,11 +41,11 @@ func (s *ModelSnapshot) WeightBytes() int64 {
 	return total
 }
 
-// readModel reads a whole checkpoint, verifies its magic, version and
-// every section CRC, requires META, WGTS and the extra sections named, and
-// decodes the model half. It returns the verified payloads by tag for the
-// caller to decode the rest: the one decoder of Read and ReadModel.
-func readModel(r io.Reader, extra ...string) (*ModelSnapshot, map[string][]byte, error) {
+// readModel reads a whole checkpoint, verifies its magic, version, section
+// table and every section CRC, and decodes the model half. It returns the
+// verified payloads by tag for the caller to decode the rest: the one decoder
+// of Read and ReadModel.
+func readModel(r io.Reader) (*ModelSnapshot, map[string][]byte, error) {
 	raw, err := io.ReadAll(r)
 	if err != nil {
 		return nil, nil, err
@@ -57,11 +57,6 @@ func readModel(r io.Reader, extra ...string) (*ModelSnapshot, map[string][]byte,
 	byTag := map[string][]byte{}
 	for _, s := range secs {
 		byTag[s.tag] = s.payload
-	}
-	for _, tag := range append([]string{TagMeta, TagWeights}, extra...) {
-		if _, ok := byTag[tag]; !ok {
-			return nil, nil, fmt.Errorf("ckpt: missing section %s", tag)
-		}
 	}
 
 	snap := &ModelSnapshot{Version: version}

@@ -90,9 +90,40 @@ type APOLLO struct {
 	// matrix of the group, in list order, after all of them have been
 	// stepped.
 	ScalingProbe func(param string, s []float64)
+	probes       probeQueue
+}
 
-	probeMu sync.Mutex
-	probed  map[*nn.Param][]float64 // this step's factors, awaiting delivery
+// probeQueue holds the scaling factors a step's updates collect on pool
+// participants until the walk has joined, then hands them to the probe on
+// the goroutine that called Step, in list order.
+type probeQueue struct {
+	mu      sync.Mutex
+	pending map[*nn.Param][]float64
+}
+
+// put keeps a copy of p's factors for delivery.
+func (q *probeQueue) put(p *nn.Param, s []float64) {
+	s = append([]float64(nil), s...)
+	q.mu.Lock()
+	if q.pending == nil {
+		q.pending = map[*nn.Param][]float64{}
+	}
+	q.pending[p] = s
+	q.mu.Unlock()
+}
+
+// deliver calls probe for every parameter of ps with factors pending, in
+// list order, and forgets them.
+func (q *probeQueue) deliver(ps []*nn.Param, probe func(param string, s []float64)) {
+	if len(q.pending) == 0 {
+		return
+	}
+	for _, p := range ps {
+		if s, ok := q.pending[p]; ok {
+			delete(q.pending, p)
+			probe(p.Name, s)
+		}
+	}
 }
 
 // New constructs an APOLLO optimizer from cfg.
@@ -130,15 +161,7 @@ func (a *APOLLO) Config() Config { return a.cfg }
 // collected for the probe is delivered here, serially and in list order.
 func (a *APOLLO) Step(ps []*nn.Param) {
 	a.engine.Step(ps)
-	if a.ScalingProbe == nil {
-		return
-	}
-	for _, p := range ps {
-		if s, ok := a.probed[p]; ok {
-			delete(a.probed, p)
-			a.ScalingProbe(p.Name, s)
-		}
-	}
+	a.probes.deliver(ps, a.ScalingProbe)
 }
 
 // rule is Algorithm 1 from the projection on: the engine has already
@@ -171,12 +194,7 @@ func (a *APOLLO) rule(e *optim.Projected, st *optim.ProjState, p *nn.Param, grad
 		}
 	}
 	if a.ScalingProbe != nil {
-		a.probeMu.Lock()
-		if a.probed == nil {
-			a.probed = map[*nn.Param][]float64{}
-		}
-		a.probed[p] = append([]float64(nil), scales...)
-		a.probeMu.Unlock()
+		a.probes.put(p, scales)
 	}
 
 	// Step 4: rescale the raw gradient by the factors and α, tame its

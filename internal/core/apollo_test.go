@@ -377,53 +377,78 @@ func TestAPOLLOWeightDecayApplied(t *testing.T) {
 }
 
 // TestScalingProbeSerialAndOrdered pins the probe's contract under the
-// parallel step: called on the goroutine that called Step (the probe below
-// appends to a plain slice, which -race would flag otherwise), once per
-// projected matrix per step, in parameter-list order, with the same factors
-// at any pool width.
+// parallel step, for APOLLO and StructuredAdamW alike: called on the
+// goroutine that called Step (the probe below appends to a plain slice, which
+// -race would flag otherwise), once per covered matrix per step, in
+// parameter-list order, with the same factors at any pool width. The last
+// matrix is large enough that the walk fans out on the pool.
 func TestScalingProbeSerialAndOrdered(t *testing.T) {
 	defer runtime.SetWorkers(runtime.Workers())
 	const steps = 4
-	var projected []string
-	record := func(width int) []string {
-		runtime.SetWorkers(width)
-		var ps []*nn.Param
-		projected = projected[:0]
-		for i := 0; i < 9; i++ {
-			name := fmt.Sprintf("w%d", i)
-			rows, cols := 8+i, 24-i // both orientations
-			if i%4 == 3 {
-				rows = 3 // not projected at rank 4: never probed
-			} else {
-				projected = append(projected, name)
-			}
-			ps = append(ps, matParam(t, name, rows, cols, uint64(50+i)))
-		}
-		opt := New(optim.Hyper{LR: 0.01}, Config{Rank: 4, Seed: 11, UpdateGap: 2})
-		var calls []string
-		opt.ScalingProbe = func(name string, s []float64) {
-			calls = append(calls, fmt.Sprintf("%s:%016x", name, math.Float64bits(s[0])))
-		}
-		rng := tensor.NewRNG(60)
-		for step := 0; step < steps; step++ {
-			for _, p := range ps {
-				fillGrad(p, rng, 1)
-			}
-			opt.Step(ps)
-		}
-		return calls
+	h := optim.Hyper{LR: 0.01}
+	cases := []struct {
+		name   string
+		build  func(probe func(string, []float64)) optim.Optimizer
+		covers func(rows, cols int) bool
+	}{
+		{"APOLLO", func(probe func(string, []float64)) optim.Optimizer {
+			a := New(h, Config{Rank: 4, Seed: 11, UpdateGap: 2})
+			a.ScalingProbe = probe
+			return a
+		}, func(rows, cols int) bool { return min(rows, cols) > 4 }},
+		{"StructuredAdamW", func(probe func(string, []float64)) optim.Optimizer {
+			s := NewStructuredAdamW(h, Channel)
+			s.ScalingProbe = probe
+			return s
+		}, func(int, int) bool { return true }},
 	}
-	serial, wide := record(1), record(4)
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			var covered []string
+			record := func(width int) []string {
+				runtime.SetWorkers(width)
+				var ps []*nn.Param
+				covered = covered[:0]
+				for i := 0; i < 10; i++ {
+					name := fmt.Sprintf("w%d", i)
+					rows, cols := 8+i, 24-i // both orientations
+					switch {
+					case i%4 == 3:
+						rows = 3 // not projected at rank 4: APOLLO never probes it
+					case i == 9:
+						rows, cols = 256, 96
+					}
+					if c.covers(rows, cols) {
+						covered = append(covered, name)
+					}
+					ps = append(ps, matParam(t, name, rows, cols, uint64(50+i)))
+				}
+				var calls []string
+				opt := c.build(func(name string, s []float64) {
+					calls = append(calls, fmt.Sprintf("%s:%016x", name, math.Float64bits(s[0])))
+				})
+				rng := tensor.NewRNG(60)
+				for step := 0; step < steps; step++ {
+					for _, p := range ps {
+						fillGrad(p, rng, 1)
+					}
+					opt.Step(ps)
+				}
+				return calls
+			}
+			serial, wide := record(1), record(4)
 
-	if want := steps * len(projected); len(serial) != want {
-		t.Fatalf("probe called %d times, want %d (%d projected matrices × %d steps)", len(serial), want, len(projected), steps)
-	}
-	for i, call := range serial {
-		if name := projected[i%len(projected)]; call[:len(name)+1] != name+":" {
-			t.Fatalf("probe call %d was %s, want parameter %s", i, call, name)
-		}
-	}
-	if fmt.Sprint(serial) != fmt.Sprint(wide) {
-		t.Errorf("probe sequence at 4 workers differs from 1 worker:\n%v\n%v", wide, serial)
+			if want := steps * len(covered); len(serial) != want {
+				t.Fatalf("probe called %d times, want %d (%d covered matrices × %d steps)", len(serial), want, len(covered), steps)
+			}
+			for i, call := range serial {
+				if name := covered[i%len(covered)]; call[:len(name)+1] != name+":" {
+					t.Fatalf("probe call %d was %s, want parameter %s", i, call, name)
+				}
+			}
+			if fmt.Sprint(serial) != fmt.Sprint(wide) {
+				t.Errorf("probe sequence at 4 workers differs from 1 worker:\n%v\n%v", wide, serial)
+			}
+		})
 	}
 }

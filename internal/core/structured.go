@@ -22,8 +22,10 @@ type StructuredAdamW struct {
 	Gamma float64
 
 	// ScalingProbe, when non-nil, receives the per-channel scaling factors
-	// of every matrix parameter each step (Fig. 4 instrumentation).
+	// of every matrix parameter each step (Fig. 4 instrumentation), called
+	// as APOLLO's is.
 	ScalingProbe func(param string, s []float64)
+	probes       probeQueue
 }
 
 // Scalar and slot indices of the StructuredAdamW declaration.
@@ -48,12 +50,15 @@ func NewStructuredAdamW(h optim.Hyper, g Granularity) *StructuredAdamW {
 }
 
 // Step implements optim.Optimizer.
-func (s *StructuredAdamW) Step(ps []*nn.Param) { s.Walk(ps, s.update) }
+func (s *StructuredAdamW) Step(ps []*nn.Param) {
+	s.Walk(ps, s.update)
+	s.probes.deliver(ps, s.ScalingProbe)
+}
 
-func (s *StructuredAdamW) update(p *nn.Param, st *optim.Entry, _ bool) {
+func (s *StructuredAdamW) update(p *nn.Param, st *optim.Entry, _ bool, ws *optim.Workspace) {
 	h := s.Hyper()
 	// Full AdamW moments → element-wise normalized direction ˜G.
-	gt := s.Direction(p)
+	gt := ws.Direction(p)
 	st.Adam(structT, structM, structV, gt, p.Grad, h)
 
 	// Collapse to one factor per channel of the m×n orientation: the
@@ -64,7 +69,7 @@ func (s *StructuredAdamW) update(p *nn.Param, st *optim.Entry, _ bool) {
 		scales, den = gt.RowNorms(), p.Grad.RowNorms()
 	}
 	channelRatios(scales, den)
-	factors := make([]float32, len(scales))
+	_, _, factors := ws.Channels(len(scales))
 	switch s.Granularity {
 	case Channel:
 		for j, f := range scales {
@@ -77,7 +82,7 @@ func (s *StructuredAdamW) update(p *nn.Param, st *optim.Entry, _ bool) {
 		}
 	}
 	if s.ScalingProbe != nil {
-		s.ScalingProbe(p.Name, scales)
+		s.probes.put(p, scales)
 	}
 
 	// Rescale the raw gradient, limit its growth, apply.

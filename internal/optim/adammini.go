@@ -39,7 +39,7 @@ func NewAdamMini(h Hyper) *AdamMini {
 // Step implements Optimizer.
 func (a *AdamMini) Step(ps []*nn.Param) { a.Walk(ps, a.update) }
 
-func (a *AdamMini) update(p *nn.Param, st *Entry, _ bool) {
+func (a *AdamMini) update(p *nn.Param, st *Entry, _ bool, ws *Workspace) {
 	st.S[adamT]++
 	t, m, v := int(st.S[adamT]), st.M[adamM], st.M[adamV].Data
 	b1 := float32(a.h.Beta1)
@@ -48,7 +48,7 @@ func (a *AdamMini) update(p *nn.Param, st *Entry, _ bool) {
 	c2 := 1 / (1 - pow(a.h.Beta2, t))
 	eps := a.h.Eps
 
-	dir := a.Direction(p)
+	dir := ws.Direction(p)
 	if p.Kind == nn.KindVector {
 		// Single block: shared v for the whole tensor.
 		meanSq := float32(p.Grad.SqNorm() / float64(p.Grad.NumEl()))

@@ -9,7 +9,7 @@ import "apollo/internal/nn"
 type AdamW struct{ Base }
 
 // Slot and scalar indices of the AdamW declaration, shared by every schema
-// that opens with AdamW moments (Projected, Adam8bit, GaLore8bit).
+// that opens with AdamW moments (Projected, Adam8bit).
 const (
 	adamT = 0 // scalar: step count
 	adamM = 0 // slot: first moment
@@ -31,8 +31,8 @@ func NewAdamW(h Hyper) *AdamW {
 // Step implements Optimizer.
 func (a *AdamW) Step(ps []*nn.Param) { a.Walk(ps, a.update) }
 
-func (a *AdamW) update(p *nn.Param, st *Entry, _ bool) {
-	dir := a.Direction(p)
+func (a *AdamW) update(p *nn.Param, st *Entry, _ bool, ws *Workspace) {
+	dir := ws.Direction(p)
 	st.Adam(adamT, adamM, adamV, dir, p.Grad, a.h)
 	DecayAndApply(p, dir, a.h.LR, a.h.WeightDecay)
 }

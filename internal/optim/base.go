@@ -3,14 +3,18 @@
 // update); everything between the two is here, once: the name, the learning
 // rate and its forwarding, the table the schema is declared on, the optimizer
 // that steps what the schema does not cover — and the one walk over the
-// parameter list. A member draws no randomness from a shared stream: what it
+// parameter list, which steps the covered parameters concurrently on the
+// shared pool. A member draws no randomness from a shared stream: what it
 // needs is keyed by its seed and the parameter's name (tensor.Mix), so
-// stepping a list in any grouping and any order is stepping it whole.
+// stepping a list in any grouping, any order and at any pool width is
+// stepping it whole.
 package optim
 
 import (
+	"sync/atomic"
+
 	"apollo/internal/nn"
-	"apollo/internal/tensor"
+	"apollo/internal/runtime"
 )
 
 // Fallback is an optimizer that can step what another member's schema does
@@ -32,6 +36,11 @@ type touched struct {
 	fresh bool
 }
 
+// walkGrain is the least number of covered elements a walk fans out over.
+// Below it the fan-out costs more than it saves — a transformer block's two
+// norm vectors are the common case — and the walk steps them inline.
+const walkGrain = 1 << 12
+
 // Base implements Optimizer except for Step, which a member writes as Walk
 // plus its update.
 type Base struct {
@@ -40,9 +49,12 @@ type Base struct {
 	dense Fallback // steps what the schema does not cover (nil: it covers everything)
 
 	// Per-step scratch, kept across steps; none of it is optimizer state.
-	touched  []touched     // this step's covered parameters, in list order
-	fallback []*nn.Param   // this step's uncovered parameters, in list order
-	dir      scratchMatrix // the normalized direction of the parameter being stepped
+	touched  []touched                                               // this step's covered parameters, in list order
+	fallback []*nn.Param                                             // this step's uncovered parameters, in list order
+	ws       []*Workspace                                            // one per participant of the walk's fan-out
+	step     func(p *nn.Param, st *Entry, fresh bool, ws *Workspace) // this walk's update
+	next     atomic.Int64                                            // the next unclaimed index into touched
+	claim    func(w0, w1 int)                                        // a participant's claim loop
 }
 
 // NewBase builds the base of a member declared by sc; dense steps the
@@ -72,21 +84,17 @@ func (b *Base) SetLR(lr float64) {
 // Hyper returns the hyperparameters at the current learning rate.
 func (b *Base) Hyper() Hyper { return b.h }
 
-// Direction returns the scratch a dense update writes p's direction into:
-// one grow-only buffer shaped like p, holding whatever the previous parameter
-// left — every user overwrites it in full.
-func (b *Base) Direction(p *nn.Param) *tensor.Matrix { return b.dir.shaped(p.W.Rows, p.W.Cols) }
-
 // touch is the serial half of the walk: parameters in list order, split by
 // the schema's Covers — the only copy of the predicate — with the entry of
 // each covered one allocated at first touch. A schema that declares no
 // scalar, slot or projector allocates nothing (momentum-free SGD keeps no
-// entry, so its checkpoint carries none). The uncovered rest waits for
-// stepRest. Both lists are valid until the next touch.
-func (b *Base) touch(ps []*nn.Param) []touched {
+// entry, so its checkpoint carries none). The uncovered rest waits for the
+// fallback. It returns the number of covered elements.
+func (b *Base) touch(ps []*nn.Param) int {
 	b.touched, b.fallback = b.touched[:0], b.fallback[:0]
 	sc := &b.schema
 	stateful := len(sc.Scalars)+len(sc.Slots) > 0 || sc.Proj != nil
+	elems := 0
 	for _, p := range ps {
 		if !sc.covers(p) {
 			b.fallback = append(b.fallback, p)
@@ -97,25 +105,46 @@ func (b *Base) touch(ps []*nn.Param) []touched {
 			t.st, t.fresh = b.State(p)
 		}
 		b.touched = append(b.touched, t)
+		elems += len(p.W.Data)
 	}
-	return b.touched
+	return elems
 }
 
-// stepRest hands the parameters the last touch left uncovered to the
-// fallback optimizer, in list order.
-func (b *Base) stepRest() {
+// Walk is a member's Step. After touch, the covered parameters are stepped
+// concurrently on the shared pool, each participant claiming the next
+// unclaimed one and handing update its entry, whether this walk allocated it,
+// and the participant's own Workspace. Every update reads and writes only its
+// own parameter and entry, so the result is bit-identical at any pool width,
+// and stepping a list in pieces, in any order, is stepping it whole. After
+// the join, serially, every Workspace is grown to the largest size any of
+// them needed for each buffer — which participant claimed which parameter was
+// the scheduler's choice, and the walk cannot tell before an update runs
+// which buffers it uses (sizing them all would give APOLLO m×n buffers it
+// never touches). Then the uncovered rest goes to the fallback, in list order.
+func (b *Base) Walk(ps []*nn.Param, update func(p *nn.Param, st *Entry, fresh bool, ws *Workspace)) {
+	workers := 1
+	if b.touch(ps) >= walkGrain {
+		workers = min(runtime.Workers(), len(b.touched))
+	}
+	for len(b.ws) < workers {
+		b.ws = append(b.ws, &Workspace{})
+	}
+	if b.claim == nil { // built once, so a walk allocates no closure
+		b.claim = func(w0, w1 int) {
+			for w := w0; w < w1; w++ {
+				for i := int(b.next.Add(1)) - 1; i < len(b.touched); i = int(b.next.Add(1)) - 1 {
+					t := b.touched[i]
+					b.step(t.p, t.st, t.fresh, b.ws[w])
+				}
+			}
+		}
+	}
+	b.step = update
+	b.next.Store(0)
+	runtime.ForRange(workers, 1, b.claim)
+	growAlike(b.ws)
+
 	if len(b.fallback) > 0 {
 		b.dense.Step(b.fallback)
 	}
-}
-
-// Walk is a member's Step: touch, then update for each covered parameter in
-// list order, then the uncovered rest through the fallback. Every update
-// reads and writes only its own parameter and entry, so stepping a list in
-// pieces, in any order, is stepping it whole.
-func (b *Base) Walk(ps []*nn.Param, update func(p *nn.Param, st *Entry, fresh bool)) {
-	for _, t := range b.touch(ps) {
-		update(t.p, t.st, t.fresh)
-	}
-	b.stepRest()
 }

@@ -1,7 +1,6 @@
 package optim
 
 import (
-	"apollo/internal/linalg"
 	"apollo/internal/nn"
 	"apollo/internal/quant"
 	"apollo/internal/tensor"
@@ -34,9 +33,9 @@ func NewAdam8bit(h Hyper, seed uint64) *Adam8bit {
 // Step implements Optimizer.
 func (a *Adam8bit) Step(ps []*nn.Param) { a.Walk(ps, a.update) }
 
-func (a *Adam8bit) update(p *nn.Param, st *Entry, _ bool) {
+func (a *Adam8bit) update(p *nn.Param, st *Entry, _ bool, ws *Workspace) {
 	st.S[adamT]++
-	dir := a.Direction(p)
+	dir := ws.Direction(p)
 	adam8Direction(st.Q[adamM], st.Q[adamV], dir, p.Grad, a.h, int(st.S[adamT]), tensor.Mix(a.seed, p.Name, st.S[adamT]))
 	DecayAndApply(p, dir, a.h.LR, a.h.WeightDecay)
 }
@@ -75,61 +74,21 @@ func adam8Direction(mq, vq *quant.Tensor8, out, g *tensor.Matrix, h Hyper, t int
 	quant.Quantize(vq, v, tensor.Mix(key, "", adamV))
 }
 
-// GaLore8bit quantizes GaLore's projected moments to INT8 — the "8-bit
-// GaLore" row of Table 3 (Q-GaLore's optimizer-state half; its INT8 weights
-// are handled by internal/quant.QuantizedWeight at the training-loop level).
-//
-// It is its own serial optimizer rather than a Rule on Projected: its slots
-// are INT8 and its fallback is 8-bit Adam, which the engine's schema does not
-// declare. What it shares with the engine is the walk, the refresh cadence,
-// the workspace and the keying: a parameter's projector is seeded
-// tensor.Mix(cfg.Seed, p.Name), its rounding noise keyed as Adam8bit's.
+// GaLore8bit is GaLore with its projected moments quantized to INT8 — the
+// "8-bit GaLore" row of Table 3 (Q-GaLore's optimizer-state half; its INT8
+// weights are handled by internal/quant.QuantizedWeight at the training-loop
+// level). It is the projected engine with two declarations changed, INT8 m
+// and v slots and 8-bit Adam as the fallback, and GaLore's rule, which runs
+// the moment update on the INT8 codes: step t's rounding noise for a
+// projected parameter is keyed tensor.Mix(cfg.Seed, p.Name, t).
 //
 // Layout — projected parameters: Scalars [t, since, proj seed, proj rng, proj
 // m, proj ready]; Blobs [m codes, m scales, v codes, v scales] at r×n; Whole
 // [SVD P] once built. Everything else is the dense 8-bit Adam's.
-type GaLore8bit struct {
-	Base
-	cfg LowRankConfig
-	ws  Workspace
-}
+type GaLore8bit = Projected
 
 // NewGaLore8bit builds the optimizer.
 func NewGaLore8bit(h Hyper, cfg LowRankConfig) *GaLore8bit {
 	cfg = cfg.withDefaults()
-	if err := cfg.Validate(); err != nil {
-		panic(err)
-	}
-	sc := Schema{
-		Name:    "8-bit GaLore",
-		Scalars: []Scalar{{Name: "t"}, {Name: "since"}},
-		Slots: []Slot{
-			{Name: "m", Kind: Int8, Dims: rankSpace(cfg.Rank)},
-			{Name: "v", Kind: Int8, Dims: rankSpace(cfg.Rank)},
-		},
-		Proj:   &Projection{Kind: cfg.Projection, Rank: cfg.Rank},
-		Covers: func(p *nn.Param) bool { return projects(p, cfg.Rank) },
-	}
-	return &GaLore8bit{Base: NewBase(sc, h, NewAdam8bit(h, cfg.Seed+3)), cfg: cfg}
-}
-
-// Step implements Optimizer.
-func (g *GaLore8bit) Step(ps []*nn.Param) { g.Walk(ps, g.update) }
-
-func (g *GaLore8bit) update(p *nn.Param, st *Entry, fresh bool) {
-	if fresh {
-		st.Proj = linalg.NewProjector(g.cfg.Projection, g.cfg.Rank, tensor.Mix(g.cfg.Seed, p.Name))
-	}
-	grad := g.ws.orientedGrad(p.Grad, orient(p.W.Rows, p.W.Cols))
-	if refreshDue(st, g.cfg.UpdateGap) {
-		st.Proj.Refresh(grad)
-	}
-	st.S[adamT]++
-
-	r, _ := g.ws.RankSpace(g.cfg.Rank, grad.Cols)
-	st.Proj.ProjectInto(r, grad)
-	adam8Direction(st.Q[adamM], st.Q[adamV], r, r, g.h, int(st.S[adamT]), tensor.Mix(g.cfg.Seed, p.Name, st.S[adamT]))
-	update := g.ws.dense[0].shaped(grad.Rows, grad.Cols)
-	st.Proj.ProjectBackInto(update, r)
-	DecayAndApply(p, g.ws.lift(p, update, g.cfg.Scale), g.h.LR, g.h.WeightDecay)
+	return newProjected("8-bit GaLore", h, cfg, false, liftedAdam, Int8, NewAdam8bit(h, cfg.Seed+3))
 }

@@ -92,12 +92,18 @@ func NewGaLore(h Hyper, cfg LowRankConfig) *GaLore {
 	return NewProjected(name, h, cfg, false, liftedAdam)
 }
 
-// liftedAdam is GaLore's rule (and Flora's): AdamW in the subspace, lifted
-// back and scaled by α.
+// liftedAdam is GaLore's rule (and Flora's and 8-bit GaLore's): AdamW in the
+// subspace, lifted back and scaled by α.
 func liftedAdam(e *Projected, st *ProjState, p *nn.Param, grad *tensor.Matrix, ws *Workspace) *tensor.Matrix {
 	r, _ := ws.RankSpace(e.cfg.Rank, grad.Cols)
 	st.Proj.ProjectInto(r, grad) // r×n
-	e.Moments(st, r, r)          // in place: r becomes the normalized direction
+	// In place: r becomes the normalized direction.
+	if st.Q != nil { // INT8 moments
+		st.S[adamT]++
+		adam8Direction(st.Q[adamM], st.Q[adamV], r, r, e.h, int(st.S[adamT]), tensor.Mix(e.cfg.Seed, p.Name, st.S[adamT]))
+	} else {
+		e.Moments(st, r, r)
+	}
 	update := ws.dense[0].shaped(grad.Rows, grad.Cols)
 	st.Proj.ProjectBackInto(update, r)
 	return ws.lift(p, update, e.cfg.Scale)

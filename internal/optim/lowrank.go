@@ -184,7 +184,7 @@ func (f *Factorized) effective(st *Entry, w *tensor.Matrix) {
 // Step implements Optimizer.
 func (f *Factorized) Step(ps []*nn.Param) { f.Walk(ps, f.update) }
 
-func (f *Factorized) update(p *nn.Param, st *Entry, fresh bool) {
+func (f *Factorized) update(p *nn.Param, st *Entry, fresh bool, _ *Workspace) {
 	if fresh {
 		f.seed(st, p)
 		f.effective(st, p.W)

@@ -24,7 +24,10 @@ type Optimizer interface {
 	// group of the list, in any order: a member's update for a parameter
 	// depends on nothing stepped before it, so the training loop steps each
 	// group nn.Model.BackwardRelease releases on a goroutine of its own, one
-	// Step at a time, while the rest of backward runs.
+	// Step at a time, while the rest of backward runs. Within a Step every
+	// member steps its parameters concurrently on the shared pool
+	// (Base.Walk), bit-identically at any pool width; Step returns after
+	// all of them.
 	Step(ps []*nn.Param)
 	// SetLR changes the learning rate (driven by the schedule).
 	SetLR(lr float64)

@@ -5,19 +5,20 @@
 // limiter memory — and differ only in what they read out of that space. The
 // state is therefore declared once, as the Schema NewProjected builds, and
 // the StateTable derives allocation, byte and element accounting and the
-// canonical checkpoint layout from it (state.go); what is left here is the
-// engine — the projector seed of each first touch, the refresh cadence, the
-// parallel step — and an optimizer of the family is a constructor plus a Rule.
+// canonical checkpoint layout from it (state.go); the walk that steps the
+// projected parameters concurrently is Base's (base.go). What is left here is
+// the engine's per-parameter step — the projector seed of a first touch, the
+// refresh cadence, the rule, the apply — and an optimizer of the family is a
+// constructor plus a Rule. 8-bit GaLore (eightbit.go) changes two
+// declarations: INT8 moments and an 8-bit Adam fallback.
 package optim
 
 import (
 	"fmt"
 	"math"
-	"sync/atomic"
 
 	"apollo/internal/linalg"
 	"apollo/internal/nn"
-	"apollo/internal/runtime"
 	"apollo/internal/tensor"
 )
 
@@ -168,15 +169,16 @@ func (st *ProjState) LimitNormGrowth(u *tensor.Matrix, gamma float64) {
 // has already refreshed the projector when due; it applies a returned
 // direction with decoupled weight decay.
 //
-// Step runs a rule concurrently for different parameters. A rule may touch
-// only its ProjState, its *nn.Param and the Workspace it was handed (grad and
-// the returned direction may live there); a returned direction is read before
-// that worker's next rule call and not after.
+// Step runs a rule concurrently for different parameters (Base.Walk). A rule
+// may touch only its ProjState, its *nn.Param and the Workspace it was handed
+// (grad and the returned direction may live there); a returned direction is
+// read before that participant's next rule call and not after.
 type Rule func(e *Projected, st *ProjState, p *nn.Param, grad *tensor.Matrix, ws *Workspace) *tensor.Matrix
 
 // Projected is the engine behind every projected optimizer. It implements
 // Optimizer; everything but Step is its Base's, and parameters that are not
-// projected are the Base's dense AdamW's.
+// projected are the Base's dense fallback's (AdamW; 8-bit Adam for 8-bit
+// GaLore).
 type Projected struct {
 	Base
 	cfg  LowRankConfig
@@ -184,8 +186,6 @@ type Projected struct {
 	// refresh rebuilds st's projection from grad; Flora replaces the default
 	// to carry its momentum across the subspace change.
 	refresh func(st *ProjState, grad *tensor.Matrix)
-
-	ws []*Workspace // one per worker of the parallel section; scratch, not state
 }
 
 // NewProjected builds an engine around rule. cfg is taken as resolved (no
@@ -202,6 +202,13 @@ type Projected struct {
 // Only the dense fallback is element-wise; a projected matrix's subspace
 // statistics couple all of it. Other parameters are dense AdamW's.
 func NewProjected(name string, h Hyper, cfg LowRankConfig, limiter bool, rule Rule) *Projected {
+	return newProjected(name, h, cfg, limiter, rule, Whole, NewAdamW(h))
+}
+
+// newProjected is NewProjected with the moments' storage and the fallback
+// given: 8-bit GaLore keeps its moments as Int8 and steps the rest with 8-bit
+// Adam.
+func newProjected(name string, h Hyper, cfg LowRankConfig, limiter bool, rule Rule, moments SlotKind, dense Fallback) *Projected {
 	if err := cfg.Validate(); err != nil {
 		panic(err)
 	}
@@ -209,8 +216,8 @@ func NewProjected(name string, h Hyper, cfg LowRankConfig, limiter bool, rule Ru
 		Name:    name,
 		Scalars: []Scalar{{Name: "t"}, {Name: "since"}},
 		Slots: []Slot{
-			{Name: "m", Kind: Whole, Dims: rankSpace(cfg.Rank)},
-			{Name: "v", Kind: Whole, Dims: rankSpace(cfg.Rank)},
+			{Name: "m", Kind: moments, Dims: rankSpace(cfg.Rank)},
+			{Name: "v", Kind: moments, Dims: rankSpace(cfg.Rank)},
 		},
 		Proj:   &Projection{Kind: cfg.Projection, Rank: cfg.Rank},
 		Covers: func(p *nn.Param) bool { return projects(p, cfg.Rank) },
@@ -219,7 +226,7 @@ func NewProjected(name string, h Hyper, cfg LowRankConfig, limiter bool, rule Ru
 		sc.Scalars = append(sc.Scalars, Scalar{Name: "prevNorm", Counted: true})
 	}
 	return &Projected{
-		Base:    NewBase(sc, h, NewAdamW(h)),
+		Base:    NewBase(sc, h, dense),
 		cfg:     cfg,
 		rule:    rule,
 		refresh: func(st *ProjState, grad *tensor.Matrix) { st.Proj.Refresh(grad) },
@@ -246,53 +253,19 @@ func (e *Projected) ApplyScaledGrad(st *ProjState, p *nn.Param, s []float32, alp
 
 // Step implements Optimizer: project (refreshing the subspace every
 // UpdateGap steps), let the rule turn state and gradient into a direction,
-// apply it; everything not projected goes to dense AdamW.
-//
-// The serial half is Base's touch — the split, and first-touch allocation —
-// plus the projector of each fresh entry. The projected parameters are then
-// stepped concurrently on the shared pool, workers claiming the next
-// unclaimed one. A parameter's update reads and writes nothing of any other
-// parameter, so the result is bit-identical at any pool width. After the
-// join, serially, every worker's Workspace is grown to the largest size any
-// of them needed for each buffer: the engine cannot tell before a rule runs
-// which buffers it uses, and sizing them all would give APOLLO m×n buffers it
-// never touches.
-func (e *Projected) Step(ps []*nn.Param) {
-	for _, j := range e.touch(ps) {
-		if j.fresh {
-			j.st.Proj = linalg.NewProjector(e.cfg.Projection, e.cfg.Rank, tensor.Mix(e.cfg.Seed, j.p.Name))
-		}
+// apply it — one parameter per stepOne, concurrently on the pool (Base.Walk);
+// everything not projected goes to the dense fallback.
+func (e *Projected) Step(ps []*nn.Param) { e.Walk(ps, e.stepOne) }
+
+// stepOne steps one projected parameter with the participant's scratch,
+// seeding its projector at first touch.
+func (e *Projected) stepOne(p *nn.Param, entry *Entry, fresh bool, ws *Workspace) {
+	st := (*ProjState)(entry)
+	if fresh {
+		st.Proj = linalg.NewProjector(e.cfg.Projection, e.cfg.Rank, tensor.Mix(e.cfg.Seed, p.Name))
 	}
-
-	workers := min(runtime.Workers(), len(e.touched))
-	for len(e.ws) < workers {
-		e.ws = append(e.ws, &Workspace{})
-	}
-	var next atomic.Int64
-	runtime.ForRange(workers, 1, func(w0, w1 int) {
-		for w := w0; w < w1; w++ {
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= len(e.touched) {
-					break
-				}
-				j := e.touched[i]
-				e.stepOne(j.p, (*ProjState)(j.st), e.ws[w])
-			}
-		}
-	})
-	// Which worker claimed which parameter was the scheduler's choice; after
-	// this no worker allocates for any parameter it has been shown, so a
-	// steady step is the second one whatever the schedule.
-	growAlike(e.ws)
-
-	e.stepRest()
-}
-
-// stepOne steps one projected parameter with the worker's scratch.
-func (e *Projected) stepOne(p *nn.Param, st *ProjState, ws *Workspace) {
 	grad := ws.orientedGrad(p.Grad, orient(p.W.Rows, p.W.Cols))
-	if refreshDue((*Entry)(st), e.cfg.UpdateGap) {
+	if refreshDue(entry, e.cfg.UpdateGap) {
 		e.refresh(st, grad)
 	}
 	if dir := e.rule(e, st, p, grad, ws); dir != nil {

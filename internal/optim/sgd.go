@@ -32,7 +32,7 @@ func (s *SGD) Step(ps []*nn.Param) { s.Walk(ps, s.update) }
 
 // update steps one parameter; st is nil without momentum (the schema then
 // declares no state).
-func (s *SGD) update(p *nn.Param, st *Entry, _ bool) {
+func (s *SGD) update(p *nn.Param, st *Entry, _ bool, _ *Workspace) {
 	dir := p.Grad
 	if st != nil {
 		dir = st.M[0]

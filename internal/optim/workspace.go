@@ -5,14 +5,15 @@ import (
 	"apollo/internal/tensor"
 )
 
-// Workspace is the scratch one worker of Projected.Step hands to the Rule of
-// whichever parameter it is stepping (GaLore8bit, which is serial, keeps
-// one): grow-only buffers reshaped per parameter, so a steady-state step
-// allocates nothing proportional to a matrix. It is scratch, not optimizer
-// state — nothing in it outlives a rule call, and it appears in no
-// StateBytes, StateElemsFor or checkpoint. Contents are whatever the previous
-// parameter left behind; every user overwrites what it takes in full.
+// Workspace is the scratch one participant of a walk (Base.Walk) hands to
+// the update of whichever parameter it is stepping: grow-only buffers
+// reshaped per parameter, so a steady-state step allocates nothing
+// proportional to a matrix. It is scratch, not optimizer state — nothing in
+// it outlives an update, and it appears in no StateBytes, StateElemsFor or
+// checkpoint. Contents are whatever the previous parameter left behind; every
+// user overwrites what it takes in full.
 type Workspace struct {
+	dir      scratchMatrix    // a dense update's direction, shaped like the parameter
 	gradT    scratchMatrix    // the gradient in m×n orientation, for rows > cols
 	r, rt    scratchMatrix    // R and R̃, r×n
 	dense    [2]scratchMatrix // m×n buffers of the lifting rules
@@ -33,16 +34,16 @@ func (s *scratchMatrix) shaped(rows, cols int) *tensor.Matrix {
 }
 
 // matrices returns the workspace's matrix buffers in a fixed order.
-func (w *Workspace) matrices() [5]*scratchMatrix {
-	return [5]*scratchMatrix{&w.gradT, &w.r, &w.rt, &w.dense[0], &w.dense[1]}
+func (w *Workspace) matrices() [6]*scratchMatrix {
+	return [6]*scratchMatrix{&w.dir, &w.gradT, &w.r, &w.rt, &w.dense[0], &w.dense[1]}
 }
 
 // growAlike grows every buffer of every workspace to the largest capacity the
-// same buffer has in any of them — the largest shape any rule call asked of
-// it — so a workspace serves whichever parameter its worker claims next
+// same buffer has in any of them — the largest shape any update asked of
+// it — so a workspace serves whichever parameter its participant claims next
 // without allocating.
 func growAlike(ws []*Workspace) {
-	var peak [5]int
+	var peak [6]int
 	channels := 0
 	for _, w := range ws {
 		for i, s := range w.matrices() {
@@ -61,6 +62,10 @@ func growAlike(ws []*Workspace) {
 		}
 	}
 }
+
+// Direction returns the buffer a dense update writes p's direction into,
+// shaped like p.
+func (w *Workspace) Direction(p *nn.Param) *tensor.Matrix { return w.dir.shaped(p.W.Rows, p.W.Cols) }
 
 // RankSpace returns the two rank×n buffers a rule projects into: R = P·G and
 // the normalized R̃.

@@ -21,11 +21,13 @@
 // internal/train/dp.go).
 //
 // Determinism contract. A step is the inner optimizer's Step over the list
-// itself, so `-replicas N -zero` reproduces `-replicas 1` float-for-float —
-// weights and captured state — while each replica is charged ~1/N of the
-// measured footprint (bench.TestCatalogueShardedParity ranges the contract
-// over the method catalogue; TestShardedStepParity and train.TestZeroDPParity
-// pin it here and through the trainer). Capture and restore are the inner
+// itself — its one walk (optim.Base.Walk), which steps the parameters
+// concurrently on the shared pool — so `-replicas N -zero` reproduces
+// `-replicas 1` float-for-float, weights and captured state, at any pool
+// width, while each replica is charged ~1/N of the measured footprint
+// (bench.TestCatalogueShardedParity and bench.TestCatalogueWidthIndependent
+// range the contract over the method catalogue; TestShardedStepParity and
+// train.TestZeroDPParity pin it here and through the trainer). Capture and restore are the inner
 // optimizer's too, so a checkpoint never mentions the world size: a
 // `-replicas N -zero` snapshot resumes under any `-replicas M -zero` or
 // unsharded (train.TestElasticReshardParity). The ownership map is fixed from
