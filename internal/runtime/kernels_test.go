@@ -892,3 +892,74 @@ func TestPoolResizeDuringFanOuts(t *testing.T) {
 		return len(p.tasks) == 0 && goruntime.NumGoroutine() <= before
 	})
 }
+
+// TestPoolResizeWhilePolling retires workers right after a run of fan-outs,
+// so the poisons reach them while they poll the queue rather than parked:
+// each poison retires exactly one worker, and the resized-up pool covers
+// every index once.
+func TestPoolResizeWhilePolling(t *testing.T) {
+	before := goruntime.NumGoroutine()
+	p := NewPool(4)
+	for range 100 {
+		p.ForRange(64, 1, func(i0, i1 int) {})
+	}
+	p.Resize(1)
+	// Only workers take from the queue here, and one that takes a poison
+	// returns: an empty queue and the goroutine count back where it was
+	// mean each poison retired one worker.
+	waitFor(t, "every retired worker to exit", func() bool {
+		return len(p.tasks) == 0 && goruntime.NumGoroutine() <= before
+	})
+	p.Resize(3)
+	defer p.Resize(1)
+	hits := make([]int32, 1000)
+	p.ForRange(len(hits), 1, func(i0, i1 int) {
+		for i := i0; i < i1; i++ {
+			atomic.AddInt32(&hits[i], 1)
+		}
+	})
+	for i, h := range hits {
+		if h != 1 {
+			t.Fatalf("after resizing up, index %d visited %d times", i, h)
+		}
+	}
+}
+
+// TestForRangeProgressUnderOneProc: with one P and a pool of three, two
+// idle workers poll the queue while the caller needs the P to run its
+// chunks. Every chunk yields, so the workers do get the P between them, and
+// the poll yields it back: 10,000 tiny fan-outs still finish promptly and
+// cover every index once.
+func TestForRangeProgressUnderOneProc(t *testing.T) {
+	defer goruntime.GOMAXPROCS(goruntime.GOMAXPROCS(1))
+	p := NewPool(3)
+	defer p.Resize(1)
+	done := make(chan struct{})
+	var bad atomic.Int32
+	go func() {
+		defer close(done)
+		var hits [24]int32
+		for round := int32(1); round <= 10000; round++ {
+			p.ForRange(len(hits), 1, func(i0, i1 int) {
+				for i := i0; i < i1; i++ {
+					atomic.AddInt32(&hits[i], 1)
+				}
+				goruntime.Gosched()
+			})
+			for i := range hits {
+				if atomic.LoadInt32(&hits[i]) != round {
+					bad.Store(round)
+					return
+				}
+			}
+		}
+	}()
+	select {
+	case <-done:
+	case <-time.After(30 * time.Second):
+		t.Fatal("10,000 fan-outs at GOMAXPROCS 1 did not finish in 30 s")
+	}
+	if r := bad.Load(); r != 0 {
+		t.Fatalf("round %d: an index was not visited exactly once", r)
+	}
+}

@@ -49,6 +49,18 @@ func TestPoolInstrument(t *testing.T) {
 		t.Fatalf("a %d-item fan-out at width 4 recorded no more than 4 chunks:\n%s", n, expo)
 	}
 
+	// The workers that answered go idle again: each polls, finds nothing
+	// and parks, and every park is counted.
+	parks := p.metrics.Load().parks
+	waitFor(t, "an idle worker to park", func() bool { return parks.Value() >= 1 })
+	var bp strings.Builder
+	if err := reg.RenderPrometheus(&bp); err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(bp.String(), "# TYPE apollo_pool_parks_total counter\n") {
+		t.Fatalf("parks counter missing:\n%s", bp.String())
+	}
+
 	// Disable again: further work must not count.
 	p.Instrument(nil)
 	p.ForRange(n, 1, func(i0, i1 int) {})

@@ -35,6 +35,11 @@ import (
 // that wakes late, is slow, or never gets scheduled costs the caller at most
 // the one chunk that worker holds, and a caller nobody joins does all the
 // work itself.
+//
+// An idle worker polls the queue for about one OS wake-up's worth of time
+// before it parks (pollTries): a step issues its fan-outs back to back, so
+// the next invitation usually arrives before a parked worker could be woken
+// to answer it.
 type Pool struct {
 	// tasks carries one token per invited helper; nil is the poison that
 	// retires one worker. The buffer is slack for nested and concurrent
@@ -116,6 +121,7 @@ func (f *fanout) finished() bool { return f.done.Load() >= int64(f.chunks) }
 // through it and how it fans out.
 type poolMetrics struct {
 	tasks     *obs.Counter   // tokens executed by workers or helping callers
+	parks     *obs.Counter   // worker polls that ended in a blocking receive
 	forRanges *obs.Counter   // ForRange calls that actually fanned out
 	chunks    *obs.Histogram // chunks cut per fanned-out ForRange
 }
@@ -165,6 +171,7 @@ func (p *Pool) Instrument(reg *obs.Registry) {
 		func() float64 { return float64(p.Size()) })
 	p.metrics.Store(&poolMetrics{
 		tasks:     reg.Counter("apollo_pool_tasks_total", "Tasks executed by pool workers (including stolen by helping callers)."),
+		parks:     reg.Counter("apollo_pool_parks_total", "Idle pool workers that polled the queue in vain and parked until the next task."),
 		forRanges: reg.Counter("apollo_pool_forrange_total", "ForRange calls that fanned out across workers."),
 		chunks:    reg.Histogram("apollo_pool_forrange_chunks", "Chunks per fanned-out ForRange call.", obs.SizeBuckets),
 	})
@@ -173,13 +180,37 @@ func (p *Pool) Instrument(reg *obs.Registry) {
 // InstrumentDefault instruments the shared process-wide pool.
 func InstrumentDefault(reg *obs.Registry) { defaultPool.Instrument(reg) }
 
+// pollTries is how many times an idle worker looks at the queue, yielding
+// between looks, before it parks in a blocking receive. A traced 1×16-token
+// step of the 7B proxy on 2 cores issues about 250 fan-outs; 85% of the
+// invitations arrive within 50 µs of the helper going idle (median gap
+// 17.5 µs), while waking a parked helper takes 69 µs at the median and
+// 459 µs at p90. 256 tries took about 44 µs there, one wake-up's worth, and
+// 1024 measured no better.
+const pollTries = 256
+
 func (p *Pool) worker() {
-	for f := range p.tasks {
-		if f == nil {
-			return
-		}
+	for f := p.next(); f != nil; f = p.next() {
 		p.join(f)
 	}
+}
+
+// next is an idle worker's next token (nil is the poison). The poll yields
+// between tries, so a pool wider than GOMAXPROCS leaves the callers it
+// would help room to run, and it allocates nothing.
+func (p *Pool) next() *fanout {
+	for range pollTries {
+		select {
+		case f := <-p.tasks:
+			return f
+		default:
+			goruntime.Gosched()
+		}
+	}
+	if m := p.metrics.Load(); m != nil {
+		m.parks.Inc()
+	}
+	return <-p.tasks
 }
 
 // join answers one token: claim whatever f still has unclaimed.
