@@ -74,10 +74,7 @@ func inspect(path string, verifyOnly bool) error {
 	rank := 0
 	for i, p := range st.Params {
 		weightElems += int64(p.Rows) * int64(p.Cols)
-		shapes[i] = memmodel.Shape{
-			Name: p.Name, Rows: p.Rows, Cols: p.Cols,
-			Projectable: nn.ParamKind(p.Kind) == nn.KindMatrix,
-		}
+		shapes[i] = memmodel.ParamShape(p.Name, p.Rows, p.Cols, nn.ParamKind(p.Kind))
 		if ps := st.OptStates[i]; ps != nil {
 			statesPresent++
 			// The rank-space matrices reveal the training rank; the first

@@ -11,7 +11,7 @@
 // -run-dir joins a run's recorded memory timeline (the "mem" events of its
 // events.jsonl, written by apollo-pretrain) against the plan: recorded component peaks line up next
 // to the analytic rows, and components the run predicted for themselves
-// (via memmodel.StateElems over the live shapes) show their measured-vs-
+// (via memmodel.LiveStateBytes over the live shapes) show their measured-vs-
 // predicted delta. Note the scales differ by design — the plan prices the
 // paper-scale model, while runs record the shrunken proxy — so the joined
 // view answers "did the accounting hold" (the delta column), not "did the

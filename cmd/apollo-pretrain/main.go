@@ -208,8 +208,7 @@ func main() {
 			ProfileDir:  ledger.Dir(),
 		})
 		if m.Mem != nil {
-			shapes := bench.ShapesOf(model.Params().List())
-			predicted := memmodel.StateElems(shapes, *m.Mem, r) * memmodel.BytesFP32
+			predicted := memmodel.LiveStateBytes(memmodel.ShapesOf(model.Params().List()), *m.Mem, r)
 			if *zeroOpt {
 				// ZeRO partitions the same state across the world —
 				// the ShardedOptimizerStateBytes rule, per shard.

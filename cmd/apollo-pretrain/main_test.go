@@ -2,11 +2,13 @@ package main
 
 import (
 	"bytes"
+	"fmt"
 	"math"
 	"os"
 	"os/exec"
 	"path/filepath"
 	"slices"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -89,6 +91,63 @@ func TestMiniPredictionIgnoresRankFlag(t *testing.T) {
 	}
 	if states[0] != states[1] {
 		t.Fatalf("APOLLO-Mini state depends on -rank: %v", states)
+	}
+}
+
+// TestINT8PredictionIsPricedInBytes: the prediction recorded beside each
+// memory sample is memmodel's live byte price, so an INT8 row's one byte per
+// code (plus an fp32 scale per group) is not booked at fp32 width. Priced
+// at four bytes an element, 8-bit Adam used to record delta_frac −0.742 and
+// 8-bit GaLore −0.688, fused and on each -zero shard alike.
+func TestINT8PredictionIsPricedInBytes(t *testing.T) {
+	bin := filepath.Join(t.TempDir(), "apollo-pretrain")
+	if out, err := exec.Command("go", "build", "-o", bin, ".").CombinedOutput(); err != nil {
+		t.Fatalf("go build: %v\n%s", err, out)
+	}
+	for _, tc := range []struct {
+		optimizer string
+		replicas  int // 0: fused; else -replicas N -zero
+	}{
+		{"8-bit Adam", 0},
+		{"8-bit GaLore", 0},
+		{"8-bit Adam", 2},
+	} {
+		runs := t.TempDir()
+		args := []string{"-size", "60M", "-optimizer", tc.optimizer, "-steps", "3", "-runs", runs, "-run-id", "q"}
+		components := []string{"optimizer_state"}
+		if tc.replicas > 0 {
+			args = append(args, "-replicas", strconv.Itoa(tc.replicas), "-zero")
+			components = nil
+			for s := 0; s < tc.replicas; s++ {
+				components = append(components, fmt.Sprintf("optimizer_state_shard%d", s))
+			}
+		}
+		if out, err := exec.Command(bin, args...).CombinedOutput(); err != nil {
+			t.Fatalf("%v: %v\n%s", args, err, out)
+		}
+		rd, err := runlog.LoadDir(filepath.Join(runs, "q"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(rd.Mem) != 3 {
+			t.Fatalf("%v: %d mem events, want 3", args, len(rd.Mem))
+		}
+		last := rd.Mem[len(rd.Mem)-1]
+		var measured, predicted float64
+		for _, c := range components {
+			m, ok := last.Components[c]
+			if !ok || last.Predicted[c] <= 0 {
+				t.Fatalf("%v: no measured and predicted %s in %+v", args, c, last)
+			}
+			measured += float64(m)
+			predicted += last.Predicted[c]
+		}
+		if dev := (measured - predicted) / predicted; math.Abs(dev) > 0.02 {
+			t.Errorf("%v: recorded %.0f state bytes against a prediction of %.0f (%+.3f)", args, measured, predicted, dev)
+		}
+		if d := last.DeltaFrac["optimizer_state"]; tc.replicas == 0 && math.Abs(d) > 0.02 {
+			t.Errorf("%v: delta_frac.optimizer_state %.3f outside ±0.02", args, d)
+		}
 	}
 }
 

@@ -29,23 +29,25 @@ func stepOnNoise(opt optim.Optimizer, params []*nn.Param) {
 
 // TestMeasuredStateMatchesMemmodel enforces the "honest memory tables"
 // claim in CI: the bytes each catalogue method actually allocates on a live
-// proxy model must match the Table 1 formula of its memmodel row evaluated
-// on that model's shapes. Live states are fp32 (4 bytes/element), so the
-// comparison is in elements (the INT8 rows are priced in bytes, by
-// TestCheckpointBytesPrediction). Tolerances are tight: exact for the
-// methods whose formula is the implementation, a few percent for Adam-mini
-// (the formula books the block second moment as n per matrix; the
-// implementation keeps one per stored row, which for n×m-stored matrices
-// is the smaller dimension).
+// proxy model must match memmodel.LiveStateBytes — the Table 1 formula of
+// its memmodel row evaluated on that model's shapes, priced at the live
+// widths (fp32 elements; INT8 codes plus group scales). Tolerances are
+// tight: exact for the fp methods whose formula is the implementation, a few
+// percent for Adam-mini (the formula books the block second moment as n per
+// matrix; the implementation keeps one per stored row, which for
+// n×m-stored matrices is the smaller dimension), and 0.5% for the INT8 rows:
+// each quantized tensor stores ⌈n/128⌉ fp32 scales where the price books
+// n/128, so the measured bytes run over by under 4 B per tensor — +0.03%
+// for 8-bit Adam and +0.09% for 8-bit GaLore on this proxy at rank 8.
 func TestMeasuredStateMatchesMemmodel(t *testing.T) {
 	const rank = 8
 	proxy, err := ProxyByName("60M")
 	if err != nil {
 		t.Fatal(err)
 	}
-	tol := map[string]float64{"Adam-mini": 0.03}
+	tol := map[string]float64{"Adam-mini": 0.03, "8-bit Adam": 0.005, "8-bit GaLore": 0.005}
 	for _, m := range Methods() {
-		if m.Mem == nil || m.Mem.StateBytesPer < memmodel.BytesBF16 {
+		if m.Mem == nil {
 			continue
 		}
 		t.Run(m.Name, func(t *testing.T) {
@@ -55,15 +57,15 @@ func TestMeasuredStateMatchesMemmodel(t *testing.T) {
 			opt := m.New(optim.Hyper{LR: 1e-3}, rank, 7)
 			stepOnNoise(opt, params)
 
-			predicted := memmodel.StateElems(ShapesOf(params), *m.Mem, rank)
-			measured := float64(opt.StateBytes()) / 4
+			predicted := memmodel.LiveStateBytes(memmodel.ShapesOf(params), *m.Mem, rank)
+			measured := float64(opt.StateBytes())
 
 			if predicted == 0 && measured == 0 {
 				return
 			}
 			dev := math.Abs(measured-predicted) / predicted
 			if dev > tol[m.Name] {
-				t.Fatalf("%s: measured %0.f state elems vs predicted %0.f (%.2f%% deviation, tol %.2f%%)",
+				t.Fatalf("%s: measured %0.f state bytes vs predicted %0.f (%.2f%% deviation, tol %.2f%%)",
 					m.Name, measured, predicted, dev*100, tol[m.Name]*100)
 			}
 		})
@@ -90,14 +92,14 @@ func TestStateRankFollowsTheOptimizer(t *testing.T) {
 		t.Fatal(err)
 	}
 	stepOnNoise(opt, params)
-	measured := float64(opt.StateBytes()) / 4
+	measured := float64(opt.StateBytes())
 
-	if got := memmodel.StateElems(ShapesOf(params), memmodel.MethodAPOLLOMini, rank); got != measured {
-		t.Fatalf("asked about rank %d: predicted %.0f state elems, measured %.0f", rank, got, measured)
+	if got := memmodel.LiveStateBytes(memmodel.ShapesOf(params), memmodel.MethodAPOLLOMini, rank); got != measured {
+		t.Fatalf("asked about rank %d: predicted %.0f state bytes, measured %.0f", rank, got, measured)
 	}
 	naive := memmodel.MethodAPOLLOMini
 	naive.FixedRank = 0
-	if got := memmodel.StateElems(ShapesOf(params), naive, rank); got == measured {
+	if got := memmodel.LiveStateBytes(memmodel.ShapesOf(params), naive, rank); got == measured {
 		t.Fatalf("rank %d does not reach the dense fallback on this proxy; the case above proves nothing", rank)
 	}
 }
@@ -133,28 +135,13 @@ func TestCheckpointBytesPrediction(t *testing.T) {
 				t.Fatal(err)
 			}
 
-			predicted := memmodel.CheckpointBytes(ShapesOf(params), *m.Mem, rank)
+			predicted := memmodel.CheckpointBytes(memmodel.ShapesOf(params), *m.Mem, rank)
 			actual := float64(buf.Len())
 			if dev := math.Abs(actual-predicted) / actual; dev > 0.02 {
 				t.Fatalf("%s: file is %.0f bytes, predicted %.0f (%.2f%% off)",
 					m.Name, actual, predicted, dev*100)
 			}
 		})
-	}
-}
-
-// TestShapesOfMirrorsParamKinds pins the conversion policy: matrices are
-// projectable, embeddings and vectors are not.
-func TestShapesOfMirrorsParamKinds(t *testing.T) {
-	rng := tensor.NewRNG(1)
-	params := []*nn.Param{
-		nn.NewParam("e", nn.KindEmbedding, tensor.NewMatrixRand(8, 4, 1, rng)),
-		nn.NewParam("m", nn.KindMatrix, tensor.NewMatrixRand(4, 4, 1, rng)),
-		nn.NewParam("v", nn.KindVector, tensor.NewMatrixRand(1, 4, 1, rng)),
-	}
-	shapes := ShapesOf(params)
-	if shapes[0].Projectable || !shapes[1].Projectable || shapes[2].Projectable {
-		t.Fatalf("projectability wrong: %+v", shapes)
 	}
 }
 

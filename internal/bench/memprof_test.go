@@ -15,18 +15,6 @@ import (
 	"apollo/internal/zero"
 )
 
-// fpMemRows is the catalogue rows whose live fp32 state memmodel prices in
-// elements: a memmodel row, and not the INT8 members' one byte per code.
-func fpMemRows() []Method {
-	var rows []Method
-	for _, m := range Methods() {
-		if m.Mem != nil && m.Mem.StateBytesPer >= memmodel.BytesBF16 {
-			rows = append(rows, m)
-		}
-	}
-	return rows
-}
-
 // lastMemSample parses the final Sample of a memory-event stream.
 func lastMemSample(t *testing.T, buf *bytes.Buffer) memprof.Sample {
 	t.Helper()
@@ -46,13 +34,18 @@ func lastMemSample(t *testing.T, buf *bytes.Buffer) memprof.Sample {
 // TestMeasuredStateMatchesMemmodel's one-shot check: a short fused training
 // run on the 60M proxy with a memory profiler attached must record
 // optimizer-state bytes in its timeline within ±2% of the memmodel Table 1
-// prediction, for every catalogue row with fp32 state and a memmodel row.
+// prediction (memmodel.LiveStateBytes), for every catalogue row with a
+// memmodel row. The INT8 rows' scale groups round up per tensor, which
+// moves their reading by under 0.1% — well inside the band.
 func TestLiveStateMatchesMemmodel(t *testing.T) {
 	proxy, err := ProxyByName("60M")
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, m := range fpMemRows() {
+	for _, m := range Methods() {
+		if m.Mem == nil {
+			continue
+		}
 		name := m.Name
 		t.Run(name, func(t *testing.T) {
 			model := proxy.NewProxyModel(3)
@@ -65,7 +58,7 @@ func TestLiveStateMatchesMemmodel(t *testing.T) {
 			var mem bytes.Buffer
 			mp := memprof.New(memprof.Config{Out: obs.NewJSONLWriter(&mem)})
 
-			predicted := memmodel.StateElems(ShapesOf(model.Params().List()), *m.Mem, rank) * memmodel.BytesFP32
+			predicted := memmodel.LiveStateBytes(memmodel.ShapesOf(model.Params().List()), *m.Mem, rank)
 			mp.Predict(memprof.CompOptimizerState, predicted)
 
 			train.Pretrain(model, opt, corpus, train.PretrainConfig{
@@ -90,7 +83,8 @@ func TestLiveStateMatchesMemmodel(t *testing.T) {
 }
 
 // TestLiveStateMatchesMemmodelZeRO repeats the acceptance check in the
-// sharded world: a DP run with ZeRO-partitioned AdamW and APOLLO state must
+// sharded world: a DP run of every catalogue row with a memmodel row, its
+// state ZeRO-partitioned, must
 // record per-shard components whose sum matches the unsharded memmodel
 // prediction within ±2%, and each shard must match the
 // ShardedOptimizerStateBytes per-replica figure.
@@ -100,7 +94,10 @@ func TestLiveStateMatchesMemmodelZeRO(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, m := range fpMemRows() {
+	for _, m := range Methods() {
+		if m.Mem == nil {
+			continue
+		}
 		name := m.Name
 		t.Run(name, func(t *testing.T) {
 			model := proxy.NewProxyModel(3)
@@ -113,7 +110,7 @@ func TestLiveStateMatchesMemmodelZeRO(t *testing.T) {
 			var mem bytes.Buffer
 			mp := memprof.New(memprof.Config{Out: obs.NewJSONLWriter(&mem)})
 
-			predicted := memmodel.StateElems(ShapesOf(model.Params().List()), *m.Mem, rank) * memmodel.BytesFP32
+			predicted := memmodel.LiveStateBytes(memmodel.ShapesOf(model.Params().List()), *m.Mem, rank)
 
 			train.DPPretrain(model, sharded, corpus, train.DPConfig{
 				PretrainConfig: train.PretrainConfig{
@@ -139,11 +136,20 @@ func TestLiveStateMatchesMemmodelZeRO(t *testing.T) {
 			// ShardedOptimizerStateBytes rule: unsharded state ÷ world).
 			// Row-segment sharding is not perfectly even, so the per-shard
 			// slack is wider than the summed check — but the balance must be
-			// real.
+			// real. 8-bit GaLore's is looser: its units are whole (an INT8
+			// group can straddle rows) and the partition weighs them by
+			// element count, while a projection element costs four bytes
+			// and a moment code one — here one shard holds 27,584 B against
+			// 20,465 B (+35%), still under one whole unit over (the
+			// embedding's fallback state, 16,896 B).
+			shardTol := 0.25
+			if name == "8-bit GaLore" {
+				shardTol = 0.40
+			}
 			perReplica := predicted / replicas
 			for i := 0; i < replicas; i++ {
 				v := float64(s.Components[memprof.ShardComponent(i)])
-				if dev := math.Abs(v-perReplica) / perReplica; dev > 0.25 {
+				if dev := math.Abs(v-perReplica) / perReplica; dev > shardTol {
 					t.Fatalf("shard %d records %.0f bytes, per-replica prediction %.0f (%.0f%% off)",
 						i, v, perReplica, dev*100)
 				}

@@ -109,7 +109,7 @@ func runCkpt(ctx *RunContext) error {
 		if err != nil {
 			return err
 		}
-		predicted := memmodel.CheckpointBytes(ShapesOf(refModel.Params().List()), *m.Mem, rank)
+		predicted := memmodel.CheckpointBytes(memmodel.ShapesOf(refModel.Params().List()), *m.Mem, rank)
 		dev := (float64(fi.Size()) - predicted) / predicted
 		ctx.Printf("%-12s %-7s %10s %10s %+7.2f%%\n",
 			name, parity,

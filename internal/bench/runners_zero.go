@@ -7,7 +7,6 @@ import (
 	"apollo/internal/memmodel"
 	"apollo/internal/obs"
 	"apollo/internal/optim"
-	"apollo/internal/quant"
 	"apollo/internal/train"
 	"apollo/internal/zero"
 )
@@ -76,15 +75,8 @@ func runZero(ctx *RunContext) error {
 		for _, b := range zres.ReplicaStateBytes {
 			maxReplica = max(maxReplica, b)
 		}
-		// Predicted per-replica bytes = elems·bytes/world: live states are
-		// fp32, INT8 moments a byte a code plus an fp32 scale per group
-		// (8-bit GaLore keeps its SVD projections in fp32, which this prices
-		// as INT8 too: its row reads about a third over).
-		per := 4.0
-		if m.Mem.StateBytesPer == memmodel.BytesINT8 { //apollo:exactfloat BytesINT8 is an exact constant discriminator, never computed
-			per = 1 + 4.0/quant.DefaultGroupSize
-		}
-		predicted := memmodel.StateElems(ShapesOf(plainModel.Params().List()), *m.Mem, rank) * per / world
+		// The live state price ÷ world: ShardedOptimizerStateBytes's rule.
+		predicted := memmodel.LiveStateBytes(memmodel.ShapesOf(plainModel.Params().List()), *m.Mem, rank) / world
 		dev := 0.0
 		if predicted > 0 {
 			dev = (float64(maxReplica) - predicted) / predicted

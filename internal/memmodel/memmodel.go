@@ -9,6 +9,9 @@ package memmodel
 
 import (
 	"fmt"
+
+	"apollo/internal/nn"
+	"apollo/internal/quant"
 )
 
 // Bytes per element for the storage formats the paper uses.
@@ -31,6 +34,34 @@ type Shape struct {
 
 // NumEl returns the element count.
 func (s Shape) NumEl() int64 { return int64(s.Rows) * int64(s.Cols) }
+
+// ParamShape is the shape of one live parameter of the given kind. Only
+// genuine 2-D weight matrices are projection-eligible — embeddings and
+// vectors take the dense fallback, exactly the policy every optimizer in the
+// zoo applies.
+func ParamShape(name string, rows, cols int, kind nn.ParamKind) Shape {
+	return Shape{Name: name, Rows: rows, Cols: cols, Projectable: kind == nn.KindMatrix}
+}
+
+// ShapesOf converts a live model's parameter list into shapes, so the
+// formulas below price the model a run actually trains or serves.
+func ShapesOf(params []*nn.Param) []Shape {
+	out := make([]Shape, len(params))
+	for i, p := range params {
+		out[i] = ParamShape(p.Name, p.W.Rows, p.W.Cols, p.Kind)
+	}
+	return out
+}
+
+// lowRank reports whether a method at rank treats s as a low-rank matrix,
+// and its m×n orientation (m ≤ n) when it does.
+func lowRank(s Shape, rank int) (m, n int64, ok bool) {
+	m, n = int64(s.Rows), int64(s.Cols)
+	if m > n {
+		m, n = n, m
+	}
+	return m, n, s.Projectable && m > int64(rank)
+}
 
 // LLaMAConfig mirrors Table 11 plus the 13B configuration referenced in
 // Section 5.3.
@@ -121,11 +152,12 @@ type Method struct {
 	// memory estimates count states in the training dtype (BF16, 2 bytes) —
 	// e.g. Table 3's "1.6G" for rank-256 APOLLO on 7B is ≈843M elements ×
 	// 2 bytes — so the fp-state methods use 2 here and the 8-bit variants 1.
+	// A live float32 run is priced by LiveStateBytes instead.
 	StateBytesPer float64
 	// SVDProjElems, when non-nil, returns how many of StateElems are the
 	// persisted SVD projection for one m×n projectable matrix. Those stay
 	// fp32 even in the INT8 variants (only the moments are quantized), which
-	// CheckpointBytes must know to predict serialized sizes.
+	// LiveStateBytes must know to price live and serialized state.
 	SVDProjElems func(m, n, r int64) int64
 	// FixedRank, when non-zero, is the rank the method runs at whatever rank
 	// it is asked about (APOLLO-Mini is rank 1 by definition).
@@ -212,25 +244,42 @@ func MethodByName(name string) (Method, error) {
 
 // StateElems returns the optimizer-state element count for an arbitrary
 // shape list under the method at the given rank — the shape-level core of
-// OptimizerStateBytes, exposed so live models (whose parameter shapes are
-// not a paper config) can be predicted too and cross-checked against
-// measured Optimizer.StateBytes (see internal/bench's parity test).
+// OptimizerStateBytes and LiveStateBytes.
 func StateElems(shapes []Shape, m Method, rank int) float64 {
 	rank = m.Rank(rank)
 	var elems float64
 	for _, s := range shapes {
-		rows, cols := int64(s.Rows), int64(s.Cols)
-		mm, nn := rows, cols
-		if mm > nn {
-			mm, nn = nn, mm
-		}
-		if s.Projectable && mm > int64(rank) {
-			elems += float64(m.StateElems(mm, nn, int64(rank)))
+		if lo, hi, ok := lowRank(s, rank); ok {
+			elems += float64(m.StateElems(lo, hi, int64(rank)))
 		} else {
 			elems += m.FallbackPerElem * float64(s.NumEl())
 		}
 	}
 	return elems
+}
+
+// LiveStateBytes returns the optimizer-state bytes a float32-trained run of
+// the method holds for the shapes at the given rank: 4 bytes per state
+// element, or for an INT8 row one byte per code plus an fp32 scale per
+// quant.DefaultGroupSize codes. Persisted SVD projections stay fp32 even in
+// the INT8 rows (only the moments are quantized). This is what a live
+// optimizer's StateBytes is held to (internal/bench's parity tests) and
+// the state payload of a checkpoint.
+func LiveStateBytes(shapes []Shape, m Method, rank int) float64 {
+	rank = m.Rank(rank)
+	per := float64(BytesFP32)
+	if m.StateBytesPer == BytesINT8 { //apollo:exactfloat BytesINT8 is an exact constant discriminator, never computed
+		per = 1 + float64(BytesFP32)/quant.DefaultGroupSize
+	}
+	var proj float64
+	if m.SVDProjElems != nil {
+		for _, s := range shapes {
+			if lo, hi, ok := lowRank(s, rank); ok {
+				proj += float64(m.SVDProjElems(lo, hi, int64(rank)))
+			}
+		}
+	}
+	return (StateElems(shapes, m, rank)-proj)*per + proj*BytesFP32
 }
 
 // OptimizerStateBytes returns the optimizer-state footprint for cfg under
@@ -261,51 +310,27 @@ func ShardedOptimizerStateBytes(cfg LLaMAConfig, m Method, rank, world int) floa
 // predictions land within a few percent of the serialized file and are
 // cross-checked by the `ckpt` bench experiment.
 const (
-	ckptFixedBytes          = 16 + 4*16 + 8 + 32 // header, 4 section headers, data cursor, META's name and 3 counters
-	ckptParamMetaBytes      = 11                 // length prefix + kind + dims (plus the name itself)
-	ckptParamStateBytes     = 64
-	ckptInt8GroupSize       = 128
-	ckptWeightBytesPerElem  = 4 // live training is float32
-	ckptFPStateBytesPerElem = 4
+	ckptFixedBytes         = 16 + 4*16 + 8 + 32 // header, 4 section headers, data cursor, META's name and 3 counters
+	ckptParamMetaBytes     = 11                 // length prefix + kind + dims (plus the name itself)
+	ckptParamStateBytes    = 64
+	ckptWeightBytesPerElem = 4 // live training is float32
 )
 
 // CheckpointBytes predicts the on-disk size of an internal/ckpt snapshot
 // for a model with the given shapes trained under the method at the given
 // rank. Unlike the paper-table formulas (which count states in BF16), the
-// checkpoint serializes the *live* float32 states plus the float32 weights;
-// INT8 methods serialize one byte per code plus group scales. The predicted
-// size is world-independent: a ZeRO-sharded run holds one optimizer's own
-// state (the ownership map only charges and broadcasts), so it writes the
-// same file.
+// checkpoint serializes the *live* states (LiveStateBytes) plus the float32
+// weights. The predicted size is world-independent: a ZeRO-sharded run
+// holds one optimizer's own state (the ownership map only charges and
+// broadcasts), so it writes the same file.
 func CheckpointBytes(shapes []Shape, m Method, rank int) float64 {
-	rank = m.Rank(rank)
-	statePer := float64(ckptFPStateBytesPerElem)
-	if m.StateBytesPer == BytesINT8 { //apollo:exactfloat BytesINT8 is an exact constant discriminator, never computed
-		statePer = 1 + float64(BytesFP32)/ckptInt8GroupSize
-	}
 	total := float64(ckptFixedBytes)
 	for _, s := range shapes {
 		total += float64(len(s.Name)) + ckptParamMetaBytes
 		total += ckptWeightBytesPerElem * float64(s.NumEl())
 		total += ckptParamStateBytes
 	}
-	elems := StateElems(shapes, m, rank)
-	// Persisted SVD projections serialize fp32 even when the moments are
-	// INT8 (only the moments are quantized).
-	var proj float64
-	if m.SVDProjElems != nil {
-		for _, s := range shapes {
-			mm, nn := int64(s.Rows), int64(s.Cols)
-			if mm > nn {
-				mm, nn = nn, mm
-			}
-			if s.Projectable && mm > int64(rank) {
-				proj += float64(m.SVDProjElems(mm, nn, int64(rank)))
-			}
-		}
-	}
-	total += (elems-proj)*statePer + proj*ckptFPStateBytesPerElem
-	return total
+	return total + LiveStateBytes(shapes, m, rank)
 }
 
 // Serve-footprint accounting. An open snapshot in the evaluation service
@@ -354,7 +379,7 @@ type Plan struct {
 
 	WeightBytesPer float64 // 2 (BF16) or 1 (+scales) for INT8
 	Int8Weights    bool    // group-quantized weights (Q- variants)
-	GroupSize      int     // INT8 group size (default 128)
+	GroupSize      int     // INT8 group size (default quant.DefaultGroupSize)
 
 	// LayerWiseGrad enables the layer-wise gradient update strategy (Lv et
 	// al., 2023): only one layer's gradient is resident at a time.
@@ -390,7 +415,7 @@ func Compute(p Plan) Breakdown {
 	if p.Int8Weights {
 		gs := p.GroupSize
 		if gs <= 0 {
-			gs = 128
+			gs = quant.DefaultGroupSize
 		}
 		out.Weights = params*BytesINT8 + params/float64(gs)*BytesFP32
 	} else {

@@ -245,3 +245,18 @@ func TestServeBytes(t *testing.T) {
 		t.Fatal("ServeBytes drifted between call forms")
 	}
 }
+
+// TestShapesOfMirrorsParamKinds pins the conversion policy: matrices are
+// projectable, embeddings and vectors are not.
+func TestShapesOfMirrorsParamKinds(t *testing.T) {
+	rng := tensor.NewRNG(1)
+	params := []*nn.Param{
+		nn.NewParam("e", nn.KindEmbedding, tensor.NewMatrixRand(8, 4, 1, rng)),
+		nn.NewParam("m", nn.KindMatrix, tensor.NewMatrixRand(4, 4, 1, rng)),
+		nn.NewParam("v", nn.KindVector, tensor.NewMatrixRand(1, 4, 1, rng)),
+	}
+	shapes := ShapesOf(params)
+	if shapes[0].Projectable || !shapes[1].Projectable || shapes[2].Projectable {
+		t.Fatalf("projectability wrong: %+v", shapes)
+	}
+}

@@ -184,12 +184,7 @@ func (e *Entry) ResidentBytes() int64 {
 // (TestResidentBytesMatchServeModel); the registry's memory ledger records
 // their live delta on every sample.
 func (e *Entry) PredictedBytes() int64 {
-	params := e.model.Params().List()
-	shapes := make([]memmodel.Shape, 0, len(params))
-	for _, p := range params {
-		shapes = append(shapes, memmodel.Shape{Name: p.Name, Rows: p.W.Rows, Cols: p.W.Cols})
-	}
-	return int64(memmodel.ServeBytes(shapes))
+	return int64(memmodel.ServeBytes(memmodel.ShapesOf(e.model.Params().List())))
 }
 
 // ModelConfig exposes the served architecture (not the live instance).
