@@ -145,7 +145,8 @@ type ZeRO = zero.Sharded
 // internal/zero for the determinism contract; Result.ReplicaStateBytes
 // reports the measured per-replica footprint). The wrapper is also a valid
 // drop-in Optimizer for Pretrain's fused stage, where it is stepped over the
-// whole list after backward: its ownership map is fixed from that list.
+// whole list after backward: its first step fixes its ownership map from that
+// list, balanced by the state bytes the step allocated.
 func NewZeRO(build func() Optimizer, replicas int) *ZeRO {
 	return zero.NewSharded(build(), replicas)
 }

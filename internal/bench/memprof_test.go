@@ -136,20 +136,11 @@ func TestLiveStateMatchesMemmodelZeRO(t *testing.T) {
 			// ShardedOptimizerStateBytes rule: unsharded state ÷ world).
 			// Row-segment sharding is not perfectly even, so the per-shard
 			// slack is wider than the summed check — but the balance must be
-			// real. 8-bit GaLore's is looser: its units are whole (an INT8
-			// group can straddle rows) and the partition weighs them by
-			// element count, while a projection element costs four bytes
-			// and a moment code one — here one shard holds 27,584 B against
-			// 20,465 B (+35%), still under one whole unit over (the
-			// embedding's fallback state, 16,896 B).
-			shardTol := 0.25
-			if name == "8-bit GaLore" {
-				shardTol = 0.40
-			}
+			// real.
 			perReplica := predicted / replicas
 			for i := 0; i < replicas; i++ {
 				v := float64(s.Components[memprof.ShardComponent(i)])
-				if dev := math.Abs(v-perReplica) / perReplica; dev > shardTol {
+				if dev := math.Abs(v-perReplica) / perReplica; dev > 0.25 {
 					t.Fatalf("shard %d records %.0f bytes, per-replica prediction %.0f (%.0f%% off)",
 						i, v, perReplica, dev*100)
 				}

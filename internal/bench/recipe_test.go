@@ -49,6 +49,7 @@ func TestRecipeGolden(t *testing.T) {
 		{"svd-tensor", 0x4069fb401803a922, one("APOLLO-Tensor w. SVD")},
 	} {
 		t.Run(c.name, func(t *testing.T) {
+			t.Parallel()
 			ppl, err := c.run()
 			if err != nil {
 				t.Fatal(err)

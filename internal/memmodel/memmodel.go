@@ -291,8 +291,8 @@ func OptimizerStateBytes(cfg LLaMAConfig, m Method, rank int) float64 {
 // ShardedOptimizerStateBytes predicts the per-replica optimizer-state
 // footprint under ZeRO-style partitioning across world replicas: the
 // unsharded footprint divided evenly. internal/zero's partitioner balances
-// by introspected state cost at row-segment granularity, so the measured
-// per-replica deviation from this ideal is bounded by the largest
+// the measured state bytes (StateBytesFor) at row-segment granularity, so the
+// measured per-replica deviation from this ideal is bounded by the largest
 // indivisible (projected) parameter's state — small by construction, and
 // tolerance-checked in the `zero` bench experiment.
 func ShardedOptimizerStateBytes(cfg LLaMAConfig, m Method, rank, world int) float64 {

@@ -48,10 +48,10 @@ func LimitNormGrowth(g *tensor.Matrix, prevNorm, gamma float64) float64 {
 // limiter on u against *prevNorm (skipped when prevNorm is nil) and applies
 // W ← W·(1−lr·wd) − lr·u in two passes over the gradient, never holding u.
 //
-// Bit for bit this is ScaleColsInPlace (or ScaleRowsInPlace), ScaleInPlace(α),
-// LimitNormGrowth and DecayAndApply run on a copy of G: every product is
-// rounded to float32 on its own, and the norm is the float64 sum of squares
-// in flat index order over tensor.ReductionChunk partials. Where that
+// Bit for bit this is ScaleColsInPlace (or the same per-row scaling),
+// ScaleInPlace(α), LimitNormGrowth and DecayAndApply run on a copy of G:
+// every product is rounded to float32 on its own, and the norm is the float64
+// sum of squares in flat index order over tensor.ReductionChunk partials. Where that
 // sequence skips a multiply (limiter not firing, wd = 0) the fused loop
 // multiplies by 1, which is exact.
 func ApplyScaledGrad(p *nn.Param, s []float32, alpha float32, lr, wd, gamma float64, prevNorm *float64) {

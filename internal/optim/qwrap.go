@@ -62,16 +62,9 @@ func (w *WeightQuantized) newWeight(p *nn.Param) *quant.QuantizedWeight {
 // optimizer state).
 func (w *WeightQuantized) StateBytes() int64 { return w.inner.StateBytes() }
 
-// StateElemsFor, StateBytesFor and RowSplittable implement StateIntrospector:
-// the state is the inner optimizer's, but ownership is never cut along rows,
-// because INT8 groups straddle row boundaries.
-func (w *WeightQuantized) StateElemsFor(p *nn.Param) int64 {
-	if si, ok := w.inner.(StateIntrospector); ok {
-		return si.StateElemsFor(p)
-	}
-	return 0
-}
-
+// StateBytesFor and RowSplittable implement StateIntrospector: the state is
+// the inner optimizer's, but ownership is never cut along rows, because INT8
+// groups straddle row boundaries.
 func (w *WeightQuantized) StateBytesFor(p *nn.Param) int64 {
 	if si, ok := w.inner.(StateIntrospector); ok {
 		return si.StateBytesFor(p)

@@ -19,24 +19,20 @@
 //     is always the whole parameter.
 //
 // This file holds the hook interfaces only. No optimizer answers
-// StateIntrospector by hand: StateElemsFor is summed from the slots its
-// Schema declares, StateBytesFor is measured from the entry it allocated and
-// RowSplittable is the schema's own declaration of the update, all derived
-// by the StateTable every member embeds (state.go); WeightQuantized forwards
-// to the optimizer it wraps.
+// StateIntrospector by hand: StateBytesFor is measured from the entry its
+// StateTable allocated and RowSplittable is the Schema's own declaration of
+// the update, both derived by the StateTable every member embeds (state.go);
+// WeightQuantized forwards to the optimizer it wraps.
 package optim
 
 import "apollo/internal/nn"
 
-// StateIntrospector describes an optimizer's per-parameter state without
-// allocating it, so a partitioner can balance by actual state cost (the
-// quantity ZeRO divides) instead of parameter size — for low-rank methods
-// the two differ wildly: a dense-fallback embedding carries 2·mn state
-// while a projected matrix of the same size carries only 2·nr.
+// StateIntrospector describes an optimizer's per-parameter state, so a
+// partitioner can balance by actual state cost (the quantity ZeRO divides)
+// instead of parameter size — for low-rank methods the two differ wildly: a
+// dense-fallback embedding carries 2·mn state while a projected matrix of the
+// same size carries only 2·nr.
 type StateIntrospector interface {
-	// StateElemsFor returns the resident state element count Step would
-	// allocate for p.
-	StateElemsFor(p *nn.Param) int64
 	// StateBytesFor returns the bytes resident for p now, measured from the
 	// allocated state (0 before first touch). Summed over the parameters
 	// stepped so far it is Optimizer.StateBytes.
@@ -49,7 +45,7 @@ type StateIntrospector interface {
 }
 
 // Segment is a row range [Row0, Row1) of the parameter at index Param in
-// the Init list — the ownership granularity of the partitioned optimizer.
+// the stepped list — the ownership granularity of the partitioned optimizer.
 // Whole parameters are the common case (Row0=0, Row1=Rows); large
 // element-wise parameters are split finer, mirroring ZeRO's flat
 // partitioning, so no single tensor's state can unbalance the shards.
@@ -64,13 +60,12 @@ type Segment struct {
 // wrapper's one inner optimizer steps the list itself — so the trainer needs
 // the ownership map only to tree-broadcast each shard's updated weights from
 // its owner replica and to report per-replica state.
-// Because Init fixes the map from the list it is first handed, the training
-// loop steps a ShardedStepper over the whole list, never group by group.
+// Because the first Step fixes the map from the list it is handed (once that
+// step has allocated the state the map balances), the training loop steps a
+// ShardedStepper over the whole list, never group by group, and asks for the
+// map only after a step.
 type ShardedStepper interface {
 	Optimizer
-	// Init fixes the parameter list and partitions it. Idempotent for the
-	// same list.
-	Init(all []*nn.Param)
 	// Shards returns the number of owner shards.
 	Shards() int
 	// OwnedSegments returns the row segments owned by a shard, in

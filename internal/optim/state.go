@@ -47,8 +47,8 @@ type Slot struct {
 // Scalar declares one persisted uint64: a step counter, or float64 bits.
 type Scalar struct {
 	Name string
-	// Counted scalars cost one fp32 state element in StateBytes and
-	// StateElemsFor — the limiter's previous norm, half of Table 1's "+2".
+	// Counted scalars cost one fp32 state element (4 bytes) in StateBytes
+	// and StateBytesFor — the limiter's previous norm, half of Table 1's "+2".
 	Counted bool
 	// Const scalars never change from Value: layout flags that are constants
 	// of the configuration. Restore refuses a file that disagrees.
@@ -198,41 +198,6 @@ func (t *StateTable) entryBytes(e *Entry) int64 {
 		total += 4 * int64(e.Proj.StateFloats())
 	}
 	return total
-}
-
-// StateElemsFor implements StateIntrospector: the elements State would
-// allocate for p, plus the paper's accounting of what is not a slot — one
-// per counted scalar, and r·m for a persisted SVD projection or 1 for a
-// random projection's seed.
-func (t *StateTable) StateElemsFor(p *nn.Param) int64 {
-	if !t.schema.covers(p) {
-		if t.fallback == nil {
-			return 0
-		}
-		return t.fallback.StateElemsFor(p)
-	}
-	var elems int64
-	for _, sc := range t.schema.Scalars {
-		if sc.Counted {
-			elems++
-		}
-	}
-	for i := range t.schema.Slots {
-		rows, cols := t.schema.Slots[i].dims(p)
-		n := int64(rows) * int64(cols)
-		elems += n
-		if t.schema.Slots[i].Kind == Int8 {
-			elems += (n + quant.DefaultGroupSize - 1) / quant.DefaultGroupSize
-		}
-	}
-	if pr := t.schema.Proj; pr != nil {
-		if pr.Kind == linalg.SVDProjection {
-			elems += int64(pr.Rank) * int64(orient(p.W.Rows, p.W.Cols).m)
-		} else {
-			elems++
-		}
-	}
-	return elems
 }
 
 // RowSplittable implements StateIntrospector from the schema's declaration.

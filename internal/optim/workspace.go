@@ -9,7 +9,7 @@ import (
 // the update of whichever parameter it is stepping: grow-only buffers
 // reshaped per parameter, so a steady-state step allocates nothing
 // proportional to a matrix. It is scratch, not optimizer state — nothing in
-// it outlives an update, and it appears in no StateBytes, StateElemsFor or
+// it outlives an update, and it appears in no StateBytes, StateBytesFor or
 // checkpoint. Contents are whatever the previous parameter left behind; every
 // user overwrites what it takes in full.
 type Workspace struct {

@@ -155,25 +155,6 @@ func ScaleInPlace(a *Matrix, alpha float32) {
 	runtime.Scale(a.Data, alpha)
 }
 
-// Hadamard returns the elementwise product a∘b.
-func Hadamard(a, b *Matrix) *Matrix {
-	a.mustSameShape(b, "Hadamard")
-	out := a.Clone()
-	HadamardInPlace(out, b)
-	return out
-}
-
-// HadamardInPlace computes a ∘= b, fanning out for large matrices.
-func HadamardInPlace(a, b *Matrix) {
-	a.mustSameShape(b, "HadamardInPlace")
-	Parallel(len(a.Data), 1<<14, func(i0, i1 int) {
-		ad, bd := a.Data[i0:i1], b.Data[i0:i1]
-		for i, v := range bd {
-			ad[i] *= v
-		}
-	})
-}
-
 // ScaleColsInPlace multiplies column j of a by s[j].
 func ScaleColsInPlace(a *Matrix, s []float32) {
 	if len(s) != a.Cols {
@@ -184,23 +165,5 @@ func ScaleColsInPlace(a *Matrix, s []float32) {
 		for j, f := range s {
 			row[j] *= f
 		}
-	}
-}
-
-// ScaleRowsInPlace multiplies row i of a by s[i].
-func ScaleRowsInPlace(a *Matrix, s []float32) {
-	if len(s) != a.Rows {
-		panic(fmt.Sprintf("tensor: ScaleRows got %d factors for %d rows", len(s), a.Rows))
-	}
-	for i := 0; i < a.Rows; i++ {
-		row := a.Row(i)
-		ScaleSlice(row, s[i])
-	}
-}
-
-// ScaleSlice multiplies every element of x by alpha.
-func ScaleSlice(x []float32, alpha float32) {
-	for i := range x {
-		x[i] *= alpha
 	}
 }

@@ -21,15 +21,6 @@ func (m *Matrix) Sum() float64 {
 	return s
 }
 
-// AbsSum returns the ℓ1 norm of the flattened matrix.
-func (m *Matrix) AbsSum() float64 {
-	var s float64
-	for _, v := range m.Data {
-		s += math.Abs(float64(v))
-	}
-	return s
-}
-
 // SqNorm returns the squared Frobenius norm. Large matrices reduce in
 // parallel over the fixed chunk grid (worker-count independent bits).
 func (m *Matrix) SqNorm() float64 {
@@ -56,17 +47,6 @@ func ReductionChunk(n int) int {
 
 // Norm returns the Frobenius norm.
 func (m *Matrix) Norm() float64 { return math.Sqrt(m.SqNorm()) }
-
-// Max returns the maximum element; -Inf for an empty matrix.
-func (m *Matrix) Max() float32 {
-	best := float32(math.Inf(-1))
-	for _, v := range m.Data {
-		if v > best {
-			best = v
-		}
-	}
-	return best
-}
 
 // ColNorms returns the per-column ℓ2 norms.
 func (m *Matrix) ColNorms() []float64 {
@@ -112,15 +92,6 @@ func SqNormSlice(x []float32) float64 {
 
 // NormSlice returns the ℓ2 norm of x.
 func NormSlice(x []float32) float64 { return math.Sqrt(SqNormSlice(x)) }
-
-// SoftmaxRowsInPlace applies a numerically stable softmax to each row.
-func SoftmaxRowsInPlace(m *Matrix) {
-	runtime.ForRange(m.Rows, 16, func(i0, i1 int) {
-		for i := i0; i < i1; i++ {
-			SoftmaxInPlace(m.Row(i))
-		}
-	})
-}
 
 // SoftmaxInPlace applies a numerically stable softmax to x.
 func SoftmaxInPlace(x []float32) {

@@ -61,25 +61,6 @@ func (r *RNG) Norm() float64 {
 // NormFloat32 returns a standard normal sample as float32.
 func (r *RNG) NormFloat32() float32 { return float32(r.Norm()) }
 
-// Perm returns a pseudo-random permutation of [0, n).
-func (r *RNG) Perm(n int) []int {
-	p := make([]int, n)
-	for i := range p {
-		p[i] = i
-	}
-	for i := n - 1; i > 0; i-- {
-		j := r.Intn(i + 1)
-		p[i], p[j] = p[j], p[i]
-	}
-	return p
-}
-
-// Split derives an independent child generator. The child's stream does not
-// overlap the parent's for any practical sequence length.
-func (r *RNG) Split() *RNG {
-	return NewRNG(r.Uint64() ^ 0xA5A5A5A5A5A5A5A5)
-}
-
 // State returns the generator's full internal state. Together with SetState
 // it lets checkpoints persist the exact phase of any RNG stream, so a
 // resumed run draws the identical continuation of the sequence.

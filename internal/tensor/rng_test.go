@@ -71,27 +71,6 @@ func TestNormMoments(t *testing.T) {
 	}
 }
 
-func TestPermIsPermutation(t *testing.T) {
-	r := NewRNG(13)
-	p := r.Perm(50)
-	seen := make([]bool, 50)
-	for _, v := range p {
-		if v < 0 || v >= 50 || seen[v] {
-			t.Fatalf("invalid permutation %v", p)
-		}
-		seen[v] = true
-	}
-}
-
-func TestSplitIndependence(t *testing.T) {
-	r := NewRNG(17)
-	c1 := r.Split()
-	c2 := r.Split()
-	if c1.Uint64() == c2.Uint64() {
-		t.Fatal("split children should start at distinct states")
-	}
-}
-
 func TestNewMatrixRandStd(t *testing.T) {
 	rng := NewRNG(19)
 	m := NewMatrixRand(200, 200, 0.5, rng)

@@ -117,10 +117,7 @@ func newDataParallel(model *nn.Model, opt optim.Optimizer, batch, replicas int) 
 		}
 		dp.reps[r] = rep
 	}
-	if sharder, ok := opt.(optim.ShardedStepper); ok {
-		sharder.Init(dp.master)
-		dp.sharder = sharder // the clones start current; publish keeps them so
-	}
+	dp.sharder, _ = opt.(optim.ShardedStepper) // the clones start current; publish keeps them so
 	return dp
 }
 
@@ -142,13 +139,13 @@ func (dp *dataParallel) gradient(batch data.Batch, pc *phaseClock) float64 {
 	replicas := len(dp.reps)
 	counted := nn.CountTargets(batch.Targets, -1)
 
-	// Broadcast master weights to every replica (the DDP sync point; it is
-	// counted as N transfers though replica 0 shares the master's storage).
+	// Broadcast master weights to every replica but replica 0, which is the
+	// master (the DDP sync point: N−1 copies, as the ZeRO shard tree counts).
 	// Under ZeRO this already happened through the post-step shard
 	// broadcast, so the copy (and its comm volume) is skipped.
 	if dp.sharder == nil {
 		dp.syncReplicas()
-		dp.broadcastBytes += int64(replicas) * dp.paramBytes
+		dp.broadcastBytes += int64(replicas-1) * dp.paramBytes
 	}
 	pc.lap(obs.PhaseBroadcast)
 	// The tree has B−1 edges, each one parameter set merged.

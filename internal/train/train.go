@@ -50,7 +50,7 @@ type Result struct {
 	AllReduceBytes int64
 	// BroadcastBytes counts the weight bytes copied between replicas over
 	// the whole run: master→replica sync copies in plain DP, the per-shard
-	// binomial-tree broadcast under ZeRO ((N−1)·P·4 per step).
+	// binomial-tree broadcast under ZeRO ((N−1)·P·4 per step in both).
 	BroadcastBytes int64
 	// PhaseSeconds breaks the run's per-step wall time down by phase
 	// (obs.Phase names: data, forward, backward, allreduce, step, broadcast,

@@ -87,8 +87,8 @@ func TestZeroDPParity(t *testing.T) {
 
 // TestZeroCommAccounting pins the comm-volume bookkeeping: the gradient
 // all-reduce merges (B−1) full-parameter leaves per step in every mode,
-// while the ZeRO weight broadcast moves (N−1)·P floats per step between
-// replicas (plain DP instead re-broadcasts all weights to every replica).
+// while the weights copied between replicas come to (N−1)·P per step in both:
+// the ZeRO shard tree, and plain DP's re-sync of every replica but the master.
 func TestZeroCommAccounting(t *testing.T) {
 	const seed = 9
 	model, _, _ := dpTestSetup(t, seed)
@@ -105,7 +105,7 @@ func TestZeroCommAccounting(t *testing.T) {
 	if want := steps * (b - 1) * paramBytes; plain.AllReduceBytes != want {
 		t.Fatalf("plain all-reduce bytes %d, want %d", plain.AllReduceBytes, want)
 	}
-	if want := steps * 4 * paramBytes; plain.BroadcastBytes != want {
+	if want := steps * 3 * paramBytes; plain.BroadcastBytes != want {
 		t.Fatalf("plain broadcast bytes %d, want %d", plain.BroadcastBytes, want)
 	}
 

@@ -12,9 +12,11 @@
 // element-wise (optim.StateIntrospector.RowSplittable — dense AdamW state,
 // embeddings, SGD velocity) may be split across row ranges, mirroring ZeRO's
 // flat partitioning, while projected parameters (whose subspace statistics
-// couple the whole matrix) stay whole. Units are weighted by introspected
-// state cost, so the thing that actually gets balanced is the footprint ZeRO
-// divides — not parameter count. What the map decides is which replica each
+// couple the whole matrix) stay whole. Units are weighted by the measured
+// bytes each one is charged (StateBytesFor), so the thing that actually gets
+// balanced is the footprint ZeRO divides, at whatever width each slot keeps —
+// not parameter count, nor an element count that prices an INT8 code like an
+// fp32 float. What the map decides is which replica each
 // unit's state is charged to (ReplicaStateBytes) and which replica
 // broadcasts its stepped rows to the others, via the same balanced-tree
 // pattern the data-parallel stage uses for gradients (see
@@ -31,7 +33,8 @@
 // optimizer's too, so a checkpoint never mentions the world size: a
 // `-replicas N -zero` snapshot resumes under any `-replicas M -zero` or
 // unsharded (train.TestElasticReshardParity). The ownership map is fixed from
-// the whole list at the first Step, which is why the training loop hands a
+// the whole list at the end of the first Step, once every parameter's state
+// is allocated and can be measured, which is why the training loop hands a
 // Sharded optimizer the whole list rather than the groups backward releases.
 package zero
 
@@ -61,7 +64,7 @@ type Sharded struct {
 
 	all   []*nn.Param
 	segs  []optim.Segment // all ownership units, ascending (Param, Row0)
-	parts [][]int         // per-shard unit indices; nil until Init
+	parts [][]int         // per-shard unit indices; nil until the first Step returns
 }
 
 // NewSharded lays an N-shard ownership map over inner, which must also
@@ -81,16 +84,11 @@ func share(total int64, seg optim.Segment, rows int) int64 {
 	return total * int64(seg.Row1-seg.Row0) / int64(rows)
 }
 
-// Init implements optim.ShardedStepper: build the ownership units and
-// partition them by introspected state cost. Idempotent for the same list;
-// a Sharded instance is bound to one parameter list for its lifetime.
-func (s *Sharded) Init(all []*nn.Param) {
-	if s.parts != nil {
-		if len(all) != len(s.all) || (len(all) > 0 && all[0] != s.all[0]) {
-			panic("zero: Sharded re-initialized with a different parameter list")
-		}
-		return
-	}
+// partition builds the ownership units of all and balances them by the bytes
+// each is charged. It runs once, after the first Step has allocated every
+// parameter's state; a Sharded instance is bound to that list for its
+// lifetime.
+func (s *Sharded) partition(all []*nn.Param) {
 	s.all = all
 
 	// Build units: whole parameters by default; element-wise parameters
@@ -111,13 +109,14 @@ func (s *Sharded) Init(all []*nn.Param) {
 		}
 	}
 
-	// Weight units by state cost (the quantity ZeRO balances), with the
-	// unit's element count as a minor tiebreaker so zero-state methods
+	// Weight units by the state bytes ReplicaStateBytes charges them (the
+	// quantity ZeRO balances; ×64 puts an fp32 state element at 256), with
+	// the unit's element count as a minor tiebreaker so zero-state methods
 	// still spread their weight-broadcast payload.
 	weights := make([]int64, len(s.segs))
 	for u, seg := range s.segs {
 		p := all[seg.Param]
-		weights[u] = share(s.StateElemsFor(p), seg, p.W.Rows)*256 + share(int64(p.NumEl()), seg, p.W.Rows)
+		weights[u] = share(s.StateBytesFor(p), seg, p.W.Rows)*64 + share(int64(p.NumEl()), seg, p.W.Rows)
 	}
 	s.parts = PartitionWeighted(weights, s.n)
 }
@@ -125,8 +124,12 @@ func (s *Sharded) Init(all []*nn.Param) {
 // Shards implements optim.ShardedStepper.
 func (s *Sharded) Shards() int { return s.n }
 
-// OwnedSegments implements optim.ShardedStepper.
+// OwnedSegments implements optim.ShardedStepper. The map exists from the end
+// of the first Step.
 func (s *Sharded) OwnedSegments(shard int) []optim.Segment {
+	if s.parts == nil {
+		panic("zero: OwnedSegments before the first Step")
+	}
 	out := make([]optim.Segment, len(s.parts[shard]))
 	for i, u := range s.parts[shard] {
 		out[i] = s.segs[u]
@@ -139,7 +142,7 @@ func (s *Sharded) OwnedSegments(shard int) []optim.Segment {
 // what a probe times.
 func (s *Sharded) StepShard(shard int) {
 	if s.parts == nil {
-		panic("zero: StepShard before Init")
+		panic("zero: StepShard before the first Step")
 	}
 	var ps []*nn.Param
 	for _, u := range s.parts[shard] {
@@ -150,11 +153,16 @@ func (s *Sharded) StepShard(shard int) {
 	s.shardable.Step(ps)
 }
 
-// Step implements optim.Optimizer: initialize on first use, then the inner
-// optimizer steps ps itself.
+// Step implements optim.Optimizer: the inner optimizer steps ps itself, and
+// the first Step then fixes the ownership map over ps.
 func (s *Sharded) Step(ps []*nn.Param) {
-	s.Init(ps)
+	if s.parts != nil && (len(ps) != len(s.all) || (len(ps) > 0 && ps[0] != s.all[0])) {
+		panic("zero: Sharded stepped with a different parameter list")
+	}
 	s.shardable.Step(ps)
+	if s.parts == nil {
+		s.partition(ps)
+	}
 }
 
 // Name implements optim.Optimizer.
@@ -173,7 +181,8 @@ func (s *Sharded) CheckpointName() string {
 
 // ReplicaStateBytes implements optim.ShardedStepper: each shard's resident
 // footprint — its units' exact shares of the measured bytes — the number the
-// paper-style memory tables care about per GPU.
+// paper-style memory tables care about per GPU. All zero before the first
+// Step, when there is no state to charge.
 func (s *Sharded) ReplicaStateBytes() []int64 {
 	out := make([]int64, s.n)
 	for shard, units := range s.parts {

@@ -214,8 +214,9 @@ func TestShardedOptimizerInterface(t *testing.T) {
 		t.Fatalf("lr %v", sh.LR())
 	}
 	params := testParams(1)
-	sh.Init(params)
-	sh.Init(params) // idempotent
+	fillGrads(params, 0)
+	sh.Step(params)
+	sh.Step(params) // the map stays the one the first Step fixed
 	// The shards' segments must tile every parameter's rows exactly once.
 	rowsOwned := make([]map[int]int, len(params))
 	for i := range rowsOwned {
@@ -240,13 +241,13 @@ func TestShardedOptimizerInterface(t *testing.T) {
 
 func TestShardedRejectsNewParamList(t *testing.T) {
 	sh := NewSharded(optim.NewAdamW(optim.Hyper{LR: 0.5}), 2)
-	sh.Init(testParams(1))
+	sh.Step(testParams(1))
 	defer func() {
 		if recover() == nil {
-			t.Fatal("expected panic on re-Init with a different list")
+			t.Fatal("expected panic on a Step with a different list")
 		}
 	}()
-	sh.Init(testParams(2))
+	sh.Step(testParams(2))
 }
 
 // TestGatherMatchesUnshardedCapture pins the state half of step parity at the
