@@ -273,25 +273,6 @@ func TestFig1ThroughputOrderingInOutput(t *testing.T) {
 	}
 }
 
-// TestPretrainOneSmoke runs the shared pretraining helper at a minimal step
-// count for a couple of methods to guard the heavy runners' plumbing.
-func TestPretrainOneSmoke(t *testing.T) {
-	proxy, err := ProxyByName("60M")
-	if err != nil {
-		t.Fatal(err)
-	}
-	ctx := &RunContext{Scale: Quick, Out: &bytes.Buffer{}, Seed: 1}
-	for _, m := range []string{"AdamW", "APOLLO", "APOLLO-Mini"} {
-		res, err := pretrainOne(ctx, proxy, m, 0, 30, 0, 1)
-		if err != nil {
-			t.Fatalf("%s: %v", m, err)
-		}
-		if res.FinalValPPL <= 1 || res.FinalValPPL > 1000 {
-			t.Fatalf("%s: implausible ppl %v", m, res.FinalValPPL)
-		}
-	}
-}
-
 func TestStepsScaling(t *testing.T) {
 	quick := &RunContext{Scale: Quick}
 	full := &RunContext{Scale: Full}
@@ -309,7 +290,9 @@ func TestStepsScaling(t *testing.T) {
 // TestPretrainOneWritesLedger: with a RunRoot configured, the shared
 // pretraining helper leaves a complete, finalized ledger entry — and the
 // real 60M training curve raises no watchdog alerts (false-positive guard
-// at bench scale).
+// at bench scale). The run is TestRecipeGolden's APOLLO row with a ledger
+// attached and must land on the same bits: the ledger, the recorder and the
+// watchdog only observe.
 func TestPretrainOneWritesLedger(t *testing.T) {
 	proxy, err := ProxyByName("60M")
 	if err != nil {
@@ -321,6 +304,9 @@ func TestPretrainOneWritesLedger(t *testing.T) {
 	res, err := pretrainOne(ctx, proxy, "APOLLO", 0, steps, 0, 1)
 	if err != nil {
 		t.Fatal(err)
+	}
+	if got := math.Float64bits(res.FinalValPPL); got != 0x4069de7bd603fc38 {
+		t.Errorf("final val ppl 0x%016x, TestRecipeGolden's APOLLO row 0x4069de7bd603fc38", got)
 	}
 	ms, err := runlog.List(root)
 	if err != nil {

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 
+	rt "apollo/internal/runtime"
 	"apollo/internal/tensor"
 )
 
@@ -113,7 +114,7 @@ func (a *Attention) Forward(x *tensor.Matrix, batch, seq int) *tensor.Matrix {
 
 	hd := a.HeadDim
 	// RoPE on q and k, position = index within the sequence.
-	tensor.Parallel(batch*seq, 8, func(n0, n1 int) {
+	rt.ForRange(batch*seq, 8, func(n0, n1 int) {
 		for n := n0; n < n1; n++ {
 			p := n % seq
 			for h := 0; h < a.Heads; h++ {
@@ -130,7 +131,7 @@ func (a *Attention) Forward(x *tensor.Matrix, batch, seq int) *tensor.Matrix {
 
 	// One task per (batch, head) pair.
 	bh := batch * a.Heads
-	tensor.Parallel(bh, 1, func(t0, t1 int) {
+	rt.ForRange(bh, 1, func(t0, t1 int) {
 		for bhIdx := t0; bhIdx < t1; bhIdx++ {
 			b := bhIdx / a.Heads
 			h := bhIdx % a.Heads
@@ -171,7 +172,7 @@ func (a *Attention) Backward(dy *tensor.Matrix) *tensor.Matrix {
 
 	bh := batch * a.Heads
 	scratch := a.ws.floats(2 * bh * seq) // a dattn and a dscore row per task
-	tensor.Parallel(bh, 1, func(t0, t1 int) {
+	rt.ForRange(bh, 1, func(t0, t1 int) {
 		for bhIdx := t0; bhIdx < t1; bhIdx++ {
 			dattn := scratch[2*bhIdx*seq : (2*bhIdx+1)*seq]
 			dscore := scratch[(2*bhIdx+1)*seq : (2*bhIdx+2)*seq]
@@ -215,7 +216,7 @@ func (a *Attention) Backward(dy *tensor.Matrix) *tensor.Matrix {
 	})
 
 	// Undo RoPE on the gradients (inverse rotation).
-	tensor.Parallel(batch*seq, 8, func(n0, n1 int) {
+	rt.ForRange(batch*seq, 8, func(n0, n1 int) {
 		for n := n0; n < n1; n++ {
 			p := n % seq
 			for h := 0; h < a.Heads; h++ {

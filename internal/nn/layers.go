@@ -3,6 +3,7 @@ package nn
 import (
 	"math"
 
+	rt "apollo/internal/runtime"
 	"apollo/internal/tensor"
 )
 
@@ -64,7 +65,7 @@ func NewEmbedding(name string, vocab, dim int, std float64, rng *tensor.RNG) *Em
 func (e *Embedding) Forward(tokens []int) *tensor.Matrix {
 	e.tokens = tokens
 	out := e.ws.matrix(len(tokens), e.Dim)
-	tensor.Parallel(len(tokens), 64, func(i0, i1 int) {
+	rt.ForRange(len(tokens), 64, func(i0, i1 int) {
 		for i := i0; i < i1; i++ {
 			copy(out.Row(i), e.P.W.Row(tokens[i]))
 		}
@@ -108,7 +109,7 @@ func (r *RMSNorm) Forward(x *tensor.Matrix) *tensor.Matrix {
 	out := r.ws.matrix(x.Rows, x.Cols)
 	g := r.P.W.Row(0)
 	dim := float64(x.Cols)
-	tensor.Parallel(x.Rows, 16, func(i0, i1 int) {
+	rt.ForRange(x.Rows, 16, func(i0, i1 int) {
 		for i := i0; i < i1; i++ {
 			row := x.Row(i)
 			ms := tensor.SqNormSlice(row) / dim
@@ -142,7 +143,7 @@ func (r *RMSNorm) backwardInto(dx, dy *tensor.Matrix) {
 	// dg fans out over channels, so each dg_j still sums its rows in
 	// ascending order; dx fans out over rows.
 	dg := r.P.Grad.Row(0)
-	tensor.Parallel(x.Cols, 32, func(j0, j1 int) {
+	rt.ForRange(x.Cols, 32, func(j0, j1 int) {
 		for i := 0; i < x.Rows; i++ {
 			row := x.Row(i)
 			drow := dy.Row(i)
@@ -152,7 +153,7 @@ func (r *RMSNorm) backwardInto(dx, dy *tensor.Matrix) {
 			}
 		}
 	})
-	tensor.Parallel(x.Rows, 16, func(i0, i1 int) {
+	rt.ForRange(x.Rows, 16, func(i0, i1 int) {
 		for i := i0; i < i1; i++ {
 			row := x.Row(i)
 			drow := dy.Row(i)
@@ -203,7 +204,7 @@ func (m *SwiGLU) Forward(x *tensor.Matrix) *tensor.Matrix {
 	m.upOut = m.Up.Forward(x)
 	m.h = m.ws.matrix(x.Rows, m.gateOut.Cols)
 	gate, up, h := m.gateOut.Data, m.upOut.Data, m.h.Data
-	tensor.Parallel(len(h), 1<<11, func(i0, i1 int) {
+	rt.ForRange(len(h), 1<<11, func(i0, i1 int) {
 		for i := i0; i < i1; i++ {
 			h[i] = silu(gate[i], sigmoid(gate[i])) * up[i]
 		}
@@ -217,7 +218,7 @@ func (m *SwiGLU) Backward(dy *tensor.Matrix) *tensor.Matrix {
 	dgate := m.ws.matrix(dh.Rows, dh.Cols)
 	dup := m.ws.matrix(dh.Rows, dh.Cols)
 	gate, up := m.gateOut.Data, m.upOut.Data
-	tensor.Parallel(len(dh.Data), 1<<11, func(i0, i1 int) {
+	rt.ForRange(len(dh.Data), 1<<11, func(i0, i1 int) {
 		for i := i0; i < i1; i++ {
 			s := sigmoid(gate[i])
 			dgate.Data[i] = dh.Data[i] * up[i] * siluGrad(gate[i], s)

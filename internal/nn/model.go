@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 
+	rt "apollo/internal/runtime"
 	"apollo/internal/tensor"
 )
 
@@ -78,7 +79,7 @@ func (b *Block) Backward(dx, dy *tensor.Matrix) {
 // addInto computes dst = a + dst elementwise (a is the left operand, as in
 // tensor.Add(a, dst)).
 func addInto(dst, a *tensor.Matrix) {
-	tensor.Parallel(len(dst.Data), 1<<14, func(i0, i1 int) {
+	rt.ForRange(len(dst.Data), 1<<14, func(i0, i1 int) {
 		d, s := dst.Data[i0:i1], a.Data[i0:i1]
 		for i, v := range s {
 			d[i] = v + d[i]
@@ -301,7 +302,7 @@ func CrossEntropyShard(logits *tensor.Matrix, targets []int, ignoreIndex, normCo
 	}
 	lossCh := make([]float64, logits.Rows)
 	invN := float32(1.0 / float64(normCount))
-	tensor.Parallel(logits.Rows, 8, func(i0, i1 int) {
+	rt.ForRange(logits.Rows, 8, func(i0, i1 int) {
 		for i := i0; i < i1; i++ {
 			row := logits.Row(i)
 			tgt := targets[i]
@@ -359,7 +360,7 @@ func (m *Model) AddRowLosses(total float64, tokens, targets []int, batch, seq in
 	logits := m.Forward(tokens, batch, seq)
 	// Row losses fan out; the sum stays serial and in row order.
 	rowLoss := make([]float64, logits.Rows)
-	tensor.Parallel(logits.Rows, 8, func(i0, i1 int) {
+	rt.ForRange(logits.Rows, 8, func(i0, i1 int) {
 		for i := i0; i < i1; i++ {
 			if tgt := targets[i]; tgt != -1 {
 				row := logits.Row(i)

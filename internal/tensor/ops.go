@@ -6,15 +6,6 @@ import (
 	"apollo/internal/runtime"
 )
 
-// Parallel runs fn over disjoint index ranges covering [0, n) on the shared
-// runtime worker pool when n is large enough (at least minPerTask items per
-// task). It is the general-purpose fan-out used by the attention kernels and
-// optimizer loops. fn must write only to data owned by its range, which
-// makes the result bit-identical to fn(0, n) at any pool size.
-func Parallel(n, minPerTask int, fn func(i0, i1 int)) {
-	runtime.ForRange(n, minPerTask, fn)
-}
-
 // MatMul returns a·b.
 func MatMul(a, b *Matrix) *Matrix {
 	out := NewMatrix(a.Rows, b.Cols)

@@ -70,7 +70,12 @@ type dpReplica struct {
 type dataParallel struct {
 	master  []*nn.Param
 	reps    []*dpReplica         // reps[0] is the master model, the rest are copies of it
-	sharder optim.ShardedStepper // non-nil under ZeRO: publish keeps the replicas current
+	sharder optim.ShardedStepper // non-nil under ZeRO
+	// owned[s] is the rows shard s publishes from its owner, replica s mod N:
+	// under ZeRO the ownership map's, read at the first publish (the first
+	// Step fixes it); in plain DP one shard, replica 0, owning every
+	// parameter whole.
+	owned [][]optim.Segment
 
 	join   treeFold     // folds the partials that straddle replica ranges
 	clocks []phaseClock // per-replica forward/backward/fold time, merged after the join
@@ -82,12 +87,14 @@ type dataParallel struct {
 // DPPretrain runs the pre-training loop of Pretrain with data-parallel
 // gradient computation. model holds the master weights; opt steps them.
 //
+// After each step the updated weights reach the other replicas through a
+// binomial-tree broadcast from their owner — the weight-side mirror of the
+// gradient all-reduce tree; in plain DP replica 0 owns every parameter.
+//
 // ZeRO extension. When opt implements optim.ShardedStepper (zero.Sharded),
 // the optimizer's state is partitioned: every parameter row range has one
-// owner shard, which is charged its state and publishes its stepped rows,
-// and the updated weights reach the other replicas through a per-shard
-// binomial-tree broadcast — the weight-side mirror of the gradient
-// all-reduce tree. The step itself is still the one Optimizer.Step, and
+// owner shard, which is charged its state and publishes its stepped rows
+// down its own tree. The step itself is still the one Optimizer.Step, and
 // broadcast copies are float-exact, so the sharded run stays bit-identical
 // to `-replicas 1` while each replica's resident optimizer state drops to
 // ~1/N (see Result.ReplicaStateBytes and internal/zero's determinism
@@ -117,37 +124,26 @@ func newDataParallel(model *nn.Model, opt optim.Optimizer, batch, replicas int) 
 		}
 		dp.reps[r] = rep
 	}
-	dp.sharder, _ = opt.(optim.ShardedStepper) // the clones start current; publish keeps them so
+	// The clones start current; publish keeps them so.
+	dp.sharder, _ = opt.(optim.ShardedStepper)
+	if dp.sharder == nil {
+		whole := make([]optim.Segment, len(dp.master))
+		for i, p := range dp.master {
+			whole[i] = optim.Segment{Param: i, Row1: p.W.Rows}
+		}
+		dp.owned = [][]optim.Segment{whole}
+	}
 	return dp
 }
 
-// syncReplicas copies the master weights into every replica but replica 0,
-// which is the master.
-func (dp *dataParallel) syncReplicas() {
-	for _, rep := range dp.reps[1:] {
-		for i, p := range dp.master {
-			rep.params[i].W.CopyFrom(p.W)
-		}
-	}
-}
-
-// gradient fills the master grads and returns the batch loss: replica sync,
-// concurrent per-sequence leaves folded as they come, then the straddling
-// partials folded into the root.
+// gradient fills the master grads and returns the batch loss: concurrent
+// per-sequence leaves folded as they come, then the straddling partials
+// folded into the root.
 func (dp *dataParallel) gradient(batch data.Batch, pc *phaseClock) float64 {
 	b, t := dp.join.b, batch.T
 	replicas := len(dp.reps)
 	counted := nn.CountTargets(batch.Targets, -1)
 
-	// Broadcast master weights to every replica but replica 0, which is the
-	// master (the DDP sync point: N−1 copies, as the ZeRO shard tree counts).
-	// Under ZeRO this already happened through the post-step shard
-	// broadcast, so the copy (and its comm volume) is skipped.
-	if dp.sharder == nil {
-		dp.syncReplicas()
-		dp.broadcastBytes += int64(replicas-1) * dp.paramBytes
-	}
-	pc.lap(obs.PhaseBroadcast)
 	// The tree has B−1 edges, each one parameter set merged.
 	dp.allReduceBytes += int64(b-1) * dp.paramBytes
 
@@ -295,14 +291,16 @@ func (rep *dpReplica) stash(depth int, n *treeNode) {
 	n.grad = buf
 }
 
-// publish gets the freshly stepped master weights back to the replicas:
-// under ZeRO the binomial-tree broadcast of each updated shard from its
-// owner; nothing in plain DP, which re-syncs at the top of the next gradient.
+// publish gets the freshly stepped master weights back to the replicas: the
+// binomial-tree broadcast of each shard from its owner, N−1 copies of every
+// parameter.
 func (dp *dataParallel) publish(pc *phaseClock) {
-	if dp.sharder == nil {
-		return
+	if dp.owned == nil {
+		for s := range dp.sharder.Shards() {
+			dp.owned = append(dp.owned, dp.sharder.OwnedSegments(s))
+		}
 	}
-	dp.broadcastBytes += broadcastShards(dp.reps, dp.master, dp.sharder)
+	dp.broadcastBytes += broadcastShards(dp.reps, dp.master, dp.owned)
 	pc.lap(obs.PhaseBroadcast)
 }
 
@@ -319,19 +317,19 @@ func (dp *dataParallel) replicaStateBytes(opt optim.Optimizer) []int64 {
 }
 
 // broadcastShards distributes each shard's freshly stepped master weights
-// to every replica with a binomial tree rooted at the shard's owner: the
-// owner copies its shard locally (its own update — no traffic), then in
-// round k every replica holding the shard forwards it stride=2^k ranks
-// ahead, exactly the log₂(N)-depth pattern of the gradient all-reduce.
+// (owned[s], the rows shard s owns) to every replica with a binomial tree
+// rooted at the shard's owner, replica s mod N: the owner copies its shard
+// locally (its own update — no traffic), then in round k every replica
+// holding the shard forwards it stride=2^k ranks ahead, exactly the
+// log₂(N)-depth pattern of the gradient all-reduce.
 // Shards cover disjoint parameter indices, so their trees run concurrently.
 // Copies are float-exact; the returned byte count covers only the
 // inter-replica transfers. reps[0] is the master model.
-func broadcastShards(reps []*dpReplica, master []*nn.Param, sharder optim.ShardedStepper) int64 {
+func broadcastShards(reps []*dpReplica, master []*nn.Param, owned [][]optim.Segment) int64 {
 	replicas := len(reps)
 	var moved int64
 	var wg sync.WaitGroup
-	for s := 0; s < sharder.Shards(); s++ {
-		segs := sharder.OwnedSegments(s)
+	for s, segs := range owned {
 		if len(segs) == 0 {
 			continue
 		}

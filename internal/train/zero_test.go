@@ -88,7 +88,7 @@ func TestZeroDPParity(t *testing.T) {
 // TestZeroCommAccounting pins the comm-volume bookkeeping: the gradient
 // all-reduce merges (B−1) full-parameter leaves per step in every mode,
 // while the weights copied between replicas come to (N−1)·P per step in both:
-// the ZeRO shard tree, and plain DP's re-sync of every replica but the master.
+// the ZeRO shard trees, and plain DP's one tree from the master.
 func TestZeroCommAccounting(t *testing.T) {
 	const seed = 9
 	model, _, _ := dpTestSetup(t, seed)

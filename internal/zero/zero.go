@@ -26,13 +26,15 @@
 // itself — its one walk (optim.Base.Walk), which steps the parameters
 // concurrently on the shared pool — so `-replicas N -zero` reproduces
 // `-replicas 1` float-for-float, weights and captured state, at any pool
-// width, while each replica is charged ~1/N of the measured footprint
-// (bench.TestCatalogueShardedParity and bench.TestCatalogueWidthIndependent
-// range the contract over the method catalogue; TestShardedStepParity and
-// train.TestZeroDPParity pin it here and through the trainer). Capture and restore are the inner
-// optimizer's too, so a checkpoint never mentions the world size: a
-// `-replicas N -zero` snapshot resumes under any `-replicas M -zero` or
-// unsharded (train.TestElasticReshardParity). The ownership map is fixed from
+// width, while each replica is charged ~1/N of the measured footprint.
+// internal/bench's step-contract harness checks it on every row of the method
+// catalogue: weights, captured state, checkpoint name and per-replica bytes
+// at 2, 3 and 4 shards (bench.TestCatalogueShardedParity), and at pool widths
+// 1–4 under 3 shards (bench.TestCatalogueWidthIndependent);
+// train.TestZeroDPParity checks it through the trainer. Capture and restore
+// are the inner optimizer's too, so a checkpoint never mentions the world
+// size: a `-replicas N -zero` snapshot resumes under any `-replicas M -zero`
+// or unsharded (train.TestElasticReshardParity). The ownership map is fixed from
 // the whole list at the end of the first Step, once every parameter's state
 // is allocated and can be measured, which is why the training loop hands a
 // Sharded optimizer the whole list rather than the groups backward releases.
