@@ -31,7 +31,9 @@
 // catalogue: weights, captured state, checkpoint name and per-replica bytes
 // at 2, 3 and 4 shards (bench.TestCatalogueShardedParity), and at pool widths
 // 1–4 under 3 shards (bench.TestCatalogueWidthIndependent);
-// train.TestZeroDPParity checks it through the trainer. Capture and restore
+// TestShardedStepParity and TestGatherMatchesUnshardedCapture pin it here on
+// eight families at a short projector refresh gap, and train.TestZeroDPParity
+// checks it through the trainer. Capture and restore
 // are the inner optimizer's too, so a checkpoint never mentions the world
 // size: a `-replicas N -zero` snapshot resumes under any `-replicas M -zero`
 // or unsharded (train.TestElasticReshardParity). The ownership map is fixed from

@@ -1,6 +1,7 @@
 package zero
 
 import (
+	"fmt"
 	"reflect"
 	"testing"
 
@@ -111,13 +112,16 @@ func fillGrads(params []*nn.Param, step int) {
 	}
 }
 
-// shardableBuilders covers the dense and projected families the partition's
-// byte balance is checked on. Step and state parity over the whole method
-// catalogue is bench.TestCatalogueShardedParity's.
+// shardableBuilders covers every optimizer family the determinism contract
+// was first stated for: per-param-independent updates and the
+// seeded-projection methods (bench.TestCatalogueShardedParity ranges it over
+// the whole catalogue). Small rank and update gap exercise projection
+// refreshes within the test horizon.
 func shardableBuilders() map[string]func() optim.Optimizer {
 	h := optim.Hyper{LR: 0.01, WeightDecay: 0.1}
 	return map[string]func() optim.Optimizer{
 		"AdamW":     func() optim.Optimizer { return optim.NewAdamW(h) },
+		"SGD-M":     func() optim.Optimizer { return optim.NewSGD(h, 0.9) },
 		"Adam-mini": func() optim.Optimizer { return optim.NewAdamMini(h) },
 		"GaLore": func() optim.Optimizer {
 			return optim.NewGaLore(h, optim.LowRankConfig{Rank: 4, Seed: 11, UpdateGap: 3})
@@ -135,11 +139,42 @@ func shardableBuilders() map[string]func() optim.Optimizer {
 	}
 }
 
+// TestShardedStepParity is the core contract: for every shardable optimizer
+// and shard count, stepping through zero.Sharded leaves weights bit-identical
+// to the unsharded instance.
+func TestShardedStepParity(t *testing.T) {
+	for name, build := range shardableBuilders() {
+		for _, n := range []int{2, 3, 4} {
+			t.Run(fmt.Sprintf("%s/shards=%d", name, n), func(t *testing.T) {
+				ref := testParams(5)
+				got := testParams(5)
+				refOpt := build()
+				shOpt := NewSharded(build(), n)
+				const steps = 8
+				for step := 0; step < steps; step++ {
+					fillGrads(ref, step)
+					fillGrads(got, step)
+					refOpt.Step(ref)
+					shOpt.Step(got)
+				}
+				for i, p := range got {
+					if !p.W.Equal(ref[i].W) {
+						t.Fatalf("param %s differs bitwise after %d steps", p.Name, steps)
+					}
+				}
+			})
+		}
+	}
+}
+
 // TestShardedStateBytesPartition checks the memory claim: per-shard state
 // sums to the unsharded footprint, and at 4 shards no replica holds more
 // than 1/3 of it (the balanced-partition bound the acceptance criteria use).
 func TestShardedStateBytesPartition(t *testing.T) {
 	for name, build := range shardableBuilders() {
+		if name == "SGD-M" {
+			continue // velocity-only state follows the same partition; skip noise
+		}
 		t.Run(name, func(t *testing.T) {
 			params := testParams(5)
 			unsharded := build()
@@ -213,4 +248,45 @@ func TestShardedRejectsNewParamList(t *testing.T) {
 		}
 	}()
 	sh.Step(testParams(2))
+}
+
+// TestGatherMatchesUnshardedCapture pins the state half of step parity at the
+// unit level: after identical training steps, a Sharded wrapper captures
+// every parameter's state bit-for-bit as the unsharded optimizer does, under
+// the same checkpoint name — which is why a sharded checkpoint can resume
+// anywhere.
+func TestGatherMatchesUnshardedCapture(t *testing.T) {
+	const steps = 4
+	for name, build := range shardableBuilders() {
+		t.Run(name, func(t *testing.T) {
+			plainParams := testParams(3)
+			plain := build()
+			shardParams := testParams(3)
+			sh := NewSharded(build(), 3)
+
+			for s := 0; s < steps; s++ {
+				fillGrads(plainParams, s)
+				fillGrads(shardParams, s)
+				plain.Step(plainParams)
+				sh.Step(shardParams)
+			}
+
+			for i := range plainParams {
+				want, err := plain.CaptureParam(plainParams[i])
+				if err != nil {
+					t.Fatal(err)
+				}
+				got, err := sh.CaptureParam(shardParams[i])
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !reflect.DeepEqual(got, want) {
+					t.Fatalf("%s: captured state differs from the unsharded run", plainParams[i].Name)
+				}
+			}
+			if sh.CheckpointName() != plain.Name() {
+				t.Fatalf("checkpoint name %q, want %q", sh.CheckpointName(), plain.Name())
+			}
+		})
+	}
 }
