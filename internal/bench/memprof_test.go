@@ -150,22 +150,24 @@ func TestLiveStateMatchesMemmodelZeRO(t *testing.T) {
 }
 
 // TestLentGradientLedger: memprof's grads is the gradient storage the loop
-// holds, sampled after every step. On the 7B proxy's shapes the largest
-// group is one block (197,888 elements), so a fused APOLLO run, which lends
-// each group's gradient from a ring of two block-sized slabs, holds exactly
-// 2 × 4 × 197,888 = 1,583,104 B at every sample; under -accum 2 or clipping
-// the gradients stay resident, the whole model's 1,252,992 elements, and the
-// ledger reads 5,011,968 B. A lent run whose second batch has no target
-// steps that batch's zero gradient from the ring as well.
+// holds, sampled after every step. On the 60M proxy's shapes the largest
+// release group is one block (12,608 elements, against 8,224 for norm_f and
+// the head and 8,192 for the embedding), so a fused APOLLO run, which lends
+// each group's gradient from a ring of two slabs the size of the largest
+// group, holds exactly 2 × 4 × 12,608 = 100,864 B at every sample; under
+// -accum 2 or clipping the gradients stay resident, the whole model's 41,632
+// elements, and the ledger reads 166,528 B. A lent run whose second batch
+// has no target steps that batch's zero gradient from the ring as well.
 func TestLentGradientLedger(t *testing.T) {
-	const lent, resident = 1_583_104, 5_011_968
-	proxy, err := ProxyByName("7B")
+	const lent, resident = 100_864, 166_528
+	proxy, err := ProxyByName("60M")
 	if err != nil {
 		t.Fatal(err)
 	}
 	c := proxy.Model
-	if block := 4*c.Dim*c.Dim + 3*c.Dim*c.Hidden + 2*c.Dim; 2*4*block != lent || 4*c.NumParams() != resident {
-		t.Fatalf("7B proxy shapes moved: block %d, model %d elements", block, c.NumParams())
+	block := 4*c.Dim*c.Dim + 3*c.Dim*c.Hidden + 2*c.Dim
+	if largest := max(block, c.Dim+c.Vocab*c.Dim, c.Vocab*c.Dim); 2*4*largest != lent || 4*c.NumParams() != resident {
+		t.Fatalf("60M proxy shapes moved: largest group %d, model %d elements", largest, c.NumParams())
 	}
 	apollo, err := MethodByName("APOLLO")
 	if err != nil {

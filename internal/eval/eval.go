@@ -5,6 +5,7 @@
 package eval
 
 import (
+	"fmt"
 	"math"
 
 	"apollo/internal/data"
@@ -38,32 +39,37 @@ func NewQuery(context, option []int) Query {
 	return Query{Seq: seq, Start: max(len(context)-1, 0)}
 }
 
-// Score reads the query's mean option log-probability from the rows
-// row0 … row0+len(Seq)-2 of logits, a forward over Seq[:len(Seq)-1] that
-// may sit among other rows of a batched forward. A query with nothing
-// scoreable returns 0 without reading logits.
-func (q Query) Score(logits *tensor.Matrix, row0 int) float64 {
+// Score reads the query's mean option log-probability from logits of a
+// forward over Seq[:len(Seq)-1] that starts at position from ≤ Start
+// (nn.Model.ForwardFrom): row row0 of logits holds position from, row
+// row0+pos−from position pos, and the query's rows may sit among other rows
+// of a batched forward. A query with nothing scoreable returns 0 without
+// reading logits.
+func (q Query) Score(logits *tensor.Matrix, row0, from int) float64 {
 	if q.Start < 0 {
 		return 0
+	}
+	if from > q.Start {
+		panic(fmt.Sprintf("eval: logits from position %d miss the query's first scored position %d", from, q.Start))
 	}
 	t := len(q.Seq) - 1
 	var total float64
 	for pos := q.Start; pos < t; pos++ {
-		row := logits.Row(row0 + pos)
+		row := logits.Row(row0 + pos - from)
 		total += float64(row[q.Seq[pos+1]]) - tensor.LogSumExp(row)
 	}
 	return total / float64(t-q.Start)
 }
 
 // OptionLogProb scores one candidate continuation with one forward of model
-// (Query.Score).
+// from the first scored position (Query.Score).
 func OptionLogProb(model *nn.Model, context, option []int) float64 {
 	q := NewQuery(context, option)
 	if q.Start < 0 {
-		return q.Score(nil, 0)
+		return q.Score(nil, 0, 0)
 	}
 	t := len(q.Seq) - 1
-	return q.Score(model.Forward(q.Seq[:t], 1, t), 0)
+	return q.Score(model.ForwardFrom(q.Seq[:t], 1, t, q.Start), 0, q.Start)
 }
 
 // Accuracy is the likelihood-comparison protocol: an item is correct when

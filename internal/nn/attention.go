@@ -59,11 +59,12 @@ type Attention struct {
 	ws   *workspace
 
 	// forward caches
-	q, k, v *tensor.Matrix // N×dim, post-RoPE for q/k
-	probs   []float32      // B·H blocks of T(T+1)/2 softmax probabilities, see probsRow
-	ctx     *tensor.Matrix // N×dim concatenated head outputs
+	q, k, v *tensor.Matrix // post-RoPE for q/k; k and v N×dim, q one row per query position
+	probs   []float32      // B·H blocks of the query rows' softmax probabilities, see probsRow
+	ctx     *tensor.Matrix // concatenated head outputs, one row per query position
 	batch   int
 	seq     int
+	from    int // first query position
 }
 
 // NewAttention builds the four projections for a model of width dim split
@@ -95,37 +96,51 @@ func head(m *tensor.Matrix, n, h, hd int) []float32 {
 }
 
 // probsRow returns the t+1 causal probabilities of query position t in
-// (batch, head) block bh; the blocks are packed lower triangles.
+// (batch, head) block bh; the blocks are packed lower triangles, less the
+// rows of the positions before from.
 func (a *Attention) probsRow(bh, t int) []float32 {
-	lo := bh*a.seq*(a.seq+1)/2 + t*(t+1)/2
+	lo := bh*a.probsPerBlock() + t*(t+1)/2 - a.from*(a.from+1)/2
 	return a.probs[lo : lo+t+1]
 }
 
+// probsPerBlock is the probability count of one (batch, head) block.
+func (a *Attention) probsPerBlock() int {
+	return a.seq*(a.seq+1)/2 - a.from*(a.from+1)/2
+}
+
 // Forward runs causal attention over a batch of B sequences of length T
-// flattened to x of shape (B·T)×dim.
-func (a *Attention) Forward(x *tensor.Matrix, batch, seq int) *tensor.Matrix {
+// flattened to x of shape (B·T)×dim and returns the outputs of the query
+// positions from … T−1 of each sequence, B·(T−from) rows: keys and values
+// cover every position, queries, scores, context and the output projection
+// the query positions alone. At from > 0 x is shrunk to the query rows
+// (keepTail) once the keys and values have read it, and the pass cannot be
+// backpropagated.
+func (a *Attention) Forward(x *tensor.Matrix, batch, seq, from int) *tensor.Matrix {
 	if x.Rows != batch*seq {
 		panic(fmt.Sprintf("nn: attention rows %d != batch %d × seq %d", x.Rows, batch, seq))
 	}
-	a.batch, a.seq = batch, seq
-	a.q = a.Wq.Forward(x)
+	a.batch, a.seq, a.from = batch, seq, from
 	a.k = a.Wk.Forward(x)
 	a.v = a.Wv.Forward(x)
+	a.q = a.Wq.Forward(keepTail(x, seq, from))
 
-	hd := a.HeadDim
-	// RoPE on q and k, position = index within the sequence.
+	hd, tail := a.HeadDim, seq-from
+	// RoPE on q and k, position = index within the sequence; query row
+	// b·tail+p−from holds position p of sequence b.
 	rt.ForRange(batch*seq, 8, func(n0, n1 int) {
 		for n := n0; n < n1; n++ {
 			p := n % seq
 			for h := 0; h < a.Heads; h++ {
-				a.rope.apply(head(a.q, n, h, hd), p, 1)
+				if p >= from {
+					a.rope.apply(head(a.q, n/seq*tail+p-from, h, hd), p, 1)
+				}
 				a.rope.apply(head(a.k, n, h, hd), p, 1)
 			}
 		}
 	})
 
-	a.probs = a.ws.floats(batch * a.Heads * seq * (seq + 1) / 2)
-	a.ctx = a.ws.matrix(x.Rows, x.Cols)
+	a.probs = a.ws.floats(batch * a.Heads * a.probsPerBlock())
+	a.ctx = a.ws.matrix(batch*tail, x.Cols)
 	a.ctx.Zero()
 	invSqrt := float32(1 / math.Sqrt(float64(hd)))
 
@@ -135,14 +150,14 @@ func (a *Attention) Forward(x *tensor.Matrix, batch, seq int) *tensor.Matrix {
 		for bhIdx := t0; bhIdx < t1; bhIdx++ {
 			b := bhIdx / a.Heads
 			h := bhIdx % a.Heads
-			for t := 0; t < seq; t++ {
-				qv := head(a.q, b*seq+t, h, hd)
+			for t := from; t < seq; t++ {
+				qv := head(a.q, b*tail+t-from, h, hd)
 				prow := a.probsRow(bhIdx, t)
 				for u := range prow {
 					prow[u] = tensor.Dot(qv, head(a.k, b*seq+u, h, hd)) * invSqrt
 				}
 				tensor.SoftmaxInPlace(prow)
-				cv := head(a.ctx, b*seq+t, h, hd)
+				cv := head(a.ctx, b*tail+t-from, h, hd)
 				for u := 0; u <= t; u++ {
 					p := prow[u]
 					vv := head(a.v, b*seq+u, h, hd)

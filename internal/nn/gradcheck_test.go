@@ -132,7 +132,7 @@ func TestAttentionGradients(t *testing.T) {
 	x := tensor.NewMatrixRand(batch*seq, dim, 1, rng)
 	c := tensor.NewMatrixRand(batch*seq, dim, 1, rng)
 
-	loss := func() float64 { return weightedLoss(att.Forward(x, batch, seq), c) }
+	loss := func() float64 { return weightedLoss(att.Forward(x, batch, seq, 0), c) }
 	loss()
 	for _, p := range att.Params() {
 		p.ZeroGrad()

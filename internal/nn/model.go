@@ -50,14 +50,37 @@ type Block struct {
 	ws *workspace
 }
 
-// Forward applies x + Attn(Norm1(x)) then x + MLP(Norm2(x)). The sums land
-// in the sub-layer outputs, which nothing else keeps.
-func (b *Block) Forward(x *tensor.Matrix, batch, seq int) *tensor.Matrix {
-	h := b.Attn.Forward(b.Norm1.Forward(x), batch, seq)
-	addInto(h, x)
+// Forward applies x + Attn(Norm1(x)) then x + MLP(Norm2(x)) and returns the
+// rows of positions from … seq−1 of each sequence, every row at from 0. The
+// sums land in the sub-layer outputs, which nothing else keeps. Norm1 and
+// attention's keys and values cover every row; the rest of the block covers
+// the returned rows alone, and at from > 0 x is shrunk to them (keepTail)
+// once Norm1 has read it.
+func (b *Block) Forward(x *tensor.Matrix, batch, seq, from int) *tensor.Matrix {
+	h := b.Attn.Forward(b.Norm1.Forward(x), batch, seq, from)
+	addInto(h, keepTail(x, seq, from))
 	y := b.MLP.Forward(b.Norm2.Forward(h))
 	addInto(y, h)
 	return y
+}
+
+// keepTail moves the rows of positions from … seq−1 of each of x's
+// sequences to the front of x, in order, and shrinks x to them; at from 0 it
+// returns x as it is. The rows move within x's own storage, which keeps its
+// capacity, so the arena position x came from serves a full pass again.
+func keepTail(x *tensor.Matrix, seq, from int) *tensor.Matrix {
+	if from == 0 {
+		return x
+	}
+	tail, cols := seq-from, x.Cols
+	batch := x.Rows / seq
+	// Sequence b's tail moves down to row b·tail ≤ b·seq+from, so no tail is
+	// overwritten before it moves.
+	for b := 0; b < batch; b++ {
+		copy(x.Data[b*tail*cols:], x.Data[(b*seq+from)*cols:(b+1)*seq*cols])
+	}
+	x.Rows, x.Data = batch*tail, x.Data[:batch*tail*cols]
+	return x
 }
 
 // Backward propagates dy through the block into dx; everything it takes from
@@ -118,8 +141,7 @@ type Model struct {
 	groups [][]*Param // BackwardRelease's groups, in release order
 	grads  gradArena  // every parameter's gradient storage
 	ws     workspace  // every layer's activations and backward temporaries
-	batch  int
-	seq    int
+	from   int        // the last forward's first logit position
 }
 
 // NewModel constructs and initializes a model from cfg using rng.
@@ -192,18 +214,35 @@ func (m *Model) Params() *ParamSet { return m.params }
 // caller may write the gradient over them (CrossEntropyShard) and hand that
 // to BackwardRelease: backward's temporaries come after them.
 func (m *Model) Forward(tokens []int, batch, seq int) *tensor.Matrix {
+	return m.ForwardFrom(tokens, batch, seq, 0)
+}
+
+// ForwardFrom is Forward returning only the logits of positions from … seq−1
+// of each sequence: batch·(seq−from) rows, sequence by sequence, bit for bit
+// the rows Forward returns for those positions. Every block but the last,
+// and the last block's Norm1, keys and values, run on every position, since
+// the tail attends to all of them; the rest of the last block, NormF and
+// Head run on the tail alone. A scoring forward that reads only the tail's
+// logits passes the first position it reads. Only a forward from 0 can be
+// backpropagated.
+func (m *Model) ForwardFrom(tokens []int, batch, seq, from int) *tensor.Matrix {
 	if len(tokens) != batch*seq {
 		panic(fmt.Sprintf("nn: %d tokens for batch %d × seq %d", len(tokens), batch, seq))
 	}
 	if seq > m.Cfg.MaxSeq {
 		panic(fmt.Sprintf("nn: seq %d exceeds MaxSeq %d", seq, m.Cfg.MaxSeq))
 	}
-	m.batch, m.seq = batch, seq
+	if from < 0 || from >= seq {
+		panic(fmt.Sprintf("nn: forward from position %d of a %d-token sequence", from, seq))
+	}
+	m.from = from
 	m.ws.reset()
 	x := m.Embed.Forward(tokens)
-	for _, b := range m.Blocks {
-		x = b.Forward(x, batch, seq)
+	last := len(m.Blocks) - 1
+	for _, b := range m.Blocks[:last] {
+		x = b.Forward(x, batch, seq, 0)
 	}
+	x = m.Blocks[last].Forward(x, batch, seq, from)
 	return m.Head.Forward(m.NormF.Forward(x))
 }
 
@@ -223,6 +262,9 @@ func (m *Model) Backward(dlogits *tensor.Matrix) { m.BackwardRelease(dlogits, ni
 // dlogits is a zero gradient: the pass computes nothing, but still borrows
 // and releases every group.
 func (m *Model) BackwardRelease(dlogits *tensor.Matrix, release func([]*Param)) {
+	if m.from > 0 {
+		panic(fmt.Sprintf("nn: backward pass after a forward from position %d: only a forward from 0 can be backpropagated", m.from))
+	}
 	m.grads.open()
 	outer := m.ws.mark()
 	// Two buffers carry the hidden-state gradient down the stack in turn.

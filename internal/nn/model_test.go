@@ -120,7 +120,7 @@ func TestRoPEMakesPositionMatter(t *testing.T) {
 	for i := 0; i < seq; i++ {
 		copy(x.Row(i), row)
 	}
-	att.Forward(x, 1, seq)
+	att.Forward(x, 1, seq, 0)
 	// probs for head 0, final position.
 	last := att.probsRow(0, seq-1)
 	if len(last) != seq {

@@ -47,13 +47,15 @@ type item struct {
 // batcher serializes all model access for one Entry through a single
 // executor goroutine and coalesces queued scoring units into batched
 // forwards: units with equal sequence length stack into one
-// model.Forward(tokens, k, t) call of up to maxBatch rows, and each unit
-// reads its result from its own rows with eval.Query.Score. Stacking is
+// model.ForwardFrom(tokens, k, t, from) call of up to maxBatch sequences,
+// from the chunk's first scored position, and each unit reads its result
+// from its own rows with eval.Query.Score. Stacking and starting there are
 // bit-transparent — every op in the forward pass is row-local or
-// per-(batch,head)-local and the runtime kernels accumulate each output
-// row in a fixed order — so a unit's result never depends on what it was
-// batched with (TestBatchedScoringMatchesEval pins this against
-// eval.OptionLogProb, the same Score over a forward of one).
+// per-(batch,head)-local, the runtime kernels accumulate each output row in
+// a fixed order, and ForwardFrom's rows are Forward's — so a unit's result
+// never depends on what it was batched with (TestBatchedScoringMatchesEval
+// pins this against eval.OptionLogProb, the same Score over a forward of
+// one from the unit's own first scored position).
 type batcher struct {
 	model    *nn.Model
 	maxBatch int
@@ -80,7 +82,7 @@ func (b *batcher) score(reqs []*scoreReq) error {
 	items := make([]item, 0, len(reqs))
 	for _, rq := range reqs {
 		if rq.q.Start < 0 {
-			rq.result = rq.q.Score(nil, 0)
+			rq.result = rq.q.Score(nil, 0, 0)
 			continue
 		}
 		wg.Add(1)
@@ -233,18 +235,21 @@ func (b *batcher) process(batch []item) {
 	}
 }
 
-// scoreChunk stacks k equal-length units into one batched forward and
-// scores each unit from its own rows.
+// scoreChunk stacks k equal-length units into one batched forward from the
+// least first scored position among them and scores each unit from its own
+// rows.
 func (b *batcher) scoreChunk(chunk []item, t int) {
 	k := len(chunk)
 	err := b.safely(func() {
 		tokens := make([]int, 0, k*t)
+		from := t - 1
 		for _, it := range chunk {
 			tokens = append(tokens, it.score.q.Seq[:t]...)
+			from = min(from, it.score.q.Start)
 		}
-		logits := b.model.Forward(tokens, k, t)
+		logits := b.model.ForwardFrom(tokens, k, t, from)
 		for i, it := range chunk {
-			it.score.result = it.score.q.Score(logits, i*t)
+			it.score.result = it.score.q.Score(logits, i*(t-from), from)
 		}
 	})
 	// Count the forward before releasing its callers, so one that reads the

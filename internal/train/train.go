@@ -613,14 +613,13 @@ func batchSpans(n, batch int) [][2]int {
 }
 
 // FTAccuracy evaluates test accuracy: argmax over the task's label tokens at
-// the separator position.
+// the separator position, the last, which is the one row it forwards to.
 func FTAccuracy(model *nn.Model, task *data.FTTask) float64 {
 	correct := 0
 	seqLen := task.Cfg.CtxLen + 1
 	for _, ex := range task.TestSet {
 		tk, _ := EncodeFT(task, ex)
-		logits := model.Forward(tk, 1, seqLen)
-		row := logits.Row(seqLen - 1)
+		row := model.ForwardFrom(tk, 1, seqLen, seqLen-1).Row(0)
 		best, bi := math.Inf(-1), 0
 		for c := 0; c < task.Cfg.Classes; c++ {
 			if v := float64(row[task.LabelBase+c]); v > best {
