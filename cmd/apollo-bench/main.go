@@ -1,6 +1,7 @@
-// Command apollo-bench regenerates the paper's tables and figures, plus the
-// `zero` and `ckpt` parity rows (which exit 1 when a row reads DRIFT). It is
-// not a stopwatch: how fast anything runs is `bash benchmark/run.sh`.
+// Command apollo-bench regenerates the paper's tables and figures, and
+// nothing else. It is not a stopwatch (how fast anything runs is `bash
+// benchmark/run.sh`) and not a contract check (ZeRO and checkpoint parity are
+// tests: `go test ./internal/bench ./internal/train`).
 //
 // Usage:
 //

@@ -18,6 +18,7 @@ import (
 	"fmt"
 	"os"
 
+	"apollo/internal/bench"
 	"apollo/internal/ckpt"
 	"apollo/internal/memmodel"
 	"apollo/internal/nn"
@@ -97,12 +98,13 @@ func inspect(path string, verifyOnly bool) error {
 	fmt.Printf("  serving     %s resident (memmodel.ServeBytes; weights only)\n",
 		obs.FormatBytes(int64(memmodel.ServeBytes(shapes))))
 
-	method, err := memmodel.MethodByName(st.Optimizer)
-	if err != nil {
+	m, err := bench.MethodOfCheckpoint(st.Optimizer, rank)
+	if err != nil || m.Mem == nil {
 		fmt.Printf("  predicted   n/a (no memory-model entry for %q)\n", st.Optimizer)
 		return nil
 	}
-	predicted := memmodel.CheckpointBytes(shapes, method, rank)
+	rank = m.Rank(rank, 0)
+	predicted := memmodel.CheckpointBytes(shapes, *m.Mem, rank)
 	dev := (float64(info.Size) - predicted) / predicted * 100
 	fmt.Printf("  predicted   %s (memmodel.CheckpointBytes, rank %d) — actual %+.1f%%\n",
 		obs.FormatBytes(int64(predicted)), rank, dev)

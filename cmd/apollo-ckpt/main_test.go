@@ -5,6 +5,8 @@ import (
 	"os"
 	"os/exec"
 	"path/filepath"
+	"regexp"
+	"strconv"
 	"strings"
 	"testing"
 )
@@ -96,6 +98,31 @@ func TestInspectAndVerify(t *testing.T) {
 		}
 		if out, code := run(t, "apollo-ckpt", "-verify", path); code != 1 || !strings.Contains(out, path+": ") || strings.Contains(out, ": ok") {
 			t.Fatalf("-verify on the %s copy: exit %d\n%s", name, code, out)
+		}
+	}
+}
+
+// TestPredictsEveryFormulaRow: a checkpoint of any catalogue row with a
+// memory formula is priced by its row, within 2% of the file — GaLore over a
+// random projection (Flora's formula) and APOLLO w. SVD (Fira's) among them,
+// and APOLLO-Mini at rank r, whose checkpoint name states its α rather than
+// the row.
+func TestPredictsEveryFormulaRow(t *testing.T) {
+	dir := t.TempDir()
+	dev := regexp.MustCompile(`\(memmodel\.CheckpointBytes, rank 8\) — actual ([-+0-9.]+)%`)
+	for _, method := range []string{"GaLore-RP", "APOLLO w. SVD", "APOLLO-Mini (rank r)"} {
+		path := filepath.Join(dir, "run.ckpt")
+		if out, code := run(t, "apollo-pretrain", "-size", "60M", "-optimizer", method, "-steps", "4",
+			"-runs", "", "-save", path); code != 0 {
+			t.Fatalf("apollo-pretrain %s: exit %d\n%s", method, code, out)
+		}
+		out, code := run(t, "apollo-ckpt", path)
+		m := dev.FindStringSubmatch(out)
+		if code != 0 || m == nil {
+			t.Fatalf("%s: exit %d, no prediction at rank 8:\n%s", method, code, out)
+		}
+		if d, err := strconv.ParseFloat(m[1], 64); err != nil || d < -2 || d > 2 {
+			t.Fatalf("%s: predicted size off by %s%% (%v), want within 2%%:\n%s", method, m[1], err, out)
 		}
 	}
 }

@@ -23,6 +23,7 @@ import (
 	"fmt"
 	"os"
 
+	"apollo/internal/bench"
 	"apollo/internal/cluster"
 	"apollo/internal/memmodel"
 	"apollo/internal/obs/runlog"
@@ -31,7 +32,7 @@ import (
 func main() {
 	var (
 		model     = flag.String("model", "7B", "60M 130M 350M 1B 7B 13B")
-		method    = flag.String("method", "APOLLO", "memory-model method name")
+		method    = flag.String("method", "APOLLO", "catalogue method name (README, \"Method catalogue\"); any row with a memory formula")
 		rank      = flag.Int("rank", 0, "low-rank dimension (0 = hidden/4)")
 		seq       = flag.Int("seq", 256, "sequence length")
 		micro     = flag.Int("micro", 1, "micro-batch size")
@@ -48,19 +49,23 @@ func main() {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(1)
 	}
-	m, err := memmodel.MethodByName(*method)
+	m, err := bench.MethodByName(*method)
+	if err == nil && m.Mem == nil {
+		err = fmt.Errorf("apollo-memplan: %s has no memory-model formula", m.Name)
+	}
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(1)
 	}
+	r := m.Rank(*rank, cfg.Hidden)
 	plan := memmodel.Plan{
-		Config: cfg, Method: m, Rank: *rank,
+		Config: cfg, Method: *m.Mem, Rank: r,
 		SeqLen: *seq, MicroBatch: *micro,
 		Int8Weights: *int8W, LayerWiseGrad: *layerwise, ActivationCkpt: *ckpt,
 		ZeroWorld: *zeroWorld,
 	}
 	b := memmodel.Compute(plan)
-	fmt.Printf("%s + %s (rank %d), seq %d, micro-batch %d\n", cfg.Name, m.Name, m.Rank(effRank(cfg, *rank)), *seq, *micro)
+	fmt.Printf("%s + %s (rank %d), seq %d, micro-batch %d\n", cfg.Name, m.Name, r, *seq, *micro)
 	if *zeroWorld > 1 {
 		fmt.Printf("  optimizer states ZeRO-sharded across %d replicas (per-replica plan)\n", *zeroWorld)
 	}
@@ -73,7 +78,7 @@ func main() {
 	// weights + the method's full serialized optimizer state. World-independent:
 	// a -zero N run steps one optimizer's own state (the map only charges and
 	// broadcasts), so it writes the same file an unsharded run would.
-	ckptBytes := memmodel.CheckpointBytesFor(cfg, m, *rank)
+	ckptBytes := memmodel.CheckpointBytesFor(cfg, *m.Mem, r)
 	note := ""
 	if *zeroWorld > 1 {
 		note = " (canonical layout — same file at any -zero world)"
@@ -120,11 +125,4 @@ func joinRun(dir string) error {
 		fmt.Printf("  %-24s %10.4f MiB peak (step %d)\n", "ledger total", float64(peak.TotalBytes)/(1<<20), peak.Step)
 	}
 	return nil
-}
-
-func effRank(cfg memmodel.LLaMAConfig, rank int) int {
-	if rank == 0 {
-		return cfg.DefaultRank()
-	}
-	return rank
 }

@@ -81,6 +81,31 @@ func TestUnknownMethodExitsOne(t *testing.T) {
 	}
 }
 
+// TestSVDRowPlansWithFirasFormula: -method takes catalogue names, so a row
+// the memory model has no name for plans with its row's formula. APOLLO w.
+// SVD persists its r×m projection, so its states and checkpoint are Fira's
+// (2nr+mr+1), not APOLLO's (2nr+2).
+func TestSVDRowPlansWithFirasFormula(t *testing.T) {
+	plans := map[string]string{}
+	for _, m := range []string{"APOLLO w. SVD", "Fira", "APOLLO"} {
+		out, err := memplan(t, "-model", "7B", "-method", m)
+		if err != nil {
+			t.Fatalf("-method %q: %v\n%s", m, err, out)
+		}
+		plans[m] = out
+	}
+	svd := plans["APOLLO w. SVD"]
+	if !strings.HasPrefix(svd, "7B + APOLLO w. SVD (rank 1024),") {
+		t.Fatalf("header does not name the row:\n%s", svd)
+	}
+	for _, label := range []string{"optim states", "checkpoint"} {
+		got, fira, apollo := field(t, svd, label), field(t, plans["Fira"], label), field(t, plans["APOLLO"], label)
+		if got != fira || got == apollo {
+			t.Fatalf("%s: APOLLO w. SVD %.2f GiB, Fira %.2f, APOLLO %.2f; want Fira's", label, got, fira, apollo)
+		}
+	}
+}
+
 // TestJoinsTheCommittedBaseline: -run-dir lines the run's recorded component
 // peaks up against the prediction the run recorded for itself; on the
 // committed APOLLO baseline the optimizer state holds to the accounting.

@@ -221,6 +221,20 @@ func MethodByName(name string) (Method, error) {
 	return Method{}, fmt.Errorf("bench: unknown method %q (the catalogue has: %s)", name, strings.Join(names, ", "))
 }
 
+// MethodOfCheckpoint returns the catalogue row that writes checkpoints named
+// name (ckpt.Name) at rank: the first whose optimizer, built at that rank,
+// carries the name. A row's optimizer need not be named as the row is —
+// APOLLO-Tensor's name states its α — and APOLLO-Mini's α and name follow
+// the rank.
+func MethodOfCheckpoint(name string, rank int) (Method, error) {
+	for _, m := range methods {
+		if m.New(optim.Hyper{}, max(1, m.Rank(rank, 0)), 0).Name() == name {
+			return m, nil
+		}
+	}
+	return Method{}, fmt.Errorf("bench: no catalogue row writes checkpoints named %q at rank %d", name, rank)
+}
+
 // Rank is the rank the row runs at on a model of width dim: its fixed rank if
 // it has one, the paper's dim/4 for requested ≤ 0, else what was asked for.
 func (m Method) Rank(requested, dim int) int {

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"io"
 	"sort"
-	"strings"
 
 	"apollo/internal/data"
 	"apollo/internal/nn"
@@ -61,34 +60,6 @@ func (c *RunContext) fresh(proxy Proxy) (*data.Corpus, *nn.Model, error) {
 		return nil, nil, err
 	}
 	return corpus, proxy.NewProxyModel(c.Seed + 33), nil
-}
-
-// contract collects the rows of a runner whose exact contract did not hold,
-// so the runner can finish printing its table and still fail: a row that
-// reads DRIFT must make `apollo-bench` exit 1, not scroll past.
-type contract struct {
-	id     string
-	broken []string
-}
-
-// parity returns the table cell for a bit-parity row — two runs that must
-// end on the same float — and records the row when they did not.
-func (c *contract) parity(row string, got, want float64) string {
-	if got == want { //apollo:exactfloat bit-parity contract: the two runs must agree float-for-float
-		return "exact"
-	}
-	c.fail(row)
-	return "DRIFT"
-}
-
-func (c *contract) fail(row string) { c.broken = append(c.broken, row) }
-
-// err names every recorded row, or is nil when all of them held.
-func (c *contract) err() error {
-	if len(c.broken) == 0 {
-		return nil
-	}
-	return fmt.Errorf("bench %s: contract broken: %s", c.id, strings.Join(c.broken, ", "))
 }
 
 // Experiment is one reproducible paper artifact.

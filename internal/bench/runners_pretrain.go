@@ -292,7 +292,7 @@ func runFig2(ctx *RunContext) error {
 			continue
 		}
 		stepSec := cluster.StepTime(s.on(w), s.prof, micro).Total()
-		steps := max(10, min(budgetSteps, int(budgetSeconds/stepSec)))
+		steps := max(10, min(budgetSteps, cluster.StepsWithinBudget(s.on(w), s.prof, budgetSeconds)))
 		res, err := pretrainOne(ctx, proxy, s.prof.Name, 0, steps, 0, 1)
 		if err != nil {
 			return err

@@ -272,5 +272,30 @@ func runScaling13B(ctx *RunContext) error {
 	} else {
 		ctx.Printf(" → DOES NOT FIT (unexpected)\n")
 	}
+
+	// The same 7B under ZeRO: sharding buys per-GPU state memory and a
+	// shorter optimizer pass, paid for in broadcast bandwidth.
+	const world = 4
+	ctx.Printf("\nsimulated 7B on %d A100s (AdamW profile, seq 1024):\n", world)
+	for _, zs := range []bool{false, true} {
+		w := cluster.Workload{
+			Config: cfg7, Dev: a100, World: world,
+			SeqLen: 1024, GlobalBatch: 64, ZeroShard: zs,
+		}
+		prof := cluster.ProfileAdamW()
+		micro := cluster.MaxMicroBatch(w, prof)
+		label, shards := "plain DDP  ", 1
+		if zs {
+			label, shards = "ZeRO-shard ", world
+		}
+		if micro == 0 {
+			ctx.Printf("  %s OOM at micro-batch 1\n", label)
+			continue
+		}
+		st := cluster.StepTime(w, prof, micro)
+		states := memmodel.ShardedOptimizerStateBytes(cfg7, memmodel.MethodAdamW, cfg7.DefaultRank(), shards)
+		ctx.Printf("  %s micro=%-3d step %6.3fs (opt %.4f, comm %.4f)  states/GPU %.2f GiB\n",
+			label, micro, st.Total(), st.Optimizer, st.Comm, memmodel.GiB(states))
+	}
 	return nil
 }

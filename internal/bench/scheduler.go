@@ -18,21 +18,16 @@ type RunReport struct {
 	Seconds float64
 }
 
-// RunConcurrent executes the experiments with at most jobs running at once
-// and returns reports in the input order regardless of completion order.
-// Experiments are independent by construction — each builds its own models,
-// corpora and optimizers from the shared seed — and the tensor kernels they
-// run on the shared worker pool are deterministic at any parallelism, so a
-// concurrent registry run prints the same numbers as a sequential one.
-func RunConcurrent(exps []Experiment, jobs int, scale Scale, seed uint64) []RunReport {
-	return RunConcurrentCtx(exps, jobs, RunContext{Scale: scale, Seed: seed})
-}
-
-// RunConcurrentCtx is RunConcurrent with a full base context: each runner
-// gets a copy of base with Out replaced by its private capture buffer, so
-// RunRoot (and future options) flow into concurrent runs. The run ledger is
-// already safe under this concurrency — IDs carry a process-local sequence
-// number, so parallel runners never collide on a directory.
+// RunConcurrentCtx executes the experiments with at most jobs running at
+// once and returns reports in the input order regardless of completion
+// order. Experiments are independent by construction — each builds its own
+// models, corpora and optimizers from the shared seed — and the tensor
+// kernels they run on the shared worker pool are deterministic at any
+// parallelism, so a concurrent registry run prints the same numbers as a
+// sequential one. Each runner gets a copy of base with Out replaced by its
+// private capture buffer, so RunRoot flows into concurrent runs. The run
+// ledger is already safe under this concurrency — IDs carry a process-local
+// sequence number, so parallel runners never collide on a directory.
 func RunConcurrentCtx(exps []Experiment, jobs int, base RunContext) []RunReport {
 	if jobs < 1 {
 		jobs = 1

@@ -33,7 +33,7 @@ func fakeExperiments() []Experiment {
 
 func TestRunConcurrentCapturesPerRunner(t *testing.T) {
 	for _, jobs := range []int{1, 2, 8} {
-		reports := RunConcurrent(fakeExperiments(), jobs, Quick, 9)
+		reports := RunConcurrentCtx(fakeExperiments(), jobs, RunContext{Scale: Quick, Seed: 9})
 		if len(reports) != 4 {
 			t.Fatalf("jobs=%d: %d reports", jobs, len(reports))
 		}
@@ -93,9 +93,9 @@ func seedSensitiveExperiments() []Experiment {
 // and the tensor kernels are schedule-independent. A drift here would mean
 // experiments share hidden mutable state.
 func TestRunConcurrentJobsParity(t *testing.T) {
-	ref := RunConcurrent(seedSensitiveExperiments(), 1, Quick, 7)
+	ref := RunConcurrentCtx(seedSensitiveExperiments(), 1, RunContext{Scale: Quick, Seed: 7})
 	for _, jobs := range []int{2, 4} {
-		got := RunConcurrent(seedSensitiveExperiments(), jobs, Quick, 7)
+		got := RunConcurrentCtx(seedSensitiveExperiments(), jobs, RunContext{Scale: Quick, Seed: 7})
 		if len(got) != len(ref) {
 			t.Fatalf("jobs=%d: %d reports, want %d", jobs, len(got), len(ref))
 		}
@@ -114,7 +114,7 @@ func TestRunConcurrentJobsParity(t *testing.T) {
 	}
 	// And a different seed must actually change the outputs — otherwise the
 	// parity above would be vacuous.
-	other := RunConcurrent(seedSensitiveExperiments(), 4, Quick, 8)
+	other := RunConcurrentCtx(seedSensitiveExperiments(), 4, RunContext{Scale: Quick, Seed: 8})
 	if string(other[0].Output) == string(ref[0].Output) {
 		t.Fatal("outputs are seed-insensitive; parity check proves nothing")
 	}
@@ -131,7 +131,7 @@ func TestRunConcurrentRealRunners(t *testing.T) {
 		t.Skip("registry too small")
 	}
 	picked := all[:2]
-	reports := RunConcurrent(picked, 2, Quick, 1)
+	reports := RunConcurrentCtx(picked, 2, RunContext{Scale: Quick, Seed: 1})
 	for i, r := range reports {
 		if r.Err != nil {
 			t.Fatalf("runner %s failed: %v", r.ID, r.Err)

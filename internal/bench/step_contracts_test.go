@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"hash"
 	"math"
+	"slices"
 	"sync"
 	"testing"
 
@@ -298,6 +299,61 @@ func TestCatalogueWidthIndependent(t *testing.T) {
 	}
 	for _, m := range Methods() {
 		t.Run(m.Name, func(t *testing.T) { widthList.check(t, m, schedules) })
+	}
+}
+
+// TestSharedCheckpointNamesStepAlike: ckpt.Restore resumes a snapshot under
+// any optimizer of the same checkpoint name and state layout, so two rows it
+// lets one resume as the other must be one update. Each row steps the list
+// twice and is captured; every row of the same name restores that snapshot
+// onto a fresh list, and both take the third gradient to the same bits.
+func TestSharedCheckpointNamesStepAlike(t *testing.T) {
+	h := optim.Hyper{LR: 0.01, WeightDecay: 0.1}
+	grads := shardList.grads()
+	build := func(m Method) optim.Optimizer { return m.New(h, m.Rank(4, 16), 11) }
+	stepOnce := func(opt optim.Optimizer, ps []*nn.Param, step int) {
+		for i, p := range ps {
+			copy(p.Grad.Data, grads[step][i])
+		}
+		opt.Step(ps)
+	}
+	// third steps opt from its state and returns its weights and states.
+	third := func(opt optim.Optimizer, ps []*nn.Param) stepRun {
+		stepOnce(opt, ps, 2)
+		var r stepRun
+		for _, p := range ps {
+			st, err := opt.CaptureParam(p)
+			if err != nil {
+				t.Fatal(err)
+			}
+			r.weights = append(r.weights, digest(func(h hash.Hash) { hashMatrices(h, []*tensor.Matrix{p.W}) }))
+			r.states = append(r.states, digest(func(h hash.Hash) { hashState(h, st) }))
+		}
+		return r
+	}
+	rows := Methods()
+	for i, a := range rows {
+		for _, b := range rows[i+1:] {
+			if ckpt.Name(build(a)) != ckpt.Name(build(b)) {
+				continue
+			}
+			src, ps := build(a), shardList.params()
+			stepOnce(src, ps, 0)
+			stepOnce(src, ps, 1)
+			snap, err := ckpt.Capture(2, ps, src, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			dst, qs := build(b), shardList.params()
+			if ckpt.Restore(snap, qs, dst, nil) != nil {
+				continue // a layout the other row refuses: nothing resumes wrongly
+			}
+			want, got := third(src, ps), third(dst, qs)
+			if !slices.Equal(got.weights, want.weights) || !slices.Equal(got.states, want.states) {
+				t.Errorf("%s and %s are both checkpointed as %q and resume each other's snapshots, but step differently",
+					a.Name, b.Name, snap.Optimizer)
+			}
+		}
 	}
 }
 

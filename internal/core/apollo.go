@@ -132,20 +132,36 @@ func New(h optim.Hyper, cfg Config) *APOLLO {
 	if err := cfg.Validate(); err != nil {
 		panic(err)
 	}
-	name := "APOLLO"
-	if cfg.Granularity == Tensor && cfg.Rank == 1 {
-		name = "APOLLO-Mini"
-	}
-	if cfg.Projection == linalg.SVDProjection {
-		name += " w. SVD"
-	}
 	a := &APOLLO{cfg: cfg}
 	// The limiter slot is part of the layout even with DisableNL.
-	a.engine = optim.NewProjected(name, h, optim.LowRankConfig{
+	a.engine = optim.NewProjected(cfg.name(), h, optim.LowRankConfig{
 		Rank: cfg.Rank, Scale: cfg.Scale, UpdateGap: cfg.UpdateGap,
 		Projection: cfg.Projection, Seed: cfg.Seed,
 	}, true, a.rule)
 	return a
+}
+
+// name is what checkpoints of this configuration are keyed by. ckpt.Restore
+// resumes a snapshot under any optimizer of the same name and state layout,
+// so the name states what else tells two updates apart: the granularity
+// (APOLLO is channel-wise; APOLLO-Mini is tensor-wise at rank 1, any other
+// tensor-wise run is APOLLO-Tensor), α when it is not the granularity's
+// default, and the SVD projection.
+func (c Config) name() string {
+	name, alpha := "APOLLO", 1.0
+	if c.Granularity == Tensor {
+		name, alpha = "APOLLO-Tensor", math.Sqrt(128)
+		if c.Rank == 1 {
+			name = "APOLLO-Mini"
+		}
+	}
+	if c.Scale != alpha { //apollo:exactfloat any α but the default, however close, is another update
+		name += fmt.Sprintf(" α=%g", c.Scale)
+	}
+	if c.Projection == linalg.SVDProjection {
+		name += " w. SVD"
+	}
+	return name
 }
 
 // NewMini constructs APOLLO-Mini: rank-1 auxiliary space, tensor-wise

@@ -361,6 +361,22 @@ func TestAPOLLONamesDistinguishVariants(t *testing.T) {
 	if got := New(h, Config{Rank: 4, Projection: linalg.SVDProjection}).Name(); got != "APOLLO w. SVD" {
 		t.Fatalf("Name = %q", got)
 	}
+	// Granularity and any α but its default are part of the name.
+	for _, c := range []struct {
+		cfg  Config
+		want string
+	}{
+		{Config{Rank: 4, Granularity: Tensor}, "APOLLO-Tensor"},
+		{Config{Rank: 4, Granularity: Tensor, Scale: 1}, "APOLLO-Tensor α=1"},
+		{Config{Rank: 8, Granularity: Tensor, Scale: 4, Projection: linalg.SVDProjection}, "APOLLO-Tensor α=4 w. SVD"},
+		{Config{Rank: 1, Granularity: Tensor, Scale: 1, Projection: linalg.SVDProjection}, "APOLLO-Mini α=1 w. SVD"},
+		{Config{Rank: 1, Granularity: Tensor, Scale: 11.3137085}, "APOLLO-Mini α=11.3137085"},
+		{Config{Rank: 4, Scale: 0.5}, "APOLLO α=0.5"},
+	} {
+		if got := New(h, c.cfg).Name(); got != c.want {
+			t.Fatalf("%+v named %q, want %q", c.cfg, got, c.want)
+		}
+	}
 }
 
 func TestAPOLLOWeightDecayApplied(t *testing.T) {

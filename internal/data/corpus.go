@@ -1,8 +1,6 @@
 package data
 
 import (
-	"math"
-
 	"apollo/internal/tensor"
 )
 
@@ -85,23 +83,4 @@ func (c *Corpus) batchFrom(seed uint64, b, t int) Batch {
 		copy(batch.Targets[row*t:(row+1)*t], buf[1:])
 	}
 	return batch
-}
-
-// UnigramLogLoss returns the cross-entropy (nats/token) of the best constant
-// unigram predictor estimated over n sampled tokens — the trivial baseline a
-// trained model must beat.
-func (c *Corpus) UnigramLogLoss(n int) float64 {
-	counts := make([]float64, c.src.cfg.Vocab)
-	st := c.src.NewStream(c.valSeed ^ 0xABCDEF)
-	for i := 0; i < n; i++ {
-		counts[st.Next()]++
-	}
-	var h float64
-	for _, cnt := range counts {
-		if cnt > 0 {
-			p := cnt / float64(n)
-			h -= p * math.Log(p)
-		}
-	}
-	return h
 }

@@ -1,7 +1,6 @@
 package data
 
 import (
-	"math"
 	"testing"
 	"testing/quick"
 )
@@ -99,17 +98,6 @@ func TestStreamIsNotUniform(t *testing.T) {
 	}
 }
 
-func TestEntropyUpperBoundPositiveAndBelowUniform(t *testing.T) {
-	src := testSource(t)
-	h := src.EntropyUpperBound()
-	if h <= 0 {
-		t.Fatalf("entropy bound %v must be positive", h)
-	}
-	if h >= math.Log(float64(src.Config().Vocab)) {
-		t.Fatalf("entropy bound %v must beat uniform %v", h, math.Log(float64(src.Config().Vocab)))
-	}
-}
-
 func TestBatchShiftInvariant(t *testing.T) {
 	src := testSource(t)
 	c := NewCorpus(src, 1, 2)
@@ -165,15 +153,6 @@ func TestTrainBatchesAdvance(t *testing.T) {
 	}
 	if same {
 		t.Fatal("consecutive train batches must differ")
-	}
-}
-
-func TestUnigramLogLossReasonable(t *testing.T) {
-	src := testSource(t)
-	c := NewCorpus(src, 1, 2)
-	h := c.UnigramLogLoss(20000)
-	if h <= 0 || h > math.Log(float64(src.Config().Vocab))+0.01 {
-		t.Fatalf("unigram loss %v out of range", h)
 	}
 }
 

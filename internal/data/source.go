@@ -14,7 +14,6 @@ package data
 
 import (
 	"fmt"
-	"math"
 
 	"apollo/internal/tensor"
 )
@@ -167,21 +166,4 @@ func (st *Stream) Fill(dst []int) {
 	for i := range dst {
 		dst[i] = st.Next()
 	}
-}
-
-// EntropyUpperBound estimates the per-token conditional entropy of the
-// Markov component in nats (ignoring the copy mechanism, which only lowers
-// it for long-context models). Training perplexity should approach
-// exp(H) from above as capacity grows.
-func (s *Source) EntropyUpperBound() float64 {
-	var h float64
-	prev := 0.0
-	for b := 0; b < s.cfg.Branch; b++ {
-		p := s.cumul[b] - prev
-		prev = s.cumul[b]
-		if p > 0 {
-			h -= p * math.Log(p)
-		}
-	}
-	return h
 }

@@ -111,13 +111,6 @@ func (pr *Projector) ProjectInto(out, g *tensor.Matrix) {
 	tensor.MatMulInto(out, pr.Matrix(), g)
 }
 
-// ProjectBack lifts a low-rank update R (r×n) to the original space, Pᵀ·R
-// (m×n). GaLore needs this on every step; APOLLO never does (it only reads
-// norms in the compressed space).
-func (pr *Projector) ProjectBack(r *tensor.Matrix) *tensor.Matrix {
-	return tensor.TMatMul(pr.Matrix(), r)
-}
-
 // ProjectBackInto computes out = Pᵀ·R reusing out's storage.
 func (pr *Projector) ProjectBackInto(out, r *tensor.Matrix) {
 	tensor.TMatMulInto(out, pr.Matrix(), r)
@@ -192,18 +185,4 @@ func (pr *Projector) RestoreSnapshot(s ProjectorSnap) error {
 		return fmt.Errorf("linalg: restore unknown projection kind %v", pr.Kind)
 	}
 	return nil
-}
-
-// RefreshFlops estimates the cost of one projection refresh on an m×n
-// gradient. Random projection costs one RNG pass over r·m entries; SVD costs
-// a full decomposition.
-func RefreshFlops(kind ProjectionKind, rank, m, n int) float64 {
-	switch kind {
-	case RandomProjection:
-		return float64(rank * m)
-	case SVDProjection:
-		return SVDFlops(m, n)
-	default:
-		return 0
-	}
 }

@@ -88,9 +88,10 @@ func TestProjectorRandomRoundTrip(t *testing.T) {
 	if r.Rows != 8 || r.Cols != 48 {
 		t.Fatalf("projected shape %dx%d want 8x48", r.Rows, r.Cols)
 	}
-	back := pr.ProjectBack(r)
-	if back.Rows != 32 || back.Cols != 48 {
-		t.Fatalf("lifted shape %dx%d want 32x48", back.Rows, back.Cols)
+	back := tensor.NewMatrix(32, 48)
+	pr.ProjectBackInto(back, r)
+	if back.Norm() == 0 {
+		t.Fatal("lifting a nonzero projection back gave zero")
 	}
 }
 
@@ -145,14 +146,6 @@ func TestProjectorStateFloats(t *testing.T) {
 	sp.Refresh(g)
 	if got := sp.StateFloats(); got != 16*64 {
 		t.Fatalf("svd projector state = %d floats, want %d", got, 16*64)
-	}
-}
-
-func TestRefreshFlopsSVDMuchLarger(t *testing.T) {
-	rnd := RefreshFlops(RandomProjection, 256, 4096, 4096)
-	svd := RefreshFlops(SVDProjection, 256, 4096, 4096)
-	if svd < 1000*rnd {
-		t.Fatalf("SVD refresh (%v) should dwarf random refresh (%v)", svd, rnd)
 	}
 }
 

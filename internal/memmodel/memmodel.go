@@ -229,19 +229,6 @@ var (
 	}
 )
 
-// MethodByName resolves a method.
-func MethodByName(name string) (Method, error) {
-	for _, m := range []Method{
-		MethodSGD, MethodAdamW, MethodAdamMini, MethodGaLore, MethodFira,
-		MethodFlora, MethodAPOLLO, MethodAPOLLOMini, MethodAdam8bit, MethodGaLore8bit,
-	} {
-		if m.Name == name {
-			return m, nil
-		}
-	}
-	return Method{}, fmt.Errorf("memmodel: unknown method %q", name)
-}
-
 // StateElems returns the optimizer-state element count for an arbitrary
 // shape list under the method at the given rank — the shape-level core of
 // OptimizerStateBytes and LiveStateBytes.
@@ -294,7 +281,7 @@ func OptimizerStateBytes(cfg LLaMAConfig, m Method, rank int) float64 {
 // the measured state bytes (StateBytesFor) at row-segment granularity, so the
 // measured per-replica deviation from this ideal is bounded by the largest
 // indivisible (projected) parameter's state — small by construction, and
-// tolerance-checked in the `zero` bench experiment.
+// tolerance-checked by internal/bench's TestLiveStateMatchesMemmodelZeRO.
 func ShardedOptimizerStateBytes(cfg LLaMAConfig, m Method, rank, world int) float64 {
 	b := OptimizerStateBytes(cfg, m, rank)
 	if world > 1 {
@@ -308,7 +295,7 @@ func ShardedOptimizerStateBytes(cfg LLaMAConfig, m Method, rank, world int) floa
 // table entry and the OPTP bookkeeping (presence flag, counters, projector
 // seed and RNG cursor, matrix headers), which vary a little across methods —
 // predictions land within a few percent of the serialized file and are
-// cross-checked by the `ckpt` bench experiment.
+// cross-checked by internal/bench's TestCheckpointBytesPrediction.
 const (
 	ckptFixedBytes         = 16 + 4*16 + 8 + 32 // header, 4 section headers, data cursor, META's name and 3 counters
 	ckptParamMetaBytes     = 11                 // length prefix + kind + dims (plus the name itself)
@@ -356,9 +343,6 @@ func ServeBytes(shapes []Shape) float64 {
 	}
 	return total
 }
-
-// ServeBytesFor is the paper-config convenience form.
-func ServeBytesFor(cfg LLaMAConfig) float64 { return ServeBytes(cfg.Shapes()) }
 
 // CheckpointBytesFor is the paper-config convenience form.
 func CheckpointBytesFor(cfg LLaMAConfig, m Method, rank int) float64 {

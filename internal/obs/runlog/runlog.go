@@ -285,16 +285,6 @@ func (r *Run) Alert(ev AlertEvent) {
 	r.events.Emit(obs.KindAlert, ev)
 }
 
-// AlertCount returns how many alerts this run has recorded.
-func (r *Run) AlertCount() int {
-	if r == nil {
-		return 0
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.alertN
-}
-
 // Finalize stamps the end time, exit status and final metrics into the
 // manifest (atomic rewrite) and closes the event stream under the writer's
 // lock, so an emitter racing the close tears no line. Idempotent: only the

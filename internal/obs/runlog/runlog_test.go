@@ -75,9 +75,6 @@ func TestLedgerRoundtrip(t *testing.T) {
 
 	writeSteps(t, run, []float64{3.0, 2.5, 2.0})
 	run.Alert(AlertEvent{Step: 2, Kind: AlertLossSpike, Loss: 9, Median: 3, Factor: 3})
-	if run.AlertCount() != 1 {
-		t.Fatalf("AlertCount = %d, want 1", run.AlertCount())
-	}
 	if err := run.Finalize(StatusOK, Final{
 		Steps: 3, FinalLoss: 2.0, FinalPPL: 7.39, StepWallSeconds: 0.03,
 		PhaseSeconds: map[string]float64{"forward": 0.012},
@@ -165,7 +162,7 @@ func TestManifestCarriesNonFiniteFinals(t *testing.T) {
 
 func TestNilRunIsSafe(t *testing.T) {
 	var r *Run
-	if r.ID() != "" || r.Dir() != "" || r.Events() != nil || r.AlertCount() != 0 {
+	if r.ID() != "" || r.Dir() != "" || r.Events() != nil {
 		t.Fatal("nil run leaked state")
 	}
 	r.Alert(AlertEvent{})

@@ -1,4 +1,4 @@
-package optim
+package optim_test
 
 import (
 	"crypto/sha256"
@@ -8,18 +8,22 @@ import (
 	"math"
 	"testing"
 
+	"apollo/internal/core"
 	"apollo/internal/linalg"
 	"apollo/internal/nn"
+	"apollo/internal/optim"
 	"apollo/internal/tensor"
 )
 
-// The golden zoo: digests taken on the code before the projected engine
-// existed (four hand-kept optimizers), so any drift in weights, canonical
-// checkpoint layout, seed keying or byte accounting fails here first. The
-// members that draw random numbers were re-recorded once, when their draws
-// became keyed by parameter name instead of taken from one stream in list
-// order; the members that draw none kept their digests through that change.
-// internal/core's TestProjectedZooGolden pins the APOLLO half the same way.
+// The golden zoo, both halves — internal/optim's members and internal/core's
+// APOLLO, StructuredAdamW and Q-APOLLO rows — in one test package, the
+// external one, which imports both. Digests were taken on the code before
+// the projected engine existed (four hand-kept optimizers), so any drift in
+// weights, canonical checkpoint layout, seed keying or byte accounting fails
+// here first. The members that draw random numbers were re-recorded once,
+// when their draws became keyed by parameter name instead of taken from one
+// stream in list order; the members that draw none kept their digests
+// through that change.
 
 // goldenParams covers every shape class a projected optimizer
 // distinguishes: rows<cols, rows>cols (transposed orientation), a matrix
@@ -68,7 +72,7 @@ func hashMatrix(h hash.Hash, m *tensor.Matrix) {
 	}
 }
 
-func hashState(h hash.Hash, st *ParamState) {
+func hashState(h hash.Hash, st *optim.ParamState) {
 	if st == nil {
 		hashU64(h, 0)
 		return
@@ -95,16 +99,16 @@ func hashState(h hash.Hash, st *ParamState) {
 // goldenDigest runs opt for steps steps over the golden parameter list and
 // hashes everything a resumed or sharded run depends on: every weight, the
 // canonical CaptureParam output and StateBytes.
-func goldenDigest(t *testing.T, opt Optimizer, steps int) string {
+func goldenDigest(t *testing.T, opt optim.Optimizer, steps int) string {
 	t.Helper()
-	return goldenResumedDigest(t, func() Optimizer { return opt }, steps, steps)
+	return goldenResumedDigest(t, func() optim.Optimizer { return opt }, steps, steps)
 }
 
 // goldenResumedDigest is goldenDigest of a run interrupted after step at:
 // the optimizer's whole state is captured, a fresh build() restores it, and
 // that instance finishes the run. With every piece of state carried across,
 // the digest is the uninterrupted run's.
-func goldenResumedDigest(t *testing.T, build func() Optimizer, steps, at int) string {
+func goldenResumedDigest(t *testing.T, build func() optim.Optimizer, steps, at int) string {
 	t.Helper()
 	ps := goldenParams()
 	rng := tensor.NewRNG(0x901D)
@@ -136,7 +140,7 @@ func goldenResumedDigest(t *testing.T, build func() Optimizer, steps, at int) st
 }
 
 // goldenResume moves src's captured state into the fresh optimizer dst.
-func goldenResume(t *testing.T, src, dst Optimizer, ps []*nn.Param) Optimizer {
+func goldenResume(t *testing.T, src, dst optim.Optimizer, ps []*nn.Param) optim.Optimizer {
 	t.Helper()
 	for _, p := range ps {
 		st, err := src.CaptureParam(p)
@@ -154,84 +158,105 @@ func goldenResume(t *testing.T, src, dst Optimizer, ps []*nn.Param) Optimizer {
 }
 
 func TestProjectedZooGolden(t *testing.T) {
-	h := Hyper{LR: 0.01, WeightDecay: 0.1}
+	h := optim.Hyper{LR: 0.01, WeightDecay: 0.1}
 	const gap = 3
-	cfg := LowRankConfig{Rank: 4, UpdateGap: gap, Seed: 21}
+	cfg := optim.LowRankConfig{Rank: 4, UpdateGap: gap, Seed: 21}
 	rp := cfg
 	rp.Projection = linalg.RandomProjection
 	svd := cfg
 	svd.Projection = linalg.SVDProjection
+	apollo := func(cfg core.Config) optim.Optimizer { return core.New(h, cfg) }
 	cases := []struct {
 		name string
-		opt  Optimizer
+		opt  optim.Optimizer
 		want string
 	}{
-		{"GaLore", NewGaLore(h, svd), "3dc333533b7e105de45df731578328dd0feb8aa5bf2b83f9fac43c050772cf4d"},
-		{"GaLore-RP", NewGaLore(h, rp), "89f4e7c9da23d908219288e0e8aa508926314ba3e02151d49e4280952432cf1f"},
-		{"Fira", NewFira(h, svd), "0c775713656d86e7e7db7215d90a9bcde165330bb575221cea215bdb521b3510"},
-		{"Flora", NewFlora(h, cfg), "0c9509e8033d1edc472a4fedc8d211aa354b9e267b220b3c040e1f2425ded3eb"},
+		{"GaLore", optim.NewGaLore(h, svd), "3dc333533b7e105de45df731578328dd0feb8aa5bf2b83f9fac43c050772cf4d"},
+		{"GaLore-RP", optim.NewGaLore(h, rp), "89f4e7c9da23d908219288e0e8aa508926314ba3e02151d49e4280952432cf1f"},
+		{"Fira", optim.NewFira(h, svd), "0c775713656d86e7e7db7215d90a9bcde165330bb575221cea215bdb521b3510"},
+		{"Flora", optim.NewFlora(h, cfg), "0c9509e8033d1edc472a4fedc8d211aa354b9e267b220b3c040e1f2425ded3eb"},
+		{"APOLLO", apollo(core.Config{Rank: 4, UpdateGap: gap, Seed: 21}), "3623afd5645a37adf2d450968d77d1300ac0886d1d3a8a239415eedbad4fa126"},
+		{"APOLLO w. SVD", apollo(core.Config{Rank: 4, UpdateGap: gap, Seed: 21, Projection: linalg.SVDProjection}), "d3fb9c74135346417a3286723eec6a97f52cc7286d6ee02a23dec3352cc90ee7"},
+		// Mini at its own default seed, with a short gap so refreshes happen.
+		{"APOLLO-Mini", apollo(core.Config{Rank: 1, Granularity: core.Tensor, UpdateGap: gap}), "8e243c1a953ac0d354b6ef60248f670d90dcc01e3df52e381f081936a9c9afd0"},
+		{"APOLLO", apollo(core.Config{Rank: 4, UpdateGap: gap, Seed: 21, DisableNL: true}), "6a7058de46c88a1e54e18d8db28a3270b792d0c78eb02fafa37e596e6a0fd408"},
 	}
-	for _, c := range cases {
+	for i, c := range cases {
 		if c.opt.Name() != c.name {
-			t.Fatalf("optimizer named %q, want %q", c.opt.Name(), c.name)
+			t.Fatalf("case %d: optimizer named %q, want %q", i, c.opt.Name(), c.name)
 		}
 		if got := goldenDigest(t, c.opt, 2*gap+2); got != c.want {
-			t.Errorf("%s: digest %s, want %s", c.name, got, c.want)
+			t.Errorf("case %d %s: digest %s, want %s", i, c.name, got, c.want)
 		}
 	}
 }
 
-// TestDenseZooGolden pins the rest of the zoo the same way, before its state
-// moves onto one declaration: digests taken at commit 3060225, the last one
-// where AdamW, SGD, Adam-mini, the 8-bit pair, Factorized and
-// WeightQuantized each hand-kept their own allocation, accounting and
-// CaptureParam/RestoreParam; the 8-bit pair, Factorized and WeightQuantized
-// re-recorded when their draws became keyed by parameter name.
-// internal/core's TestDenseZooGolden pins StructuredAdamW and Q-APOLLO-Mini.
-// ReLoRA merges every 3 steps, so the 8-step run crosses two
-// merge-and-restarts.
+// TestDenseZooGolden pins the rest of the zoo the same way: digests taken at
+// commit 3060225, the last one where AdamW, SGD, Adam-mini, the 8-bit pair,
+// Factorized, WeightQuantized and StructuredAdamW each hand-kept their own
+// allocation, accounting and CaptureParam/RestoreParam; the 8-bit pair,
+// Factorized and the Q- wrappers re-recorded when their draws became keyed
+// by parameter name. ReLoRA merges every 3 steps, so the 8-step run crosses
+// two merge-and-restarts.
 func TestDenseZooGolden(t *testing.T) {
-	h := Hyper{LR: 0.01, WeightDecay: 0.1}
+	h := optim.Hyper{LR: 0.01, WeightDecay: 0.1}
 	const gap = 3
-	cfg := LowRankConfig{Rank: 4, UpdateGap: gap, Seed: 21}
+	cfg := optim.LowRankConfig{Rank: 4, UpdateGap: gap, Seed: 21}
 	rp := cfg
 	rp.Projection = linalg.RandomProjection
 	svd := cfg
 	svd.Projection = linalg.SVDProjection
-	factorized := func(mode FactorizedMode) *Factorized {
-		return NewFactorized(h, FactorizedConfig{Mode: mode, Rank: 4, MergeEvery: gap, Seed: 21})
+	factorized := func(mode optim.FactorizedMode) *optim.Factorized {
+		return optim.NewFactorized(h, optim.FactorizedConfig{Mode: mode, Rank: 4, MergeEvery: gap, Seed: 21})
+	}
+	noLimiter := func() optim.Optimizer {
+		s := core.NewStructuredAdamW(h, core.Channel)
+		s.Gamma = 0
+		return s
 	}
 	cases := []struct {
 		name  string
-		build func() Optimizer
+		build func() optim.Optimizer
 		want  string
 	}{
-		{"AdamW", func() Optimizer { return NewAdamW(h) },
+		{"AdamW", func() optim.Optimizer { return optim.NewAdamW(h) },
 			"f75d7b59d18a861f9572c071d6da52bd3fd2c4d3f33337244f93275465941e98"},
-		{"SGD", func() Optimizer { return NewSGD(h, 0) },
+		{"SGD", func() optim.Optimizer { return optim.NewSGD(h, 0) },
 			"ee509e86fc80a43779c1b114bbbd252f9e745d744c133ffabba5868605fcd658"},
-		{"SGD-M", func() Optimizer { return NewSGD(h, 0.9) },
+		{"SGD-M", func() optim.Optimizer { return optim.NewSGD(h, 0.9) },
 			"9f0d0eb1ccbc4be7790c5229708a5e4de60dcc08c5be3a01e0c3e9f653d03bdc"},
-		{"Adam-mini", func() Optimizer { return NewAdamMini(h) },
+		{"Adam-mini", func() optim.Optimizer { return optim.NewAdamMini(h) },
 			"01f75cf1fc9bd3e14b90891084573fa52c2edd04016cf529300aa9d8f6b2d8c8"},
-		{"8-bit Adam", func() Optimizer { return NewAdam8bit(h, 21) },
+		{"8-bit Adam", func() optim.Optimizer { return optim.NewAdam8bit(h, 21) },
 			"1ae40ca1810fa3af904bed27a2d4ff161d4458053a842cc5c333cf8f43b81737"},
-		{"8-bit GaLore", func() Optimizer { return NewGaLore8bit(h, svd) },
+		{"8-bit GaLore", func() optim.Optimizer { return optim.NewGaLore8bit(h, svd) },
 			"f4405c1c03e5f3877b467843054914f7bf851ad00a08b659e0185e7cc68ce692"},
-		{"8-bit GaLore", func() Optimizer { return NewGaLore8bit(h, rp) },
+		{"8-bit GaLore", func() optim.Optimizer { return optim.NewGaLore8bit(h, rp) },
 			"3723464a9ab29d12aa4d4537d637610e3fbc237f739b3e0fb5847bc9ff2ade42"},
-		{"Low-Rank", func() Optimizer { return factorized(ModeLowRank) },
+		{"Low-Rank", func() optim.Optimizer { return factorized(optim.ModeLowRank) },
 			"52387e6caaeadc6e01a4dfd363c5f458ecd3f038d3086861a47b37afc1200ff2"},
-		{"LoRA", func() Optimizer { return factorized(ModeLoRA) },
+		{"LoRA", func() optim.Optimizer { return factorized(optim.ModeLoRA) },
 			"1b585b53f8f1d051b7a062b93235b279c1e916f6f719a042d54da43a2da71d08"},
-		{"ReLoRA", func() Optimizer { return factorized(ModeReLoRA) },
+		{"ReLoRA", func() optim.Optimizer { return factorized(optim.ModeReLoRA) },
 			"6b7d33e1d76f21adb9f4c40f1194a1897c88a0c936b9876102768566c5065969"},
-		{"DoRA", func() Optimizer { return factorized(ModeDoRA) },
+		{"DoRA", func() optim.Optimizer { return factorized(optim.ModeDoRA) },
 			"f1c38bb649014d6aad0a9b8e84e2a9d3378f40ee7342cc58aa0e81844a3aed1e"},
-		{"Q-GaLore", func() Optimizer { return NewWeightQuantized(NewGaLore(h, svd), 22) },
+		{"Q-GaLore", func() optim.Optimizer { return optim.NewWeightQuantized(optim.NewGaLore(h, svd), 22) },
 			"3f404be1dded9a59848a8139c2539a1664833006feea90dc08269186b89f974f"},
-		{"Q-8-bit Adam", func() Optimizer { return NewWeightQuantized(NewAdam8bit(h, 21), 22) },
+		{"Q-8-bit Adam", func() optim.Optimizer { return optim.NewWeightQuantized(optim.NewAdam8bit(h, 21), 22) },
 			"850444162ac34511cf9749021a73b035939bde3653575e74355f9c328e3b4fc2"},
+		{"StructuredAdamW-channel", func() optim.Optimizer { return core.NewStructuredAdamW(h, core.Channel) },
+			"a69846cb27a06733c608098f79fefa9a7c82199c5a56b7c02fa1adb34f2e8440"},
+		{"StructuredAdamW-tensor", func() optim.Optimizer { return core.NewStructuredAdamW(h, core.Tensor) },
+			"2b2bc1d1148adf5ad015e388fe09953ad000bb5f437e9f734bdadc513d03c4bd"},
+		{"StructuredAdamW-channel", noLimiter,
+			"e517bd98156076fc7bf4f79b625e1826c01d3ef13fb1802cbb4ac5602365ebdb"},
+		{"Q-APOLLO-Mini", func() optim.Optimizer { return optim.NewWeightQuantized(core.NewMini(h), 22) },
+			"c5cea8445e543ec62e2b85abeae8d084145e507a0953bf071364cabe8552480a"},
+		{"Q-APOLLO", func() optim.Optimizer {
+			return optim.NewWeightQuantized(core.New(h, core.Config{Rank: 4, UpdateGap: gap, Seed: 21}), 22)
+		},
+			"5e92adb1db2fa39a3f4dbe403cd8b182f639df8f533d7ca8d1f516d5c1dec082"},
 	}
 	for i, c := range cases {
 		if name := c.build().Name(); name != c.name {

@@ -25,7 +25,7 @@ func layoutRow(opt optim.Optimizer) string {
 	sc, fallback := declared.Declared()
 	var sample *nn.Param
 	splits, covered, vectorsOnly := 0, 0, true
-	for _, p := range optim.GoldenParams() {
+	for _, p := range goldenParams() {
 		if sc.Covers != nil && !sc.Covers(p) {
 			continue
 		}
@@ -133,8 +133,8 @@ func TestEntriesSitInTheCoveringTable(t *testing.T) {
 		if !ok {
 			continue // a wrapper; its inner is a row of its own
 		}
-		reach := optim.GoldenParams()
-		optim.GoldenGrads(reach, tensor.NewRNG(3), 2)
+		reach := goldenParams()
+		goldenGrads(reach, tensor.NewRNG(3), 2)
 		opt.Step(reach)
 		for depth := 0; ; depth++ {
 			sc, fallback := tbl.Declared()

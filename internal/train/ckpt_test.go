@@ -157,7 +157,7 @@ func TestElasticReshardParity(t *testing.T) {
 	builders := ckptBuilders()
 	for _, b := range builders {
 		switch b.name {
-		case "AdamW", "APOLLO", "GaLore": // dense-split, projected, projected+SVD coverage
+		case "AdamW", "APOLLO", "APOLLO-Mini", "GaLore": // dense-split, projected, tensor-wise rank 1, projected+SVD
 		default:
 			continue
 		}
