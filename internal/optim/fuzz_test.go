@@ -11,6 +11,7 @@ import (
 	"apollo/internal/linalg"
 	"apollo/internal/nn"
 	"apollo/internal/optim"
+	"apollo/internal/optim/optimtest"
 	"apollo/internal/tensor"
 )
 
@@ -167,9 +168,9 @@ func sameState(a, b *optim.ParamState) bool {
 func fuzzSeeds(t testing.TB) [][]byte {
 	var seeds [][]byte
 	for mi, build := range fuzzZoo {
-		opt, ps, rng := build(), goldenParams(), tensor.NewRNG(0x901D)
+		opt, ps, rng := build(), optimtest.Params(), tensor.NewRNG(0x901D)
 		for step := range 5 {
-			goldenGrads(ps, rng, step)
+			optimtest.Grads(ps, rng, step)
 			opt.Step(ps)
 		}
 		for pi, p := range ps {
@@ -199,7 +200,7 @@ func FuzzRestoreParam(f *testing.F) {
 	f.Fuzz(func(t *testing.T, in []byte) {
 		s := &fuzzStream{b: in}
 		opt := fuzzZoo[s.byte()%len(fuzzZoo)]()
-		ps := goldenParams()
+		ps := optimtest.Params()
 		p := ps[s.byte()%len(ps)]
 		st := s.state(0)
 
@@ -217,7 +218,7 @@ func FuzzRestoreParam(f *testing.F) {
 		if err != nil || !sameState(st, back) {
 			t.Fatalf("%s: accepted state for %s does not round-trip (err: %v)\n in: %+v\nout: %+v", opt.Name(), p.Name, err, st, back)
 		}
-		goldenGrads(ps, tensor.NewRNG(0x901D), 0)
+		optimtest.Grads(ps, tensor.NewRNG(0x901D), 0)
 		opt.Step([]*nn.Param{p})
 	})
 }
@@ -233,7 +234,7 @@ func TestFuzzSeedsRestore(t *testing.T) {
 	for _, seed := range seeds {
 		s := &fuzzStream{b: seed}
 		opt := fuzzZoo[s.byte()]()
-		p := goldenParams()[s.byte()]
+		p := optimtest.Params()[s.byte()]
 		st := s.state(0)
 		if got := fuzzEncode(seed[:2:2], st); !slices.Equal(got, seed) || len(s.b) != 0 {
 			t.Fatalf("%s %s: seed does not decode to what was encoded", opt.Name(), p.Name)

@@ -1,161 +1,21 @@
 package optim_test
 
 import (
-	"crypto/sha256"
-	"encoding/binary"
-	"encoding/hex"
-	"hash"
-	"math"
 	"testing"
 
-	"apollo/internal/core"
 	"apollo/internal/linalg"
-	"apollo/internal/nn"
 	"apollo/internal/optim"
-	"apollo/internal/tensor"
+	"apollo/internal/optim/optimtest"
 )
 
-// The golden zoo, both halves — internal/optim's members and internal/core's
-// APOLLO, StructuredAdamW and Q-APOLLO rows — in one test package, the
-// external one, which imports both. Digests were taken on the code before
-// the projected engine existed (four hand-kept optimizers), so any drift in
-// weights, canonical checkpoint layout, seed keying or byte accounting fails
-// here first. The members that draw random numbers were re-recorded once,
-// when their draws became keyed by parameter name instead of taken from one
-// stream in list order; the members that draw none kept their digests
-// through that change.
-
-// goldenParams covers every shape class a projected optimizer
-// distinguishes: rows<cols, rows>cols (transposed orientation), a matrix
-// whose smaller dimension does not exceed the rank (dense fallback), an
-// embedding and a vector (dense fallback by kind).
-func goldenParams() []*nn.Param {
-	rng := tensor.NewRNG(0x60_1DE4)
-	mk := func(name string, kind nn.ParamKind, rows, cols int) *nn.Param {
-		return nn.NewParam(name, kind, tensor.NewMatrixRand(rows, cols, 0.1, rng))
-	}
-	return []*nn.Param{
-		mk("wide", nn.KindMatrix, 8, 16),
-		mk("tall", nn.KindMatrix, 16, 8),
-		mk("small", nn.KindMatrix, 4, 12),
-		mk("embed", nn.KindEmbedding, 20, 8),
-		mk("gain", nn.KindVector, 1, 8),
-	}
-}
-
-// goldenGrads fills seeded gradients. Step 1 keeps only the first row and
-// column of every gradient so step 2's full gradient is a structural norm
-// jump — the case that engages the norm-growth limiters.
-func goldenGrads(ps []*nn.Param, rng *tensor.RNG, step int) {
-	for _, p := range ps {
-		for i := range p.Grad.Data {
-			g := rng.NormFloat32()
-			if step == 1 && i/p.Grad.Cols != 0 && i%p.Grad.Cols != 0 {
-				g = 0
-			}
-			p.Grad.Data[i] = g
-		}
-	}
-}
-
-func hashU64(h hash.Hash, v uint64) {
-	var b [8]byte
-	binary.LittleEndian.PutUint64(b[:], v)
-	h.Write(b[:])
-}
-
-func hashMatrix(h hash.Hash, m *tensor.Matrix) {
-	hashU64(h, uint64(m.Rows))
-	hashU64(h, uint64(m.Cols))
-	for _, f := range m.Data {
-		hashU64(h, uint64(math.Float32bits(f)))
-	}
-}
-
-func hashState(h hash.Hash, st *optim.ParamState) {
-	if st == nil {
-		hashU64(h, 0)
-		return
-	}
-	hashU64(h, 1)
-	hashU64(h, uint64(len(st.Scalars)))
-	for _, s := range st.Scalars {
-		hashU64(h, s)
-	}
-	for _, ms := range [][]*tensor.Matrix{st.RowMats, st.Whole} {
-		hashU64(h, uint64(len(ms)))
-		for _, m := range ms {
-			hashMatrix(h, m)
-		}
-	}
-	hashU64(h, uint64(len(st.Blobs)))
-	for _, b := range st.Blobs {
-		hashU64(h, uint64(len(b)))
-		h.Write(b)
-	}
-	hashState(h, st.Sub)
-}
-
-// goldenDigest runs opt for steps steps over the golden parameter list and
-// hashes everything a resumed or sharded run depends on: every weight, the
-// canonical CaptureParam output and StateBytes.
-func goldenDigest(t *testing.T, opt optim.Optimizer, steps int) string {
-	t.Helper()
-	return goldenResumedDigest(t, func() optim.Optimizer { return opt }, steps, steps)
-}
-
-// goldenResumedDigest is goldenDigest of a run interrupted after step at:
-// the optimizer's whole state is captured, a fresh build() restores it, and
-// that instance finishes the run. With every piece of state carried across,
-// the digest is the uninterrupted run's.
-func goldenResumedDigest(t *testing.T, build func() optim.Optimizer, steps, at int) string {
-	t.Helper()
-	ps := goldenParams()
-	rng := tensor.NewRNG(0x901D)
-	opt := build()
-	for step := 0; step < steps; step++ {
-		if step == at {
-			opt = goldenResume(t, opt, build(), ps)
-		}
-		goldenGrads(ps, rng, step)
-		opt.Step(ps)
-	}
-	h := sha256.New()
-	for _, p := range ps {
-		hashMatrix(h, p.W)
-	}
-	// Where the optimizer-level cursors were hashed before every draw was
-	// keyed by parameter: a zero count, so the digests of members that draw
-	// nothing still compare with their earlier recordings.
-	hashU64(h, 0)
-	for _, p := range ps {
-		st, err := opt.CaptureParam(p)
-		if err != nil {
-			t.Fatal(err)
-		}
-		hashState(h, st)
-	}
-	hashU64(h, uint64(opt.StateBytes()))
-	return hex.EncodeToString(h.Sum(nil))
-}
-
-// goldenResume moves src's captured state into the fresh optimizer dst.
-func goldenResume(t *testing.T, src, dst optim.Optimizer, ps []*nn.Param) optim.Optimizer {
-	t.Helper()
-	for _, p := range ps {
-		st, err := src.CaptureParam(p)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if st == nil {
-			continue
-		}
-		if err := dst.RestoreParam(p, st); err != nil {
-			t.Fatalf("%s: restore %s: %v", dst.Name(), p.Name, err)
-		}
-	}
-	return dst
-}
+// The golden zoo: digests taken on the code before the projected engine
+// existed (four hand-kept optimizers), so any drift in weights, canonical
+// checkpoint layout, seed keying or byte accounting fails here first. The
+// members that draw random numbers were re-recorded once, when their draws
+// became keyed by parameter name instead of taken from one stream in list
+// order; the members that draw none kept their digests through that change.
+// internal/core's TestProjectedZooGolden pins the APOLLO half the same way,
+// on the same harness (internal/optim/optimtest).
 
 func TestProjectedZooGolden(t *testing.T) {
 	h := optim.Hyper{LR: 0.01, WeightDecay: 0.1}
@@ -165,7 +25,6 @@ func TestProjectedZooGolden(t *testing.T) {
 	rp.Projection = linalg.RandomProjection
 	svd := cfg
 	svd.Projection = linalg.SVDProjection
-	apollo := func(cfg core.Config) optim.Optimizer { return core.New(h, cfg) }
 	cases := []struct {
 		name string
 		opt  optim.Optimizer
@@ -175,29 +34,26 @@ func TestProjectedZooGolden(t *testing.T) {
 		{"GaLore-RP", optim.NewGaLore(h, rp), "89f4e7c9da23d908219288e0e8aa508926314ba3e02151d49e4280952432cf1f"},
 		{"Fira", optim.NewFira(h, svd), "0c775713656d86e7e7db7215d90a9bcde165330bb575221cea215bdb521b3510"},
 		{"Flora", optim.NewFlora(h, cfg), "0c9509e8033d1edc472a4fedc8d211aa354b9e267b220b3c040e1f2425ded3eb"},
-		{"APOLLO", apollo(core.Config{Rank: 4, UpdateGap: gap, Seed: 21}), "3623afd5645a37adf2d450968d77d1300ac0886d1d3a8a239415eedbad4fa126"},
-		{"APOLLO w. SVD", apollo(core.Config{Rank: 4, UpdateGap: gap, Seed: 21, Projection: linalg.SVDProjection}), "d3fb9c74135346417a3286723eec6a97f52cc7286d6ee02a23dec3352cc90ee7"},
-		// Mini at its own default seed, with a short gap so refreshes happen.
-		{"APOLLO-Mini", apollo(core.Config{Rank: 1, Granularity: core.Tensor, UpdateGap: gap}), "8e243c1a953ac0d354b6ef60248f670d90dcc01e3df52e381f081936a9c9afd0"},
-		{"APOLLO", apollo(core.Config{Rank: 4, UpdateGap: gap, Seed: 21, DisableNL: true}), "6a7058de46c88a1e54e18d8db28a3270b792d0c78eb02fafa37e596e6a0fd408"},
 	}
-	for i, c := range cases {
+	for _, c := range cases {
 		if c.opt.Name() != c.name {
-			t.Fatalf("case %d: optimizer named %q, want %q", i, c.opt.Name(), c.name)
+			t.Fatalf("optimizer named %q, want %q", c.opt.Name(), c.name)
 		}
-		if got := goldenDigest(t, c.opt, 2*gap+2); got != c.want {
-			t.Errorf("case %d %s: digest %s, want %s", i, c.name, got, c.want)
+		if got := optimtest.Digest(t, c.opt, 2*gap+2); got != c.want {
+			t.Errorf("%s: digest %s, want %s", c.name, got, c.want)
 		}
 	}
 }
 
-// TestDenseZooGolden pins the rest of the zoo the same way: digests taken at
-// commit 3060225, the last one where AdamW, SGD, Adam-mini, the 8-bit pair,
-// Factorized, WeightQuantized and StructuredAdamW each hand-kept their own
-// allocation, accounting and CaptureParam/RestoreParam; the 8-bit pair,
-// Factorized and the Q- wrappers re-recorded when their draws became keyed
-// by parameter name. ReLoRA merges every 3 steps, so the 8-step run crosses
-// two merge-and-restarts.
+// TestDenseZooGolden pins the rest of the zoo the same way, before its state
+// moves onto one declaration: digests taken at commit 3060225, the last one
+// where AdamW, SGD, Adam-mini, the 8-bit pair, optim.Factorized and
+// WeightQuantized each hand-kept their own allocation, accounting and
+// CaptureParam/RestoreParam; the 8-bit pair, optim.Factorized and WeightQuantized
+// re-recorded when their draws became keyed by parameter name.
+// internal/core's TestDenseZooGolden pins StructuredAdamW and Q-APOLLO-Mini.
+// ReLoRA merges every 3 steps, so the 8-step run crosses two
+// merge-and-restarts.
 func TestDenseZooGolden(t *testing.T) {
 	h := optim.Hyper{LR: 0.01, WeightDecay: 0.1}
 	const gap = 3
@@ -208,11 +64,6 @@ func TestDenseZooGolden(t *testing.T) {
 	svd.Projection = linalg.SVDProjection
 	factorized := func(mode optim.FactorizedMode) *optim.Factorized {
 		return optim.NewFactorized(h, optim.FactorizedConfig{Mode: mode, Rank: 4, MergeEvery: gap, Seed: 21})
-	}
-	noLimiter := func() optim.Optimizer {
-		s := core.NewStructuredAdamW(h, core.Channel)
-		s.Gamma = 0
-		return s
 	}
 	cases := []struct {
 		name  string
@@ -245,29 +96,17 @@ func TestDenseZooGolden(t *testing.T) {
 			"3f404be1dded9a59848a8139c2539a1664833006feea90dc08269186b89f974f"},
 		{"Q-8-bit Adam", func() optim.Optimizer { return optim.NewWeightQuantized(optim.NewAdam8bit(h, 21), 22) },
 			"850444162ac34511cf9749021a73b035939bde3653575e74355f9c328e3b4fc2"},
-		{"StructuredAdamW-channel", func() optim.Optimizer { return core.NewStructuredAdamW(h, core.Channel) },
-			"a69846cb27a06733c608098f79fefa9a7c82199c5a56b7c02fa1adb34f2e8440"},
-		{"StructuredAdamW-tensor", func() optim.Optimizer { return core.NewStructuredAdamW(h, core.Tensor) },
-			"2b2bc1d1148adf5ad015e388fe09953ad000bb5f437e9f734bdadc513d03c4bd"},
-		{"StructuredAdamW-channel", noLimiter,
-			"e517bd98156076fc7bf4f79b625e1826c01d3ef13fb1802cbb4ac5602365ebdb"},
-		{"Q-APOLLO-Mini", func() optim.Optimizer { return optim.NewWeightQuantized(core.NewMini(h), 22) },
-			"c5cea8445e543ec62e2b85abeae8d084145e507a0953bf071364cabe8552480a"},
-		{"Q-APOLLO", func() optim.Optimizer {
-			return optim.NewWeightQuantized(core.New(h, core.Config{Rank: 4, UpdateGap: gap, Seed: 21}), 22)
-		},
-			"5e92adb1db2fa39a3f4dbe403cd8b182f639df8f533d7ca8d1f516d5c1dec082"},
 	}
 	for i, c := range cases {
 		if name := c.build().Name(); name != c.name {
 			t.Fatalf("case %d: optimizer named %q, want %q", i, name, c.name)
 		}
-		if got := goldenDigest(t, c.build(), 2*gap+2); got != c.want {
+		if got := optimtest.Digest(t, c.build(), 2*gap+2); got != c.want {
 			t.Errorf("case %d %s: digest %s, want %s", i, c.name, got, c.want)
 		}
 		// Interrupted after step 5 (past a refresh and a ReLoRA merge, limiter
 		// armed) and resumed by a fresh instance: RestoreParam's half.
-		if got := goldenResumedDigest(t, c.build, 2*gap+2, gap+2); got != c.want {
+		if got := optimtest.ResumedDigest(t, c.build, 2*gap+2, gap+2); got != c.want {
 			t.Errorf("case %d %s: resumed digest %s, want %s", i, c.name, got, c.want)
 		}
 	}

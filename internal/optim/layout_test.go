@@ -9,6 +9,7 @@ import (
 	"apollo/internal/linalg"
 	"apollo/internal/nn"
 	"apollo/internal/optim"
+	"apollo/internal/optim/optimtest"
 	"apollo/internal/tensor"
 )
 
@@ -25,7 +26,7 @@ func layoutRow(opt optim.Optimizer) string {
 	sc, fallback := declared.Declared()
 	var sample *nn.Param
 	splits, covered, vectorsOnly := 0, 0, true
-	for _, p := range goldenParams() {
+	for _, p := range optimtest.Params() {
 		if sc.Covers != nil && !sc.Covers(p) {
 			continue
 		}
@@ -133,8 +134,8 @@ func TestEntriesSitInTheCoveringTable(t *testing.T) {
 		if !ok {
 			continue // a wrapper; its inner is a row of its own
 		}
-		reach := goldenParams()
-		goldenGrads(reach, tensor.NewRNG(3), 2)
+		reach := optimtest.Params()
+		optimtest.Grads(reach, tensor.NewRNG(3), 2)
 		opt.Step(reach)
 		for depth := 0; ; depth++ {
 			sc, fallback := tbl.Declared()
