@@ -2,27 +2,28 @@
 // the internal/analysis suite — mapiter (bit-parity: no unordered map
 // iteration in determinism-critical packages), floateq (no float ==/!=
 // outside tests and annotated exact helpers), obsguard (nil-receiver
-// guards on obs handle types) and closecheck (no discarded Close/Flush/
-// Sync/Finalize errors on crash-honest writers).
+// guards on obs handle types), closecheck (no discarded Close/Flush/
+// Sync/Finalize errors on crash-honest writers) and seams (the design's
+// seams, one table in internal/analysis/seams).
 //
 // Usage:
 //
-//	apollo-vet [flags] [packages]
+//	apollo-vet [-C dir] [packages]
 //
-// Packages default to ./... . Exit status: 0 clean, 1 findings, 2 load or
-// usage error. CI runs `go run ./cmd/apollo-vet ./...` as a hard gate; a
+// Packages default to ./... and include their _test.go files. Exit status:
+// 0 clean, 1 findings, 2 load or usage error. The root package's
+// TestModuleVets runs the same suite over the module in `go test ./...`; a
 // finding is fixed, or suppressed in place with the analyzer's
 // //apollo:<directive> comment plus a justification (see README "Static
-// analysis").
+// analysis"). A seams finding has no directive: the row's allow list is
+// where a use stands on purpose.
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
 
-	"apollo/internal/analysis"
 	"apollo/internal/analysis/load"
 	"apollo/internal/analysis/vet"
 )
@@ -33,67 +34,21 @@ func main() {
 
 func run() int {
 	fs := flag.NewFlagSet("apollo-vet", flag.ExitOnError)
-	jsonOut := fs.Bool("json", false, "emit diagnostics as a JSON array instead of text")
 	dir := fs.String("C", "", "change to this directory before loading (module root)")
-	tests := fs.Bool("tests", true, "also analyze _test.go files")
-	listOnly := fs.Bool("list", false, "list analyzers and exit")
-
-	all := vet.Suite()
-	enabled := map[string]*bool{}
-	for _, a := range all {
-		enabled[a.Name] = fs.Bool(a.Name, true, "enable the "+a.Name+" analyzer")
-	}
-	fs.Usage = func() {
-		fmt.Fprintf(fs.Output(), "usage: apollo-vet [flags] [packages]\n\nflags:\n")
-		fs.PrintDefaults()
-	}
 	if err := fs.Parse(os.Args[1:]); err != nil {
 		return 2
 	}
 
-	if *listOnly {
-		for _, a := range all {
-			fmt.Printf("%-12s %s\n", a.Name, a.Doc)
-		}
-		return 0
-	}
-
-	var active []*analysis.Analyzer
-	for _, a := range all {
-		if *enabled[a.Name] {
-			active = append(active, a)
-		}
-	}
-	if len(active) == 0 {
-		fmt.Fprintln(os.Stderr, "apollo-vet: every analyzer disabled")
-		return 2
-	}
-
-	diags, err := vet.Run(load.Config{Dir: *dir, IncludeTests: *tests}, active, fs.Args()...)
+	diags, err := vet.Run(load.Config{Dir: *dir}, vet.Suite(), fs.Args()...)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "apollo-vet:", err)
 		return 2
 	}
-
-	if *jsonOut {
-		enc := json.NewEncoder(os.Stdout)
-		enc.SetIndent("", "  ")
-		if diags == nil {
-			diags = []analysis.Diagnostic{}
-		}
-		if err := enc.Encode(diags); err != nil {
-			fmt.Fprintln(os.Stderr, "apollo-vet:", err)
-			return 2
-		}
-	} else {
-		for _, d := range diags {
-			fmt.Println(d.String())
-		}
+	for _, d := range diags {
+		fmt.Println(d.String())
 	}
 	if len(diags) > 0 {
-		if !*jsonOut {
-			fmt.Fprintf(os.Stderr, "apollo-vet: %d finding(s)\n", len(diags))
-		}
+		fmt.Fprintf(os.Stderr, "apollo-vet: %d finding(s)\n", len(diags))
 		return 1
 	}
 	return 0

@@ -1,5 +1,6 @@
-// Package optim seeds one deliberate contract violation: CI's negative
-// check runs apollo-vet over this module and demands a nonzero exit.
+// Package optim seeds deliberate contract violations, one for mapiter here
+// and one for seams in lookup.go: TestDriverFlagsSeededViolation runs
+// apollo-vet over this module and demands exit status 1.
 package optim
 
 // SumFloats accumulates in map order — the exact bug mapiter exists for.

@@ -3,9 +3,9 @@
 // apollo contract linters need: an Analyzer is a named Run function over a
 // type-checked package (a Pass), reporting Diagnostics at token positions.
 //
-// The repo's three load-bearing invariants are defended by convention and
-// parity tests; the analyzers in the sibling packages (mapiter, floateq,
-// obsguard, closecheck) turn them into compile-time checks:
+// The repo's load-bearing invariants are defended by convention and parity
+// tests; the analyzers in the sibling packages (mapiter, floateq, obsguard,
+// closecheck, seams) turn them into compile-time checks:
 //
 //   - numeric bit-parity: `-replicas N -zero` ≡ `-replicas 1`
 //     float-for-float, served == offline char-for-char (mapiter, floateq)
@@ -13,12 +13,21 @@
 //     predictable branch per event when disabled (obsguard)
 //   - the crash-honest ledger: every exit path recorded, every writer
 //     flushed, no silently dropped Close/Flush errors (closecheck)
+//   - the design's seams: one memory price, randomness keyed by parameter,
+//     one walk, one scoring rule, one checkpoint codec, one method
+//     catalogue — each a row of the seams table, naming the one place a
+//     use or declaration may stand (seams)
 //
-// Suppression is explicit and justified: a finding is silenced only by an
-// `//apollo:<directive> <justification>` comment on the offending line (or
-// the line above, or the enclosing declaration's doc comment). A directive
-// with an empty justification is itself a diagnostic — the point is a
-// reviewable paper trail, not a mute button.
+// vet.Suite is every analyzer; the root package's TestModuleVets runs it
+// over the module in `go test ./...`, and cmd/apollo-vet runs it from the
+// command line.
+//
+// Suppression is explicit and justified: a finding of the first four is
+// silenced only by an `//apollo:<directive> <justification>` comment on the
+// offending line (or the line above, or the enclosing declaration's doc
+// comment). A directive with an empty justification is itself a diagnostic
+// — the point is a reviewable paper trail, not a mute button. seams has no
+// directive: its allow lists live in its rows.
 package analysis
 
 import (
@@ -32,8 +41,7 @@ import (
 
 // Analyzer is one named static check.
 type Analyzer struct {
-	// Name is the analyzer's identifier, used in CLI flags, JSON output
-	// and diagnostics.
+	// Name is the analyzer's identifier, used in diagnostics.
 	Name string
 	// Doc is a one-paragraph description of the contract enforced.
 	Doc string
@@ -43,12 +51,11 @@ type Analyzer struct {
 
 // Diagnostic is one finding, positioned and attributed.
 type Diagnostic struct {
-	Analyzer string         `json:"analyzer"`
-	Pos      token.Position `json:"-"`
-	File     string         `json:"file"`
-	Line     int            `json:"line"`
-	Col      int            `json:"col"`
-	Message  string         `json:"message"`
+	Analyzer string
+	File     string
+	Line     int
+	Col      int
+	Message  string
 }
 
 // String renders the conventional file:line:col form.
@@ -95,7 +102,6 @@ func (p *Pass) Reportf(pos token.Pos, format string, args ...any) {
 	position := p.Fset.Position(pos)
 	p.report(Diagnostic{
 		Analyzer: p.Analyzer.Name,
-		Pos:      position,
 		File:     position.Filename,
 		Line:     position.Line,
 		Col:      position.Column,

@@ -4,14 +4,14 @@
 //
 //	for k := range m { // want `range over map`
 //
-// A `// want "re1" "re2"` comment expects exactly the listed diagnostics on
-// its own line, each matching the (unanchored) regexp. Lines without a want
-// comment expect no diagnostics. Expectation strings may be quoted ("...")
-// or backquoted (`...`).
+// A want comment, `// want` followed by one or more backquoted regexps,
+// expects exactly the listed diagnostics on its own line, each matching
+// its (unanchored) regexp. Lines without a want comment expect no
+// diagnostics.
 //
 // Fixtures are miniature modules under testdata/<analyzer>/ with their own
-// `go.mod` declaring `module apollo`, so analyzer default configurations —
-// which key on apollo/... import paths — apply to fixture code verbatim.
+// `go.mod` declaring `module apollo`, so the analyzers' scopes — which key
+// on apollo/... import paths — apply to fixture code verbatim.
 // The testdata/ location keeps them invisible to the repo's own `./...`
 // patterns (build, test, vet and apollo-vet itself all skip testdata).
 package analysistest
@@ -21,7 +21,6 @@ import (
 	"os"
 	"path/filepath"
 	"regexp"
-	"strconv"
 	"strings"
 	"testing"
 
@@ -57,7 +56,7 @@ func Run(t *testing.T, dir string, analyzers ...*analysis.Analyzer) {
 		t.Fatalf("analysistest: %v", err)
 	}
 
-	diags, err := vet.Run(load.Config{Dir: abs, IncludeTests: true}, analyzers, "./...")
+	diags, err := vet.Run(load.Config{Dir: abs}, analyzers, "./...")
 	if err != nil {
 		t.Fatalf("analysistest: load %s: %v", dir, err)
 	}
@@ -121,39 +120,21 @@ func parseWants(root string) ([]*expectation, error) {
 	return wants, err
 }
 
-// splitPatterns decodes the sequence of quoted/backquoted strings after
+// splitPatterns decodes the sequence of backquoted strings after
 // `// want`.
 func splitPatterns(s string) ([]string, error) {
 	var out []string
 	rest := strings.TrimSpace(s)
 	for rest != "" {
-		switch rest[0] {
-		case '"':
-			// strconv.Unquote needs the full quoted token; find its end by
-			// scanning for an unescaped closing quote.
-			end := 1
-			for end < len(rest) && (rest[end] != '"' || rest[end-1] == '\\') {
-				end++
-			}
-			if end == len(rest) {
-				return nil, fmt.Errorf("unterminated want pattern")
-			}
-			p, err := strconv.Unquote(rest[:end+1])
-			if err != nil {
-				return nil, fmt.Errorf("want pattern %s: %w", rest[:end+1], err)
-			}
-			out = append(out, p)
-			rest = strings.TrimSpace(rest[end+1:])
-		case '`':
-			end := strings.IndexByte(rest[1:], '`')
-			if end < 0 {
-				return nil, fmt.Errorf("unterminated want pattern")
-			}
-			out = append(out, rest[1:end+1])
-			rest = strings.TrimSpace(rest[end+2:])
-		default:
-			return nil, fmt.Errorf("want expects quoted patterns, found %q", rest)
+		if rest[0] != '`' {
+			return nil, fmt.Errorf("want expects backquoted patterns, found %q", rest)
 		}
+		end := strings.IndexByte(rest[1:], '`')
+		if end < 0 {
+			return nil, fmt.Errorf("unterminated want pattern")
+		}
+		out = append(out, rest[1:end+1])
+		rest = strings.TrimSpace(rest[end+2:])
 	}
 	if len(out) == 0 {
 		return nil, fmt.Errorf("want with no patterns")

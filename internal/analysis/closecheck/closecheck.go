@@ -27,97 +27,81 @@ import (
 	"apollo/internal/analysis"
 )
 
-// Config scopes the check.
-type Config struct {
-	// Packages are the import paths (exact or prefix/...) owning
-	// crash-honest writers.
-	Packages []string
-	// Methods are the error-returning cleanup methods to track.
-	Methods []string
+// packages are the import paths owning crash-honest writers: the
+// ledger/checkpoint/telemetry writer packages and the CLIs that open their
+// output files.
+var packages = []string{
+	"apollo/internal/obs",
+	"apollo/internal/obs/runlog",
+	"apollo/internal/obs/memprof",
+	"apollo/internal/ckpt",
+	"apollo/internal/serve",
+	"apollo/internal/bench",
+	"apollo/cmd/...",
 }
 
-// DefaultConfig covers the ledger/checkpoint/telemetry writer packages and
-// the CLIs that open their output files.
-var DefaultConfig = Config{
-	Packages: []string{
-		"apollo/internal/obs",
-		"apollo/internal/obs/runlog",
-		"apollo/internal/obs/memprof",
-		"apollo/internal/ckpt",
-		"apollo/internal/serve",
-		"apollo/internal/bench",
-		"apollo/cmd/...",
-	},
-	Methods: []string{"Close", "Flush", "Sync", "Finalize"},
-}
+// methods are the error-returning cleanup methods tracked.
+var methods = map[string]bool{"Close": true, "Flush": true, "Sync": true, "Finalize": true}
 
 // Directive is the suppression annotation name.
 const Directive = "allowdiscard"
 
-// Analyzer is the default-configured instance.
-var Analyzer = New(DefaultConfig)
+// Analyzer is the closecheck check.
+var Analyzer = &analysis.Analyzer{
+	Name: "closecheck",
+	Doc: "flags discarded errors from Close/Flush/Sync/Finalize on ledger, checkpoint and " +
+		"telemetry writers: the crash-honest contract requires every writer flush to be checked or accounted",
+	Run: run,
+}
 
-// New builds the analyzer for a custom scope (used by the fixture tests).
-func New(cfg Config) *analysis.Analyzer {
-	methods := map[string]bool{}
-	for _, m := range cfg.Methods {
-		methods[m] = true
-	}
-	a := &analysis.Analyzer{
-		Name: "closecheck",
-		Doc: "flags discarded errors from Close/Flush/Sync/Finalize on ledger, checkpoint and " +
-			"telemetry writers: the crash-honest contract requires every writer flush to be checked or accounted",
-	}
-	a.Run = func(pass *analysis.Pass) error {
-		if !analysis.MatchPath(pass.PkgPath, cfg.Packages) {
-			return nil
-		}
-		check := func(call *ast.CallExpr, how string) {
-			name, ok := cleanupMethod(pass, call, methods)
-			if !ok {
-				return
-			}
-			if pass.IsTestFile(call.Pos()) {
-				return
-			}
-			if pass.Suppressed(call.Pos(), Directive) {
-				return
-			}
-			pass.Reportf(call.Pos(),
-				"%s error discarded (%s): the crash-honest contract requires checking writer cleanup errors "+
-					"— handle it, route it into obs.CountWriteError, or annotate //apollo:%s <justification>",
-				name, how, Directive)
-		}
-		for _, f := range pass.Files {
-			ast.Inspect(f, func(n ast.Node) bool {
-				switch st := n.(type) {
-				case *ast.ExprStmt:
-					if call, ok := st.X.(*ast.CallExpr); ok {
-						check(call, "result ignored")
-					}
-				case *ast.DeferStmt:
-					check(st.Call, "deferred without error handling")
-				case *ast.GoStmt:
-					check(st.Call, "goroutine result unobservable")
-				case *ast.AssignStmt:
-					if len(st.Rhs) != 1 || !allBlank(st.Lhs) {
-						return true
-					}
-					if call, ok := st.Rhs[0].(*ast.CallExpr); ok {
-						check(call, "assigned to blank")
-					}
-				}
-				return true
-			})
-		}
+func run(pass *analysis.Pass) error {
+	if !analysis.MatchPath(pass.PkgPath, packages) {
 		return nil
 	}
-	return a
+	check := func(call *ast.CallExpr, how string) {
+		name, ok := cleanupMethod(pass, call)
+		if !ok {
+			return
+		}
+		if pass.IsTestFile(call.Pos()) {
+			return
+		}
+		if pass.Suppressed(call.Pos(), Directive) {
+			return
+		}
+		pass.Reportf(call.Pos(),
+			"%s error discarded (%s): the crash-honest contract requires checking writer cleanup errors "+
+				"— handle it, route it into obs.CountWriteError, or annotate //apollo:%s <justification>",
+			name, how, Directive)
+	}
+	for _, f := range pass.Files {
+		ast.Inspect(f, func(n ast.Node) bool {
+			switch st := n.(type) {
+			case *ast.ExprStmt:
+				if call, ok := st.X.(*ast.CallExpr); ok {
+					check(call, "result ignored")
+				}
+			case *ast.DeferStmt:
+				check(st.Call, "deferred without error handling")
+			case *ast.GoStmt:
+				check(st.Call, "goroutine result unobservable")
+			case *ast.AssignStmt:
+				if len(st.Rhs) != 1 || !allBlank(st.Lhs) {
+					return true
+				}
+				if call, ok := st.Rhs[0].(*ast.CallExpr); ok {
+					check(call, "assigned to blank")
+				}
+			}
+			return true
+		})
+	}
+	return nil
 }
 
 // cleanupMethod reports whether call is `recv.M(...)` for a tracked method
 // M whose signature returns exactly one error.
-func cleanupMethod(pass *analysis.Pass, call *ast.CallExpr, methods map[string]bool) (string, bool) {
+func cleanupMethod(pass *analysis.Pass, call *ast.CallExpr) (string, bool) {
 	sel, ok := call.Fun.(*ast.SelectorExpr)
 	if !ok || !methods[sel.Sel.Name] {
 		return "", false

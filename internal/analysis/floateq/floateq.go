@@ -21,66 +21,49 @@ import (
 	"apollo/internal/analysis"
 )
 
-// Config scopes the check.
-type Config struct {
-	// Packages limits the check when non-empty; empty means every
-	// analyzed package.
-	Packages []string
-}
-
-// DefaultConfig checks the whole module.
-var DefaultConfig = Config{}
-
 // Directive is the suppression annotation name.
 const Directive = "exactfloat"
 
-// Analyzer is the default-configured instance.
-var Analyzer = New(DefaultConfig)
+// Analyzer is the floateq check; it covers every analyzed package.
+var Analyzer = &analysis.Analyzer{
+	Name: "floateq",
+	Doc: "flags ==/!= on floating-point operands outside _test.go: exact float equality is " +
+		"either a bug or a parity check, and parity checks must be annotated as exact on purpose",
+	Run: run,
+}
 
-// New builds the analyzer (package scoping is used by the fixture tests).
-func New(cfg Config) *analysis.Analyzer {
-	a := &analysis.Analyzer{
-		Name: "floateq",
-		Doc: "flags ==/!= on floating-point operands outside _test.go: exact float equality is " +
-			"either a bug or a parity check, and parity checks must be annotated as exact on purpose",
-	}
-	a.Run = func(pass *analysis.Pass) error {
-		if len(cfg.Packages) > 0 && !analysis.MatchPath(pass.PkgPath, cfg.Packages) {
-			return nil
-		}
-		for _, f := range pass.Files {
-			for _, decl := range f.Decls {
-				// The enclosing declaration's doc comment can carry the
-				// directive to exempt a whole explicitly-exact helper.
-				var doc *ast.CommentGroup
-				if fd, ok := decl.(*ast.FuncDecl); ok {
-					doc = fd.Doc
-				}
-				ast.Inspect(decl, func(n ast.Node) bool {
-					be, ok := n.(*ast.BinaryExpr)
-					if !ok || (be.Op != token.EQL && be.Op != token.NEQ) {
-						return true
-					}
-					if !isFloat(pass.TypeOf(be.X)) && !isFloat(pass.TypeOf(be.Y)) {
-						return true
-					}
-					if pass.IsTestFile(be.Pos()) {
-						return true
-					}
-					if pass.Suppressed(be.OpPos, Directive, doc) {
-						return true
-					}
-					pass.Reportf(be.OpPos,
-						"float %s comparison: exact float equality breaks under reassociation; "+
-							"compare with a tolerance, or annotate //apollo:%s <justification> if bitwise equality is the point",
-						be.Op, Directive)
-					return true
-				})
+func run(pass *analysis.Pass) error {
+	for _, f := range pass.Files {
+		for _, decl := range f.Decls {
+			// The enclosing declaration's doc comment can carry the
+			// directive to exempt a whole explicitly-exact helper.
+			var doc *ast.CommentGroup
+			if fd, ok := decl.(*ast.FuncDecl); ok {
+				doc = fd.Doc
 			}
+			ast.Inspect(decl, func(n ast.Node) bool {
+				be, ok := n.(*ast.BinaryExpr)
+				if !ok || (be.Op != token.EQL && be.Op != token.NEQ) {
+					return true
+				}
+				if !isFloat(pass.TypeOf(be.X)) && !isFloat(pass.TypeOf(be.Y)) {
+					return true
+				}
+				if pass.IsTestFile(be.Pos()) {
+					return true
+				}
+				if pass.Suppressed(be.OpPos, Directive, doc) {
+					return true
+				}
+				pass.Reportf(be.OpPos,
+					"float %s comparison: exact float equality breaks under reassociation; "+
+						"compare with a tolerance, or annotate //apollo:%s <justification> if bitwise equality is the point",
+					be.Op, Directive)
+				return true
+			})
 		}
-		return nil
 	}
-	return a
+	return nil
 }
 
 // isFloat reports whether t's underlying type is a float or complex kind

@@ -8,12 +8,12 @@
 // no-new-modules constraint, and the repo's entire closure (~200 packages)
 // source-checks in under 3s.
 //
-// With IncludeTests set, `go list -test` also yields each package's
-// test-augmented variant (import path "pkg [pkg.test]" with _test.go files
-// merged into GoFiles) and external _test packages; the loader analyzes the
-// augmented variant instead of the plain one so analyzers see test files
-// too, while dependents keep resolving the plain package. Synthesized
-// ".test" main packages (generated _testmain.go) are skipped.
+// `go list -test` also yields each package's test-augmented variant (import
+// path "pkg [pkg.test]" with _test.go files merged into GoFiles) and
+// external _test packages; the loader analyzes the augmented variant
+// instead of the plain one so analyzers see test files too, while
+// dependents keep resolving the plain package. Synthesized ".test" main
+// packages (generated _testmain.go) are skipped.
 package load
 
 import (
@@ -37,9 +37,7 @@ type Package struct {
 	// PkgPath is the canonical import path: test-augmented variants carry
 	// the path of the package under test, not the bracketed go list form.
 	PkgPath string
-	// ListPath is the raw go list ImportPath (brackets and all).
-	ListPath string
-	Dir      string
+	Dir     string
 	// Target marks packages named by the load patterns (the ones analyzers
 	// should inspect), as opposed to dependencies.
 	Target bool
@@ -48,9 +46,6 @@ type Package struct {
 	Files       []*ast.File
 	Types       *types.Package
 	Info        *types.Info
-	// TypeErrors collects soft type-check failures; analysis proceeds on
-	// what was resolved.
-	TypeErrors []error
 }
 
 // Result is one load: a shared FileSet plus every package in the closure,
@@ -88,33 +83,24 @@ type Config struct {
 	// Dir is the working directory for go list (module root or below);
 	// empty means the current directory.
 	Dir string
-	// IncludeTests loads _test.go files via test-augmented variants.
-	IncludeTests bool
-	// Env overrides (appended to os.Environ). CGO_ENABLED=0 is always
-	// forced: type-checking from source cannot expand cgo, and the repo is
-	// pure Go.
-	Env []string
 }
 
 // listPkg mirrors the go list -json fields we consume.
 type listPkg struct {
 	Dir        string
 	ImportPath string
-	Name       string
 	Standard   bool
 	DepOnly    bool
 	ForTest    string
 	GoFiles    []string
 	CgoFiles   []string
-	Imports    []string
 	ImportMap  map[string]string
 	Error      *struct{ Err string }
-	Incomplete bool
 }
 
 // Load lists patterns and type-checks the full dependency closure from
 // source. Hard errors (go list failure, unparseable target) abort; type
-// errors inside dependencies degrade to Package.TypeErrors.
+// errors inside dependencies are soft.
 func Load(cfg Config, patterns ...string) (*Result, error) {
 	if len(patterns) == 0 {
 		patterns = []string{"./..."}
@@ -157,7 +143,6 @@ func Load(cfg Config, patterns ...string) (*Result, error) {
 
 		pkg := &Package{
 			PkgPath:     lp.ImportPath,
-			ListPath:    lp.ImportPath,
 			Dir:         lp.Dir,
 			Target:      !lp.DepOnly && !lp.Standard,
 			TestVariant: lp.ForTest != "",
@@ -176,7 +161,9 @@ func Load(cfg Config, patterns ...string) (*Result, error) {
 		conf := types.Config{
 			Importer: &mapImporter{cache: cache, importMap: lp.ImportMap},
 			Sizes:    sizes,
-			Error:    func(err error) { pkg.TypeErrors = append(pkg.TypeErrors, err) },
+			// A dependency's type errors are soft: analysis proceeds on what
+			// was resolved.
+			Error: func(error) {},
 		}
 		tpkg, err := conf.Check(pkg.PkgPath, fset, files, info)
 		if err != nil && pkg.Target {
@@ -197,17 +184,14 @@ func Load(cfg Config, patterns ...string) (*Result, error) {
 // dependencies precede dependents, which is what lets one linear pass
 // type-check the closure.
 func goList(cfg Config, patterns []string) ([]*listPkg, error) {
-	args := []string{
-		"list", "-deps",
-		"-json=Dir,ImportPath,Name,Standard,DepOnly,ForTest,GoFiles,CgoFiles,Imports,ImportMap,Error,Incomplete",
-	}
-	if cfg.IncludeTests {
-		args = append(args, "-test")
-	}
-	args = append(args, patterns...)
+	args := append([]string{
+		"list", "-deps", "-test",
+		"-json=Dir,ImportPath,Standard,DepOnly,ForTest,GoFiles,CgoFiles,ImportMap,Error",
+	}, patterns...)
 	cmd := exec.Command("go", args...)
 	cmd.Dir = cfg.Dir
-	cmd.Env = append(append(os.Environ(), cfg.Env...), "CGO_ENABLED=0")
+	// Type-checking from source cannot expand cgo, and the repo is pure Go.
+	cmd.Env = append(os.Environ(), "CGO_ENABLED=0")
 	var stderr bytes.Buffer
 	cmd.Stderr = &stderr
 	out, err := cmd.Output()

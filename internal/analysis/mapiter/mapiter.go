@@ -28,76 +28,63 @@ import (
 	"apollo/internal/analysis"
 )
 
-// Config scopes the check.
-type Config struct {
-	// Packages are the determinism-critical import paths (exact or
-	// prefix/...); only code in these packages is checked.
-	Packages []string
-}
-
-// DefaultConfig covers the packages where iteration order can reach
-// checkpoint bytes, the DP wire format, or float accumulation order.
-var DefaultConfig = Config{
-	Packages: []string{
-		"apollo/internal/optim",
-		"apollo/internal/zero",
-		"apollo/internal/ckpt",
-		"apollo/internal/train",
-		"apollo/internal/tensor",
-		"apollo/internal/linalg",
-	},
+// packages are the determinism-critical import paths: the ones where
+// iteration order can reach checkpoint bytes, the DP wire format, or float
+// accumulation order.
+var packages = []string{
+	"apollo/internal/optim",
+	"apollo/internal/zero",
+	"apollo/internal/ckpt",
+	"apollo/internal/train",
+	"apollo/internal/tensor",
+	"apollo/internal/linalg",
 }
 
 // Directive is the suppression annotation name.
 const Directive = "orderfree"
 
-// Analyzer is the default-configured instance.
-var Analyzer = New(DefaultConfig)
+// Analyzer is the mapiter check.
+var Analyzer = &analysis.Analyzer{
+	Name: "mapiter",
+	Doc: "flags range over maps in determinism-critical packages: iteration order is " +
+		"randomized and silently breaks the bit-parity contract on state gather/save paths",
+	Run: run,
+}
 
-// New builds the analyzer for a custom package scope (used by the
-// fixture tests).
-func New(cfg Config) *analysis.Analyzer {
-	a := &analysis.Analyzer{
-		Name: "mapiter",
-		Doc: "flags range over maps in determinism-critical packages: iteration order is " +
-			"randomized and silently breaks the bit-parity contract on state gather/save paths",
-	}
-	a.Run = func(pass *analysis.Pass) error {
-		if !analysis.MatchPath(pass.PkgPath, cfg.Packages) {
-			return nil
-		}
-		for _, f := range pass.Files {
-			ast.Inspect(f, func(n ast.Node) bool {
-				rs, ok := n.(*ast.RangeStmt)
-				if !ok {
-					return true
-				}
-				if pass.IsTestFile(rs.Pos()) {
-					return true
-				}
-				t := pass.TypeOf(rs.X)
-				if t == nil {
-					return true
-				}
-				if _, isMap := t.Underlying().(*types.Map); !isMap {
-					return true
-				}
-				if orderCannotEscape(rs, pass) {
-					return true
-				}
-				if pass.Suppressed(rs.Pos(), Directive) {
-					return true
-				}
-				pass.Reportf(rs.Pos(),
-					"range over map %s in determinism-critical package %s: iteration order is randomized; "+
-						"iterate sorted keys (collect, sort.Strings/Slice, then index) or annotate //apollo:%s <justification>",
-					types.ExprString(rs.X), pass.PkgPath, Directive)
-				return true
-			})
-		}
+func run(pass *analysis.Pass) error {
+	if !analysis.MatchPath(pass.PkgPath, packages) {
 		return nil
 	}
-	return a
+	for _, f := range pass.Files {
+		ast.Inspect(f, func(n ast.Node) bool {
+			rs, ok := n.(*ast.RangeStmt)
+			if !ok {
+				return true
+			}
+			if pass.IsTestFile(rs.Pos()) {
+				return true
+			}
+			t := pass.TypeOf(rs.X)
+			if t == nil {
+				return true
+			}
+			if _, isMap := t.Underlying().(*types.Map); !isMap {
+				return true
+			}
+			if orderCannotEscape(rs, pass) {
+				return true
+			}
+			if pass.Suppressed(rs.Pos(), Directive) {
+				return true
+			}
+			pass.Reportf(rs.Pos(),
+				"range over map %s in determinism-critical package %s: iteration order is randomized; "+
+					"iterate sorted keys (collect, sort.Strings/Slice, then index) or annotate //apollo:%s <justification>",
+				types.ExprString(rs.X), pass.PkgPath, Directive)
+			return true
+		})
+	}
+	return nil
 }
 
 // orderCannotEscape recognizes the loop shapes whose observable effect is

@@ -22,75 +22,64 @@ import (
 	"apollo/internal/analysis"
 )
 
-// Config maps package import paths to the handle type names whose exported
-// pointer-receiver methods must guard.
-type Config struct {
-	HandleTypes map[string][]string
-}
-
-// DefaultConfig lists every nil-safe handle type the obs layer hands out.
-var DefaultConfig = Config{
-	HandleTypes: map[string][]string{
-		"apollo/internal/obs": {
-			"Registry", "Counter", "Gauge", "Histogram", "HistogramWindow",
-			"Tracer", "Span", "JSONLWriter", "TrainRecorder",
-		},
-		"apollo/internal/obs/runlog":  {"Run", "Watchdog"},
-		"apollo/internal/obs/memprof": {"Profiler"},
+// handleTypes maps package import paths to every nil-safe handle type the
+// obs layer hands out: the types whose exported pointer-receiver methods
+// must guard.
+var handleTypes = map[string][]string{
+	"apollo/internal/obs": {
+		"Registry", "Counter", "Gauge", "Histogram", "HistogramWindow",
+		"Tracer", "Span", "JSONLWriter", "TrainRecorder",
 	},
+	"apollo/internal/obs/runlog":  {"Run", "Watchdog"},
+	"apollo/internal/obs/memprof": {"Profiler"},
 }
 
 // Directive is the suppression annotation name.
 const Directive = "noguard"
 
-// Analyzer is the default-configured instance.
-var Analyzer = New(DefaultConfig)
+// Analyzer is the obsguard check.
+var Analyzer = &analysis.Analyzer{
+	Name: "obsguard",
+	Doc: "verifies every exported pointer-receiver method on obs handle types begins with a " +
+		"nil-receiver guard, pinning the nil-registry → nil-handles → one-branch cost contract",
+	Run: run,
+}
 
-// New builds the analyzer for a custom handle-type map (used by the
-// fixture tests).
-func New(cfg Config) *analysis.Analyzer {
-	a := &analysis.Analyzer{
-		Name: "obsguard",
-		Doc: "verifies every exported pointer-receiver method on obs handle types begins with a " +
-			"nil-receiver guard, pinning the nil-registry → nil-handles → one-branch cost contract",
-	}
-	a.Run = func(pass *analysis.Pass) error {
-		typeNames := cfg.HandleTypes[pass.PkgPath]
-		if len(typeNames) == 0 {
-			return nil
-		}
-		guarded := map[string]bool{}
-		for _, n := range typeNames {
-			guarded[n] = true
-		}
-		for _, f := range pass.Files {
-			for _, decl := range f.Decls {
-				fd, ok := decl.(*ast.FuncDecl)
-				if !ok || fd.Recv == nil || !fd.Name.IsExported() || fd.Body == nil {
-					continue
-				}
-				if pass.IsTestFile(fd.Pos()) {
-					continue // in-package test helpers are not part of the handle API
-				}
-				recvName, typeName, isPtr := receiver(fd)
-				if !isPtr || !guarded[typeName] {
-					continue
-				}
-				if hasNilGuard(fd, recvName) {
-					continue
-				}
-				if pass.Suppressed(fd.Pos(), Directive, fd.Doc) {
-					continue
-				}
-				pass.Reportf(fd.Name.Pos(),
-					"exported method (*%s).%s lacks a leading nil-receiver guard: the obs cost contract "+
-						"requires `if %s == nil { return ... }` as the first statement (or //apollo:%s <justification>)",
-					typeName, fd.Name.Name, recvNameOr(recvName, "recv"), Directive)
-			}
-		}
+func run(pass *analysis.Pass) error {
+	typeNames := handleTypes[pass.PkgPath]
+	if len(typeNames) == 0 {
 		return nil
 	}
-	return a
+	guarded := map[string]bool{}
+	for _, n := range typeNames {
+		guarded[n] = true
+	}
+	for _, f := range pass.Files {
+		for _, decl := range f.Decls {
+			fd, ok := decl.(*ast.FuncDecl)
+			if !ok || fd.Recv == nil || !fd.Name.IsExported() || fd.Body == nil {
+				continue
+			}
+			if pass.IsTestFile(fd.Pos()) {
+				continue // in-package test helpers are not part of the handle API
+			}
+			recvName, typeName, isPtr := receiver(fd)
+			if !isPtr || !guarded[typeName] {
+				continue
+			}
+			if hasNilGuard(fd, recvName) {
+				continue
+			}
+			if pass.Suppressed(fd.Pos(), Directive, fd.Doc) {
+				continue
+			}
+			pass.Reportf(fd.Name.Pos(),
+				"exported method (*%s).%s lacks a leading nil-receiver guard: the obs cost contract "+
+					"requires `if %s == nil { return ... }` as the first statement (or //apollo:%s <justification>)",
+				typeName, fd.Name.Name, recvNameOr(recvName, "recv"), Directive)
+		}
+	}
+	return nil
 }
 
 func recvNameOr(name, fallback string) string {

@@ -1,6 +1,7 @@
-// Package vet is the multichecker core shared by cmd/apollo-vet and its
-// tests: it loads packages once, runs every enabled analyzer over each
-// analysis target, and returns position-sorted diagnostics.
+// Package vet is the multichecker core shared by cmd/apollo-vet, the root
+// package's TestModuleVets and the analysistest harness: it loads packages
+// once, runs the analyzers over each analysis target, and returns
+// position-sorted diagnostics.
 package vet
 
 import (
@@ -12,6 +13,7 @@ import (
 	"apollo/internal/analysis/load"
 	"apollo/internal/analysis/mapiter"
 	"apollo/internal/analysis/obsguard"
+	"apollo/internal/analysis/seams"
 )
 
 // Suite lists every contract analyzer in stable order.
@@ -21,22 +23,18 @@ func Suite() []*analysis.Analyzer {
 		floateq.Analyzer,
 		obsguard.Analyzer,
 		closecheck.Analyzer,
+		seams.Analyzer,
 	}
 }
 
 // Run loads patterns under cfg and applies the analyzers to every target
 // package. Diagnostics come back sorted by file, line, column, analyzer —
-// deterministic across runs, which the CI gate diffs against.
+// deterministic across runs.
 func Run(cfg load.Config, analyzers []*analysis.Analyzer, patterns ...string) ([]analysis.Diagnostic, error) {
 	res, err := load.Load(cfg, patterns...)
 	if err != nil {
 		return nil, err
 	}
-	return RunOnResult(res, analyzers), nil
-}
-
-// RunOnResult applies the analyzers to an already-loaded result.
-func RunOnResult(res *load.Result, analyzers []*analysis.Analyzer) []analysis.Diagnostic {
 	var diags []analysis.Diagnostic
 	seen := map[analysis.Diagnostic]bool{}
 	report := func(d analysis.Diagnostic) {
@@ -70,5 +68,5 @@ func RunOnResult(res *load.Result, analyzers []*analysis.Analyzer) []analysis.Di
 		}
 		return a.Analyzer < b.Analyzer
 	})
-	return diags
+	return diags, nil
 }

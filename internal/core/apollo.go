@@ -146,7 +146,7 @@ func New(h optim.Hyper, cfg Config) *APOLLO {
 // so the name states what else tells two updates apart: the granularity
 // (APOLLO is channel-wise; APOLLO-Mini is tensor-wise at rank 1, any other
 // tensor-wise run is APOLLO-Tensor), α when it is not the granularity's
-// default, and the SVD projection.
+// default, the SVD projection and the no-limiter ablation.
 func (c Config) name() string {
 	name, alpha := "APOLLO", 1.0
 	if c.Granularity == Tensor {
@@ -158,10 +158,14 @@ func (c Config) name() string {
 	if c.Scale != alpha { //apollo:exactfloat any α but the default, however close, is another update
 		name += fmt.Sprintf(" α=%g", c.Scale)
 	}
+	svd, nl := "", ""
 	if c.Projection == linalg.SVDProjection {
-		name += " w. SVD"
+		svd = " w. SVD"
 	}
-	return name
+	if c.DisableNL {
+		nl = " no NL"
+	}
+	return name + svd + nl
 }
 
 // NewMini constructs APOLLO-Mini: rank-1 auxiliary space, tensor-wise
