@@ -2,35 +2,18 @@ package main
 
 import (
 	"bytes"
-	"fmt"
 	"os"
 	"os/exec"
-	"path/filepath"
 	"slices"
 	"strings"
 	"testing"
 
 	"apollo/internal/bench"
+	"apollo/internal/clitest"
 )
 
-// The tests drive the real binary, built once from this directory.
-var binary string
-
-func TestMain(m *testing.M) {
-	dir, err := os.MkdirTemp("", "apollo-bench-test")
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
-	}
-	binary = filepath.Join(dir, "apollo-bench")
-	if out, err := exec.Command("go", "build", "-o", binary, ".").CombinedOutput(); err != nil {
-		fmt.Fprintf(os.Stderr, "go build: %v\n%s", err, out)
-		os.Exit(1)
-	}
-	code := m.Run()
-	os.RemoveAll(dir)
-	os.Exit(code)
-}
+// The tests drive the real binary, built once.
+func TestMain(m *testing.M) { clitest.Main(m, nil, "apollo-bench") }
 
 // runBench runs the binary in an empty working directory and fails the test
 // if the run leaves anything behind: with the ledger off (-runs ""),
@@ -38,17 +21,11 @@ func TestMain(m *testing.M) {
 func runBench(t *testing.T, args ...string) (stdout, stderr string, exit int) {
 	t.Helper()
 	cwd := t.TempDir()
-	cmd := exec.Command(binary, args...)
+	cmd := clitest.Command("apollo-bench", args...)
 	cmd.Dir = cwd
 	var out, errb bytes.Buffer
 	cmd.Stdout, cmd.Stderr = &out, &errb
-	if err := cmd.Run(); err != nil {
-		ee, ok := err.(*exec.ExitError)
-		if !ok {
-			t.Fatalf("%v: %v", args, err)
-		}
-		exit = ee.ExitCode()
-	}
+	exit = clitest.Exit(t, cmd)
 	left, err := os.ReadDir(cwd)
 	if err != nil {
 		t.Fatal(err)

@@ -1,49 +1,19 @@
 package main
 
 import (
-	"fmt"
 	"os"
-	"os/exec"
 	"path/filepath"
 	"regexp"
 	"strconv"
 	"strings"
 	"testing"
+
+	"apollo/internal/clitest"
 )
 
 // The tests drive the real binaries, built once: apollo-pretrain writes the
 // checkpoints, apollo-ckpt reads them back.
-var bin string
-
-func TestMain(m *testing.M) {
-	dir, err := os.MkdirTemp("", "apollo-ckpt-test")
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
-	}
-	if out, err := exec.Command("go", "build", "-o", dir+string(filepath.Separator), ".", "../apollo-pretrain").CombinedOutput(); err != nil {
-		fmt.Fprintf(os.Stderr, "go build: %v\n%s", err, out)
-		os.Exit(1)
-	}
-	bin = dir
-	code := m.Run()
-	os.RemoveAll(dir)
-	os.Exit(code)
-}
-
-// run executes one built binary and returns its combined output and exit code.
-func run(t *testing.T, name string, args ...string) (string, int) {
-	t.Helper()
-	out, err := exec.Command(filepath.Join(bin, name), args...).CombinedOutput()
-	if err != nil {
-		ee, ok := err.(*exec.ExitError)
-		if !ok {
-			t.Fatalf("%s %v: %v", name, args, err)
-		}
-		return string(out), ee.ExitCode()
-	}
-	return string(out), 0
-}
+func TestMain(m *testing.M) { clitest.Main(m, nil, "apollo-ckpt", "apollo-pretrain") }
 
 // TestInspectAndVerify trains 6 steps of 8-bit Adam at 3 replicas, unsharded
 // and under -zero, and reads the checkpoints back: the dump of a good file,
@@ -57,12 +27,12 @@ func TestInspectAndVerify(t *testing.T) {
 	for path, extra := range map[string][]string{plain: nil, sharded: {"-zero"}} {
 		args := append([]string{"-size", "60M", "-optimizer", "8-bit Adam", "-steps", "6", "-seed", "1",
 			"-replicas", "3", "-runs", "", "-save", path}, extra...)
-		if out, code := run(t, "apollo-pretrain", args...); code != 0 {
+		if out, code := clitest.Run(t, "apollo-pretrain", args...); code != 0 {
 			t.Fatalf("apollo-pretrain %v: exit %d\n%s", extra, code, out)
 		}
 	}
 
-	out, code := run(t, "apollo-ckpt", plain)
+	out, code := clitest.Run(t, "apollo-ckpt", plain)
 	if code != 0 {
 		t.Fatalf("inspect: exit %d\n%s", code, out)
 	}
@@ -77,12 +47,12 @@ func TestInspectAndVerify(t *testing.T) {
 	if n := strings.Count(out, "  ok\n"); n < 4 {
 		t.Fatalf("%d sections read ok, want the format's four or more:\n%s", n, out)
 	}
-	zout, code := run(t, "apollo-ckpt", sharded)
+	zout, code := clitest.Run(t, "apollo-ckpt", sharded)
 	if want := strings.ReplaceAll(out, plain, sharded); code != 0 || zout != want {
 		t.Fatalf("the -zero checkpoint reads differently (exit %d):\n%s\nunsharded:\n%s", code, zout, want)
 	}
 
-	if out, code := run(t, "apollo-ckpt", "-verify", plain); code != 0 || !strings.HasPrefix(out, plain+": ok (") {
+	if out, code := clitest.Run(t, "apollo-ckpt", "-verify", plain); code != 0 || !strings.HasPrefix(out, plain+": ok (") {
 		t.Fatalf("-verify on a good file: exit %d\n%s", code, out)
 	}
 	raw, err := os.ReadFile(plain)
@@ -96,7 +66,7 @@ func TestInspectAndVerify(t *testing.T) {
 		if err := os.WriteFile(path, damaged, 0o644); err != nil {
 			t.Fatal(err)
 		}
-		if out, code := run(t, "apollo-ckpt", "-verify", path); code != 1 || !strings.Contains(out, path+": ") || strings.Contains(out, ": ok") {
+		if out, code := clitest.Run(t, "apollo-ckpt", "-verify", path); code != 1 || !strings.Contains(out, path+": ") || strings.Contains(out, ": ok") {
 			t.Fatalf("-verify on the %s copy: exit %d\n%s", name, code, out)
 		}
 	}
@@ -112,11 +82,11 @@ func TestPredictsEveryFormulaRow(t *testing.T) {
 	dev := regexp.MustCompile(`\(memmodel\.CheckpointBytes, rank 8\) — actual ([-+0-9.]+)%`)
 	for _, method := range []string{"GaLore-RP", "APOLLO w. SVD", "APOLLO-Mini (rank r)"} {
 		path := filepath.Join(dir, "run.ckpt")
-		if out, code := run(t, "apollo-pretrain", "-size", "60M", "-optimizer", method, "-steps", "4",
+		if out, code := clitest.Run(t, "apollo-pretrain", "-size", "60M", "-optimizer", method, "-steps", "4",
 			"-runs", "", "-save", path); code != 0 {
 			t.Fatalf("apollo-pretrain %s: exit %d\n%s", method, code, out)
 		}
-		out, code := run(t, "apollo-ckpt", path)
+		out, code := clitest.Run(t, "apollo-ckpt", path)
 		m := dev.FindStringSubmatch(out)
 		if code != 0 || m == nil {
 			t.Fatalf("%s: exit %d, no prediction at rank 8:\n%s", method, code, out)

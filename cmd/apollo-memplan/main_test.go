@@ -1,18 +1,27 @@
 package main
 
 import (
-	"os/exec"
+	"fmt"
 	"regexp"
 	"strconv"
 	"strings"
 	"testing"
+
+	"apollo/internal/clitest"
 )
 
-// memplan runs the real binary (`go run .`) and returns its combined output.
+// The tests drive the real binary, built once.
+func TestMain(m *testing.M) { clitest.Main(m, nil, "apollo-memplan") }
+
+// memplan runs the binary and returns its combined output; a non-zero exit
+// is the error "exit N".
 func memplan(t *testing.T, args ...string) (string, error) {
 	t.Helper()
-	out, err := exec.Command("go", append([]string{"run", "."}, args...)...).CombinedOutput()
-	return string(out), err
+	out, code := clitest.Run(t, "apollo-memplan", args...)
+	if code != 0 {
+		return out, fmt.Errorf("exit %d", code)
+	}
+	return out, nil
 }
 
 // field extracts the number that follows label on one line of the plan.
@@ -72,9 +81,8 @@ func TestMiniIsRankOne(t *testing.T) {
 
 func TestUnknownMethodExitsOne(t *testing.T) {
 	out, err := memplan(t, "-method", "bogus")
-	// `go run` reports the child's status on stderr and exits 1 itself.
-	if ee, ok := err.(*exec.ExitError); !ok || ee.ExitCode() != 1 || !strings.Contains(out, "exit status 1") {
-		t.Fatalf("err %v, want exit status 1\n%s", err, out)
+	if err == nil || err.Error() != "exit 1" {
+		t.Fatalf("%v, want exit 1\n%s", err, out)
 	}
 	if !strings.Contains(out, `unknown method "bogus"`) {
 		t.Fatalf("message does not name the method:\n%s", out)

@@ -5,18 +5,23 @@ import (
 	"fmt"
 	"math"
 	"os"
-	"os/exec"
 	"path/filepath"
+	"regexp"
 	"slices"
 	"strconv"
 	"strings"
 	"testing"
+	"time"
 
+	"apollo/internal/ckpt"
+	"apollo/internal/clitest"
 	"apollo/internal/obs/runlog"
 )
 
-// TestRejectsContradictoryGradientFlags runs the real binary (`go run .`):
-// flag combinations that name a gradient mode which would silently not
+// The tests drive the real binary, built once.
+func TestMain(m *testing.M) { clitest.Main(m, nil, "apollo-pretrain") }
+
+// TestRejectsContradictoryGradientFlags: flag combinations that name a gradient mode which would silently not
 // happen must exit 1 naming the flags, before any run-ledger entry records
 // a configuration the run never had.
 func TestRejectsContradictoryGradientFlags(t *testing.T) {
@@ -28,21 +33,13 @@ func TestRejectsContradictoryGradientFlags(t *testing.T) {
 		{[]string{"-zero"}, []string{"-zero", "-replicas"}},
 	} {
 		runs := t.TempDir()
-		cmd := exec.Command("go", append([]string{"run", ".", "-size", "60M", "-steps", "2", "-runs", runs}, tc.args...)...)
-		var stderr bytes.Buffer
-		cmd.Stderr = &stderr
-		err := cmd.Run()
-		ee, ok := err.(*exec.ExitError)
-		if !ok {
-			t.Fatalf("%v: err %v, want a non-zero exit\n%s", tc.args, err, stderr.String())
-		}
-		// `go run` reports the child's status on stderr and exits 1 itself.
-		if ee.ExitCode() != 1 || !strings.Contains(stderr.String(), "exit status 1") {
-			t.Fatalf("%v: exit %d, want 1\n%s", tc.args, ee.ExitCode(), stderr.String())
+		out, code := clitest.Run(t, "apollo-pretrain", append([]string{"-size", "60M", "-steps", "2", "-runs", runs}, tc.args...)...)
+		if code != 1 {
+			t.Fatalf("%v: exit %d, want 1\n%s", tc.args, code, out)
 		}
 		for _, flag := range tc.want {
-			if !strings.Contains(stderr.String(), flag) {
-				t.Fatalf("%v: message does not name %s:\n%s", tc.args, flag, stderr.String())
+			if !strings.Contains(out, flag) {
+				t.Fatalf("%v: message does not name %s:\n%s", tc.args, flag, out)
 			}
 		}
 		if entries, _ := os.ReadDir(runs); len(entries) != 0 {
@@ -55,15 +52,26 @@ func TestRejectsContradictoryGradientFlags(t *testing.T) {
 // -rank says, so the memmodel prediction recorded beside each memory sample
 // must too. At -rank 32 on the 60M proxy (dim 32) the flag's value used to
 // reach memmodel, which switched every matrix to the dense fallback and
-// recorded a prediction 2.4× the state the optimizer held.
+// recorded a prediction 2.4× the state the optimizer held. Each step's
+// sample follows its step event, and the first sets the high-water mark, so
+// the -rank 32 run, under -mem-highwater 1, leaves the run's one heap
+// profile; the default run (high-water profiling off) leaves none.
 func TestMiniPredictionIgnoresRankFlag(t *testing.T) {
 	var states []float64
-	for _, rank := range []string{"32", "0"} {
+	for _, tc := range []struct {
+		rank    string
+		extra   []string
+		profile []string // heap profiles the run directory holds
+	}{
+		{"32", []string{"-mem-highwater", "1"}, []string{"heap-highwater-1.pprof"}},
+		{"0", nil, nil},
+	} {
+		rank := tc.rank
 		runs := t.TempDir()
-		out, err := exec.Command("go", "run", ".", "-size", "60M", "-optimizer", "APOLLO-Mini",
-			"-rank", rank, "-steps", "3", "-runs", runs, "-run-id", "mini").CombinedOutput()
-		if err != nil {
-			t.Fatalf("-rank %s: %v\n%s", rank, err, out)
+		out, code := clitest.Run(t, "apollo-pretrain", append([]string{"-size", "60M", "-optimizer", "APOLLO-Mini",
+			"-rank", rank, "-steps", "3", "-runs", runs, "-run-id", "mini"}, tc.extra...)...)
+		if code != 0 {
+			t.Fatalf("-rank %s: exit %d\n%s", rank, code, out)
 		}
 		rd, err := runlog.LoadDir(filepath.Join(runs, "mini"))
 		if err != nil {
@@ -72,14 +80,26 @@ func TestMiniPredictionIgnoresRankFlag(t *testing.T) {
 		if len(rd.Steps) != 3 || len(rd.Mem) != 3 {
 			t.Fatalf("-rank %s: %d step and %d mem events, want 3 each", rank, len(rd.Steps), len(rd.Mem))
 		}
-		// The ledger entry is the manifest and the one event stream.
+		// The ledger entry is the manifest, the one event stream and the
+		// heap profile, if profiling was asked for.
 		var names []string
 		entries, _ := os.ReadDir(filepath.Join(runs, "mini"))
 		for _, e := range entries {
+			if info, err := e.Info(); err != nil || info.Size() == 0 {
+				t.Fatalf("-rank %s: %s is empty (%v)", rank, e.Name(), err)
+			}
 			names = append(names, e.Name())
 		}
-		if !slices.Equal(names, []string{runlog.EventsFile, runlog.ManifestFile}) {
+		if want := slices.Concat([]string{runlog.EventsFile}, tc.profile, []string{runlog.ManifestFile}); !slices.Equal(names, want) {
 			t.Fatalf("-rank %s: run directory holds %v", rank, names)
+		}
+		blob, err := os.ReadFile(filepath.Join(runs, "mini", runlog.EventsFile))
+		if err != nil {
+			t.Fatal(err)
+		}
+		kinds := regexp.MustCompile(`(?m)^\{"kind":"(\w+)"`).ReplaceAllString(string(blob), "$1 ")
+		if !regexp.MustCompile(`^(step [^\n]*\nmem [^\n]*\n){3}$`).MatchString(kinds) || !rd.Mem[0].HighWater {
+			t.Fatalf("-rank %s: the stream is not step, mem per step from a high-water sample:\n%s", rank, blob)
 		}
 		last := rd.Mem[len(rd.Mem)-1]
 		measured, predicted := float64(last.Components["optimizer_state"]), last.Predicted["optimizer_state"]
@@ -100,10 +120,6 @@ func TestMiniPredictionIgnoresRankFlag(t *testing.T) {
 // at four bytes an element, 8-bit Adam used to record delta_frac −0.742 and
 // 8-bit GaLore −0.688, fused and on each -zero shard alike.
 func TestINT8PredictionIsPricedInBytes(t *testing.T) {
-	bin := filepath.Join(t.TempDir(), "apollo-pretrain")
-	if out, err := exec.Command("go", "build", "-o", bin, ".").CombinedOutput(); err != nil {
-		t.Fatalf("go build: %v\n%s", err, out)
-	}
 	for _, tc := range []struct {
 		optimizer string
 		replicas  int // 0: fused; else -replicas N -zero
@@ -122,8 +138,8 @@ func TestINT8PredictionIsPricedInBytes(t *testing.T) {
 				components = append(components, fmt.Sprintf("optimizer_state_shard%d", s))
 			}
 		}
-		if out, err := exec.Command(bin, args...).CombinedOutput(); err != nil {
-			t.Fatalf("%v: %v\n%s", args, err, out)
+		if out, code := clitest.Run(t, "apollo-pretrain", args...); code != 0 {
+			t.Fatalf("%v: exit %d\n%s", args, code, out)
 		}
 		rd, err := runlog.LoadDir(filepath.Join(runs, "q"))
 		if err != nil {
@@ -154,10 +170,10 @@ func TestINT8PredictionIsPricedInBytes(t *testing.T) {
 // TestTelemetryFlagIsGone: the step series has one home, the ledger's
 // events.jsonl; the second copy -telemetry used to tee is not an option.
 func TestTelemetryFlagIsGone(t *testing.T) {
-	out, err := exec.Command("go", "run", ".", "-size", "60M", "-steps", "1", "-runs", "",
-		"-telemetry", filepath.Join(t.TempDir(), "t.jsonl")).CombinedOutput()
-	if err == nil || !strings.Contains(string(out), "flag provided but not defined: -telemetry") {
-		t.Fatalf("-telemetry accepted: err %v\n%s", err, out)
+	out, code := clitest.Run(t, "apollo-pretrain", "-size", "60M", "-steps", "1", "-runs", "",
+		"-telemetry", filepath.Join(t.TempDir(), "t.jsonl"))
+	if code == 0 || !strings.Contains(out, "flag provided but not defined: -telemetry") {
+		t.Fatalf("-telemetry accepted: exit %d\n%s", code, out)
 	}
 }
 
@@ -165,12 +181,12 @@ func TestTelemetryFlagIsGone(t *testing.T) {
 // exits 1 and says what the rows are, before a ledger entry exists.
 func TestUnknownOptimizerListsTheCatalogue(t *testing.T) {
 	runs := t.TempDir()
-	out, err := exec.Command("go", "run", ".", "-size", "60M", "-optimizer", "bogus", "-steps", "1", "-runs", runs).CombinedOutput()
-	if ee, ok := err.(*exec.ExitError); !ok || ee.ExitCode() != 1 || !strings.Contains(string(out), "exit status 1") {
-		t.Fatalf("err %v, want exit status 1\n%s", err, out)
+	out, code := clitest.Run(t, "apollo-pretrain", "-size", "60M", "-optimizer", "bogus", "-steps", "1", "-runs", runs)
+	if code != 1 {
+		t.Fatalf("exit %d, want 1\n%s", code, out)
 	}
 	for _, want := range []string{`"bogus"`, "AdamW", "APOLLO-Mini", "Q-GaLore"} {
-		if !strings.Contains(string(out), want) {
+		if !strings.Contains(out, want) {
 			t.Fatalf("message does not name %s:\n%s", want, out)
 		}
 	}
@@ -179,18 +195,13 @@ func TestUnknownOptimizerListsTheCatalogue(t *testing.T) {
 	}
 }
 
-// TestDivergedRunFinalizesItsManifest builds the real binary (`go run` would
-// fold every exit status into 1) and trains SGD at a learning rate that
+// TestDivergedRunFinalizesItsManifest trains SGD at a learning rate that
 // turns the loss into NaN on the second step. The run's finals are then
 // non-finite, which used to make the manifest unencodable: the run exited
 // with its entry still reading "running". It must leave "halted" beside
 // exit 3 under -halt-on-divergence and "ok" beside exit 0 without, the NaN
 // finals readable either way.
 func TestDivergedRunFinalizesItsManifest(t *testing.T) {
-	bin := filepath.Join(t.TempDir(), "apollo-pretrain")
-	if out, err := exec.Command("go", "build", "-o", bin, ".").CombinedOutput(); err != nil {
-		t.Fatalf("go build: %v\n%s", err, out)
-	}
 	for _, tc := range []struct {
 		extra  []string
 		exit   int
@@ -202,15 +213,11 @@ func TestDivergedRunFinalizesItsManifest(t *testing.T) {
 	} {
 		runs := t.TempDir()
 		args := append([]string{"-size", "60M", "-steps", "30", "-optimizer", "SGD", "-lr", "1e30", "-runs", runs, "-run-id", "d"}, tc.extra...)
-		cmd := exec.Command(bin, args...)
-		out, err := cmd.CombinedOutput()
-		if cmd.ProcessState == nil {
-			t.Fatalf("%v: %v", tc.extra, err)
+		out, code := clitest.Run(t, "apollo-pretrain", args...)
+		if code != tc.exit {
+			t.Fatalf("%v: exit %d, want %d\n%s", tc.extra, code, tc.exit, out)
 		}
-		if got := cmd.ProcessState.ExitCode(); got != tc.exit {
-			t.Fatalf("%v: exit %d (%v), want %d\n%s", tc.extra, got, err, tc.exit, out)
-		}
-		if strings.Contains(string(out), "encode manifest") {
+		if strings.Contains(out, "encode manifest") {
 			t.Fatalf("%v: the manifest was not encodable:\n%s", tc.extra, out)
 		}
 		m, err := runlog.ReadManifest(filepath.Join(runs, "d"))
@@ -223,5 +230,69 @@ func TestDivergedRunFinalizesItsManifest(t *testing.T) {
 		if !math.IsNaN(m.FinalLoss) || !math.IsNaN(m.FinalPPL) {
 			t.Fatalf("%v: finals read back as loss %v ppl %v, want NaN", tc.extra, m.FinalLoss, m.FinalPPL)
 		}
+	}
+}
+
+// TestResumeEqualsUninterrupted: a run killed after a periodic save and
+// continued with -resume ends on the uninterrupted run's final checkpoint,
+// byte for byte — weights, optimizer state, RNG and corpus cursors. APOLLO
+// and Fira resume before step 50 and cross the catalogue's projection
+// refresh (UpdateGap 50): APOLLO draws its next random projection from the
+// restored RNG phase, Fira its SVD projection with the limiter scalar
+// restored. A -replicas 3 -zero snapshot holds the canonical unsharded
+// layout, so it resumes at 4 shards and unsharded alike.
+func TestResumeEqualsUninterrupted(t *testing.T) {
+	for _, tc := range []struct {
+		optimizer string
+		steps     int
+		world     []string   // the uninterrupted and the preempted run's
+		resumes   [][]string // one resumed run each
+	}{
+		{"APOLLO", 60, nil, [][]string{nil}},
+		{"Fira", 60, nil, [][]string{nil}},
+		{"AdamW", 30, []string{"-replicas", "3", "-zero"}, [][]string{{"-replicas", "4", "-zero"}, {"-replicas", "1"}}},
+	} {
+		t.Run(tc.optimizer, func(t *testing.T) {
+			dir := t.TempDir()
+			args := func(flags []string, more ...string) []string {
+				base := []string{"-size", "60M", "-optimizer", tc.optimizer, "-steps", strconv.Itoa(tc.steps), "-workers", "1", "-runs", ""}
+				return append(append(base, flags...), more...)
+			}
+			straight, pre := filepath.Join(dir, "straight.ckpt"), filepath.Join(dir, "pre.ckpt")
+			if out, code := clitest.Run(t, "apollo-pretrain", args(tc.world, "-save", straight)...); code != 0 {
+				t.Fatalf("uninterrupted: exit %d\n%s", code, out)
+			}
+			want, err := os.ReadFile(straight)
+			if err != nil {
+				t.Fatal(err)
+			}
+			p := clitest.Start(t, "apollo-pretrain", args(tc.world, "-save", pre, "-ckpt-every", "10")...)
+			for deadline := time.Now().Add(30 * time.Second); ; time.Sleep(5 * time.Millisecond) {
+				if _, err := os.Stat(pre); err == nil {
+					break
+				}
+				if time.Now().After(deadline) {
+					t.Fatalf("no periodic save after 30s:\n%s", p.Output())
+				}
+			}
+			p.Cmd.Process.Kill()
+			p.Wait(t)
+			st, err := ckpt.LoadFile(pre)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if st.Step >= min(50, tc.steps) {
+				t.Fatalf("preempted at step %d, want before step %d", st.Step, min(50, tc.steps))
+			}
+			for _, flags := range tc.resumes {
+				got := filepath.Join(dir, "resumed.ckpt")
+				if out, code := clitest.Run(t, "apollo-pretrain", args(flags, "-resume", pre, "-save", got)...); code != 0 {
+					t.Fatalf("resume %v: exit %d\n%s", flags, code, out)
+				}
+				if blob, err := os.ReadFile(got); err != nil || !bytes.Equal(blob, want) {
+					t.Fatalf("resumed at %v: the final checkpoint differs from the uninterrupted run's (%v)", flags, err)
+				}
+			}
+		})
 	}
 }

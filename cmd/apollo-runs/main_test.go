@@ -7,62 +7,33 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"os"
-	"os/exec"
 	"path/filepath"
 	"strings"
 	"testing"
 	"time"
 
+	"apollo/internal/clitest"
 	"apollo/internal/obs"
 	"apollo/internal/obs/runlog"
 )
 
 // The tests drive the real binaries, built once: apollo-pretrain writes the
 // ledger, apollo-runs reads it back.
-var bin string
+func TestMain(m *testing.M) { clitest.Main(m, nil, "apollo-runs", "apollo-pretrain") }
 
-func TestMain(m *testing.M) {
-	dir, err := os.MkdirTemp("", "apollo-runs-test")
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
-	}
-	if out, err := exec.Command("go", "build", "-o", dir+string(filepath.Separator), ".", "../apollo-pretrain").CombinedOutput(); err != nil {
-		fmt.Fprintf(os.Stderr, "go build: %v\n%s", err, out)
-		os.Exit(1)
-	}
-	bin = dir
-	code := m.Run()
-	os.RemoveAll(dir)
-	os.Exit(code)
-}
-
-// run executes one built binary and returns its combined output and exit code.
-func run(t *testing.T, name string, args ...string) (string, int) {
-	t.Helper()
-	out, err := exec.Command(filepath.Join(bin, name), args...).CombinedOutput()
-	if err != nil {
-		ee, ok := err.(*exec.ExitError)
-		if !ok {
-			t.Fatalf("%s %v: %v", name, args, err)
-		}
-		return string(out), ee.ExitCode()
-	}
-	return string(out), 0
-}
-
-// TestSubcommandsOverARealLedger trains two 6-step runs (seed 1 as "a", seed
-// 2 as "b") and walks every subcommand over the entries they left.
+// TestSubcommandsOverARealLedger trains two runs with the committed
+// baseline's flags (seed 1 as "a", seed 2 as "b") and walks every subcommand
+// over the entries they left.
 func TestSubcommandsOverARealLedger(t *testing.T) {
 	root := t.TempDir()
 	for id, seed := range map[string]string{"a": "1", "b": "2"} {
-		if out, code := run(t, "apollo-pretrain", "-size", "60M", "-optimizer", "APOLLO", "-steps", "6",
-			"-seed", seed, "-runs", root, "-run-id", id); code != 0 {
+		if out, code := clitest.Run(t, "apollo-pretrain", "-size", "60M", "-optimizer", "APOLLO", "-steps", "20",
+			"-seed", seed, "-workers", "1", "-runs", root, "-run-id", id); code != 0 {
 			t.Fatalf("apollo-pretrain %s: exit %d\n%s", id, code, out)
 		}
 	}
 	runs := func(args ...string) (string, int) {
-		return run(t, "apollo-runs", append([]string{"-root", root}, args...)...)
+		return clitest.Run(t, "apollo-runs", append([]string{"-root", root}, args...)...)
 	}
 	expect := func(out string, code, wantCode int, wants ...string) {
 		t.Helper()
@@ -81,16 +52,30 @@ func TestSubcommandsOverARealLedger(t *testing.T) {
 		t.Fatalf("list -q: exit %d\n%s", code, out)
 	}
 	out, code = runs("show", "a")
-	expect(out, code, 0, "status     ok", "optimizer  APOLLO  seed 1", "series     6 step events; last: step 6")
+	expect(out, code, 0, "status     ok", "optimizer  APOLLO  seed 1", "series     20 step events; last: step 20")
 
-	// The gate: a run against itself is bit-identical, a different seed is not.
+	m, err := runlog.ReadManifest(filepath.Join(root, "a"))
+	if err != nil || m.ID != "a" || m.Command != "apollo-pretrain" || m.Status != runlog.StatusOK ||
+		m.Optimizer != "APOLLO" || m.Seed != 1 || m.Steps != 20 || m.FinalLoss <= 0 || m.FinalPPL <= 1 ||
+		m.Host.Cores < 1 || !strings.HasPrefix(m.Host.GoVersion, "go") || !m.Start.Before(m.End) || m.Config["size"] != "60M" {
+		t.Fatalf("manifest of a: %+v (%v)", m, err)
+	}
+
+	// The gate: a run against itself is bit-identical, a different seed is
+	// not. A fresh seed-1 run reproduces the committed baseline bit for bit,
+	// inside the armed memory gate; seed 2 diverges from it.
 	out, code = runs("diff", "a", "a")
-	expect(out, code, 0, "aligned steps     6", "identical (bitwise)", "verdict: PASS")
+	expect(out, code, 0, "aligned steps     20", "identical (bitwise)", "verdict: PASS")
 	out, code = runs("diff", "a", "b")
 	expect(out, code, 1, "first divergence  step 1", "verdict: FAIL (loss divergence")
+	baseline := filepath.Join("..", "..", "ci", "baseline", "baseline-60m-apollo")
+	out, code = runs("diff", "-mem-tol", "0.01", "-baseline", baseline, "a")
+	expect(out, code, 0, "aligned steps     20", "identical (bitwise)", "(gate: B ≤ A × 1.01)", "verdict: PASS")
+	out, code = runs("diff", "-baseline", baseline, "b")
+	expect(out, code, 1, "verdict: FAIL (loss divergence")
 
 	out, code = runs("mem", "a")
-	expect(out, code, 0, "samples    6 over", "optimizer_state", "delta +0.00%", "← high water")
+	expect(out, code, 0, "samples    20 over", "optimizer_state", "delta +0.00%", "← high water")
 
 	// gc -n lists what gc would remove and removes nothing.
 	out, code = runs("gc", "-n", "-keep", "0")
@@ -100,7 +85,7 @@ func TestSubcommandsOverARealLedger(t *testing.T) {
 	}
 
 	out, code = runs("watch", "-n", "1", "a")
-	expect(out, code, 0, "step 6  loss ")
+	expect(out, code, 0, "step 20  loss ")
 
 	// watch -metrics reads the Prometheus text a server's GET /metrics
 	// serves, histograms with and without labels alike. The text carries no
@@ -122,12 +107,12 @@ func TestSubcommandsOverARealLedger(t *testing.T) {
 	}))
 	defer srv.Close()
 	out, code = runs("watch", "-n", "1", "-metrics", srv.URL, "a")
-	expect(out, code, 0, "step 6  loss ", `apollo_http_requests_total{path="/v1/logprob"} 3`+"\n",
+	expect(out, code, 0, "step 20  loss ", `apollo_http_requests_total{path="/v1/logprob"} 3`+"\n",
 		fmt.Sprintf("apollo_serve_batch_queue_wait_seconds        n=3 p50=%.4fs p95=%.4fs\n", lat.Quantile(0.50), lat.Quantile(0.95)),
 		`apollo_http_request_seconds{path="/v1/logprob"} n=4 p50=0.0010s p95=+Infs`+"\n")
 
-	// A version-1 directory is refused by name; two entries with no event
-	// stream have nothing to align and fail the gate.
+	// A version-1 directory is refused by name; an entry whose event stream
+	// went missing has nothing to align and fails the gate.
 	blob, err := os.ReadFile(filepath.Join(root, "a", runlog.ManifestFile))
 	if err != nil {
 		t.Fatal(err)
@@ -141,10 +126,8 @@ func TestSubcommandsOverARealLedger(t *testing.T) {
 	}
 	out, code = runs("diff", "-baseline", v1, "a")
 	expect(out, code, 1, "manifest version 1")
-	for _, id := range []string{"a", "b"} {
-		if err := os.Remove(filepath.Join(root, id, runlog.EventsFile)); err != nil {
-			t.Fatal(err)
-		}
+	if err := os.Remove(filepath.Join(root, "b", runlog.EventsFile)); err != nil {
+		t.Fatal(err)
 	}
 	out, code = runs("diff", "a", "b")
 	expect(out, code, 1, "verdict: FAIL (no aligned steps")
@@ -187,13 +170,13 @@ func TestShowRendersADivergedStep(t *testing.T) {
 		!strings.HasPrefix(lines[1], `{"kind":"alert","step":3,"alert":"nan_loss","loss":null,"loss_text":"NaN","grad_norm":0.5,`) {
 		t.Fatalf("events.jsonl:\n%s", blob)
 	}
-	out, code := run(t, "apollo-runs", "-root", root, "show", "nan")
+	out, code := clitest.Run(t, "apollo-runs", "-root", root, "show", "nan")
 	if code != 0 || !strings.Contains(out, "last: step 3 loss NaN grad +Inf") ||
 		!strings.Contains(out, "alert      step 3 nan_loss loss=NaN") ||
 		!strings.Contains(out, "status     halted") || !strings.Contains(out, "final loss NaN  ppl +Inf") {
 		t.Fatalf("show: exit %d\n%s", code, out)
 	}
-	out, code = run(t, "apollo-runs", "-root", root, "list")
+	out, code = clitest.Run(t, "apollo-runs", "-root", root, "list")
 	if code != 0 || !strings.Contains(out, "halted") || !strings.Contains(out, "NaN") || !strings.Contains(out, "+Inf") {
 		t.Fatalf("list: exit %d\n%s", code, out)
 	}

@@ -2,13 +2,12 @@ package main
 
 import (
 	"bytes"
+	"encoding/json"
 	"flag"
 	"fmt"
 	"io"
-	"net"
 	"net/http"
 	"os"
-	"os/exec"
 	"path/filepath"
 	"regexp"
 	"strconv"
@@ -17,77 +16,38 @@ import (
 	"syscall"
 	"testing"
 	"time"
+
+	"apollo/internal/clitest"
 )
 
 // The tests drive the real binaries, built once: apollo-pretrain writes the
 // 60M/20-step checkpoint every test serves, apollo-serve answers for it.
 var (
-	bin, ckptPath string
-	update        = flag.Bool("update", false, "rewrite testdata/*.golden from this binary's /metrics")
+	ckptPath string
+	update   = flag.Bool("update", false, "rewrite testdata/*.golden from this binary's /metrics")
 )
 
 func TestMain(m *testing.M) {
-	flag.Parse()
-	dir, err := os.MkdirTemp("", "apollo-serve-test")
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
-	}
-	if out, err := exec.Command("go", "build", "-o", dir+string(filepath.Separator), ".", "../apollo-pretrain").CombinedOutput(); err != nil {
-		fmt.Fprintf(os.Stderr, "go build: %v\n%s", err, out)
-		os.Exit(1)
-	}
-	bin, ckptPath = dir, filepath.Join(dir, "run.ckpt")
-	if out, err := exec.Command(filepath.Join(bin, "apollo-pretrain"), "-size", "60M", "-optimizer", "APOLLO",
-		"-steps", "20", "-seed", "1", "-runs", "", "-save", ckptPath).CombinedOutput(); err != nil {
-		fmt.Fprintf(os.Stderr, "apollo-pretrain: %v\n%s", err, out)
-		os.Exit(1)
-	}
-	code := m.Run()
-	os.RemoveAll(dir)
-	os.Exit(code)
+	clitest.Main(m, func(dir string) error {
+		ckptPath = filepath.Join(dir, "run.ckpt")
+		out, err := clitest.Command("apollo-pretrain", "-size", "60M", "-optimizer", "APOLLO",
+			"-steps", "20", "-seed", "1", "-runs", "", "-save", ckptPath).CombinedOutput()
+		if err != nil {
+			return fmt.Errorf("apollo-pretrain: %v\n%s", err, out)
+		}
+		return nil
+	}, "apollo-serve", "apollo-pretrain")
 }
 
 // server is one running apollo-serve with the checkpoint preloaded.
-type server struct {
-	url string
-	cmd *exec.Cmd
-	out *bytes.Buffer
-}
+type server struct{ *clitest.Server }
 
-// start launches apollo-serve on a free loopback port and waits for
-// /healthz. The process is killed at test end unless the test already
-// waited for it.
+// start launches apollo-serve with flags and waits for /healthz; the process
+// is killed at test end unless the test already waited for it.
 func start(t *testing.T, flags ...string) *server {
 	t.Helper()
-	l, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	addr := l.Addr().String()
-	l.Close()
-	s := &server{url: "http://" + addr, out: &bytes.Buffer{}}
-	args := append([]string{"-size", "60M", "-seed", "1", "-addr", addr}, flags...)
-	s.cmd = exec.Command(filepath.Join(bin, "apollo-serve"), append(args, ckptPath)...)
-	s.cmd.Stdout, s.cmd.Stderr = s.out, s.out
-	if err := s.cmd.Start(); err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() {
-		if s.cmd.ProcessState == nil {
-			s.cmd.Process.Kill()
-			s.cmd.Wait()
-		}
-	})
-	for deadline := time.Now().Add(10 * time.Second); ; time.Sleep(20 * time.Millisecond) {
-		if r, err := http.Get(s.url + "/healthz"); err == nil {
-			r.Body.Close()
-			return s
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("apollo-serve never answered /healthz:\n%s", s.out)
-		}
-	}
+	args := append([]string{"-size", "60M", "-seed", "1"}, flags...)
+	return &server{clitest.Serve(t, "apollo-serve", append(args, ckptPath)...)}
 }
 
 // post sends one JSON query and returns status, body and headers; a
@@ -95,7 +55,7 @@ func start(t *testing.T, flags ...string) *server {
 // and comes back as status 0.
 func (s *server) post(t *testing.T, path, body string) (int, string, http.Header) {
 	t.Helper()
-	r, err := http.Post(s.url+path, "application/json", strings.NewReader(body))
+	r, err := http.Post(s.URL+path, "application/json", strings.NewReader(body))
 	if err != nil {
 		t.Error(err)
 		return 0, "", nil
@@ -111,7 +71,7 @@ func (s *server) post(t *testing.T, path, body string) (int, string, http.Header
 
 func (s *server) metrics(t *testing.T) string {
 	t.Helper()
-	r, err := http.Get(s.url + "/metrics")
+	r, err := http.Get(s.URL + "/metrics")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -161,15 +121,20 @@ func checkMetricsGolden(t *testing.T, name, expo string) {
 
 // TestServedEqualsOfflineAndCaches: the served loss_text is the -offline
 // value char for char, a repeated query is the same bytes from the cache, and
-// the session's /metrics lists the families it always listed.
+// the session's /metrics lists the families it always listed, the resident
+// snapshot on the memory ledger among them. A valid body just over the
+// default -max-body-bytes (1 MiB) answers 413. -pprof serves /debug/pprof/,
+// and -events holds the sampler's mem lines and the requests' span lines
+// whole.
 func TestServedEqualsOfflineAndCaches(t *testing.T) {
-	out, err := exec.Command(filepath.Join(bin, "apollo-serve"), "-size", "60M", "-seed", "1", "-offline", ckptPath).Output()
+	out, err := clitest.Command("apollo-serve", "-size", "60M", "-seed", "1", "-offline", ckptPath).Output()
 	if err != nil {
 		t.Fatalf("-offline: %v", err)
 	}
 	offline := strings.TrimSpace(string(out))
 
-	s := start(t)
+	events := filepath.Join(t.TempDir(), "events.jsonl")
+	s := start(t, "-pprof", "-events", events, "-mem-every", "50ms")
 	status, first, h := s.post(t, "/v1/perplexity", perplexityQuery(4))
 	if status != http.StatusOK || h.Get("X-Cache") != "miss" {
 		t.Fatalf("first query: status %d, X-Cache %q\n%s", status, h.Get("X-Cache"), first)
@@ -182,14 +147,66 @@ func TestServedEqualsOfflineAndCaches(t *testing.T) {
 	if status != http.StatusOK || h.Get("X-Cache") != "hit" || again != first {
 		t.Fatalf("repeat: status %d, X-Cache %q, bytes equal %v", status, h.Get("X-Cache"), again == first)
 	}
-	checkMetricsGolden(t, "metrics", s.metrics(t))
+	// 2^19 + 1 one-digit tokens: over 1 MiB of context alone.
+	huge := fmt.Sprintf(`{"checkpoint":%q,"context":[%s0],"option":[1]}`, ckptPath, strings.Repeat("0,", 1<<19))
+	if status, body, _ := s.post(t, "/v1/logprob", huge); status != http.StatusRequestEntityTooLarge {
+		t.Fatalf("%d-byte body: status %d, want 413\n%s", len(huge), status, body)
+	}
+	expo := s.metrics(t)
+	checkMetricsGolden(t, "metrics", expo)
+	if !regexp.MustCompile(`(?m)^apollo_mem_bytes\{component="serve_snapshots"\} [1-9]`).MatchString(expo) {
+		t.Fatalf("no resident snapshot bytes on the memory ledger:\n%s", expo)
+	}
+	r, err := http.Get(s.URL + "/debug/pprof/")
+	if err != nil || r.StatusCode != http.StatusOK {
+		t.Fatalf("/debug/pprof/: %v %v", r, err)
+	}
+	r.Body.Close()
+
+	// The sampler's first tick is -mem-every after startup.
+	for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(20 * time.Millisecond) {
+		if blob, _ := os.ReadFile(events); bytes.Contains(blob, []byte(`{"kind":"mem"`)) {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("no mem line in -events after 5s")
+		}
+	}
+	if code := s.Stop(t); code != 0 {
+		t.Fatalf("exit %d after SIGTERM:\n%s", code, s.Output())
+	}
+	blob, err := os.ReadFile(events)
+	if err != nil || !bytes.HasSuffix(blob, []byte("\n")) {
+		t.Fatalf("events: %v, torn tail %q", err, blob[max(0, len(blob)-80):])
+	}
+	kinds := map[string]int{}
+	for _, line := range strings.Split(strings.TrimSuffix(string(blob), "\n"), "\n") {
+		var ev struct {
+			Kind       string `json:"kind"`
+			Trace      string `json:"trace"`
+			DurUS      int64  `json:"dur_us"`
+			TotalBytes int64  `json:"total_bytes"`
+			HeapInuse  int64  `json:"heap_inuse_bytes"`
+		}
+		err := json.Unmarshal([]byte(line), &ev)
+		if span, mem := ev.Kind == "span" && strings.HasPrefix(ev.Trace, "t") && ev.DurUS >= 0,
+			ev.Kind == "mem" && ev.TotalBytes >= 0 && ev.HeapInuse > 0; err != nil || !span && !mem {
+			t.Fatalf("event line %q: %v", line, err)
+		}
+		kinds[ev.Kind]++
+	}
+	if kinds["mem"] == 0 || kinds["span"] == 0 {
+		t.Fatalf("events by kind %v, want mem and span lines", kinds)
+	}
 }
 
 // TestQueueBoundShedsThenDrains: with -max-queue 1 and no cache, concurrent
-// compute splits into 200s and 429s carrying Retry-After, the shed counter
-// moves, and SIGTERM drains and exits 0.
+// compute splits into 200s and 429s carrying Retry-After, and the shed
+// counter moves. SIGTERM flips /readyz to 503 while the listener is still
+// open for -drain-wait, so load balancers deregister before connections are
+// refused; then the server drains and exits 0.
 func TestQueueBoundShedsThenDrains(t *testing.T) {
-	s := start(t, "-max-queue", "1", "-cache-entries", "0")
+	s := start(t, "-max-queue", "1", "-cache-entries", "0", "-drain-wait", "1s")
 	var ok, shed int
 	for round := 0; round < 10 && shed == 0; round++ {
 		var wg sync.WaitGroup
@@ -223,13 +240,25 @@ func TestQueueBoundShedsThenDrains(t *testing.T) {
 	}
 	checkMetricsGolden(t, "metrics-shed", expo)
 
-	if err := s.cmd.Process.Signal(syscall.SIGTERM); err != nil {
+	if err := s.Cmd.Process.Signal(syscall.SIGTERM); err != nil {
 		t.Fatal(err)
 	}
-	if err := s.cmd.Wait(); err != nil {
-		t.Fatalf("exit after SIGTERM: %v\n%s", err, s.out)
+	for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(10 * time.Millisecond) {
+		r, err := http.Get(s.URL + "/readyz")
+		if err != nil {
+			t.Fatalf("/readyz refused before it read draining: %v\n%s", err, s.Output())
+		}
+		var ready struct{ Draining bool }
+		err = json.NewDecoder(r.Body).Decode(&ready)
+		r.Body.Close()
+		if err == nil && r.StatusCode == http.StatusServiceUnavailable && ready.Draining {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("/readyz still %d (draining %v, %v) after SIGTERM", r.StatusCode, ready.Draining, err)
+		}
 	}
-	if !strings.Contains(s.out.String(), "draining in-flight queries") {
-		t.Fatalf("no drain message:\n%s", s.out)
+	if code := s.Wait(t); code != 0 || !strings.Contains(s.Output(), "draining in-flight queries") {
+		t.Fatalf("exit %d after SIGTERM:\n%s", code, s.Output())
 	}
 }

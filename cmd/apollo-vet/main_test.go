@@ -2,30 +2,23 @@ package main
 
 import (
 	"bytes"
-	"os/exec"
 	"strings"
 	"testing"
+
+	"apollo/internal/clitest"
 )
 
-// runVet runs the driver via `go run .` with args and returns its exit
-// code and stdout — exercising the real process exit contract (0 clean,
-// 1 findings, 2 error). stderr is go run's own channel (it appends "exit
-// status N") and is surfaced only on unexpected failure.
+// The tests drive the real binary, built once.
+func TestMain(m *testing.M) { clitest.Main(m, nil, "apollo-vet") }
+
+// runVet runs the driver with args and returns its exit code and stdout —
+// the real process exit contract (0 clean, 1 findings, 2 error).
 func runVet(t *testing.T, args ...string) (int, string) {
 	t.Helper()
-	cmd := exec.Command("go", append([]string{"run", "."}, args...)...)
-	var stdout, stderr bytes.Buffer
+	var stdout bytes.Buffer
+	cmd := clitest.Command("apollo-vet", args...)
 	cmd.Stdout = &stdout
-	cmd.Stderr = &stderr
-	err := cmd.Run()
-	if err == nil {
-		return 0, stdout.String()
-	}
-	ee, ok := err.(*exec.ExitError)
-	if !ok {
-		t.Fatalf("go run: %v\n%s%s", err, stdout.String(), stderr.String())
-	}
-	return ee.ExitCode(), stdout.String()
+	return clitest.Exit(t, cmd), stdout.String()
 }
 
 // TestDriverFlagsSeededViolation is the negative check: a vet that stops
