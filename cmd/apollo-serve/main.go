@@ -34,7 +34,7 @@
 //
 // GET /metrics is always on; -events FILE appends the service's one event
 // stream as JSONL — a "span" line per finished request span and a "mem"
-// line per memory sample (every -mem-every).
+// line per memory sample (at start, every -mem-every, and at exit).
 package main
 
 import (
@@ -149,10 +149,6 @@ func main() {
 		HighWater:  *memHW,
 		ProfileDir: *memProf,
 	})
-	if *memEvery > 0 {
-		stop := mp.StartSampler(*memEvery)
-		defer stop()
-	}
 
 	// Flag semantics use 0 for "off"; the Config uses 0 for "default", so
 	// off maps to the negative sentinel.
@@ -176,6 +172,12 @@ func main() {
 	reg, err := serve.NewRegistry(cfg)
 	if err != nil {
 		fail(err)
+	}
+	// The sampler starts once the registry has put its components on the
+	// ledger; it samples at start, every -mem-every, and at exit.
+	if *memEvery > 0 {
+		stop := mp.StartSampler(*memEvery)
+		defer stop()
 	}
 	fmt.Printf("apollo-serve: proxy-%s architecture, %d workers, up to %d resident snapshots, listening on %s\n",
 		proxy.Name, rt.Workers(), *maxModels, *addr)

@@ -139,8 +139,8 @@ func (a *Attention) Forward(x *tensor.Matrix, batch, seq, from int) *tensor.Matr
 		}
 	})
 
-	a.probs = a.ws.floats(batch * a.Heads * a.probsPerBlock())
-	a.ctx = a.ws.matrix(batch*tail, x.Cols)
+	a.probs = a.ws.keepFloats(batch * a.Heads * a.probsPerBlock())
+	a.ctx = a.ws.keep(batch*tail, x.Cols)
 	a.ctx.Zero()
 	invSqrt := float32(1 / math.Sqrt(float64(hd)))
 

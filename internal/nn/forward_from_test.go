@@ -79,15 +79,15 @@ func TestForwardFromSteadyStateAllocs(t *testing.T) {
 		model.Forward(tokens, batch, seq)
 		model.Forward(tokens, batch, seq)
 	})
-	slots, held := len(model.ws.slots), arenaBytes(&model.ws)
+	slots, held := model.ws.slotCount(), model.ActivationBytes()
 	mixed := perPass(func() {
 		model.Forward(tokens, batch, seq)
 		model.ForwardFrom(tokens, batch, seq, from)
 	})
-	if n := len(model.ws.slots); n != slots {
+	if n := model.ws.slotCount(); n != slots {
 		t.Errorf("ForwardFrom took %d arena positions, Forward %d", n, slots)
 	}
-	if grown := arenaBytes(&model.ws) - held; grown != 0 {
+	if grown := model.ActivationBytes() - held; grown != 0 {
 		t.Errorf("ForwardFrom grew the arena by %d B", grown)
 	}
 	if mixed > full {
@@ -116,11 +116,5 @@ func TestBackwardAfterForwardFromPanics(t *testing.T) {
 	model.Loss(tokens, tokens, 1, 6)
 }
 
-// arenaBytes is the storage the arena's positions and scratch hold.
-func arenaBytes(w *workspace) int {
-	n := cap(w.tmp.Data)
-	for _, m := range w.slots {
-		n += cap(m.Data)
-	}
-	return 4 * n
-}
+// slotCount counts the arena positions of both lists.
+func (w *workspace) slotCount() int { return len(w.kept.slots) + len(w.trans.slots) }

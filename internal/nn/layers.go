@@ -23,13 +23,14 @@ func NewLinear(name string, in, out int, std float64, rng *tensor.RNG) *Linear {
 	return &Linear{P: NewParam(name, KindMatrix, w)}
 }
 
-// Forward computes y = x·Wᵀ for x of shape N×in. The kernel's transpose
-// goes to the arena's weight-shaped scratch, the buffer Backward's dW
-// already grows to W's size, so a forward adds no resident bytes to a
-// training model.
+// Forward computes y = x·Wᵀ for x of shape N×in; y is kept for the
+// backward. The kernel's transpose goes to the arena's weight-shaped
+// scratch, the buffer Backward's dW already grows to W's size, so a forward
+// adds no resident bytes to a training model. Backward reads x: where x is
+// an arena transient, the owner points l.x at a rebuilt copy first.
 func (l *Linear) Forward(x *tensor.Matrix) *tensor.Matrix {
 	l.x = x
-	y := l.ws.matrix(x.Rows, l.P.W.Rows)
+	y := l.ws.keep(x.Rows, l.P.W.Rows)
 	tensor.MatMulTInto(y, x, l.P.W, l.ws.scratch(l.P.W.Rows, l.P.W.Cols).Data)
 	return y
 }
@@ -64,7 +65,7 @@ func NewEmbedding(name string, vocab, dim int, std float64, rng *tensor.RNG) *Em
 // Forward gathers rows for each token id.
 func (e *Embedding) Forward(tokens []int) *tensor.Matrix {
 	e.tokens = tokens
-	out := e.ws.matrix(len(tokens), e.Dim)
+	out := e.ws.keep(len(tokens), e.Dim)
 	rt.ForRange(len(tokens), 64, func(i0, i1 int) {
 		for i := i0; i < i1; i++ {
 			copy(out.Row(i), e.P.W.Row(tokens[i]))
@@ -102,10 +103,11 @@ func NewRMSNorm(name string, dim int) *RMSNorm {
 	return &RMSNorm{P: NewParam(name, KindVector, w), Eps: 1e-5}
 }
 
-// Forward computes y_ij = x_ij * inv_i * g_j.
+// Forward computes y_ij = x_ij * inv_i * g_j. It keeps x and inv for the
+// backward; y is an arena transient, which output rebuilds.
 func (r *RMSNorm) Forward(x *tensor.Matrix) *tensor.Matrix {
 	r.x = x
-	r.inv = r.ws.floats(x.Rows)
+	r.inv = r.ws.keepFloats(x.Rows)
 	out := r.ws.matrix(x.Rows, x.Cols)
 	g := r.P.W.Row(0)
 	dim := float64(x.Cols)
@@ -115,13 +117,31 @@ func (r *RMSNorm) Forward(x *tensor.Matrix) *tensor.Matrix {
 			ms := tensor.SqNormSlice(row) / dim
 			inv := float32(1 / math.Sqrt(ms+float64(r.Eps)))
 			r.inv[i] = inv
-			orow := out.Row(i)
-			for j, v := range row {
-				orow[j] = v * inv * g[j]
-			}
+			scaleRow(out.Row(i), row, inv, g)
 		}
 	})
 	return out
+}
+
+// output rebuilds the last Forward's output into an arena transient from the
+// kept x and inv, bit for bit: the same scaleRow on the same operands. Call
+// it before the gain's group is released, while g is still the forward's.
+func (r *RMSNorm) output() *tensor.Matrix {
+	out := r.ws.matrix(r.x.Rows, r.x.Cols)
+	g := r.P.W.Row(0)
+	rt.ForRange(out.Rows, 16, func(i0, i1 int) {
+		for i := i0; i < i1; i++ {
+			scaleRow(out.Row(i), r.x.Row(i), r.inv[i], g)
+		}
+	})
+	return out
+}
+
+// scaleRow writes the norm's output row y_j = x_j·inv·g_j.
+func scaleRow(y, x []float32, inv float32, g []float32) {
+	for j, v := range x {
+		y[j] = v * inv * g[j]
+	}
 }
 
 // Backward accumulates the gain gradient and returns dx.
@@ -184,8 +204,8 @@ func siluGrad(x, s float32) float32 { return s * (1 + x*(1-s)) }
 type SwiGLU struct {
 	Gate, Up, Down *Linear
 
-	ws                *workspace
-	gateOut, upOut, h *tensor.Matrix
+	ws             *workspace
+	gateOut, upOut *tensor.Matrix
 }
 
 // NewSwiGLU builds the three projections for dim→hidden→dim.
@@ -198,29 +218,40 @@ func NewSwiGLU(prefix string, dim, hidden int, rng *tensor.RNG) *SwiGLU {
 	}
 }
 
-// Forward applies the gated MLP.
+// Forward applies the gated MLP. It keeps gate(x) and up(x); the gated
+// product h is an arena transient, which Backward rebuilds.
 func (m *SwiGLU) Forward(x *tensor.Matrix) *tensor.Matrix {
 	m.gateOut = m.Gate.Forward(x)
 	m.upOut = m.Up.Forward(x)
-	m.h = m.ws.matrix(x.Rows, m.gateOut.Cols)
-	gate, up, h := m.gateOut.Data, m.upOut.Data, m.h.Data
-	rt.ForRange(len(h), 1<<11, func(i0, i1 int) {
+	h := m.ws.matrix(x.Rows, m.gateOut.Cols)
+	gate, up := m.gateOut.Data, m.upOut.Data
+	rt.ForRange(len(h.Data), 1<<11, func(i0, i1 int) {
 		for i := i0; i < i1; i++ {
-			h[i] = silu(gate[i], sigmoid(gate[i])) * up[i]
+			h.Data[i] = silu(gate[i], sigmoid(gate[i])) * up[i]
 		}
 	})
-	return m.Down.Forward(m.h)
+	return m.Down.Forward(h)
 }
 
-// Backward returns dx and accumulates all three weight gradients.
+// Backward returns dx and accumulates all three weight gradients. It first
+// rebuilds h with the forward's expression into the buffer that becomes
+// dup, for Down's backward to read, and parks σ(gate) in dgate's, so the
+// pass still takes one sigmoid per element.
 func (m *SwiGLU) Backward(dy *tensor.Matrix) *tensor.Matrix {
-	dh := m.Down.Backward(dy)
-	dgate := m.ws.matrix(dh.Rows, dh.Cols)
-	dup := m.ws.matrix(dh.Rows, dh.Cols)
 	gate, up := m.gateOut.Data, m.upOut.Data
-	rt.ForRange(len(dh.Data), 1<<11, func(i0, i1 int) {
+	dgate := m.ws.matrix(m.gateOut.Rows, m.gateOut.Cols)
+	dup := m.ws.matrix(m.gateOut.Rows, m.gateOut.Cols)
+	rt.ForRange(len(gate), 1<<11, func(i0, i1 int) {
 		for i := i0; i < i1; i++ {
 			s := sigmoid(gate[i])
+			dgate.Data[i], dup.Data[i] = s, silu(gate[i], s)*up[i]
+		}
+	})
+	m.Down.x = dup
+	dh := m.Down.Backward(dy)
+	rt.ForRange(len(dh.Data), 1<<11, func(i0, i1 int) {
+		for i := i0; i < i1; i++ {
+			s := dgate.Data[i]
 			dgate.Data[i] = dh.Data[i] * up[i] * siluGrad(gate[i], s)
 			dup.Data[i] = dh.Data[i] * silu(gate[i], s)
 		}

@@ -55,12 +55,16 @@ type Block struct {
 // sums land in the sub-layer outputs, which nothing else keeps. Norm1 and
 // attention's keys and values cover every row; the rest of the block covers
 // the returned rows alone, and at from > 0 x is shrunk to them (keepTail)
-// once Norm1 has read it.
+// once Norm1 has read it. The norm outputs and the MLP's gated product are
+// arena transients, handed back before Forward returns; Backward rebuilds
+// them.
 func (b *Block) Forward(x *tensor.Matrix, batch, seq, from int) *tensor.Matrix {
+	mark := b.ws.mark()
 	h := b.Attn.Forward(b.Norm1.Forward(x), batch, seq, from)
 	addInto(h, keepTail(x, seq, from))
 	y := b.MLP.Forward(b.Norm2.Forward(h))
 	addInto(y, h)
+	b.ws.release(mark)
 	return y
 }
 
@@ -85,15 +89,21 @@ func keepTail(x *tensor.Matrix, seq, from int) *tensor.Matrix {
 
 // Backward propagates dy through the block into dx; everything it takes from
 // the arena is handed back, the MLP's share before attention takes its own.
+// Each norm's output is rebuilt for the projections that read it, before
+// the block's group is released.
 func (b *Block) Backward(dx, dy *tensor.Matrix) {
 	outer := b.ws.mark()
 	// y = h + MLP(Norm2(h)); dh = dy + Norm2ᵀ(MLPᵀ(dy))
 	dh := b.ws.matrix(dy.Rows, dy.Cols)
 	inner := b.ws.mark()
+	n2 := b.Norm2.output()
+	b.MLP.Gate.x, b.MLP.Up.x = n2, n2
 	b.Norm2.backwardInto(dh, b.MLP.Backward(dy))
 	b.ws.release(inner)
 	addInto(dh, dy)
 	// h = x + Attn(Norm1(x)); dx = dh + Norm1ᵀ(Attnᵀ(dh))
+	n1 := b.Norm1.output()
+	b.Attn.Wq.x, b.Attn.Wk.x, b.Attn.Wv.x = n1, n1, n1
 	b.Norm1.backwardInto(dx, b.Attn.Backward(dh))
 	addInto(dx, dh)
 	b.ws.release(outer)
@@ -207,12 +217,17 @@ func (m *Model) Clone() *Model {
 // Params returns the model's parameter set.
 func (m *Model) Params() *ParamSet { return m.params }
 
+// ActivationBytes returns the storage the model's activation arena holds:
+// the buffers forwards keep for their backward, the transients, and scratch,
+// each at the largest size it has served. Call it between passes.
+func (m *Model) ActivationBytes() int64 { return m.ws.bytes() }
+
 // Forward maps token ids (length batch·seq, row-major by sequence) to logits
 // of shape (batch·seq)×vocab. The logits live in the model's arena: they are
 // valid until the next Forward on this model, and a model runs one pass at a
-// time. They are the last buffer the forward takes from the arena, so a
-// caller may write the gradient over them (CrossEntropyShard) and hand that
-// to BackwardRelease: backward's temporaries come after them.
+// time. They are kept for the backward, and backward's temporaries come
+// from the arena's other list, so a caller may write the gradient over them
+// (CrossEntropyShard) and hand that to BackwardRelease.
 func (m *Model) Forward(tokens []int, batch, seq int) *tensor.Matrix {
 	return m.ForwardFrom(tokens, batch, seq, 0)
 }
@@ -243,7 +258,10 @@ func (m *Model) ForwardFrom(tokens []int, batch, seq, from int) *tensor.Matrix {
 		x = b.Forward(x, batch, seq, 0)
 	}
 	x = m.Blocks[last].Forward(x, batch, seq, from)
-	return m.Head.Forward(m.NormF.Forward(x))
+	mark := m.ws.mark()
+	logits := m.Head.Forward(m.NormF.Forward(x))
+	m.ws.release(mark)
+	return logits
 }
 
 // Backward propagates dlogits through the whole network, accumulating every
@@ -278,6 +296,7 @@ func (m *Model) BackwardRelease(dlogits *tensor.Matrix, release func([]*Param)) 
 		case dlogits == nil:
 		case k == 0:
 			inner := m.ws.mark()
+			m.Head.x = m.NormF.output()
 			m.NormF.backwardInto(dx, m.Head.Backward(dlogits))
 			m.ws.release(inner)
 		case k <= len(m.Blocks):

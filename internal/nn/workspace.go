@@ -6,12 +6,18 @@ import "apollo/internal/tensor"
 // same buffers in the same order every time, so the arena keeps one buffer
 // per position in that order and hands it out again: the i-th request since
 // reset gets the i-th buffer, grown if this request is larger than any the
-// position has served. Model.Forward resets it, so everything a forward and
-// its backward hand out is valid until the next Forward on the same model;
-// backward temporaries are returned early with mark/release, and their
-// positions serve the next layer's. The arena reaches its high-water mark
-// during the first pass over a batch shape and holds exactly what that pass
-// used, and a model repeating the shape allocates nothing from then on.
+// position has served. Model.Forward resets it.
+//
+// The positions form two lists. keep serves what a forward keeps for its
+// backward: those buffers live until the next reset. matrix and floats
+// serve transients, under mark/release: a forward's temporaries (the norm
+// outputs and SwiGLU's gated product, which backward rebuilds from what is
+// kept) and every backward temporary. A released transient position serves
+// the next transient and nothing else, so no kept buffer sits at the largest
+// size its position once served to a temporary. The arena reaches its
+// high-water mark during the first pass over a batch shape and holds exactly
+// what that pass used, and a model repeating the shape allocates nothing
+// from then on.
 //
 // Handed-out memory is NOT cleared: a caller that accumulates into a buffer
 // zeroes it, a caller that overwrites every element does not pay for that.
@@ -20,42 +26,68 @@ import "apollo/internal/tensor"
 // a layer built on its own, outside a Model, runs. Not safe for concurrent
 // use: layers take what they need before they fan out.
 type workspace struct {
+	kept  positions     // what a forward keeps for its backward
+	trans positions     // forward temporaries and backward temporaries
+	tmp   tensor.Matrix // scratch's one matrix
+}
+
+// positions is one list of buffers handed out by position since reset.
+type positions struct {
 	slots []*tensor.Matrix // slots[i] serves the i-th request since reset
 	next  int              // requests since reset
-	tmp   tensor.Matrix    // scratch's one matrix
+}
+
+// take hands out the next position's buffer as an uncleared rows×cols
+// matrix.
+func (p *positions) take(rows, cols int) *tensor.Matrix {
+	if p.next == len(p.slots) {
+		p.slots = append(p.slots, new(tensor.Matrix))
+	}
+	p.next++
+	return fit(p.slots[p.next-1], rows, cols)
 }
 
 // reset makes the whole arena available again.
-func (w *workspace) reset() { w.next = 0 }
+func (w *workspace) reset() { w.kept.next, w.trans.next = 0, 0 }
 
-// mark returns the position to release back to.
+// mark returns the transient position to release back to.
 func (w *workspace) mark() int {
 	if w == nil {
 		return 0
 	}
-	return w.next
+	return w.trans.next
 }
 
-// release returns everything handed out since mark was taken.
+// release returns every transient handed out since mark was taken.
 func (w *workspace) release(mark int) {
 	if w != nil {
-		w.next = mark
+		w.trans.next = mark
 	}
 }
 
-// matrix hands out an uncleared rows×cols matrix.
+// keep hands out an uncleared rows×cols matrix that stays valid until the
+// next reset.
+func (w *workspace) keep(rows, cols int) *tensor.Matrix {
+	if w == nil {
+		return tensor.NewMatrix(rows, cols)
+	}
+	return w.kept.take(rows, cols)
+}
+
+// keepFloats hands out n uncleared floats that stay valid until the next
+// reset.
+func (w *workspace) keepFloats(n int) []float32 { return w.keep(1, n).Data }
+
+// matrix hands out an uncleared rows×cols transient, valid until the
+// release of a mark taken before it.
 func (w *workspace) matrix(rows, cols int) *tensor.Matrix {
 	if w == nil {
 		return tensor.NewMatrix(rows, cols)
 	}
-	if w.next == len(w.slots) {
-		w.slots = append(w.slots, new(tensor.Matrix))
-	}
-	w.next++
-	return fit(w.slots[w.next-1], rows, cols)
+	return w.trans.take(rows, cols)
 }
 
-// floats hands out n uncleared floats.
+// floats hands out n uncleared transient floats.
 func (w *workspace) floats(n int) []float32 { return w.matrix(1, n).Data }
 
 // scratch hands out the arena's one transient matrix, uncleared and valid
@@ -71,6 +103,18 @@ func (w *workspace) scratch(rows, cols int) *tensor.Matrix {
 		return tensor.NewMatrix(rows, cols)
 	}
 	return fit(&w.tmp, rows, cols)
+}
+
+// bytes is the storage the arena holds: every position of both lists at
+// the largest size it has served, and scratch.
+func (w *workspace) bytes() int64 {
+	n := cap(w.tmp.Data)
+	for _, p := range []*positions{&w.kept, &w.trans} {
+		for _, m := range p.slots {
+			n += cap(m.Data)
+		}
+	}
+	return 4 * int64(n)
 }
 
 // fit reshapes m to rows×cols over its own storage, replacing the storage

@@ -179,3 +179,64 @@ func TestLossWritesOverLogits(t *testing.T) {
 		t.Errorf("steady-state Loss allocates %.0f bytes, want under %.0f (one %d×%d logits matrix)", bytes, limit, batch*seq, cfg.Vocab)
 	}
 }
+
+// TestArenaKeepsOnlyWhatBackwardReads: after a forward the arena's kept list
+// holds exactly the buffers backward reads, in the order the forward took
+// them — the embedding output; per block the two 1/rms, k, v, q, the
+// probabilities, ctx, the attention output, gate, up and the block output;
+// NormF's 1/rms and the logits — and nothing a rebuild replaces (the norm
+// outputs, the gated product). After forward+backward the whole arena stays
+// under what the 1B and 7B proxies held with the rebuilt activations kept
+// (20.9 and 70.5 MiB).
+func TestArenaKeepsOnlyWhatBackwardReads(t *testing.T) {
+	for _, tc := range []struct {
+		name       string
+		cfg        Config
+		batch, seq int
+		limitMiB   float64
+	}{
+		{"1B proxy 8x64", Config{Vocab: 256, Dim: 96, Hidden: 256, Heads: 6, Layers: 5, MaxSeq: 128}, 8, 64, 17.0},
+		{"7B proxy 8x128", Config{Vocab: 256, Dim: 128, Hidden: 344, Heads: 8, Layers: 6, MaxSeq: 128}, 8, 128, 58},
+	} {
+		model := NewModel(tc.cfg, tensor.NewRNG(28))
+		tokens, targets := arenaBatch(tensor.NewRNG(29), tc.cfg.Vocab, tc.batch, tc.seq)
+		logits := model.Forward(tokens, tc.batch, tc.seq)
+
+		var want [][]float32
+		for i, b := range model.Blocks {
+			if i == 0 {
+				want = append(want, b.Norm1.x.Data)
+			}
+			a := b.Attn
+			want = append(want, b.Norm1.inv, a.k.Data, a.v.Data, a.q.Data, a.probs, a.ctx.Data,
+				b.Norm2.x.Data, b.Norm2.inv, b.MLP.gateOut.Data, b.MLP.upOut.Data)
+			if i+1 < len(model.Blocks) {
+				want = append(want, model.Blocks[i+1].Norm1.x.Data)
+			} else {
+				want = append(want, model.NormF.x.Data)
+			}
+		}
+		want = append(want, model.NormF.inv, logits.Data)
+
+		kept := model.ws.kept.slots[:model.ws.kept.next]
+		if len(kept) != len(want) || len(model.ws.kept.slots) != len(want) {
+			t.Fatalf("%s: forward kept %d buffers (%d positions), backward reads %d", tc.name, len(kept), len(model.ws.kept.slots), len(want))
+		}
+		for i, m := range kept {
+			if &m.Data[0] != &want[i][0] || len(m.Data) != len(want[i]) {
+				t.Fatalf("%s: kept buffer %d is not the %d-th buffer backward reads", tc.name, i, i)
+			}
+		}
+		if n := model.ws.trans.next; n != 0 {
+			t.Fatalf("%s: forward returned with %d transients taken", tc.name, n)
+		}
+
+		_, dlogits := CrossEntropyShard(logits, targets, -1, CountTargets(targets, -1))
+		model.Backward(dlogits)
+		mib := float64(model.ActivationBytes()) / (1 << 20)
+		if mib > tc.limitMiB {
+			t.Errorf("%s: arena holds %.2f MiB after forward+backward, want ≤ %.1f", tc.name, mib, tc.limitMiB)
+		}
+		t.Logf("%s: %.2f MiB", tc.name, mib)
+	}
+}

@@ -56,6 +56,7 @@ const (
 	CompBatcherBuffers = "batcher_buffers"
 	CompDPGradLeaves   = "dp_grad_leaves"
 	CompDPReplicas     = "dp_replicas"
+	CompActivations    = "activations"
 )
 
 // ShardComponent names the per-shard optimizer-state component for one ZeRO
@@ -416,16 +417,20 @@ func (p *Profiler) CaptureHeapProfile(reason string) string {
 	return path
 }
 
-// StartSampler runs Sample(0) every interval on a background goroutine — the
-// serve-side cadence, where there is no step loop to hook. The returned stop
-// function halts the goroutine (idempotent).
+// StartSampler takes Sample(0) now and then every interval on a background
+// goroutine — the serve-side cadence, where there is no step loop to hook.
+// The returned stop function halts the goroutine and takes one last sample
+// once it has (idempotent), so a session shorter than one interval still
+// leaves two points on the timeline.
 func (p *Profiler) StartSampler(every time.Duration) (stop func()) {
 	if p == nil || every <= 0 {
 		return func() {}
 	}
-	done := make(chan struct{})
+	p.Sample(0)
+	done, exited := make(chan struct{}), make(chan struct{})
 	var once sync.Once
 	go func() {
+		defer close(exited)
 		t := time.NewTicker(every)
 		defer t.Stop()
 		for {
@@ -437,7 +442,13 @@ func (p *Profiler) StartSampler(every time.Duration) (stop func()) {
 			}
 		}
 	}()
-	return func() { once.Do(func() { close(done) }) }
+	return func() {
+		once.Do(func() {
+			close(done)
+			<-exited
+			p.Sample(0)
+		})
+	}
 }
 
 func sanitizeReason(s string) string {

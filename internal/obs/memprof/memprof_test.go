@@ -242,3 +242,25 @@ func TestStartSampler(t *testing.T) {
 		t.Fatalf("background sampler produced %d samples", samples.Load())
 	}
 }
+
+// TestStartSamplerSamplesAtStartAndStop: a session far shorter than the
+// interval still leaves one sample from the start and one from the stop,
+// both on the timeline, and a second stop takes none.
+func TestStartSamplerSamplesAtStartAndStop(t *testing.T) {
+	var buf bytes.Buffer
+	p := New(Config{Out: obs.NewJSONLWriter(&buf)})
+	var samples atomic.Int64
+	p.Track("x", func() int64 { samples.Add(1); return 7 })
+	stop := p.StartSampler(time.Hour)
+	if n := samples.Load(); n != 1 {
+		t.Fatalf("%d samples once the sampler started, want 1", n)
+	}
+	stop()
+	stop()
+	if n := samples.Load(); n != 2 {
+		t.Fatalf("%d samples once the sampler stopped (twice), want 2", n)
+	}
+	if n := strings.Count(buf.String(), `{"kind":"mem"`); n != 2 {
+		t.Fatalf("%d mem lines on the timeline, want 2:\n%s", n, buf.String())
+	}
+}

@@ -31,13 +31,15 @@ func paramBytes(params []*nn.Param) int64 {
 // split the sharding buys. A data-parallel stage then adds its own residents:
 // the partial-sum buffers its replicas' tree folds have allocated so far, and
 // the replica models beside the master (weights + grads each; replica 0 is
-// the master).
+// the master). The master model's activation arena is "activations": the
+// loop samples through ObserveStep, on its own goroutine, between passes.
 func instrumentMemory(mp *memprof.Profiler, model *nn.Model, opt optim.Optimizer, dp *dataParallel) {
 	if mp == nil {
 		return
 	}
 	mp.Set(memprof.CompWeights, paramBytes(model.Params().List()))
 	mp.Track(memprof.CompGrads, model.GradBytes)
+	mp.Track(memprof.CompActivations, model.ActivationBytes)
 	if dp != nil && dp.sharder != nil {
 		for s := 0; s < dp.sharder.Shards(); s++ {
 			mp.Track(memprof.ShardComponent(s), func() int64 {

@@ -166,7 +166,8 @@ func TestObserverParity(t *testing.T) {
 			}
 
 			// Memory timeline: one sample per step carrying the measured
-			// ledger, the optimizer state counted exactly once.
+			// ledger, the optimizer state counted exactly once and the master
+			// model's activation arena at the size it holds at the end.
 			if len(rd.Mem) != steps {
 				t.Fatalf("got %d mem samples, want %d", len(rd.Mem), steps)
 			}
@@ -177,6 +178,9 @@ func TestObserverParity(t *testing.T) {
 			comp := last.Components
 			if comp[memprof.CompWeights] <= 0 || comp[memprof.CompGrads] <= 0 {
 				t.Fatalf("weights/grads missing: %v", comp)
+			}
+			if got, want := comp[memprof.CompActivations], gotModel.ActivationBytes(); got <= 0 || got != want {
+				t.Fatalf("activations %d on the ledger, the master model's arena holds %d", got, want)
 			}
 			if m.zero {
 				var shardSum int64
