@@ -60,11 +60,9 @@ type Attention struct {
 
 	// forward caches
 	q, k, v *tensor.Matrix // post-RoPE for q/k; k and v N×dim, q one row per query position
-	probs   []float32      // B·H blocks of the query rows' softmax probabilities, see probsRow
 	ctx     *tensor.Matrix // concatenated head outputs, one row per query position
 	batch   int
 	seq     int
-	from    int // first query position
 }
 
 // NewAttention builds the four projections for a model of width dim split
@@ -95,19 +93,6 @@ func head(m *tensor.Matrix, n, h, hd int) []float32 {
 	return row[h*hd : (h+1)*hd]
 }
 
-// probsRow returns the t+1 causal probabilities of query position t in
-// (batch, head) block bh; the blocks are packed lower triangles, less the
-// rows of the positions before from.
-func (a *Attention) probsRow(bh, t int) []float32 {
-	lo := bh*a.probsPerBlock() + t*(t+1)/2 - a.from*(a.from+1)/2
-	return a.probs[lo : lo+t+1]
-}
-
-// probsPerBlock is the probability count of one (batch, head) block.
-func (a *Attention) probsPerBlock() int {
-	return a.seq*(a.seq+1)/2 - a.from*(a.from+1)/2
-}
-
 // Forward runs causal attention over a batch of B sequences of length T
 // flattened to x of shape (B·T)×dim and returns the outputs of the query
 // positions from … T−1 of each sequence, B·(T−from) rows: keys and values
@@ -115,11 +100,15 @@ func (a *Attention) probsPerBlock() int {
 // the query positions alone. At from > 0 x is shrunk to the query rows
 // (keepTail) once the keys and values have read it, and the pass cannot be
 // backpropagated.
+//
+// No probability outlives the pass: each (batch, head) task scores its query
+// positions one at a time into its own row of an arena transient, and
+// Backward rebuilds every row from the kept post-RoPE q and k.
 func (a *Attention) Forward(x *tensor.Matrix, batch, seq, from int) *tensor.Matrix {
 	if x.Rows != batch*seq {
 		panic(fmt.Sprintf("nn: attention rows %d != batch %d × seq %d", x.Rows, batch, seq))
 	}
-	a.batch, a.seq, a.from = batch, seq, from
+	a.batch, a.seq = batch, seq
 	a.k = a.Wk.Forward(x)
 	a.v = a.Wv.Forward(x)
 	a.q = a.Wq.Forward(keepTail(x, seq, from))
@@ -139,27 +128,26 @@ func (a *Attention) Forward(x *tensor.Matrix, batch, seq, from int) *tensor.Matr
 		}
 	})
 
-	a.probs = a.ws.keepFloats(batch * a.Heads * a.probsPerBlock())
 	a.ctx = a.ws.keep(batch*tail, x.Cols)
 	a.ctx.Zero()
 	invSqrt := float32(1 / math.Sqrt(float64(hd)))
 
-	// One task per (batch, head) pair.
+	// One task per (batch, head) pair, each with one probability row.
 	bh := batch * a.Heads
+	rows := a.ws.matrix(bh, seq)
 	rt.ForRange(bh, 1, func(t0, t1 int) {
 		for bhIdx := t0; bhIdx < t1; bhIdx++ {
 			b := bhIdx / a.Heads
 			h := bhIdx % a.Heads
 			for t := from; t < seq; t++ {
 				qv := head(a.q, b*tail+t-from, h, hd)
-				prow := a.probsRow(bhIdx, t)
+				prow := rows.Row(bhIdx)[:t+1]
 				for u := range prow {
 					prow[u] = tensor.Dot(qv, head(a.k, b*seq+u, h, hd)) * invSqrt
 				}
 				tensor.SoftmaxInPlace(prow)
 				cv := head(a.ctx, b*tail+t-from, h, hd)
-				for u := 0; u <= t; u++ {
-					p := prow[u]
+				for u, p := range prow {
 					vv := head(a.v, b*seq+u, h, hd)
 					for d := 0; d < hd; d++ {
 						cv[d] += p * vv[d]
@@ -186,39 +174,39 @@ func (a *Attention) Backward(dy *tensor.Matrix) *tensor.Matrix {
 	invSqrt := float32(1 / math.Sqrt(float64(hd)))
 
 	bh := batch * a.Heads
-	scratch := a.ws.floats(2 * bh * seq) // a dattn and a dscore row per task
+	scratch := a.ws.matrix(bh, 2*seq) // a probability and a dattn row per task
 	rt.ForRange(bh, 1, func(t0, t1 int) {
 		for bhIdx := t0; bhIdx < t1; bhIdx++ {
-			dattn := scratch[2*bhIdx*seq : (2*bhIdx+1)*seq]
-			dscore := scratch[(2*bhIdx+1)*seq : (2*bhIdx+2)*seq]
 			b := bhIdx / a.Heads
 			h := bhIdx % a.Heads
+			task := scratch.Row(bhIdx)
 			for t := 0; t < seq; t++ {
+				prow, dattn := task[:t+1], task[seq:seq+t+1]
+				qv := head(a.q, b*seq+t, h, hd)
 				dcv := head(dctx, b*seq+t, h, hd)
-				prow := a.probsRow(bhIdx, t)
-				// dattn_u = dctx·v_u ; dv_u += p_u·dctx
-				for u := 0; u <= t; u++ {
-					vv := head(a.v, b*seq+u, h, hd)
-					dattn[u] = tensor.Dot(dcv, vv)
+				// Rebuild the forward's probability row with its calls on
+				// the same operands, so every bit is the forward's:
+				// s_u = q_t·k_u·invSqrt, then softmax. dattn_u = dctx·v_u.
+				for u := range prow {
+					prow[u] = tensor.Dot(qv, head(a.k, b*seq+u, h, hd)) * invSqrt
+					dattn[u] = tensor.Dot(dcv, head(a.v, b*seq+u, h, hd))
+				}
+				tensor.SoftmaxInPlace(prow)
+				// dv_u += p_u·dctx ; mix = Σ_u p_u dattn_u
+				var mix float64
+				for u, p := range prow {
 					dvv := head(dv, b*seq+u, h, hd)
-					p := prow[u]
 					for d := 0; d < hd; d++ {
 						dvv[d] += p * dcv[d]
 					}
+					mix += float64(p) * float64(dattn[u])
 				}
-				// softmax backward: ds_u = p_u (dattn_u − Σ_w p_w dattn_w)
-				var mix float64
-				for u := 0; u <= t; u++ {
-					mix += float64(prow[u]) * float64(dattn[u])
-				}
-				for u := 0; u <= t; u++ {
-					dscore[u] = prow[u] * (dattn[u] - float32(mix))
-				}
+				// softmax backward ds_u = p_u (dattn_u − mix), then
 				// dq_t += Σ_u ds_u·k_u·invSqrt ; dk_u += ds_u·q_t·invSqrt
 				dqv := head(dq, b*seq+t, h, hd)
-				qv := head(a.q, b*seq+t, h, hd)
-				for u := 0; u <= t; u++ {
-					s := dscore[u] * invSqrt
+				m := float32(mix)
+				for u, p := range prow {
+					s := p * (dattn[u] - m) * invSqrt
 					kv := head(a.k, b*seq+u, h, hd)
 					dkv := head(dk, b*seq+u, h, hd)
 					for d := 0; d < hd; d++ {
@@ -241,9 +229,14 @@ func (a *Attention) Backward(dy *tensor.Matrix) *tensor.Matrix {
 		}
 	})
 
+	// Wk's and Wv's input gradients share one transient position: each is
+	// handed back once it is added.
 	dx := a.Wq.Backward(dq)
+	mark := a.ws.mark()
 	tensor.AddInPlace(dx, a.Wk.Backward(dk))
+	a.ws.release(mark)
 	tensor.AddInPlace(dx, a.Wv.Backward(dv))
+	a.ws.release(mark)
 	return dx
 }
 

@@ -238,9 +238,19 @@ func (m *SwiGLU) Forward(x *tensor.Matrix) *tensor.Matrix {
 // dup, for Down's backward to read, and parks σ(gate) in dgate's, so the
 // pass still takes one sigmoid per element.
 func (m *SwiGLU) Backward(dy *tensor.Matrix) *tensor.Matrix {
+	dgate, dup := m.gradBuffers()
+	return m.backwardInto(dgate, dup, dy)
+}
+
+// gradBuffers hands out the two hidden-wide transients backwardInto works
+// in, which become dgate and dup.
+func (m *SwiGLU) gradBuffers() (dgate, dup *tensor.Matrix) {
+	return m.ws.matrix(m.gateOut.Rows, m.gateOut.Cols), m.ws.matrix(m.gateOut.Rows, m.gateOut.Cols)
+}
+
+// backwardInto is Backward working in caller-provided dgate and dup.
+func (m *SwiGLU) backwardInto(dgate, dup, dy *tensor.Matrix) *tensor.Matrix {
 	gate, up := m.gateOut.Data, m.upOut.Data
-	dgate := m.ws.matrix(m.gateOut.Rows, m.gateOut.Cols)
-	dup := m.ws.matrix(m.gateOut.Rows, m.gateOut.Cols)
 	rt.ForRange(len(gate), 1<<11, func(i0, i1 int) {
 		for i := i0; i < i1; i++ {
 			s := sigmoid(gate[i])

@@ -90,15 +90,19 @@ func keepTail(x *tensor.Matrix, seq, from int) *tensor.Matrix {
 // Backward propagates dy through the block into dx; everything it takes from
 // the arena is handed back, the MLP's share before attention takes its own.
 // Each norm's output is rebuilt for the projections that read it, before
-// the block's group is released.
+// the block's group is released. The MLP's two hidden-wide buffers are taken
+// before Norm2's rebuild, so the transient position that held Forward's
+// gated product serves a hidden-wide buffer here too: no forward transient
+// is wider than what backward takes at its position.
 func (b *Block) Backward(dx, dy *tensor.Matrix) {
 	outer := b.ws.mark()
 	// y = h + MLP(Norm2(h)); dh = dy + Norm2ᵀ(MLPᵀ(dy))
 	dh := b.ws.matrix(dy.Rows, dy.Cols)
 	inner := b.ws.mark()
+	dgate, dup := b.MLP.gradBuffers()
 	n2 := b.Norm2.output()
 	b.MLP.Gate.x, b.MLP.Up.x = n2, n2
-	b.Norm2.backwardInto(dh, b.MLP.Backward(dy))
+	b.Norm2.backwardInto(dh, b.MLP.backwardInto(dgate, dup, dy))
 	b.ws.release(inner)
 	addInto(dh, dy)
 	// h = x + Attn(Norm1(x)); dx = dh + Norm1ᵀ(Attnᵀ(dh))

@@ -121,11 +121,14 @@ func TestRoPEMakesPositionMatter(t *testing.T) {
 		copy(x.Row(i), row)
 	}
 	att.Forward(x, 1, seq, 0)
-	// probs for head 0, final position.
-	last := att.probsRow(0, seq-1)
-	if len(last) != seq {
-		t.Fatalf("last query row has %d probabilities, want %d", len(last), seq)
+	// Probabilities for head 0, final position, from the kept post-RoPE q
+	// and k (the forward keeps no probabilities).
+	hd := dim / heads
+	last := make([]float32, seq)
+	for u := range last {
+		last[u] = tensor.Dot(head(att.q, seq-1, 0, hd), head(att.k, u, 0, hd)) / float32(math.Sqrt(float64(hd)))
 	}
+	tensor.SoftmaxInPlace(last)
 	mn, mx := last[0], last[0]
 	for _, p := range last {
 		if p < mn {

@@ -9,12 +9,15 @@ import "apollo/internal/tensor"
 // position has served. Model.Forward resets it.
 //
 // The positions form two lists. keep serves what a forward keeps for its
-// backward: those buffers live until the next reset. matrix and floats
-// serve transients, under mark/release: a forward's temporaries (the norm
-// outputs and SwiGLU's gated product, which backward rebuilds from what is
-// kept) and every backward temporary. A released transient position serves
-// the next transient and nothing else, so no kept buffer sits at the largest
-// size its position once served to a temporary. The arena reaches its
+// backward: those buffers live until the next reset. matrix serves
+// transients, under mark/release: a forward's temporaries (the norm outputs,
+// SwiGLU's gated product and attention's probability rows, which backward
+// rebuilds from what is kept) and every backward temporary. A released
+// transient position serves the next transient and nothing else, so no kept
+// buffer sits at the largest size its position once served to a temporary;
+// and backward takes its buffers in an order that makes each at least as
+// wide as the forward temporary at its position, so a forward grows no
+// transient position past what backward needs. The arena reaches its
 // high-water mark during the first pass over a batch shape and holds exactly
 // what that pass used, and a model repeating the shape allocates nothing
 // from then on.
@@ -86,9 +89,6 @@ func (w *workspace) matrix(rows, cols int) *tensor.Matrix {
 	}
 	return w.trans.take(rows, cols)
 }
-
-// floats hands out n uncleared transient floats.
-func (w *workspace) floats(n int) []float32 { return w.matrix(1, n).Data }
 
 // scratch hands out the arena's one transient matrix, uncleared and valid
 // until the next call: weight-shaped temporaries (a Linear's dW before it is

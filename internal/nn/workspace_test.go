@@ -3,6 +3,7 @@ package nn
 import (
 	"math"
 	goruntime "runtime"
+	"slices"
 	"testing"
 
 	"apollo/internal/runtime"
@@ -182,12 +183,12 @@ func TestLossWritesOverLogits(t *testing.T) {
 
 // TestArenaKeepsOnlyWhatBackwardReads: after a forward the arena's kept list
 // holds exactly the buffers backward reads, in the order the forward took
-// them — the embedding output; per block the two 1/rms, k, v, q, the
-// probabilities, ctx, the attention output, gate, up and the block output;
-// NormF's 1/rms and the logits — and nothing a rebuild replaces (the norm
-// outputs, the gated product). After forward+backward the whole arena stays
-// under what the 1B and 7B proxies held with the rebuilt activations kept
-// (20.9 and 70.5 MiB).
+// them — the embedding output; per block the two 1/rms, k, v, q, ctx, the
+// attention output, gate, up and the block output; NormF's 1/rms and the
+// logits — and nothing a rebuild replaces (the norm outputs, the gated
+// product, the attention probabilities). After forward+backward the whole
+// arena stays under what the 1B and 7B proxies held with the probabilities
+// kept (16.83 and 57.31 MiB).
 func TestArenaKeepsOnlyWhatBackwardReads(t *testing.T) {
 	for _, tc := range []struct {
 		name       string
@@ -195,8 +196,8 @@ func TestArenaKeepsOnlyWhatBackwardReads(t *testing.T) {
 		batch, seq int
 		limitMiB   float64
 	}{
-		{"1B proxy 8x64", Config{Vocab: 256, Dim: 96, Hidden: 256, Heads: 6, Layers: 5, MaxSeq: 128}, 8, 64, 17.0},
-		{"7B proxy 8x128", Config{Vocab: 256, Dim: 128, Hidden: 344, Heads: 8, Layers: 6, MaxSeq: 128}, 8, 128, 58},
+		{"1B proxy 8x64", Config{Vocab: 256, Dim: 96, Hidden: 256, Heads: 6, Layers: 5, MaxSeq: 128}, 8, 64, 14.5},
+		{"7B proxy 8x128", Config{Vocab: 256, Dim: 128, Hidden: 344, Heads: 8, Layers: 6, MaxSeq: 128}, 8, 128, 44.5},
 	} {
 		model := NewModel(tc.cfg, tensor.NewRNG(28))
 		tokens, targets := arenaBatch(tensor.NewRNG(29), tc.cfg.Vocab, tc.batch, tc.seq)
@@ -208,7 +209,7 @@ func TestArenaKeepsOnlyWhatBackwardReads(t *testing.T) {
 				want = append(want, b.Norm1.x.Data)
 			}
 			a := b.Attn
-			want = append(want, b.Norm1.inv, a.k.Data, a.v.Data, a.q.Data, a.probs, a.ctx.Data,
+			want = append(want, b.Norm1.inv, a.k.Data, a.v.Data, a.q.Data, a.ctx.Data,
 				b.Norm2.x.Data, b.Norm2.inv, b.MLP.gateOut.Data, b.MLP.upOut.Data)
 			if i+1 < len(model.Blocks) {
 				want = append(want, model.Blocks[i+1].Norm1.x.Data)
@@ -238,5 +239,40 @@ func TestArenaKeepsOnlyWhatBackwardReads(t *testing.T) {
 			t.Errorf("%s: arena holds %.2f MiB after forward+backward, want ≤ %.1f", tc.name, mib, tc.limitMiB)
 		}
 		t.Logf("%s: %.2f MiB", tc.name, mib)
+	}
+}
+
+// TestForwardTransientsFitBackward: no transient a forward takes is wider
+// than the buffer backward takes at its position, so the transient list
+// after a forward+backward is exactly what backward alone grows it to. A
+// forward that landed a wide temporary where backward serves a narrow one
+// would pin that position at the wider size for the arena's life.
+func TestForwardTransientsFitBackward(t *testing.T) {
+	for _, tc := range []struct {
+		name       string
+		cfg        Config
+		batch, seq int
+	}{
+		{"1B proxy 8x64", Config{Vocab: 256, Dim: 96, Hidden: 256, Heads: 6, Layers: 5, MaxSeq: 128}, 8, 64},
+		{"tiny 3x6", tinyConfig(), 3, 6},
+	} {
+		caps := func(dropForward bool) []int {
+			model := NewModel(tc.cfg, tensor.NewRNG(30))
+			tokens, targets := arenaBatch(tensor.NewRNG(31), tc.cfg.Vocab, tc.batch, tc.seq)
+			logits := model.Forward(tokens, tc.batch, tc.seq)
+			if dropForward {
+				model.ws.trans.slots = nil
+			}
+			_, dlogits := CrossEntropyShard(logits, targets, -1, CountTargets(targets, -1))
+			model.Backward(dlogits)
+			var out []int
+			for _, m := range model.ws.trans.slots {
+				out = append(out, cap(m.Data))
+			}
+			return out
+		}
+		if both, backward := caps(false), caps(true); !slices.Equal(both, backward) {
+			t.Errorf("%s: transient capacities per position after forward+backward %v, after backward alone %v", tc.name, both, backward)
+		}
 	}
 }

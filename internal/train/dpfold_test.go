@@ -101,12 +101,16 @@ func TestOnlineReduceMatchesLeafTree(t *testing.T) {
 // TestDPGradLeavesLedger: the ledger's dp_grad_leaves is the partial buffers
 // the folds really allocate — 2·2·P at B = 8, N = 2, where one leaf per
 // sequence made it 8·P, and never more than N·(⌈log₂(B/N)⌉+1)·P — and
-// dp_replicas holds the N−1 models beside the master.
+// dp_replicas holds the N−1 models beside the master, each with the arena
+// of a one-sequence forward+backward.
 func TestDPGradLeavesLedger(t *testing.T) {
 	for _, b := range treeBatches() {
 		for n := 1; n <= 4; n++ {
 			model, opt, corpus := dpTestSetup(t, 3)
 			p := paramBytes(model.Params().List())
+			probe := model.Clone()
+			probe.Loss(make([]int, 8), make([]int, 8), 1, 8)
+			arena := probe.ActivationBytes()
 			mp := memprof.New(memprof.Config{})
 			DPPretrain(model, opt, corpus, DPConfig{
 				PretrainConfig: PretrainConfig{Batch: b, Seq: 8, Steps: 2, EvalBatches: 1, MemProf: mp},
@@ -124,8 +128,8 @@ func TestDPGradLeavesLedger(t *testing.T) {
 			if b == 8 && n == 2 && leaves != 2*2*p {
 				t.Errorf("B=8 N=2: dp_grad_leaves %d, want 2·2·P = %d", leaves, 4*p)
 			}
-			if got, want := mp.Read(memprof.CompDPReplicas), (reps-1)*2*p; got != want {
-				t.Errorf("B=%d N=%d: dp_replicas %d, want %d (N−1 models, weights + grads)", b, n, got, want)
+			if got, want := mp.Read(memprof.CompDPReplicas), (reps-1)*(2*p+arena); got != want {
+				t.Errorf("B=%d N=%d: dp_replicas %d, want %d (N−1 models, weights + grads + arena)", b, n, got, want)
 			}
 		}
 	}

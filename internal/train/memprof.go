@@ -30,9 +30,10 @@ func paramBytes(params []*nn.Param) int64 {
 // StateBytes), so the total stays double-count free while showing the ~1/N
 // split the sharding buys. A data-parallel stage then adds its own residents:
 // the partial-sum buffers its replicas' tree folds have allocated so far, and
-// the replica models beside the master (weights + grads each; replica 0 is
-// the master). The master model's activation arena is "activations": the
-// loop samples through ObserveStep, on its own goroutine, between passes.
+// the replica models beside the master (weights, grads and activation arena
+// each; replica 0 is the master). The master model's activation arena is
+// "activations". The arenas are read as they stand: the loop samples
+// through ObserveStep, on its own goroutine, between passes.
 func instrumentMemory(mp *memprof.Profiler, model *nn.Model, opt optim.Optimizer, dp *dataParallel) {
 	if mp == nil {
 		return
@@ -59,9 +60,15 @@ func instrumentMemory(mp *memprof.Profiler, model *nn.Model, opt optim.Optimizer
 		}
 		return held
 	})
-	var repBytes int64
+	var fixed int64
 	for _, rep := range dp.reps[1:] {
-		repBytes += paramBytes(rep.params) + rep.model.GradBytes()
+		fixed += paramBytes(rep.params) + rep.model.GradBytes()
 	}
-	mp.Set(memprof.CompDPReplicas, repBytes)
+	mp.Track(memprof.CompDPReplicas, func() int64 {
+		held := fixed
+		for _, rep := range dp.reps[1:] {
+			held += rep.model.ActivationBytes()
+		}
+		return held
+	})
 }
